@@ -1,52 +1,37 @@
 """Behavior at solution singularities: the third-order scheme halts exactly
 at the logarithmic barrier (its roots turn complex), while the six-point
-scheme steps across poles that stop the Runge-Kutta baseline."""
-import math
+scheme steps across poles that stop the Runge-Kutta baseline.
 
-from invdisc import (Constant, SchemeKind, SchemeSpec, StopReason, Uniform,
-                     exact_jet, fifth_order_invariant_system, integrate,
-                     one_over_one_minus_exp, rk4_integrate,
-                     seed_stencil_from_function, tan_reciprocal)
-
-POLE = 2.0 / (5.0 * math.pi)
+Formats runs of the paper examples 2-log, 4 and 5 defined in
+``invdisc.cli.EXAMPLES``."""
+from invdisc.cli import EXAMPLES, TAN_RECIPROCAL_POLE as POLE, run_example
 
 
 def main():
     print("third-order scheme on y = log|x| toward the singularity at 0:")
-    f = lambda x: math.log(abs(x))
+    f = EXAMPLES["2-log"].solution.eval_fn
     for x0, h in ((-1.0, 1e-4), (1.0, -1e-4)):
-        seed = seed_stencil_from_function(f, x0, h, 3)
-        spec = SchemeSpec(SchemeKind.SLX3, Constant(0.5), Uniform(h))
-        traj = integrate(spec, seed, round(1.2 / abs(h)))
+        traj = run_example("2-log", h, x0=x0).inv
         errs = max(abs(p.y - f(p.x)) for p in traj.points if abs(p.x) >= 0.01)
         print(f"  from x0={x0:+.0f}: stop={traj.stop.value} at x={traj.points[-1].x:+.6f}, "
               f"max err away from 0: {errs:.2e}")
 
     print("\nsix-point scheme on the exact discrete solution through its pole:")
-    sol = one_over_one_minus_exp()
-    seed = seed_stencil_from_function(sol.eval_fn, -1.0, 0.1, 5)
-    spec = SchemeSpec(SchemeKind.H5, Constant(0.0), Uniform(0.1))
-    traj = integrate(spec, seed, 40)
-    devs = [abs(p.y - sol.eval_fn(p.x)) for p in traj.points if p.x != 0.0]
-    at_pole = [p.y for p in traj.points if p.x == 0.0]
-    print(f"  stop={traj.stop.value}, {len(traj.points)} points, "
-          f"max deviation off the pole: {max(devs):.2e}")
+    run = run_example("4")
+    at_pole = [p.y for p in run.inv.points if p.x == 0.0]
+    print(f"  stop={run.inv.stop.value}, {len(run.inv.points)} points, "
+          f"max deviation off the pole: {run.summary['max deviation from exact']:.2e}")
     if at_pole:
         print(f"  value carried across the pole at x=0: {at_pole[0]:.3e}")
 
     print("\nsix-point scheme on y = tan(1/x) past the pole at "
           f"x = {POLE:.5f}:")
-    sol = tan_reciprocal()
-    seed = seed_stencil_from_function(sol.eval_fn, 0.1, 1e-3, 5)
-    spec = SchemeSpec(SchemeKind.H5, Constant(0.0), Uniform(1e-3))
-    traj = integrate(spec, seed, 60)
-    beyond = [p for p in traj.points if p.x > POLE]
-    print(f"  invariant scheme: stop={traj.stop.value}, "
+    run = run_example("5")
+    beyond = [p for p in run.inv.points if p.x > POLE]
+    print(f"  invariant scheme: stop={run.inv.stop.value}, "
           f"{len(beyond)} real finite points beyond the pole "
-          f"(last x = {traj.points[-1].x:.3f})")
-    base = rk4_integrate(fifth_order_invariant_system(0.0),
-                         exact_jet(sol, 0.1).d[:5], 0.1, 1e-5,
-                         round(2.0 * (POLE - 0.1) / 1e-5))
+          f"(last x = {run.inv.points[-1].x:.3f})")
+    base = run.base
     gap = POLE - base.points[-1].x
     print(f"  RK4 baseline (h=1e-5): stop={base.stop.value} at "
           f"x={base.points[-1].x:.6f} ({gap:.1e} before the pole)")

@@ -1,55 +1,45 @@
 """Reproduce the three accuracy tables: endpoint values of the fourth-order
 scheme, its deviation from a fine reference, and the third-order scheme's
-deviation from the exact inverse hyperbolic tangent."""
-import math
+deviation from the exact inverse hyperbolic tangent.
+
+The tables format runs of the paper examples 1 and 2-arctanh defined in
+``invdisc.cli.EXAMPLES``; the three example-1 runs share one fine reference."""
 import time
 
-from invdisc import (Constant, FunctionOfX, SchemeKind, SchemeSpec, Stencil,
-                     Uniform, chi, integrate, rk4_integrate,
-                     schwarzian_rate_system, seed_stencil_from_function)
+from invdisc.cli import run_example
 
-H_REF = 1e-5
+STEPS_H = (0.1, 0.01, 0.001)
 
 
 def main():
     t0 = time.monotonic()
-    system = schwarzian_rate_system(math.cos)
-    ref = rk4_integrate(system, (1.0, -1.0, -2.5, 5.0), 1.0, H_REF,
-                        round(1.5 / H_REF))
+    first = run_example("1", STEPS_H[0])
     print(f"fine RK4 reference over [1, 2.5] built in {time.monotonic() - t0:.2f}s")
+    ref = first.ref
+    runs = {STEPS_H[0]: first}
+    for h in STEPS_H[1:]:
+        runs[h] = run_example("1", h, ref=ref)
 
     print("\nfourth-order scheme, solution values")
     print(f"{'x':>5} {'reference':>12}", end="")
-    steps_h = (0.1, 0.01, 0.001)
-    for h in steps_h:
+    for h in STEPS_H:
         print(f" {'inv h=' + str(h):>14}", end="")
     print()
-    runs = {}
-    for h in steps_h:
-        stride = round(h / H_REF)
-        seed = Stencil(tuple(ref.points[k * stride] for k in range(4)))
-        spec = SchemeSpec(SchemeKind.SLY4, FunctionOfX(math.cos, "cos"), Uniform(h))
-        runs[h] = integrate(spec, seed, round(1.5 / h) - 3)
     for x in (1.5, 2.0, 2.5):
-        print(f"{x:5.1f} {ref.points[round((x - 1.0) / H_REF)].y:12.6f}", end="")
-        for h in steps_h:
-            print(f" {runs[h].points[round((x - 1.0) / h)].y:14.6f}", end="")
+        print(f"{x:5.1f} {ref.points[round((x - 1.0) / ref.h_nominal)].y:12.6f}", end="")
+        for h in STEPS_H:
+            print(f" {runs[h].inv.points[round((x - 1.0) / h)].y:14.6f}", end="")
         print()
 
     print("\ndeviation from the fine reference (chi)")
-    for h in steps_h:
-        stride = round(h / H_REF)
-        ref_ys = [ref.points[n * stride].y for n in range(len(runs[h].points))]
-        print(f"  h={h:<6} chi = {chi(runs[h], ref_ys):.4e}")
+    for h in STEPS_H:
+        print(f"  h={h:<6} chi = {runs[h].summary['chi vs fine reference']:.4e}")
 
     print("\nthird-order scheme vs exact arctanh over [-0.9, 0.9] (chi)")
-    for h in steps_h:
-        seed = seed_stencil_from_function(math.atanh, -0.9, h, 3)
-        spec = SchemeSpec(SchemeKind.SLX3, Constant(2.0), Uniform(h))
-        traj = integrate(spec, seed, round(1.8 / h) - 2)
-        value = chi(traj, [math.atanh(p.x) for p in traj.points])
-        print(f"  h={h:<6} chi = {value:.6f}   (stop: {traj.stop.value}, "
-              f"last x = {traj.points[-1].x:.2f})")
+    for h in STEPS_H:
+        run = run_example("2-arctanh", h)
+        print(f"  h={h:<6} chi = {run.summary['chi vs exact']:.6f}   "
+              f"(stop: {run.inv.stop.value}, last x = {run.inv.points[-1].x:.2f})")
 
 
 if __name__ == "__main__":

@@ -15,14 +15,9 @@ from .core import DegenerateCoefficientError, Jet
 
 
 @dataclass(frozen=True)
-class JyTriple:
-    third: float
-    fourth: float
-    fifth: float
+class InvariantTriple:
+    """Third-, fourth- and fifth-order members of one invariant family."""
 
-
-@dataclass(frozen=True)
-class KxTriple:
     third: float
     fourth: float
     fifth: float
@@ -33,7 +28,7 @@ def _check_slope(jet: Jet):
         raise DegenerateCoefficientError("invariants undefined where y' = 0")
 
 
-def jy_invariants(jet: Jet) -> JyTriple:
+def jy_invariants(jet: Jet) -> InvariantTriple:
     """Schwarzian derivative and its first two x-derivatives."""
     _check_slope(jet)
     _, y1, y2, y3, y4, y5 = jet.d
@@ -41,7 +36,7 @@ def jy_invariants(jet: Jet) -> JyTriple:
     j4 = y4 / y1 - 4.0 * y2 * y3 / y1 ** 2 + 3.0 * y2 ** 3 / y1 ** 3
     j5 = (y5 / y1 - 5.0 * y2 * y4 / y1 ** 2 + 17.0 * y2 ** 2 * y3 / y1 ** 3
           - 4.0 * y3 ** 2 / y1 ** 2 - 9.0 * y2 ** 4 / y1 ** 4)
-    return JyTriple(j3, j4, j5)
+    return InvariantTriple(j3, j4, j5)
 
 
 def jtilde5(jet: Jet) -> float:
@@ -51,7 +46,7 @@ def jtilde5(jet: Jet) -> float:
     return y5 / y1 - 5.0 * y2 * y4 / y1 ** 2 + 5.0 * y2 ** 2 * y3 / y1 ** 3
 
 
-def kx_invariants(jet: Jet) -> KxTriple:
+def kx_invariants(jet: Jet) -> InvariantTriple:
     """The three lowest-order invariants of Mobius maps acting on x."""
     _check_slope(jet)
     _, y1, y2, y3, y4, y5 = jet.d
@@ -59,7 +54,7 @@ def kx_invariants(jet: Jet) -> KxTriple:
     k4 = y4 / y1 ** 4 - 6.0 * y3 * y2 / y1 ** 5 + 6.0 * y2 ** 3 / y1 ** 6
     k5 = (y5 / y1 ** 5 - 10.0 * y4 * y2 / y1 ** 6 - 4.0 * y3 ** 2 / y1 ** 6
           + 42.0 * y3 * y2 ** 2 / y1 ** 7 - 31.5 * y2 ** 4 / y1 ** 8)
-    return KxTriple(k3, k4, k5)
+    return InvariantTriple(k3, k4, k5)
 
 
 def h5_differential(jet: Jet, route: str = "j") -> float:

@@ -8,11 +8,7 @@ three-point recursion instead.
 """
 from __future__ import annotations
 
-from .core import ConstantS, DegenerateCoefficientError, LatticeRule, Uniform, is_degenerate
-from .discrete import w_coefficient
-
-__all__ = ["Uniform", "ConstantS", "LatticeRule", "uniform_lattice",
-           "extend_constant_s", "extend_lattice", "w0_sol2", "w_coefficient"]
+from .core import DegenerateCoefficientError, LatticeRule, Uniform, is_degenerate
 
 
 def uniform_lattice(x0: float, h: float, n: int) -> list[float]:

@@ -120,14 +120,6 @@ class ExactSolution:
     jet_fn: Callable[[float], Jet]
 
 
-def exact_eval(sol: ExactSolution, x: float) -> float:
-    return sol.eval_fn(x)
-
-
-def exact_jet(sol: ExactSolution, x: float) -> Jet:
-    return sol.jet_fn(x)
-
-
 def _log_abs_jet(x: float) -> Jet:
     if x == 0.0:
         raise DomainError("log|x| is singular at 0")

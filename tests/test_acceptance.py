@@ -13,7 +13,7 @@ import pytest
 
 from invdisc import (Constant, FunctionOfX, Jet, LimitProbe,
                      SchemeKind, SchemeSpec, Stencil, StopReason, Uniform,
-                     arctanh_solution, chi, cross_ratio, exact_jet,
+                     arctanh_solution, chi, cross_ratio,
                      fifth_order_invariant_system, h5_discrete, h5_step,
                      h5_uniform, integrate, jtilde5, jy_invariants,
                      kx_invariants, l3, l4, l5, log_abs, m3, m4, m5, mobius_jet,
@@ -175,7 +175,7 @@ def test_criterion_6_beyond_pole():
     beyond = [p for p in traj.points if p.x > POLE5]
     h_base = 1e-5
     base = rk4_integrate(fifth_order_invariant_system(0.0),
-                         exact_jet(sol, 0.1).d[:5], 0.1, h_base,
+                         sol.jet_fn(0.1).d[:5], 0.1, h_base,
                          round(2.0 * (POLE5 - 0.1) / h_base))
     elapsed = time.monotonic() - t0
     ok = (len(beyond) > 0 and all(math.isfinite(p.y) for p in beyond)

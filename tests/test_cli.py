@@ -210,3 +210,42 @@ def test_example_rejects_unknown_id():
     with pytest.raises(SystemExit) as exc:
         main(["example", "9"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("opts", [
+    ["1", "--h-ref", "0"],
+    ["1", "--h", "0"],
+    ["2-log", "--x0", "inf"],
+    ["4", "--steps", "0"],
+    ["3", "--h", "0.5", "--h-ref", "1e-3"],  # the reference blows up before the seed
+])
+def test_example_rejects_out_of_range_options(opts):
+    assert main(["example", *opts]) == 2
+
+
+def test_example_1_run_past_the_reference(capsys):
+    assert main(["example", "1", "--h", "0.5", "--h-ref", "1e-3", "--steps", "3"]) == 0
+    text = capsys.readouterr().out
+    line = [l for l in text.splitlines() if l.startswith("chi vs fine reference")][0]
+    assert float(line.split(":")[1]) >= 0.0
+
+
+def test_example_5_started_past_the_pole(capsys):
+    assert main(["example", "5", "--x0", "0.2", "--steps", "5"]) == 0
+    text = capsys.readouterr().out
+    line = [l for l in text.splitlines() if l.startswith("chi vs exact before pole")][0]
+    assert math.isnan(float(line.split(":")[1]))
+
+
+# --- library arithmetic errors map to exit status 2 ---------------------------------------
+
+def test_chi_non_finite_row(tmp_path):
+    p = tmp_path / "nan.csv"
+    p.write_text("x,y\n0,1\n1,nan\n")
+    assert main(["chi", str(p), str(p)]) == 2
+
+
+def test_chi_all_zero_reference(tmp_path):
+    p = tmp_path / "zero.csv"
+    write_trajectory_csv(p, _traj([0.0, 0.0, 0.0]))
+    assert main(["chi", str(p), str(p)]) == 2

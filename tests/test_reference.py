@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from invdisc import (DegenerateCoefficientError, DomainError, Point, StopReason,
-                     Trajectory, arctanh_solution, chi, exact_eval, exact_jet,
+                     Trajectory, arctanh_solution, chi,
                      fifth_order_invariant_system, general_arctanh, log_abs,
                      one_over_one_minus_exp, rk4_integrate,
                      scaled_schwarzian_system, schwarzian_rate_system,
@@ -57,28 +57,28 @@ def test_rk4_validates_input():
 # --- exact solutions ----------------------------------------------------------------
 
 def test_exact_eval_examples():
-    assert exact_eval(one_over_one_minus_exp(), -1.0) == pytest.approx(
+    assert one_over_one_minus_exp().eval_fn(-1.0) == pytest.approx(
         1.0 / (1.0 - math.exp(-1.0)), rel=1e-15)
-    assert exact_eval(log_abs(), -1.0) == 0.0
-    assert exact_eval(tan_reciprocal(), 0.1) == pytest.approx(math.tan(10.0), rel=1e-15)
+    assert log_abs().eval_fn(-1.0) == 0.0
+    assert tan_reciprocal().eval_fn(0.1) == pytest.approx(math.tan(10.0), rel=1e-15)
 
 
 def test_exact_jets_at_reference_points():
-    assert exact_jet(arctanh_solution(), 0.0).d == (0.0, 1.0, 0.0, 2.0, 0.0, 24.0)
-    assert exact_jet(log_abs(), -1.0).d == (0.0, -1.0, -1.0, -2.0, -6.0, -24.0)
+    assert arctanh_solution().jet_fn(0.0).d == (0.0, 1.0, 0.0, 2.0, 0.0, 24.0)
+    assert log_abs().jet_fn(-1.0).d == (0.0, -1.0, -1.0, -2.0, -6.0, -24.0)
 
 
 def test_domain_errors():
     with pytest.raises(DomainError):
-        exact_eval(log_abs(), 0.0)
+        log_abs().eval_fn(0.0)
     with pytest.raises(DomainError):
-        exact_eval(arctanh_solution(), 1.0)
+        arctanh_solution().eval_fn(1.0)
     with pytest.raises(DomainError):
-        exact_eval(one_over_one_minus_exp(), 0.0)
+        one_over_one_minus_exp().eval_fn(0.0)
     with pytest.raises(DomainError):
-        exact_eval(tan_reciprocal(), 0.0)
+        tan_reciprocal().eval_fn(0.0)
     with pytest.raises(DomainError):
-        exact_jet(log_abs(), 0.0)
+        log_abs().jet_fn(0.0)
 
 
 @pytest.mark.parametrize("sol,fm,xs", [
@@ -131,8 +131,8 @@ def test_exact_solutions_satisfy_their_equations(sol, system, grid):
 def test_general_arctanh_reduces_to_base():
     g = general_arctanh(1.0, 0.0, 0.0, 2.0)
     for x in (-0.5, 0.2, 0.7):
-        assert exact_eval(g, x) == pytest.approx(math.atanh(x), rel=1e-14)
-        assert exact_jet(g, x).d == pytest.approx(exact_jet(arctanh_solution(), x).d)
+        assert g.eval_fn(x) == pytest.approx(math.atanh(x), rel=1e-14)
+        assert g.jet_fn(x).d == pytest.approx(arctanh_solution().jet_fn(x).d)
 
 
 # --- chi ------------------------------------------------------------------------------
