@@ -32,6 +32,10 @@ EXIT_IO = 3
 
 TAN_RECIPROCAL_POLE = 2.0 / (5.0 * math.pi)
 
+#: upper bound on the steps of any one run the CLI starts (scheme, reference
+#: or baseline), so that a mistyped size fails at once instead of filling memory
+MAX_STEPS = 1_000_000
+
 #: named right-hand sides usable as --forcing for the fourth-order scheme
 NAMED_FORCINGS = {
     "cos": math.cos,
@@ -229,6 +233,11 @@ class ExampleRun:
                 for k, v in self.summary.items()]
 
 
+def _check_size(what: str, steps: int) -> None:
+    if steps > MAX_STEPS:
+        raise ConfigError(f"the {what} run would take {steps} steps, more than {MAX_STEPS}")
+
+
 def run_example(example_id: str, h: float | None = None, steps: int | None = None,
                 out_dir: Path | None = None, h_ref: float = 1e-5,
                 x0: float | None = None, ref: Trajectory | None = None) -> ExampleRun:
@@ -244,9 +253,12 @@ def run_example(example_id: str, h: float | None = None, steps: int | None = Non
     if not h_ref > 0:
         raise ConfigError("h-ref must be positive")
     steps = ex.steps(h, x0) if steps is None else steps
-    if steps < 1:
-        raise ConfigError("steps must be a positive integer")
+    if not 1 <= steps <= MAX_STEPS:
+        raise ConfigError(f"steps must be an integer from 1 to {MAX_STEPS}")
     spec = SchemeSpec(ex.scheme, ex.forcing, Uniform(h))
+    lattice_steps = steps + spec.arity - 1
+    if ex.baseline_grid is not None:
+        _check_size("baseline", ex.baseline_grid(h, x0, lattice_steps)[1])
     init = ex.init if ex.init is not None else ex.solution.jet_fn(x0).d[:ex.system.order]
     stride = 1
     if ex.solution is not None:
@@ -258,12 +270,13 @@ def run_example(example_id: str, h: float | None = None, steps: int | None = Non
         if ref is None:
             n_ref = (round((x0 + ex.span - x0) / h_ref) if ex.span is not None
                      else (spec.arity - 1) * stride)
+            _check_size("reference", n_ref)
             ref = rk4_integrate(ex.system, init, x0, h_ref, n_ref)
         if len(ref.points) <= (spec.arity - 1) * stride:
             raise ConfigError(
                 f"the fine reference stopped ({ref.stop.value}) before the seed")
         seed = Stencil(tuple(ref.points[k * stride] for k in range(spec.arity)))
-    run = ExampleRun(example_id, h, x0, steps + spec.arity - 1, init,
+    run = ExampleRun(example_id, h, x0, lattice_steps, init,
                      integrate(spec, seed, steps), ref, stride)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -402,8 +415,8 @@ def cmd_solve(args) -> int:
         raise ConfigError("a seed file is required")
     if not cfg.out:
         raise ConfigError("an output path is required")
-    if cfg.steps is None or cfg.steps < 1:
-        raise ConfigError("steps must be a positive integer")
+    if cfg.steps is None or not 1 <= cfg.steps <= MAX_STEPS:
+        raise ConfigError(f"steps must be an integer from 1 to {MAX_STEPS}")
     spec = cfg.build_spec()
     seed = _seed_from_csv(cfg.seed, spec.arity)
     traj = integrate(spec, seed, cfg.steps)

@@ -6,6 +6,12 @@ scheme reduce to a linear equation in the new ordinate.  The third-order
 hodograph scheme is quadratic for constant forcing and cubic when the
 forcing is the dependent variable itself; all real roots are computed in
 closed form and one is selected by the configured root policy.
+
+Per scheme, a coefficient helper clears the invariant equation on plain
+floats and raises DegenerateCoefficientError on a vanishing denominator.  A
+kernel turns it into the new ordinate or the :class:`StopReason` that ends
+the run; :func:`integrate` drives the kernels over a rolling window.  The
+public ``*_step`` functions wrap the same helpers and keep the diagnostics.
 """
 from __future__ import annotations
 
@@ -13,9 +19,10 @@ import math
 from dataclasses import dataclass
 
 from .core import (Constant, DegenerateCoefficientError, ForcingTerm,
-                   IdentityInY, OVERFLOW_LIMIT, Point, RhsEvalPolicy, RootPolicy,
-                   RootSelection, SchemeKind, SchemeSpec, Stencil, StopReason,
-                   Trajectory, Uniform, is_degenerate)
+                   IdentityInY, NonFiniteError, OVERFLOW_LIMIT, Point,
+                   RhsEvalPolicy, RootPolicy, RootSelection, SchemeKind,
+                   SchemeSpec, Stencil, StopReason, Trajectory, Uniform,
+                   is_degenerate)
 from .discrete import _cross_ratio, _l3
 
 
@@ -37,17 +44,10 @@ class PolyCoeffs:
         return len(self.coeffs) - 1
 
     def __call__(self, t: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        return _horner(self.coeffs, t)
 
     def derivative(self, t: float) -> float:
-        acc = 0.0
-        n = self.degree
-        for i, c in enumerate(reversed(self.coeffs[1:])):
-            acc = acc * t + (n - i) * c
-        return acc
+        return _horner_slope(self.coeffs, t)
 
 
 @dataclass(frozen=True)
@@ -66,40 +66,64 @@ class StepOutcome:
         return self.point is not None
 
 
-def _advanced(point: Point, **diag) -> StepOutcome:
-    return StepOutcome(point=point, stop=None, **diag)
-
 def _stopped(reason: StopReason, **diag) -> StepOutcome:
     return StepOutcome(point=None, stop=reason, **diag)
 
 
+def _in_range(y: float) -> bool:
+    """A new ordinate is kept only if finite and within OVERFLOW_LIMIT."""
+    return math.isfinite(y) and abs(y) <= OVERFLOW_LIMIT
+
+
+def _outcome(x_next: float, t: float, selected: int, **diag) -> StepOutcome:
+    if not _in_range(t):
+        return _stopped(StopReason.NON_FINITE, **diag)
+    return StepOutcome(Point(x_next, t), None, selected=selected, **diag)
+
+
 # --- closed-form real roots ---------------------------------------------------
 
-def _polish(p: PolyCoeffs, t: float) -> float:
+def _horner(c: tuple[float, ...], t: float) -> float:
+    """c0 + c1*t + ... of a coefficient tuple of length 2..4."""
+    if len(c) == 4:
+        return ((c[3] * t + c[2]) * t + c[1]) * t + c[0]
+    if len(c) == 3:
+        return (c[2] * t + c[1]) * t + c[0]
+    return c[1] * t + c[0]
+
+
+def _horner_slope(c: tuple[float, ...], t: float) -> float:
+    """Derivative in t of :func:`_horner`'s polynomial."""
+    if len(c) == 4:
+        return (3.0 * c[3] * t + 2.0 * c[2]) * t + c[1]
+    if len(c) == 3:
+        return 2.0 * c[2] * t + c[1]
+    return c[1]
+
+
+def _polish(c: tuple[float, ...], t: float) -> float:
     """One Newton iteration, accepted only if it reduces the residual.
 
     At (near-)multiple roots both p and p' are noise-level and the raw step
     can jump to an unrelated point.
     """
-    dp = p.derivative(t)
+    dp = _horner_slope(c, t)
     if dp == 0.0 or not math.isfinite(dp):
         return t
-    t1 = t - p(t) / dp
+    p = _horner(c, t)
+    t1 = t - p / dp
     if not math.isfinite(t1):
         return t
-    return t1 if abs(p(t1)) <= abs(p(t)) else t
+    return t1 if abs(_horner(c, t1)) <= abs(p) else t
 
 
-def solve_poly(p: PolyCoeffs) -> list[float]:
-    """All real roots of p in ascending order, each polished once.
-
-    Complex-conjugate pairs are simply absent from the result; an empty
-    list is a valid return.
-    """
-    c = p.coeffs
-    if p.degree == 1:
+def _real_roots(c: tuple[float, ...]) -> list[float]:
+    """All real roots of c0 + c1*t + ... (nonzero leading coefficient,
+    degree 1..3) in ascending order, each polished once; raises
+    NonFiniteError if a cubic's depressed coefficients overflow."""
+    if len(c) == 2:
         roots = [-c[0] / c[1]]
-    elif p.degree == 2:
+    elif len(c) == 3:
         a, b, cc = c[2], c[1], c[0]
         disc = b * b - 4.0 * a * cc
         if disc < 0.0:
@@ -113,11 +137,15 @@ def solve_poly(p: PolyCoeffs) -> list[float]:
             roots = [q / a, cc / q]
     else:
         b, cc, d = c[2] / c[3], c[1] / c[3], c[0] / c[3]
-        # depressed form u^3 + p*u + q with t = u - b/3
-        pp = cc - b * b / 3.0
-        qq = 2.0 * b ** 3 / 27.0 - b * cc / 3.0 + d
+        try:
+            # depressed form u^3 + p*u + q with t = u - b/3
+            pp = cc - b * b / 3.0
+            qq = 2.0 * b ** 3 / 27.0 - b * cc / 3.0 + d
+            cube = pp ** 3
+        except OverflowError:
+            raise NonFiniteError(f"cubic coefficients {c} overflow") from None
         shift = -b / 3.0
-        disc = -4.0 * pp ** 3 - 27.0 * qq * qq
+        disc = -4.0 * cube - 27.0 * qq * qq
         if disc > 0.0:
             # three distinct real roots (requires pp < 0)
             m = 2.0 * math.sqrt(-pp / 3.0)
@@ -127,54 +155,135 @@ def solve_poly(p: PolyCoeffs) -> list[float]:
             roots = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) + shift
                      for k in range(3)]
         else:
-            inner = math.sqrt(max(0.0, qq * qq / 4.0 + pp ** 3 / 27.0))
+            inner = math.sqrt(max(0.0, qq * qq / 4.0 + cube / 27.0))
             u = _cbrt(-qq / 2.0 + inner) + _cbrt(-qq / 2.0 - inner)
             roots = [u + shift]
             if disc == 0.0 and pp != 0.0:
                 roots.append(-u / 2.0 + shift)
-    roots = [_polish(p, t) for t in roots]
+    roots = [_polish(c, t) for t in roots]
     roots.sort()
     return roots
+
+
+def solve_poly(p: PolyCoeffs) -> list[float]:
+    """All real roots of p in ascending order, each polished once.
+
+    Complex-conjugate pairs are simply absent from the result; an empty
+    list is a valid return.  Raises NonFiniteError when a cubic's
+    coefficients are so far apart that its depressed form overflows.
+    """
+    return _real_roots(p.coeffs)
 
 
 def _cbrt(v: float) -> float:
     return math.copysign(abs(v) ** (1.0 / 3.0), v)
 
 
+def _extrapolate(xs, ys, x: float, order: int) -> float:
+    """Value at x of the degree-``order`` polynomial through the trailing
+    (xs, ys); fewer points give the polynomial through all of them.  Uses
+    at most three points (order <= 2), the window of the third-order scheme."""
+    n = min(order + 1, len(xs))
+    if n == 1:
+        return ys[-1]
+    if n > 3:
+        raise ValueError("extrapolation uses at most three points")
+    # Newton divided differences on abscissae shifted by the last one, for
+    # conditioning: last point b, a before it, p before a
+    xref = xs[-1]
+    sa, sb = xs[-2] - xref, xref - xref
+    ya = ys[-2]
+    db = (ys[-1] - ya) / (sb - sa)
+    if n == 2:
+        return db * (x - xref - sa) + ya
+    sp, yp = xs[-3] - xref, ys[-3]
+    da = (ya - yp) / (sa - sp)
+    return ((db - da) / (sb - sp) * (x - xref - sa) + da) * (x - xref - sp) + yp
+
+
 def extrapolate(points: list[Point] | tuple[Point, ...], x: float, order: int) -> float:
-    """Value at x of the degree-``order`` polynomial through the trailing points."""
-    tail = list(points)[-(order + 1):]
-    # Newton divided differences on shifted abscissae for conditioning
-    xref = tail[-1].x
-    xs = [p.x - xref for p in tail]
-    coef = [p.y for p in tail]
-    n = len(coef)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    acc = coef[-1]
-    for i in range(n - 2, -1, -1):
-        acc = acc * (x - xref - xs[i]) + coef[i]
-    return acc
+    """Value at x of the degree-``order`` polynomial through the trailing
+    points; it uses at most three of them, so order > 2 needs a shorter list."""
+    return _extrapolate([p.x for p in points], [p.y for p in points], x, order)
+
+
+def _select(roots: list[float], prediction: float | None,
+            selection: RootSelection) -> float:
+    """One of a nonempty list of roots; ties go to the smaller root."""
+    if selection is RootSelection.SMALLEST_REAL:
+        return min(roots)
+    if selection is RootSelection.LARGEST_REAL:
+        return max(roots)
+    best = roots[0]
+    best_d = abs(best - prediction)
+    for r in roots[1:]:
+        d = abs(r - prediction)
+        if d < best_d or (d == best_d and r < best):
+            best, best_d = r, d
+    return best
 
 
 def select_root(roots: list[float], prediction: float, policy: RootPolicy) -> float | None:
     """Pick one real root per policy; ties go to the smaller root."""
     if not roots:
         return None
-    if policy.selection is RootSelection.SMALLEST_REAL:
-        return min(roots)
-    if policy.selection is RootSelection.LARGEST_REAL:
-        return max(roots)
-    return min(roots, key=lambda r: (abs(r - prediction), r))
+    return _select(roots, prediction, policy.selection)
 
 
 # --- the three schemes --------------------------------------------------------
+# sly4 and h5 clear to a linear equation a*t = b and share their kernel.
 
-def _finite_point(x: float, y: float) -> Point | None:
-    if not math.isfinite(y) or abs(y) > OVERFLOW_LIMIT:
-        return None
-    return Point(x, y)
+def _linear_root(a: float, b: float, scale: float) -> float | StopReason:
+    """The root b/a of a*t = b, or why there is none."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return StopReason.NON_FINITE
+    if is_degenerate(a, scale):
+        return StopReason.DEGENERATE_COEFFICIENT
+    return b / a
+
+
+def _linear_kernel(xs, ys, x_next: float, line, param) -> float | StopReason:
+    """Kernel of a scheme whose coefficient helper ``line`` gives (a, b, scale)."""
+    try:
+        a, b, scale = line(xs, ys, x_next, param)
+    except DegenerateCoefficientError:
+        return StopReason.DEGENERATE_COEFFICIENT
+    t = _linear_root(a, b, scale)
+    if t.__class__ is StopReason or _in_range(t):
+        return t
+    return StopReason.NON_FINITE
+
+
+def _linear_step(line, window: Stencil, x_next: float, param) -> StepOutcome:
+    try:
+        a, b, scale = line(window.xs, window.ys, x_next, param)
+    except DegenerateCoefficientError:
+        return _stopped(StopReason.DEGENERATE_COEFFICIENT)
+    t = _linear_root(a, b, scale)
+    if t is StopReason.NON_FINITE:
+        return _stopped(t)
+    poly = PolyCoeffs((-b, a)) if a != 0.0 else None
+    if t is StopReason.DEGENERATE_COEFFICIENT:
+        return _stopped(t, poly=poly)
+    return _outcome(x_next, t, 0, roots=(t,), poly=poly)
+
+
+def _sly4_line(xs, ys, x_next: float, forcing) -> tuple[float, float, float]:
+    """(a, b, scale) of the fourth-order scheme's equation a*t = b, cleared
+    from l4(window + new point) = f(x_mid)."""
+    try:
+        l3_left = _l3(xs, ys, 0)
+        s4 = _cross_ratio(xs[1], xs[2], xs[3], x_next)
+    except ZeroDivisionError:  # a denominator product underflowed to zero
+        raise DegenerateCoefficientError("l3 denominator underflows") from None
+    target = l3_left + forcing(xs[2]) * (x_next - xs[0]) / 4.0
+    # l3 on the right window must equal `target`; unwind to a cross-ratio value
+    v = s4 * (1.0 - target * (xs[3] - xs[2]) * (x_next - xs[1]) / 6.0)
+    # ((t - y2)(y3 - y1)) / ((t - y3)(y2 - y1)) = v, linear in t
+    y1, y2, y3 = ys[1], ys[2], ys[3]
+    a = (y3 - y1) - v * (y2 - y1)
+    b = y2 * (y3 - y1) - v * y3 * (y2 - y1)
+    return a, b, max(abs(y3 - y1), abs(v * (y2 - y1)))
 
 
 def sly4_step(prev4: Stencil, x_next: float, forcing) -> StepOutcome:
@@ -185,37 +294,13 @@ def sly4_step(prev4: Stencil, x_next: float, forcing) -> StepOutcome:
     """
     if len(prev4) != 4:
         raise ValueError("sly4_step needs 4 previous points")
-    xs = (*prev4.xs, x_next)
-    ys = prev4.ys
-    try:
-        l3_left = _l3(xs, ys, 0)
-        s4 = _cross_ratio(xs[1], xs[2], xs[3], xs[4])
-    except DegenerateCoefficientError:
-        return _stopped(StopReason.DEGENERATE_COEFFICIENT)
-    x_mid = xs[2]
-    target = l3_left + forcing(x_mid) * (xs[4] - xs[0]) / 4.0
-    # l3 on the right window must equal `target`; unwind to a cross-ratio value
-    v = s4 * (1.0 - target * (xs[3] - xs[2]) * (xs[4] - xs[1]) / 6.0)
-    # ((t - y2)(y3 - y1)) / ((t - y3)(y2 - y1)) = v, linear in t
-    a = (ys[3] - ys[1]) - v * (ys[2] - ys[1])
-    b = ys[2] * (ys[3] - ys[1]) - v * ys[3] * (ys[2] - ys[1])
-    scale = max(abs(ys[3] - ys[1]), abs(v * (ys[2] - ys[1])))
-    poly = None
-    if math.isfinite(a) and a != 0.0:
-        poly = PolyCoeffs((-b, a))
-    if not math.isfinite(a) or not math.isfinite(b):
-        return _stopped(StopReason.NON_FINITE)
-    if is_degenerate(a, scale):
-        return _stopped(StopReason.DEGENERATE_COEFFICIENT, poly=poly)
-    t = b / a
-    pt = _finite_point(x_next, t)
-    if pt is None:
-        return _stopped(StopReason.NON_FINITE, roots=(t,), poly=poly)
-    return _advanced(pt, roots=(t,), selected=0, poly=poly)
+    return _linear_step(_sly4_line, prev4, x_next, forcing)
 
 
-def _slx3_poly(ys, forcing: ForcingTerm, rhs_eval: RhsEvalPolicy) -> PolyCoeffs:
-    """Cleared polynomial of the third-order scheme on a uniform lattice (S = 4)."""
+def _slx3_coeffs(ys, forcing: ForcingTerm,
+                 rhs_eval: RhsEvalPolicy) -> tuple[float, ...]:
+    """Cleared polynomial of the third-order scheme on a uniform lattice
+    (S = 4), low order first, with degenerate leading coefficients dropped."""
     y0, y1, y2 = ys
     common = 4.0 * (y2 - y1) * (y1 - y0)
     # linear part: 24 (y1 - y0)(t - y2) - 6 (y2 - y0)(t - y1)
@@ -223,33 +308,59 @@ def _slx3_poly(ys, forcing: ForcingTerm, rhs_eval: RhsEvalPolicy) -> PolyCoeffs:
     lin0 = -24.0 * y2 * (y1 - y0) + 6.0 * y1 * (y2 - y0)
     if isinstance(forcing, Constant):
         c = forcing.c
-        coeffs = [lin0 - c * common * y0 * y2,
+        coeffs = (lin0 - c * common * y0 * y2,
                   lin1 + c * common * (y0 + y2),
-                  -c * common]
+                  -c * common)
     elif isinstance(forcing, IdentityInY):
         if rhs_eval is RhsEvalPolicy.NEW_POINT:
             # rhs(t) = t
-            coeffs = [lin0,
+            coeffs = (lin0,
                       lin1 - common * y0 * y2,
                       common * (y0 + y2),
-                      -common]
+                      -common)
         else:
             # rhs(t) = (y0 + y1 + y2 + t)/4
             s3 = y0 + y1 + y2
             q = common / 4.0
-            coeffs = [lin0 - q * s3 * y0 * y2,
+            coeffs = (lin0 - q * s3 * y0 * y2,
                       lin1 - q * (y0 * y2 - s3 * (y0 + y2)),
                       -q * (s3 - y0 - y2),
-                      -q]
+                      -q)
     else:
         raise ValueError("slx3 forcing must be constant or the identity in y")
     # drop degenerate leading coefficients (scale-aware)
-    scale = max(abs(c) for c in coeffs)
-    while len(coeffs) > 2 and is_degenerate(coeffs[-1], scale):
-        coeffs = coeffs[:-1]
-    if is_degenerate(coeffs[-1], max(abs(c) for c in coeffs)):
+    scale = max(map(abs, coeffs))
+    n = len(coeffs)
+    while n > 2 and is_degenerate(coeffs[n - 1], scale):
+        n -= 1
+    if n < len(coeffs):
+        coeffs = coeffs[:n]
+        scale = max(map(abs, coeffs))
+    # a NaN scale disables the tolerance test, not the exact zero test
+    if coeffs[-1] == 0.0 or is_degenerate(coeffs[-1], scale):
         raise DegenerateCoefficientError("scheme polynomial degenerates")
-    return PolyCoeffs(tuple(coeffs))
+    return coeffs
+
+
+def _slx3_kernel(xs, ys, x_next: float, forcing: ForcingTerm,
+                 rhs_eval: RhsEvalPolicy, policy: RootPolicy) -> float | StopReason:
+    try:
+        roots = _real_roots(_slx3_coeffs(ys, forcing, rhs_eval))
+    except DegenerateCoefficientError:
+        return StopReason.DEGENERATE_COEFFICIENT
+    except NonFiniteError:
+        return StopReason.NON_FINITE
+    if not roots:
+        return StopReason.NO_REAL_ROOT
+    if len(roots) == 1:
+        t = roots[0]
+    else:
+        # the prediction matters only when choosing among several roots
+        selection = policy.selection
+        prediction = (_extrapolate(xs, ys, x_next, policy.prediction_order)
+                      if selection is RootSelection.NEAREST_TO_PREDICTION else None)
+        t = _select(roots, prediction, selection)
+    return t if _in_range(t) else StopReason.NON_FINITE
 
 
 def slx3_step(prev3: Stencil, x_next: float, forcing: ForcingTerm,
@@ -263,23 +374,44 @@ def slx3_step(prev3: Stencil, x_next: float, forcing: ForcingTerm,
     """
     if len(prev3) != 3:
         raise ValueError("slx3_step needs 3 previous points")
-    prediction = extrapolate(prev3.points, x_next,
-                             min(policy.prediction_order, len(prev3) - 1))
+    xs, ys = prev3.xs, prev3.ys
+    prediction = _extrapolate(xs, ys, x_next, policy.prediction_order)
     try:
-        poly = _slx3_poly(prev3.ys, forcing, rhs_eval)
+        poly = PolyCoeffs(_slx3_coeffs(ys, forcing, rhs_eval))
     except DegenerateCoefficientError:
         return _stopped(StopReason.DEGENERATE_COEFFICIENT, prediction=prediction)
-    roots = solve_poly(poly)
-    chosen = select_root(roots, prediction, policy)
-    if chosen is None:
-        return _stopped(StopReason.NO_REAL_ROOT, roots=tuple(roots),
-                        prediction=prediction, poly=poly)
-    pt = _finite_point(x_next, chosen)
-    if pt is None:
-        return _stopped(StopReason.NON_FINITE, roots=tuple(roots),
-                        prediction=prediction, poly=poly)
-    return _advanced(pt, roots=tuple(roots), selected=roots.index(chosen),
-                     prediction=prediction, poly=poly)
+    try:
+        roots = _real_roots(poly.coeffs)
+    except NonFiniteError:
+        return _stopped(StopReason.NON_FINITE, prediction=prediction, poly=poly)
+    diag = dict(roots=tuple(roots), prediction=prediction, poly=poly)
+    if not roots:
+        return _stopped(StopReason.NO_REAL_ROOT, **diag)
+    chosen = _select(roots, prediction, policy.selection)
+    return _outcome(x_next, chosen, roots.index(chosen), **diag)
+
+
+def _h5_line(xs, ys, x_next: float, c: float) -> tuple[float, float, float]:
+    """(a, b, scale) of the six-point scheme's equation a*t = b; the
+    abscissae do not enter on a uniform lattice."""
+    try:
+        r3 = _cross_ratio(ys[0], ys[1], ys[2], ys[3])
+        r4 = _cross_ratio(ys[1], ys[2], ys[3], ys[4])
+    except ZeroDivisionError:  # a denominator product underflowed to zero
+        raise DegenerateCoefficientError("cross-ratio denominator underflows") from None
+    # 16 R5 + R4 (3 R4 + R5 - 32) + R3 (R4 - 5 R5 + 16) = 2c (R3-4)(R4-4)(R5-4)
+    a_r5 = 16.0 + r4 - 5.0 * r3 - 2.0 * c * (r3 - 4.0) * (r4 - 4.0)
+    b_r5 = (-3.0 * r4 ** 2 + 32.0 * r4 - r3 * r4 - 16.0 * r3
+            - 8.0 * c * (r3 - 4.0) * (r4 - 4.0))
+    scale_r = max(abs(r3), abs(r4), 16.0, abs(2.0 * c * (r3 - 4.0) * (r4 - 4.0)))
+    if is_degenerate(a_r5, scale_r):
+        raise DegenerateCoefficientError("R5 coefficient vanishes")
+    r5 = b_r5 / a_r5
+    # ((t - y3)(y4 - y2)) / ((t - y4)(y3 - y2)) = r5, linear in t
+    y2, y3, y4 = ys[2], ys[3], ys[4]
+    a = (y4 - y2) - r5 * (y3 - y2)
+    b = y3 * (y4 - y2) - r5 * y4 * (y3 - y2)
+    return a, b, max(abs(y4 - y2), abs(r5 * (y3 - y2)))
 
 
 def h5_step(prev5: Stencil, x_next: float, c: float,
@@ -292,36 +424,7 @@ def h5_step(prev5: Stencil, x_next: float, c: float,
     """
     if len(prev5) != 5:
         raise ValueError("h5_step needs 5 previous points")
-    ys = prev5.ys
-    try:
-        r3 = _cross_ratio(ys[0], ys[1], ys[2], ys[3])
-        r4 = _cross_ratio(ys[1], ys[2], ys[3], ys[4])
-    except DegenerateCoefficientError:
-        return _stopped(StopReason.DEGENERATE_COEFFICIENT)
-    # 16 R5 + R4 (3 R4 + R5 - 32) + R3 (R4 - 5 R5 + 16) = 2c (R3-4)(R4-4)(R5-4)
-    a_r5 = 16.0 + r4 - 5.0 * r3 - 2.0 * c * (r3 - 4.0) * (r4 - 4.0)
-    b_r5 = (-3.0 * r4 ** 2 + 32.0 * r4 - r3 * r4 - 16.0 * r3
-            - 8.0 * c * (r3 - 4.0) * (r4 - 4.0))
-    scale_r = max(abs(r3), abs(r4), 16.0, abs(2.0 * c * (r3 - 4.0) * (r4 - 4.0)))
-    if is_degenerate(a_r5, scale_r):
-        return _stopped(StopReason.DEGENERATE_COEFFICIENT)
-    r5 = b_r5 / a_r5
-    # ((t - y3)(y4 - y2)) / ((t - y4)(y3 - y2)) = r5, linear in t
-    a = (ys[4] - ys[2]) - r5 * (ys[3] - ys[2])
-    b = ys[3] * (ys[4] - ys[2]) - r5 * ys[4] * (ys[3] - ys[2])
-    poly = None
-    if math.isfinite(a) and a != 0.0 and math.isfinite(b):
-        poly = PolyCoeffs((-b, a))
-    scale = max(abs(ys[4] - ys[2]), abs(r5 * (ys[3] - ys[2])))
-    if not (math.isfinite(a) and math.isfinite(b)):
-        return _stopped(StopReason.NON_FINITE)
-    if is_degenerate(a, scale):
-        return _stopped(StopReason.DEGENERATE_COEFFICIENT, poly=poly)
-    t = b / a
-    pt = _finite_point(x_next, t)
-    if pt is None:
-        return _stopped(StopReason.NON_FINITE, roots=(t,), poly=poly)
-    return _advanced(pt, roots=(t,), selected=0, poly=poly)
+    return _linear_step(_h5_line, prev5, x_next, c)
 
 
 # --- trajectory driver --------------------------------------------------------
@@ -336,39 +439,52 @@ def _check_seed_lattice(seed: Stencil, rule: Uniform):
 
 def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int,
               stop_when=None) -> Trajectory:
-    """Repeatedly apply the scheme's step, collecting Advanced points.
+    """Advance the seed up to ``n_steps`` lattice steps with the scheme's
+    kernel, collecting the new points.
 
     Returns the partial trajectory and the reason extension ceased; scheme
     failures surface as stop reasons, never as exceptions.  ``stop_when``,
     if given, is a predicate on the newest point that halts the run with
-    USER_LIMIT.
+    USER_LIMIT.  A seed that does not fit the spec, or abscissae that stop
+    being strictly monotone, raise ValueError.
     """
     arity = spec.arity
     if len(seed) != arity:
         raise ValueError(f"{spec.scheme.value} needs a {arity}-point seed, got {len(seed)}")
     _check_seed_lattice(seed, spec.lattice)
+    f = spec.forcing
+    if spec.scheme is SchemeKind.SLY4:
+        kernel = _linear_kernel
+        params = (_sly4_line, (lambda _x, c=f.c: c) if isinstance(f, Constant) else f.fn)
+    elif spec.scheme is SchemeKind.SLX3:
+        kernel = _slx3_kernel
+        params = (f, spec.rhs_eval, spec.root_policy)
+    else:
+        kernel = _linear_kernel
+        params = (_h5_line, f.c)
     h = spec.lattice.h
-    x0 = seed.points[0].x
     points = list(seed.points)
+    x0 = points[0].x
+    # the rolling window; the seed fixes its direction
+    xs, ys = list(seed.xs), list(seed.ys)
+    direction = 1.0 if xs[1] > xs[0] else -1.0
     stop = StopReason.COMPLETED
-    for _ in range(n_steps):
-        n = len(points)
-        x_next = x0 + n * h
-        window = Stencil(tuple(points[-arity:]))
-        if spec.scheme is SchemeKind.SLY4:
-            f = spec.forcing
-            fn = (lambda _x, c=f.c: c) if isinstance(f, Constant) else f.fn
-            out = sly4_step(window, x_next, fn)
-        elif spec.scheme is SchemeKind.SLX3:
-            out = slx3_step(window, x_next, spec.forcing, spec.rhs_eval,
-                            spec.root_policy)
-        else:
-            out = h5_step(window, x_next, spec.forcing.c, spec.root_policy)
-        if not out.advanced:
-            stop = out.stop
+    for n in range(arity, arity + n_steps):
+        # the newest abscissa must continue the window monotonically
+        if not (xs[-1] - xs[-2]) * direction > 0.0:
+            raise ValueError("stencil abscissae must be strictly monotone")
+        x = x0 + n * h
+        y = kernel(xs, ys, x, *params)
+        if y.__class__ is StopReason:
+            stop = y
             break
-        points.append(out.point)
-        if stop_when is not None and stop_when(out.point):
+        xs.append(x)
+        del xs[0]
+        ys.append(y)
+        del ys[0]
+        point = Point(x, y)
+        points.append(point)
+        if stop_when is not None and stop_when(point):
             stop = StopReason.USER_LIMIT
             break
     return Trajectory(tuple(points), stop, spec.scheme.value, h)

@@ -3,7 +3,8 @@ import math
 import pytest
 
 from invdisc import Point, StopReason, Trajectory, seed_stencil_from_function
-from invdisc.cli import (RunConfig, main, read_trajectory_csv,
+from invdisc import cli
+from invdisc.cli import (MAX_STEPS, RunConfig, main, read_trajectory_csv,
                          write_trajectory_csv)
 
 
@@ -221,6 +222,27 @@ def test_example_rejects_unknown_id():
 ])
 def test_example_rejects_out_of_range_options(opts):
     assert main(["example", *opts]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["example", "1", "--steps", str(MAX_STEPS + 1)],
+    ["example", "2-log", "--h", "1e-9"],  # a default step count of 1.05e9
+    ["example", "1", "--h-ref", "1e-8"],  # a 1.5e8-step reference
+    ["example", "3", "--h-ref", "1e-12"],  # seed strides of 1e9 reference steps
+    ["example", "5", "--x0", "-1000"],  # a 2e8-step baseline to past the pole
+    ["solve", "--scheme", "slx3", "--c", "2", "--h", "0.01",
+     "--steps", str(MAX_STEPS + 1)],
+])
+def test_oversized_runs_rejected_before_integrating(argv, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an integration started")
+
+    monkeypatch.setattr(cli, "integrate", refuse)
+    monkeypatch.setattr(cli, "rk4_integrate", refuse)
+    if argv[0] == "solve":
+        seed = _write_seed_csv(tmp_path / "seed.csv", math.atanh, -0.5, 0.01, 3)
+        argv = argv + ["--seed", str(seed), "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
 
 
 def test_example_1_run_past_the_reference(capsys):

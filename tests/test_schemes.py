@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invdisc import (Constant, FunctionOfX, IdentityInY, PolyCoeffs, Point,
-                     RhsEvalPolicy, RootPolicy, RootSelection, SchemeKind,
-                     SchemeSpec, Stencil, StopReason, Uniform, h5_uniform,
-                     integrate, l3, l4, m3, seed_stencil_from_function,
-                     select_root, slx3_step, sly4_step, solve_poly,
-                     stencil_from_sequences)
+from invdisc import (Constant, FunctionOfX, IdentityInY, NonFiniteError,
+                     PolyCoeffs, Point, RhsEvalPolicy, RootPolicy, RootSelection,
+                     SchemeKind, SchemeSpec, Stencil, StepOutcome, StopReason,
+                     Trajectory, Uniform, h5_uniform, integrate, l3, l4, m3,
+                     seed_stencil_from_function, select_root, slx3_step,
+                     sly4_step, solve_poly, stencil_from_sequences)
 from invdisc.schemes import extrapolate, h5_step
 
 from conftest import make_mobius, random_mobius
@@ -38,6 +38,13 @@ def test_solve_poly_cubic_single_root():
 
 def test_solve_poly_linear():
     assert solve_poly(PolyCoeffs((-3.0, 1.5))) == pytest.approx([2.0])
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 0.0, 1e200, 1.0), (1.0, 1e110, 0.0, 1.0),
+                                    (1.0, 2.0, 3.0, 1e-300)])
+def test_solve_poly_cubic_overflow_raises_non_finite(coeffs):
+    with pytest.raises(NonFiniteError):
+        solve_poly(PolyCoeffs(coeffs))
 
 
 def test_poly_coeffs_validation():
@@ -229,6 +236,14 @@ def test_integrate_validates_seed():
     seed3 = stencil_from_sequences([0.0, 0.11, 0.2], [1.0, 1.5, 2.1])
     with pytest.raises(ValueError):
         integrate(spec, seed3, 5)
+    # a last seed abscissa inside the tolerance but past the next lattice
+    # point: the first step runs, the window it leaves turns back
+    seed5 = stencil_from_sequences([0.0, 1e-10, 2e-10, 3e-10, 1.2e-9],
+                                   [OMEX(-1.0 + 0.1 * k) for k in range(5)])
+    spec5 = SchemeSpec(SchemeKind.H5, Constant(0.0), Uniform(1e-10))
+    assert len(integrate(spec5, seed5, 1)) == 6
+    with pytest.raises(ValueError):
+        integrate(spec5, seed5, 2)
 
 
 def test_integrate_completed_and_metadata():
@@ -271,3 +286,161 @@ def test_integrate_reports_scheme_consistency_after_steps():
         window = Stencil(pts[k:k + 5])
         target = math.cos(window.xs[2])
         assert abs(l4(window) - target) <= 1e-9 * max(1.0, abs(target))
+
+
+# --- integrate against the public step functions ------------------------------------
+
+def _stepped_by_hand(spec, seed, n_steps, stop_when=None):
+    """What integrate must return: the public step function applied to the
+    trailing window, one step at a time, as (points, stop reason)."""
+    points = list(seed.points)
+    f, h, k = spec.forcing, spec.lattice.h, spec.arity
+    for _ in range(n_steps):
+        window = Stencil(tuple(points[-k:]))
+        x_next = points[0].x + len(points) * h
+        if spec.scheme is SchemeKind.SLY4:
+            fn = f.fn if isinstance(f, FunctionOfX) else (lambda _x: f.c)
+            out = sly4_step(window, x_next, fn)
+        elif spec.scheme is SchemeKind.SLX3:
+            out = slx3_step(window, x_next, f, spec.rhs_eval, spec.root_policy)
+        else:
+            out = h5_step(window, x_next, f.c, spec.root_policy)
+        if not out.advanced:
+            return points, out.stop
+        points.append(out.point)
+        if stop_when is not None and stop_when(out.point):
+            return points, StopReason.USER_LIMIT
+    return points, StopReason.COMPLETED
+
+
+def _slx3(forcing, h, selection=RootSelection.NEAREST_TO_PREDICTION, order=2,
+          rhs_eval=RhsEvalPolicy.NEW_POINT):
+    return SchemeSpec(SchemeKind.SLX3, forcing, Uniform(h), RootPolicy(selection, order),
+                      rhs_eval)
+
+
+LOG_ABS = lambda x: math.log(abs(x))
+CUBIC_SEED = lambda x: 10.0 - x - 5.0 * x * x
+ARCTANH_SEED = seed_stencil_from_function(math.atanh, -0.9, 0.01, 3)
+
+#: (id, spec, seed, steps, stop_when, expected stop or None when any)
+EQUIVALENCE_CASES = [
+    ("sly4-cos", SchemeSpec(SchemeKind.SLY4, FunctionOfX(math.cos, "cos"), Uniform(0.01)),
+     seed_stencil_from_function(math.exp, 0.0, 0.01, 4), 150, None, StopReason.COMPLETED),
+    ("sly4-const", SchemeSpec(SchemeKind.SLY4, Constant(1.5), Uniform(0.01)),
+     seed_stencil_from_function(math.exp, 0.0, 0.01, 4), 150, None, None),
+    # abscissae off x0 + k*h by a few 1e-12, inside the seed lattice tolerance
+    ("sly4-seed-off-lattice", SchemeSpec(SchemeKind.SLY4, FunctionOfX(math.cos, "cos"),
+                                         Uniform(0.01)),
+     stencil_from_sequences([0.0, 0.01 + 3e-12, 0.02 - 2e-12, 0.03 + 1e-12],
+                            [math.exp(x) for x in (0.0, 0.01, 0.02, 0.03)]),
+     100, None, StopReason.COMPLETED),
+    ("slx3-arctanh", _slx3(Constant(2.0), 0.01), ARCTANH_SEED, 178, None,
+     StopReason.COMPLETED),
+    *((f"slx3-arctanh-{sel.value}-order{order}", _slx3(Constant(2.0), 0.01, sel, order),
+       ARCTANH_SEED, 178, None, None)
+      for sel in RootSelection for order in (0, 1, 2)),
+    *((f"slx3-cubic-{rhs.value}-{sel.value}", _slx3(IdentityInY(), 1e-3, sel, 2, rhs),
+       seed_stencil_from_function(CUBIC_SEED, 0.0, 1e-3, 3), 300, None, None)
+      for rhs in RhsEvalPolicy for sel in RootSelection),
+    ("slx3-log-barrier", _slx3(Constant(0.5), 1e-3),
+     seed_stencil_from_function(LOG_ABS, -0.05, 1e-3, 3), 100, None,
+     StopReason.NO_REAL_ROOT),
+    ("slx3-backward", _slx3(Constant(0.5), -1e-3),
+     seed_stencil_from_function(LOG_ABS, 1.0, -1e-3, 3), 100, None, StopReason.COMPLETED),
+    ("slx3-user-limit", _slx3(Constant(2.0), 0.01), ARCTANH_SEED, 178,
+     lambda p: p.x >= -0.5, StopReason.USER_LIMIT),
+    ("h5-exact", SchemeSpec(SchemeKind.H5, Constant(0.0), Uniform(0.1)),
+     seed_stencil_from_function(OMEX, -1.0, 0.1, 5), 40, None, None),
+    ("h5-backward", SchemeSpec(SchemeKind.H5, Constant(0.5), Uniform(-0.05)),
+     seed_stencil_from_function(OMEX, -0.5, -0.05, 5), 40, None, None),
+    # round-off breaks the run down long before the 3000 steps
+    ("h5-degenerate", SchemeSpec(SchemeKind.H5, Constant(0.0), Uniform(1e-3)),
+     seed_stencil_from_function(OMEX, -3.0, 1e-3, 5), 3000, None,
+     StopReason.DEGENERATE_COEFFICIENT),
+]
+
+
+@pytest.mark.parametrize("spec, seed, n_steps, stop_when, expected",
+                         [case[1:] for case in EQUIVALENCE_CASES],
+                         ids=[case[0] for case in EQUIVALENCE_CASES])
+def test_integrate_equals_stepping_by_hand(spec, seed, n_steps, stop_when, expected):
+    traj = integrate(spec, seed, n_steps, stop_when)
+    points, stop = _stepped_by_hand(spec, seed, n_steps, stop_when)
+    assert traj.stop is stop
+    if expected is not None:
+        assert stop is expected
+    assert len(traj.points) == len(points)
+    # bit for bit: == on every abscissa and ordinate
+    assert [(p.x, p.y) for p in traj.points] == [(p.x, p.y) for p in points]
+
+
+# --- the error contract: stop reasons, never exceptions --------------------------------
+
+#: nonzero ordinates from 1e-150 to 1e150 in magnitude, either sign
+ORDINATES = st.builds(lambda sign, e: sign * 10.0 ** e,
+                      st.sampled_from((-1.0, 1.0)), st.floats(-150.0, 150.0))
+#: five such ordinates, independent or clustered around one of them with a
+#: relative spread down to 1e-14, where differences cancel and underflow
+WINDOWS = st.one_of(
+    st.lists(ORDINATES, min_size=5, max_size=5),
+    st.builds(lambda base, e, offsets: [base * (1.0 + 10.0 ** e * u) for u in offsets],
+              ORDINATES, st.floats(-14.0, 0.0),
+              st.lists(st.floats(-0.5, 0.5), min_size=5, max_size=5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(list(SchemeKind)), ys=WINDOWS,
+       x0=st.floats(-10.0, 10.0), h=st.floats(1e-6, 1.0), backward=st.booleans(),
+       c=st.floats(-3.0, 3.0), forcing_of_state=st.booleans(),
+       rhs_eval=st.sampled_from(list(RhsEvalPolicy)),
+       selection=st.sampled_from(list(RootSelection)), order=st.integers(0, 2))
+def test_steps_and_integrate_never_raise(kind, ys, x0, h, backward, c, forcing_of_state,
+                                         rhs_eval, selection, order):
+    h = -h if backward else h
+    policy = RootPolicy(selection, order)
+    if kind is SchemeKind.SLY4:
+        forcing = FunctionOfX(math.cos, "cos") if forcing_of_state else Constant(c)
+    elif kind is SchemeKind.SLX3:
+        forcing = IdentityInY() if forcing_of_state else Constant(c)
+    else:
+        forcing = Constant(c)
+    spec = SchemeSpec(kind, forcing, Uniform(h), policy, rhs_eval)
+    seed = stencil_from_sequences([x0 + k * h for k in range(spec.arity)], ys[:spec.arity])
+    x_next = x0 + spec.arity * h
+    if kind is SchemeKind.SLY4:
+        out = sly4_step(seed, x_next, math.cos if forcing_of_state else (lambda _x: c))
+    elif kind is SchemeKind.SLX3:
+        out = slx3_step(seed, x_next, forcing, rhs_eval, policy)
+    else:
+        out = h5_step(seed, x_next, c, policy)
+    assert isinstance(out, StepOutcome)
+    assert out.advanced == (out.stop is None)
+    traj = integrate(spec, seed, 30)
+    assert isinstance(traj, Trajectory)
+    assert len(traj.points) <= spec.arity + 30
+
+
+@pytest.mark.parametrize("kind, ys", [
+    # y differences near 1e-162: the products of two of them underflow to zero
+    (SchemeKind.SLY4, [-1.4198183315542606e-151, -1.419818331507339e-151,
+                       -1.4198183314925497e-151, -1.419818331489371e-151]),
+    (SchemeKind.H5, [1e-151 * (1.0 + k * 1e-11) for k in range(5)]),
+    # y1 == y2 at 1e300: the cleared quadratic's constant term is NaN, its
+    # leading coefficient exactly zero
+    (SchemeKind.SLX3, [-1e300, 1e300, 1e300]),
+])
+def test_extreme_windows_stop_as_degenerate(kind, ys):
+    forcing = FunctionOfX(math.cos, "cos") if kind is SchemeKind.SLY4 else Constant(0.5)
+    spec = SchemeSpec(kind, forcing, Uniform(0.1))
+    seed = stencil_from_sequences([0.1 * k for k in range(spec.arity)], ys)
+    if kind is SchemeKind.SLY4:
+        out = sly4_step(seed, 0.4, math.cos)
+    elif kind is SchemeKind.SLX3:
+        out = slx3_step(seed, 0.3, forcing)
+    else:
+        out = h5_step(seed, 0.5, 0.5)
+    assert out.stop is StopReason.DEGENERATE_COEFFICIENT
+    traj = integrate(spec, seed, 5)
+    assert traj.stop is StopReason.DEGENERATE_COEFFICIENT
+    assert len(traj.points) == spec.arity
