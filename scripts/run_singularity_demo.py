@@ -12,14 +12,14 @@ def main():
     f = EXAMPLES["2-log"].solution.eval_fn
     for x0, h in ((-1.0, 1e-4), (1.0, -1e-4)):
         traj = run_example("2-log", h, x0=x0).inv
-        errs = max(abs(p.y - f(p.x)) for p in traj.points if abs(p.x) >= 0.01)
-        print(f"  from x0={x0:+.0f}: stop={traj.stop.value} at x={traj.points[-1].x:+.6f}, "
+        errs = max(abs(y - f(x)) for x, y in zip(traj.xs, traj.ys) if abs(x) >= 0.01)
+        print(f"  from x0={x0:+.0f}: stop={traj.stop.value} at x={traj.xs[-1]:+.6f}, "
               f"max err away from 0: {errs:.2e}")
 
     print("\nsix-point scheme on the exact discrete solution through its pole:")
     run = run_example("4")
-    at_pole = [p.y for p in run.inv.points if p.x == 0.0]
-    print(f"  stop={run.inv.stop.value}, {len(run.inv.points)} points, "
+    at_pole = [y for x, y in zip(run.inv.xs, run.inv.ys) if x == 0.0]
+    print(f"  stop={run.inv.stop.value}, {len(run.inv)} points, "
           f"max deviation off the pole: {run.summary['max deviation from exact']:.2e}")
     if at_pole:
         print(f"  value carried across the pole at x=0: {at_pole[0]:.3e}")
@@ -27,14 +27,14 @@ def main():
     print("\nsix-point scheme on y = tan(1/x) past the pole at "
           f"x = {POLE:.5f}:")
     run = run_example("5")
-    beyond = [p for p in run.inv.points if p.x > POLE]
+    beyond = [x for x in run.inv.xs if x > POLE]
     print(f"  invariant scheme: stop={run.inv.stop.value}, "
           f"{len(beyond)} real finite points beyond the pole "
-          f"(last x = {run.inv.points[-1].x:.3f})")
+          f"(last x = {run.inv.xs[-1]:.3f})")
     base = run.base
-    gap = POLE - base.points[-1].x
+    gap = POLE - base.xs[-1]
     print(f"  RK4 baseline (h=1e-5): stop={base.stop.value} at "
-          f"x={base.points[-1].x:.6f} ({gap:.1e} before the pole)")
+          f"x={base.xs[-1]:.6f} ({gap:.1e} before the pole)")
 
 
 if __name__ == "__main__":

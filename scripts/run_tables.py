@@ -26,9 +26,9 @@ def main():
         print(f" {'inv h=' + str(h):>14}", end="")
     print()
     for x in (1.5, 2.0, 2.5):
-        print(f"{x:5.1f} {ref.points[round((x - 1.0) / ref.h_nominal)].y:12.6f}", end="")
+        print(f"{x:5.1f} {ref.ys[round((x - 1.0) / ref.h_nominal)]:12.6f}", end="")
         for h in STEPS_H:
-            print(f" {runs[h].inv.points[round((x - 1.0) / h)].y:14.6f}", end="")
+            print(f" {runs[h].inv.ys[round((x - 1.0) / h)]:14.6f}", end="")
         print()
 
     print("\ndeviation from the fine reference (chi)")
@@ -39,7 +39,7 @@ def main():
     for h in STEPS_H:
         run = run_example("2-arctanh", h)
         print(f"  h={h:<6} chi = {run.summary['chi vs exact']:.6f}   "
-              f"(stop: {run.inv.stop.value}, last x = {run.inv.points[-1].x:.2f})")
+              f"(stop: {run.inv.stop.value}, last x = {run.inv.xs[-1]:.2f})")
 
 
 if __name__ == "__main__":

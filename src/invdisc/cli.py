@@ -12,11 +12,10 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
-from .core import (Constant, DegenerateCoefficientError, DomainError,
-                   ForcingTerm, FunctionOfX, IdentityInY, Jet, NonFiniteError,
-                   Point, RhsEvalPolicy, RootPolicy, RootSelection, SchemeKind,
-                   SchemeSpec, Stencil, StopReason, Trajectory, Uniform,
-                   seed_stencil_from_function)
+from .core import (Constant, DomainError, ForcingTerm, FunctionOfX, IdentityInY,
+                   Jet, NonFiniteError, RhsEvalPolicy, RootPolicy, RootSelection,
+                   SchemeKind, SchemeSpec, Stencil, StopReason, Trajectory,
+                   Uniform, seed_stencil_from_function)
 from .discrete import _cross_ratio
 from .limits import LimitProbe, probe_limit
 from .reference import (EXACT_SOLUTIONS, ExactSolution, OdeSystem,
@@ -59,13 +58,13 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
              f"# h: {_fmt(traj.h_nominal)}",
              f"# stop: {traj.stop.value}",
              "x,y"]
-    lines += [f"{_fmt(p.x)},{_fmt(p.y)}" for p in traj.points]
+    lines += [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(traj.xs, traj.ys)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_trajectory_csv(path) -> Trajectory:
     meta = {"scheme": "unknown", "h": "0", "stop": StopReason.COMPLETED.value}
-    pts = []
+    xs, ys = [], []
     header_seen = False
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
@@ -81,18 +80,21 @@ def read_trajectory_csv(path) -> Trajectory:
             header_seen = True
             continue
         sx, _, sy = line.partition(",")
-        pts.append(Point(float(sx), float(sy)))
-    if not pts:
+        xs.append(float(sx))
+        ys.append(float(sy))
+    if not xs:
         raise ConfigError(f"{path}: no data rows")
-    return Trajectory(tuple(pts), StopReason(meta["stop"]), meta["scheme"],
+    if not all(map(math.isfinite, xs + ys)):
+        raise NonFiniteError(f"{path}: non-finite value in the data rows")
+    return Trajectory(tuple(xs), tuple(ys), StopReason(meta["stop"]), meta["scheme"],
                       float(meta["h"]))
 
 
 def _seed_from_csv(path, arity: int) -> Stencil:
     traj = read_trajectory_csv(path)
-    if len(traj.points) < arity:
-        raise ConfigError(f"{path}: need at least {arity} rows, got {len(traj.points)}")
-    return Stencil(traj.points[:arity])
+    if len(traj) < arity:
+        raise ConfigError(f"{path}: need at least {arity} rows, got {len(traj)}")
+    return Stencil(traj.xs[:arity], traj.ys[:arity])
 
 
 # --- run configuration for `solve` ---------------------------------------------
@@ -272,10 +274,11 @@ def run_example(example_id: str, h: float | None = None, steps: int | None = Non
                      else (spec.arity - 1) * stride)
             _check_size("reference", n_ref)
             ref = rk4_integrate(ex.system, init, x0, h_ref, n_ref)
-        if len(ref.points) <= (spec.arity - 1) * stride:
+        end = (spec.arity - 1) * stride + 1
+        if len(ref) < end:
             raise ConfigError(
                 f"the fine reference stopped ({ref.stop.value}) before the seed")
-        seed = Stencil(tuple(ref.points[k * stride] for k in range(spec.arity)))
+        seed = Stencil(ref.xs[:end:stride], ref.ys[:end:stride])
     run = ExampleRun(example_id, h, x0, lattice_steps, init,
                      integrate(spec, seed, steps), ref, stride)
     if out_dir is not None:
@@ -290,33 +293,33 @@ def _chi_against_exact(run: ExampleRun, x_max: float = math.inf) -> float:
     """chi of the invariant run against the exact solution where that is
     defined and x <= x_max; NaN when no point qualifies."""
     cand, ref = [], []
-    for p in run.inv.points:
-        if not p.x <= x_max:
+    for x, y in zip(run.inv.xs, run.inv.ys):
+        if not x <= x_max:
             continue
         try:
-            ref.append(run.example.solution.eval_fn(p.x))
+            ref.append(run.example.solution.eval_fn(x))
         except DomainError:
             continue
-        cand.append(p.y)
+        cand.append(y)
     return chi(cand, ref) if cand else math.nan
 
 
 def _stops(run: ExampleRun) -> dict:
     return {"invariant stop": run.inv.stop.value,
-            "invariant last x": _fmt(run.inv.points[-1].x),
+            "invariant last x": _fmt(run.inv.xs[-1]),
             "baseline stop": run.base.stop.value,
-            "baseline last x": _fmt(run.base.points[-1].x)}
+            "baseline last x": _fmt(run.base.xs[-1])}
 
 
 def _summary_forced(run: ExampleRun) -> dict:
-    end = run.inv.points[-1]
+    inv = run.inv
+    ref_at_lattice = run.ref.ys[::run.stride]
     # over the lattice points the reference covers
-    n = min(len(run.inv.points), (len(run.ref.points) - 1) // run.stride + 1)
-    ref_at_lattice = [run.ref.points[k * run.stride].y for k in range(n)]
-    return {"invariant stop": run.inv.stop.value,
+    n = min(len(inv), len(ref_at_lattice))
+    return {"invariant stop": inv.stop.value,
             "baseline stop": run.base.stop.value,
-            "invariant endpoint": f"x = {_fmt(end.x)}, y = {_fmt(end.y)}",
-            "chi vs fine reference": chi(run.inv.ys[:n], ref_at_lattice)}
+            "invariant endpoint": f"x = {_fmt(inv.xs[-1])}, y = {_fmt(inv.ys[-1])}",
+            "chi vs fine reference": chi(inv.ys[:n], ref_at_lattice[:n])}
 
 
 def _summary_constant_source(run: ExampleRun) -> dict:
@@ -324,16 +327,16 @@ def _summary_constant_source(run: ExampleRun) -> dict:
 
 
 def _summary_state_source(run: ExampleRun) -> dict:
-    n = min(len(run.inv.points), len(run.base.points))
+    n = min(len(run.inv), len(run.base))
     return {**_stops(run),
             "chi vs baseline (common prefix)": chi(run.inv.ys[:n], run.base.ys[:n])}
 
 
 def _summary_exact_discrete(run: ExampleRun) -> dict:
     devs = []
-    for p in run.inv.points:
+    for x, y in zip(run.inv.xs, run.inv.ys):
         try:
-            devs.append(abs(p.y - run.example.solution.eval_fn(p.x)))
+            devs.append(abs(y - run.example.solution.eval_fn(x)))
         except DomainError:
             continue  # the lattice can land on the pole itself
     rho = 2.0 + math.exp(run.h) + math.exp(-run.h)
@@ -349,13 +352,13 @@ def _summary_exact_discrete(run: ExampleRun) -> dict:
 
 
 def _summary_beyond_pole(run: ExampleRun) -> dict:
-    beyond = run.inv.points[-1].x > TAN_RECIPROCAL_POLE
+    beyond = run.inv.xs[-1] > TAN_RECIPROCAL_POLE
     return {"invariant stop": run.inv.stop.value,
-            "invariant last x": _fmt(run.inv.points[-1].x),
+            "invariant last x": _fmt(run.inv.xs[-1]),
             "first pole": _fmt(TAN_RECIPROCAL_POLE),
             "beyond singularity": "yes" if beyond else "no",
             "baseline stop": run.base.stop.value,
-            "baseline last x": _fmt(run.base.points[-1].x),
+            "baseline last x": _fmt(run.base.xs[-1]),
             "chi vs exact before pole": _chi_against_exact(
                 run, x_max=TAN_RECIPROCAL_POLE - 2 * run.h)}
 
@@ -421,7 +424,7 @@ def cmd_solve(args) -> int:
     seed = _seed_from_csv(cfg.seed, spec.arity)
     traj = integrate(spec, seed, cfg.steps)
     write_trajectory_csv(cfg.out, traj)
-    print(f"wrote {len(traj.points)} points to {cfg.out} (stop: {traj.stop.value})")
+    print(f"wrote {len(traj)} points to {cfg.out} (stop: {traj.stop.value})")
     return EXIT_OK
 
 
@@ -430,14 +433,14 @@ def cmd_chi(args) -> int:
     if args.b in EXACT_SOLUTIONS:
         sol = EXACT_SOLUTIONS[args.b]()
         try:
-            ref = [sol.eval_fn(p.x) for p in a.points]
+            ref = [sol.eval_fn(x) for x in a.xs]
         except DomainError as e:
             raise ConfigError(f"exact solution undefined on the trajectory: {e}") from None
     else:
         b = read_trajectory_csv(args.b)
-        if len(b.points) != len(a.points):
-            raise ConfigError(f"length mismatch: {len(a.points)} vs {len(b.points)}")
-        ref = list(b.ys)
+        if len(b) != len(a):
+            raise ConfigError(f"length mismatch: {len(a)} vs {len(b)}")
+        ref = b.ys
     value = chi(a, ref)
     print(f"{value:.6f}" if value == 0.0 else f"{value:.6g}")
     return EXIT_OK
@@ -519,7 +522,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, DegenerateCoefficientError, NonFiniteError) as e:
+    except (ValueError, KeyError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as e:

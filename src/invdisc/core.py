@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Sequence
 
 
@@ -50,36 +51,37 @@ class Point:
 
 @dataclass(frozen=True)
 class Stencil:
-    """Ordered window of 3..6 consecutive lattice points.
+    """Ordered window of 3..6 consecutive lattice points, stored as their
+    abscissae and ordinates.
 
     Abscissae must be strictly monotone; decreasing order expresses
     backward integration.
     """
 
-    points: tuple[Point, ...]
+    xs: tuple[float, ...]
+    ys: tuple[float, ...]
 
     def __post_init__(self):
-        pts = tuple(self.points)
-        object.__setattr__(self, "points", pts)
-        if not 3 <= len(pts) <= 6:
-            raise ValueError(f"stencil needs 3..6 points, got {len(pts)}")
-        dxs = [b.x - a.x for a, b in zip(pts, pts[1:])]
+        xs, ys = tuple(self.xs), tuple(self.ys)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
+        if len(xs) != len(ys):
+            raise ValueError("xs and ys must have equal length")
+        for x, y in zip(xs, ys):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise NonFiniteError(f"non-finite point ({x}, {y})")
+        if not 3 <= len(xs) <= 6:
+            raise ValueError(f"stencil needs 3..6 points, got {len(xs)}")
+        dxs = [b - a for a, b in zip(xs, xs[1:])]
         if not (all(d > 0 for d in dxs) or all(d < 0 for d in dxs)):
             raise ValueError("stencil abscissae must be strictly monotone")
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.xs)
 
-    def __iter__(self):
-        return iter(self.points)
-
-    @property
-    def xs(self) -> tuple[float, ...]:
-        return tuple(p.x for p in self.points)
-
-    @property
-    def ys(self) -> tuple[float, ...]:
-        return tuple(p.y for p in self.points)
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        return tuple(map(Point, self.xs, self.ys))
 
 
 @dataclass(frozen=True)
@@ -108,26 +110,20 @@ class StopReason(Enum):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Computed sequence of points plus the reason extension ceased."""
+    """Computed abscissae and ordinates plus the reason extension ceased."""
 
-    points: tuple[Point, ...]
+    xs: tuple[float, ...]
+    ys: tuple[float, ...]
     stop: StopReason
     scheme_id: str
     h_nominal: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.xs)
 
-    @property
-    def xs(self):
-        return tuple(p.x for p in self.points)
-
-    @property
-    def ys(self):
-        return tuple(p.y for p in self.points)
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        return tuple(map(Point, self.xs, self.ys))
 
 
 # --- forcing terms -----------------------------------------------------------
@@ -272,17 +268,9 @@ def seed_stencil_from_function(f: Callable[[float], float], x0: float, h: float,
         raise ValueError(f"seed length must be 3..6, got {n}")
     if h == 0:
         raise ValueError("h must be nonzero")
-    pts = []
-    for k in range(n):
-        x = x0 + k * h
-        y = f(x)
-        if not math.isfinite(y):
-            raise NonFiniteError(f"f({x}) = {y} is not finite")
-        pts.append(Point(x, y))
-    return Stencil(tuple(pts))
+    xs = tuple(x0 + k * h for k in range(n))
+    return Stencil(xs, tuple(map(f, xs)))
 
 
 def stencil_from_sequences(xs: Sequence[float], ys: Sequence[float]) -> Stencil:
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have equal length")
-    return Stencil(tuple(Point(x, y) for x, y in zip(xs, ys)))
+    return Stencil(xs, ys)

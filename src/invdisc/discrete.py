@@ -40,10 +40,11 @@ def _cross_ratio(a0: float, a1: float, a2: float, a3: float) -> float:
     n1, n2 = a3 - a1, a2 - a0
     d1, d2 = a3 - a2, a1 - a0
     scale = max(abs(n1), abs(n2), abs(d1), abs(d2))
-    if is_degenerate(d1, scale) or is_degenerate(d2, scale):
+    den = d1 * d2  # may underflow to zero even where d1 and d2 do not vanish
+    if is_degenerate(d1, scale) or is_degenerate(d2, scale) or den == 0.0:
         raise DegenerateCoefficientError(
             f"cross-ratio denominator vanishes on window ({a0}, {a1}, {a2}, {a3})")
-    return (n1 * n2) / (d1 * d2)
+    return (n1 * n2) / den
 
 
 def cross_ratio(w: CrossRatioWindow) -> float:
@@ -64,13 +65,16 @@ def _ratio_r_over_s(xs, ys, k: int) -> float:
         raise DegenerateCoefficientError("repeated y-values in cross-ratio window")
     # x-differences cannot vanish on a valid stencil, rx may:
     x_scale = max(abs(xs[k + 3] - xs[k + 1]), abs(xs[k + 2] - xs[k]))
-    if is_degenerate(rx, x_scale * x_scale):
-        raise DegenerateCoefficientError("vanishing x cross-ratio numerator")
-    return (ry * dx) / (dy * rx)
+    den = dy * rx
+    if is_degenerate(rx, x_scale * x_scale) or den == 0.0:
+        raise DegenerateCoefficientError("vanishing denominator of R/S")
+    return (ry * dx) / den
 
 
 def _l3(xs, ys, k: int) -> float:
     d = (xs[k + 2] - xs[k + 1]) * (xs[k + 3] - xs[k])
+    if d == 0.0:  # underflow; the differences of distinct abscissae never vanish
+        raise DegenerateCoefficientError("l3 denominator underflows")
     return 6.0 / d * (1.0 - _ratio_r_over_s(xs, ys, k))
 
 
@@ -78,9 +82,10 @@ def _m3(xs, ys, k: int) -> float:
     d1 = ys[k + 3] - ys[k]
     d2 = ys[k + 2] - ys[k + 1]
     scale = max(abs(v - w) for v in ys[k:k + 4] for w in ys[k:k + 4])
-    if is_degenerate(d1, scale) or is_degenerate(d2, scale):
+    den = d1 * d2
+    if is_degenerate(d1, scale) or is_degenerate(d2, scale) or den == 0.0:
         raise DegenerateCoefficientError("vanishing y-difference in M window")
-    return 6.0 / (d1 * d2) * (1.0 - _ratio_r_over_s(xs, ys, k))
+    return 6.0 / den * (1.0 - _ratio_r_over_s(xs, ys, k))
 
 
 def _require_len(s: Stencil, n: int, name: str):

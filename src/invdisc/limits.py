@@ -4,10 +4,9 @@ corrections) as the stencil shrinks, and the convergence order is estimated
 from the error decay."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .core import Jet, LatticeRule, Uniform, stencil_from_sequences
 from .differential import h5_differential, jy_invariants, kx_invariants
@@ -137,7 +136,12 @@ def probe_limit(p: LimitProbe) -> LimitReport:
             floor = i
             break
     clean = max(floor, 2)
-    slope = float(np.polyfit(np.log(mean_hs[:clean]), np.log(np.maximum(errors[:clean], 1e-300)), 1)[0])
+    # least-squares slope of log error against log h
+    us = [math.log(h) for h in mean_hs[:clean]]
+    vs = [math.log(max(e, 1e-300)) for e in errors[:clean]]
+    mu, mv = sum(us) / len(us), sum(vs) / len(vs)
+    slope = (sum((u - mu) * (v - mv) for u, v in zip(us, vs))
+             / sum((u - mu) ** 2 for u in us))
     return LimitReport(
         hs=tuple(mean_hs), values=tuple(values), errors=tuple(errors),
         targets=tuple(targets), estimated_order=slope,

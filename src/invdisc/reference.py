@@ -12,10 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .core import (DegenerateCoefficientError, DomainError, Jet,
-                   OVERFLOW_LIMIT, Point, StopReason, Trajectory)
+from .core import (DegenerateCoefficientError, DomainError, Jet, NonFiniteError,
+                   OVERFLOW_LIMIT, StopReason, Trajectory)
 from .differential import compose_jet
 
 
@@ -72,7 +70,8 @@ def rk4_integrate(sys: OdeSystem, init: Sequence[float], x0: float, h: float,
     """Classic fixed-step RK4 on the first-order system equivalent.
 
     Stops with NON_FINITE on blow-up (expected at solution singularities);
-    otherwise returns n+1 points including the initial one.
+    otherwise returns n+1 points including the initial one.  Raises
+    NonFiniteError if x0, y(x0) or the last abscissa is not finite.
     """
     if len(init) != sys.order:
         raise ValueError(f"init needs {sys.order} values, got {len(init)}")
@@ -85,7 +84,9 @@ def rk4_integrate(sys: OdeSystem, init: Sequence[float], x0: float, h: float,
         return (*u[1:], rhs(x, u))
 
     u = tuple(float(v) for v in init)
-    points = [Point(x0, u[0])]
+    if not (math.isfinite(x0) and math.isfinite(x0 + n * h) and math.isfinite(u[0])):
+        raise NonFiniteError("non-finite initial value or lattice abscissa")
+    xs, ys = [x0], [u[0]]
     stop = StopReason.COMPLETED
     half = 0.5 * h
     sixth = h / 6.0
@@ -105,8 +106,9 @@ def rk4_integrate(sys: OdeSystem, init: Sequence[float], x0: float, h: float,
             stop = StopReason.NON_FINITE
             break
         u = u_new
-        points.append(Point(x0 + (k + 1) * h, u[0]))
-    return Trajectory(tuple(points), stop, f"rk4-{sys.name}", h)
+        xs.append(x0 + (k + 1) * h)
+        ys.append(u[0])
+    return Trajectory(tuple(xs), tuple(ys), stop, f"rk4-{sys.name}", h)
 
 
 # --- exact solutions ----------------------------------------------------------
@@ -253,15 +255,14 @@ EXACT_SOLUTIONS: dict[str, Callable[[], ExactSolution]] = {
 
 def chi(candidate: Trajectory | Sequence[float], reference: Sequence[float]) -> float:
     """Root of the ratio of summed squared deviations to summed squared
-    reference values."""
+    reference values, as a ratio of Euclidean norms so that no square
+    overflows or underflows."""
     ys = candidate.ys if isinstance(candidate, Trajectory) else tuple(candidate)
     if len(ys) != len(reference):
         raise ValueError(f"length mismatch: {len(ys)} vs {len(reference)}")
     if len(ys) == 0:
         raise ValueError("chi needs at least one point")
-    cand = np.asarray(ys, dtype=float)
-    ref = np.asarray(reference, dtype=float)
-    denom = float(np.sum(ref * ref))
+    denom = math.hypot(*reference)
     if denom == 0.0:
         raise DegenerateCoefficientError("reference is identically zero")
-    return float(np.sqrt(np.sum((cand - ref) ** 2) / denom))
+    return math.hypot(*[a - b for a, b in zip(ys, reference)]) / denom

@@ -271,11 +271,8 @@ def _linear_step(line, window: Stencil, x_next: float, param) -> StepOutcome:
 def _sly4_line(xs, ys, x_next: float, forcing) -> tuple[float, float, float]:
     """(a, b, scale) of the fourth-order scheme's equation a*t = b, cleared
     from l4(window + new point) = f(x_mid)."""
-    try:
-        l3_left = _l3(xs, ys, 0)
-        s4 = _cross_ratio(xs[1], xs[2], xs[3], x_next)
-    except ZeroDivisionError:  # a denominator product underflowed to zero
-        raise DegenerateCoefficientError("l3 denominator underflows") from None
+    l3_left = _l3(xs, ys, 0)
+    s4 = _cross_ratio(xs[1], xs[2], xs[3], x_next)
     target = l3_left + forcing(xs[2]) * (x_next - xs[0]) / 4.0
     # l3 on the right window must equal `target`; unwind to a cross-ratio value
     v = s4 * (1.0 - target * (xs[3] - xs[2]) * (x_next - xs[1]) / 6.0)
@@ -394,11 +391,8 @@ def slx3_step(prev3: Stencil, x_next: float, forcing: ForcingTerm,
 def _h5_line(xs, ys, x_next: float, c: float) -> tuple[float, float, float]:
     """(a, b, scale) of the six-point scheme's equation a*t = b; the
     abscissae do not enter on a uniform lattice."""
-    try:
-        r3 = _cross_ratio(ys[0], ys[1], ys[2], ys[3])
-        r4 = _cross_ratio(ys[1], ys[2], ys[3], ys[4])
-    except ZeroDivisionError:  # a denominator product underflowed to zero
-        raise DegenerateCoefficientError("cross-ratio denominator underflows") from None
+    r3 = _cross_ratio(ys[0], ys[1], ys[2], ys[3])
+    r4 = _cross_ratio(ys[1], ys[2], ys[3], ys[4])
     # 16 R5 + R4 (3 R4 + R5 - 32) + R3 (R4 - 5 R5 + 16) = 2c (R3-4)(R4-4)(R5-4)
     a_r5 = 16.0 + r4 - 5.0 * r3 - 2.0 * c * (r3 - 4.0) * (r4 - 4.0)
     b_r5 = (-3.0 * r4 ** 2 + 32.0 * r4 - r3 * r4 - 16.0 * r3
@@ -430,10 +424,10 @@ def h5_step(prev5: Stencil, x_next: float, c: float,
 # --- trajectory driver --------------------------------------------------------
 
 def _check_seed_lattice(seed: Stencil, rule: Uniform):
-    x0 = seed.points[0].x
-    for k, p in enumerate(seed.points):
+    x0 = seed.xs[0]
+    for k, x in enumerate(seed.xs):
         expected = x0 + k * rule.h
-        if abs(p.x - expected) > 1e-9 * max(abs(rule.h), abs(expected), 1.0):
+        if abs(x - expected) > 1e-9 * max(abs(rule.h), abs(expected), 1.0):
             raise ValueError("seed abscissae inconsistent with the uniform lattice rule")
 
 
@@ -444,9 +438,10 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int,
 
     Returns the partial trajectory and the reason extension ceased; scheme
     failures surface as stop reasons, never as exceptions.  ``stop_when``,
-    if given, is a predicate on the newest point that halts the run with
-    USER_LIMIT.  A seed that does not fit the spec, or abscissae that stop
-    being strictly monotone, raise ValueError.
+    if given, is a predicate on the newest point's (x, y) that halts the run
+    with USER_LIMIT.  A seed that does not fit the spec, or abscissae that
+    stop being strictly monotone, raise ValueError; a lattice whose last
+    abscissa overflows raises NonFiniteError.
     """
     arity = spec.arity
     if len(seed) != arity:
@@ -463,8 +458,10 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int,
         kernel = _linear_kernel
         params = (_h5_line, f.c)
     h = spec.lattice.h
-    points = list(seed.points)
-    x0 = points[0].x
+    x0 = seed.xs[0]
+    if not math.isfinite(x0 + (arity + n_steps - 1) * h):
+        raise NonFiniteError("the lattice abscissae overflow")
+    out_xs, out_ys = list(seed.xs), list(seed.ys)
     # the rolling window; the seed fixes its direction
     xs, ys = list(seed.xs), list(seed.ys)
     direction = 1.0 if xs[1] > xs[0] else -1.0
@@ -482,9 +479,9 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int,
         del xs[0]
         ys.append(y)
         del ys[0]
-        point = Point(x, y)
-        points.append(point)
-        if stop_when is not None and stop_when(point):
+        out_xs.append(x)
+        out_ys.append(y)
+        if stop_when is not None and stop_when(x, y):
             stop = StopReason.USER_LIMIT
             break
-    return Trajectory(tuple(points), stop, spec.scheme.value, h)
+    return Trajectory(tuple(out_xs), tuple(out_ys), stop, spec.scheme.value, h)

@@ -63,7 +63,7 @@ def eq1_reference():
 
 def _invariant_run_eq1(reference, h):
     stride = round(h / H_REF)
-    seed = Stencil(tuple(reference.points[k * stride] for k in range(4)))
+    seed = Stencil(reference.xs[:3 * stride + 1:stride], reference.ys[:3 * stride + 1:stride])
     spec = SchemeSpec(SchemeKind.SLY4, FunctionOfX(math.cos, "cos"), Uniform(h))
     traj = integrate(spec, seed, round(1.5 / h) - 3)
     assert traj.stop is StopReason.COMPLETED

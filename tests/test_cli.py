@@ -1,21 +1,22 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from invdisc import Point, StopReason, Trajectory, seed_stencil_from_function
+from invdisc import SchemeKind, StopReason, Trajectory, seed_stencil_from_function
 from invdisc import cli
 from invdisc.cli import (MAX_STEPS, RunConfig, main, read_trajectory_csv,
                          write_trajectory_csv)
 
 
 def _traj(ys, scheme="test", h=0.5, stop=StopReason.COMPLETED):
-    pts = tuple(Point(0.1 + h * k, y) for k, y in enumerate(ys))
-    return Trajectory(pts, stop, scheme, h)
+    xs = tuple(0.1 + h * k for k in range(len(ys)))
+    return Trajectory(xs, tuple(ys), stop, scheme, h)
 
 
 def _write_seed_csv(path, fn, x0, h, n):
     s = seed_stencil_from_function(fn, x0, h, n)
-    write_trajectory_csv(path, Trajectory(s.points, StopReason.COMPLETED, "seed", h))
+    write_trajectory_csv(path, Trajectory(s.xs, s.ys, StopReason.COMPLETED, "seed", h))
     return path
 
 
@@ -124,8 +125,8 @@ def test_chi_identical_files(tmp_path, capsys):
 
 
 def test_chi_against_exact_id(tmp_path, capsys):
-    traj = Trajectory(tuple(Point(x, math.atanh(x)) for x in (-0.5, 0.0, 0.5)),
-                      StopReason.COMPLETED, "x", 0.5)
+    xs = (-0.5, 0.0, 0.5)
+    traj = Trajectory(xs, tuple(math.atanh(x) for x in xs), StopReason.COMPLETED, "x", 0.5)
     p = tmp_path / "a.csv"
     write_trajectory_csv(p, traj)
     assert main(["chi", str(p), "arctanh"]) == 0
@@ -219,6 +220,8 @@ def test_example_rejects_unknown_id():
     ["2-log", "--x0", "inf"],
     ["4", "--steps", "0"],
     ["3", "--h", "0.5", "--h-ref", "1e-3"],  # the reference blows up before the seed
+    ["4", "--x0", "1000"],  # the exact solution's jet overflows
+    ["5", "--x0", "1e-310", "--steps", "5"],  # the jet of tan(1/x) divides by zero
 ])
 def test_example_rejects_out_of_range_options(opts):
     assert main(["example", *opts]) == 2
@@ -261,6 +264,15 @@ def test_example_5_started_past_the_pole(capsys):
 
 # --- library arithmetic errors map to exit status 2 ---------------------------------------
 
+@pytest.mark.parametrize("argv", [
+    ["--function", "exp", "--x0", "1000"],
+    ["--function", "tan-reciprocal", "--x0", "1e-320"],
+    ["--function", "log-abs", "--x0", "1", "--h0", "1e300"],
+])
+def test_limit_overflowing_jets(argv):
+    assert main(["limit", "--invariant", "l3", *argv]) == 2
+
+
 def test_chi_non_finite_row(tmp_path):
     p = tmp_path / "nan.csv"
     p.write_text("x,y\n0,1\n1,nan\n")
@@ -271,3 +283,37 @@ def test_chi_all_zero_reference(tmp_path):
     p = tmp_path / "zero.csv"
     write_trajectory_csv(p, _traj([0.0, 0.0, 0.0]))
     assert main(["chi", str(p), str(p)]) == 2
+
+
+# --- the CSV boundary under fuzzing: exit 0, 2 or 3, never a traceback ---------------------
+
+#: a number as a CSV cell: any float (nan and inf included) or near-numeric text
+CELLS = st.one_of(st.floats().map(repr),
+                  st.sampled_from(["", " ", "1e999", "-0", "0x10", "1_0", "nan ", "+inf"]),
+                  st.text(max_size=6))
+LINES = st.one_of(
+    st.just("x,y"),
+    st.builds("{},{}".format, CELLS, CELLS),
+    st.builds("{},{},{}".format, CELLS, CELLS, CELLS),  # an extra comma
+    st.builds("#{}:{}".format, st.sampled_from(["scheme", " h", "stop ", "", "x"]),
+              st.one_of(st.text(max_size=8), CELLS, st.sampled_from([s.value for s in StopReason]))),
+    st.text(max_size=20))
+#: rows on the lattice x = 0.1*k, so that a seed can pass validation and run
+LATTICE_ROWS = st.lists(st.floats(), min_size=3, max_size=7).map(
+    lambda ys: [f"{0.1 * k!r},{y!r}" for k, y in enumerate(ys)])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header=st.booleans(), lines=st.lists(LINES, max_size=8),
+       rows=st.one_of(st.just([]), LATTICE_ROWS), scheme=st.sampled_from(list(SchemeKind)))
+def test_csv_fuzz_exits_0_2_or_3(tmp_path, capsys, header, lines, rows, scheme):
+    path = tmp_path / "fuzz.csv"
+    path.write_text("\n".join((["x,y"] if header else []) + lines + rows) + "\n",
+                    encoding="utf-8")
+    f = str(path)
+    assert main(["chi", f, f]) in (0, 2, 3)
+    assert main(["solve", "--scheme", scheme.value, "--forcing", "const", "--c", "1",
+                 "--h", "0.1", "--steps", "20", "--seed", f,
+                 "--out", str(tmp_path / "out.csv")]) in (0, 2, 3)
+    capsys.readouterr()

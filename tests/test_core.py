@@ -19,7 +19,7 @@ def test_seed_samples_exact_solution():
     f = lambda x: 1.0 / (1.0 - math.exp(x))
     s = seed_stencil_from_function(f, -1.0, 0.1, 6)
     assert len(s) == 6
-    for p in s:
+    for p in s.points:
         assert p.y == f(p.x)
 
 

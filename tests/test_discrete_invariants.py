@@ -43,6 +43,23 @@ def test_cross_ratio_degenerate_window():
         cross_ratio(CrossRatioWindow(0.0, 1.0, 2.0, 2.0))
 
 
+#: ordinates whose differences (near 1e-162) are far from degenerate but
+#: whose products of two differences underflow to zero
+UNDERFLOW_YS = (-1.4198183315542606e-151, -1.419818331507339e-151,
+                -1.4198183314925497e-151, -1.419818331489371e-151)
+
+
+@pytest.mark.parametrize("evaluate, xs, ys", [
+    (l3, (0.0, 0.1, 0.2, 0.3), UNDERFLOW_YS),
+    (m3, (0.0, 0.1, 0.2, 0.3), UNDERFLOW_YS),
+    (lambda s: cross_ratio(CrossRatioWindow(*s.ys)), (0.0, 0.1, 0.2, 0.3), UNDERFLOW_YS),
+    (l3, (0.0, 1e-170, 2e-170, 3e-170), (0.0, 1.0, 3.0, 6.0)),  # x spacings
+], ids=["l3", "m3", "cross_ratio", "l3-x"])
+def test_underflowing_denominator_is_degenerate(evaluate, xs, ys):
+    with pytest.raises(DegenerateCoefficientError):
+        evaluate(stencil_from_sequences(xs, ys))
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_cross_ratio_mobius_invariance(data):

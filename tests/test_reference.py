@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from invdisc import (DegenerateCoefficientError, DomainError, Point, StopReason,
-                     Trajectory, arctanh_solution, chi,
+import invdisc
+from invdisc import (DegenerateCoefficientError, DomainError, NonFiniteError,
+                     StopReason, Trajectory, arctanh_solution, chi,
                      fifth_order_invariant_system, general_arctanh, log_abs,
                      one_over_one_minus_exp, rk4_integrate,
                      scaled_schwarzian_system, schwarzian_rate_system,
@@ -52,6 +57,10 @@ def test_rk4_validates_input():
         rk4_integrate(sys2, (0.0, 1.0), 0.0, 1e-3, 10)
     with pytest.raises(ValueError):
         rk4_integrate(sys2, (0.0, 1.0, 0.0), 0.0, 0.0, 10)
+    with pytest.raises(NonFiniteError):
+        rk4_integrate(sys2, (math.nan, 1.0, 0.0), 0.0, 1e-3, 10)
+    with pytest.raises(NonFiniteError):  # the last abscissa overflows
+        rk4_integrate(sys2, (0.0, 1.0, 0.0), 1.7e308, 1e306, 20)
 
 
 # --- exact solutions ----------------------------------------------------------------
@@ -138,8 +147,8 @@ def test_general_arctanh_reduces_to_base():
 # --- chi ------------------------------------------------------------------------------
 
 def _traj(ys):
-    pts = tuple(Point(float(k), float(y)) for k, y in enumerate(ys))
-    return Trajectory(pts, StopReason.COMPLETED, "test", 1.0)
+    return Trajectory(tuple(float(k) for k in range(len(ys))), tuple(float(y) for y in ys),
+                      StopReason.COMPLETED, "test", 1.0)
 
 
 def test_chi_identical_is_zero():
@@ -154,6 +163,21 @@ def test_chi_value():
 def test_chi_normalizes_by_reference():
     a, b = [1.0, 1.0], [1.0, 2.0]
     assert chi(_traj(a), b) != chi(_traj(b), a)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_chi_far_from_unit_scale(scale):
+    # the squares of these rows overflow or underflow
+    value = chi(_traj([1.1 * scale, 2.0 * scale]), [scale, 2.0 * scale])
+    assert value == pytest.approx(0.1 / math.sqrt(5.0), rel=1e-12)
+
+
+def test_import_leaves_numpy_out():
+    src = str(Path(invdisc.__file__).parents[1])
+    code = "import sys, invdisc; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_chi_errors():

@@ -106,7 +106,7 @@ def test_sly4_zero_forcing_preserves_mobius_manifold():
     # the new window still sits on the weakly invariant manifold
     full = stencil_from_sequences(list(prev.xs) + [0.4],
                                   list(prev.ys) + [out.point.y])
-    assert abs(l3(Stencil(full.points[1:]))) <= 1e-7
+    assert abs(l3(Stencil(full.xs[1:], full.ys[1:]))) <= 1e-7
 
 
 def test_sly4_consistency_with_forcing():
@@ -244,6 +244,11 @@ def test_integrate_validates_seed():
     assert len(integrate(spec5, seed5, 1)) == 6
     with pytest.raises(ValueError):
         integrate(spec5, seed5, 2)
+    # a lattice whose abscissae overflow after 7 steps
+    far = stencil_from_sequences([1.7e308 + k * 1e306 for k in range(5)],
+                                 [OMEX(-1.0 + 0.1 * k) for k in range(5)])
+    with pytest.raises(NonFiniteError):
+        integrate(SchemeSpec(SchemeKind.H5, Constant(0.0), Uniform(1e306)), far, 20)
 
 
 def test_integrate_completed_and_metadata():
@@ -259,7 +264,7 @@ def test_integrate_completed_and_metadata():
 def test_integrate_stop_when_user_limit():
     seed = seed_stencil_from_function(math.atanh, -0.5, 0.01, 3)
     spec = SchemeSpec(SchemeKind.SLX3, Constant(2.0), Uniform(0.01))
-    traj = integrate(spec, seed, 50, stop_when=lambda p: p.x >= -0.4)
+    traj = integrate(spec, seed, 50, stop_when=lambda x, y: x >= -0.4)
     assert traj.stop is StopReason.USER_LIMIT
     assert traj.points[-1].x >= -0.4
 
@@ -281,9 +286,8 @@ def test_integrate_reports_scheme_consistency_after_steps():
     spec = SchemeSpec(SchemeKind.SLY4, FunctionOfX(math.cos, "cos"), Uniform(0.2))
     traj = integrate(spec, seed, 10)
     assert traj.stop is StopReason.COMPLETED
-    pts = traj.points
-    for k in range(len(pts) - 4):
-        window = Stencil(pts[k:k + 5])
+    for k in range(len(traj) - 4):
+        window = Stencil(traj.xs[k:k + 5], traj.ys[k:k + 5])
         target = math.cos(window.xs[2])
         assert abs(l4(window) - target) <= 1e-9 * max(1.0, abs(target))
 
@@ -296,7 +300,7 @@ def _stepped_by_hand(spec, seed, n_steps, stop_when=None):
     points = list(seed.points)
     f, h, k = spec.forcing, spec.lattice.h, spec.arity
     for _ in range(n_steps):
-        window = Stencil(tuple(points[-k:]))
+        window = Stencil(tuple(p.x for p in points[-k:]), tuple(p.y for p in points[-k:]))
         x_next = points[0].x + len(points) * h
         if spec.scheme is SchemeKind.SLY4:
             fn = f.fn if isinstance(f, FunctionOfX) else (lambda _x: f.c)
@@ -308,7 +312,7 @@ def _stepped_by_hand(spec, seed, n_steps, stop_when=None):
         if not out.advanced:
             return points, out.stop
         points.append(out.point)
-        if stop_when is not None and stop_when(out.point):
+        if stop_when is not None and stop_when(out.point.x, out.point.y):
             return points, StopReason.USER_LIMIT
     return points, StopReason.COMPLETED
 
@@ -349,7 +353,7 @@ EQUIVALENCE_CASES = [
     ("slx3-backward", _slx3(Constant(0.5), -1e-3),
      seed_stencil_from_function(LOG_ABS, 1.0, -1e-3, 3), 100, None, StopReason.COMPLETED),
     ("slx3-user-limit", _slx3(Constant(2.0), 0.01), ARCTANH_SEED, 178,
-     lambda p: p.x >= -0.5, StopReason.USER_LIMIT),
+     lambda x, y: x >= -0.5, StopReason.USER_LIMIT),
     ("h5-exact", SchemeSpec(SchemeKind.H5, Constant(0.0), Uniform(0.1)),
      seed_stencil_from_function(OMEX, -1.0, 0.1, 5), 40, None, None),
     ("h5-backward", SchemeSpec(SchemeKind.H5, Constant(0.5), Uniform(-0.05)),
