@@ -63,7 +63,8 @@ def eq1_reference():
 
 def _invariant_run_eq1(reference, h):
     stride = round(h / H_REF)
-    seed = Stencil(reference.xs[:3 * stride + 1:stride], reference.ys[:3 * stride + 1:stride])
+    end = 3 * stride + 1
+    seed = Stencil(reference.xs[:end:stride], reference.ys[:end:stride])
     spec = SchemeSpec(SchemeKind.SLY4, FunctionOfX(math.cos, "cos"), Uniform(h))
     traj = integrate(spec, seed, round(1.5 / h) - 3)
     assert traj.stop is StopReason.COMPLETED

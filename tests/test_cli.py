@@ -285,7 +285,7 @@ def test_chi_all_zero_reference(tmp_path):
     assert main(["chi", str(p), str(p)]) == 2
 
 
-# --- the CSV boundary under fuzzing: exit 0, 2 or 3, never a traceback ---------------------
+# --- the CSV boundary under fuzzing: exit 0, 2 or 3, never a traceback --------------------
 
 #: a number as a CSV cell: any float (nan and inf included) or near-numeric text
 CELLS = st.one_of(st.floats().map(repr),
@@ -296,7 +296,8 @@ LINES = st.one_of(
     st.builds("{},{}".format, CELLS, CELLS),
     st.builds("{},{},{}".format, CELLS, CELLS, CELLS),  # an extra comma
     st.builds("#{}:{}".format, st.sampled_from(["scheme", " h", "stop ", "", "x"]),
-              st.one_of(st.text(max_size=8), CELLS, st.sampled_from([s.value for s in StopReason]))),
+              st.one_of(st.text(max_size=8), CELLS,
+                        st.sampled_from([s.value for s in StopReason]))),
     st.text(max_size=20))
 #: rows on the lattice x = 0.1*k, so that a seed can pass validation and run
 LATTICE_ROWS = st.lists(st.floats(), min_size=3, max_size=7).map(

@@ -147,8 +147,8 @@ def test_general_arctanh_reduces_to_base():
 # --- chi ------------------------------------------------------------------------------
 
 def _traj(ys):
-    return Trajectory(tuple(float(k) for k in range(len(ys))), tuple(float(y) for y in ys),
-                      StopReason.COMPLETED, "test", 1.0)
+    return Trajectory(tuple(float(k) for k in range(len(ys))),
+                      tuple(float(y) for y in ys), StopReason.COMPLETED, "test", 1.0)
 
 
 def test_chi_identical_is_zero():

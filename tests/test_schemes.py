@@ -244,7 +244,7 @@ def test_integrate_validates_seed():
     assert len(integrate(spec5, seed5, 1)) == 6
     with pytest.raises(ValueError):
         integrate(spec5, seed5, 2)
-    # a lattice whose abscissae overflow after 7 steps
+    # a lattice whose abscissae overflow within the run
     far = stencil_from_sequences([1.7e308 + k * 1e306 for k in range(5)],
                                  [OMEX(-1.0 + 0.1 * k) for k in range(5)])
     with pytest.raises(NonFiniteError):
