@@ -456,6 +456,8 @@ def _jet_function(name: str):
 
 
 def cmd_limit(args) -> int:
+    if not 4 <= args.levels <= MAX_STEPS:
+        raise ConfigError(f"levels must be an integer from 4 to {MAX_STEPS}")
     hs = tuple(args.h0 * args.ratio ** k for k in range(args.levels))
     probe = LimitProbe(args.invariant, _jet_function(args.function), args.x0, hs)
     report = probe_limit(probe)

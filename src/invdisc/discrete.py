@@ -47,6 +47,15 @@ def _cross_ratio(a0: float, a1: float, a2: float, a3: float) -> float:
     return (n1 * n2) / den
 
 
+def _cross_ratio_line(a0: float, a1: float, a2: float,
+                      k: float) -> tuple[float, float, float]:
+    """(a, b, scale) of the equation a*t = b to which cross-ratio(a0, a1, a2, t)
+    = k clears; ``scale`` is the size of the terms that cancel in a."""
+    return ((a2 - a0) - k * (a1 - a0),
+            a1 * (a2 - a0) - k * a2 * (a1 - a0),
+            max(abs(a2 - a0), abs(k * (a1 - a0))))
+
+
 def cross_ratio(w: CrossRatioWindow) -> float:
     """((a3-a1)(a2-a0)) / ((a3-a2)(a1-a0)) of four collinear values."""
     return _cross_ratio(*w.values())
@@ -88,6 +97,24 @@ def _m3(xs, ys, k: int) -> float:
     return 6.0 / den * (1.0 - _ratio_r_over_s(xs, ys, k))
 
 
+def _l4(xs, ys, k: int) -> float:
+    return 4.0 / (xs[k + 4] - xs[k]) * (_l3(xs, ys, k + 1) - _l3(xs, ys, k))
+
+
+def _spanning_dy(ys, k: int, n: int) -> float:
+    """ys[k+n] - ys[k], checked against every y-difference in the window."""
+    d = ys[k + n] - ys[k]
+    win = ys[k:k + n + 1]
+    scale = max(abs(v - w) for v in win for w in win)
+    if is_degenerate(d, scale):
+        raise DegenerateCoefficientError("vanishing spanning y-difference")
+    return d
+
+
+def _m4(xs, ys, k: int) -> float:
+    return 4.0 / _spanning_dy(ys, k, 4) * (_m3(xs, ys, k + 1) - _m3(xs, ys, k))
+
+
 def _require_len(s: Stencil, n: int, name: str):
     if len(s) != n:
         raise ValueError(f"{name} needs a {n}-point stencil, got {len(s)}")
@@ -102,8 +129,7 @@ def l3(s: Stencil) -> float:
 def l4(s: Stencil) -> float:
     """Fourth-order invariant on 5 points; limit is the Schwarzian's x-derivative."""
     _require_len(s, 5, "l4")
-    xs, ys = s.xs, s.ys
-    return 4.0 / (xs[4] - xs[0]) * (_l3(xs, ys, 1) - _l3(xs, ys, 0))
+    return _l4(s.xs, s.ys, 0)
 
 
 def l5(s: Stencil) -> float:
@@ -114,8 +140,8 @@ def l5(s: Stencil) -> float:
     """
     _require_len(s, 6, "l5")
     xs, ys = s.xs, s.ys
-    l4a = 4.0 / (xs[4] - xs[0]) * (_l3(xs, ys, 1) - _l3(xs, ys, 0))
-    l4b = 4.0 / (xs[5] - xs[1]) * (_l3(xs, ys, 2) - _l3(xs, ys, 1))
+    l4a = _l4(xs, ys, 0)
+    l4b = _l4(xs, ys, 1)
     return 5.0 / (xs[5] - xs[0]) * (l4b - l4a)
 
 
@@ -128,12 +154,7 @@ def m3(s: Stencil) -> float:
 def m4(s: Stencil) -> float:
     """Fourth-order hodograph-side invariant on 5 points."""
     _require_len(s, 5, "m4")
-    xs, ys = s.xs, s.ys
-    d = ys[4] - ys[0]
-    scale = max(abs(v - w) for v in ys for w in ys)
-    if is_degenerate(d, scale):
-        raise DegenerateCoefficientError("vanishing spanning y-difference in m4")
-    return 4.0 / d * (_m3(xs, ys, 1) - _m3(xs, ys, 0))
+    return _m4(s.xs, s.ys, 0)
 
 
 def m5(s: Stencil) -> float:
@@ -144,19 +165,7 @@ def m5(s: Stencil) -> float:
     """
     _require_len(s, 6, "m5")
     xs, ys = s.xs, s.ys
-
-    def m4_window(k):
-        d = ys[k + 4] - ys[k]
-        scale = max(abs(v - w) for v in ys[k:k + 5] for w in ys[k:k + 5])
-        if is_degenerate(d, scale):
-            raise DegenerateCoefficientError("vanishing spanning y-difference in m5")
-        return 4.0 / d * (_m3(xs, ys, k + 1) - _m3(xs, ys, k))
-
-    d = ys[5] - ys[0]
-    scale = max(abs(v - w) for v in ys for w in ys)
-    if is_degenerate(d, scale):
-        raise DegenerateCoefficientError("vanishing spanning y-difference in m5")
-    return 5.0 / d * (m4_window(1) - m4_window(0))
+    return 5.0 / _spanning_dy(ys, 0, 5) * (_m4(xs, ys, 1) - _m4(xs, ys, 0))
 
 
 def q_triple(s: Stencil) -> QTriple:

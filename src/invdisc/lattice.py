@@ -9,6 +9,7 @@ three-point recursion instead.
 from __future__ import annotations
 
 from .core import DegenerateCoefficientError, LatticeRule, Uniform, is_degenerate
+from .discrete import _cross_ratio_line
 
 
 def uniform_lattice(x0: float, h: float, n: int) -> list[float]:
@@ -25,14 +26,11 @@ def extend_constant_s(x_a: float, x_b: float, x_c: float, K: float) -> float:
 
     Solved in closed form; x_d is a linear-fractional function of the data.
     """
-    ca = x_c - x_a
-    ba = x_b - x_a
-    den = ca - K * ba
-    scale = max(abs(ca), abs(K * ba))
+    den, num, scale = _cross_ratio_line(x_a, x_b, x_c, K)
     if is_degenerate(den, scale):
         raise DegenerateCoefficientError(
             f"resonant K = {K} for seeds ({x_a}, {x_b}, {x_c})")
-    return (x_b * ca - K * x_c * ba) / den
+    return num / den
 
 
 def extend_lattice(rule: LatticeRule, n: int) -> list[float]:

@@ -5,10 +5,10 @@ from the error decay."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import Jet, LatticeRule, Uniform, stencil_from_sequences
+from .core import Jet, stencil_from_sequences
 from .differential import h5_differential, jy_invariants, kx_invariants
 from .discrete import (h5_discrete, l3, l4, l5, m3, m4, m5, w_coefficient,
                        wx_coefficient)
@@ -56,7 +56,7 @@ class LimitProbe:
 
     The stencil at level k spans [x_center, x_center + h_k * sum(alphas)]
     with spacings h_k * alphas; ``h_sequence`` must be strictly decreasing
-    with at least 4 levels.  A callable ``lattice`` overrides the placement
+    with at least 4 levels.  A ``lattice`` callable overrides the placement
     entirely: it maps h to explicit abscissae (the jet target is then taken
     at the first abscissa).
     """
@@ -65,8 +65,7 @@ class LimitProbe:
     test_function: Callable[[float], Jet]
     x_center: float
     h_sequence: tuple[float, ...]
-    lattice: LatticeRule | Callable[[float], Sequence[float]] = field(
-        default_factory=lambda: Uniform(1.0))
+    lattice: Callable[[float], Sequence[float]] | None = None
     alphas: tuple[float, ...] | None = None
     target_fn: Callable[[Jet, Sequence[float]], float] | None = None
 
@@ -94,13 +93,11 @@ class LimitReport:
 
 
 def _abscissae(p: LimitProbe, h: float, npts: int) -> list[float]:
-    if callable(p.lattice):
+    if p.lattice is not None:
         xs = [float(v) for v in p.lattice(h)]
         if len(xs) != npts:
             raise ValueError(f"lattice callable returned {len(xs)} abscissae, need {npts}")
         return xs
-    if not isinstance(p.lattice, Uniform):
-        raise ValueError("probe lattices are uniform-by-alphas or callables")
     alphas = p.alphas if p.alphas is not None else (1.0,) * (npts - 1)
     if len(alphas) != npts - 1:
         raise ValueError(f"need {npts - 1} spacing multipliers, got {len(alphas)}")

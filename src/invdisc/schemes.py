@@ -10,8 +10,8 @@ closed form and one is selected by the configured root policy.
 Per scheme, a coefficient helper clears the invariant equation on plain
 floats and raises DegenerateCoefficientError on a vanishing denominator.  A
 kernel turns it into the new ordinate or the :class:`StopReason` that ends
-the run; :func:`integrate` drives the kernels over a rolling window.  The
-public ``*_step`` functions wrap the same helpers and keep the diagnostics.
+the run; :func:`integrate` drives the kernels over a rolling window, and
+the public ``*_step`` functions run the same kernels on one stencil.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .core import (Constant, DegenerateCoefficientError, ForcingTerm,
                    RhsEvalPolicy, RootPolicy, RootSelection, SchemeKind,
                    SchemeSpec, Stencil, StopReason, Trajectory, Uniform,
                    is_degenerate)
-from .discrete import _cross_ratio, _l3
+from .discrete import _cross_ratio, _cross_ratio_line, _l3
 
 
 @dataclass(frozen=True)
@@ -39,46 +39,32 @@ class PolyCoeffs:
         if self.coeffs[-1] == 0.0:
             raise ValueError("leading coefficient must be nonzero")
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, t: float) -> float:
         return _horner(self.coeffs, t)
-
-    def derivative(self, t: float) -> float:
-        return _horner_slope(self.coeffs, t)
 
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """Result of one scheme step, with root-solving diagnostics retained."""
+    """Result of one scheme step: the new point, or why there is none."""
 
     point: Point | None
     stop: StopReason | None
-    roots: tuple[float, ...] = ()
-    selected: int | None = None
-    prediction: float | None = None
-    poly: PolyCoeffs | None = None
 
     @property
     def advanced(self) -> bool:
         return self.point is not None
 
 
-def _stopped(reason: StopReason, **diag) -> StepOutcome:
-    return StepOutcome(point=None, stop=reason, **diag)
+def _outcome(x_next: float, y: float | StopReason) -> StepOutcome:
+    """A kernel's result at ``x_next`` as a StepOutcome."""
+    if y.__class__ is StopReason:
+        return StepOutcome(None, y)
+    return StepOutcome(Point(x_next, y), None)
 
 
 def _in_range(y: float) -> bool:
     """A new ordinate is kept only if finite and within OVERFLOW_LIMIT."""
     return math.isfinite(y) and abs(y) <= OVERFLOW_LIMIT
-
-
-def _outcome(x_next: float, t: float, selected: int, **diag) -> StepOutcome:
-    if not _in_range(t):
-        return _stopped(StopReason.NON_FINITE, **diag)
-    return StepOutcome(Point(x_next, t), None, selected=selected, **diag)
 
 
 # --- closed-form real roots ---------------------------------------------------
@@ -233,39 +219,19 @@ def select_root(roots: list[float], prediction: float, policy: RootPolicy) -> fl
 # --- the three schemes --------------------------------------------------------
 # sly4 and h5 clear to a linear equation a*t = b and share their kernel.
 
-def _linear_root(a: float, b: float, scale: float) -> float | StopReason:
-    """The root b/a of a*t = b, or why there is none."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        return StopReason.NON_FINITE
-    if is_degenerate(a, scale):
-        return StopReason.DEGENERATE_COEFFICIENT
-    return b / a
-
-
 def _linear_kernel(xs, ys, x_next: float, line, param) -> float | StopReason:
-    """Kernel of a scheme whose coefficient helper ``line`` gives (a, b, scale)."""
+    """Kernel of a scheme whose coefficient helper ``line`` gives (a, b, scale)
+    of its equation a*t = b: the root b/a, or why there is none."""
     try:
         a, b, scale = line(xs, ys, x_next, param)
     except DegenerateCoefficientError:
         return StopReason.DEGENERATE_COEFFICIENT
-    t = _linear_root(a, b, scale)
-    if t.__class__ is StopReason or _in_range(t):
-        return t
-    return StopReason.NON_FINITE
-
-
-def _linear_step(line, window: Stencil, x_next: float, param) -> StepOutcome:
-    try:
-        a, b, scale = line(window.xs, window.ys, x_next, param)
-    except DegenerateCoefficientError:
-        return _stopped(StopReason.DEGENERATE_COEFFICIENT)
-    t = _linear_root(a, b, scale)
-    if t is StopReason.NON_FINITE:
-        return _stopped(t)
-    poly = PolyCoeffs((-b, a)) if a != 0.0 else None
-    if t is StopReason.DEGENERATE_COEFFICIENT:
-        return _stopped(t, poly=poly)
-    return _outcome(x_next, t, 0, roots=(t,), poly=poly)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return StopReason.NON_FINITE
+    if is_degenerate(a, scale):
+        return StopReason.DEGENERATE_COEFFICIENT
+    t = b / a
+    return t if _in_range(t) else StopReason.NON_FINITE
 
 
 def _sly4_line(xs, ys, x_next: float, forcing) -> tuple[float, float, float]:
@@ -276,11 +242,7 @@ def _sly4_line(xs, ys, x_next: float, forcing) -> tuple[float, float, float]:
     target = l3_left + forcing(xs[2]) * (x_next - xs[0]) / 4.0
     # l3 on the right window must equal `target`; unwind to a cross-ratio value
     v = s4 * (1.0 - target * (xs[3] - xs[2]) * (x_next - xs[1]) / 6.0)
-    # ((t - y2)(y3 - y1)) / ((t - y3)(y2 - y1)) = v, linear in t
-    y1, y2, y3 = ys[1], ys[2], ys[3]
-    a = (y3 - y1) - v * (y2 - y1)
-    b = y2 * (y3 - y1) - v * y3 * (y2 - y1)
-    return a, b, max(abs(y3 - y1), abs(v * (y2 - y1)))
+    return _cross_ratio_line(ys[1], ys[2], ys[3], v)
 
 
 def sly4_step(prev4: Stencil, x_next: float, forcing) -> StepOutcome:
@@ -291,7 +253,7 @@ def sly4_step(prev4: Stencil, x_next: float, forcing) -> StepOutcome:
     """
     if len(prev4) != 4:
         raise ValueError("sly4_step needs 4 previous points")
-    return _linear_step(_sly4_line, prev4, x_next, forcing)
+    return _outcome(x_next, _linear_kernel(prev4.xs, prev4.ys, x_next, _sly4_line, forcing))
 
 
 def _slx3_coeffs(ys, forcing: ForcingTerm,
@@ -371,21 +333,8 @@ def slx3_step(prev3: Stencil, x_next: float, forcing: ForcingTerm,
     """
     if len(prev3) != 3:
         raise ValueError("slx3_step needs 3 previous points")
-    xs, ys = prev3.xs, prev3.ys
-    prediction = _extrapolate(xs, ys, x_next, policy.prediction_order)
-    try:
-        poly = PolyCoeffs(_slx3_coeffs(ys, forcing, rhs_eval))
-    except DegenerateCoefficientError:
-        return _stopped(StopReason.DEGENERATE_COEFFICIENT, prediction=prediction)
-    try:
-        roots = _real_roots(poly.coeffs)
-    except NonFiniteError:
-        return _stopped(StopReason.NON_FINITE, prediction=prediction, poly=poly)
-    diag = dict(roots=tuple(roots), prediction=prediction, poly=poly)
-    if not roots:
-        return _stopped(StopReason.NO_REAL_ROOT, **diag)
-    chosen = _select(roots, prediction, policy.selection)
-    return _outcome(x_next, chosen, roots.index(chosen), **diag)
+    return _outcome(x_next, _slx3_kernel(prev3.xs, prev3.ys, x_next, forcing, rhs_eval,
+                                         policy))
 
 
 def _h5_line(xs, ys, x_next: float, c: float) -> tuple[float, float, float]:
@@ -400,16 +349,10 @@ def _h5_line(xs, ys, x_next: float, c: float) -> tuple[float, float, float]:
     scale_r = max(abs(r3), abs(r4), 16.0, abs(2.0 * c * (r3 - 4.0) * (r4 - 4.0)))
     if is_degenerate(a_r5, scale_r):
         raise DegenerateCoefficientError("R5 coefficient vanishes")
-    r5 = b_r5 / a_r5
-    # ((t - y3)(y4 - y2)) / ((t - y4)(y3 - y2)) = r5, linear in t
-    y2, y3, y4 = ys[2], ys[3], ys[4]
-    a = (y4 - y2) - r5 * (y3 - y2)
-    b = y3 * (y4 - y2) - r5 * y4 * (y3 - y2)
-    return a, b, max(abs(y4 - y2), abs(r5 * (y3 - y2)))
+    return _cross_ratio_line(ys[2], ys[3], ys[4], b_r5 / a_r5)
 
 
-def h5_step(prev5: Stencil, x_next: float, c: float,
-            policy: RootPolicy = RootPolicy()) -> StepOutcome:
+def h5_step(prev5: Stencil, x_next: float, c: float) -> StepOutcome:
     """Advance the six-point product-group scheme on a uniform lattice.
 
     The equation h5_uniform(R3, R4, R5) = c is linear in R5, and R5 is a
@@ -418,7 +361,7 @@ def h5_step(prev5: Stencil, x_next: float, c: float,
     """
     if len(prev5) != 5:
         raise ValueError("h5_step needs 5 previous points")
-    return _linear_step(_h5_line, prev5, x_next, c)
+    return _outcome(x_next, _linear_kernel(prev5.xs, prev5.ys, x_next, _h5_line, c))
 
 
 # --- trajectory driver --------------------------------------------------------

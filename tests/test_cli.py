@@ -235,6 +235,9 @@ def test_example_rejects_out_of_range_options(opts):
     ["example", "5", "--x0", "-1000"],  # a 2e8-step baseline to past the pole
     ["solve", "--scheme", "slx3", "--c", "2", "--h", "0.01",
      "--steps", str(MAX_STEPS + 1)],
+    # a strictly decreasing ladder, so only the size bound refuses it
+    ["limit", "--invariant", "l3", "--function", "exp", "--x0", "0",
+     "--ratio", "0.99999", "--levels", str(MAX_STEPS + 1)],
 ])
 def test_oversized_runs_rejected_before_integrating(argv, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
@@ -242,6 +245,7 @@ def test_oversized_runs_rejected_before_integrating(argv, tmp_path, monkeypatch)
 
     monkeypatch.setattr(cli, "integrate", refuse)
     monkeypatch.setattr(cli, "rk4_integrate", refuse)
+    monkeypatch.setattr(cli, "probe_limit", refuse)
     if argv[0] == "solve":
         seed = _write_seed_csv(tmp_path / "seed.csv", math.atanh, -0.5, 0.01, 3)
         argv = argv + ["--seed", str(seed), "--out", str(tmp_path / "out.csv")]
@@ -317,4 +321,80 @@ def test_csv_fuzz_exits_0_2_or_3(tmp_path, capsys, header, lines, rows, scheme):
     assert main(["solve", "--scheme", scheme.value, "--forcing", "const", "--c", "1",
                  "--h", "0.1", "--steps", "20", "--seed", f,
                  "--out", str(tmp_path / "out.csv")]) in (0, 2, 3)
+    capsys.readouterr()
+
+
+# --- main under fuzzing: exit 0, 2 or 3, or argparse's own exit 0 or 2 --------------------
+
+#: hostile option values: zero, negative, non-finite, extreme, huge, not a number
+NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "1e-320", str(10 ** 30),
+           "abc", ""]
+#: hostile start abscissae: as NUMBERS without the moderate negatives, from
+#: which example 5 runs 10^5 baseline steps to its pole
+STARTS = ["0", "-1e-320", "1e-320", "nan", "inf", "-inf", "1e308", "-1e308",
+          str(10 ** 30), "abc"]
+COUNTS = ["0", "-1", str(MAX_STEPS + 1), str(10 ** 30), "1e3", "abc"]
+STRAY = ["--bogus", "--bogus=1", "-q", "--help", "-", "--", "abc"]
+
+
+def _fuzz_options(command, tmp_path):
+    """(flag, usable values, hostile values) of each argument of ``command``;
+    a None flag marks a positional argument, a None value leaves the option
+    out.  Usable values keep every run at 40 steps or levels, or at about
+    10^4 steps where an example's own default sets the size."""
+    seed = str(_write_seed_csv(tmp_path / "seed.csv", math.exp, 0.1, 0.1, 6))
+    config = tmp_path / "run.cfg"
+    config.write_text("scheme = slx3\nc = 2\nh = 0.1\nsteps = 4\n")
+    files = [str(tmp_path / "missing.csv"), str(tmp_path)]
+    steps = (["4", "40", None], COUNTS)
+    if command == "example":
+        # --h and --h-ref always given: their defaults run example 1 on a
+        # 1.5e5-step reference
+        return [(None, list(cli.EXAMPLES), ["9"]),
+                ("--h", ["0.05", "0.1"], NUMBERS), ("--h-ref", ["1e-3", "5e-3"], NUMBERS),
+                ("--steps", *steps), ("--x0", [None], STARTS),
+                ("--out", [str(tmp_path / "ex"), None], [seed])]
+    if command == "solve":
+        return [("--config", [None, str(config)], [str(tmp_path / "missing.cfg")]),
+                ("--scheme", [k.value for k in SchemeKind], ["rk4", None]),
+                ("--forcing", ["const", "y", "cos", "zero", None], ["tan"]),
+                ("--c", ["0.5", "2", None], NUMBERS), ("--h", ["0.1"], NUMBERS + [None]),
+                ("--steps", *steps),
+                ("--rhs-eval", ["new-point", "stencil-mean", None], ["x"]),
+                ("--root-policy", ["nearest", "smallest", "largest", None], ["x"]),
+                ("--seed", [seed], files + [None]),
+                ("--out", [str(tmp_path / "out.csv")], [str(tmp_path), None])]
+    if command == "chi":
+        return [(None, [seed, str(tmp_path / "out.csv")], files),
+                (None, [seed, *cli.EXACT_SOLUTIONS], files + ["exp"])]
+    return [("--invariant", ["l3", "l4", "l5", "m3", "m4", "m5", "h5"], ["l6", None]),
+            ("--function", ["exp", *cli.EXACT_SOLUTIONS], ["sin", None]),
+            ("--x0", ["0.3", "0.7"], STARTS), ("--h0", ["0.01", None], NUMBERS),
+            ("--levels", ["4", "7", "40", None], COUNTS),
+            ("--ratio", ["0.5", "0.9", None], NUMBERS)]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_main_fuzz_exits_0_2_or_3(tmp_path, capsys, data):
+    command = data.draw(st.sampled_from(["example", "solve", "chi", "limit"]))
+    options = _fuzz_options(command, tmp_path)
+    # up to two arguments take hostile values, the others usable ones
+    hostile = data.draw(st.sets(st.integers(0, len(options) - 1), max_size=2))
+    argv = [command]
+    for i, (flag, usable, bad) in enumerate(options):
+        value = data.draw(st.sampled_from(bad if i in hostile else usable))
+        if value is not None:
+            # --flag=value, so that argparse takes "-1e308" as a value, not a flag
+            argv.append(value if flag is None else f"{flag}={value}")
+    stray = data.draw(st.sampled_from([None] * 12 + STRAY))
+    if stray is not None:
+        argv.insert(data.draw(st.integers(1, len(argv))), stray)
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse: --help, or an unusable command line
+        assert e.code in (0, 2), argv
+    else:
+        assert code in (0, 2, 3), argv
     capsys.readouterr()

@@ -10,6 +10,7 @@ from invdisc import (Constant, FunctionOfX, IdentityInY, NonFiniteError,
                      Trajectory, Uniform, h5_uniform, integrate, l3, l4, m3,
                      seed_stencil_from_function, select_root, slx3_step,
                      sly4_step, solve_poly, stencil_from_sequences)
+from invdisc import schemes
 from invdisc.schemes import extrapolate, h5_step
 
 from conftest import make_mobius, random_mobius
@@ -102,7 +103,6 @@ def test_sly4_zero_forcing_preserves_mobius_manifold():
     out = sly4_step(prev, 0.4, lambda x: 0.0)
     assert out.advanced
     assert out.point.y == pytest.approx(MOBIUS(0.4), rel=1e-9)
-    assert out.poly.degree == 1
     # the new window still sits on the weakly invariant manifold
     full = stencil_from_sequences(list(prev.xs) + [0.4],
                                   list(prev.ys) + [out.point.y])
@@ -119,15 +119,15 @@ def test_sly4_consistency_with_forcing():
 
 def test_slx3_degree_contract():
     st3 = stencil_from_sequences([0.0, 0.5, 1.0], [0.0, 0.4, 0.7])
-    out = slx3_step(st3, 1.5, Constant(0.5))
-    assert out.poly.degree == 2
-    out = slx3_step(st3, 1.5, IdentityInY())
-    assert out.poly.degree == 3
-    out = slx3_step(st3, 1.5, IdentityInY(), RhsEvalPolicy.STENCIL_MEAN)
-    assert out.poly.degree == 3
+
+    def degree(forcing, rhs_eval=RhsEvalPolicy.NEW_POINT):
+        return len(schemes._slx3_coeffs(st3.ys, forcing, rhs_eval)) - 1
+
+    assert degree(Constant(0.5)) == 2
+    assert degree(IdentityInY()) == 3
+    assert degree(IdentityInY(), RhsEvalPolicy.STENCIL_MEAN) == 3
     # zero constant forcing degenerates to the linear weakly-invariant form
-    out = slx3_step(st3, 1.5, Constant(0.0))
-    assert out.poly.degree == 1
+    assert degree(Constant(0.0)) == 1
 
 
 def test_slx3_consistency():
@@ -173,7 +173,7 @@ def test_h5_exact_propagation():
 def test_h5_consistency_nonzero_forcing():
     seed = seed_stencil_from_function(math.log, 1.0, 0.5, 5)
     out = h5_step(seed, 3.5, 2.0)
-    assert out.advanced and out.poly.degree == 1
+    assert out.advanced
     ys = list(seed.ys) + [out.point.y]
 
     def cr(a):
@@ -308,7 +308,7 @@ def _stepped_by_hand(spec, seed, n_steps, stop_when=None):
         elif spec.scheme is SchemeKind.SLX3:
             out = slx3_step(window, x_next, f, spec.rhs_eval, spec.root_policy)
         else:
-            out = h5_step(window, x_next, f.c, spec.root_policy)
+            out = h5_step(window, x_next, f.c)
         if not out.advanced:
             return points, out.stop
         points.append(out.point)
@@ -417,12 +417,17 @@ def test_steps_and_integrate_never_raise(kind, ys, x0, h, backward, c, forcing_o
     elif kind is SchemeKind.SLX3:
         out = slx3_step(seed, x_next, forcing, rhs_eval, policy)
     else:
-        out = h5_step(seed, x_next, c, policy)
+        out = h5_step(seed, x_next, c)
     assert isinstance(out, StepOutcome)
     assert out.advanced == (out.stop is None)
     traj = integrate(spec, seed, 30)
     assert isinstance(traj, Trajectory)
     assert len(traj.points) <= spec.arity + 30
+    # the step is integrate's first step
+    if out.advanced:
+        assert (traj.xs[spec.arity], traj.ys[spec.arity]) == (out.point.x, out.point.y)
+    else:
+        assert len(traj) == spec.arity and traj.stop is out.stop
 
 
 @pytest.mark.parametrize("kind, ys", [
