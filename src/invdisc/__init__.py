@@ -4,7 +4,7 @@ continuous-limit probes."""
 
 from .core import (ConstantS, Constant, DEGENERACY_RTOL, DegenerateCoefficientError,
                    DomainError, ForcingTerm, FunctionOfX, IdentityInY, Jet,
-                   LatticeRule, NonFiniteError, Point, RhsEvalPolicy, RootPolicy,
+                   LatticeRule, NonFiniteError, Point, RhsEvalPolicy,
                    RootSelection, SchemeKind, SchemeSpec, Stencil, StopReason,
                    Trajectory, Uniform, seed_stencil_from_function,
                    stencil_from_sequences)

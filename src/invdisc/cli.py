@@ -7,17 +7,17 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
 from .core import (Constant, DomainError, ForcingTerm, FunctionOfX, IdentityInY,
-                   Jet, NonFiniteError, RhsEvalPolicy, RootPolicy, RootSelection,
+                   Jet, NonFiniteError, RhsEvalPolicy, RootSelection,
                    SchemeKind, SchemeSpec, Stencil, StopReason, Trajectory,
                    Uniform, seed_stencil_from_function)
 from .discrete import _cross_ratio
-from .limits import LimitProbe, probe_limit
+from .limits import _INVARIANTS, LimitProbe, probe_limit
 from .reference import (EXACT_SOLUTIONS, ExactSolution, OdeSystem,
                         arctanh_solution, chi, fifth_order_invariant_system,
                         log_abs, one_over_one_minus_exp, rk4_integrate,
@@ -99,81 +99,41 @@ def _seed_from_csv(path, arity: int) -> Stencil:
 
 # --- run configuration for `solve` ---------------------------------------------
 
-@dataclass
-class RunConfig:
-    """Flat key=value configuration; command-line flags override file values."""
+def _config_flags(path) -> list[str]:
+    """A configuration file's ``key = value`` lines as ``--key=value`` flags
+    of ``solve``, with '_' in a key read as '-'."""
+    flags = []
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
-    scheme: str = ""
-    forcing: str = ""
-    c: float | None = None
-    h: float | None = None
-    steps: int | None = None
-    rhs_eval: str = "new-point"
-    root_policy: str = "nearest"
-    seed: str = ""
-    out: str = ""
 
-    _FIELD_TYPES = {"scheme": str, "forcing": str, "c": float, "h": float,
-                    "steps": int, "rhs_eval": str, "root_policy": str,
-                    "seed": str, "out": str}
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        cfg = cls()
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key = key.strip().replace("-", "_")
-            if key not in cls._FIELD_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            setattr(cfg, key, cls._FIELD_TYPES[key](value.strip()))
-        return cfg
-
-    def to_file(self, path) -> None:
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v not in ("", None):
-                lines.append(f"{f.name.replace('_', '-')} = {v}")
-        Path(path).write_text("\n".join(lines) + "\n")
-
-    def override(self, **kwargs) -> "RunConfig":
-        for key, value in kwargs.items():
-            if value is not None:
-                setattr(self, key, value)
-        return self
-
-    def build_spec(self) -> SchemeSpec:
-        try:
-            kind = SchemeKind(self.scheme)
-        except ValueError:
-            raise ConfigError(f"unknown scheme {self.scheme!r}") from None
-        if self.h is None or self.h == 0:
-            raise ConfigError("h must be set and nonzero")
-        forcing = self.forcing or ("const" if kind is not SchemeKind.SLY4 else "")
-        if forcing == "const":
-            term = Constant(self.c if self.c is not None else 0.0)
-        elif forcing == "y":
-            term = IdentityInY()
-        elif forcing in NAMED_FORCINGS:
-            term = FunctionOfX(NAMED_FORCINGS[forcing], forcing)
-        else:
-            raise ConfigError(f"unknown forcing {self.forcing!r}")
-        try:
-            rhs = RhsEvalPolicy(self.rhs_eval)
-            sel = {"nearest": RootSelection.NEAREST_TO_PREDICTION,
-                   "smallest": RootSelection.SMALLEST_REAL,
-                   "largest": RootSelection.LARGEST_REAL}[self.root_policy]
-        except (ValueError, KeyError):
-            raise ConfigError("invalid rhs-eval or root-policy") from None
-        try:
-            return SchemeSpec(kind, term, Uniform(self.h), RootPolicy(sel), rhs)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+def _solve_spec(args) -> SchemeSpec:
+    if args.scheme is None:
+        raise ConfigError("a scheme is required")
+    kind = SchemeKind(args.scheme)
+    if args.h is None or args.h == 0:
+        raise ConfigError("h must be set and nonzero")
+    forcing = args.forcing or ("const" if kind is not SchemeKind.SLY4 else "")
+    if forcing == "const":
+        term = Constant(args.c if args.c is not None else 0.0)
+    elif forcing == "y":
+        term = IdentityInY()
+    elif forcing in NAMED_FORCINGS:
+        term = FunctionOfX(NAMED_FORCINGS[forcing], forcing)
+    else:
+        raise ConfigError(f"unknown forcing {args.forcing!r}")
+    try:
+        return SchemeSpec(kind, term, Uniform(args.h), RootSelection(args.root_policy),
+                          RhsEvalPolicy(args.rhs_eval))
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 # --- paper examples -------------------------------------------------------------
@@ -410,21 +370,17 @@ def cmd_example(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    cfg.override(scheme=args.scheme, forcing=args.forcing, c=args.c, h=args.h,
-                 steps=args.steps, rhs_eval=args.rhs_eval,
-                 root_policy=args.root_policy, seed=args.seed, out=args.out)
-    if not cfg.seed:
+    if not args.seed:
         raise ConfigError("a seed file is required")
-    if not cfg.out:
+    if not args.out:
         raise ConfigError("an output path is required")
-    if cfg.steps is None or not 1 <= cfg.steps <= MAX_STEPS:
+    if args.steps is None or not 1 <= args.steps <= MAX_STEPS:
         raise ConfigError(f"steps must be an integer from 1 to {MAX_STEPS}")
-    spec = cfg.build_spec()
-    seed = _seed_from_csv(cfg.seed, spec.arity)
-    traj = integrate(spec, seed, cfg.steps)
-    write_trajectory_csv(cfg.out, traj)
-    print(f"wrote {len(traj)} points to {cfg.out} (stop: {traj.stop.value})")
+    spec = _solve_spec(args)
+    seed = _seed_from_csv(args.seed, spec.arity)
+    traj = integrate(spec, seed, args.steps)
+    write_trajectory_csv(args.out, traj)
+    print(f"wrote {len(traj)} points to {args.out} (stop: {traj.stop.value})")
     return EXIT_OK
 
 
@@ -486,17 +442,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_example)
 
     p = sub.add_parser("solve", help="integrate a scheme from a seed file")
-    p.add_argument("--config", default=None, help="key = value configuration file")
+    p.add_argument("--config", default=None,
+                   help="file of key = value lines, read as --key=value flags "
+                        "before the command line's own")
     p.add_argument("--scheme", choices=[k.value for k in SchemeKind], default=None)
     p.add_argument("--forcing", default=None,
                    help="const, y, or a named function of x (cos, sin, zero)")
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--rhs-eval", dest="rhs_eval",
-                   choices=[v.value for v in RhsEvalPolicy], default=None)
+    p.add_argument("--rhs-eval", dest="rhs_eval", choices=[v.value for v in RhsEvalPolicy],
+                   default=RhsEvalPolicy.NEW_POINT.value)
     p.add_argument("--root-policy", dest="root_policy",
-                   choices=["nearest", "smallest", "largest"], default=None)
+                   choices=[v.value for v in RootSelection],
+                   default=RootSelection.NEAREST_TO_PREDICTION.value)
     p.add_argument("--seed", default=None, help="CSV file; first rows feed the stencil")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_solve)
@@ -508,8 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_chi)
 
     p = sub.add_parser("limit", help="continuous-limit probe of one invariant")
-    p.add_argument("--invariant", required=True,
-                   choices=["l3", "l4", "l5", "m3", "m4", "m5", "h5"])
+    p.add_argument("--invariant", required=True, choices=list(_INVARIANTS))
     p.add_argument("--function", required=True)
     p.add_argument("--x0", type=float, required=True)
     p.add_argument("--h0", type=float, default=0.01)
@@ -520,9 +478,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.fn is cmd_solve and args.config:
+            # the file's flags go first, so that the command line's win
+            at = argv.index("solve") + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
         return args.fn(args)
     except (ValueError, KeyError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)

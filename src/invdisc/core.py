@@ -7,7 +7,7 @@ between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Sequence
@@ -200,25 +200,13 @@ SCHEME_ARITY = {SchemeKind.SLY4: 4, SchemeKind.SLX3: 3, SchemeKind.H5: 5}
 
 
 class RootSelection(Enum):
+    """Which real root a step keeps when there are several; the prediction
+    is the quadratic through the last three points, extended to the new
+    abscissa."""
+
     NEAREST_TO_PREDICTION = "nearest"
     SMALLEST_REAL = "smallest"
     LARGEST_REAL = "largest"
-
-
-@dataclass(frozen=True)
-class RootPolicy:
-    """How one real root is selected among several.
-
-    ``prediction_order`` is the degree of the polynomial extrapolating the
-    trailing y-values; it must not exceed (stencil length - 1).
-    """
-
-    selection: RootSelection = RootSelection.NEAREST_TO_PREDICTION
-    prediction_order: int = 2
-
-    def __post_init__(self):
-        if self.prediction_order < 0:
-            raise ValueError("prediction_order must be nonnegative")
 
 
 class RhsEvalPolicy(Enum):
@@ -237,7 +225,7 @@ class SchemeSpec:
     scheme: SchemeKind
     forcing: ForcingTerm
     lattice: LatticeRule
-    root_policy: RootPolicy = field(default_factory=RootPolicy)
+    root_selection: RootSelection = RootSelection.NEAREST_TO_PREDICTION
     rhs_eval: RhsEvalPolicy = RhsEvalPolicy.NEW_POINT
 
     def __post_init__(self):
@@ -252,9 +240,6 @@ class SchemeSpec:
         elif self.scheme is SchemeKind.H5:
             if not isinstance(self.forcing, Constant):
                 raise ValueError("h5 forcing must be constant")
-        arity = SCHEME_ARITY[self.scheme]
-        if self.root_policy.prediction_order > arity - 1:
-            raise ValueError("prediction_order exceeds stencil length - 1")
 
     @property
     def arity(self) -> int:

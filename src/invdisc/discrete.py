@@ -90,7 +90,8 @@ def _l3(xs, ys, k: int) -> float:
 def _m3(xs, ys, k: int) -> float:
     d1 = ys[k + 3] - ys[k]
     d2 = ys[k + 2] - ys[k + 1]
-    scale = max(abs(v - w) for v in ys[k:k + 4] for w in ys[k:k + 4])
+    win = ys[k:k + 4]
+    scale = max(win) - min(win)  # the largest |y-difference| in the window
     den = d1 * d2
     if is_degenerate(d1, scale) or is_degenerate(d2, scale) or den == 0.0:
         raise DegenerateCoefficientError("vanishing y-difference in M window")
@@ -105,7 +106,7 @@ def _spanning_dy(ys, k: int, n: int) -> float:
     """ys[k+n] - ys[k], checked against every y-difference in the window."""
     d = ys[k + n] - ys[k]
     win = ys[k:k + n + 1]
-    scale = max(abs(v - w) for v in win for w in win)
+    scale = max(win) - min(win)
     if is_degenerate(d, scale):
         raise DegenerateCoefficientError("vanishing spanning y-difference")
     return d

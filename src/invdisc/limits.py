@@ -54,11 +54,11 @@ def target_value(invariant: str, jet: Jet, xs: Sequence[float]) -> float:
 class LimitProbe:
     """One convergence experiment.
 
-    The stencil at level k spans [x_center, x_center + h_k * sum(alphas)]
-    with spacings h_k * alphas; ``h_sequence`` must be strictly decreasing
-    with at least 4 levels.  A ``lattice`` callable overrides the placement
-    entirely: it maps h to explicit abscissae (the jet target is then taken
-    at the first abscissa).
+    The stencil at level k is uniform with spacing h_k, starting at
+    x_center; ``h_sequence`` must be strictly decreasing with at least 4
+    levels.  A ``lattice`` callable overrides the placement entirely: it
+    maps h to explicit abscissae (the jet target is then taken at the first
+    abscissa).
     """
 
     invariant: str
@@ -66,7 +66,6 @@ class LimitProbe:
     x_center: float
     h_sequence: tuple[float, ...]
     lattice: Callable[[float], Sequence[float]] | None = None
-    alphas: tuple[float, ...] | None = None
     target_fn: Callable[[Jet, Sequence[float]], float] | None = None
 
     def __post_init__(self):
@@ -98,12 +97,9 @@ def _abscissae(p: LimitProbe, h: float, npts: int) -> list[float]:
         if len(xs) != npts:
             raise ValueError(f"lattice callable returned {len(xs)} abscissae, need {npts}")
         return xs
-    alphas = p.alphas if p.alphas is not None else (1.0,) * (npts - 1)
-    if len(alphas) != npts - 1:
-        raise ValueError(f"need {npts - 1} spacing multipliers, got {len(alphas)}")
     xs = [p.x_center]
-    for a in alphas:
-        xs.append(xs[-1] + h * a)
+    for _ in range(npts - 1):
+        xs.append(xs[-1] + h)
     return xs
 
 

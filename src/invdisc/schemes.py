@@ -5,7 +5,7 @@ The fourth-order scheme (Mobius maps of y) and the six-point product-group
 scheme reduce to a linear equation in the new ordinate.  The third-order
 hodograph scheme is quadratic for constant forcing and cubic when the
 forcing is the dependent variable itself; all real roots are computed in
-closed form and one is selected by the configured root policy.
+closed form and one is selected by the configured root selection.
 
 Per scheme, a coefficient helper clears the invariant equation on plain
 floats and raises DegenerateCoefficientError on a vanishing denominator.  A
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .core import (Constant, DegenerateCoefficientError, ForcingTerm,
                    IdentityInY, NonFiniteError, OVERFLOW_LIMIT, Point,
-                   RhsEvalPolicy, RootPolicy, RootSelection, SchemeKind,
+                   RhsEvalPolicy, RootSelection, SchemeKind,
                    SchemeSpec, Stencil, StopReason, Trajectory, Uniform,
                    is_degenerate)
 from .discrete import _cross_ratio, _cross_ratio_line, _l3
@@ -165,32 +165,24 @@ def _cbrt(v: float) -> float:
     return math.copysign(abs(v) ** (1.0 / 3.0), v)
 
 
-def _extrapolate(xs, ys, x: float, order: int) -> float:
-    """Value at x of the degree-``order`` polynomial through the trailing
-    (xs, ys); fewer points give the polynomial through all of them.  Uses
-    at most three points (order <= 2), the window of the third-order scheme."""
-    n = min(order + 1, len(xs))
-    if n == 1:
-        return ys[-1]
-    if n > 3:
-        raise ValueError("extrapolation uses at most three points")
+def _extrapolate(xs, ys, x: float) -> float:
+    """Value at x of the quadratic through the last three (xs, ys)."""
     # Newton divided differences on abscissae shifted by the last one, for
     # conditioning: last point b, a before it, p before a
     xref = xs[-1]
     sa, sb = xs[-2] - xref, xref - xref
     ya = ys[-2]
     db = (ys[-1] - ya) / (sb - sa)
-    if n == 2:
-        return db * (x - xref - sa) + ya
     sp, yp = xs[-3] - xref, ys[-3]
     da = (ya - yp) / (sa - sp)
     return ((db - da) / (sb - sp) * (x - xref - sa) + da) * (x - xref - sp) + yp
 
 
-def extrapolate(points: list[Point] | tuple[Point, ...], x: float, order: int) -> float:
-    """Value at x of the degree-``order`` polynomial through the trailing
-    points; it uses at most three of them, so order > 2 needs a shorter list."""
-    return _extrapolate([p.x for p in points], [p.y for p in points], x, order)
+def extrapolate(points: list[Point] | tuple[Point, ...], x: float) -> float:
+    """Value at x of the quadratic through the last three points."""
+    if len(points) < 3:
+        raise ValueError(f"extrapolation needs 3 points, got {len(points)}")
+    return _extrapolate([p.x for p in points], [p.y for p in points], x)
 
 
 def _select(roots: list[float], prediction: float | None,
@@ -209,11 +201,12 @@ def _select(roots: list[float], prediction: float | None,
     return best
 
 
-def select_root(roots: list[float], prediction: float, policy: RootPolicy) -> float | None:
-    """Pick one real root per policy; ties go to the smaller root."""
+def select_root(roots: list[float], prediction: float,
+                selection: RootSelection) -> float | None:
+    """Pick one real root by ``selection``; ties go to the smaller root."""
     if not roots:
         return None
-    return _select(roots, prediction, policy.selection)
+    return _select(roots, prediction, selection)
 
 
 # --- the three schemes --------------------------------------------------------
@@ -302,7 +295,7 @@ def _slx3_coeffs(ys, forcing: ForcingTerm,
 
 
 def _slx3_kernel(xs, ys, x_next: float, forcing: ForcingTerm,
-                 rhs_eval: RhsEvalPolicy, policy: RootPolicy) -> float | StopReason:
+                 rhs_eval: RhsEvalPolicy, selection: RootSelection) -> float | StopReason:
     try:
         roots = _real_roots(_slx3_coeffs(ys, forcing, rhs_eval))
     except DegenerateCoefficientError:
@@ -315,8 +308,7 @@ def _slx3_kernel(xs, ys, x_next: float, forcing: ForcingTerm,
         t = roots[0]
     else:
         # the prediction matters only when choosing among several roots
-        selection = policy.selection
-        prediction = (_extrapolate(xs, ys, x_next, policy.prediction_order)
+        prediction = (_extrapolate(xs, ys, x_next)
                       if selection is RootSelection.NEAREST_TO_PREDICTION else None)
         t = _select(roots, prediction, selection)
     return t if _in_range(t) else StopReason.NON_FINITE
@@ -324,7 +316,8 @@ def _slx3_kernel(xs, ys, x_next: float, forcing: ForcingTerm,
 
 def slx3_step(prev3: Stencil, x_next: float, forcing: ForcingTerm,
               rhs_eval: RhsEvalPolicy = RhsEvalPolicy.NEW_POINT,
-              policy: RootPolicy = RootPolicy()) -> StepOutcome:
+              selection: RootSelection = RootSelection.NEAREST_TO_PREDICTION
+              ) -> StepOutcome:
     """Advance the third-order hodograph scheme on a uniform lattice.
 
     Clears m3(prev3 + new point) = rhs into a polynomial of degree 2
@@ -334,7 +327,7 @@ def slx3_step(prev3: Stencil, x_next: float, forcing: ForcingTerm,
     if len(prev3) != 3:
         raise ValueError("slx3_step needs 3 previous points")
     return _outcome(x_next, _slx3_kernel(prev3.xs, prev3.ys, x_next, forcing, rhs_eval,
-                                         policy))
+                                         selection))
 
 
 def _h5_line(xs, ys, x_next: float, c: float) -> tuple[float, float, float]:
@@ -396,7 +389,7 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int,
         params = (_sly4_line, (lambda _x, c=f.c: c) if isinstance(f, Constant) else f.fn)
     elif spec.scheme is SchemeKind.SLX3:
         kernel = _slx3_kernel
-        params = (f, spec.rhs_eval, spec.root_policy)
+        params = (f, spec.rhs_eval, spec.root_selection)
     else:
         kernel = _linear_kernel
         params = (_h5_line, f.c)

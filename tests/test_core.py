@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from invdisc import (Constant, ConstantS, FunctionOfX, IdentityInY, Jet,
-                     NonFiniteError, Point, RootPolicy, SchemeKind, SchemeSpec,
+                     NonFiniteError, Point, SchemeKind, SchemeSpec,
                      Uniform, seed_stencil_from_function,
                      stencil_from_sequences)
 
@@ -90,14 +90,6 @@ def test_scheme_spec_rejects_non_uniform_lattice():
     rule = ConstantS(4.0, (0.0, 1.0, 2.0))
     with pytest.raises(ValueError):
         SchemeSpec(SchemeKind.H5, Constant(0.0), rule)
-
-
-def test_scheme_spec_prediction_order_cap():
-    with pytest.raises(ValueError):
-        SchemeSpec(SchemeKind.SLX3, Constant(2.0), Uniform(0.1),
-                   RootPolicy(prediction_order=3))
-    SchemeSpec(SchemeKind.SLX3, Constant(2.0), Uniform(0.1),
-               RootPolicy(prediction_order=2))
 
 
 def test_lattice_rule_validation():

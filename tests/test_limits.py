@@ -74,8 +74,14 @@ def test_h5_probe_on_perturbed_exact_solution():
 
 
 def test_l5_probe_nonuniform_alphas():
+    def lattice(h):
+        xs = [0.0]
+        for a in (1.0, 1.3, 0.8, 1.1, 0.9):
+            xs.append(xs[-1] + h * a)
+        return xs
+
     rep = probe_limit(LimitProbe("l5", jet_exp, 0.0, geometric(0.05, 0.6, 4),
-                                 alphas=(1.0, 1.3, 0.8, 1.1, 0.9)))
+                                 lattice=lattice))
     assert rep.errors[2] < rep.errors[0]
     assert max(rep.errors[:3]) <= 1e-4
 

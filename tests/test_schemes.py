@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invdisc import (Constant, FunctionOfX, IdentityInY, NonFiniteError,
-                     PolyCoeffs, Point, RhsEvalPolicy, RootPolicy, RootSelection,
+from invdisc import (Constant, CrossRatioWindow, FunctionOfX, IdentityInY,
+                     NonFiniteError, PolyCoeffs, Point, RhsEvalPolicy, RootSelection,
                      SchemeKind, SchemeSpec, Stencil, StepOutcome, StopReason,
-                     Trajectory, Uniform, h5_uniform, integrate, l3, l4, m3,
-                     seed_stencil_from_function, select_root, slx3_step,
+                     Trajectory, Uniform, cross_ratio, h5_uniform, integrate, l3, l4,
+                     m3, seed_stencil_from_function, select_root, slx3_step,
                      sly4_step, solve_poly, stencil_from_sequences)
 from invdisc import schemes
 from invdisc.schemes import extrapolate, h5_step
@@ -78,7 +78,7 @@ def test_solve_poly_factored_cubics(r):
 
 
 def test_select_root():
-    pol = RootPolicy()
+    pol = RootSelection.NEAREST_TO_PREDICTION
     assert select_root([1.0, 5.0], 1.2, pol) == 1.0
     assert select_root([], 1.2, pol) is None
     # an exact distance tie resolves to the smaller root
@@ -86,14 +86,13 @@ def test_select_root():
     # near-coincident roots: either representative of the pair is acceptable
     tie = select_root([2.0, 2.0 + 1e-15], 3.0, pol)
     assert tie == pytest.approx(2.0, abs=1e-14)
-    assert select_root([1.0, 5.0], 4.9, RootPolicy(RootSelection.SMALLEST_REAL)) == 1.0
-    assert select_root([1.0, 5.0], 1.1, RootPolicy(RootSelection.LARGEST_REAL)) == 5.0
+    assert select_root([1.0, 5.0], 4.9, RootSelection.SMALLEST_REAL) == 1.0
+    assert select_root([1.0, 5.0], 1.1, RootSelection.LARGEST_REAL) == 5.0
 
 
 def test_extrapolate_exact_on_polynomials():
     pts = [Point(x, 3.0 - 2.0 * x + 0.5 * x * x) for x in (0.0, 0.5, 1.0)]
-    assert extrapolate(pts, 1.5, 2) == pytest.approx(3.0 - 3.0 + 0.5 * 2.25, rel=1e-12)
-    assert extrapolate(pts, 1.5, 0) == pytest.approx(pts[-1].y)
+    assert extrapolate(pts, 1.5) == pytest.approx(3.0 - 3.0 + 0.5 * 2.25, rel=1e-12)
 
 
 # --- single steps ------------------------------------------------------------------
@@ -280,16 +279,31 @@ def test_integrate_backward():
         assert p.y == pytest.approx(f(p.x), abs=1e-6)
 
 
-def test_integrate_reports_scheme_consistency_after_steps():
-    # every advanced five-point window satisfies the defining equation
-    seed = seed_stencil_from_function(math.exp, 0.0, 0.2, 4)
-    spec = SchemeSpec(SchemeKind.SLY4, FunctionOfX(math.cos, "cos"), Uniform(0.2))
-    traj = integrate(spec, seed, 10)
+def _h5_of_window(w):
+    return h5_uniform(*(cross_ratio(CrossRatioWindow(*w.ys[k:k + 4])) for k in range(3)))
+
+
+@pytest.mark.parametrize("spec, seed, n_steps, invariant, target, rtol", [
+    (SchemeSpec(SchemeKind.SLY4, FunctionOfX(math.cos, "cos"), Uniform(0.2)),
+     seed_stencil_from_function(math.exp, 0.0, 0.2, 4), 10,
+     l4, lambda w: math.cos(w.xs[2]), 1e-9),
+    (SchemeSpec(SchemeKind.SLX3, Constant(2.0), Uniform(0.01)),
+     seed_stencil_from_function(math.atanh, -0.9, 0.01, 3), 178, m3, lambda w: 2.0, 1e-9),
+    # h5_uniform divides by three deficits R - 4 of order h^2, so it
+    # evaluates a stepped window to about 1e-8 only
+    (SchemeSpec(SchemeKind.H5, Constant(0.0), Uniform(0.1)),
+     seed_stencil_from_function(OMEX, -1.0, 0.1, 5), 40, _h5_of_window, lambda w: 0.0, 1e-7),
+], ids=["sly4-cos", "slx3-arctanh", "h5-exact"])
+def test_integrate_reports_scheme_consistency_after_steps(spec, seed, n_steps, invariant,
+                                                          target, rtol):
+    # every advanced window satisfies the defining equation
+    traj = integrate(spec, seed, n_steps)
     assert traj.stop is StopReason.COMPLETED
-    for k in range(len(traj) - 4):
-        window = Stencil(traj.xs[k:k + 5], traj.ys[k:k + 5])
-        target = math.cos(window.xs[2])
-        assert abs(l4(window) - target) <= 1e-9 * max(1.0, abs(target))
+    n = spec.arity + 1
+    for k in range(len(traj) - n + 1):
+        window = Stencil(traj.xs[k:k + n], traj.ys[k:k + n])
+        t = target(window)
+        assert abs(invariant(window) - t) <= rtol * max(1.0, abs(t))
 
 
 # --- integrate against the public step functions ------------------------------------
@@ -306,7 +320,7 @@ def _stepped_by_hand(spec, seed, n_steps, stop_when=None):
             fn = f.fn if isinstance(f, FunctionOfX) else (lambda _x: f.c)
             out = sly4_step(window, x_next, fn)
         elif spec.scheme is SchemeKind.SLX3:
-            out = slx3_step(window, x_next, f, spec.rhs_eval, spec.root_policy)
+            out = slx3_step(window, x_next, f, spec.rhs_eval, spec.root_selection)
         else:
             out = h5_step(window, x_next, f.c)
         if not out.advanced:
@@ -317,10 +331,9 @@ def _stepped_by_hand(spec, seed, n_steps, stop_when=None):
     return points, StopReason.COMPLETED
 
 
-def _slx3(forcing, h, selection=RootSelection.NEAREST_TO_PREDICTION, order=2,
+def _slx3(forcing, h, selection=RootSelection.NEAREST_TO_PREDICTION,
           rhs_eval=RhsEvalPolicy.NEW_POINT):
-    return SchemeSpec(SchemeKind.SLX3, forcing, Uniform(h), RootPolicy(selection, order),
-                      rhs_eval)
+    return SchemeSpec(SchemeKind.SLX3, forcing, Uniform(h), selection, rhs_eval)
 
 
 LOG_ABS = lambda x: math.log(abs(x))
@@ -341,10 +354,9 @@ EQUIVALENCE_CASES = [
      100, None, StopReason.COMPLETED),
     ("slx3-arctanh", _slx3(Constant(2.0), 0.01), ARCTANH_SEED, 178, None,
      StopReason.COMPLETED),
-    *((f"slx3-arctanh-{sel.value}-order{order}", _slx3(Constant(2.0), 0.01, sel, order),
-       ARCTANH_SEED, 178, None, None)
-      for sel in RootSelection for order in (0, 1, 2)),
-    *((f"slx3-cubic-{rhs.value}-{sel.value}", _slx3(IdentityInY(), 1e-3, sel, 2, rhs),
+    *((f"slx3-arctanh-{sel.value}", _slx3(Constant(2.0), 0.01, sel), ARCTANH_SEED, 178,
+       None, None) for sel in RootSelection),
+    *((f"slx3-cubic-{rhs.value}-{sel.value}", _slx3(IdentityInY(), 1e-3, sel, rhs),
        seed_stencil_from_function(CUBIC_SEED, 0.0, 1e-3, 3), 300, None, None)
       for rhs in RhsEvalPolicy for sel in RootSelection),
     ("slx3-log-barrier", _slx3(Constant(0.5), 1e-3),
@@ -398,24 +410,23 @@ WINDOWS = st.one_of(
        x0=st.floats(-10.0, 10.0), h=st.floats(1e-6, 1.0), backward=st.booleans(),
        c=st.floats(-3.0, 3.0), forcing_of_state=st.booleans(),
        rhs_eval=st.sampled_from(list(RhsEvalPolicy)),
-       selection=st.sampled_from(list(RootSelection)), order=st.integers(0, 2))
+       selection=st.sampled_from(list(RootSelection)))
 def test_steps_and_integrate_never_raise(kind, ys, x0, h, backward, c, forcing_of_state,
-                                         rhs_eval, selection, order):
+                                         rhs_eval, selection):
     h = -h if backward else h
-    policy = RootPolicy(selection, order)
     if kind is SchemeKind.SLY4:
         forcing = FunctionOfX(math.cos, "cos") if forcing_of_state else Constant(c)
     elif kind is SchemeKind.SLX3:
         forcing = IdentityInY() if forcing_of_state else Constant(c)
     else:
         forcing = Constant(c)
-    spec = SchemeSpec(kind, forcing, Uniform(h), policy, rhs_eval)
+    spec = SchemeSpec(kind, forcing, Uniform(h), selection, rhs_eval)
     seed = stencil_from_sequences([x0 + k * h for k in range(spec.arity)], ys[:spec.arity])
     x_next = x0 + spec.arity * h
     if kind is SchemeKind.SLY4:
         out = sly4_step(seed, x_next, math.cos if forcing_of_state else (lambda _x: c))
     elif kind is SchemeKind.SLX3:
-        out = slx3_step(seed, x_next, forcing, rhs_eval, policy)
+        out = slx3_step(seed, x_next, forcing, rhs_eval, selection)
     else:
         out = h5_step(seed, x_next, c)
     assert isinstance(out, StepOutcome)
