@@ -126,7 +126,7 @@ def _solve_spec(args) -> SchemeSpec:
     elif forcing == "y":
         term = IdentityInY()
     elif forcing in NAMED_FORCINGS:
-        term = FunctionOfX(NAMED_FORCINGS[forcing], forcing)
+        term = FunctionOfX(NAMED_FORCINGS[forcing])
     else:
         raise ConfigError(f"unknown forcing {args.forcing!r}")
     try:
@@ -325,14 +325,15 @@ def _summary_beyond_pole(run: ExampleRun) -> dict:
 
 def _grid_past_pole(h: float, x0: float, lattice_steps: int) -> tuple[float, int]:
     # fixed-step RK4 with a coarse step can hop the pole on garbage values;
-    # 1e-5 keeps the blow-up on the near side
+    # 1e-5 keeps the blow-up on the near side; a run started past the pole
+    # (or stepping away from it) gets a baseline of its initial point only
     h_base = min(h, 1e-5)
-    return h_base, round(2.0 * (TAN_RECIPROCAL_POLE - x0) / h_base)
+    return h_base, max(0, round(2.0 * (TAN_RECIPROCAL_POLE - x0) / h_base))
 
 
 #: the paper's six runs, by example id
 EXAMPLES: dict[str, Example] = {
-    "1": Example(SchemeKind.SLY4, FunctionOfX(math.cos, "cos"), h=0.01, x0=1.0,
+    "1": Example(SchemeKind.SLY4, FunctionOfX(math.cos), h=0.01, x0=1.0,
                  # x0 + 1.5 - x0, not 1.5: the run ends where the reference does
                  steps=lambda h, x0: round((x0 + 1.5 - x0) / h) - 3,
                  system=schwarzian_rate_system(math.cos), summarize=_summary_forced,
@@ -396,6 +397,9 @@ def cmd_chi(args) -> int:
         b = read_trajectory_csv(args.b)
         if len(b) != len(a):
             raise ConfigError(f"length mismatch: {len(a)} vs {len(b)}")
+        for xa, xb in zip(a.xs, b.xs):
+            if abs(xa - xb) > 1e-9 * max(1.0, abs(xa)):
+                raise ConfigError(f"abscissa mismatch: {xa!r} vs {xb!r}")
         ref = b.ys
     value = chi(a, ref)
     print(f"{value:.6f}" if value == 0.0 else f"{value:.6g}")

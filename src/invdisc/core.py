@@ -137,11 +137,10 @@ class Constant:
 
 @dataclass(frozen=True)
 class FunctionOfX:
-    """Named function of x as the right-hand side; must be total on the
+    """Function of x as the right-hand side; must be total on the
     integration interval."""
 
     fn: Callable[[float], float]
-    name: str = "f"
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
@@ -178,6 +177,8 @@ class ConstantS:
     def __post_init__(self):
         object.__setattr__(self, "seed", tuple(self.seed))
         a, b, c = self.seed
+        if not all(map(math.isfinite, (self.K, a, b, c))):
+            raise ValueError("cross-ratio constant K and seed must be finite")
         if not ((a < b < c) or (a > b > c)):
             raise ValueError("seed abscissae must be strictly monotone")
         if self.K == 0:

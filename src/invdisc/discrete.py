@@ -27,15 +27,6 @@ class CrossRatioWindow:
         return (self.a0, self.a1, self.a2, self.a3)
 
 
-@dataclass(frozen=True)
-class QTriple:
-    """Q_i = 1 - R_i/S_i for the three windows of a six-point stencil."""
-
-    q3: float
-    q4: float
-    q5: float
-
-
 def _cross_ratio(a0: float, a1: float, a2: float, a3: float) -> float:
     n1, n2 = a3 - a1, a2 - a0
     d1, d2 = a3 - a2, a1 - a0
@@ -169,11 +160,12 @@ def m5(s: Stencil) -> float:
     return 5.0 / _spanning_dy(ys, 0, 5) * (_m4(xs, ys, 1) - _m4(xs, ys, 0))
 
 
-def q_triple(s: Stencil) -> QTriple:
-    """Q_i = 1 - R_i/S_i, computed from full-precision R/S ratios."""
+def q_triple(s: Stencil) -> tuple[float, float, float]:
+    """(Q3, Q4, Q5) with Q_i = 1 - R_i/S_i for the three windows of a
+    six-point stencil, computed from full-precision R/S ratios."""
     _require_len(s, 6, "q_triple")
     xs, ys = s.xs, s.ys
-    return QTriple(*(1.0 - _ratio_r_over_s(xs, ys, k) for k in range(3)))
+    return tuple(1.0 - _ratio_r_over_s(xs, ys, k) for k in range(3))
 
 
 def _check_factor(value: float, scale: float, what: str):
@@ -192,9 +184,9 @@ def h5_discrete(s: Stencil) -> float:
     s3 = _cross_ratio(xs[0], xs[1], xs[2], xs[3])
     s4 = _cross_ratio(xs[1], xs[2], xs[3], xs[4])
     s5 = _cross_ratio(xs[2], xs[3], xs[4], xs[5])
-    q = q_triple(s)
+    q3, q4, q5 = q_triple(s)
     s_scale = max(abs(s3), abs(s4), abs(s5), 1.0)
-    for qi in (q.q3, q.q4, q.q5):
+    for qi in (q3, q4, q5):
         _check_factor(qi, 1.0, "Q factor (window on the R = S manifold)")
     d1 = s3 * (1.0 - s4) + s4
     d2 = s4 * (1.0 - s5) + s5
@@ -203,10 +195,10 @@ def h5_discrete(s: Stencil) -> float:
     _check_factor(d2, s_scale ** 2, "bracket denominator")
     _check_factor(d3, s_scale ** 3, "bracket denominator")
     pref = (10.0 / 3.0) * s4 / (d1 * d2 * d3)
-    bracket = (s4 * (1.0 - s5) / q.q5
-               + s4 * (1.0 - s3) / q.q3
-               - (1.0 - s4) * d3 / q.q4
-               - s4 * (1.0 - s3) * (1.0 - s5) * q.q4 / (q.q3 * q.q5))
+    bracket = (s4 * (1.0 - s5) / q5
+               + s4 * (1.0 - s3) / q3
+               - (1.0 - s4) * d3 / q4
+               - s4 * (1.0 - s3) * (1.0 - s5) * q4 / (q3 * q5))
     return pref * bracket
 
 

@@ -1,4 +1,4 @@
-"""Lattice generation: uniform meshes and meshes with constant x cross-ratio.
+"""Lattice generation: meshes with constant x cross-ratio.
 
 A lattice whose every four-point window has the same cross-ratio K is
 invariant under Mobius maps of x.  For K = 4 the closed-form solutions are
@@ -10,15 +10,6 @@ from __future__ import annotations
 
 from .core import DegenerateCoefficientError, LatticeRule, Uniform, is_degenerate
 from .discrete import _cross_ratio_line
-
-
-def uniform_lattice(x0: float, h: float, n: int) -> list[float]:
-    """n abscissae x0, x0 + h, ..., x0 + (n-1)*h."""
-    if h == 0:
-        raise ValueError("h must be nonzero")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return [x0 + k * h for k in range(n)]
 
 
 def extend_constant_s(x_a: float, x_b: float, x_c: float, K: float) -> float:
@@ -36,7 +27,7 @@ def extend_constant_s(x_a: float, x_b: float, x_c: float, K: float) -> float:
 def extend_lattice(rule: LatticeRule, n: int) -> list[float]:
     """First n abscissae of the lattice described by ``rule``."""
     if isinstance(rule, Uniform):
-        raise ValueError("uniform rule needs an origin; use uniform_lattice")
+        raise ValueError("uniform rule needs an origin; its abscissae are x0 + k*h")
     xs = list(rule.seed)
     while len(xs) < n:
         xs.append(extend_constant_s(xs[-3], xs[-2], xs[-1], rule.K))

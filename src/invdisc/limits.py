@@ -88,7 +88,6 @@ class LimitReport:
     estimated_order: float
     limit_value: float
     floor_level: int  # first level hit by the roundoff floor; len(hs) if none
-    monotone: bool
 
 
 def _abscissae(p: LimitProbe, h: float, npts: int) -> list[float]:
@@ -138,5 +137,4 @@ def probe_limit(p: LimitProbe) -> LimitReport:
     return LimitReport(
         hs=tuple(mean_hs), values=tuple(values), errors=tuple(errors),
         targets=tuple(targets), estimated_order=slope,
-        limit_value=values[clean - 1], floor_level=floor,
-        monotone=(floor == len(errors)))
+        limit_value=values[clean - 1], floor_level=floor)

@@ -71,12 +71,15 @@ def rk4_integrate(sys: OdeSystem, init: Sequence[float], x0: float, h: float,
 
     Stops with NON_FINITE on blow-up (expected at solution singularities);
     otherwise returns n+1 points including the initial one.  Raises
-    NonFiniteError if x0, y(x0) or the last abscissa is not finite.
+    ValueError for a negative n, and NonFiniteError if x0, y(x0) or the last
+    abscissa is not finite.
     """
     if len(init) != sys.order:
         raise ValueError(f"init needs {sys.order} values, got {len(init)}")
     if h == 0:
         raise ValueError("h must be nonzero")
+    if n < 0:
+        raise ValueError(f"step count must be non-negative, got {n}")
     rhs = sys.rhs
     m = sys.order - 1
 
@@ -117,7 +120,6 @@ def rk4_integrate(sys: OdeSystem, init: Sequence[float], x0: float, h: float,
 class ExactSolution:
     """Closed-form solution with value and jet evaluators."""
 
-    id: str
     eval_fn: Callable[[float], float]
     jet_fn: Callable[[float], Jet]
 
@@ -139,10 +141,6 @@ def _arctanh_outer(u: float) -> tuple[float, ...]:
             (2.0 + 6.0 * u * u) / g ** 3,
             24.0 * u * (1.0 + u * u) / g ** 4,
             (24.0 + 240.0 * u * u + 120.0 * u ** 4) / g ** 5)
-
-
-def _arctanh_jet(x: float) -> Jet:
-    return Jet(x, _arctanh_outer(x))
 
 
 def _one_over_one_minus_exp_jet(x: float) -> Jet:
@@ -188,16 +186,12 @@ def log_abs() -> ExactSolution:
         if x == 0.0:
             raise DomainError("log|x| is singular at 0")
         return math.log(abs(x))
-    return ExactSolution("log-abs", ev, _log_abs_jet)
+    return ExactSolution(ev, _log_abs_jet)
 
 
 def arctanh_solution() -> ExactSolution:
     """y = arctanh(x); solves the third-order equation with source 2."""
-    def ev(x):
-        if abs(x) >= 1.0:
-            raise DomainError(f"arctanh undefined at {x}")
-        return math.atanh(x)
-    return ExactSolution("arctanh", ev, _arctanh_jet)
+    return general_arctanh(1.0, 0.0, 0.0, 2.0)
 
 
 def one_over_one_minus_exp() -> ExactSolution:
@@ -209,7 +203,7 @@ def one_over_one_minus_exp() -> ExactSolution:
         if d == 0.0:
             raise DomainError("1/(1 - e^x) is singular here")
         return 1.0 / d
-    return ExactSolution("one-over-one-minus-exp", ev, _one_over_one_minus_exp_jet)
+    return ExactSolution(ev, _one_over_one_minus_exp_jet)
 
 
 def tan_reciprocal() -> ExactSolution:
@@ -219,7 +213,7 @@ def tan_reciprocal() -> ExactSolution:
         if x == 0.0:
             raise DomainError("tan(1/x) is singular at 0")
         return math.tan(1.0 / x)
-    return ExactSolution("tan-reciprocal", ev, _tan_reciprocal_jet)
+    return ExactSolution(ev, _tan_reciprocal_jet)
 
 
 def general_arctanh(c1: float, c2: float, c3: float, c: float) -> ExactSolution:
@@ -242,7 +236,7 @@ def general_arctanh(c1: float, c2: float, c3: float, c: float) -> ExactSolution:
         ds += [amp * outer[k] * c1 ** k for k in range(1, 6)]
         return Jet(x, tuple(ds))
 
-    return ExactSolution("general-arctanh", ev, jet)
+    return ExactSolution(ev, jet)
 
 
 EXACT_SOLUTIONS: dict[str, Callable[[], ExactSolution]] = {

@@ -11,12 +11,13 @@ Per scheme, a coefficient helper clears the invariant equation on plain
 floats and raises DegenerateCoefficientError on a vanishing denominator.  A
 kernel turns it into the new ordinate or the :class:`StopReason` that ends
 the run; :func:`integrate` drives the kernels over a rolling window, and
-the public ``*_step`` functions run the same kernels on one stencil.
+the public ``*_step`` functions return what the same kernels return on one
+stencil.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Sequence
 
 from .core import (Constant, DegenerateCoefficientError, ForcingTerm,
                    IdentityInY, NonFiniteError, OVERFLOW_LIMIT, Point,
@@ -24,42 +25,6 @@ from .core import (Constant, DegenerateCoefficientError, ForcingTerm,
                    SchemeSpec, Stencil, StopReason, Trajectory, Uniform,
                    is_degenerate)
 from .discrete import _cross_ratio, _cross_ratio_line, _l3
-
-
-@dataclass(frozen=True)
-class PolyCoeffs:
-    """Real polynomial c0 + c1*t + ... of degree 1..3, low order first."""
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if not 2 <= len(self.coeffs) <= 4:
-            raise ValueError("degree must be 1..3")
-        if self.coeffs[-1] == 0.0:
-            raise ValueError("leading coefficient must be nonzero")
-
-    def __call__(self, t: float) -> float:
-        return _horner(self.coeffs, t)
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """Result of one scheme step: the new point, or why there is none."""
-
-    point: Point | None
-    stop: StopReason | None
-
-    @property
-    def advanced(self) -> bool:
-        return self.point is not None
-
-
-def _outcome(x_next: float, y: float | StopReason) -> StepOutcome:
-    """A kernel's result at ``x_next`` as a StepOutcome."""
-    if y.__class__ is StopReason:
-        return StepOutcome(None, y)
-    return StepOutcome(Point(x_next, y), None)
 
 
 def _in_range(y: float) -> bool:
@@ -151,14 +116,21 @@ def _real_roots(c: tuple[float, ...]) -> list[float]:
     return roots
 
 
-def solve_poly(p: PolyCoeffs) -> list[float]:
-    """All real roots of p in ascending order, each polished once.
+def solve_poly(coeffs: Sequence[float]) -> list[float]:
+    """All real roots of c0 + c1*t + ... (coefficients low order first) in
+    ascending order, each polished once.
 
     Complex-conjugate pairs are simply absent from the result; an empty
-    list is a valid return.  Raises NonFiniteError when a cubic's
+    list is a valid return.  Raises ValueError unless the degree is 1..3
+    with a nonzero leading coefficient, and NonFiniteError when a cubic's
     coefficients are so far apart that its depressed form overflows.
     """
-    return _real_roots(p.coeffs)
+    c = tuple(float(v) for v in coeffs)
+    if not 2 <= len(c) <= 4:
+        raise ValueError("degree must be 1..3")
+    if c[-1] == 0.0:
+        raise ValueError("leading coefficient must be nonzero")
+    return _real_roots(c)
 
 
 def _cbrt(v: float) -> float:
@@ -238,7 +210,7 @@ def _sly4_line(xs, ys, x_next: float, forcing) -> tuple[float, float, float]:
     return _cross_ratio_line(ys[1], ys[2], ys[3], v)
 
 
-def sly4_step(prev4: Stencil, x_next: float, forcing) -> StepOutcome:
+def sly4_step(prev4: Stencil, x_next: float, forcing) -> float | StopReason:
     """Advance the fourth-order scheme: solve l4(prev4 + new point) = f(x_mid).
 
     ``forcing`` is a callable of x (the middle abscissa of the five-point
@@ -246,7 +218,7 @@ def sly4_step(prev4: Stencil, x_next: float, forcing) -> StepOutcome:
     """
     if len(prev4) != 4:
         raise ValueError("sly4_step needs 4 previous points")
-    return _outcome(x_next, _linear_kernel(prev4.xs, prev4.ys, x_next, _sly4_line, forcing))
+    return _linear_kernel(prev4.xs, prev4.ys, x_next, _sly4_line, forcing)
 
 
 def _slx3_coeffs(ys, forcing: ForcingTerm,
@@ -317,7 +289,7 @@ def _slx3_kernel(xs, ys, x_next: float, forcing: ForcingTerm,
 def slx3_step(prev3: Stencil, x_next: float, forcing: ForcingTerm,
               rhs_eval: RhsEvalPolicy = RhsEvalPolicy.NEW_POINT,
               selection: RootSelection = RootSelection.NEAREST_TO_PREDICTION
-              ) -> StepOutcome:
+              ) -> float | StopReason:
     """Advance the third-order hodograph scheme on a uniform lattice.
 
     Clears m3(prev3 + new point) = rhs into a polynomial of degree 2
@@ -326,8 +298,7 @@ def slx3_step(prev3: Stencil, x_next: float, forcing: ForcingTerm,
     """
     if len(prev3) != 3:
         raise ValueError("slx3_step needs 3 previous points")
-    return _outcome(x_next, _slx3_kernel(prev3.xs, prev3.ys, x_next, forcing, rhs_eval,
-                                         selection))
+    return _slx3_kernel(prev3.xs, prev3.ys, x_next, forcing, rhs_eval, selection)
 
 
 def _h5_line(xs, ys, x_next: float, c: float) -> tuple[float, float, float]:
@@ -345,7 +316,7 @@ def _h5_line(xs, ys, x_next: float, c: float) -> tuple[float, float, float]:
     return _cross_ratio_line(ys[2], ys[3], ys[4], b_r5 / a_r5)
 
 
-def h5_step(prev5: Stencil, x_next: float, c: float) -> StepOutcome:
+def h5_step(prev5: Stencil, x_next: float, c: float) -> float | StopReason:
     """Advance the six-point product-group scheme on a uniform lattice.
 
     The equation h5_uniform(R3, R4, R5) = c is linear in R5, and R5 is a
@@ -354,7 +325,7 @@ def h5_step(prev5: Stencil, x_next: float, c: float) -> StepOutcome:
     """
     if len(prev5) != 5:
         raise ValueError("h5_step needs 5 previous points")
-    return _outcome(x_next, _linear_kernel(prev5.xs, prev5.ys, x_next, _h5_line, c))
+    return _linear_kernel(prev5.xs, prev5.ys, x_next, _h5_line, c)
 
 
 # --- trajectory driver --------------------------------------------------------
@@ -375,10 +346,12 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int,
     Returns the partial trajectory and the reason extension ceased; scheme
     failures surface as stop reasons, never as exceptions.  ``stop_when``,
     if given, is a predicate on the newest point's (x, y) that halts the run
-    with USER_LIMIT.  A seed that does not fit the spec, or abscissae that
-    stop being strictly monotone, raise ValueError; a lattice whose last
-    abscissa overflows raises NonFiniteError.
+    with USER_LIMIT.  A negative step count, a seed that does not fit the
+    spec, or abscissae that stop being strictly monotone raise ValueError;
+    a lattice whose last abscissa overflows raises NonFiniteError.
     """
+    if n_steps < 0:
+        raise ValueError(f"step count must be non-negative, got {n_steps}")
     arity = spec.arity
     if len(seed) != arity:
         raise ValueError(f"{spec.scheme.value} needs a {arity}-point seed, got {len(seed)}")

@@ -125,10 +125,15 @@ def test_chi_against_exact_id(tmp_path, capsys):
     assert float(capsys.readouterr().out.strip()) == 0.0
 
 
-def test_chi_length_mismatch(tmp_path):
+@pytest.mark.parametrize("other", [
+    _traj([1.0, 2.0]),
+    Trajectory((5.0, 6.0, 7.0), (1.0, 2.0, 3.0), StopReason.COMPLETED, "test", 1.0),
+], ids=["length", "abscissa"])
+def test_chi_mismatch(tmp_path, other):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_trajectory_csv(a, _traj([1.0, 2.0, 3.0]))
-    write_trajectory_csv(b, _traj([1.0, 2.0]))
+    write_trajectory_csv(a, Trajectory((0.0, 0.1, 0.2), (1.0, 2.0, 3.0),
+                                       StopReason.COMPLETED, "test", 0.1))
+    write_trajectory_csv(b, other)
     assert main(["chi", str(a), str(b)]) == 2
 
 

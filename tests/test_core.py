@@ -73,14 +73,14 @@ def test_point_and_jet_reject_non_finite():
 
 def test_scheme_spec_forcing_rules():
     u = Uniform(0.1)
-    SchemeSpec(SchemeKind.SLY4, FunctionOfX(math.cos, "cos"), u)
+    SchemeSpec(SchemeKind.SLY4, FunctionOfX(math.cos), u)
     SchemeSpec(SchemeKind.SLY4, Constant(1.0), u)
     with pytest.raises(ValueError):
         SchemeSpec(SchemeKind.SLY4, IdentityInY(), u)
     SchemeSpec(SchemeKind.SLX3, Constant(2.0), u)
     SchemeSpec(SchemeKind.SLX3, IdentityInY(), u)
     with pytest.raises(ValueError):
-        SchemeSpec(SchemeKind.SLX3, FunctionOfX(math.cos, "cos"), u)
+        SchemeSpec(SchemeKind.SLX3, FunctionOfX(math.cos), u)
     SchemeSpec(SchemeKind.H5, Constant(0.0), u)
     with pytest.raises(ValueError):
         SchemeSpec(SchemeKind.H5, IdentityInY(), u)
@@ -99,3 +99,7 @@ def test_lattice_rule_validation():
         ConstantS(0.0, (0.0, 1.0, 2.0))
     with pytest.raises(ValueError):
         ConstantS(4.0, (0.0, 2.0, 1.0))
+    with pytest.raises(ValueError):
+        ConstantS(math.nan, (0.0, 1.0, 2.0))
+    with pytest.raises(ValueError):
+        ConstantS(4.0, (0.0, 1.0, math.inf))

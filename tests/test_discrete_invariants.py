@@ -209,8 +209,8 @@ def test_h5_degenerate_near_weak_manifold():
 
 def test_q_triple_matches_definition():
     s = seed_stencil_from_function(OMEX, -1.0, 0.1, 6)
-    q = q_triple(s)
-    assert q.q3 == pytest.approx(1.0 - RHO_01 / 4.0, rel=1e-10)
+    q3, _, _ = q_triple(s)
+    assert q3 == pytest.approx(1.0 - RHO_01 / 4.0, rel=1e-10)
 
 
 # --- lattice coefficients ---------------------------------------------------------

@@ -3,20 +3,8 @@ import math
 import pytest
 
 from invdisc import (ConstantS, DegenerateCoefficientError, cross_ratio,
-                     extend_constant_s, extend_lattice, uniform_lattice,
-                     w_coefficient, w0_sol2)
+                     extend_constant_s, extend_lattice, w_coefficient, w0_sol2)
 from invdisc.discrete import CrossRatioWindow
-
-
-def test_uniform_lattice_examples():
-    assert uniform_lattice(1.0, 0.1, 4) == pytest.approx([1.0, 1.1, 1.2, 1.3])
-    assert uniform_lattice(-1.0, 0.0001, 3) == pytest.approx(
-        [-1.0, -0.9999, -0.9998])
-    assert uniform_lattice(1.0, -0.0001, 2) == pytest.approx([1.0, 0.9999])
-    with pytest.raises(ValueError):
-        uniform_lattice(0.0, 0.0, 4)
-    with pytest.raises(ValueError):
-        uniform_lattice(0.0, 0.1, 0)
 
 
 def test_extend_constant_s_uniform_persists():

@@ -44,7 +44,6 @@ def test_l3_probe_hits_roundoff_floor():
     hs = geometric(1e-2, 0.1, 4)  # down to 1e-5
     rep = probe_limit(LimitProbe("l3", jet_exp, 0.0, hs))
     assert rep.floor_level < len(hs)
-    assert not rep.monotone
 
 
 def test_m5_probe_arctanh_spec_case():
@@ -110,6 +109,5 @@ def test_l5_probe_sol2_lattice_needs_w_correction():
 def test_report_fields():
     rep = probe_limit(LimitProbe("l4", log_abs().jet_fn, 1.0, geometric(0.01, 0.5, 5)))
     assert len(rep.hs) == len(rep.errors) == len(rep.values) == 5
-    assert rep.monotone
     assert rep.floor_level == 5
     assert 0.8 <= rep.estimated_order <= 1.3

@@ -61,6 +61,8 @@ def test_rk4_validates_input():
         rk4_integrate(sys2, (math.nan, 1.0, 0.0), 0.0, 1e-3, 10)
     with pytest.raises(NonFiniteError):  # the last abscissa overflows
         rk4_integrate(sys2, (0.0, 1.0, 0.0), 1.7e308, 1e306, 20)
+    with pytest.raises(ValueError):
+        rk4_integrate(sys2, (0.0, 1.0, 0.0), 0.0, 1e-3, -3)
 
 
 # --- exact solutions ----------------------------------------------------------------

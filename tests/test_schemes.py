@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invdisc import (Constant, CrossRatioWindow, FunctionOfX, IdentityInY,
-                     NonFiniteError, PolyCoeffs, Point, RhsEvalPolicy, RootSelection,
-                     SchemeKind, SchemeSpec, Stencil, StepOutcome, StopReason,
+                     NonFiniteError, Point, RhsEvalPolicy, RootSelection,
+                     SchemeKind, SchemeSpec, Stencil, StopReason,
                      Trajectory, Uniform, cross_ratio, h5_uniform, integrate, l3, l4,
                      m3, seed_stencil_from_function, select_root, slx3_step,
                      sly4_step, solve_poly, stencil_from_sequences)
@@ -22,37 +22,37 @@ MOBIUS = lambda x: (2.0 * x + 1.0) / (x + 3.0)
 # --- root solving ----------------------------------------------------------------
 
 def test_solve_poly_quadratic():
-    assert solve_poly(PolyCoeffs((2.0, -3.0, 1.0))) == pytest.approx([1.0, 2.0])
-    assert solve_poly(PolyCoeffs((1.0, 0.0, 1.0))) == []
+    assert solve_poly((2.0, -3.0, 1.0)) == pytest.approx([1.0, 2.0])
+    assert solve_poly((1.0, 0.0, 1.0)) == []
 
 
 def test_solve_poly_cubic_three_roots():
-    roots = solve_poly(PolyCoeffs((-6.0, 11.0, -6.0, 1.0)))
+    roots = solve_poly((-6.0, 11.0, -6.0, 1.0))
     assert roots == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
 
 
 def test_solve_poly_cubic_single_root():
     # (t - 2)(t^2 + 1) = t^3 - 2 t^2 + t - 2
-    roots = solve_poly(PolyCoeffs((-2.0, 1.0, -2.0, 1.0)))
+    roots = solve_poly((-2.0, 1.0, -2.0, 1.0))
     assert roots == pytest.approx([2.0], abs=1e-12)
 
 
 def test_solve_poly_linear():
-    assert solve_poly(PolyCoeffs((-3.0, 1.5))) == pytest.approx([2.0])
+    assert solve_poly((-3.0, 1.5)) == pytest.approx([2.0])
 
 
 @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 1e200, 1.0), (1.0, 1e110, 0.0, 1.0),
                                     (1.0, 2.0, 3.0, 1e-300)])
 def test_solve_poly_cubic_overflow_raises_non_finite(coeffs):
     with pytest.raises(NonFiniteError):
-        solve_poly(PolyCoeffs(coeffs))
+        solve_poly(coeffs)
 
 
-def test_poly_coeffs_validation():
+def test_solve_poly_validation():
     with pytest.raises(ValueError):
-        PolyCoeffs((1.0, 2.0, 0.0))
+        solve_poly((1.0, 2.0, 0.0))
     with pytest.raises(ValueError):
-        PolyCoeffs((1.0,))
+        solve_poly((1.0,))
 
 
 @settings(max_examples=200, deadline=None)
@@ -62,12 +62,12 @@ def test_solve_poly_factored_cubics(r):
     c0 = -r[0] * r[1] * r[2]
     c1 = r[0] * r[1] + r[0] * r[2] + r[1] * r[2]
     c2 = -(r[0] + r[1] + r[2])
-    p = PolyCoeffs((c0, c1, c2, 1.0))
+    p = (c0, c1, c2, 1.0)
     roots = solve_poly(p)
     assert 1 <= len(roots) <= 3
-    scale = max(1.0, *(abs(v) for v in p.coeffs))
+    scale = max(1.0, *(abs(v) for v in p))
     for t in roots:
-        assert abs(p(t)) <= 1e-8 * scale * max(1.0, abs(t)) ** 3
+        assert abs(schemes._horner(p, t)) <= 1e-8 * scale * max(1.0, abs(t)) ** 3
     assert roots == sorted(roots)
     # every constructed root is found (up to near-degenerate pairs)
     gaps = [abs(a - b) for a, b in zip(r, r[1:])]
@@ -100,11 +100,11 @@ def test_extrapolate_exact_on_polynomials():
 def test_sly4_zero_forcing_preserves_mobius_manifold():
     prev = seed_stencil_from_function(MOBIUS, 0.0, 0.1, 4)
     out = sly4_step(prev, 0.4, lambda x: 0.0)
-    assert out.advanced
-    assert out.point.y == pytest.approx(MOBIUS(0.4), rel=1e-9)
+    assert not isinstance(out, StopReason)
+    assert out == pytest.approx(MOBIUS(0.4), rel=1e-9)
     # the new window still sits on the weakly invariant manifold
     full = stencil_from_sequences(list(prev.xs) + [0.4],
-                                  list(prev.ys) + [out.point.y])
+                                  list(prev.ys) + [out])
     assert abs(l3(Stencil(full.xs[1:], full.ys[1:]))) <= 1e-7
 
 
@@ -112,7 +112,7 @@ def test_sly4_consistency_with_forcing():
     prev = seed_stencil_from_function(math.exp, 0.0, 0.5, 4)
     out = sly4_step(prev, 2.0, math.cos)
     full = stencil_from_sequences([0, 0.5, 1.0, 1.5, 2.0],
-                                  list(prev.ys) + [out.point.y])
+                                  list(prev.ys) + [out])
     assert abs(l4(full) - math.cos(1.0)) <= 1e-10 * abs(math.cos(1.0))
 
 
@@ -132,21 +132,21 @@ def test_slx3_degree_contract():
 def test_slx3_consistency():
     st3 = seed_stencil_from_function(lambda x: math.log(abs(x)), 1.0, 0.5, 3)
     out = slx3_step(st3, 2.5, Constant(0.5))
-    assert out.advanced
+    assert not isinstance(out, StopReason)
     full = stencil_from_sequences([1.0, 1.5, 2.0, 2.5],
-                                  list(st3.ys) + [out.point.y])
+                                  list(st3.ys) + [out])
     assert abs(m3(full) - 0.5) <= 1e-10 * 0.5
 
     st3 = stencil_from_sequences([0.0, 0.5, 1.0], [1.0, 1.7, 2.6])
     out = slx3_step(st3, 1.5, IdentityInY())
     full = stencil_from_sequences([0.0, 0.5, 1.0, 1.5],
-                                  list(st3.ys) + [out.point.y])
-    assert abs(m3(full) - out.point.y) <= 1e-10 * abs(out.point.y)
+                                  list(st3.ys) + [out])
+    assert abs(m3(full) - out) <= 1e-10 * abs(out)
 
     out = slx3_step(st3, 1.5, IdentityInY(), RhsEvalPolicy.STENCIL_MEAN)
-    mean = (sum(st3.ys) + out.point.y) / 4.0
+    mean = (sum(st3.ys) + out) / 4.0
     full = stencil_from_sequences([0.0, 0.5, 1.0, 1.5],
-                                  list(st3.ys) + [out.point.y])
+                                  list(st3.ys) + [out])
     assert abs(m3(full) - mean) <= 1e-10 * abs(mean)
 
 
@@ -172,8 +172,8 @@ def test_h5_exact_propagation():
 def test_h5_consistency_nonzero_forcing():
     seed = seed_stencil_from_function(math.log, 1.0, 0.5, 5)
     out = h5_step(seed, 3.5, 2.0)
-    assert out.advanced
-    ys = list(seed.ys) + [out.point.y]
+    assert not isinstance(out, StopReason)
+    ys = list(seed.ys) + [out]
 
     def cr(a):
         return ((a[3] - a[1]) * (a[2] - a[0])) / ((a[3] - a[2]) * (a[1] - a[0]))
@@ -185,8 +185,7 @@ def test_h5_consistency_nonzero_forcing():
 def test_h5_degenerate_on_weak_manifold_with_forcing():
     seed = seed_stencil_from_function(MOBIUS, 0.0, 0.1, 5)
     out = h5_step(seed, 0.5, 2.0)
-    assert not out.advanced
-    assert out.stop is StopReason.DEGENERATE_COEFFICIENT
+    assert out is StopReason.DEGENERATE_COEFFICIENT
 
 
 # --- equivariance ------------------------------------------------------------------
@@ -201,9 +200,9 @@ def test_sly4_equivariance(rng):
         f = lambda x: math.cos(3.0 * x)
         out = sly4_step(stencil, 0.4, f)
         out_g = sly4_step(stencil_from_sequences(xs, [g(y) for y in ys]), 0.4, f)
-        if not (out.advanced and out_g.advanced):
+        if isinstance(out, StopReason) or isinstance(out_g, StopReason):
             continue
-        a, b = g(out.point.y), out_g.point.y
+        a, b = g(out), out_g
         worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
     assert worst <= 1e-8
 
@@ -217,9 +216,9 @@ def test_h5_equivariance(rng):
         g = make_mobius(*random_mobius(rng, ys + [8.0]))
         out = h5_step(stencil, 0.5, 0.0)
         out_g = h5_step(stencil_from_sequences(xs, [g(y) for y in ys]), 0.5, 0.0)
-        if not (out.advanced and out_g.advanced):
+        if isinstance(out, StopReason) or isinstance(out_g, StopReason):
             continue
-        a, b = g(out.point.y), out_g.point.y
+        a, b = g(out), out_g
         worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
     assert worst <= 1e-8
 
@@ -231,6 +230,8 @@ def test_integrate_validates_seed():
     spec = SchemeSpec(SchemeKind.SLX3, Constant(2.0), Uniform(0.1))
     with pytest.raises(ValueError):
         integrate(spec, seed, 5)
+    with pytest.raises(ValueError):
+        integrate(SchemeSpec(SchemeKind.SLY4, Constant(0.0), Uniform(0.1)), seed, -5)
     # abscissae inconsistent with the declared step
     seed3 = stencil_from_sequences([0.0, 0.11, 0.2], [1.0, 1.5, 2.1])
     with pytest.raises(ValueError):
@@ -284,7 +285,7 @@ def _h5_of_window(w):
 
 
 @pytest.mark.parametrize("spec, seed, n_steps, invariant, target, rtol", [
-    (SchemeSpec(SchemeKind.SLY4, FunctionOfX(math.cos, "cos"), Uniform(0.2)),
+    (SchemeSpec(SchemeKind.SLY4, FunctionOfX(math.cos), Uniform(0.2)),
      seed_stencil_from_function(math.exp, 0.0, 0.2, 4), 10,
      l4, lambda w: math.cos(w.xs[2]), 1e-9),
     (SchemeSpec(SchemeKind.SLX3, Constant(2.0), Uniform(0.01)),
@@ -323,10 +324,10 @@ def _stepped_by_hand(spec, seed, n_steps, stop_when=None):
             out = slx3_step(window, x_next, f, spec.rhs_eval, spec.root_selection)
         else:
             out = h5_step(window, x_next, f.c)
-        if not out.advanced:
-            return points, out.stop
-        points.append(out.point)
-        if stop_when is not None and stop_when(out.point.x, out.point.y):
+        if isinstance(out, StopReason):
+            return points, out
+        points.append(Point(x_next, out))
+        if stop_when is not None and stop_when(x_next, out):
             return points, StopReason.USER_LIMIT
     return points, StopReason.COMPLETED
 
@@ -342,12 +343,12 @@ ARCTANH_SEED = seed_stencil_from_function(math.atanh, -0.9, 0.01, 3)
 
 #: (id, spec, seed, steps, stop_when, expected stop or None when any)
 EQUIVALENCE_CASES = [
-    ("sly4-cos", SchemeSpec(SchemeKind.SLY4, FunctionOfX(math.cos, "cos"), Uniform(0.01)),
+    ("sly4-cos", SchemeSpec(SchemeKind.SLY4, FunctionOfX(math.cos), Uniform(0.01)),
      seed_stencil_from_function(math.exp, 0.0, 0.01, 4), 150, None, StopReason.COMPLETED),
     ("sly4-const", SchemeSpec(SchemeKind.SLY4, Constant(1.5), Uniform(0.01)),
      seed_stencil_from_function(math.exp, 0.0, 0.01, 4), 150, None, None),
     # abscissae off x0 + k*h by a few 1e-12, inside the seed lattice tolerance
-    ("sly4-seed-off-lattice", SchemeSpec(SchemeKind.SLY4, FunctionOfX(math.cos, "cos"),
+    ("sly4-seed-off-lattice", SchemeSpec(SchemeKind.SLY4, FunctionOfX(math.cos),
                                          Uniform(0.01)),
      stencil_from_sequences([0.0, 0.01 + 3e-12, 0.02 - 2e-12, 0.03 + 1e-12],
                             [math.exp(x) for x in (0.0, 0.01, 0.02, 0.03)]),
@@ -415,7 +416,7 @@ def test_steps_and_integrate_never_raise(kind, ys, x0, h, backward, c, forcing_o
                                          rhs_eval, selection):
     h = -h if backward else h
     if kind is SchemeKind.SLY4:
-        forcing = FunctionOfX(math.cos, "cos") if forcing_of_state else Constant(c)
+        forcing = FunctionOfX(math.cos) if forcing_of_state else Constant(c)
     elif kind is SchemeKind.SLX3:
         forcing = IdentityInY() if forcing_of_state else Constant(c)
     else:
@@ -429,16 +430,15 @@ def test_steps_and_integrate_never_raise(kind, ys, x0, h, backward, c, forcing_o
         out = slx3_step(seed, x_next, forcing, rhs_eval, selection)
     else:
         out = h5_step(seed, x_next, c)
-    assert isinstance(out, StepOutcome)
-    assert out.advanced == (out.stop is None)
+    assert isinstance(out, (float, StopReason))
     traj = integrate(spec, seed, 30)
     assert isinstance(traj, Trajectory)
     assert len(traj.points) <= spec.arity + 30
     # the step is integrate's first step
-    if out.advanced:
-        assert (traj.xs[spec.arity], traj.ys[spec.arity]) == (out.point.x, out.point.y)
+    if not isinstance(out, StopReason):
+        assert (traj.xs[spec.arity], traj.ys[spec.arity]) == (x_next, out)
     else:
-        assert len(traj) == spec.arity and traj.stop is out.stop
+        assert len(traj) == spec.arity and traj.stop is out
 
 
 @pytest.mark.parametrize("kind, ys", [
@@ -451,7 +451,7 @@ def test_steps_and_integrate_never_raise(kind, ys, x0, h, backward, c, forcing_o
     (SchemeKind.SLX3, [-1e300, 1e300, 1e300]),
 ])
 def test_extreme_windows_stop_as_degenerate(kind, ys):
-    forcing = FunctionOfX(math.cos, "cos") if kind is SchemeKind.SLY4 else Constant(0.5)
+    forcing = FunctionOfX(math.cos) if kind is SchemeKind.SLY4 else Constant(0.5)
     spec = SchemeSpec(kind, forcing, Uniform(0.1))
     seed = stencil_from_sequences([0.1 * k for k in range(spec.arity)], ys)
     if kind is SchemeKind.SLY4:
@@ -460,7 +460,7 @@ def test_extreme_windows_stop_as_degenerate(kind, ys):
         out = slx3_step(seed, 0.3, forcing)
     else:
         out = h5_step(seed, 0.5, 0.5)
-    assert out.stop is StopReason.DEGENERATE_COEFFICIENT
+    assert out is StopReason.DEGENERATE_COEFFICIENT
     traj = integrate(spec, seed, 5)
     assert traj.stop is StopReason.DEGENERATE_COEFFICIENT
     assert len(traj.points) == spec.arity
