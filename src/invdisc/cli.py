@@ -13,9 +13,9 @@ from pathlib import Path
 from typing import Callable
 
 from .core import (Constant, DomainError, ForcingTerm, FunctionOfX, IdentityInY,
-                   Jet, NonFiniteError, RhsEvalPolicy, RootSelection,
-                   SchemeKind, SchemeSpec, Stencil, StopReason, Trajectory,
-                   Uniform, seed_stencil_from_function)
+                   Jet, NonFiniteError, RhsEvalPolicy, SchemeKind, SchemeSpec,
+                   Stencil, StopReason, Trajectory, Uniform,
+                   seed_stencil_from_function)
 from .discrete import _cross_ratio
 from .limits import _INVARIANTS, LimitProbe, probe_limit
 from .reference import (EXACT_SOLUTIONS, ExactSolution, OdeSystem,
@@ -121,6 +121,8 @@ def _solve_spec(args) -> SchemeSpec:
     if args.h is None or args.h == 0:
         raise ConfigError("h must be set and nonzero")
     forcing = args.forcing or ("const" if kind is not SchemeKind.SLY4 else "")
+    if args.c is not None and forcing != "const":
+        raise ConfigError("--c needs --forcing const")
     if forcing == "const":
         term = Constant(args.c if args.c is not None else 0.0)
     elif forcing == "y":
@@ -130,8 +132,7 @@ def _solve_spec(args) -> SchemeSpec:
     else:
         raise ConfigError(f"unknown forcing {args.forcing!r}")
     try:
-        return SchemeSpec(kind, term, Uniform(args.h), RootSelection(args.root_policy),
-                          RhsEvalPolicy(args.rhs_eval))
+        return SchemeSpec(kind, term, Uniform(args.h), RhsEvalPolicy(args.rhs_eval))
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
@@ -317,7 +318,10 @@ def _summary_beyond_pole(run: ExampleRun) -> dict:
             "invariant last x": _fmt(run.inv.xs[-1]),
             "first pole": _fmt(TAN_RECIPROCAL_POLE),
             "beyond singularity": "yes" if beyond else "no",
-            "baseline stop": run.base.stop.value,
+            # a completed one-point baseline took no step (see _grid_past_pole)
+            "baseline stop": ("not run" if len(run.base) == 1
+                              and run.base.stop is StopReason.COMPLETED
+                              else run.base.stop.value),
             "baseline last x": _fmt(run.base.xs[-1]),
             "chi vs exact before pole": _chi_against_exact(
                 run, x_max=TAN_RECIPROCAL_POLE - 2 * run.h)}
@@ -457,9 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--rhs-eval", dest="rhs_eval", choices=[v.value for v in RhsEvalPolicy],
                    default=RhsEvalPolicy.NEW_POINT.value)
-    p.add_argument("--root-policy", dest="root_policy",
-                   choices=[v.value for v in RootSelection],
-                   default=RootSelection.NEAREST_TO_PREDICTION.value)
     p.add_argument("--seed", default=None, help="CSV file; first rows feed the stencil")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_solve)

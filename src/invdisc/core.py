@@ -105,7 +105,6 @@ class StopReason(Enum):
     NO_REAL_ROOT = "no-real-root"
     DEGENERATE_COEFFICIENT = "degenerate-coefficient"
     NON_FINITE = "non-finite"
-    USER_LIMIT = "user-limit"
 
 
 @dataclass(frozen=True)
@@ -185,9 +184,6 @@ class ConstantS:
             raise ValueError("cross-ratio constant K must be nonzero")
 
 
-LatticeRule = Uniform | ConstantS
-
-
 # --- scheme run configuration ------------------------------------------------
 
 class SchemeKind(Enum):
@@ -198,16 +194,6 @@ class SchemeKind(Enum):
 
 #: previous points consumed per step (the new point extends these by one).
 SCHEME_ARITY = {SchemeKind.SLY4: 4, SchemeKind.SLX3: 3, SchemeKind.H5: 5}
-
-
-class RootSelection(Enum):
-    """Which real root a step keeps when there are several; the prediction
-    is the quadratic through the last three points, extended to the new
-    abscissa."""
-
-    NEAREST_TO_PREDICTION = "nearest"
-    SMALLEST_REAL = "smallest"
-    LARGEST_REAL = "largest"
 
 
 class RhsEvalPolicy(Enum):
@@ -221,12 +207,11 @@ class RhsEvalPolicy(Enum):
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """Which scheme, forcing, lattice, and root handling define one run."""
+    """Which scheme, forcing, lattice and right-hand side evaluation define a run."""
 
     scheme: SchemeKind
     forcing: ForcingTerm
-    lattice: LatticeRule
-    root_selection: RootSelection = RootSelection.NEAREST_TO_PREDICTION
+    lattice: Uniform
     rhs_eval: RhsEvalPolicy = RhsEvalPolicy.NEW_POINT
 
     def __post_init__(self):

@@ -8,7 +8,7 @@ three-point recursion instead.
 """
 from __future__ import annotations
 
-from .core import DegenerateCoefficientError, LatticeRule, Uniform, is_degenerate
+from .core import ConstantS, DegenerateCoefficientError, is_degenerate
 from .discrete import _cross_ratio_line
 
 
@@ -24,10 +24,8 @@ def extend_constant_s(x_a: float, x_b: float, x_c: float, K: float) -> float:
     return num / den
 
 
-def extend_lattice(rule: LatticeRule, n: int) -> list[float]:
-    """First n abscissae of the lattice described by ``rule``."""
-    if isinstance(rule, Uniform):
-        raise ValueError("uniform rule needs an origin; its abscissae are x0 + k*h")
+def extend_lattice(rule: ConstantS, n: int) -> list[float]:
+    """First n abscissae of the constant-cross-ratio lattice ``rule``."""
     xs = list(rule.seed)
     while len(xs) < n:
         xs.append(extend_constant_s(xs[-3], xs[-2], xs[-1], rule.K))

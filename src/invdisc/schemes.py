@@ -5,7 +5,7 @@ The fourth-order scheme (Mobius maps of y) and the six-point product-group
 scheme reduce to a linear equation in the new ordinate.  The third-order
 hodograph scheme is quadratic for constant forcing and cubic when the
 forcing is the dependent variable itself; all real roots are computed in
-closed form and one is selected by the configured root selection.
+closed form and the one nearest a quadratic extrapolation is kept.
 
 Per scheme, a coefficient helper clears the invariant equation on plain
 floats and raises DegenerateCoefficientError on a vanishing denominator.  A
@@ -21,9 +21,8 @@ from typing import Sequence
 
 from .core import (Constant, DegenerateCoefficientError, ForcingTerm,
                    IdentityInY, NonFiniteError, OVERFLOW_LIMIT, Point,
-                   RhsEvalPolicy, RootSelection, SchemeKind,
-                   SchemeSpec, Stencil, StopReason, Trajectory, Uniform,
-                   is_degenerate)
+                   RhsEvalPolicy, SchemeKind, SchemeSpec, Stencil, StopReason,
+                   Trajectory, Uniform, is_degenerate)
 from .discrete import _cross_ratio, _cross_ratio_line, _l3
 
 
@@ -157,13 +156,11 @@ def extrapolate(points: list[Point] | tuple[Point, ...], x: float) -> float:
     return _extrapolate([p.x for p in points], [p.y for p in points], x)
 
 
-def _select(roots: list[float], prediction: float | None,
-            selection: RootSelection) -> float:
-    """One of a nonempty list of roots; ties go to the smaller root."""
-    if selection is RootSelection.SMALLEST_REAL:
-        return min(roots)
-    if selection is RootSelection.LARGEST_REAL:
-        return max(roots)
+def select_root(roots: list[float], prediction: float) -> float | None:
+    """The root nearest ``prediction``, or None if there is none; ties go to
+    the smaller root."""
+    if not roots:
+        return None
     best = roots[0]
     best_d = abs(best - prediction)
     for r in roots[1:]:
@@ -171,14 +168,6 @@ def _select(roots: list[float], prediction: float | None,
         if d < best_d or (d == best_d and r < best):
             best, best_d = r, d
     return best
-
-
-def select_root(roots: list[float], prediction: float,
-                selection: RootSelection) -> float | None:
-    """Pick one real root by ``selection``; ties go to the smaller root."""
-    if not roots:
-        return None
-    return _select(roots, prediction, selection)
 
 
 # --- the three schemes --------------------------------------------------------
@@ -267,7 +256,7 @@ def _slx3_coeffs(ys, forcing: ForcingTerm,
 
 
 def _slx3_kernel(xs, ys, x_next: float, forcing: ForcingTerm,
-                 rhs_eval: RhsEvalPolicy, selection: RootSelection) -> float | StopReason:
+                 rhs_eval: RhsEvalPolicy) -> float | StopReason:
     try:
         roots = _real_roots(_slx3_coeffs(ys, forcing, rhs_eval))
     except DegenerateCoefficientError:
@@ -276,29 +265,22 @@ def _slx3_kernel(xs, ys, x_next: float, forcing: ForcingTerm,
         return StopReason.NON_FINITE
     if not roots:
         return StopReason.NO_REAL_ROOT
-    if len(roots) == 1:
-        t = roots[0]
-    else:
-        # the prediction matters only when choosing among several roots
-        prediction = (_extrapolate(xs, ys, x_next)
-                      if selection is RootSelection.NEAREST_TO_PREDICTION else None)
-        t = _select(roots, prediction, selection)
+    # the prediction matters only when choosing among several roots
+    t = roots[0] if len(roots) == 1 else select_root(roots, _extrapolate(xs, ys, x_next))
     return t if _in_range(t) else StopReason.NON_FINITE
 
 
 def slx3_step(prev3: Stencil, x_next: float, forcing: ForcingTerm,
-              rhs_eval: RhsEvalPolicy = RhsEvalPolicy.NEW_POINT,
-              selection: RootSelection = RootSelection.NEAREST_TO_PREDICTION
-              ) -> float | StopReason:
+              rhs_eval: RhsEvalPolicy = RhsEvalPolicy.NEW_POINT) -> float | StopReason:
     """Advance the third-order hodograph scheme on a uniform lattice.
 
     Clears m3(prev3 + new point) = rhs into a polynomial of degree 2
-    (constant forcing) or 3 (identity forcing), computes all real roots and
-    selects one.  An empty real-root set signals the singularity barrier.
+    (constant forcing) or 3 (identity forcing) and keeps the real root nearest
+    the quadratic through prev3 at ``x_next``; no real root means a barrier.
     """
     if len(prev3) != 3:
         raise ValueError("slx3_step needs 3 previous points")
-    return _slx3_kernel(prev3.xs, prev3.ys, x_next, forcing, rhs_eval, selection)
+    return _slx3_kernel(prev3.xs, prev3.ys, x_next, forcing, rhs_eval)
 
 
 def _h5_line(xs, ys, x_next: float, c: float) -> tuple[float, float, float]:
@@ -338,17 +320,15 @@ def _check_seed_lattice(seed: Stencil, rule: Uniform):
             raise ValueError("seed abscissae inconsistent with the uniform lattice rule")
 
 
-def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int,
-              stop_when=None) -> Trajectory:
+def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
     """Advance the seed up to ``n_steps`` lattice steps with the scheme's
     kernel, collecting the new points.
 
     Returns the partial trajectory and the reason extension ceased; scheme
-    failures surface as stop reasons, never as exceptions.  ``stop_when``,
-    if given, is a predicate on the newest point's (x, y) that halts the run
-    with USER_LIMIT.  A negative step count, a seed that does not fit the
-    spec, or abscissae that stop being strictly monotone raise ValueError;
-    a lattice whose last abscissa overflows raises NonFiniteError.
+    failures surface as stop reasons, never as exceptions.  A negative step
+    count, a seed that does not fit the spec, or abscissae that stop being
+    strictly monotone raise ValueError; a lattice whose last abscissa
+    overflows raises NonFiniteError.
     """
     if n_steps < 0:
         raise ValueError(f"step count must be non-negative, got {n_steps}")
@@ -362,7 +342,7 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int,
         params = (_sly4_line, (lambda _x, c=f.c: c) if isinstance(f, Constant) else f.fn)
     elif spec.scheme is SchemeKind.SLX3:
         kernel = _slx3_kernel
-        params = (f, spec.rhs_eval, spec.root_selection)
+        params = (f, spec.rhs_eval)
     else:
         kernel = _linear_kernel
         params = (_h5_line, f.c)
@@ -390,7 +370,4 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int,
         del ys[0]
         out_xs.append(x)
         out_ys.append(y)
-        if stop_when is not None and stop_when(x, y):
-            stop = StopReason.USER_LIMIT
-            break
     return Trajectory(tuple(out_xs), tuple(out_ys), stop, spec.scheme.value, h)

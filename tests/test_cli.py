@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -82,10 +83,22 @@ def test_solve_config_file_and_overrides(tmp_path):
 
 def test_solve_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("scheme = slx3\nwibble = 3\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--config", str(cfg)])
-    assert exc.value.code == 2
+    # root_policy: slx3 has one root rule and no flag that picks it
+    for line in ("wibble = 3", "root_policy = nearest"):
+        cfg.write_text(f"scheme = slx3\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", str(cfg)])
+        assert exc.value.code == 2
+
+
+def test_solve_config_block_of_readme(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("`solve --config run.cfg`", 1)[1].split("```\n", 2)[1]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(block)
+    _write_seed_csv(tmp_path / "seed.csv", math.atanh, -0.5, 0.01, 3)
+    assert main(["solve", "--config", "run.cfg"]) == 0
+    assert len(read_trajectory_csv(tmp_path / "traj.csv")) == 53
 
 
 def test_solve_validation_failures(tmp_path):
@@ -96,6 +109,10 @@ def test_solve_validation_failures(tmp_path):
     # bad forcing for the scheme
     assert main(["solve", "--scheme", "h5", "--forcing", "y", "--h", "0.01",
                  "--steps", "5", "--seed", str(seed),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    # a constant without constant forcing
+    assert main(["solve", "--scheme", "slx3", "--forcing", "y", "--c", "5",
+                 "--h", "0.01", "--steps", "5", "--seed", str(seed),
                  "--out", str(tmp_path / "x.csv")]) == 2
     # seed file shorter than the scheme arity
     assert main(["solve", "--scheme", "h5", "--forcing", "const", "--c", "0",
@@ -259,6 +276,7 @@ def test_example_1_run_past_the_reference(capsys):
 def test_example_5_started_past_the_pole(capsys):
     assert main(["example", "5", "--x0", "0.2", "--steps", "5"]) == 0
     text = capsys.readouterr().out
+    assert "baseline stop: not run" in text.splitlines()
     line = [l for l in text.splitlines() if l.startswith("chi vs exact before pole")][0]
     assert math.isnan(float(line.split(":")[1]))
 
@@ -358,7 +376,6 @@ def _fuzz_options(command, tmp_path):
                 ("--c", ["0.5", "2", None], NUMBERS), ("--h", ["0.1"], NUMBERS + [None]),
                 ("--steps", *steps),
                 ("--rhs-eval", ["new-point", "stencil-mean", None], ["x"]),
-                ("--root-policy", ["nearest", "smallest", "largest", None], ["x"]),
                 ("--seed", [seed], files + [None]),
                 ("--out", [str(tmp_path / "out.csv")], [str(tmp_path), None])]
     if command == "chi":

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invdisc import (Constant, CrossRatioWindow, FunctionOfX, IdentityInY,
-                     NonFiniteError, Point, RhsEvalPolicy, RootSelection,
-                     SchemeKind, SchemeSpec, Stencil, StopReason,
-                     Trajectory, Uniform, cross_ratio, h5_uniform, integrate, l3, l4,
-                     m3, seed_stencil_from_function, select_root, slx3_step,
-                     sly4_step, solve_poly, stencil_from_sequences)
+                     NonFiniteError, Point, RhsEvalPolicy, SchemeKind, SchemeSpec,
+                     Stencil, StopReason, Trajectory, Uniform, cross_ratio, h5_uniform,
+                     integrate, l3, l4, m3, seed_stencil_from_function, select_root,
+                     slx3_step, sly4_step, solve_poly, stencil_from_sequences)
 from invdisc import schemes
 from invdisc.schemes import extrapolate, h5_step
 
@@ -78,16 +77,14 @@ def test_solve_poly_factored_cubics(r):
 
 
 def test_select_root():
-    pol = RootSelection.NEAREST_TO_PREDICTION
-    assert select_root([1.0, 5.0], 1.2, pol) == 1.0
-    assert select_root([], 1.2, pol) is None
+    assert select_root([1.0, 5.0], 1.2) == 1.0
+    assert select_root([1.0, 5.0], 4.9) == 5.0
+    assert select_root([], 1.2) is None
     # an exact distance tie resolves to the smaller root
-    assert select_root([1.0, 3.0], 2.0, pol) == 1.0
+    assert select_root([1.0, 3.0], 2.0) == 1.0
     # near-coincident roots: either representative of the pair is acceptable
-    tie = select_root([2.0, 2.0 + 1e-15], 3.0, pol)
+    tie = select_root([2.0, 2.0 + 1e-15], 3.0)
     assert tie == pytest.approx(2.0, abs=1e-14)
-    assert select_root([1.0, 5.0], 4.9, RootSelection.SMALLEST_REAL) == 1.0
-    assert select_root([1.0, 5.0], 1.1, RootSelection.LARGEST_REAL) == 5.0
 
 
 def test_extrapolate_exact_on_polynomials():
@@ -261,14 +258,6 @@ def test_integrate_completed_and_metadata():
     assert traj.h_nominal == 0.01
 
 
-def test_integrate_stop_when_user_limit():
-    seed = seed_stencil_from_function(math.atanh, -0.5, 0.01, 3)
-    spec = SchemeSpec(SchemeKind.SLX3, Constant(2.0), Uniform(0.01))
-    traj = integrate(spec, seed, 50, stop_when=lambda x, y: x >= -0.4)
-    assert traj.stop is StopReason.USER_LIMIT
-    assert traj.points[-1].x >= -0.4
-
-
 def test_integrate_backward():
     f = lambda x: math.log(abs(x))
     seed = seed_stencil_from_function(f, 1.0, -1e-3, 3)
@@ -290,11 +279,14 @@ def _h5_of_window(w):
      l4, lambda w: math.cos(w.xs[2]), 1e-9),
     (SchemeSpec(SchemeKind.SLX3, Constant(2.0), Uniform(0.01)),
      seed_stencil_from_function(math.atanh, -0.9, 0.01, 3), 178, m3, lambda w: 2.0, 1e-9),
+    # backward from 0.9: here the smaller of two roots is off the solution
+    (SchemeSpec(SchemeKind.SLX3, Constant(2.0), Uniform(-0.01)),
+     seed_stencil_from_function(math.atanh, 0.9, -0.01, 3), 178, m3, lambda w: 2.0, 1e-9),
     # h5_uniform divides by three deficits R - 4 of order h^2, so it
     # evaluates a stepped window to about 1e-8 only
     (SchemeSpec(SchemeKind.H5, Constant(0.0), Uniform(0.1)),
      seed_stencil_from_function(OMEX, -1.0, 0.1, 5), 40, _h5_of_window, lambda w: 0.0, 1e-7),
-], ids=["sly4-cos", "slx3-arctanh", "h5-exact"])
+], ids=["sly4-cos", "slx3-arctanh", "slx3-arctanh-backward", "h5-exact"])
 def test_integrate_reports_scheme_consistency_after_steps(spec, seed, n_steps, invariant,
                                                           target, rtol):
     # every advanced window satisfies the defining equation
@@ -309,7 +301,7 @@ def test_integrate_reports_scheme_consistency_after_steps(spec, seed, n_steps, i
 
 # --- integrate against the public step functions ------------------------------------
 
-def _stepped_by_hand(spec, seed, n_steps, stop_when=None):
+def _stepped_by_hand(spec, seed, n_steps):
     """What integrate must return: the public step function applied to the
     trailing window, one step at a time, as (points, stop reason)."""
     points = list(seed.points)
@@ -321,69 +313,61 @@ def _stepped_by_hand(spec, seed, n_steps, stop_when=None):
             fn = f.fn if isinstance(f, FunctionOfX) else (lambda _x: f.c)
             out = sly4_step(window, x_next, fn)
         elif spec.scheme is SchemeKind.SLX3:
-            out = slx3_step(window, x_next, f, spec.rhs_eval, spec.root_selection)
+            out = slx3_step(window, x_next, f, spec.rhs_eval)
         else:
             out = h5_step(window, x_next, f.c)
         if isinstance(out, StopReason):
             return points, out
         points.append(Point(x_next, out))
-        if stop_when is not None and stop_when(x_next, out):
-            return points, StopReason.USER_LIMIT
     return points, StopReason.COMPLETED
 
 
-def _slx3(forcing, h, selection=RootSelection.NEAREST_TO_PREDICTION,
-          rhs_eval=RhsEvalPolicy.NEW_POINT):
-    return SchemeSpec(SchemeKind.SLX3, forcing, Uniform(h), selection, rhs_eval)
+def _slx3(forcing, h, rhs_eval=RhsEvalPolicy.NEW_POINT):
+    return SchemeSpec(SchemeKind.SLX3, forcing, Uniform(h), rhs_eval)
 
 
 LOG_ABS = lambda x: math.log(abs(x))
 CUBIC_SEED = lambda x: 10.0 - x - 5.0 * x * x
 ARCTANH_SEED = seed_stencil_from_function(math.atanh, -0.9, 0.01, 3)
 
-#: (id, spec, seed, steps, stop_when, expected stop or None when any)
+#: (id, spec, seed, steps, expected stop or None when any)
 EQUIVALENCE_CASES = [
     ("sly4-cos", SchemeSpec(SchemeKind.SLY4, FunctionOfX(math.cos), Uniform(0.01)),
-     seed_stencil_from_function(math.exp, 0.0, 0.01, 4), 150, None, StopReason.COMPLETED),
+     seed_stencil_from_function(math.exp, 0.0, 0.01, 4), 150, StopReason.COMPLETED),
     ("sly4-const", SchemeSpec(SchemeKind.SLY4, Constant(1.5), Uniform(0.01)),
-     seed_stencil_from_function(math.exp, 0.0, 0.01, 4), 150, None, None),
+     seed_stencil_from_function(math.exp, 0.0, 0.01, 4), 150, None),
     # abscissae off x0 + k*h by a few 1e-12, inside the seed lattice tolerance
     ("sly4-seed-off-lattice", SchemeSpec(SchemeKind.SLY4, FunctionOfX(math.cos),
                                          Uniform(0.01)),
      stencil_from_sequences([0.0, 0.01 + 3e-12, 0.02 - 2e-12, 0.03 + 1e-12],
                             [math.exp(x) for x in (0.0, 0.01, 0.02, 0.03)]),
-     100, None, StopReason.COMPLETED),
-    ("slx3-arctanh", _slx3(Constant(2.0), 0.01), ARCTANH_SEED, 178, None,
-     StopReason.COMPLETED),
-    *((f"slx3-arctanh-{sel.value}", _slx3(Constant(2.0), 0.01, sel), ARCTANH_SEED, 178,
-       None, None) for sel in RootSelection),
-    *((f"slx3-cubic-{rhs.value}-{sel.value}", _slx3(IdentityInY(), 1e-3, sel, rhs),
-       seed_stencil_from_function(CUBIC_SEED, 0.0, 1e-3, 3), 300, None, None)
-      for rhs in RhsEvalPolicy for sel in RootSelection),
+     100, StopReason.COMPLETED),
+    ("slx3-arctanh", _slx3(Constant(2.0), 0.01), ARCTANH_SEED, 178, StopReason.COMPLETED),
+    # "nearest": the root nearest the prediction, the scheme's one root rule
+    *((f"slx3-cubic-{rhs.value}-nearest", _slx3(IdentityInY(), 1e-3, rhs),
+       seed_stencil_from_function(CUBIC_SEED, 0.0, 1e-3, 3), 300, None)
+      for rhs in RhsEvalPolicy),
     ("slx3-log-barrier", _slx3(Constant(0.5), 1e-3),
-     seed_stencil_from_function(LOG_ABS, -0.05, 1e-3, 3), 100, None,
-     StopReason.NO_REAL_ROOT),
+     seed_stencil_from_function(LOG_ABS, -0.05, 1e-3, 3), 100, StopReason.NO_REAL_ROOT),
     ("slx3-backward", _slx3(Constant(0.5), -1e-3),
-     seed_stencil_from_function(LOG_ABS, 1.0, -1e-3, 3), 100, None, StopReason.COMPLETED),
-    ("slx3-user-limit", _slx3(Constant(2.0), 0.01), ARCTANH_SEED, 178,
-     lambda x, y: x >= -0.5, StopReason.USER_LIMIT),
+     seed_stencil_from_function(LOG_ABS, 1.0, -1e-3, 3), 100, StopReason.COMPLETED),
     ("h5-exact", SchemeSpec(SchemeKind.H5, Constant(0.0), Uniform(0.1)),
-     seed_stencil_from_function(OMEX, -1.0, 0.1, 5), 40, None, None),
+     seed_stencil_from_function(OMEX, -1.0, 0.1, 5), 40, None),
     ("h5-backward", SchemeSpec(SchemeKind.H5, Constant(0.5), Uniform(-0.05)),
-     seed_stencil_from_function(OMEX, -0.5, -0.05, 5), 40, None, None),
+     seed_stencil_from_function(OMEX, -0.5, -0.05, 5), 40, None),
     # round-off breaks the run down long before the 3000 steps
     ("h5-degenerate", SchemeSpec(SchemeKind.H5, Constant(0.0), Uniform(1e-3)),
-     seed_stencil_from_function(OMEX, -3.0, 1e-3, 5), 3000, None,
+     seed_stencil_from_function(OMEX, -3.0, 1e-3, 5), 3000,
      StopReason.DEGENERATE_COEFFICIENT),
 ]
 
 
-@pytest.mark.parametrize("spec, seed, n_steps, stop_when, expected",
+@pytest.mark.parametrize("spec, seed, n_steps, expected",
                          [case[1:] for case in EQUIVALENCE_CASES],
                          ids=[case[0] for case in EQUIVALENCE_CASES])
-def test_integrate_equals_stepping_by_hand(spec, seed, n_steps, stop_when, expected):
-    traj = integrate(spec, seed, n_steps, stop_when)
-    points, stop = _stepped_by_hand(spec, seed, n_steps, stop_when)
+def test_integrate_equals_stepping_by_hand(spec, seed, n_steps, expected):
+    traj = integrate(spec, seed, n_steps)
+    points, stop = _stepped_by_hand(spec, seed, n_steps)
     assert traj.stop is stop
     if expected is not None:
         assert stop is expected
@@ -410,10 +394,9 @@ WINDOWS = st.one_of(
 @given(kind=st.sampled_from(list(SchemeKind)), ys=WINDOWS,
        x0=st.floats(-10.0, 10.0), h=st.floats(1e-6, 1.0), backward=st.booleans(),
        c=st.floats(-3.0, 3.0), forcing_of_state=st.booleans(),
-       rhs_eval=st.sampled_from(list(RhsEvalPolicy)),
-       selection=st.sampled_from(list(RootSelection)))
+       rhs_eval=st.sampled_from(list(RhsEvalPolicy)))
 def test_steps_and_integrate_never_raise(kind, ys, x0, h, backward, c, forcing_of_state,
-                                         rhs_eval, selection):
+                                         rhs_eval):
     h = -h if backward else h
     if kind is SchemeKind.SLY4:
         forcing = FunctionOfX(math.cos) if forcing_of_state else Constant(c)
@@ -421,13 +404,13 @@ def test_steps_and_integrate_never_raise(kind, ys, x0, h, backward, c, forcing_o
         forcing = IdentityInY() if forcing_of_state else Constant(c)
     else:
         forcing = Constant(c)
-    spec = SchemeSpec(kind, forcing, Uniform(h), selection, rhs_eval)
+    spec = SchemeSpec(kind, forcing, Uniform(h), rhs_eval)
     seed = stencil_from_sequences([x0 + k * h for k in range(spec.arity)], ys[:spec.arity])
     x_next = x0 + spec.arity * h
     if kind is SchemeKind.SLY4:
         out = sly4_step(seed, x_next, math.cos if forcing_of_state else (lambda _x: c))
     elif kind is SchemeKind.SLX3:
-        out = slx3_step(seed, x_next, forcing, rhs_eval, selection)
+        out = slx3_step(seed, x_next, forcing, rhs_eval)
     else:
         out = h5_step(seed, x_next, c)
     assert isinstance(out, (float, StopReason))
