@@ -86,6 +86,8 @@ def read_trajectory_csv(path) -> Trajectory:
         raise ConfigError(f"{path}: no data rows")
     if not all(map(math.isfinite, xs + ys)):
         raise NonFiniteError(f"{path}: non-finite value in the data rows")
+    if meta["stop"] not in {r.value for r in StopReason}:
+        raise ConfigError(f"{path}: '# stop:' has no stop reason {meta['stop']!r}")
     return Trajectory(tuple(xs), tuple(ys), StopReason(meta["stop"]), meta["scheme"],
                       float(meta["h"]))
 
@@ -118,8 +120,8 @@ def _solve_spec(args) -> SchemeSpec:
     if args.scheme is None:
         raise ConfigError("a scheme is required")
     kind = SchemeKind(args.scheme)
-    if args.h is None or args.h == 0:
-        raise ConfigError("h must be set and nonzero")
+    if args.h is None:
+        raise ConfigError("h must be set")
     forcing = args.forcing or ("const" if kind is not SchemeKind.SLY4 else "")
     if args.c is not None and forcing != "const":
         raise ConfigError("--c needs --forcing const")
@@ -391,6 +393,7 @@ def cmd_solve(args) -> int:
 
 def cmd_chi(args) -> int:
     a = read_trajectory_csv(args.a)
+    ys = a.ys
     if args.b in EXACT_SOLUTIONS:
         sol = EXACT_SOLUTIONS[args.b]()
         try:
@@ -399,13 +402,14 @@ def cmd_chi(args) -> int:
             raise ConfigError(f"exact solution undefined on the trajectory: {e}") from None
     else:
         b = read_trajectory_csv(args.b)
-        if len(b) != len(a):
-            raise ConfigError(f"length mismatch: {len(a)} vs {len(b)}")
         for xa, xb in zip(a.xs, b.xs):
             if abs(xa - xb) > 1e-9 * max(1.0, abs(xa)):
                 raise ConfigError(f"abscissa mismatch: {xa!r} vs {xb!r}")
-        ref = b.ys
-    value = chi(a, ref)
+        if len(a) != len(b):
+            print(f"note: {len(a)} vs {len(b)} points, chi on the common prefix",
+                  file=sys.stderr)
+        ys, ref = ys[:len(b)], b.ys[:len(a)]
+    value = chi(ys, ref)
     print(f"{value:.6f}" if value == 0.0 else f"{value:.6g}")
     return EXIT_OK
 

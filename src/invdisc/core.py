@@ -79,10 +79,6 @@ class Stencil:
     def __len__(self) -> int:
         return len(self.xs)
 
-    @cached_property
-    def points(self) -> tuple[Point, ...]:
-        return tuple(map(Point, self.xs, self.ys))
-
 
 @dataclass(frozen=True)
 class Jet:
@@ -140,9 +136,6 @@ class FunctionOfX:
     integration interval."""
 
     fn: Callable[[float], float]
-
-    def __call__(self, x: float) -> float:
-        return self.fn(x)
 
 
 @dataclass(frozen=True)
@@ -237,8 +230,6 @@ def seed_stencil_from_function(f: Callable[[float], float], x0: float, h: float,
     """Sample (x0 + k*h, f(x0 + k*h)) for k = 0..n-1 into a seed stencil."""
     if n not in (3, 4, 5, 6):
         raise ValueError(f"seed length must be 3..6, got {n}")
-    if h == 0:
-        raise ValueError("h must be nonzero")
     xs = tuple(x0 + k * h for k in range(n))
     return Stencil(xs, tuple(map(f, xs)))
 

@@ -202,13 +202,23 @@ def h5_discrete(s: Stencil) -> float:
     return pref * bracket
 
 
+def _h5_r5_line(r3: float, r4: float, c: float) -> tuple[float, float, float]:
+    """(a, b, scale) of a*R5 = b, cleared from the uniform-lattice relation
+    16 R5 + R4 (3 R4 + R5 - 32) + R3 (R4 - 5 R5 + 16) = 2c (R3-4)(R4-4)(R5-4)."""
+    k = 2.0 * c * (r3 - 4.0) * (r4 - 4.0)
+    return (16.0 + r4 - 5.0 * r3 - k,
+            -3.0 * r4 ** 2 + 32.0 * r4 - r3 * r4 - 16.0 * r3 - 4.0 * k,
+            max(abs(r3), abs(r4), 16.0, abs(k)))
+
+
 def h5_uniform(r3: float, r4: float, r5: float) -> float:
-    """Uniform-lattice (S = 4) form of the six-point product invariant."""
+    """Uniform-lattice (S = 4) form of the six-point product invariant: the c
+    of :func:`_h5_r5_line`'s relation."""
     scale = max(abs(r3), abs(r4), abs(r5), 4.0)
     for r in (r3, r4, r5):
         _check_factor(r - 4.0, scale, "R - 4 factor (window on the R = S manifold)")
-    num = 16.0 * r5 + r4 * (3.0 * r4 + r5 - 32.0) + r3 * (r4 - 5.0 * r5 + 16.0)
-    return num / (2.0 * (r3 - 4.0) * (r4 - 4.0) * (r5 - 4.0))
+    a, b, _ = _h5_r5_line(r3, r4, 0.0)
+    return (a * r5 - b) / (2.0 * (r3 - 4.0) * (r4 - 4.0) * (r5 - 4.0))
 
 
 def w_coefficient(x0: float, x1: float, x2: float, x3: float, x4: float,

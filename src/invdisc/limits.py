@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import Jet, stencil_from_sequences
+from .core import Jet, Stencil
 from .differential import h5_differential, jy_invariants, kx_invariants
 from .discrete import (h5_discrete, l3, l4, l5, m3, m4, m5, w_coefficient,
                        wx_coefficient)
@@ -110,7 +110,7 @@ def probe_limit(p: LimitProbe) -> LimitReport:
     for h in p.h_sequence:
         xs = _abscissae(p, h, npts)
         jets = [p.test_function(x) for x in xs]
-        stencil = stencil_from_sequences(xs, [j.d[0] for j in jets])
+        stencil = Stencil(xs, [j.d[0] for j in jets])
         value = evaluate(stencil)
         anchor = jets[0]
         if p.target_fn is not None:

@@ -20,10 +20,10 @@ import math
 from typing import Sequence
 
 from .core import (Constant, DegenerateCoefficientError, ForcingTerm,
-                   IdentityInY, NonFiniteError, OVERFLOW_LIMIT, Point,
-                   RhsEvalPolicy, SchemeKind, SchemeSpec, Stencil, StopReason,
-                   Trajectory, Uniform, is_degenerate)
-from .discrete import _cross_ratio, _cross_ratio_line, _l3
+                   IdentityInY, NonFiniteError, OVERFLOW_LIMIT, RhsEvalPolicy,
+                   SchemeKind, SchemeSpec, Stencil, StopReason, Trajectory,
+                   is_degenerate)
+from .discrete import _cross_ratio, _cross_ratio_line, _h5_r5_line, _l3
 
 
 def _in_range(y: float) -> bool:
@@ -149,11 +149,11 @@ def _extrapolate(xs, ys, x: float) -> float:
     return ((db - da) / (sb - sp) * (x - xref - sa) + da) * (x - xref - sp) + yp
 
 
-def extrapolate(points: list[Point] | tuple[Point, ...], x: float) -> float:
-    """Value at x of the quadratic through the last three points."""
-    if len(points) < 3:
-        raise ValueError(f"extrapolation needs 3 points, got {len(points)}")
-    return _extrapolate([p.x for p in points], [p.y for p in points], x)
+def extrapolate(xs: Sequence[float], ys: Sequence[float], x: float) -> float:
+    """Value at x of the quadratic through the last three (xs, ys)."""
+    if len(xs) < 3 or len(ys) < 3:
+        raise ValueError("extrapolation needs 3 points")
+    return _extrapolate(xs, ys, x)
 
 
 def select_root(roots: list[float], prediction: float) -> float | None:
@@ -288,11 +288,7 @@ def _h5_line(xs, ys, x_next: float, c: float) -> tuple[float, float, float]:
     abscissae do not enter on a uniform lattice."""
     r3 = _cross_ratio(ys[0], ys[1], ys[2], ys[3])
     r4 = _cross_ratio(ys[1], ys[2], ys[3], ys[4])
-    # 16 R5 + R4 (3 R4 + R5 - 32) + R3 (R4 - 5 R5 + 16) = 2c (R3-4)(R4-4)(R5-4)
-    a_r5 = 16.0 + r4 - 5.0 * r3 - 2.0 * c * (r3 - 4.0) * (r4 - 4.0)
-    b_r5 = (-3.0 * r4 ** 2 + 32.0 * r4 - r3 * r4 - 16.0 * r3
-            - 8.0 * c * (r3 - 4.0) * (r4 - 4.0))
-    scale_r = max(abs(r3), abs(r4), 16.0, abs(2.0 * c * (r3 - 4.0) * (r4 - 4.0)))
+    a_r5, b_r5, scale_r = _h5_r5_line(r3, r4, c)
     if is_degenerate(a_r5, scale_r):
         raise DegenerateCoefficientError("R5 coefficient vanishes")
     return _cross_ratio_line(ys[2], ys[3], ys[4], b_r5 / a_r5)
@@ -312,12 +308,23 @@ def h5_step(prev5: Stencil, x_next: float, c: float) -> float | StopReason:
 
 # --- trajectory driver --------------------------------------------------------
 
-def _check_seed_lattice(seed: Stencil, rule: Uniform):
-    x0 = seed.xs[0]
-    for k, x in enumerate(seed.xs):
-        expected = x0 + k * rule.h
-        if abs(x - expected) > 1e-9 * max(abs(rule.h), abs(expected), 1.0):
+def _check_lattice(seed: Stencil, h: float, n_steps: int):
+    """Refuse a lattice x0 + n*h that overflows, that the seed does not fit,
+    or whose rounded abscissae may stop being strictly monotone."""
+    xs, x0 = seed.xs, seed.xs[0]
+    x_end = x0 + (len(xs) + n_steps - 1) * h
+    if not math.isfinite(x_end):
+        raise NonFiniteError("the lattice abscissae overflow")
+    for k, x in enumerate(xs):
+        expected = x0 + k * h
+        if abs(x - expected) > 1e-9 * max(abs(h), abs(expected), 1.0):
             raise ValueError("seed abscissae inconsistent with the uniform lattice rule")
+    if not ((xs[1] - xs[0]) * h > 0.0 and (x0 + len(xs) * h - xs[-1]) * h > 0.0):
+        raise ValueError("the lattice does not continue the seed monotonically")
+    # rounding x0 + n*h is monotone in n, and a step this far above the
+    # spacing of the floats keeps each rounded step strict
+    if not abs(h) > 4.0 * math.ulp(max(abs(x0), abs(x_end))):
+        raise ValueError(f"step {h!r} is too small for abscissae up to {x_end!r}")
 
 
 def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
@@ -325,17 +332,16 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
     kernel, collecting the new points.
 
     Returns the partial trajectory and the reason extension ceased; scheme
-    failures surface as stop reasons, never as exceptions.  A negative step
-    count, a seed that does not fit the spec, or abscissae that stop being
-    strictly monotone raise ValueError; a lattice whose last abscissa
-    overflows raises NonFiniteError.
+    failures surface as stop reasons, never as exceptions.  Before the first
+    step, a negative step count, a seed that does not fit the spec, or a
+    lattice whose abscissae may not stay strictly monotone raise ValueError;
+    a lattice whose last abscissa overflows raises NonFiniteError.
     """
     if n_steps < 0:
         raise ValueError(f"step count must be non-negative, got {n_steps}")
     arity = spec.arity
     if len(seed) != arity:
         raise ValueError(f"{spec.scheme.value} needs a {arity}-point seed, got {len(seed)}")
-    _check_seed_lattice(seed, spec.lattice)
     f = spec.forcing
     if spec.scheme is SchemeKind.SLY4:
         kernel = _linear_kernel
@@ -347,18 +353,12 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
         kernel = _linear_kernel
         params = (_h5_line, f.c)
     h = spec.lattice.h
+    _check_lattice(seed, h, n_steps)
     x0 = seed.xs[0]
-    if not math.isfinite(x0 + (arity + n_steps - 1) * h):
-        raise NonFiniteError("the lattice abscissae overflow")
     out_xs, out_ys = list(seed.xs), list(seed.ys)
-    # the rolling window; the seed fixes its direction
-    xs, ys = list(seed.xs), list(seed.ys)
-    direction = 1.0 if xs[1] > xs[0] else -1.0
+    xs, ys = list(seed.xs), list(seed.ys)  # the rolling window
     stop = StopReason.COMPLETED
     for n in range(arity, arity + n_steps):
-        # the newest abscissa must continue the window monotonically
-        if not (xs[-1] - xs[-2]) * direction > 0.0:
-            raise ValueError("stencil abscissae must be strictly monotone")
         x = x0 + n * h
         y = kernel(xs, ys, x, *params)
         if y.__class__ is StopReason:

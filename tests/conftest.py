@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from invdisc import Jet
+
 
 def make_mobius(a, b, c, d):
     return lambda t: (a * t + b) / (c * t + d)
@@ -30,3 +32,34 @@ def rel_diff(a, b):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def polynomial_jet(coeffs: tuple[float, ...], x: float) -> Jet:
+    """Jet of a polynomial given by coefficients (low order first)."""
+    ds = []
+    cs = list(coeffs)
+    for _ in range(6):
+        ds.append(sum(c * x ** i for i, c in enumerate(cs)))
+        cs = [i * c for i, c in enumerate(cs)][1:]
+    return Jet(x, tuple(ds))
+
+
+def finite_difference_jet(f, x: float, step: float = 1e-4) -> tuple[float, ...]:
+    """Central-difference estimates of f and its first five derivatives.
+
+    Only suitable as a rough cross-check of analytic jets: in double
+    precision the high orders lose most digits, so callers needing the
+    stated tolerances should evaluate ``f`` in extended precision.
+    """
+    stencils = {
+        1: ((-1, -0.5), (1, 0.5)),
+        2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
+        3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
+        4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
+        5: ((-3, -0.5), (-2, 2.0), (-1, -2.5), (1, 2.5), (2, -2.0), (3, 0.5)),
+    }
+    out = [f(x)]
+    for k in range(1, 6):
+        acc = sum(w * f(x + o * step) for o, w in stencils[k])
+        out.append(acc / step ** k)
+    return tuple(out)

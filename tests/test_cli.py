@@ -36,10 +36,17 @@ def test_csv_round_trip_bit_exact(tmp_path, rng):
         assert a.x == b.x and a.y == b.y  # bit identical
 
 
-def test_csv_rejects_malformed(tmp_path):
+def test_csv_rejects_malformed(tmp_path, capsys):
     p = tmp_path / "bad.csv"
     p.write_text("a,b\n1,2\n")
     assert main(["chi", str(p), str(p)]) == 2
+    # a stop reason that is not one names the file and the key
+    q = tmp_path / "stop.csv"
+    q.write_text("# stop: user-limit\nx,y\n0,1\n1,2\n")
+    capsys.readouterr()
+    assert main(["chi", str(q), str(q)]) == 2
+    err = capsys.readouterr().err
+    assert str(q) in err and "stop" in err
 
 
 # --- solve ---------------------------------------------------------------------------
@@ -152,6 +159,17 @@ def test_chi_mismatch(tmp_path, other):
                                        StopReason.COMPLETED, "test", 0.1))
     write_trajectory_csv(b, other)
     assert main(["chi", str(a), str(b)]) == 2
+
+
+def test_chi_on_common_prefix(tmp_path, capsys):
+    # a run that stopped early against its full-length baseline
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_trajectory_csv(a, _traj([1.0, 2.0]))
+    write_trajectory_csv(b, _traj([1.0, 2.0, 3.0]))
+    assert main(["chi", str(a), str(b)]) == 0
+    out, err = capsys.readouterr()
+    assert float(out.strip()) == 0.0
+    assert "2 vs 3" in err
 
 
 # --- limit ---------------------------------------------------------------------------

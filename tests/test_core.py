@@ -19,8 +19,8 @@ def test_seed_samples_exact_solution():
     f = lambda x: 1.0 / (1.0 - math.exp(x))
     s = seed_stencil_from_function(f, -1.0, 0.1, 6)
     assert len(s) == 6
-    for p in s.points:
-        assert p.y == f(p.x)
+    for x, y in zip(s.xs, s.ys):
+        assert y == f(x)
 
 
 def test_seed_arctanh_points():

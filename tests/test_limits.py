@@ -5,7 +5,8 @@ import pytest
 from invdisc import (Jet, LimitProbe, arctanh_solution, jy_invariants,
                      kx_invariants, log_abs, one_over_one_minus_exp,
                      probe_limit, w0_sol2)
-from invdisc.differential import polynomial_jet
+
+from conftest import polynomial_jet
 
 
 def jet_exp(x):

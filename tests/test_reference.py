@@ -15,7 +15,8 @@ from invdisc import (DegenerateCoefficientError, DomainError, NonFiniteError,
                      one_over_one_minus_exp, rk4_integrate,
                      scaled_schwarzian_system, schwarzian_rate_system,
                      tan_reciprocal)
-from invdisc.differential import finite_difference_jet
+
+from conftest import finite_difference_jet
 
 
 # --- RK4 baseline ------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from invdisc import (Constant, CrossRatioWindow, FunctionOfX, IdentityInY,
-                     NonFiniteError, Point, RhsEvalPolicy, SchemeKind, SchemeSpec,
+                     NonFiniteError, RhsEvalPolicy, SchemeKind, SchemeSpec,
                      Stencil, StopReason, Trajectory, Uniform, cross_ratio, h5_uniform,
                      integrate, l3, l4, m3, seed_stencil_from_function, select_root,
                      slx3_step, sly4_step, solve_poly, stencil_from_sequences)
@@ -88,8 +90,9 @@ def test_select_root():
 
 
 def test_extrapolate_exact_on_polynomials():
-    pts = [Point(x, 3.0 - 2.0 * x + 0.5 * x * x) for x in (0.0, 0.5, 1.0)]
-    assert extrapolate(pts, 1.5) == pytest.approx(3.0 - 3.0 + 0.5 * 2.25, rel=1e-12)
+    xs = (0.0, 0.5, 1.0)
+    ys = [3.0 - 2.0 * x + 0.5 * x * x for x in xs]
+    assert extrapolate(xs, ys, 1.5) == pytest.approx(3.0 - 3.0 + 0.5 * 2.25, rel=1e-12)
 
 
 # --- single steps ------------------------------------------------------------------
@@ -234,18 +237,67 @@ def test_integrate_validates_seed():
     with pytest.raises(ValueError):
         integrate(spec, seed3, 5)
     # a last seed abscissa inside the tolerance but past the next lattice
-    # point: the first step runs, the window it leaves turns back
+    # point: the first new abscissa would turn back
     seed5 = stencil_from_sequences([0.0, 1e-10, 2e-10, 3e-10, 1.2e-9],
                                    [OMEX(-1.0 + 0.1 * k) for k in range(5)])
     spec5 = SchemeSpec(SchemeKind.H5, Constant(0.0), Uniform(1e-10))
-    assert len(integrate(spec5, seed5, 1)) == 6
+    with pytest.raises(ValueError):
+        integrate(spec5, seed5, 1)
     with pytest.raises(ValueError):
         integrate(spec5, seed5, 2)
+    # a seed inside the tolerance that runs against h
+    back5 = stencil_from_sequences([-1e-10 * k for k in range(5)], seed5.ys)
+    with _kernels_counted() as calls, pytest.raises(ValueError):
+        integrate(spec5, back5, 3)
+    assert calls() == 0
     # a lattice whose abscissae overflow within the run
     far = stencil_from_sequences([1.7e308 + k * 1e306 for k in range(5)],
                                  [OMEX(-1.0 + 0.1 * k) for k in range(5)])
     with pytest.raises(NonFiniteError):
         integrate(SchemeSpec(SchemeKind.H5, Constant(0.0), Uniform(1e306)), far, 20)
+    # h = 3 near 2**54, where doubles are 2 and then 4 apart: the rounded
+    # abscissae x0 + n*h stop being strictly monotone within the run
+    x0 = 2.0 ** 54 - 40.0
+    for kind in SchemeKind:
+        forcing = FunctionOfX(math.cos) if kind is SchemeKind.SLY4 else Constant(0.5)
+        spec = SchemeSpec(kind, forcing, Uniform(3.0))
+        coarse = stencil_from_sequences([x0 + 3.0 * k for k in range(spec.arity)],
+                                        [1.0, 2.0, 4.0, 8.0, 16.0][:spec.arity])
+        with _kernels_counted() as calls, pytest.raises(ValueError):
+            integrate(spec, coarse, 30)
+        assert calls() == 0
+
+
+@contextmanager
+def _kernels_counted():
+    """Count the scheme kernel calls made inside the block."""
+    with mock.patch.object(schemes, "_linear_kernel", wraps=schemes._linear_kernel) as lin, \
+         mock.patch.object(schemes, "_slx3_kernel", wraps=schemes._slx3_kernel) as sq:
+        yield lambda: lin.call_count + sq.call_count
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(list(SchemeKind)), e=st.integers(-300, 300),
+       negative=st.booleans(), offset=st.integers(-16, 16), ulps=st.floats(0.5, 8.0),
+       backward=st.booleans(), n_steps=st.integers(0, 40))
+def test_integrate_raises_or_returns_monotone_abscissae(kind, e, negative, offset, ulps,
+                                                        backward, n_steps):
+    # x0 a few ulps from a power of two, where the spacing of doubles
+    # changes, and steps from half an ulp there up to 8 ulps
+    unit = math.ulp(2.0 ** e)
+    x0 = (-1.0 if negative else 1.0) * 2.0 ** e + offset * unit
+    h = (-ulps if backward else ulps) * unit
+    spec = SchemeSpec(kind, Constant(0.0), Uniform(h))
+    xs = [x0 + k * h for k in range(spec.arity)]
+    assume(all((b - a) * h > 0.0 for a, b in zip(xs, xs[1:])))
+    seed = stencil_from_sequences(xs, [OMEX(-1.0 + 0.1 * k) for k in range(spec.arity)])
+    with _kernels_counted() as calls:
+        try:
+            traj = integrate(spec, seed, n_steps)
+        except ValueError:
+            assert calls() == 0
+            return
+    assert all((b - a) * h > 0.0 for a, b in zip(traj.xs, traj.xs[1:]))
 
 
 def test_integrate_completed_and_metadata():
@@ -303,12 +355,12 @@ def test_integrate_reports_scheme_consistency_after_steps(spec, seed, n_steps, i
 
 def _stepped_by_hand(spec, seed, n_steps):
     """What integrate must return: the public step function applied to the
-    trailing window, one step at a time, as (points, stop reason)."""
-    points = list(seed.points)
+    trailing window, one step at a time, as (xs, ys, stop reason)."""
+    xs, ys = list(seed.xs), list(seed.ys)
     f, h, k = spec.forcing, spec.lattice.h, spec.arity
     for _ in range(n_steps):
-        window = Stencil(tuple(p.x for p in points[-k:]), tuple(p.y for p in points[-k:]))
-        x_next = points[0].x + len(points) * h
+        window = Stencil(xs[-k:], ys[-k:])
+        x_next = xs[0] + len(xs) * h
         if spec.scheme is SchemeKind.SLY4:
             fn = f.fn if isinstance(f, FunctionOfX) else (lambda _x: f.c)
             out = sly4_step(window, x_next, fn)
@@ -317,9 +369,10 @@ def _stepped_by_hand(spec, seed, n_steps):
         else:
             out = h5_step(window, x_next, f.c)
         if isinstance(out, StopReason):
-            return points, out
-        points.append(Point(x_next, out))
-    return points, StopReason.COMPLETED
+            return xs, ys, out
+        xs.append(x_next)
+        ys.append(out)
+    return xs, ys, StopReason.COMPLETED
 
 
 def _slx3(forcing, h, rhs_eval=RhsEvalPolicy.NEW_POINT):
@@ -367,13 +420,13 @@ EQUIVALENCE_CASES = [
                          ids=[case[0] for case in EQUIVALENCE_CASES])
 def test_integrate_equals_stepping_by_hand(spec, seed, n_steps, expected):
     traj = integrate(spec, seed, n_steps)
-    points, stop = _stepped_by_hand(spec, seed, n_steps)
+    xs, ys, stop = _stepped_by_hand(spec, seed, n_steps)
     assert traj.stop is stop
     if expected is not None:
         assert stop is expected
-    assert len(traj.points) == len(points)
+    assert len(traj.points) == len(xs)
     # bit for bit: == on every abscissa and ordinate
-    assert [(p.x, p.y) for p in traj.points] == [(p.x, p.y) for p in points]
+    assert (traj.xs, traj.ys) == (tuple(xs), tuple(ys))
 
 
 # --- the error contract: stop reasons, never exceptions --------------------------------
