@@ -65,6 +65,61 @@ def fifth_order_invariant_system(c: float) -> OdeSystem:
     return OdeSystem(5, rhs, "fifth-order-invariant")
 
 
+def _rk4_step3(rhs, x, h, u):
+    # a stage's first slopes are its own state shifted by one (k[i] = s[i+1])
+    u0, u1, u2 = u
+    half, xm = 0.5 * h, x + 0.5 * h
+    a = rhs(x, u)
+    b1, b2 = u1 + half * u2, u2 + half * a
+    b = rhs(xm, (u0 + half * u1, b1, b2))
+    c1, c2 = u1 + half * b2, u2 + half * b
+    c = rhs(xm, (u0 + half * b1, c1, c2))
+    d1, d2 = u1 + h * c2, u2 + h * c
+    d = rhs(x + h, (u0 + h * c1, d1, d2))
+    sixth = h / 6.0
+    return (u0 + sixth * (u1 + 2.0 * (b1 + c1) + d1),
+            u1 + sixth * (u2 + 2.0 * (b2 + c2) + d2),
+            u2 + sixth * (a + 2.0 * (b + c) + d))
+
+
+def _rk4_step4(rhs, x, h, u):
+    u0, u1, u2, u3 = u
+    half, xm = 0.5 * h, x + 0.5 * h
+    a = rhs(x, u)
+    b1, b2, b3 = u1 + half * u2, u2 + half * u3, u3 + half * a
+    b = rhs(xm, (u0 + half * u1, b1, b2, b3))
+    c1, c2, c3 = u1 + half * b2, u2 + half * b3, u3 + half * b
+    c = rhs(xm, (u0 + half * b1, c1, c2, c3))
+    d1, d2, d3 = u1 + h * c2, u2 + h * c3, u3 + h * c
+    d = rhs(x + h, (u0 + h * c1, d1, d2, d3))
+    sixth = h / 6.0
+    return (u0 + sixth * (u1 + 2.0 * (b1 + c1) + d1),
+            u1 + sixth * (u2 + 2.0 * (b2 + c2) + d2),
+            u2 + sixth * (u3 + 2.0 * (b3 + c3) + d3),
+            u3 + sixth * (a + 2.0 * (b + c) + d))
+
+
+def _rk4_step5(rhs, x, h, u):
+    u0, u1, u2, u3, u4 = u
+    half, xm = 0.5 * h, x + 0.5 * h
+    a = rhs(x, u)
+    b1, b2, b3, b4 = u1 + half * u2, u2 + half * u3, u3 + half * u4, u4 + half * a
+    b = rhs(xm, (u0 + half * u1, b1, b2, b3, b4))
+    c1, c2, c3, c4 = u1 + half * b2, u2 + half * b3, u3 + half * b4, u4 + half * b
+    c = rhs(xm, (u0 + half * b1, c1, c2, c3, c4))
+    d1, d2, d3, d4 = u1 + h * c2, u2 + h * c3, u3 + h * c4, u4 + h * c
+    d = rhs(x + h, (u0 + h * c1, d1, d2, d3, d4))
+    sixth = h / 6.0
+    return (u0 + sixth * (u1 + 2.0 * (b1 + c1) + d1),
+            u1 + sixth * (u2 + 2.0 * (b2 + c2) + d2),
+            u2 + sixth * (u3 + 2.0 * (b3 + c3) + d3),
+            u3 + sixth * (u4 + 2.0 * (b4 + c4) + d4),
+            u4 + sixth * (a + 2.0 * (b + c) + d))
+
+
+_RK4_STEPS = {3: _rk4_step3, 4: _rk4_step4, 5: _rk4_step5}
+
+
 def rk4_integrate(sys: OdeSystem, init: Sequence[float], x0: float, h: float,
                   n: int) -> Trajectory:
     """Classic fixed-step RK4 on the first-order system equivalent.
@@ -73,6 +128,11 @@ def rk4_integrate(sys: OdeSystem, init: Sequence[float], x0: float, h: float,
     otherwise returns n+1 points including the initial one.  Raises
     ValueError for a negative n, and NonFiniteError if x0, y(x0) or the last
     abscissa is not finite.
+
+    The stages are unrolled per order (``_rk4_step3`` .. ``_rk4_step5``),
+    with the same float operations in the same order as the textbook loop
+    over slope tuples, so the output is bit-identical to it;
+    ``tests/test_reference.py`` checks that against a copy of that loop.
     """
     if len(init) != sys.order:
         raise ValueError(f"init needs {sys.order} values, got {len(init)}")
@@ -80,32 +140,20 @@ def rk4_integrate(sys: OdeSystem, init: Sequence[float], x0: float, h: float,
         raise ValueError("h must be nonzero")
     if n < 0:
         raise ValueError(f"step count must be non-negative, got {n}")
-    rhs = sys.rhs
-    m = sys.order - 1
-
-    def deriv(x, u):
-        return (*u[1:], rhs(x, u))
-
+    rhs, step = sys.rhs, _RK4_STEPS[sys.order]
     u = tuple(float(v) for v in init)
     if not (math.isfinite(x0) and math.isfinite(x0 + n * h) and math.isfinite(u[0])):
         raise NonFiniteError("non-finite initial value or lattice abscissa")
     xs, ys = [x0], [u[0]]
     stop = StopReason.COMPLETED
-    half = 0.5 * h
-    sixth = h / 6.0
     for k in range(n):
-        x = x0 + k * h
         try:
-            k1 = deriv(x, u)
-            k2 = deriv(x + half, tuple(u[i] + half * k1[i] for i in range(m + 1)))
-            k3 = deriv(x + half, tuple(u[i] + half * k2[i] for i in range(m + 1)))
-            k4 = deriv(x + h, tuple(u[i] + h * k3[i] for i in range(m + 1)))
-            u_new = tuple(u[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
-                          for i in range(m + 1))
+            u_new = step(rhs, x0 + k * h, h, u)
         except (ZeroDivisionError, OverflowError):
             stop = StopReason.NON_FINITE
             break
-        if not all(math.isfinite(v) and abs(v) <= OVERFLOW_LIMIT for v in u_new):
+        # the bound is false for NaN and +-inf as well
+        if not all(abs(v) <= OVERFLOW_LIMIT for v in u_new):
             stop = StopReason.NON_FINITE
             break
         u = u_new

@@ -317,7 +317,7 @@ def _check_lattice(seed: Stencil, h: float, n_steps: int):
         raise NonFiniteError("the lattice abscissae overflow")
     for k, x in enumerate(xs):
         expected = x0 + k * h
-        if abs(x - expected) > 1e-9 * max(abs(h), abs(expected), 1.0):
+        if abs(x - expected) > 1e-6 * abs(h) + 4.0 * math.ulp(expected):
             raise ValueError("seed abscissae inconsistent with the uniform lattice rule")
     if not ((xs[1] - xs[0]) * h > 0.0 and (x0 + len(xs) * h - xs[-1]) * h > 0.0):
         raise ValueError("the lattice does not continue the seed monotonically")

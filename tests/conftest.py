@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from invdisc import Jet
+from invdisc import Jet, NonFiniteError, StopReason, Trajectory
+from invdisc.core import OVERFLOW_LIMIT
 
 
 def make_mobius(a, b, c, d):
@@ -63,3 +64,47 @@ def finite_difference_jet(f, x: float, step: float = 1e-4) -> tuple[float, ...]:
         acc = sum(w * f(x + o * step) for o, w in stencils[k])
         out.append(acc / step ** k)
     return tuple(out)
+
+
+def rk4_reference_loop(sys, init, x0, h, n):
+    """Test-only copy of the textbook RK4 loop over slope tuples that
+    ``reference.rk4_integrate`` unrolls per order; the two must agree bit
+    for bit."""
+    if len(init) != sys.order:
+        raise ValueError(f"init needs {sys.order} values, got {len(init)}")
+    if h == 0:
+        raise ValueError("h must be nonzero")
+    if n < 0:
+        raise ValueError(f"step count must be non-negative, got {n}")
+    rhs = sys.rhs
+    m = sys.order - 1
+
+    def deriv(x, u):
+        return (*u[1:], rhs(x, u))
+
+    u = tuple(float(v) for v in init)
+    if not (math.isfinite(x0) and math.isfinite(x0 + n * h) and math.isfinite(u[0])):
+        raise NonFiniteError("non-finite initial value or lattice abscissa")
+    xs, ys = [x0], [u[0]]
+    stop = StopReason.COMPLETED
+    half = 0.5 * h
+    sixth = h / 6.0
+    for k in range(n):
+        x = x0 + k * h
+        try:
+            k1 = deriv(x, u)
+            k2 = deriv(x + half, tuple(u[i] + half * k1[i] for i in range(m + 1)))
+            k3 = deriv(x + half, tuple(u[i] + half * k2[i] for i in range(m + 1)))
+            k4 = deriv(x + h, tuple(u[i] + h * k3[i] for i in range(m + 1)))
+            u_new = tuple(u[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
+                          for i in range(m + 1))
+        except (ZeroDivisionError, OverflowError):
+            stop = StopReason.NON_FINITE
+            break
+        if not all(math.isfinite(v) and abs(v) <= OVERFLOW_LIMIT for v in u_new):
+            stop = StopReason.NON_FINITE
+            break
+        u = u_new
+        xs.append(x0 + (k + 1) * h)
+        ys.append(u[0])
+    return Trajectory(tuple(xs), tuple(ys), stop, f"rk4-{sys.name}", h)

@@ -7,6 +7,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import invdisc
 from invdisc import (DegenerateCoefficientError, DomainError, NonFiniteError,
@@ -15,8 +16,9 @@ from invdisc import (DegenerateCoefficientError, DomainError, NonFiniteError,
                      one_over_one_minus_exp, rk4_integrate,
                      scaled_schwarzian_system, schwarzian_rate_system,
                      tan_reciprocal)
+from invdisc import cli
 
-from conftest import finite_difference_jet
+from conftest import finite_difference_jet, rk4_reference_loop
 
 
 # --- RK4 baseline ------------------------------------------------------------------
@@ -64,6 +66,66 @@ def test_rk4_validates_input():
         rk4_integrate(sys2, (0.0, 1.0, 0.0), 1.7e308, 1e306, 20)
     with pytest.raises(ValueError):
         rk4_integrate(sys2, (0.0, 1.0, 0.0), 0.0, 1e-3, -3)
+
+
+# --- bit-identity of the unrolled stages with the textbook loop ------------------
+
+def _assert_same_rk4(system, init, x0, h, n):
+    got = rk4_integrate(system, init, x0, h, n)
+    want = rk4_reference_loop(system, init, x0, h, n)
+    assert got.xs == want.xs
+    assert got.ys == want.ys
+    assert got.stop is want.stop
+    assert got.scheme_id == want.scheme_id
+    return got
+
+
+def _example_baseline(monkeypatch, example_id):
+    """The arguments of an example's RK4 baseline as ``invdisc example`` runs it."""
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return rk4_integrate(*args)
+
+    monkeypatch.setattr(cli, "rk4_integrate", record)
+    cli.run_example(example_id).base
+    return calls[-1]
+
+
+def test_rk4_unrolled_order4_matches_loop():
+    ex = cli.EXAMPLES["1"]
+    traj = _assert_same_rk4(ex.system, ex.init, ex.x0, 1e-5, 2000)
+    assert traj.stop is StopReason.COMPLETED and len(traj) == 2001
+
+
+@pytest.mark.parametrize("example_id,order", [("2-log", 3), ("3", 3), ("5", 5)])
+def test_rk4_unrolled_matches_loop_through_blowup(monkeypatch, example_id, order):
+    system, init, x0, h, n = _example_baseline(monkeypatch, example_id)
+    assert system.order == order
+    traj = _assert_same_rk4(system, init, x0, h, n)
+    assert traj.stop is StopReason.NON_FINITE
+
+
+@pytest.mark.parametrize("init,h", [((0.0, 0.0, 1.0), 0.1),   # y' = 0 at the start
+                                    ((0.0, 1.0, -4.0), 0.5)])  # y' = 0 in stage 2
+def test_rk4_unrolled_matches_loop_on_zero_division(init, h):
+    system = scaled_schwarzian_system(lambda x, y: 2.0)
+    traj = _assert_same_rk4(system, init, 0.0, h, 10)
+    assert traj.stop is StopReason.NON_FINITE and len(traj) == 1
+
+
+RK4_SYSTEMS = (scaled_schwarzian_system(lambda x, y: 2.0),
+               schwarzian_rate_system(math.cos), fifth_order_invariant_system(0.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), x0=st.floats(-2.0, 2.0),
+       h=st.floats(-0.2, 0.2).filter(lambda v: abs(v) > 1e-6), n=st.integers(0, 200))
+def test_rk4_unrolled_matches_loop_property(data, x0, h, n):
+    system = data.draw(st.sampled_from(RK4_SYSTEMS))
+    init = data.draw(st.tuples(*[st.floats(-3.0, 3.0)] * system.order))
+    _assert_same_rk4(system, init, x0, h, n)
 
 
 # --- exact solutions ----------------------------------------------------------------

@@ -245,6 +245,11 @@ def test_integrate_validates_seed():
         integrate(spec5, seed5, 1)
     with pytest.raises(ValueError):
         integrate(spec5, seed5, 2)
+    # a last seed abscissa half a step off its lattice point, with every
+    # |x| far below 1
+    half_off = stencil_from_sequences([0.0, 1e-10, 2e-10, 3e-10, 3.5e-10], seed5.ys)
+    with pytest.raises(ValueError):
+        integrate(spec5, half_off, 2)
     # a seed inside the tolerance that runs against h
     back5 = stencil_from_sequences([-1e-10 * k for k in range(5)], seed5.ys)
     with _kernels_counted() as calls, pytest.raises(ValueError):
