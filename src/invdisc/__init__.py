@@ -4,9 +4,9 @@ continuous-limit probes."""
 
 from .core import (ConstantS, Constant, DEGENERACY_RTOL, DegenerateCoefficientError,
                    DomainError, ForcingTerm, FunctionOfX, IdentityInY, Jet,
-                   NonFiniteError, Point, RhsEvalPolicy, SchemeKind, SchemeSpec,
-                   Stencil, StopReason, Trajectory, Uniform,
-                   seed_stencil_from_function, stencil_from_sequences)
+                   NonFiniteError, Point, SchemeKind, SchemeSpec, Stencil,
+                   StopReason, Trajectory, Uniform, seed_stencil_from_function,
+                   stencil_from_sequences)
 from .differential import (InvariantTriple, compose_jet, h5_differential, jtilde5,
                            jy_invariants, kx_invariants, mobius_jet)
 from .discrete import (CrossRatioWindow, cross_ratio, h5_discrete,

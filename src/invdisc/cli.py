@@ -13,9 +13,8 @@ from pathlib import Path
 from typing import Callable
 
 from .core import (Constant, DomainError, ForcingTerm, FunctionOfX, IdentityInY,
-                   Jet, NonFiniteError, RhsEvalPolicy, SchemeKind, SchemeSpec,
-                   Stencil, StopReason, Trajectory, Uniform,
-                   seed_stencil_from_function)
+                   Jet, NonFiniteError, SchemeKind, SchemeSpec, Stencil,
+                   StopReason, Trajectory, Uniform, seed_stencil_from_function)
 from .discrete import _cross_ratio
 from .limits import _INVARIANTS, LimitProbe, probe_limit
 from .reference import (EXACT_SOLUTIONS, ExactSolution, OdeSystem,
@@ -64,15 +63,17 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
 
 def read_trajectory_csv(path) -> Trajectory:
     meta = {"scheme": "unknown", "h": "0", "stop": StopReason.COMPLETED.value}
+    meta_line = {}  # key -> number of the line that set it
     xs, ys = [], []
     header_seen = False
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             key, _, value = line[1:].partition(":")
             meta[key.strip()] = value.strip()
+            meta_line[key.strip()] = lineno
             continue
         if not header_seen:
             if line != "x,y":
@@ -80,16 +81,22 @@ def read_trajectory_csv(path) -> Trajectory:
             header_seen = True
             continue
         sx, _, sy = line.partition(",")
-        xs.append(float(sx))
-        ys.append(float(sy))
+        try:
+            xs.append(float(sx))
+            ys.append(float(sy))
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: expected two numbers, got {line!r}") from None
     if not xs:
         raise ConfigError(f"{path}: no data rows")
     if not all(map(math.isfinite, xs + ys)):
         raise NonFiniteError(f"{path}: non-finite value in the data rows")
     if meta["stop"] not in {r.value for r in StopReason}:
         raise ConfigError(f"{path}: '# stop:' has no stop reason {meta['stop']!r}")
-    return Trajectory(tuple(xs), tuple(ys), StopReason(meta["stop"]), meta["scheme"],
-                      float(meta["h"]))
+    try:
+        h = float(meta["h"])
+    except ValueError:
+        raise ConfigError(f"{path}:{meta_line['h']}: bad '# h:' value {meta['h']!r}") from None
+    return Trajectory(tuple(xs), tuple(ys), StopReason(meta["stop"]), meta["scheme"], h)
 
 
 def _seed_from_csv(path, arity: int) -> Stencil:
@@ -127,14 +134,14 @@ def _solve_spec(args) -> SchemeSpec:
         raise ConfigError("--c needs --forcing const")
     if forcing == "const":
         term = Constant(args.c if args.c is not None else 0.0)
-    elif forcing == "y":
-        term = IdentityInY()
+    elif forcing in ("y", "y-mean"):
+        term = IdentityInY(stencil_mean=forcing == "y-mean")
     elif forcing in NAMED_FORCINGS:
         term = FunctionOfX(NAMED_FORCINGS[forcing])
     else:
         raise ConfigError(f"unknown forcing {args.forcing!r}")
     try:
-        return SchemeSpec(kind, term, Uniform(args.h), RhsEvalPolicy(args.rhs_eval))
+        return SchemeSpec(kind, term, Uniform(args.h))
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
@@ -252,18 +259,26 @@ def run_example(example_id: str, h: float | None = None, steps: int | None = Non
     return run
 
 
-def _chi_against_exact(run: ExampleRun, x_max: float = math.inf) -> float:
-    """chi of the invariant run against the exact solution where that is
-    defined and x <= x_max; NaN when no point qualifies."""
+def _where_defined(traj: Trajectory, sol: ExactSolution,
+                   x_max: float = math.inf) -> tuple[list[float], list[float]]:
+    """The ordinates of ``traj`` at the abscissae x <= x_max where ``sol`` is
+    defined, and the exact values there; singular abscissae are left out."""
     cand, ref = [], []
-    for x, y in zip(run.inv.xs, run.inv.ys):
+    for x, y in zip(traj.xs, traj.ys):
         if not x <= x_max:
             continue
         try:
-            ref.append(run.example.solution.eval_fn(x))
+            ref.append(sol.eval_fn(x))
         except DomainError:
             continue
         cand.append(y)
+    return cand, ref
+
+
+def _chi_against_exact(run: ExampleRun, x_max: float = math.inf) -> float:
+    """chi of the invariant run against the exact solution where that is
+    defined and x <= x_max; NaN when no point qualifies."""
+    cand, ref = _where_defined(run.inv, run.example.solution, x_max)
     return chi(cand, ref) if cand else math.nan
 
 
@@ -296,12 +311,8 @@ def _summary_state_source(run: ExampleRun) -> dict:
 
 
 def _summary_exact_discrete(run: ExampleRun) -> dict:
-    devs = []
-    for x, y in zip(run.inv.xs, run.inv.ys):
-        try:
-            devs.append(abs(y - run.example.solution.eval_fn(x)))
-        except DomainError:
-            continue  # the lattice can land on the pole itself
+    # the lattice can land on the pole itself
+    devs = [abs(y - e) for y, e in zip(*_where_defined(run.inv, run.example.solution))]
     rho = 2.0 + math.exp(run.h) + math.exp(-run.h)
     ys = run.inv.ys
     r_dev = max(abs(_cross_ratio(*ys[k:k + 4]) - rho) for k in range(len(ys) - 3))
@@ -395,11 +406,12 @@ def cmd_chi(args) -> int:
     a = read_trajectory_csv(args.a)
     ys = a.ys
     if args.b in EXACT_SOLUTIONS:
-        sol = EXACT_SOLUTIONS[args.b]()
-        try:
-            ref = [sol.eval_fn(x) for x in a.xs]
-        except DomainError as e:
-            raise ConfigError(f"exact solution undefined on the trajectory: {e}") from None
+        ys, ref = _where_defined(a, EXACT_SOLUTIONS[args.b]())
+        if not ys:
+            raise ConfigError(f"{args.b} is singular at every abscissa of {args.a}")
+        if len(ys) < len(a):
+            print(f"note: {len(a) - len(ys)} of {len(a)} points left out, "
+                  f"where {args.b} is singular", file=sys.stderr)
     else:
         b = read_trajectory_csv(args.b)
         for xa, xb in zip(a.xs, b.xs):
@@ -459,12 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "before the command line's own")
     p.add_argument("--scheme", choices=[k.value for k in SchemeKind], default=None)
     p.add_argument("--forcing", default=None,
-                   help="const, y, or a named function of x (cos, sin, zero)")
+                   help="const, y (at the new point), y-mean (the stencil mean), "
+                        "or a named function of x (cos, sin, zero)")
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--rhs-eval", dest="rhs_eval", choices=[v.value for v in RhsEvalPolicy],
-                   default=RhsEvalPolicy.NEW_POINT.value)
     p.add_argument("--seed", default=None, help="CSV file; first rows feed the stencil")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_solve)

@@ -140,7 +140,10 @@ class FunctionOfX:
 
 @dataclass(frozen=True)
 class IdentityInY:
-    """Right-hand side equal to the dependent variable itself."""
+    """Right-hand side equal to the dependent variable itself, taken at the
+    new point or, with ``stencil_mean``, as the mean over the full stencil."""
+
+    stencil_mean: bool = False
 
 
 ForcingTerm = Constant | FunctionOfX | IdentityInY
@@ -189,23 +192,13 @@ class SchemeKind(Enum):
 SCHEME_ARITY = {SchemeKind.SLY4: 4, SchemeKind.SLX3: 3, SchemeKind.H5: 5}
 
 
-class RhsEvalPolicy(Enum):
-    """Where a y-dependent right-hand side is evaluated: at the new point or
-    as the mean over the full stencil.  Only meaningful for the third-order
-    scheme with IdentityInY forcing."""
-
-    NEW_POINT = "new-point"
-    STENCIL_MEAN = "stencil-mean"
-
-
 @dataclass(frozen=True)
 class SchemeSpec:
-    """Which scheme, forcing, lattice and right-hand side evaluation define a run."""
+    """Which scheme, forcing and lattice define a run."""
 
     scheme: SchemeKind
     forcing: ForcingTerm
     lattice: Uniform
-    rhs_eval: RhsEvalPolicy = RhsEvalPolicy.NEW_POINT
 
     def __post_init__(self):
         if not isinstance(self.lattice, Uniform):
@@ -228,8 +221,6 @@ class SchemeSpec:
 def seed_stencil_from_function(f: Callable[[float], float], x0: float, h: float,
                                n: int) -> Stencil:
     """Sample (x0 + k*h, f(x0 + k*h)) for k = 0..n-1 into a seed stencil."""
-    if n not in (3, 4, 5, 6):
-        raise ValueError(f"seed length must be 3..6, got {n}")
     xs = tuple(x0 + k * h for k in range(n))
     return Stencil(xs, tuple(map(f, xs)))
 

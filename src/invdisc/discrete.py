@@ -23,9 +23,6 @@ class CrossRatioWindow:
     a2: float
     a3: float
 
-    def values(self):
-        return (self.a0, self.a1, self.a2, self.a3)
-
 
 def _cross_ratio(a0: float, a1: float, a2: float, a3: float) -> float:
     n1, n2 = a3 - a1, a2 - a0
@@ -49,7 +46,7 @@ def _cross_ratio_line(a0: float, a1: float, a2: float,
 
 def cross_ratio(w: CrossRatioWindow) -> float:
     """((a3-a1)(a2-a0)) / ((a3-a2)(a1-a0)) of four collinear values."""
-    return _cross_ratio(*w.values())
+    return _cross_ratio(w.a0, w.a1, w.a2, w.a3)
 
 
 def _ratio_r_over_s(xs, ys, k: int) -> float:

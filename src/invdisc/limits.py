@@ -73,8 +73,9 @@ class LimitProbe:
             raise ValueError(f"unknown invariant {self.invariant!r}")
         hs = tuple(float(h) for h in self.h_sequence)
         object.__setattr__(self, "h_sequence", hs)
-        if len(hs) < 4 or any(b >= a for a, b in zip(hs, hs[1:])):
-            raise ValueError("h_sequence must be strictly decreasing with >= 4 levels")
+        if not (len(hs) >= 4 and all(map(math.isfinite, hs))
+                and all(b < a for a, b in zip(hs, hs[1:]))):
+            raise ValueError("h_sequence must be finite, strictly decreasing, >= 4 levels")
 
 
 @dataclass(frozen=True)

@@ -172,11 +172,17 @@ class ExactSolution:
     jet_fn: Callable[[float], Jet]
 
 
-def _log_abs_jet(x: float) -> Jet:
+def _reciprocal_derivatives(x: float) -> tuple[float, ...]:
+    """1/x and its first four derivatives."""
     if x == 0.0:
-        raise DomainError("log|x| is singular at 0")
-    return Jet(x, (math.log(abs(x)), 1.0 / x, -1.0 / x ** 2, 2.0 / x ** 3,
-                   -6.0 / x ** 4, 24.0 / x ** 5))
+        raise DomainError("singular at x = 0")
+    return (1.0 / x, -1.0 / x ** 2, 2.0 / x ** 3, -6.0 / x ** 4, 24.0 / x ** 5)
+
+
+def _log_abs_jet(x: float) -> Jet:
+    # the derivatives first: their guard keeps math.log off 0
+    d = _reciprocal_derivatives(x)
+    return Jet(x, (math.log(abs(x)), *d))
 
 
 def _arctanh_outer(u: float) -> tuple[float, ...]:
@@ -191,11 +197,17 @@ def _arctanh_outer(u: float) -> tuple[float, ...]:
             (24.0 + 240.0 * u * u + 120.0 * u ** 4) / g ** 5)
 
 
-def _one_over_one_minus_exp_jet(x: float) -> Jet:
-    if x == 0.0:
-        raise DomainError("1/(1 - e^x) is singular at 0")
+def _exp_and_gap(x: float) -> tuple[float, float]:
+    """(e^x, 1 - e^x), refusing the x where 1 - e^x rounds to zero."""
     s = math.exp(x)
     d = 1.0 - s
+    if d == 0.0:
+        raise DomainError(f"1/(1 - e^x) is singular at {x}")
+    return s, d
+
+
+def _one_over_one_minus_exp_jet(x: float) -> Jet:
+    s, d = _exp_and_gap(x)
     # numerator polynomials follow the Eulerian-number pattern
     return Jet(x, (1.0 / d,
                    s / d ** 2,
@@ -216,15 +228,8 @@ def _tan_outer(u: float) -> tuple[float, ...]:
             w * (16.0 * w ** 2 + 88.0 * t * t * w + 16.0 * t ** 4))
 
 
-def _reciprocal_jet(x: float) -> Jet:
-    if x == 0.0:
-        raise DomainError("1/x is singular at 0")
-    return Jet(x, (1.0 / x, -1.0 / x ** 2, 2.0 / x ** 3, -6.0 / x ** 4,
-                   24.0 / x ** 5, -120.0 / x ** 6))
-
-
 def _tan_reciprocal_jet(x: float) -> Jet:
-    inner = _reciprocal_jet(x)
+    inner = Jet(x, (*_reciprocal_derivatives(x), -120.0 / x ** 6))
     return compose_jet(_tan_outer(inner.d[0]), inner)
 
 
@@ -244,14 +249,7 @@ def arctanh_solution() -> ExactSolution:
 
 def one_over_one_minus_exp() -> ExactSolution:
     """y = 1/(1 - e^x); product-invariant solution with c = 0."""
-    def ev(x):
-        if x == 0.0:
-            raise DomainError("1/(1 - e^x) is singular at 0")
-        d = 1.0 - math.exp(x)
-        if d == 0.0:
-            raise DomainError("1/(1 - e^x) is singular here")
-        return 1.0 / d
-    return ExactSolution(ev, _one_over_one_minus_exp_jet)
+    return ExactSolution(lambda x: 1.0 / _exp_and_gap(x)[1], _one_over_one_minus_exp_jet)
 
 
 def tan_reciprocal() -> ExactSolution:

@@ -20,9 +20,8 @@ import math
 from typing import Sequence
 
 from .core import (Constant, DegenerateCoefficientError, ForcingTerm,
-                   IdentityInY, NonFiniteError, OVERFLOW_LIMIT, RhsEvalPolicy,
-                   SchemeKind, SchemeSpec, Stencil, StopReason, Trajectory,
-                   is_degenerate)
+                   IdentityInY, NonFiniteError, OVERFLOW_LIMIT, SchemeKind,
+                   SchemeSpec, Stencil, StopReason, Trajectory, is_degenerate)
 from .discrete import _cross_ratio, _cross_ratio_line, _h5_r5_line, _l3
 
 
@@ -210,8 +209,7 @@ def sly4_step(prev4: Stencil, x_next: float, forcing) -> float | StopReason:
     return _linear_kernel(prev4.xs, prev4.ys, x_next, _sly4_line, forcing)
 
 
-def _slx3_coeffs(ys, forcing: ForcingTerm,
-                 rhs_eval: RhsEvalPolicy) -> tuple[float, ...]:
+def _slx3_coeffs(ys, forcing: ForcingTerm) -> tuple[float, ...]:
     """Cleared polynomial of the third-order scheme on a uniform lattice
     (S = 4), low order first, with degenerate leading coefficients dropped."""
     y0, y1, y2 = ys
@@ -225,7 +223,7 @@ def _slx3_coeffs(ys, forcing: ForcingTerm,
                   lin1 + c * common * (y0 + y2),
                   -c * common)
     elif isinstance(forcing, IdentityInY):
-        if rhs_eval is RhsEvalPolicy.NEW_POINT:
+        if not forcing.stencil_mean:
             # rhs(t) = t
             coeffs = (lin0,
                       lin1 - common * y0 * y2,
@@ -255,10 +253,9 @@ def _slx3_coeffs(ys, forcing: ForcingTerm,
     return coeffs
 
 
-def _slx3_kernel(xs, ys, x_next: float, forcing: ForcingTerm,
-                 rhs_eval: RhsEvalPolicy) -> float | StopReason:
+def _slx3_kernel(xs, ys, x_next: float, forcing: ForcingTerm) -> float | StopReason:
     try:
-        roots = _real_roots(_slx3_coeffs(ys, forcing, rhs_eval))
+        roots = _real_roots(_slx3_coeffs(ys, forcing))
     except DegenerateCoefficientError:
         return StopReason.DEGENERATE_COEFFICIENT
     except NonFiniteError:
@@ -270,8 +267,7 @@ def _slx3_kernel(xs, ys, x_next: float, forcing: ForcingTerm,
     return t if _in_range(t) else StopReason.NON_FINITE
 
 
-def slx3_step(prev3: Stencil, x_next: float, forcing: ForcingTerm,
-              rhs_eval: RhsEvalPolicy = RhsEvalPolicy.NEW_POINT) -> float | StopReason:
+def slx3_step(prev3: Stencil, x_next: float, forcing: ForcingTerm) -> float | StopReason:
     """Advance the third-order hodograph scheme on a uniform lattice.
 
     Clears m3(prev3 + new point) = rhs into a polynomial of degree 2
@@ -280,7 +276,7 @@ def slx3_step(prev3: Stencil, x_next: float, forcing: ForcingTerm,
     """
     if len(prev3) != 3:
         raise ValueError("slx3_step needs 3 previous points")
-    return _slx3_kernel(prev3.xs, prev3.ys, x_next, forcing, rhs_eval)
+    return _slx3_kernel(prev3.xs, prev3.ys, x_next, forcing)
 
 
 def _h5_line(xs, ys, x_next: float, c: float) -> tuple[float, float, float]:
@@ -348,7 +344,7 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
         params = (_sly4_line, (lambda _x, c=f.c: c) if isinstance(f, Constant) else f.fn)
     elif spec.scheme is SchemeKind.SLX3:
         kernel = _slx3_kernel
-        params = (f, spec.rhs_eval)
+        params = (f,)
     else:
         kernel = _linear_kernel
         params = (_h5_line, f.c)

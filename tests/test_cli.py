@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from invdisc import SchemeKind, StopReason, Trajectory, seed_stencil_from_function
+from invdisc import (IdentityInY, SchemeKind, SchemeSpec, StopReason, Trajectory, Uniform,
+                     integrate, seed_stencil_from_function)
 from invdisc import cli
 from invdisc.cli import MAX_STEPS, main, read_trajectory_csv, write_trajectory_csv
 
@@ -47,6 +48,13 @@ def test_csv_rejects_malformed(tmp_path, capsys):
     assert main(["chi", str(q), str(q)]) == 2
     err = capsys.readouterr().err
     assert str(q) in err and "stop" in err
+    # a bad '# h:' value and a row that is not two numbers name the file and line
+    for text, where in (("x,y\n0,1\n# h: abc\n1,2\n", ":3:"),
+                        ("# h: 0.5\nx,y\n0,1\n1,abc\n", ":4:"),
+                        ("x,y\n0,1,2\n", ":2:")):
+        q.write_text(text)
+        assert main(["chi", str(q), str(q)]) == 2
+        assert f"{q}{where}" in capsys.readouterr().err
 
 
 # --- solve ---------------------------------------------------------------------------
@@ -108,15 +116,34 @@ def test_solve_config_block_of_readme(tmp_path, monkeypatch):
     assert len(read_trajectory_csv(tmp_path / "traj.csv")) == 53
 
 
+def test_solve_y_mean_is_the_stencil_mean_forcing(tmp_path):
+    seed_path = _write_seed_csv(tmp_path / "seed.csv", lambda x: 10.0 - x - 5.0 * x * x,
+                                0.0, 1e-3, 3)
+    runs = {}
+    for forcing in ("y", "y-mean"):
+        out = tmp_path / f"{forcing}.csv"
+        assert main(["solve", "--scheme", "slx3", "--forcing", forcing, "--h", "1e-3",
+                     "--steps", "300", "--seed", str(seed_path), "--out", str(out)]) == 0
+        runs[forcing] = read_trajectory_csv(out)
+    seed = seed_stencil_from_function(lambda x: 10.0 - x - 5.0 * x * x, 0.0, 1e-3, 3)
+    spec = SchemeSpec(SchemeKind.SLX3, IdentityInY(stencil_mean=True), Uniform(1e-3))
+    want = integrate(spec, seed, 300)
+    got = runs["y-mean"]
+    assert (got.xs, got.ys, got.stop) == (want.xs, want.ys, want.stop)
+    assert runs["y"].ys != got.ys
+
+
 def test_solve_validation_failures(tmp_path):
     seed = _write_seed_csv(tmp_path / "seed.csv", math.atanh, -0.5, 0.01, 3)
     # missing out
     assert main(["solve", "--scheme", "slx3", "--forcing", "const", "--c", "2",
                  "--h", "0.01", "--steps", "5", "--seed", str(seed)]) == 2
     # bad forcing for the scheme
-    assert main(["solve", "--scheme", "h5", "--forcing", "y", "--h", "0.01",
-                 "--steps", "5", "--seed", str(seed),
-                 "--out", str(tmp_path / "x.csv")]) == 2
+    for forcing in ("y", "y-mean"):
+        for scheme in ("sly4", "h5"):
+            assert main(["solve", "--scheme", scheme, "--forcing", forcing, "--h", "0.01",
+                         "--steps", "5", "--seed", str(seed),
+                         "--out", str(tmp_path / "x.csv")]) == 2
     # a constant without constant forcing
     assert main(["solve", "--scheme", "slx3", "--forcing", "y", "--c", "5",
                  "--h", "0.01", "--steps", "5", "--seed", str(seed),
@@ -159,6 +186,22 @@ def test_chi_mismatch(tmp_path, other):
                                        StopReason.COMPLETED, "test", 0.1))
     write_trajectory_csv(b, other)
     assert main(["chi", str(a), str(b)]) == 2
+
+
+def test_chi_against_exact_skips_singular_abscissae(tmp_path, capsys):
+    # example 4's lattice lands on the pole at x = 0; the summary leaves it out
+    out = tmp_path / "ex4"
+    assert main(["example", "4", "--out", str(out)]) == 0
+    summary = [l for l in capsys.readouterr().out.splitlines()
+               if l.startswith("chi vs exact: ")]
+    assert main(["chi", str(out / "invariant.csv"), "one-over-one-minus-exp"]) == 0
+    value, err = capsys.readouterr()
+    assert summary == [f"chi vs exact: {value.strip()}"]
+    assert "1 of 45 points left out" in err
+    # no point left: exit 2
+    p = tmp_path / "pole.csv"
+    write_trajectory_csv(p, Trajectory((0.0, 1e-17), (1.0, 2.0), StopReason.COMPLETED, "x", 1.0))
+    assert main(["chi", str(p), "one-over-one-minus-exp"]) == 2
 
 
 def test_chi_on_common_prefix(tmp_path, capsys):
@@ -390,10 +433,9 @@ def _fuzz_options(command, tmp_path):
     if command == "solve":
         return [("--config", [None, str(config)], [str(tmp_path / "missing.cfg")]),
                 ("--scheme", [k.value for k in SchemeKind], ["rk4", None]),
-                ("--forcing", ["const", "y", "cos", "zero", None], ["tan"]),
+                ("--forcing", ["const", "y", "y-mean", "cos", "zero", None], ["tan"]),
                 ("--c", ["0.5", "2", None], NUMBERS), ("--h", ["0.1"], NUMBERS + [None]),
                 ("--steps", *steps),
-                ("--rhs-eval", ["new-point", "stencil-mean", None], ["x"]),
                 ("--seed", [seed], files + [None]),
                 ("--out", [str(tmp_path / "out.csv")], [str(tmp_path), None])]
     if command == "chi":

@@ -75,15 +75,16 @@ def test_scheme_spec_forcing_rules():
     u = Uniform(0.1)
     SchemeSpec(SchemeKind.SLY4, FunctionOfX(math.cos), u)
     SchemeSpec(SchemeKind.SLY4, Constant(1.0), u)
-    with pytest.raises(ValueError):
-        SchemeSpec(SchemeKind.SLY4, IdentityInY(), u)
     SchemeSpec(SchemeKind.SLX3, Constant(2.0), u)
-    SchemeSpec(SchemeKind.SLX3, IdentityInY(), u)
     with pytest.raises(ValueError):
         SchemeSpec(SchemeKind.SLX3, FunctionOfX(math.cos), u)
     SchemeSpec(SchemeKind.H5, Constant(0.0), u)
-    with pytest.raises(ValueError):
-        SchemeSpec(SchemeKind.H5, IdentityInY(), u)
+    # the stencil mean is one of the two identity forcings: slx3 only
+    for mean in (False, True):
+        SchemeSpec(SchemeKind.SLX3, IdentityInY(mean), u)
+        for kind in (SchemeKind.SLY4, SchemeKind.H5):
+            with pytest.raises(ValueError):
+                SchemeSpec(kind, IdentityInY(mean), u)
 
 
 def test_scheme_spec_rejects_non_uniform_lattice():

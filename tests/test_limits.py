@@ -24,6 +24,10 @@ def test_probe_validation():
         LimitProbe("l3", jet_exp, 0.0, (0.01, 0.005))
     with pytest.raises(ValueError):
         LimitProbe("nope", jet_exp, 0.0, geometric(0.01, 0.5, 4))
+    # every comparison with NaN is false, so a NaN ladder is not decreasing
+    for hs in ((math.nan,) * 4, (0.01, math.nan, 0.005, 0.001), (math.inf, 1.0, 0.5, 0.1)):
+        with pytest.raises(ValueError):
+            LimitProbe("l3", jet_exp, 0.0, hs)
 
 
 def test_l3_probe_on_log():

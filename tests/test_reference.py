@@ -143,16 +143,13 @@ def test_exact_jets_at_reference_points():
 
 
 def test_domain_errors():
-    with pytest.raises(DomainError):
-        log_abs().eval_fn(0.0)
-    with pytest.raises(DomainError):
-        arctanh_solution().eval_fn(1.0)
-    with pytest.raises(DomainError):
-        one_over_one_minus_exp().eval_fn(0.0)
-    with pytest.raises(DomainError):
-        tan_reciprocal().eval_fn(0.0)
-    with pytest.raises(DomainError):
-        log_abs().jet_fn(0.0)
+    # both evaluators; at +-1e-17, e^x rounds to 1 and 1 - e^x to 0
+    for sol, x in ((log_abs(), 0.0), (arctanh_solution(), 1.0), (tan_reciprocal(), 0.0),
+                   *((one_over_one_minus_exp(), x) for x in (0.0, 1e-17, -1e-17))):
+        with pytest.raises(DomainError):
+            sol.eval_fn(x)
+        with pytest.raises(DomainError):
+            sol.jet_fn(x)
 
 
 @pytest.mark.parametrize("sol,fm,xs", [

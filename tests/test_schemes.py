@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from invdisc import (Constant, CrossRatioWindow, FunctionOfX, IdentityInY,
-                     NonFiniteError, RhsEvalPolicy, SchemeKind, SchemeSpec,
-                     Stencil, StopReason, Trajectory, Uniform, cross_ratio, h5_uniform,
+                     NonFiniteError, SchemeKind, SchemeSpec, Stencil, StopReason,
+                     Trajectory, Uniform, cross_ratio, h5_uniform,
                      integrate, l3, l4, m3, seed_stencil_from_function, select_root,
                      slx3_step, sly4_step, solve_poly, stencil_from_sequences)
 from invdisc import schemes
@@ -119,12 +119,12 @@ def test_sly4_consistency_with_forcing():
 def test_slx3_degree_contract():
     st3 = stencil_from_sequences([0.0, 0.5, 1.0], [0.0, 0.4, 0.7])
 
-    def degree(forcing, rhs_eval=RhsEvalPolicy.NEW_POINT):
-        return len(schemes._slx3_coeffs(st3.ys, forcing, rhs_eval)) - 1
+    def degree(forcing):
+        return len(schemes._slx3_coeffs(st3.ys, forcing)) - 1
 
     assert degree(Constant(0.5)) == 2
     assert degree(IdentityInY()) == 3
-    assert degree(IdentityInY(), RhsEvalPolicy.STENCIL_MEAN) == 3
+    assert degree(IdentityInY(stencil_mean=True)) == 3
     # zero constant forcing degenerates to the linear weakly-invariant form
     assert degree(Constant(0.0)) == 1
 
@@ -143,7 +143,7 @@ def test_slx3_consistency():
                                   list(st3.ys) + [out])
     assert abs(m3(full) - out) <= 1e-10 * abs(out)
 
-    out = slx3_step(st3, 1.5, IdentityInY(), RhsEvalPolicy.STENCIL_MEAN)
+    out = slx3_step(st3, 1.5, IdentityInY(stencil_mean=True))
     mean = (sum(st3.ys) + out) / 4.0
     full = stencil_from_sequences([0.0, 0.5, 1.0, 1.5],
                                   list(st3.ys) + [out])
@@ -370,7 +370,7 @@ def _stepped_by_hand(spec, seed, n_steps):
             fn = f.fn if isinstance(f, FunctionOfX) else (lambda _x: f.c)
             out = sly4_step(window, x_next, fn)
         elif spec.scheme is SchemeKind.SLX3:
-            out = slx3_step(window, x_next, f, spec.rhs_eval)
+            out = slx3_step(window, x_next, f)
         else:
             out = h5_step(window, x_next, f.c)
         if isinstance(out, StopReason):
@@ -380,8 +380,8 @@ def _stepped_by_hand(spec, seed, n_steps):
     return xs, ys, StopReason.COMPLETED
 
 
-def _slx3(forcing, h, rhs_eval=RhsEvalPolicy.NEW_POINT):
-    return SchemeSpec(SchemeKind.SLX3, forcing, Uniform(h), rhs_eval)
+def _slx3(forcing, h):
+    return SchemeSpec(SchemeKind.SLX3, forcing, Uniform(h))
 
 
 LOG_ABS = lambda x: math.log(abs(x))
@@ -402,9 +402,9 @@ EQUIVALENCE_CASES = [
      100, StopReason.COMPLETED),
     ("slx3-arctanh", _slx3(Constant(2.0), 0.01), ARCTANH_SEED, 178, StopReason.COMPLETED),
     # "nearest": the root nearest the prediction, the scheme's one root rule
-    *((f"slx3-cubic-{rhs.value}-nearest", _slx3(IdentityInY(), 1e-3, rhs),
+    *((f"slx3-cubic-{where}-nearest", _slx3(IdentityInY(stencil_mean=mean), 1e-3),
        seed_stencil_from_function(CUBIC_SEED, 0.0, 1e-3, 3), 300, None)
-      for rhs in RhsEvalPolicy),
+      for where, mean in (("new-point", False), ("stencil-mean", True))),
     ("slx3-log-barrier", _slx3(Constant(0.5), 1e-3),
      seed_stencil_from_function(LOG_ABS, -0.05, 1e-3, 3), 100, StopReason.NO_REAL_ROOT),
     ("slx3-backward", _slx3(Constant(0.5), -1e-3),
@@ -452,23 +452,23 @@ WINDOWS = st.one_of(
 @given(kind=st.sampled_from(list(SchemeKind)), ys=WINDOWS,
        x0=st.floats(-10.0, 10.0), h=st.floats(1e-6, 1.0), backward=st.booleans(),
        c=st.floats(-3.0, 3.0), forcing_of_state=st.booleans(),
-       rhs_eval=st.sampled_from(list(RhsEvalPolicy)))
+       stencil_mean=st.booleans())
 def test_steps_and_integrate_never_raise(kind, ys, x0, h, backward, c, forcing_of_state,
-                                         rhs_eval):
+                                         stencil_mean):
     h = -h if backward else h
     if kind is SchemeKind.SLY4:
         forcing = FunctionOfX(math.cos) if forcing_of_state else Constant(c)
     elif kind is SchemeKind.SLX3:
-        forcing = IdentityInY() if forcing_of_state else Constant(c)
+        forcing = IdentityInY(stencil_mean) if forcing_of_state else Constant(c)
     else:
         forcing = Constant(c)
-    spec = SchemeSpec(kind, forcing, Uniform(h), rhs_eval)
+    spec = SchemeSpec(kind, forcing, Uniform(h))
     seed = stencil_from_sequences([x0 + k * h for k in range(spec.arity)], ys[:spec.arity])
     x_next = x0 + spec.arity * h
     if kind is SchemeKind.SLY4:
         out = sly4_step(seed, x_next, math.cos if forcing_of_state else (lambda _x: c))
     elif kind is SchemeKind.SLX3:
-        out = slx3_step(seed, x_next, forcing, rhs_eval)
+        out = slx3_step(seed, x_next, forcing)
     else:
         out = h5_step(seed, x_next, c)
     assert isinstance(out, (float, StopReason))
