@@ -77,9 +77,13 @@ def _rk4_step3(rhs, x, h, u):
     d1, d2 = u1 + h * c2, u2 + h * c
     d = rhs(x + h, (u0 + h * c1, d1, d2))
     sixth = h / 6.0
-    return (u0 + sixth * (u1 + 2.0 * (b1 + c1) + d1),
-            u1 + sixth * (u2 + 2.0 * (b2 + c2) + d2),
-            u2 + sixth * (a + 2.0 * (b + c) + d))
+    n0 = u0 + sixth * (u1 + 2.0 * (b1 + c1) + d1)
+    n1 = u1 + sixth * (u2 + 2.0 * (b2 + c2) + d2)
+    n2 = u2 + sixth * (a + 2.0 * (b + c) + d)
+    L = OVERFLOW_LIMIT
+    if abs(n0) <= L and abs(n1) <= L and abs(n2) <= L:
+        return (n0, n1, n2)
+    return None
 
 
 def _rk4_step4(rhs, x, h, u):
@@ -93,10 +97,14 @@ def _rk4_step4(rhs, x, h, u):
     d1, d2, d3 = u1 + h * c2, u2 + h * c3, u3 + h * c
     d = rhs(x + h, (u0 + h * c1, d1, d2, d3))
     sixth = h / 6.0
-    return (u0 + sixth * (u1 + 2.0 * (b1 + c1) + d1),
-            u1 + sixth * (u2 + 2.0 * (b2 + c2) + d2),
-            u2 + sixth * (u3 + 2.0 * (b3 + c3) + d3),
-            u3 + sixth * (a + 2.0 * (b + c) + d))
+    n0 = u0 + sixth * (u1 + 2.0 * (b1 + c1) + d1)
+    n1 = u1 + sixth * (u2 + 2.0 * (b2 + c2) + d2)
+    n2 = u2 + sixth * (u3 + 2.0 * (b3 + c3) + d3)
+    n3 = u3 + sixth * (a + 2.0 * (b + c) + d)
+    L = OVERFLOW_LIMIT
+    if abs(n0) <= L and abs(n1) <= L and abs(n2) <= L and abs(n3) <= L:
+        return (n0, n1, n2, n3)
+    return None
 
 
 def _rk4_step5(rhs, x, h, u):
@@ -110,11 +118,15 @@ def _rk4_step5(rhs, x, h, u):
     d1, d2, d3, d4 = u1 + h * c2, u2 + h * c3, u3 + h * c4, u4 + h * c
     d = rhs(x + h, (u0 + h * c1, d1, d2, d3, d4))
     sixth = h / 6.0
-    return (u0 + sixth * (u1 + 2.0 * (b1 + c1) + d1),
-            u1 + sixth * (u2 + 2.0 * (b2 + c2) + d2),
-            u2 + sixth * (u3 + 2.0 * (b3 + c3) + d3),
-            u3 + sixth * (u4 + 2.0 * (b4 + c4) + d4),
-            u4 + sixth * (a + 2.0 * (b + c) + d))
+    n0 = u0 + sixth * (u1 + 2.0 * (b1 + c1) + d1)
+    n1 = u1 + sixth * (u2 + 2.0 * (b2 + c2) + d2)
+    n2 = u2 + sixth * (u3 + 2.0 * (b3 + c3) + d3)
+    n3 = u3 + sixth * (u4 + 2.0 * (b4 + c4) + d4)
+    n4 = u4 + sixth * (a + 2.0 * (b + c) + d)
+    L = OVERFLOW_LIMIT
+    if abs(n0) <= L and abs(n1) <= L and abs(n2) <= L and abs(n3) <= L and abs(n4) <= L:
+        return (n0, n1, n2, n3, n4)
+    return None
 
 
 _RK4_STEPS = {3: _rk4_step3, 4: _rk4_step4, 5: _rk4_step5}
@@ -133,6 +145,9 @@ def rk4_integrate(sys: OdeSystem, init: Sequence[float], x0: float, h: float,
     with the same float operations in the same order as the textbook loop
     over slope tuples, so the output is bit-identical to it;
     ``tests/test_reference.py`` checks that against a copy of that loop.
+    Each stage function also tests its own components against
+    OVERFLOW_LIMIT and returns None past it; the test is false for NaN and
+    +-inf as well.
     """
     if len(init) != sys.order:
         raise ValueError(f"init needs {sys.order} values, got {len(init)}")
@@ -148,15 +163,12 @@ def rk4_integrate(sys: OdeSystem, init: Sequence[float], x0: float, h: float,
     stop = StopReason.COMPLETED
     for k in range(n):
         try:
-            u_new = step(rhs, x0 + k * h, h, u)
+            u = step(rhs, x0 + k * h, h, u)
         except (ZeroDivisionError, OverflowError):
+            u = None
+        if u is None:
             stop = StopReason.NON_FINITE
             break
-        # the bound is false for NaN and +-inf as well
-        if not all(abs(v) <= OVERFLOW_LIMIT for v in u_new):
-            stop = StopReason.NON_FINITE
-            break
-        u = u_new
         xs.append(x0 + (k + 1) * h)
         ys.append(u[0])
     return Trajectory(tuple(xs), tuple(ys), stop, f"rk4-{sys.name}", h)

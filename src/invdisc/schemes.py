@@ -2,42 +2,39 @@
 solving the invariant equation for the new ordinate.
 
 The fourth-order scheme (Mobius maps of y) and the six-point product-group
-scheme reduce to a linear equation in the new ordinate.  The third-order
-hodograph scheme is quadratic for constant forcing and cubic when the
-forcing is the dependent variable itself; all real roots are computed in
-closed form and the one nearest a quadratic extrapolation is kept.
+scheme reduce to a linear equation a*t = b in the new ordinate t.  The
+third-order hodograph scheme is quadratic for constant forcing and cubic
+when the forcing is the dependent variable itself; all real roots are
+computed in closed form and the one nearest a quadratic extrapolation is
+kept.
 
-Per scheme, a coefficient helper clears the invariant equation on plain
-floats and raises DegenerateCoefficientError on a vanishing denominator.  A
-kernel turns it into the new ordinate or the :class:`StopReason` that ends
-the run; :func:`integrate` drives the kernels over a rolling window, and
-the public ``*_step`` functions return what the same kernels return on one
-stencil.
+Each scheme has one straight-line kernel on plain floats that returns the
+new ordinate or the :class:`StopReason` that ends the run: ``_sly4_kernel``,
+``_h5_kernel``, and for ``slx3`` ``_slx3_kernel`` (constant forcing) and
+``_slx3_cubic_kernel`` (identity forcing).  A kernel evaluates invariants
+inline, with the float operations and degeneracy checks of
+:mod:`invdisc.discrete`, which stays their definition.  :func:`integrate`
+picks the kernel once per run and drives it over a rolling window; the
+public ``*_step`` functions run the same kernels on one stencil.
 """
 from __future__ import annotations
 
 import math
 from typing import Sequence
 
-from .core import (Constant, DegenerateCoefficientError, ForcingTerm,
-                   IdentityInY, NonFiniteError, OVERFLOW_LIMIT, SchemeKind,
-                   SchemeSpec, Stencil, StopReason, Trajectory, is_degenerate)
-from .discrete import _cross_ratio, _cross_ratio_line, _h5_r5_line, _l3
-
-
-def _in_range(y: float) -> bool:
-    """A new ordinate is kept only if finite and within OVERFLOW_LIMIT."""
-    return math.isfinite(y) and abs(y) <= OVERFLOW_LIMIT
+from .core import (Constant, DEGENERACY_RTOL, DegenerateCoefficientError,
+                   ForcingTerm, IdentityInY, NonFiniteError, OVERFLOW_LIMIT,
+                   SchemeKind, SchemeSpec, Stencil, StopReason, Trajectory,
+                   is_degenerate)
+from .discrete import _h5_r5_line
 
 
 # --- closed-form real roots ---------------------------------------------------
 
 def _horner(c: tuple[float, ...], t: float) -> float:
-    """c0 + c1*t + ... of a coefficient tuple of length 2..4."""
+    """c0 + c1*t + ... of a coefficient tuple of length 2 or 4."""
     if len(c) == 4:
         return ((c[3] * t + c[2]) * t + c[1]) * t + c[0]
-    if len(c) == 3:
-        return (c[2] * t + c[1]) * t + c[0]
     return c[1] * t + c[0]
 
 
@@ -45,8 +42,6 @@ def _horner_slope(c: tuple[float, ...], t: float) -> float:
     """Derivative in t of :func:`_horner`'s polynomial."""
     if len(c) == 4:
         return (3.0 * c[3] * t + 2.0 * c[2]) * t + c[1]
-    if len(c) == 3:
-        return 2.0 * c[2] * t + c[1]
     return c[1]
 
 
@@ -66,24 +61,36 @@ def _polish(c: tuple[float, ...], t: float) -> float:
     return t1 if abs(_horner(c, t1)) <= abs(p) else t
 
 
+def _quadratic_roots(c0: float, c1: float, c2: float) -> list[float]:
+    """Real roots of c0 + c1*t + c2*t^2 (c2 != 0) in ascending order, each
+    polished once as :func:`_polish` does."""
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    sq = math.sqrt(disc)
+    # Citardauq pairing avoids cancellation in the small root.
+    q = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0.0 else -0.5 * sq
+    roots = []
+    for t in ((0.0, 0.0) if q == 0.0 else (q / c2, c0 / q)):
+        dp = 2.0 * c2 * t + c1
+        if dp != 0.0 and math.isfinite(dp):
+            p = (c2 * t + c1) * t + c0
+            t1 = t - p / dp
+            if math.isfinite(t1) and abs((c2 * t1 + c1) * t1 + c0) <= abs(p):
+                t = t1
+        roots.append(t)
+    roots.sort()
+    return roots
+
+
 def _real_roots(c: tuple[float, ...]) -> list[float]:
     """All real roots of c0 + c1*t + ... (nonzero leading coefficient,
     degree 1..3) in ascending order, each polished once; raises
     NonFiniteError if a cubic's depressed coefficients overflow."""
+    if len(c) == 3:
+        return _quadratic_roots(c[0], c[1], c[2])
     if len(c) == 2:
         roots = [-c[0] / c[1]]
-    elif len(c) == 3:
-        a, b, cc = c[2], c[1], c[0]
-        disc = b * b - 4.0 * a * cc
-        if disc < 0.0:
-            return []
-        sq = math.sqrt(disc)
-        # Citardauq pairing avoids cancellation in the small root.
-        q = -0.5 * (b + math.copysign(sq, b)) if b != 0.0 else -0.5 * sq
-        if q == 0.0:
-            roots = [0.0, 0.0]
-        else:
-            roots = [q / a, cc / q]
     else:
         b, cc, d = c[2] / c[3], c[1] / c[3], c[0] / c[3]
         try:
@@ -170,32 +177,54 @@ def select_root(roots: list[float], prediction: float) -> float | None:
 
 
 # --- the three schemes --------------------------------------------------------
-# sly4 and h5 clear to a linear equation a*t = b and share their kernel.
+# Each kernel is (xs, ys, x_next, param) -> new ordinate | StopReason.  Its
+# inline checks |d| <= DEGENERACY_RTOL * scale are core.is_degenerate, and
+# abs(t) <= OVERFLOW_LIMIT is false for NaN and +-inf as well.
 
-def _linear_kernel(xs, ys, x_next: float, line, param) -> float | StopReason:
-    """Kernel of a scheme whose coefficient helper ``line`` gives (a, b, scale)
-    of its equation a*t = b: the root b/a, or why there is none."""
-    try:
-        a, b, scale = line(xs, ys, x_next, param)
-    except DegenerateCoefficientError:
+def _sly4_kernel(xs, ys, x_next: float, fn) -> float | StopReason:
+    """Kernel of the fourth-order scheme: l4(window + new point) = fn(x2),
+    i.e. l3 of the right window equals a target built from the left l3 and
+    the forcing, unwound to the cross-ratio of (y1, y2, y3, t) and cleared to
+    a*t = b.  The l3 and cross-ratio evaluations are discrete._l3 and
+    discrete._cross_ratio inline."""
+    x0, x1, x2, x3 = xs
+    y0, y1, y2, y3 = ys
+    # l3 of the window: 6 / ((x2-x1)(x3-x0)) * (1 - R/S)
+    dx21 = x2 - x1
+    d = dx21 * (x3 - x0)
+    if d == 0.0:  # underflow; the differences of distinct abscissae never vanish
         return StopReason.DEGENERATE_COEFFICIENT
+    dy32, dy10, dy31, dy20 = y3 - y2, y1 - y0, y3 - y1, y2 - y0
+    tol = DEGENERACY_RTOL * max(abs(dy32), abs(dy10), abs(dy31), abs(dy20))
+    if abs(dy32) <= tol or abs(dy10) <= tol:
+        return StopReason.DEGENERATE_COEFFICIENT
+    dx31, dx20, dx32 = x3 - x1, x2 - x0, x3 - x2
+    rx = dx31 * dx20
+    x_scale = max(abs(dx31), abs(dx20))
+    den = dy32 * dy10 * rx
+    if abs(rx) <= DEGENERACY_RTOL * (x_scale * x_scale) or den == 0.0:
+        return StopReason.DEGENERATE_COEFFICIENT
+    l3_left = 6.0 / d * (1.0 - (dy31 * dy20 * (dx32 * (x1 - x0))) / den)
+    # x cross-ratio of (x1, x2, x3, x_next)
+    n1, d1 = x_next - x2, x_next - x3
+    tol = DEGENERACY_RTOL * max(abs(n1), abs(dx31), abs(d1), abs(dx21))
+    den = d1 * dx21
+    if abs(d1) <= tol or abs(dx21) <= tol or den == 0.0:
+        return StopReason.DEGENERATE_COEFFICIENT
+    s4 = (n1 * dx31) / den
+    target = l3_left + fn(x2) * (x_next - x0) / 4.0
+    # l3 on the right window must equal `target`; unwind to a cross-ratio
+    # value v and clear cross-ratio(y1, y2, y3, t) = v to a*t = b
+    v = s4 * (1.0 - target * dx32 * (x_next - x1) / 6.0)
+    dy21 = y2 - y1
+    a = dy31 - v * dy21
+    b = y2 * dy31 - v * y3 * dy21
     if not (math.isfinite(a) and math.isfinite(b)):
         return StopReason.NON_FINITE
-    if is_degenerate(a, scale):
+    if abs(a) <= DEGENERACY_RTOL * max(abs(dy31), abs(v * dy21)):
         return StopReason.DEGENERATE_COEFFICIENT
     t = b / a
-    return t if _in_range(t) else StopReason.NON_FINITE
-
-
-def _sly4_line(xs, ys, x_next: float, forcing) -> tuple[float, float, float]:
-    """(a, b, scale) of the fourth-order scheme's equation a*t = b, cleared
-    from l4(window + new point) = f(x_mid)."""
-    l3_left = _l3(xs, ys, 0)
-    s4 = _cross_ratio(xs[1], xs[2], xs[3], x_next)
-    target = l3_left + forcing(xs[2]) * (x_next - xs[0]) / 4.0
-    # l3 on the right window must equal `target`; unwind to a cross-ratio value
-    v = s4 * (1.0 - target * (xs[3] - xs[2]) * (x_next - xs[1]) / 6.0)
-    return _cross_ratio_line(ys[1], ys[2], ys[3], v)
+    return t if abs(t) <= OVERFLOW_LIMIT else StopReason.NON_FINITE
 
 
 def sly4_step(prev4: Stencil, x_next: float, forcing) -> float | StopReason:
@@ -206,40 +235,52 @@ def sly4_step(prev4: Stencil, x_next: float, forcing) -> float | StopReason:
     """
     if len(prev4) != 4:
         raise ValueError("sly4_step needs 4 previous points")
-    return _linear_kernel(prev4.xs, prev4.ys, x_next, _sly4_line, forcing)
+    return _sly4_kernel(prev4.xs, prev4.ys, x_next, forcing)
 
 
-def _slx3_coeffs(ys, forcing: ForcingTerm) -> tuple[float, ...]:
-    """Cleared polynomial of the third-order scheme on a uniform lattice
-    (S = 4), low order first, with degenerate leading coefficients dropped."""
-    y0, y1, y2 = ys
+def _slx3_linear(y0: float, y1: float, y2: float) -> tuple[float, float, float]:
+    """(common, lin0, lin1) of the third-order scheme's cleared polynomial on
+    a uniform lattice (S = 4): lin0 + lin1*t is the weakly invariant part,
+    and the forcing enters multiplied by ``common``."""
     common = 4.0 * (y2 - y1) * (y1 - y0)
     # linear part: 24 (y1 - y0)(t - y2) - 6 (y2 - y0)(t - y1)
     lin1 = 24.0 * (y1 - y0) - 6.0 * (y2 - y0)
     lin0 = -24.0 * y2 * (y1 - y0) + 6.0 * y1 * (y2 - y0)
-    if isinstance(forcing, Constant):
-        c = forcing.c
-        coeffs = (lin0 - c * common * y0 * y2,
-                  lin1 + c * common * (y0 + y2),
-                  -c * common)
-    elif isinstance(forcing, IdentityInY):
-        if not forcing.stencil_mean:
-            # rhs(t) = t
-            coeffs = (lin0,
-                      lin1 - common * y0 * y2,
-                      common * (y0 + y2),
-                      -common)
-        else:
-            # rhs(t) = (y0 + y1 + y2 + t)/4
-            s3 = y0 + y1 + y2
-            q = common / 4.0
-            coeffs = (lin0 - q * s3 * y0 * y2,
-                      lin1 - q * (y0 * y2 - s3 * (y0 + y2)),
-                      -q * (s3 - y0 - y2),
-                      -q)
-    else:
-        raise ValueError("slx3 forcing must be constant or the identity in y")
-    # drop degenerate leading coefficients (scale-aware)
+    return common, lin0, lin1
+
+
+def _slx3_quadratic(y0: float, y1: float, y2: float,
+                    c: float) -> tuple[float, float, float]:
+    """Cleared polynomial for constant forcing c, low order first."""
+    common, lin0, lin1 = _slx3_linear(y0, y1, y2)
+    return (lin0 - c * common * y0 * y2,
+            lin1 + c * common * (y0 + y2),
+            -c * common)
+
+
+def _slx3_cubic(y0: float, y1: float, y2: float,
+                stencil_mean: bool) -> tuple[float, float, float, float]:
+    """Cleared polynomial for identity forcing, low order first."""
+    common, lin0, lin1 = _slx3_linear(y0, y1, y2)
+    if not stencil_mean:
+        # rhs(t) = t
+        return (lin0,
+                lin1 - common * y0 * y2,
+                common * (y0 + y2),
+                -common)
+    # rhs(t) = (y0 + y1 + y2 + t)/4
+    s3 = y0 + y1 + y2
+    q = common / 4.0
+    return (lin0 - q * s3 * y0 * y2,
+            lin1 - q * (y0 * y2 - s3 * (y0 + y2)),
+            -q * (s3 - y0 - y2),
+            -q)
+
+
+def _trimmed(coeffs: tuple[float, ...]) -> tuple[float, ...]:
+    """The polynomial with degenerate leading coefficients dropped
+    (scale-aware); raises DegenerateCoefficientError if what is left
+    degenerates as well."""
     scale = max(map(abs, coeffs))
     n = len(coeffs)
     while n > 2 and is_degenerate(coeffs[n - 1], scale):
@@ -253,9 +294,11 @@ def _slx3_coeffs(ys, forcing: ForcingTerm) -> tuple[float, ...]:
     return coeffs
 
 
-def _slx3_kernel(xs, ys, x_next: float, forcing: ForcingTerm) -> float | StopReason:
+def _slx3_roots(xs, ys, x_next: float, coeffs: tuple[float, ...]) -> float | StopReason:
+    """The new ordinate from the third-order scheme's cleared polynomial:
+    the real root nearest the prediction, or why there is none."""
     try:
-        roots = _real_roots(_slx3_coeffs(ys, forcing))
+        roots = _real_roots(_trimmed(coeffs))
     except DegenerateCoefficientError:
         return StopReason.DEGENERATE_COEFFICIENT
     except NonFiniteError:
@@ -264,7 +307,39 @@ def _slx3_kernel(xs, ys, x_next: float, forcing: ForcingTerm) -> float | StopRea
         return StopReason.NO_REAL_ROOT
     # the prediction matters only when choosing among several roots
     t = roots[0] if len(roots) == 1 else select_root(roots, _extrapolate(xs, ys, x_next))
-    return t if _in_range(t) else StopReason.NON_FINITE
+    return t if abs(t) <= OVERFLOW_LIMIT else StopReason.NON_FINITE
+
+
+def _slx3_kernel(xs, ys, x_next: float, c: float) -> float | StopReason:
+    """Kernel of the third-order scheme with constant forcing c: the
+    quadratic's root nearest the prediction, as :func:`_slx3_roots` finds
+    it.  A degenerate leading coefficient takes that general path."""
+    c0, c1, c2 = _slx3_quadratic(ys[0], ys[1], ys[2], c)
+    if c2 == 0.0 or abs(c2) <= DEGENERACY_RTOL * max(abs(c0), abs(c1), abs(c2)):
+        return _slx3_roots(xs, ys, x_next, (c0, c1, c2))
+    roots = _quadratic_roots(c0, c1, c2)
+    if not roots:
+        return StopReason.NO_REAL_ROOT
+    lo, hi = roots
+    # select_root: the root nearest the prediction, ties to the smaller one
+    p = _extrapolate(xs, ys, x_next)
+    d_lo, d_hi = abs(lo - p), abs(hi - p)
+    t = hi if d_hi < d_lo or (d_hi == d_lo and hi < lo) else lo
+    return t if abs(t) <= OVERFLOW_LIMIT else StopReason.NON_FINITE
+
+
+def _slx3_cubic_kernel(xs, ys, x_next: float, stencil_mean: bool) -> float | StopReason:
+    """Kernel of the third-order scheme with identity forcing."""
+    return _slx3_roots(xs, ys, x_next, _slx3_cubic(ys[0], ys[1], ys[2], stencil_mean))
+
+
+def _slx3_kernel_for(forcing: ForcingTerm):
+    """The third-order scheme's kernel for ``forcing`` and its parameter."""
+    if isinstance(forcing, Constant):
+        return _slx3_kernel, forcing.c
+    if isinstance(forcing, IdentityInY):
+        return _slx3_cubic_kernel, forcing.stencil_mean
+    raise ValueError("slx3 forcing must be constant or the identity in y")
 
 
 def slx3_step(prev3: Stencil, x_next: float, forcing: ForcingTerm) -> float | StopReason:
@@ -276,18 +351,42 @@ def slx3_step(prev3: Stencil, x_next: float, forcing: ForcingTerm) -> float | St
     """
     if len(prev3) != 3:
         raise ValueError("slx3_step needs 3 previous points")
-    return _slx3_kernel(prev3.xs, prev3.ys, x_next, forcing)
+    kernel, param = _slx3_kernel_for(forcing)
+    return kernel(prev3.xs, prev3.ys, x_next, param)
 
 
-def _h5_line(xs, ys, x_next: float, c: float) -> tuple[float, float, float]:
-    """(a, b, scale) of the six-point scheme's equation a*t = b; the
-    abscissae do not enter on a uniform lattice."""
-    r3 = _cross_ratio(ys[0], ys[1], ys[2], ys[3])
-    r4 = _cross_ratio(ys[1], ys[2], ys[3], ys[4])
-    a_r5, b_r5, scale_r = _h5_r5_line(r3, r4, c)
-    if is_degenerate(a_r5, scale_r):
-        raise DegenerateCoefficientError("R5 coefficient vanishes")
-    return _cross_ratio_line(ys[2], ys[3], ys[4], b_r5 / a_r5)
+def _h5_kernel(xs, ys, x_next: float, c: float) -> float | StopReason:
+    """Kernel of the six-point scheme: the y cross-ratios R3 and R4 of the
+    window give R5 from :func:`discrete._h5_r5_line`, and cross-ratio(y2, y3,
+    y4, t) = R5 clears to a*t = b.  The abscissae do not enter on a uniform
+    lattice.  The cross-ratios are discrete._cross_ratio inline."""
+    y0, y1, y2, y3, y4 = ys
+    # R3 = cross-ratio(y0, y1, y2, y3)
+    dy31, dy20, dy32, dy10 = y3 - y1, y2 - y0, y3 - y2, y1 - y0
+    tol = DEGENERACY_RTOL * max(abs(dy31), abs(dy20), abs(dy32), abs(dy10))
+    den = dy32 * dy10
+    if abs(dy32) <= tol or abs(dy10) <= tol or den == 0.0:
+        return StopReason.DEGENERATE_COEFFICIENT
+    r3 = (dy31 * dy20) / den
+    # R4 = cross-ratio(y1, y2, y3, y4)
+    dy42, dy43, dy21 = y4 - y2, y4 - y3, y2 - y1
+    tol = DEGENERACY_RTOL * max(abs(dy42), abs(dy31), abs(dy43), abs(dy21))
+    den = dy43 * dy21
+    if abs(dy43) <= tol or abs(dy21) <= tol or den == 0.0:
+        return StopReason.DEGENERATE_COEFFICIENT
+    r4 = (dy42 * dy31) / den
+    a_r5, b_r5, scale = _h5_r5_line(r3, r4, c)
+    if abs(a_r5) <= DEGENERACY_RTOL * scale:
+        return StopReason.DEGENERATE_COEFFICIENT
+    v = b_r5 / a_r5
+    a = dy42 - v * dy32
+    b = y3 * dy42 - v * y4 * dy32
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return StopReason.NON_FINITE
+    if abs(a) <= DEGENERACY_RTOL * max(abs(dy42), abs(v * dy32)):
+        return StopReason.DEGENERATE_COEFFICIENT
+    t = b / a
+    return t if abs(t) <= OVERFLOW_LIMIT else StopReason.NON_FINITE
 
 
 def h5_step(prev5: Stencil, x_next: float, c: float) -> float | StopReason:
@@ -299,7 +398,7 @@ def h5_step(prev5: Stencil, x_next: float, c: float) -> float | StopReason:
     """
     if len(prev5) != 5:
         raise ValueError("h5_step needs 5 previous points")
-    return _linear_kernel(prev5.xs, prev5.ys, x_next, _h5_line, c)
+    return _h5_kernel(prev5.xs, prev5.ys, x_next, c)
 
 
 # --- trajectory driver --------------------------------------------------------
@@ -340,14 +439,12 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
         raise ValueError(f"{spec.scheme.value} needs a {arity}-point seed, got {len(seed)}")
     f = spec.forcing
     if spec.scheme is SchemeKind.SLY4:
-        kernel = _linear_kernel
-        params = (_sly4_line, (lambda _x, c=f.c: c) if isinstance(f, Constant) else f.fn)
+        kernel = _sly4_kernel
+        param = (lambda _x, c=f.c: c) if isinstance(f, Constant) else f.fn
     elif spec.scheme is SchemeKind.SLX3:
-        kernel = _slx3_kernel
-        params = (f,)
+        kernel, param = _slx3_kernel_for(f)
     else:
-        kernel = _linear_kernel
-        params = (_h5_line, f.c)
+        kernel, param = _h5_kernel, f.c
     h = spec.lattice.h
     _check_lattice(seed, h, n_steps)
     x0 = seed.xs[0]
@@ -356,7 +453,7 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
     stop = StopReason.COMPLETED
     for n in range(arity, arity + n_steps):
         x = x0 + n * h
-        y = kernel(xs, ys, x, *params)
+        y = kernel(xs, ys, x, param)
         if y.__class__ is StopReason:
             stop = y
             break

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from invdisc import Jet, NonFiniteError, StopReason, Trajectory
-from invdisc.core import OVERFLOW_LIMIT
+from invdisc import (Constant, DegenerateCoefficientError, Jet, NonFiniteError,
+                     SchemeKind, StopReason, Trajectory)
+from invdisc.core import OVERFLOW_LIMIT, is_degenerate
+from invdisc.discrete import _cross_ratio, _cross_ratio_line, _h5_r5_line, _l3
+from invdisc.schemes import extrapolate, select_root
 
 
 def make_mobius(a, b, c, d):
@@ -108,3 +111,166 @@ def rk4_reference_loop(sys, init, x0, h, n):
         xs.append(x0 + (k + 1) * h)
         ys.append(u[0])
     return Trajectory(tuple(xs), tuple(ys), stop, f"rk4-{sys.name}", h)
+
+
+# --- a test-only copy of the composed scheme kernels ------------------------------
+# Each scheme step as a chain of small functions over the invariants of
+# invdisc.discrete; the straight-line kernels of invdisc.schemes must agree
+# with it bit for bit.
+
+def _ref_linear_kernel(xs, ys, x_next, line, param):
+    try:
+        a, b, scale = line(xs, ys, x_next, param)
+    except DegenerateCoefficientError:
+        return StopReason.DEGENERATE_COEFFICIENT
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return StopReason.NON_FINITE
+    if is_degenerate(a, scale):
+        return StopReason.DEGENERATE_COEFFICIENT
+    t = b / a
+    return t if math.isfinite(t) and abs(t) <= OVERFLOW_LIMIT else StopReason.NON_FINITE
+
+
+def _ref_sly4_line(xs, ys, x_next, forcing):
+    l3_left = _l3(xs, ys, 0)
+    s4 = _cross_ratio(xs[1], xs[2], xs[3], x_next)
+    target = l3_left + forcing(xs[2]) * (x_next - xs[0]) / 4.0
+    v = s4 * (1.0 - target * (xs[3] - xs[2]) * (x_next - xs[1]) / 6.0)
+    return _cross_ratio_line(ys[1], ys[2], ys[3], v)
+
+
+def _ref_h5_line(xs, ys, x_next, c):
+    r3 = _cross_ratio(ys[0], ys[1], ys[2], ys[3])
+    r4 = _cross_ratio(ys[1], ys[2], ys[3], ys[4])
+    a_r5, b_r5, scale_r = _h5_r5_line(r3, r4, c)
+    if is_degenerate(a_r5, scale_r):
+        raise DegenerateCoefficientError("R5 coefficient vanishes")
+    return _cross_ratio_line(ys[2], ys[3], ys[4], b_r5 / a_r5)
+
+
+def _ref_slx3_coeffs(ys, forcing):
+    y0, y1, y2 = ys
+    common = 4.0 * (y2 - y1) * (y1 - y0)
+    lin1 = 24.0 * (y1 - y0) - 6.0 * (y2 - y0)
+    lin0 = -24.0 * y2 * (y1 - y0) + 6.0 * y1 * (y2 - y0)
+    if isinstance(forcing, Constant):
+        c = forcing.c
+        coeffs = (lin0 - c * common * y0 * y2, lin1 + c * common * (y0 + y2), -c * common)
+    elif not forcing.stencil_mean:
+        coeffs = (lin0, lin1 - common * y0 * y2, common * (y0 + y2), -common)
+    else:
+        s3 = y0 + y1 + y2
+        q = common / 4.0
+        coeffs = (lin0 - q * s3 * y0 * y2, lin1 - q * (y0 * y2 - s3 * (y0 + y2)),
+                  -q * (s3 - y0 - y2), -q)
+    scale = max(map(abs, coeffs))
+    n = len(coeffs)
+    while n > 2 and is_degenerate(coeffs[n - 1], scale):
+        n -= 1
+    if n < len(coeffs):
+        coeffs = coeffs[:n]
+        scale = max(map(abs, coeffs))
+    if coeffs[-1] == 0.0 or is_degenerate(coeffs[-1], scale):
+        raise DegenerateCoefficientError("scheme polynomial degenerates")
+    return coeffs
+
+
+def _ref_horner(c, t):
+    acc = 0.0
+    for k, ck in enumerate(reversed(c)):
+        acc = acc * t + ck if k else ck
+    return acc
+
+
+def _ref_polish(c, t):
+    if len(c) == 4:
+        dp = (3.0 * c[3] * t + 2.0 * c[2]) * t + c[1]
+    elif len(c) == 3:
+        dp = 2.0 * c[2] * t + c[1]
+    else:
+        dp = c[1]
+    if dp == 0.0 or not math.isfinite(dp):
+        return t
+    p = _ref_horner(c, t)
+    t1 = t - p / dp
+    if not math.isfinite(t1):
+        return t
+    return t1 if abs(_ref_horner(c, t1)) <= abs(p) else t
+
+
+def _ref_cbrt(v):
+    return math.copysign(abs(v) ** (1.0 / 3.0), v)
+
+
+def _ref_real_roots(c):
+    if len(c) == 2:
+        roots = [-c[0] / c[1]]
+    elif len(c) == 3:
+        a, b, cc = c[2], c[1], c[0]
+        disc = b * b - 4.0 * a * cc
+        if disc < 0.0:
+            return []
+        sq = math.sqrt(disc)
+        q = -0.5 * (b + math.copysign(sq, b)) if b != 0.0 else -0.5 * sq
+        roots = [0.0, 0.0] if q == 0.0 else [q / a, cc / q]
+    else:
+        b, cc, d = c[2] / c[3], c[1] / c[3], c[0] / c[3]
+        try:
+            pp = cc - b * b / 3.0
+            qq = 2.0 * b ** 3 / 27.0 - b * cc / 3.0 + d
+            cube = pp ** 3
+        except OverflowError:
+            raise NonFiniteError("cubic coefficients overflow") from None
+        shift = -b / 3.0
+        disc = -4.0 * cube - 27.0 * qq * qq
+        if disc > 0.0:
+            m = 2.0 * math.sqrt(-pp / 3.0)
+            arg = min(1.0, max(-1.0, 3.0 * qq / (pp * m)))
+            theta = math.acos(arg) / 3.0
+            roots = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) + shift
+                     for k in range(3)]
+        else:
+            inner = math.sqrt(max(0.0, qq * qq / 4.0 + cube / 27.0))
+            u = _ref_cbrt(-qq / 2.0 + inner) + _ref_cbrt(-qq / 2.0 - inner)
+            roots = [u + shift]
+            if disc == 0.0 and pp != 0.0:
+                roots.append(-u / 2.0 + shift)
+    return sorted(_ref_polish(c, t) for t in roots)
+
+
+def _ref_slx3_kernel(xs, ys, x_next, forcing):
+    try:
+        roots = _ref_real_roots(_ref_slx3_coeffs(ys, forcing))
+    except DegenerateCoefficientError:
+        return StopReason.DEGENERATE_COEFFICIENT
+    except NonFiniteError:
+        return StopReason.NON_FINITE
+    if not roots:
+        return StopReason.NO_REAL_ROOT
+    t = roots[0] if len(roots) == 1 else select_root(roots, extrapolate(xs, ys, x_next))
+    return t if math.isfinite(t) and abs(t) <= OVERFLOW_LIMIT else StopReason.NON_FINITE
+
+
+def scheme_reference_loop(spec, seed, n_steps):
+    """Test-only copy of the composed kernels that ``schemes.integrate``
+    runs as one straight-line kernel per scheme, stepped over a rolling
+    window as integrate does (the lattice is not checked); the two must
+    agree bit for bit.  Returns (xs, ys, stop)."""
+    f = spec.forcing
+    if spec.scheme is SchemeKind.SLY4:
+        fn = (lambda _x: f.c) if isinstance(f, Constant) else f.fn
+        step = lambda xs, ys, x: _ref_linear_kernel(xs, ys, x, _ref_sly4_line, fn)
+    elif spec.scheme is SchemeKind.SLX3:
+        step = lambda xs, ys, x: _ref_slx3_kernel(xs, ys, x, f)
+    else:
+        step = lambda xs, ys, x: _ref_linear_kernel(xs, ys, x, _ref_h5_line, f.c)
+    h, k = spec.lattice.h, spec.arity
+    xs, ys = list(seed.xs), list(seed.ys)
+    for n in range(k, k + n_steps):
+        x = seed.xs[0] + n * h
+        y = step(xs[-k:], ys[-k:], x)
+        if isinstance(y, StopReason):
+            return tuple(xs), tuple(ys), y
+        xs.append(x)
+        ys.append(y)
+    return tuple(xs), tuple(ys), StopReason.COMPLETED

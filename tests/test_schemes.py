@@ -1,10 +1,10 @@
 import math
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from invdisc import (Constant, CrossRatioWindow, FunctionOfX, IdentityInY,
                      NonFiniteError, SchemeKind, SchemeSpec, Stencil, StopReason,
@@ -14,7 +14,7 @@ from invdisc import (Constant, CrossRatioWindow, FunctionOfX, IdentityInY,
 from invdisc import schemes
 from invdisc.schemes import extrapolate, h5_step
 
-from conftest import make_mobius, random_mobius
+from conftest import make_mobius, random_mobius, scheme_reference_loop
 
 OMEX = lambda x: 1.0 / (1.0 - math.exp(x))
 MOBIUS = lambda x: (2.0 * x + 1.0) / (x + 3.0)
@@ -119,14 +119,14 @@ def test_sly4_consistency_with_forcing():
 def test_slx3_degree_contract():
     st3 = stencil_from_sequences([0.0, 0.5, 1.0], [0.0, 0.4, 0.7])
 
-    def degree(forcing):
-        return len(schemes._slx3_coeffs(st3.ys, forcing)) - 1
+    def degree(coeffs):
+        return len(schemes._trimmed(coeffs(*st3.ys))) - 1
 
-    assert degree(Constant(0.5)) == 2
-    assert degree(IdentityInY()) == 3
-    assert degree(IdentityInY(stencil_mean=True)) == 3
+    assert degree(lambda *ys: schemes._slx3_quadratic(*ys, 0.5)) == 2
+    assert degree(lambda *ys: schemes._slx3_cubic(*ys, False)) == 3
+    assert degree(lambda *ys: schemes._slx3_cubic(*ys, True)) == 3
     # zero constant forcing degenerates to the linear weakly-invariant form
-    assert degree(Constant(0.0)) == 1
+    assert degree(lambda *ys: schemes._slx3_quadratic(*ys, 0.0)) == 1
 
 
 def test_slx3_consistency():
@@ -273,12 +273,17 @@ def test_integrate_validates_seed():
         assert calls() == 0
 
 
+KERNELS = ("_sly4_kernel", "_slx3_kernel", "_slx3_cubic_kernel", "_h5_kernel")
+
+
 @contextmanager
 def _kernels_counted():
     """Count the scheme kernel calls made inside the block."""
-    with mock.patch.object(schemes, "_linear_kernel", wraps=schemes._linear_kernel) as lin, \
-         mock.patch.object(schemes, "_slx3_kernel", wraps=schemes._slx3_kernel) as sq:
-        yield lambda: lin.call_count + sq.call_count
+    with ExitStack() as stack:
+        mocks = [stack.enter_context(mock.patch.object(schemes, name,
+                                                       wraps=getattr(schemes, name)))
+                 for name in KERNELS]
+        yield lambda: sum(m.call_count for m in mocks)
 
 
 @settings(max_examples=200, deadline=None)
@@ -482,7 +487,7 @@ def test_steps_and_integrate_never_raise(kind, ys, x0, h, backward, c, forcing_o
         assert len(traj) == spec.arity and traj.stop is out
 
 
-@pytest.mark.parametrize("kind, ys", [
+EXTREME_WINDOWS = [
     # y differences near 1e-162: the products of two of them underflow to zero
     (SchemeKind.SLY4, [-1.4198183315542606e-151, -1.419818331507339e-151,
                        -1.4198183314925497e-151, -1.419818331489371e-151]),
@@ -490,7 +495,10 @@ def test_steps_and_integrate_never_raise(kind, ys, x0, h, backward, c, forcing_o
     # y1 == y2 at 1e300: the cleared quadratic's constant term is NaN, its
     # leading coefficient exactly zero
     (SchemeKind.SLX3, [-1e300, 1e300, 1e300]),
-])
+]
+
+
+@pytest.mark.parametrize("kind, ys", EXTREME_WINDOWS)
 def test_extreme_windows_stop_as_degenerate(kind, ys):
     forcing = FunctionOfX(math.cos) if kind is SchemeKind.SLY4 else Constant(0.5)
     spec = SchemeSpec(kind, forcing, Uniform(0.1))
@@ -505,3 +513,62 @@ def test_extreme_windows_stop_as_degenerate(kind, ys):
     traj = integrate(spec, seed, 5)
     assert traj.stop is StopReason.DEGENERATE_COEFFICIENT
     assert len(traj.points) == spec.arity
+
+
+# --- the straight-line kernels against the composed ones ---------------------------
+
+TAN_RECIPROCAL = lambda x: math.tan(1.0 / x)
+
+#: per scheme: (seed function, start, steps h) of the benchmark's and the
+#: examples' problems
+ORACLE_PROBLEMS = {
+    SchemeKind.SLY4: [(math.tan, -1.2, (1e-2, 3e-3, 1e-3, 3e-4)),
+                      (math.tan, 1.0, (1e-2, 1e-3)),  # across the pole at pi/2
+                      (math.exp, 0.0, (0.1, 1e-2))],
+    SchemeKind.SLX3: [(math.atanh, -0.9, (1e-2, 3e-3, 1e-3, 3e-4)),
+                      (LOG_ABS, -0.01, (1e-4,)),  # the 2-log barrier 100 steps on
+                      (CUBIC_SEED, 0.0, (1e-3,))],
+    SchemeKind.H5: [(OMEX, -3.0, (1e-2, 1e-3)),
+                    (TAN_RECIPROCAL, 2.0 / (5.0 * math.pi) - 5e-3, (1e-4,))],  # the pole
+}
+
+
+def _oracle_forcings(kind, c):
+    if kind is SchemeKind.SLY4:
+        return [Constant(c), Constant(0.0), FunctionOfX(math.cos)]
+    if kind is SchemeKind.SLX3:
+        # zero constant forcing degenerates to the linear weakly-invariant form
+        return [Constant(c), Constant(0.0), Constant(2.0), Constant(0.5),
+                IdentityInY(), IdentityInY(stencil_mean=True)]
+    return [Constant(c), Constant(0.0)]
+
+
+def _assert_integrate_is_composed(spec, seed, n_steps):
+    traj = integrate(spec, seed, n_steps)
+    event(f"{spec.scheme.value} {type(spec.forcing).__name__}: {traj.stop.value}")
+    assert (traj.xs, traj.ys, traj.stop) == scheme_reference_loop(spec, seed, n_steps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(list(SchemeKind)), c=st.floats(-3.0, 3.0),
+       shift=st.floats(0.0, 1.0), backward=st.booleans(), n_steps=st.integers(0, 300))
+def test_integrate_equals_composed_kernels(data, kind, c, shift, backward, n_steps):
+    fn, x0, hs = data.draw(st.sampled_from(ORACLE_PROBLEMS[kind]))
+    forcing = data.draw(st.sampled_from(_oracle_forcings(kind, c)))
+    h = data.draw(st.sampled_from(hs))
+    h = -h if backward else h
+    spec = SchemeSpec(kind, forcing, Uniform(h))
+    _assert_integrate_is_composed(
+        spec, seed_stencil_from_function(fn, x0 + shift * h, h, spec.arity), n_steps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(list(SchemeKind)),
+       ys=st.one_of(WINDOWS, st.sampled_from([ys for _, ys in EXTREME_WINDOWS])),
+       c=st.floats(-3.0, 3.0), x0=st.floats(-10.0, 10.0), h=st.floats(1e-6, 1.0))
+def test_integrate_equals_composed_kernels_on_hard_windows(data, kind, ys, c, x0, h):
+    forcing = data.draw(st.sampled_from(_oracle_forcings(kind, c)))
+    spec = SchemeSpec(kind, forcing, Uniform(h))
+    assume(len(ys) >= spec.arity)
+    seed = stencil_from_sequences([x0 + k * h for k in range(spec.arity)], ys[:spec.arity])
+    _assert_integrate_is_composed(spec, seed, 30)
