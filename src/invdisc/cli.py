@@ -57,7 +57,8 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
              f"# h: {_fmt(traj.h_nominal)}",
              f"# stop: {traj.stop.value}",
              "x,y"]
-    lines += [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(traj.xs, traj.ys)]
+    # one %-format per row: _fmt's digits, without two calls a row
+    lines += ["%.17g,%.17g" % row for row in zip(traj.xs, traj.ys)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -67,6 +68,17 @@ def read_trajectory_csv(path) -> Trajectory:
     xs, ys = [], []
     header_seen = False
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        if header_seen:
+            # a data row first, unstripped: float() skips the spaces around it
+            sx, _, sy = raw.partition(",")
+            try:
+                x, y = float(sx), float(sy)
+            except ValueError:
+                pass  # a blank, metadata or bad line, told apart below
+            else:
+                xs.append(x)
+                ys.append(y)
+                continue
         line = raw.strip()
         if not line:
             continue
@@ -80,6 +92,7 @@ def read_trajectory_csv(path) -> Trajectory:
                 raise ConfigError(f"{path}: expected header 'x,y', got {line!r}")
             header_seen = True
             continue
+        # strip() also drops control characters such as U+001F that float() keeps
         sx, _, sy = line.partition(",")
         try:
             xs.append(float(sx))

@@ -19,10 +19,11 @@ from .differential import compose_jet
 
 @dataclass(frozen=True)
 class OdeSystem:
-    """Explicit ODE y^(order) = rhs(x, (y, y', ..., y^(order-1)))."""
+    """Explicit ODE y^(order) = rhs(x, y, y', ..., y^(order-1)): ``rhs``
+    takes the abscissa and the state as separate floats."""
 
     order: int
-    rhs: Callable[[float, tuple[float, ...]], float]
+    rhs: Callable[..., float]
     name: str = "ode"
 
     def __post_init__(self):
@@ -33,8 +34,7 @@ class OdeSystem:
 def schwarzian_rate_system(forcing: Callable[[float], float]) -> OdeSystem:
     """Fourth-order equation: the x-derivative of the Schwarzian equals f(x)."""
 
-    def rhs(x, u):
-        _, y1, y2, y3 = u
+    def rhs(x, _y0, y1, y2, y3):
         return y1 * forcing(x) + 4.0 * y2 * y3 / y1 - 3.0 * y2 ** 3 / y1 ** 2
 
     return OdeSystem(4, rhs, "schwarzian-rate")
@@ -43,8 +43,7 @@ def schwarzian_rate_system(forcing: Callable[[float], float]) -> OdeSystem:
 def scaled_schwarzian_system(source: Callable[[float, float], float]) -> OdeSystem:
     """Third-order equation: Schwarzian / y'^2 = source(x, y)."""
 
-    def rhs(x, u):
-        y0, y1, y2 = u
+    def rhs(x, y0, y1, y2):
         return source(x, y0) * y1 ** 3 + 1.5 * y2 ** 2 / y1
 
     return OdeSystem(3, rhs, "scaled-schwarzian")
@@ -53,8 +52,7 @@ def scaled_schwarzian_system(source: Callable[[float, float], float]) -> OdeSyst
 def fifth_order_invariant_system(c: float) -> OdeSystem:
     """Fifth-order equation fixing the product-group invariant to c."""
 
-    def rhs(x, u):
-        _, y1, y2, y3, y4 = u
+    def rhs(x, _y0, y1, y2, y3, y4):
         den = y1 ** 3 * (2.0 * y1 * y3 - 3.0 * y2 ** 2)
         num = (2.5 * y1 ** 4 * y4 ** 2 - 10.0 * y1 ** 3 * y2 * y3 * y4
                + 2.0 * (c + 4.0) * y1 ** 3 * y3 ** 3
@@ -65,71 +63,79 @@ def fifth_order_invariant_system(c: float) -> OdeSystem:
     return OdeSystem(5, rhs, "fifth-order-invariant")
 
 
-def _rk4_step3(rhs, x, h, u):
-    # a stage's first slopes are its own state shifted by one (k[i] = s[i+1])
-    u0, u1, u2 = u
-    half, xm = 0.5 * h, x + 0.5 * h
-    a = rhs(x, u)
-    b1, b2 = u1 + half * u2, u2 + half * a
-    b = rhs(xm, (u0 + half * u1, b1, b2))
-    c1, c2 = u1 + half * b2, u2 + half * b
-    c = rhs(xm, (u0 + half * b1, c1, c2))
-    d1, d2 = u1 + h * c2, u2 + h * c
-    d = rhs(x + h, (u0 + h * c1, d1, d2))
-    sixth = h / 6.0
-    n0 = u0 + sixth * (u1 + 2.0 * (b1 + c1) + d1)
-    n1 = u1 + sixth * (u2 + 2.0 * (b2 + c2) + d2)
-    n2 = u2 + sixth * (a + 2.0 * (b + c) + d)
-    L = OVERFLOW_LIMIT
-    if abs(n0) <= L and abs(n1) <= L and abs(n2) <= L:
-        return (n0, n1, n2)
-    return None
+# One RK4 run loop per order, (rhs, x0, h, n, ys, u0, u1, ..): it appends each
+# kept y to ys and stops at the first state past OVERFLOW_LIMIT.  A stage's first
+# slopes are its state shifted by one (k[i] = s[i+1]), and each new u_i reads
+# only the old u_i and u_{i+1}, so the state is updated in place, in ascending order.
+
+def _rk4_run3(rhs, x0, h, n, ys, u0, u1, u2):
+    half, sixth, L = 0.5 * h, h / 6.0, OVERFLOW_LIMIT
+    for k in range(n):
+        x = x0 + k * h
+        xm = x + half
+        a = rhs(x, u0, u1, u2)
+        b1, b2 = u1 + half * u2, u2 + half * a
+        b = rhs(xm, u0 + half * u1, b1, b2)
+        c1, c2 = u1 + half * b2, u2 + half * b
+        c = rhs(xm, u0 + half * b1, c1, c2)
+        d1, d2 = u1 + h * c2, u2 + h * c
+        d = rhs(x + h, u0 + h * c1, d1, d2)
+        u0 += sixth * (u1 + 2.0 * (b1 + c1) + d1)
+        u1 += sixth * (u2 + 2.0 * (b2 + c2) + d2)
+        u2 += sixth * (a + 2.0 * (b + c) + d)
+        if not (abs(u0) <= L and abs(u1) <= L and abs(u2) <= L):
+            break
+        ys.append(u0)
 
 
-def _rk4_step4(rhs, x, h, u):
-    u0, u1, u2, u3 = u
-    half, xm = 0.5 * h, x + 0.5 * h
-    a = rhs(x, u)
-    b1, b2, b3 = u1 + half * u2, u2 + half * u3, u3 + half * a
-    b = rhs(xm, (u0 + half * u1, b1, b2, b3))
-    c1, c2, c3 = u1 + half * b2, u2 + half * b3, u3 + half * b
-    c = rhs(xm, (u0 + half * b1, c1, c2, c3))
-    d1, d2, d3 = u1 + h * c2, u2 + h * c3, u3 + h * c
-    d = rhs(x + h, (u0 + h * c1, d1, d2, d3))
-    sixth = h / 6.0
-    n0 = u0 + sixth * (u1 + 2.0 * (b1 + c1) + d1)
-    n1 = u1 + sixth * (u2 + 2.0 * (b2 + c2) + d2)
-    n2 = u2 + sixth * (u3 + 2.0 * (b3 + c3) + d3)
-    n3 = u3 + sixth * (a + 2.0 * (b + c) + d)
-    L = OVERFLOW_LIMIT
-    if abs(n0) <= L and abs(n1) <= L and abs(n2) <= L and abs(n3) <= L:
-        return (n0, n1, n2, n3)
-    return None
+def _rk4_run4(rhs, x0, h, n, ys, u0, u1, u2, u3):
+    half, sixth, L = 0.5 * h, h / 6.0, OVERFLOW_LIMIT
+    for k in range(n):
+        x = x0 + k * h
+        xm = x + half
+        a = rhs(x, u0, u1, u2, u3)
+        b1, b2, b3 = u1 + half * u2, u2 + half * u3, u3 + half * a
+        b = rhs(xm, u0 + half * u1, b1, b2, b3)
+        c1, c2, c3 = u1 + half * b2, u2 + half * b3, u3 + half * b
+        c = rhs(xm, u0 + half * b1, c1, c2, c3)
+        d1, d2, d3 = u1 + h * c2, u2 + h * c3, u3 + h * c
+        d = rhs(x + h, u0 + h * c1, d1, d2, d3)
+        u0 += sixth * (u1 + 2.0 * (b1 + c1) + d1)
+        u1 += sixth * (u2 + 2.0 * (b2 + c2) + d2)
+        u2 += sixth * (u3 + 2.0 * (b3 + c3) + d3)
+        u3 += sixth * (a + 2.0 * (b + c) + d)
+        if not (abs(u0) <= L and abs(u1) <= L and abs(u2) <= L and abs(u3) <= L):
+            break
+        ys.append(u0)
 
 
-def _rk4_step5(rhs, x, h, u):
-    u0, u1, u2, u3, u4 = u
-    half, xm = 0.5 * h, x + 0.5 * h
-    a = rhs(x, u)
-    b1, b2, b3, b4 = u1 + half * u2, u2 + half * u3, u3 + half * u4, u4 + half * a
-    b = rhs(xm, (u0 + half * u1, b1, b2, b3, b4))
-    c1, c2, c3, c4 = u1 + half * b2, u2 + half * b3, u3 + half * b4, u4 + half * b
-    c = rhs(xm, (u0 + half * b1, c1, c2, c3, c4))
-    d1, d2, d3, d4 = u1 + h * c2, u2 + h * c3, u3 + h * c4, u4 + h * c
-    d = rhs(x + h, (u0 + h * c1, d1, d2, d3, d4))
-    sixth = h / 6.0
-    n0 = u0 + sixth * (u1 + 2.0 * (b1 + c1) + d1)
-    n1 = u1 + sixth * (u2 + 2.0 * (b2 + c2) + d2)
-    n2 = u2 + sixth * (u3 + 2.0 * (b3 + c3) + d3)
-    n3 = u3 + sixth * (u4 + 2.0 * (b4 + c4) + d4)
-    n4 = u4 + sixth * (a + 2.0 * (b + c) + d)
-    L = OVERFLOW_LIMIT
-    if abs(n0) <= L and abs(n1) <= L and abs(n2) <= L and abs(n3) <= L and abs(n4) <= L:
-        return (n0, n1, n2, n3, n4)
-    return None
+def _rk4_run5(rhs, x0, h, n, ys, u0, u1, u2, u3, u4):
+    half, sixth, L = 0.5 * h, h / 6.0, OVERFLOW_LIMIT
+    for k in range(n):
+        x = x0 + k * h
+        xm = x + half
+        a = rhs(x, u0, u1, u2, u3, u4)
+        # pairs, not quadruples: CPython builds a tuple to assign four names
+        b1, b2 = u1 + half * u2, u2 + half * u3
+        b3, b4 = u3 + half * u4, u4 + half * a
+        b = rhs(xm, u0 + half * u1, b1, b2, b3, b4)
+        c1, c2 = u1 + half * b2, u2 + half * b3
+        c3, c4 = u3 + half * b4, u4 + half * b
+        c = rhs(xm, u0 + half * b1, c1, c2, c3, c4)
+        d1, d2 = u1 + h * c2, u2 + h * c3
+        d3, d4 = u3 + h * c4, u4 + h * c
+        d = rhs(x + h, u0 + h * c1, d1, d2, d3, d4)
+        u0 += sixth * (u1 + 2.0 * (b1 + c1) + d1)
+        u1 += sixth * (u2 + 2.0 * (b2 + c2) + d2)
+        u2 += sixth * (u3 + 2.0 * (b3 + c3) + d3)
+        u3 += sixth * (u4 + 2.0 * (b4 + c4) + d4)
+        u4 += sixth * (a + 2.0 * (b + c) + d)
+        if not (abs(u0) <= L and abs(u1) <= L and abs(u2) <= L and abs(u3) <= L and abs(u4) <= L):
+            break
+        ys.append(u0)
 
 
-_RK4_STEPS = {3: _rk4_step3, 4: _rk4_step4, 5: _rk4_step5}
+_RK4_RUNS = {3: _rk4_run3, 4: _rk4_run4, 5: _rk4_run5}
 
 
 def rk4_integrate(sys: OdeSystem, init: Sequence[float], x0: float, h: float,
@@ -141,13 +147,12 @@ def rk4_integrate(sys: OdeSystem, init: Sequence[float], x0: float, h: float,
     ValueError for a negative n, and NonFiniteError if x0, y(x0) or the last
     abscissa is not finite.
 
-    The stages are unrolled per order (``_rk4_step3`` .. ``_rk4_step5``),
-    with the same float operations in the same order as the textbook loop
-    over slope tuples, so the output is bit-identical to it;
-    ``tests/test_reference.py`` checks that against a copy of that loop.
-    Each stage function also tests its own components against
-    OVERFLOW_LIMIT and returns None past it; the test is false for NaN and
-    +-inf as well.
+    Each order has one straight-line run loop (``_rk4_run3`` ..
+    ``_rk4_run5``) with the state in local floats, calling
+    ``sys.rhs(x, y, y', ...)`` with scalars.  Its float operations are those
+    of the textbook loop over slope tuples, in the same order, so the output
+    is bit-identical to it (``tests/test_reference.py`` checks that).  A step
+    whose state passes OVERFLOW_LIMIT or is NaN or +-inf is not kept.
     """
     if len(init) != sys.order:
         raise ValueError(f"init needs {sys.order} values, got {len(init)}")
@@ -155,22 +160,17 @@ def rk4_integrate(sys: OdeSystem, init: Sequence[float], x0: float, h: float,
         raise ValueError("h must be nonzero")
     if n < 0:
         raise ValueError(f"step count must be non-negative, got {n}")
-    rhs, step = sys.rhs, _RK4_STEPS[sys.order]
-    u = tuple(float(v) for v in init)
+    u = [float(v) for v in init]
     if not (math.isfinite(x0) and math.isfinite(x0 + n * h) and math.isfinite(u[0])):
         raise NonFiniteError("non-finite initial value or lattice abscissa")
-    xs, ys = [x0], [u[0]]
-    stop = StopReason.COMPLETED
-    for k in range(n):
-        try:
-            u = step(rhs, x0 + k * h, h, u)
-        except (ZeroDivisionError, OverflowError):
-            u = None
-        if u is None:
-            stop = StopReason.NON_FINITE
-            break
-        xs.append(x0 + (k + 1) * h)
-        ys.append(u[0])
+    ys = [u[0]]
+    try:
+        _RK4_RUNS[sys.order](sys.rhs, x0, h, n, ys, *u)
+    except (ZeroDivisionError, OverflowError):
+        pass  # a stage failed: the run ends before that step, as at the bound
+    stop = StopReason.COMPLETED if len(ys) == n + 1 else StopReason.NON_FINITE
+    xs = [x0]  # x0 itself, so that -0.0 stays -0.0
+    xs += [x0 + k * h for k in range(1, len(ys))]
     return Trajectory(tuple(xs), tuple(ys), stop, f"rk4-{sys.name}", h)
 
 

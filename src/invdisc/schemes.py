@@ -31,39 +31,14 @@ from .discrete import _h5_r5_line
 
 # --- closed-form real roots ---------------------------------------------------
 
-def _horner(c: tuple[float, ...], t: float) -> float:
-    """c0 + c1*t + ... of a coefficient tuple of length 2 or 4."""
-    if len(c) == 4:
-        return ((c[3] * t + c[2]) * t + c[1]) * t + c[0]
-    return c[1] * t + c[0]
-
-
-def _horner_slope(c: tuple[float, ...], t: float) -> float:
-    """Derivative in t of :func:`_horner`'s polynomial."""
-    if len(c) == 4:
-        return (3.0 * c[3] * t + 2.0 * c[2]) * t + c[1]
-    return c[1]
-
-
-def _polish(c: tuple[float, ...], t: float) -> float:
-    """One Newton iteration, accepted only if it reduces the residual.
-
-    At (near-)multiple roots both p and p' are noise-level and the raw step
-    can jump to an unrelated point.
-    """
-    dp = _horner_slope(c, t)
-    if dp == 0.0 or not math.isfinite(dp):
-        return t
-    p = _horner(c, t)
-    t1 = t - p / dp
-    if not math.isfinite(t1):
-        return t
-    return t1 if abs(_horner(c, t1)) <= abs(p) else t
-
-
 def _quadratic_roots(c0: float, c1: float, c2: float) -> list[float]:
     """Real roots of c0 + c1*t + c2*t^2 (c2 != 0) in ascending order, each
-    polished once as :func:`_polish` does."""
+    polished once.
+
+    The polish is one Newton iteration, accepted only if it reduces the
+    residual: at (near-)multiple roots both p and p' are noise-level and the
+    raw step can jump to an unrelated point.  The other degrees polish alike.
+    """
     disc = c1 * c1 - 4.0 * c2 * c0
     if disc < 0.0:
         return []
@@ -83,42 +58,61 @@ def _quadratic_roots(c0: float, c1: float, c2: float) -> list[float]:
     return roots
 
 
+def _cubic_roots(c0: float, c1: float, c2: float, c3: float) -> list[float]:
+    """Real roots of c0 + c1*t + c2*t^2 + c3*t^3 (c3 != 0) in ascending
+    order, each polished once as :func:`_quadratic_roots` polishes; raises
+    NonFiniteError if the depressed coefficients overflow."""
+    b, cc, d = c2 / c3, c1 / c3, c0 / c3
+    try:
+        # depressed form u^3 + p*u + q with t = u - b/3
+        pp = cc - b * b / 3.0
+        qq = 2.0 * b ** 3 / 27.0 - b * cc / 3.0 + d
+        cube = pp ** 3
+    except OverflowError:
+        raise NonFiniteError(f"cubic coefficients {(c0, c1, c2, c3)} overflow") from None
+    shift = -b / 3.0
+    disc = -4.0 * cube - 27.0 * qq * qq
+    if disc > 0.0:
+        # three distinct real roots (requires pp < 0)
+        m = 2.0 * math.sqrt(-pp / 3.0)
+        arg = 3.0 * qq / (pp * m)
+        arg = min(1.0, max(-1.0, arg))
+        theta = math.acos(arg) / 3.0
+        roots = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) + shift
+                 for k in range(3)]
+    else:
+        inner = math.sqrt(max(0.0, qq * qq / 4.0 + cube / 27.0))
+        u = _cbrt(-qq / 2.0 + inner) + _cbrt(-qq / 2.0 - inner)
+        roots = [u + shift]
+        if disc == 0.0 and pp != 0.0:
+            roots.append(-u / 2.0 + shift)
+    for i, t in enumerate(roots):
+        dp = (3.0 * c3 * t + 2.0 * c2) * t + c1
+        if dp != 0.0 and math.isfinite(dp):
+            p = ((c3 * t + c2) * t + c1) * t + c0
+            t1 = t - p / dp
+            if math.isfinite(t1) and abs(((c3 * t1 + c2) * t1 + c1) * t1 + c0) <= abs(p):
+                roots[i] = t1
+    roots.sort()
+    return roots
+
+
 def _real_roots(c: tuple[float, ...]) -> list[float]:
     """All real roots of c0 + c1*t + ... (nonzero leading coefficient,
     degree 1..3) in ascending order, each polished once; raises
     NonFiniteError if a cubic's depressed coefficients overflow."""
+    if len(c) == 4:
+        return _cubic_roots(*c)
     if len(c) == 3:
-        return _quadratic_roots(c[0], c[1], c[2])
-    if len(c) == 2:
-        roots = [-c[0] / c[1]]
-    else:
-        b, cc, d = c[2] / c[3], c[1] / c[3], c[0] / c[3]
-        try:
-            # depressed form u^3 + p*u + q with t = u - b/3
-            pp = cc - b * b / 3.0
-            qq = 2.0 * b ** 3 / 27.0 - b * cc / 3.0 + d
-            cube = pp ** 3
-        except OverflowError:
-            raise NonFiniteError(f"cubic coefficients {c} overflow") from None
-        shift = -b / 3.0
-        disc = -4.0 * cube - 27.0 * qq * qq
-        if disc > 0.0:
-            # three distinct real roots (requires pp < 0)
-            m = 2.0 * math.sqrt(-pp / 3.0)
-            arg = 3.0 * qq / (pp * m)
-            arg = min(1.0, max(-1.0, arg))
-            theta = math.acos(arg) / 3.0
-            roots = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) + shift
-                     for k in range(3)]
-        else:
-            inner = math.sqrt(max(0.0, qq * qq / 4.0 + cube / 27.0))
-            u = _cbrt(-qq / 2.0 + inner) + _cbrt(-qq / 2.0 - inner)
-            roots = [u + shift]
-            if disc == 0.0 and pp != 0.0:
-                roots.append(-u / 2.0 + shift)
-    roots = [_polish(c, t) for t in roots]
-    roots.sort()
-    return roots
+        return _quadratic_roots(*c)
+    c0, c1 = c
+    t = -c0 / c1
+    if math.isfinite(c1):
+        p = c1 * t + c0
+        t1 = t - p / c1
+        if math.isfinite(t1) and abs(c1 * t1 + c0) <= abs(p):
+            t = t1
+    return [t]
 
 
 def solve_poly(coeffs: Sequence[float]) -> list[float]:
@@ -329,8 +323,18 @@ def _slx3_kernel(xs, ys, x_next: float, c: float) -> float | StopReason:
 
 
 def _slx3_cubic_kernel(xs, ys, x_next: float, stencil_mean: bool) -> float | StopReason:
-    """Kernel of the third-order scheme with identity forcing."""
-    return _slx3_roots(xs, ys, x_next, _slx3_cubic(ys[0], ys[1], ys[2], stencil_mean))
+    """Kernel of the third-order scheme with identity forcing: the cubic's
+    root nearest the prediction, as :func:`_slx3_roots` finds it.  A
+    degenerate leading coefficient takes that general path."""
+    c0, c1, c2, c3 = _slx3_cubic(ys[0], ys[1], ys[2], stencil_mean)
+    if c3 == 0.0 or abs(c3) <= DEGENERACY_RTOL * max(abs(c0), abs(c1), abs(c2), abs(c3)):
+        return _slx3_roots(xs, ys, x_next, (c0, c1, c2, c3))
+    try:
+        roots = _cubic_roots(c0, c1, c2, c3)
+    except NonFiniteError:
+        return StopReason.NON_FINITE
+    t = roots[0] if len(roots) == 1 else select_root(roots, _extrapolate(xs, ys, x_next))
+    return t if abs(t) <= OVERFLOW_LIMIT else StopReason.NON_FINITE
 
 
 def _slx3_kernel_for(forcing: ForcingTerm):

@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from invdisc import (Constant, DegenerateCoefficientError, Jet, NonFiniteError,
                      SchemeKind, StopReason, Trajectory)
+from invdisc.cli import ConfigError
 from invdisc.core import OVERFLOW_LIMIT, is_degenerate
 from invdisc.discrete import _cross_ratio, _cross_ratio_line, _h5_r5_line, _l3
 from invdisc.schemes import extrapolate, select_root
@@ -83,7 +85,7 @@ def rk4_reference_loop(sys, init, x0, h, n):
     m = sys.order - 1
 
     def deriv(x, u):
-        return (*u[1:], rhs(x, u))
+        return (*u[1:], rhs(x, *u))
 
     u = tuple(float(v) for v in init)
     if not (math.isfinite(x0) and math.isfinite(x0 + n * h) and math.isfinite(u[0])):
@@ -111,6 +113,47 @@ def rk4_reference_loop(sys, init, x0, h, n):
         xs.append(x0 + (k + 1) * h)
         ys.append(u[0])
     return Trajectory(tuple(xs), tuple(ys), stop, f"rk4-{sys.name}", h)
+
+
+def csv_reference_reader(path) -> Trajectory:
+    """Test-only copy of the CSV reader that strips and inspects every line
+    before it parses a data row; ``cli.read_trajectory_csv`` parses data rows
+    first and must agree with it on every input, errors included."""
+    meta = {"scheme": "unknown", "h": "0", "stop": StopReason.COMPLETED.value}
+    meta_line = {}
+    xs, ys = [], []
+    header_seen = False
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, _, value = line[1:].partition(":")
+            meta[key.strip()] = value.strip()
+            meta_line[key.strip()] = lineno
+            continue
+        if not header_seen:
+            if line != "x,y":
+                raise ConfigError(f"{path}: expected header 'x,y', got {line!r}")
+            header_seen = True
+            continue
+        sx, _, sy = line.partition(",")
+        try:
+            xs.append(float(sx))
+            ys.append(float(sy))
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: expected two numbers, got {line!r}") from None
+    if not xs:
+        raise ConfigError(f"{path}: no data rows")
+    if not all(map(math.isfinite, xs + ys)):
+        raise NonFiniteError(f"{path}: non-finite value in the data rows")
+    if meta["stop"] not in {r.value for r in StopReason}:
+        raise ConfigError(f"{path}: '# stop:' has no stop reason {meta['stop']!r}")
+    try:
+        h = float(meta["h"])
+    except ValueError:
+        raise ConfigError(f"{path}:{meta_line['h']}: bad '# h:' value {meta['h']!r}") from None
+    return Trajectory(tuple(xs), tuple(ys), StopReason(meta["stop"]), meta["scheme"], h)
 
 
 # --- a test-only copy of the composed scheme kernels ------------------------------

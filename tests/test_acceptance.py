@@ -457,7 +457,7 @@ def test_criterion_9_differential_identities(rng):
     for sol, system, grid in grids:
         for x in grid:
             jet = sol.jet_fn(float(x))
-            rhs = system.rhs(float(x), jet.d[:system.order])
+            rhs = system.rhs(float(x), *jet.d[:system.order])
             scale = max(1.0, abs(jet.d[system.order]), abs(rhs))
             worst_resid = max(worst_resid, abs(jet.d[system.order] - rhs) / scale)
 

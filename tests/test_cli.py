@@ -9,6 +9,8 @@ from invdisc import (IdentityInY, SchemeKind, SchemeSpec, StopReason, Trajectory
 from invdisc import cli
 from invdisc.cli import MAX_STEPS, main, read_trajectory_csv, write_trajectory_csv
 
+from conftest import csv_reference_reader
+
 
 def _traj(ys, scheme="test", h=0.5, stop=StopReason.COMPLETED):
     xs = tuple(0.1 + h * k for k in range(len(ys)))
@@ -35,6 +37,14 @@ def test_csv_round_trip_bit_exact(tmp_path, rng):
     assert len(back.points) == len(traj.points)
     for a, b in zip(traj.points, back.points):
         assert a.x == b.x and a.y == b.y  # bit identical
+
+
+def test_csv_reader_skips_padding_blanks_and_late_metadata(tmp_path):
+    # str.strip() drops U+001F and float() does not: such a row still reads
+    p = tmp_path / "padded.csv"
+    p.write_text("x,y\n0,1\x1f\n \t0.5 , 2 \n\n  # h: 0.5\n")
+    traj = read_trajectory_csv(p)
+    assert traj.xs == (0.0, 0.5) and traj.ys == (1.0, 2.0) and traj.h_nominal == 0.5
 
 
 def test_csv_rejects_malformed(tmp_path, capsys):
@@ -398,6 +408,31 @@ def test_csv_fuzz_exits_0_2_or_3(tmp_path, capsys, header, lines, rows, scheme):
                  "--h", "0.1", "--steps", "20", "--seed", f,
                  "--out", str(tmp_path / "out.csv")]) in (0, 2, 3)
     capsys.readouterr()
+
+
+#: leading or trailing characters that str.strip() drops; float() keeps U+001F
+PADS = st.sampled_from(["", " ", "\t", "\x1f", "\xa0", "\u3000", " \x1f "])
+
+
+def _read_or_error(reader, path):
+    try:
+        traj = reader(path)
+    except Exception as e:  # compared with the oracle's, not handled
+        return type(e), str(e)
+    return repr(traj.xs), repr(traj.ys), traj.stop, traj.scheme_id, repr(traj.h_nominal)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header=st.booleans(), lines=st.lists(st.tuples(PADS, LINES, PADS), max_size=8),
+       rows=st.one_of(st.just([]), LATTICE_ROWS))
+def test_csv_reader_matches_strip_first_oracle(tmp_path, header, lines, rows):
+    path = tmp_path / "fuzz.csv"
+    body = [a + line + b for a, line, b in lines]
+    path.write_text("\n".join((["x,y"] if header else []) + body + rows) + "\n",
+                    encoding="utf-8")
+    assert (_read_or_error(read_trajectory_csv, path)
+            == _read_or_error(csv_reference_reader, path))
 
 
 # --- main under fuzzing: exit 0, 2 or 3, or argparse's own exit 0 or 2 --------------------

@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 import invdisc
 from invdisc import (DegenerateCoefficientError, DomainError, NonFiniteError,
-                     StopReason, Trajectory, arctanh_solution, chi,
+                     OdeSystem, StopReason, Trajectory, arctanh_solution, chi,
                      fifth_order_invariant_system, general_arctanh, log_abs,
                      one_over_one_minus_exp, rk4_integrate,
                      scaled_schwarzian_system, schwarzian_rate_system,
                      tan_reciprocal)
 from invdisc import cli
+from invdisc.core import OVERFLOW_LIMIT
 
 from conftest import finite_difference_jet, rk4_reference_loop
 
@@ -68,13 +69,14 @@ def test_rk4_validates_input():
         rk4_integrate(sys2, (0.0, 1.0, 0.0), 0.0, 1e-3, -3)
 
 
-# --- bit-identity of the unrolled stages with the textbook loop ------------------
+# --- bit-identity of the run loops with the textbook loop ------------------------
 
 def _assert_same_rk4(system, init, x0, h, n):
     got = rk4_integrate(system, init, x0, h, n)
     want = rk4_reference_loop(system, init, x0, h, n)
-    assert got.xs == want.xs
-    assert got.ys == want.ys
+    # repr tells -0.0 from 0.0, which == does not
+    assert repr(got.xs) == repr(want.xs)
+    assert repr(got.ys) == repr(want.ys)
     assert got.stop is want.stop
     assert got.scheme_id == want.scheme_id
     return got
@@ -113,6 +115,22 @@ def test_rk4_unrolled_matches_loop_on_zero_division(init, h):
     system = scaled_schwarzian_system(lambda x, y: 2.0)
     traj = _assert_same_rk4(system, init, 0.0, h, 10)
     assert traj.stop is StopReason.NON_FINITE and len(traj) == 1
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+def test_rk4_run_loops_stop_past_overflow_limit_while_finite(order):
+    # the top derivative grows by h * 1e302 a step and passes OVERFLOW_LIMIT
+    # at step 11, finite, while y stays four orders of magnitude below it
+    system = OdeSystem(order, lambda x, *u: 1e302, f"ramp-{order}")
+    traj = _assert_same_rk4(system, (1.0,) * order, 0.0, 1e-3, 50)
+    assert traj.stop is StopReason.NON_FINITE and len(traj) == 11
+    assert max(map(abs, traj.ys)) < 1e-4 * OVERFLOW_LIMIT
+
+
+def test_rk4_keeps_negative_zero_start():
+    system = scaled_schwarzian_system(lambda x, y: 2.0)
+    traj = _assert_same_rk4(system, (0.0, 1.0, 0.0), -0.0, 1e-3, 3)
+    assert math.copysign(1.0, traj.xs[0]) == -1.0 and traj.xs[1] == 1e-3
 
 
 RK4_SYSTEMS = (scaled_schwarzian_system(lambda x, y: 2.0),
@@ -194,7 +212,7 @@ def test_tan_reciprocal_jet_steep_region():
 def test_exact_solutions_satisfy_their_equations(sol, system, grid):
     for x in grid:
         jet = sol.jet_fn(float(x))
-        rhs = system.rhs(float(x), jet.d[:system.order])
+        rhs = system.rhs(float(x), *jet.d[:system.order])
         resid = abs(jet.d[system.order] - rhs)
         assert resid <= 1e-8 * max(1.0, abs(jet.d[system.order]), abs(rhs))
 
