@@ -7,8 +7,8 @@ from .core import (ConstantS, Constant, DEGENERACY_RTOL, DegenerateCoefficientEr
                    NonFiniteError, Point, SchemeKind, SchemeSpec, Stencil,
                    StopReason, Trajectory, Uniform, seed_stencil_from_function,
                    stencil_from_sequences)
-from .differential import (InvariantTriple, compose_jet, h5_differential, jtilde5,
-                           jy_invariants, kx_invariants, mobius_jet)
+from .differential import (InvariantTriple, compose_jet, h5_differential,
+                           jy_invariants, kx_invariants)
 from .discrete import (CrossRatioWindow, cross_ratio, h5_discrete,
                        h5_uniform, l3, l4, l5, m3, m4, m5, q_triple,
                        w_coefficient, wx_coefficient)

@@ -142,7 +142,9 @@ def _solve_spec(args) -> SchemeSpec:
     kind = SchemeKind(args.scheme)
     if args.h is None:
         raise ConfigError("h must be set")
-    forcing = args.forcing or ("const" if kind is not SchemeKind.SLY4 else "")
+    forcing = args.forcing or ("const" if kind is not SchemeKind.SLY4 else None)
+    if forcing is None:
+        raise ConfigError(f"sly4 needs --forcing: const, {', '.join(NAMED_FORCINGS)}")
     if args.c is not None and forcing != "const":
         raise ConfigError("--c needs --forcing const")
     if forcing == "const":

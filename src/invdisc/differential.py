@@ -39,13 +39,6 @@ def jy_invariants(jet: Jet) -> InvariantTriple:
     return InvariantTriple(j3, j4, j5)
 
 
-def jtilde5(jet: Jet) -> float:
-    """Simplified fifth-order invariant, equal to J5 + 4*J3^2."""
-    _check_slope(jet)
-    _, y1, y2, y3, y4, y5 = jet.d
-    return y5 / y1 - 5.0 * y2 * y4 / y1 ** 2 + 5.0 * y2 ** 2 * y3 / y1 ** 3
-
-
 def kx_invariants(jet: Jet) -> InvariantTriple:
     """The three lowest-order invariants of Mobius maps acting on x."""
     _check_slope(jet)
@@ -57,12 +50,11 @@ def kx_invariants(jet: Jet) -> InvariantTriple:
     return InvariantTriple(k3, k4, k5)
 
 
-def h5_differential(jet: Jet, route: str = "j") -> float:
-    """Fifth-order invariant of the product action.
+def h5_differential(jet: Jet) -> float:
+    """Fifth-order invariant of the product action, through the Schwarzian
+    hierarchy.
 
     Undefined on the manifold 2 y' y''' = 3 y''^2 (vanishing Schwarzian).
-    The default route works through the Schwarzian hierarchy; ``route="k"``
-    uses the hodograph family and exists for cross-checking.
     """
     _check_slope(jet)
     _, y1, y2, y3, _, _ = jet.d
@@ -70,12 +62,7 @@ def h5_differential(jet: Jet, route: str = "j") -> float:
     if abs(manifold) <= 1e-12 * max(abs(y1 * y3), y2 ** 2):
         raise DegenerateCoefficientError(
             "fifth-order product invariant undefined on the vanishing-Schwarzian manifold")
-    if route == "j":
-        t = jy_invariants(jet)
-    elif route == "k":
-        t = kx_invariants(jet)
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    t = jy_invariants(jet)
     return t.fifth / t.third ** 2 - 1.25 * t.fourth ** 2 / t.third ** 3
 
 
@@ -98,23 +85,3 @@ def compose_jet(outer: tuple[float, ...], inner: Jet) -> Jet:
           + f3 * (15.0 * g1 * g2 ** 2 + 10.0 * g1 ** 2 * g3)
           + f2 * (10.0 * g2 * g3 + 5.0 * g1 * g4) + f1 * g5)
     return Jet(inner.x, (f0, d1, d2, d3, d4, d5))
-
-
-def mobius_jet(a: float, b: float, c: float, d: float, x: float) -> Jet:
-    """Jet of the linear-fractional map (a*x + b)/(c*x + d)."""
-    det = a * d - b * c
-    if det == 0:
-        raise ValueError("singular coefficient matrix")
-    den = c * x + d
-    if den == 0:
-        raise DegenerateCoefficientError("evaluation at the pole of the map")
-    y0 = (a * x + b) / den
-    # y^(k) = det * (-1)^(k+1) * k! * c^(k-1) / den^(k+1) for k >= 1
-    ds = [y0]
-    sign = 1.0
-    fact = 1.0
-    for k in range(1, 6):
-        fact *= k
-        ds.append(sign * det * fact * c ** (k - 1) / den ** (k + 1))
-        sign = -sign
-    return Jet(x, tuple(ds))

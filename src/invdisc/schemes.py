@@ -4,9 +4,10 @@ solving the invariant equation for the new ordinate.
 The fourth-order scheme (Mobius maps of y) and the six-point product-group
 scheme reduce to a linear equation a*t = b in the new ordinate t.  The
 third-order hodograph scheme is quadratic for constant forcing and cubic
-when the forcing is the dependent variable itself; all real roots are
-computed in closed form and the one nearest a quadratic extrapolation is
-kept.
+when the forcing is the dependent variable itself.  A degenerate leading
+coefficient drops its polynomial one degree, down to the linear weakly
+invariant form; each degree has one closed-form solver for all its real
+roots, and the one nearest a quadratic extrapolation is kept.
 
 Each scheme has one straight-line kernel on plain floats that returns the
 new ordinate or the :class:`StopReason` that ends the run: ``_sly4_kernel``,
@@ -14,18 +15,18 @@ new ordinate or the :class:`StopReason` that ends the run: ``_sly4_kernel``,
 ``_slx3_cubic_kernel`` (identity forcing).  A kernel evaluates invariants
 inline, with the float operations and degeneracy checks of
 :mod:`invdisc.discrete`, which stays their definition.  :func:`integrate`
-picks the kernel once per run and drives it over a rolling window; the
-public ``*_step`` functions run the same kernels on one stencil.
+picks the kernel once per run with :func:`_kernel_for` and drives it over a
+rolling window; the public ``*_step`` functions run the same kernels on one
+stencil.
 """
 from __future__ import annotations
 
 import math
 from typing import Sequence
 
-from .core import (Constant, DEGENERACY_RTOL, DegenerateCoefficientError,
-                   ForcingTerm, IdentityInY, NonFiniteError, OVERFLOW_LIMIT,
-                   SchemeKind, SchemeSpec, Stencil, StopReason, Trajectory,
-                   is_degenerate)
+from .core import (Constant, DEGENERACY_RTOL, ForcingTerm, IdentityInY,
+                   NonFiniteError, OVERFLOW_LIMIT, SchemeKind, SchemeSpec, Stencil,
+                   StopReason, Trajectory)
 from .discrete import _h5_r5_line
 
 
@@ -97,22 +98,16 @@ def _cubic_roots(c0: float, c1: float, c2: float, c3: float) -> list[float]:
     return roots
 
 
-def _real_roots(c: tuple[float, ...]) -> list[float]:
-    """All real roots of c0 + c1*t + ... (nonzero leading coefficient,
-    degree 1..3) in ascending order, each polished once; raises
-    NonFiniteError if a cubic's depressed coefficients overflow."""
-    if len(c) == 4:
-        return _cubic_roots(*c)
-    if len(c) == 3:
-        return _quadratic_roots(*c)
-    c0, c1 = c
+def _linear_root(c0: float, c1: float) -> float:
+    """Root of c0 + c1*t (c1 != 0), polished once as :func:`_quadratic_roots`
+    polishes."""
     t = -c0 / c1
     if math.isfinite(c1):
         p = c1 * t + c0
         t1 = t - p / c1
         if math.isfinite(t1) and abs(c1 * t1 + c0) <= abs(p):
             t = t1
-    return [t]
+    return t
 
 
 def solve_poly(coeffs: Sequence[float]) -> list[float]:
@@ -121,15 +116,22 @@ def solve_poly(coeffs: Sequence[float]) -> list[float]:
 
     Complex-conjugate pairs are simply absent from the result; an empty
     list is a valid return.  Raises ValueError unless the degree is 1..3
-    with a nonzero leading coefficient, and NonFiniteError when a cubic's
-    coefficients are so far apart that its depressed form overflows.
+    with a nonzero leading coefficient, and NonFiniteError when a
+    coefficient is not finite or a cubic's coefficients are so far apart
+    that its depressed form overflows.
     """
     c = tuple(float(v) for v in coeffs)
     if not 2 <= len(c) <= 4:
         raise ValueError("degree must be 1..3")
+    if not all(map(math.isfinite, c)):
+        raise NonFiniteError(f"coefficients {c} are not all finite")
     if c[-1] == 0.0:
         raise ValueError("leading coefficient must be nonzero")
-    return _real_roots(c)
+    if len(c) == 4:
+        return _cubic_roots(*c)
+    if len(c) == 3:
+        return _quadratic_roots(*c)
+    return [_linear_root(*c)]
 
 
 def _cbrt(v: float) -> float:
@@ -243,15 +245,6 @@ def _slx3_linear(y0: float, y1: float, y2: float) -> tuple[float, float, float]:
     return common, lin0, lin1
 
 
-def _slx3_quadratic(y0: float, y1: float, y2: float,
-                    c: float) -> tuple[float, float, float]:
-    """Cleared polynomial for constant forcing c, low order first."""
-    common, lin0, lin1 = _slx3_linear(y0, y1, y2)
-    return (lin0 - c * common * y0 * y2,
-            lin1 + c * common * (y0 + y2),
-            -c * common)
-
-
 def _slx3_cubic(y0: float, y1: float, y2: float,
                 stencil_mean: bool) -> tuple[float, float, float, float]:
     """Cleared polynomial for identity forcing, low order first."""
@@ -271,64 +264,49 @@ def _slx3_cubic(y0: float, y1: float, y2: float,
             -q)
 
 
-def _trimmed(coeffs: tuple[float, ...]) -> tuple[float, ...]:
-    """The polynomial with degenerate leading coefficients dropped
-    (scale-aware); raises DegenerateCoefficientError if what is left
-    degenerates as well."""
-    scale = max(map(abs, coeffs))
-    n = len(coeffs)
-    while n > 2 and is_degenerate(coeffs[n - 1], scale):
-        n -= 1
-    if n < len(coeffs):
-        coeffs = coeffs[:n]
-        scale = max(map(abs, coeffs))
-    # a NaN scale disables the tolerance test, not the exact zero test
-    if coeffs[-1] == 0.0 or is_degenerate(coeffs[-1], scale):
-        raise DegenerateCoefficientError("scheme polynomial degenerates")
-    return coeffs
+# A leading coefficient at most DEGENERACY_RTOL times the largest remaining
+# one in size drops the polynomial one degree.  A NaN scale disables that
+# test, not the exact zero test, which stops the run instead.
 
-
-def _slx3_roots(xs, ys, x_next: float, coeffs: tuple[float, ...]) -> float | StopReason:
-    """The new ordinate from the third-order scheme's cleared polynomial:
-    the real root nearest the prediction, or why there is none."""
-    try:
-        roots = _real_roots(_trimmed(coeffs))
-    except DegenerateCoefficientError:
+def _slx3_quadratic_root(xs, ys, x_next: float, c0: float, c1: float,
+                         c2: float) -> float | StopReason:
+    """The real root of c0 + c1*t + c2*t^2 nearest the prediction, or why
+    there is none; a degenerate c2 leaves the linear equation c0 + c1*t."""
+    if abs(c2) <= DEGENERACY_RTOL * max(abs(c0), abs(c1), abs(c2)):
+        if c1 == 0.0 or abs(c1) <= DEGENERACY_RTOL * max(abs(c0), abs(c1)):
+            return StopReason.DEGENERATE_COEFFICIENT
+        t = _linear_root(c0, c1)
+    elif c2 == 0.0:
         return StopReason.DEGENERATE_COEFFICIENT
-    except NonFiniteError:
-        return StopReason.NON_FINITE
-    if not roots:
-        return StopReason.NO_REAL_ROOT
-    # the prediction matters only when choosing among several roots
-    t = roots[0] if len(roots) == 1 else select_root(roots, _extrapolate(xs, ys, x_next))
+    else:
+        roots = _quadratic_roots(c0, c1, c2)
+        if not roots:
+            return StopReason.NO_REAL_ROOT
+        lo, hi = roots
+        # select_root: the root nearest the prediction, ties to the smaller one
+        p = _extrapolate(xs, ys, x_next)
+        d_lo, d_hi = abs(lo - p), abs(hi - p)
+        t = hi if d_hi < d_lo or (d_hi == d_lo and hi < lo) else lo
     return t if abs(t) <= OVERFLOW_LIMIT else StopReason.NON_FINITE
 
 
 def _slx3_kernel(xs, ys, x_next: float, c: float) -> float | StopReason:
-    """Kernel of the third-order scheme with constant forcing c: the
-    quadratic's root nearest the prediction, as :func:`_slx3_roots` finds
-    it.  A degenerate leading coefficient takes that general path."""
-    c0, c1, c2 = _slx3_quadratic(ys[0], ys[1], ys[2], c)
-    if c2 == 0.0 or abs(c2) <= DEGENERACY_RTOL * max(abs(c0), abs(c1), abs(c2)):
-        return _slx3_roots(xs, ys, x_next, (c0, c1, c2))
-    roots = _quadratic_roots(c0, c1, c2)
-    if not roots:
-        return StopReason.NO_REAL_ROOT
-    lo, hi = roots
-    # select_root: the root nearest the prediction, ties to the smaller one
-    p = _extrapolate(xs, ys, x_next)
-    d_lo, d_hi = abs(lo - p), abs(hi - p)
-    t = hi if d_hi < d_lo or (d_hi == d_lo and hi < lo) else lo
-    return t if abs(t) <= OVERFLOW_LIMIT else StopReason.NON_FINITE
+    """Kernel of the third-order scheme with constant forcing c: the root of
+    its cleared quadratic nearest the prediction."""
+    y0, y1, y2 = ys
+    common, lin0, lin1 = _slx3_linear(y0, y1, y2)
+    return _slx3_quadratic_root(xs, ys, x_next, lin0 - c * common * y0 * y2,
+                                lin1 + c * common * (y0 + y2), -c * common)
 
 
 def _slx3_cubic_kernel(xs, ys, x_next: float, stencil_mean: bool) -> float | StopReason:
-    """Kernel of the third-order scheme with identity forcing: the cubic's
-    root nearest the prediction, as :func:`_slx3_roots` finds it.  A
-    degenerate leading coefficient takes that general path."""
+    """Kernel of the third-order scheme with identity forcing: the root of
+    its cubic nearest the prediction; a degenerate c3 leaves the quadratic."""
     c0, c1, c2, c3 = _slx3_cubic(ys[0], ys[1], ys[2], stencil_mean)
-    if c3 == 0.0 or abs(c3) <= DEGENERACY_RTOL * max(abs(c0), abs(c1), abs(c2), abs(c3)):
-        return _slx3_roots(xs, ys, x_next, (c0, c1, c2, c3))
+    if abs(c3) <= DEGENERACY_RTOL * max(abs(c0), abs(c1), abs(c2), abs(c3)):
+        return _slx3_quadratic_root(xs, ys, x_next, c0, c1, c2)
+    if c3 == 0.0:
+        return StopReason.DEGENERATE_COEFFICIENT
     try:
         roots = _cubic_roots(c0, c1, c2, c3)
     except NonFiniteError:
@@ -337,25 +315,17 @@ def _slx3_cubic_kernel(xs, ys, x_next: float, stencil_mean: bool) -> float | Sto
     return t if abs(t) <= OVERFLOW_LIMIT else StopReason.NON_FINITE
 
 
-def _slx3_kernel_for(forcing: ForcingTerm):
-    """The third-order scheme's kernel for ``forcing`` and its parameter."""
-    if isinstance(forcing, Constant):
-        return _slx3_kernel, forcing.c
-    if isinstance(forcing, IdentityInY):
-        return _slx3_cubic_kernel, forcing.stencil_mean
-    raise ValueError("slx3 forcing must be constant or the identity in y")
-
-
 def slx3_step(prev3: Stencil, x_next: float, forcing: ForcingTerm) -> float | StopReason:
     """Advance the third-order hodograph scheme on a uniform lattice.
 
     Clears m3(prev3 + new point) = rhs into a polynomial of degree 2
     (constant forcing) or 3 (identity forcing) and keeps the real root nearest
     the quadratic through prev3 at ``x_next``; no real root means a barrier.
+    A degenerate leading coefficient drops the polynomial one degree.
     """
     if len(prev3) != 3:
         raise ValueError("slx3_step needs 3 previous points")
-    kernel, param = _slx3_kernel_for(forcing)
+    kernel, param = _kernel_for(SchemeKind.SLX3, forcing)
     return kernel(prev3.xs, prev3.ys, x_next, param)
 
 
@@ -426,6 +396,21 @@ def _check_lattice(seed: Stencil, h: float, n_steps: int):
         raise ValueError(f"step {h!r} is too small for abscissae up to {x_end!r}")
 
 
+def _kernel_for(scheme: SchemeKind, forcing: ForcingTerm):
+    """The kernel that advances ``scheme`` under ``forcing``, and its
+    parameter."""
+    if scheme is SchemeKind.SLY4:
+        const = isinstance(forcing, Constant)
+        return _sly4_kernel, (lambda _x, c=forcing.c: c) if const else forcing.fn
+    if scheme is SchemeKind.H5:
+        return _h5_kernel, forcing.c
+    if isinstance(forcing, Constant):
+        return _slx3_kernel, forcing.c
+    if isinstance(forcing, IdentityInY):
+        return _slx3_cubic_kernel, forcing.stencil_mean
+    raise ValueError("slx3 forcing must be constant or the identity in y")
+
+
 def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
     """Advance the seed up to ``n_steps`` lattice steps with the scheme's
     kernel, collecting the new points.
@@ -441,14 +426,7 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
     arity = spec.arity
     if len(seed) != arity:
         raise ValueError(f"{spec.scheme.value} needs a {arity}-point seed, got {len(seed)}")
-    f = spec.forcing
-    if spec.scheme is SchemeKind.SLY4:
-        kernel = _sly4_kernel
-        param = (lambda _x, c=f.c: c) if isinstance(f, Constant) else f.fn
-    elif spec.scheme is SchemeKind.SLX3:
-        kernel, param = _slx3_kernel_for(f)
-    else:
-        kernel, param = _h5_kernel, f.c
+    kernel, param = _kernel_for(spec.scheme, spec.forcing)
     h = spec.lattice.h
     _check_lattice(seed, h, n_steps)
     x0 = seed.xs[0]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from invdisc import (Constant, DegenerateCoefficientError, Jet, NonFiniteError,
-                     SchemeKind, StopReason, Trajectory)
+                     SchemeKind, StopReason, Trajectory, kx_invariants)
 from invdisc.cli import ConfigError
 from invdisc.core import OVERFLOW_LIMIT, is_degenerate
 from invdisc.discrete import _cross_ratio, _cross_ratio_line, _h5_r5_line, _l3
@@ -48,6 +48,41 @@ def polynomial_jet(coeffs: tuple[float, ...], x: float) -> Jet:
         ds.append(sum(c * x ** i for i, c in enumerate(cs)))
         cs = [i * c for i, c in enumerate(cs)][1:]
     return Jet(x, tuple(ds))
+
+
+def mobius_jet(a: float, b: float, c: float, d: float, x: float) -> Jet:
+    """Jet of the linear-fractional map (a*x + b)/(c*x + d)."""
+    det = a * d - b * c
+    if det == 0:
+        raise ValueError("singular coefficient matrix")
+    den = c * x + d
+    if den == 0:
+        raise DegenerateCoefficientError("evaluation at the pole of the map")
+    y0 = (a * x + b) / den
+    # y^(k) = det * (-1)^(k+1) * k! * c^(k-1) / den^(k+1) for k >= 1
+    ds = [y0]
+    sign = 1.0
+    fact = 1.0
+    for k in range(1, 6):
+        fact *= k
+        ds.append(sign * det * fact * c ** (k - 1) / den ** (k + 1))
+        sign = -sign
+    return Jet(x, tuple(ds))
+
+
+def jtilde5(jet: Jet) -> float:
+    """Simplified fifth-order invariant, equal to J5 + 4*J3^2."""
+    _, y1, y2, y3, y4, y5 = jet.d
+    if y1 == 0.0:
+        raise DegenerateCoefficientError("invariants undefined where y' = 0")
+    return y5 / y1 - 5.0 * y2 * y4 / y1 ** 2 + 5.0 * y2 ** 2 * y3 / y1 ** 3
+
+
+def h5_differential_hodograph(jet: Jet) -> float:
+    """``h5_differential`` through the hodograph family ``kx_invariants``
+    instead of the Schwarzian hierarchy: the same value, by another route."""
+    t = kx_invariants(jet)
+    return t.fifth / t.third ** 2 - 1.25 * t.fourth ** 2 / t.third ** 3
 
 
 def finite_difference_jet(f, x: float, step: float = 1e-4) -> tuple[float, ...]:

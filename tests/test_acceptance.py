@@ -24,8 +24,8 @@ from invdisc import (Constant, FunctionOfX, Jet, LimitProbe,
                      SchemeKind, SchemeSpec, Stencil, StopReason, Uniform,
                      arctanh_solution, chi, cross_ratio,
                      fifth_order_invariant_system, h5_discrete, h5_step,
-                     h5_uniform, integrate, jtilde5, jy_invariants,
-                     kx_invariants, l3, l4, l5, log_abs, m3, m4, m5, mobius_jet,
+                     h5_uniform, integrate, jy_invariants,
+                     kx_invariants, l3, l4, l5, log_abs, m3, m4, m5,
                      one_over_one_minus_exp, probe_limit, rk4_integrate,
                      scaled_schwarzian_system, schwarzian_rate_system,
                      seed_stencil_from_function, sly4_step,
@@ -35,7 +35,8 @@ from invdisc.discrete import CrossRatioWindow
 from invdisc.reference import general_arctanh
 from invdisc.differential import h5_differential
 
-from conftest import make_mobius, random_mobius
+from conftest import (h5_differential_hodograph, jtilde5, make_mobius, mobius_jet,
+                      random_mobius)
 
 H_REF = 1e-5
 TABLE1 = {0.1: (0.451095, 0.310466, 0.298885),
@@ -408,8 +409,8 @@ def test_criterion_9_differential_identities(rng):
         if abs(t.third) < 0.1:
             continue
         done += 1
-        a = h5_differential(jet, route="j")
-        b = h5_differential(jet, route="k")
+        a = h5_differential(jet)
+        b = h5_differential_hodograph(jet)
         worst_route = max(worst_route, abs(a - b) / max(1.0, abs(a), abs(b)))
 
     # all invariants vanish on linear-fractional jets

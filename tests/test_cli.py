@@ -143,8 +143,12 @@ def test_solve_y_mean_is_the_stencil_mean_forcing(tmp_path):
     assert runs["y"].ys != got.ys
 
 
-def test_solve_validation_failures(tmp_path):
+def test_solve_validation_failures(tmp_path, capsys):
     seed = _write_seed_csv(tmp_path / "seed.csv", math.atanh, -0.5, 0.01, 3)
+    # sly4 has no default forcing: the message names the flag and its choices
+    assert main(["solve", "--scheme", "sly4", "--h", "0.01", "--steps", "5",
+                 "--seed", str(seed), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "error: sly4 needs --forcing: const, cos, sin, zero\n"
     # missing out
     assert main(["solve", "--scheme", "slx3", "--forcing", "const", "--c", "2",
                  "--h", "0.01", "--steps", "5", "--seed", str(seed)]) == 2

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from invdisc import (DegenerateCoefficientError, Jet, compose_jet,
-                     h5_differential, jtilde5, jy_invariants, kx_invariants,
-                     mobius_jet)
+                     h5_differential, jy_invariants, kx_invariants)
+
+from conftest import h5_differential_hodograph, jtilde5, mobius_jet
 
 MOBIUS_JET = Jet(1.0, (1.0, -1.0, 2.0, -6.0, 24.0, -120.0))  # y = 1/x at 1
 EXP_JET = Jet(0.0, (1.0,) * 6)
@@ -115,8 +116,8 @@ def test_h5_differential_degenerate_on_schwarzian_manifold():
 def test_h5_route_identity(jet):
     t = jy_invariants(jet)
     assume(abs(t.third) > 0.1)
-    a = h5_differential(jet, route="j")
-    b = h5_differential(jet, route="k")
+    a = h5_differential(jet)
+    b = h5_differential_hodograph(jet)
     assert abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b))
 
 

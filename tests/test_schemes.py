@@ -14,7 +14,8 @@ from invdisc import (Constant, CrossRatioWindow, FunctionOfX, IdentityInY,
 from invdisc import schemes
 from invdisc.schemes import extrapolate, h5_step
 
-from conftest import _ref_horner, make_mobius, random_mobius, scheme_reference_loop
+from conftest import (_ref_horner, _ref_slx3_kernel, make_mobius, random_mobius,
+                      scheme_reference_loop)
 
 OMEX = lambda x: 1.0 / (1.0 - math.exp(x))
 MOBIUS = lambda x: (2.0 * x + 1.0) / (x + 3.0)
@@ -43,7 +44,8 @@ def test_solve_poly_linear():
 
 
 @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 1e200, 1.0), (1.0, 1e110, 0.0, 1.0),
-                                    (1.0, 2.0, 3.0, 1e-300)])
+                                    (1.0, 2.0, 3.0, 1e-300), (1.0, math.nan, 1.0),
+                                    (1.0, math.inf, 1.0), (math.inf, 1.0)])
 def test_solve_poly_cubic_overflow_raises_non_finite(coeffs):
     with pytest.raises(NonFiniteError):
         solve_poly(coeffs)
@@ -117,16 +119,12 @@ def test_sly4_consistency_with_forcing():
 
 
 def test_slx3_degree_contract():
-    st3 = stencil_from_sequences([0.0, 0.5, 1.0], [0.0, 0.4, 0.7])
-
-    def degree(coeffs):
-        return len(schemes._trimmed(coeffs(*st3.ys))) - 1
-
-    assert degree(lambda *ys: schemes._slx3_quadratic(*ys, 0.5)) == 2
-    assert degree(lambda *ys: schemes._slx3_cubic(*ys, False)) == 3
-    assert degree(lambda *ys: schemes._slx3_cubic(*ys, True)) == 3
-    # zero constant forcing degenerates to the linear weakly-invariant form
-    assert degree(lambda *ys: schemes._slx3_quadratic(*ys, 0.0)) == 1
+    # zero constant forcing leaves the linear weakly-invariant form, whose
+    # root makes the cross-ratio of the four ordinates equal S = 4
+    st3 = Stencil((0.0, 0.5, 1.0), (0.0, 0.4, 0.7))
+    t = slx3_step(st3, 1.5, Constant(0.0))
+    assert cross_ratio(CrossRatioWindow(*st3.ys, t)) == pytest.approx(4.0, rel=1e-14)
+    assert slx3_step(st3, 1.5, Constant(0.5)) != t
 
 
 def test_slx3_consistency():
@@ -547,6 +545,40 @@ def _assert_integrate_is_composed(spec, seed, n_steps):
     traj = integrate(spec, seed, n_steps)
     event(f"{spec.scheme.value} {type(spec.forcing).__name__}: {traj.stop.value}")
     assert (traj.xs, traj.ys, traj.stop) == scheme_reference_loop(spec, seed, n_steps)
+
+
+#: per degree of the slx3 step and per branch of its descent, where a
+#: degenerate leading coefficient drops the cleared polynomial one degree:
+#: (ys, forcing, the solver that runs)
+SLX3_DEGREES = {
+    "quadratic": ((0.0, 0.4, 0.7), Constant(0.5), "_quadratic_roots"),
+    "cubic": ((0.0, 0.4, 0.7), IdentityInY(), "_cubic_roots"),
+    "cubic-mean": ((0.0, 0.4, 0.7), IdentityInY(stencil_mean=True), "_cubic_roots"),
+    "cubic-to-quadratic": ((1e7, 1e7 + 1.0, 1e7 + 3.0), IdentityInY(), "_quadratic_roots"),
+    "cubic-to-linear": ((1e7, 1e7 + 1.0, 1e7 + 3.0), IdentityInY(stencil_mean=True),
+                        "_linear_root"),
+    "quadratic-to-linear": ((0.0, 0.4, 0.7), Constant(0.0), "_linear_root"),
+    # c0 is NaN, so the exact zero leading coefficient stops the step
+    "nan-scale-quadratic": ((-1e300, 1e300, 1e300), Constant(0.5), None),
+    "nan-scale-cubic": ((-1e300, 1e300, 1e300), IdentityInY(), None),
+}
+
+
+@pytest.mark.parametrize("ys, forcing, solver", SLX3_DEGREES.values(), ids=SLX3_DEGREES)
+def test_slx3_descent_equals_composed_kernels(ys, forcing, solver):
+    xs = (0.0, 0.5, 1.0)
+    solvers = ("_linear_root", "_quadratic_roots", "_cubic_roots")
+    with ExitStack() as stack:
+        calls = {name: stack.enter_context(mock.patch.object(
+                     schemes, name, wraps=getattr(schemes, name))) for name in solvers}
+        t = slx3_step(Stencil(xs, ys), 1.5, forcing)
+    assert [name for name in solvers if calls[name].called] == ([solver] if solver else [])
+    want = _ref_slx3_kernel(xs, ys, 1.5, forcing)
+    assert repr(t) == repr(want)
+    assert (t is StopReason.DEGENERATE_COEFFICIENT) == (solver is None)
+    spec = SchemeSpec(SchemeKind.SLX3, forcing, Uniform(0.5))
+    traj = integrate(spec, Stencil(xs, ys), 20)
+    assert (traj.xs, traj.ys, traj.stop) == scheme_reference_loop(spec, Stencil(xs, ys), 20)
 
 
 @settings(max_examples=150, deadline=None)
