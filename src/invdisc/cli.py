@@ -155,10 +155,7 @@ def _solve_spec(args) -> SchemeSpec:
         term = FunctionOfX(NAMED_FORCINGS[forcing])
     else:
         raise ConfigError(f"unknown forcing {args.forcing!r}")
-    try:
-        return SchemeSpec(kind, term, Uniform(args.h))
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    return SchemeSpec(kind, term, Uniform(args.h))
 
 
 # --- paper examples -------------------------------------------------------------

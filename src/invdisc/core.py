@@ -188,13 +188,13 @@ class SchemeKind(Enum):
     H5 = "h5"
 
 
-#: previous points consumed per step (the new point extends these by one).
+#: points each scheme steps from (the new point extends these by one).
 SCHEME_ARITY = {SchemeKind.SLY4: 4, SchemeKind.SLX3: 3, SchemeKind.H5: 5}
 
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """Which scheme, forcing and lattice define a run."""
+    """Which scheme, forcing and lattice define a run; integrate checks the pair."""
 
     scheme: SchemeKind
     forcing: ForcingTerm
@@ -203,15 +203,6 @@ class SchemeSpec:
     def __post_init__(self):
         if not isinstance(self.lattice, Uniform):
             raise ValueError("schemes run on uniform lattices only")
-        if self.scheme is SchemeKind.SLY4:
-            if not isinstance(self.forcing, (Constant, FunctionOfX)):
-                raise ValueError("sly4 forcing must be a function of x only")
-        elif self.scheme is SchemeKind.SLX3:
-            if not isinstance(self.forcing, (Constant, IdentityInY)):
-                raise ValueError("slx3 forcing must be constant or the identity in y")
-        elif self.scheme is SchemeKind.H5:
-            if not isinstance(self.forcing, Constant):
-                raise ValueError("h5 forcing must be constant")
 
     @property
     def arity(self) -> int:

@@ -26,6 +26,8 @@ def extend_constant_s(x_a: float, x_b: float, x_c: float, K: float) -> float:
 
 def extend_lattice(rule: ConstantS, n: int) -> list[float]:
     """First n abscissae of the constant-cross-ratio lattice ``rule``."""
+    if n < 0:
+        raise ValueError(f"lattice size must be non-negative, got {n}")
     xs = list(rule.seed)
     while len(xs) < n:
         xs.append(extend_constant_s(xs[-3], xs[-2], xs[-1], rule.K))

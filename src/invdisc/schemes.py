@@ -14,19 +14,19 @@ new ordinate or the :class:`StopReason` that ends the run: ``_sly4_kernel``,
 ``_h5_kernel``, and for ``slx3`` ``_slx3_kernel`` (constant forcing) and
 ``_slx3_cubic_kernel`` (identity forcing).  A kernel evaluates invariants
 inline, with the float operations and degeneracy checks of
-:mod:`invdisc.discrete`, which stays their definition.  :func:`integrate`
-picks the kernel once per run with :func:`_kernel_for` and drives it over a
-rolling window; the public ``*_step`` functions run the same kernels on one
-stencil.
+:mod:`invdisc.discrete`, which stays their definition.  :func:`_resolve`
+alone knows which forcing each scheme takes, from how many points, and which
+kernel runs them; :func:`integrate` resolves once per run and drives the
+kernel over a rolling window, ``*_step(stencil, x_next, forcing)`` one step.
 """
 from __future__ import annotations
 
 import math
 from typing import Sequence
 
-from .core import (Constant, DEGENERACY_RTOL, ForcingTerm, IdentityInY,
-                   NonFiniteError, OVERFLOW_LIMIT, SchemeKind, SchemeSpec, Stencil,
-                   StopReason, Trajectory)
+from .core import (Constant, DEGENERACY_RTOL, ForcingTerm, FunctionOfX, IdentityInY,
+                   NonFiniteError, OVERFLOW_LIMIT, SCHEME_ARITY, SchemeKind, SchemeSpec,
+                   Stencil, StopReason, Trajectory)
 from .discrete import _h5_r5_line
 
 
@@ -155,6 +155,8 @@ def extrapolate(xs: Sequence[float], ys: Sequence[float], x: float) -> float:
     """Value at x of the quadratic through the last three (xs, ys)."""
     if len(xs) < 3 or len(ys) < 3:
         raise ValueError("extrapolation needs 3 points")
+    if xs[-3] == xs[-2] or xs[-2] == xs[-1] or xs[-3] == xs[-1]:
+        raise ValueError(f"extrapolation needs distinct abscissae, got {tuple(xs[-3:])}")
     return _extrapolate(xs, ys, x)
 
 
@@ -223,15 +225,15 @@ def _sly4_kernel(xs, ys, x_next: float, fn) -> float | StopReason:
     return t if abs(t) <= OVERFLOW_LIMIT else StopReason.NON_FINITE
 
 
-def sly4_step(prev4: Stencil, x_next: float, forcing) -> float | StopReason:
+def sly4_step(prev4: Stencil, x_next: float,
+              forcing: Constant | FunctionOfX) -> float | StopReason:
     """Advance the fourth-order scheme: solve l4(prev4 + new point) = f(x_mid).
 
-    ``forcing`` is a callable of x (the middle abscissa of the five-point
-    window).  The cleared equation is linear in the new ordinate.
+    The forcing f, a constant or a function of x, is taken at the middle
+    abscissa; the cleared equation is linear in the new ordinate.
     """
-    if len(prev4) != 4:
-        raise ValueError("sly4_step needs 4 previous points")
-    return _sly4_kernel(prev4.xs, prev4.ys, x_next, forcing)
+    kernel, param = _resolve(SchemeKind.SLY4, forcing, prev4)
+    return kernel(prev4.xs, prev4.ys, x_next, param)
 
 
 def _slx3_linear(y0: float, y1: float, y2: float) -> tuple[float, float, float]:
@@ -323,9 +325,7 @@ def slx3_step(prev3: Stencil, x_next: float, forcing: ForcingTerm) -> float | St
     the quadratic through prev3 at ``x_next``; no real root means a barrier.
     A degenerate leading coefficient drops the polynomial one degree.
     """
-    if len(prev3) != 3:
-        raise ValueError("slx3_step needs 3 previous points")
-    kernel, param = _kernel_for(SchemeKind.SLX3, forcing)
+    kernel, param = _resolve(SchemeKind.SLX3, forcing, prev3)
     return kernel(prev3.xs, prev3.ys, x_next, param)
 
 
@@ -363,16 +363,15 @@ def _h5_kernel(xs, ys, x_next: float, c: float) -> float | StopReason:
     return t if abs(t) <= OVERFLOW_LIMIT else StopReason.NON_FINITE
 
 
-def h5_step(prev5: Stencil, x_next: float, c: float) -> float | StopReason:
+def h5_step(prev5: Stencil, x_next: float, forcing: Constant) -> float | StopReason:
     """Advance the six-point product-group scheme on a uniform lattice.
 
-    The equation h5_uniform(R3, R4, R5) = c is linear in R5, and R5 is a
-    linear-fractional function of the new ordinate, so the cleared equation
-    is linear in it.
+    The equation h5_uniform(R3, R4, R5) = c, for ``forcing`` Constant(c), is
+    linear in R5, and R5 is a linear-fractional function of the new ordinate,
+    so the cleared equation is linear in it.
     """
-    if len(prev5) != 5:
-        raise ValueError("h5_step needs 5 previous points")
-    return _h5_kernel(prev5.xs, prev5.ys, x_next, c)
+    kernel, param = _resolve(SchemeKind.H5, forcing, prev5)
+    return kernel(prev5.xs, prev5.ys, x_next, param)
 
 
 # --- trajectory driver --------------------------------------------------------
@@ -396,19 +395,22 @@ def _check_lattice(seed: Stencil, h: float, n_steps: int):
         raise ValueError(f"step {h!r} is too small for abscissae up to {x_end!r}")
 
 
-def _kernel_for(scheme: SchemeKind, forcing: ForcingTerm):
-    """The kernel that advances ``scheme`` under ``forcing``, and its
-    parameter."""
-    if scheme is SchemeKind.SLY4:
-        const = isinstance(forcing, Constant)
-        return _sly4_kernel, (lambda _x, c=forcing.c: c) if const else forcing.fn
-    if scheme is SchemeKind.H5:
-        return _h5_kernel, forcing.c
+def _resolve(scheme: SchemeKind, forcing: ForcingTerm, stencil: Stencil):
+    """The kernel that advances ``scheme`` from ``stencil`` under ``forcing``,
+    and its parameter; ValueError, naming the scheme and what it was given,
+    for a stencil length or a forcing the scheme does not take."""
+    arity = SCHEME_ARITY[scheme]
+    if len(stencil) != arity:
+        raise ValueError(f"{scheme.value} steps from {arity} points, got {len(stencil)}")
     if isinstance(forcing, Constant):
-        return _slx3_kernel, forcing.c
-    if isinstance(forcing, IdentityInY):
+        if scheme is SchemeKind.SLY4:
+            return _sly4_kernel, lambda _x, c=forcing.c: c
+        return (_slx3_kernel if scheme is SchemeKind.SLX3 else _h5_kernel), forcing.c
+    if isinstance(forcing, FunctionOfX) and scheme is SchemeKind.SLY4:
+        return _sly4_kernel, forcing.fn
+    if isinstance(forcing, IdentityInY) and scheme is SchemeKind.SLX3:
         return _slx3_cubic_kernel, forcing.stencil_mean
-    raise ValueError("slx3 forcing must be constant or the identity in y")
+    raise ValueError(f"{scheme.value} does not take the forcing {forcing!r}")
 
 
 def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
@@ -417,17 +419,14 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
 
     Returns the partial trajectory and the reason extension ceased; scheme
     failures surface as stop reasons, never as exceptions.  Before the first
-    step, a negative step count, a seed that does not fit the spec, or a
-    lattice whose abscissae may not stay strictly monotone raise ValueError;
-    a lattice whose last abscissa overflows raises NonFiniteError.
+    step, a negative step count, a forcing or seed the scheme does not take,
+    or a lattice whose abscissae may not stay strictly monotone raise
+    ValueError; a lattice whose last abscissa overflows raises NonFiniteError.
     """
     if n_steps < 0:
         raise ValueError(f"step count must be non-negative, got {n_steps}")
-    arity = spec.arity
-    if len(seed) != arity:
-        raise ValueError(f"{spec.scheme.value} needs a {arity}-point seed, got {len(seed)}")
-    kernel, param = _kernel_for(spec.scheme, spec.forcing)
-    h = spec.lattice.h
+    kernel, param = _resolve(spec.scheme, spec.forcing, seed)
+    h, arity = spec.lattice.h, len(seed)
     _check_lattice(seed, h, n_steps)
     x0 = seed.xs[0]
     out_xs, out_ys = list(seed.xs), list(seed.ys)

@@ -9,7 +9,10 @@ from invdisc import (Constant, DegenerateCoefficientError, Jet, NonFiniteError,
 from invdisc.cli import ConfigError
 from invdisc.core import OVERFLOW_LIMIT, is_degenerate
 from invdisc.discrete import _cross_ratio, _cross_ratio_line, _h5_r5_line, _l3
-from invdisc.schemes import extrapolate, select_root
+from invdisc.schemes import extrapolate, h5_step, select_root, slx3_step, sly4_step
+
+#: each scheme's public step function
+STEPS = {SchemeKind.SLY4: sly4_step, SchemeKind.SLX3: slx3_step, SchemeKind.H5: h5_step}
 
 
 def make_mobius(a, b, c, d):

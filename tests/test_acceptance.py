@@ -311,7 +311,7 @@ def test_criterion_7_invariance_suite(rng):
         ys4 = list(np.cumsum(rng.uniform(1.0, 2.0, 4)))
         st4 = stencil_from_sequences([0.0, 0.1, 0.2, 0.3], ys4)
         g = make_mobius(*random_mobius(rng, ys4 + [8.0]))
-        f = lambda x: math.cos(3.0 * x)
+        f = FunctionOfX(lambda x: math.cos(3.0 * x))
         o1 = sly4_step(st4, 0.4, f)
         o2 = sly4_step(stencil_from_sequences([0.0, 0.1, 0.2, 0.3],
                                               [g(y) for y in ys4]), 0.4, f)
@@ -321,9 +321,9 @@ def test_criterion_7_invariance_suite(rng):
         ys5 = list(np.cumsum(rng.uniform(0.5, 1.5, 5)))
         st5 = stencil_from_sequences([0.1 * k for k in range(5)], ys5)
         g = make_mobius(*random_mobius(rng, ys5 + [8.0]))
-        o1 = h5_step(st5, 0.5, 0.0)
+        o1 = h5_step(st5, 0.5, Constant(0.0))
         o2 = h5_step(stencil_from_sequences([0.1 * k for k in range(5)],
-                                            [g(y) for y in ys5]), 0.5, 0.0)
+                                            [g(y) for y in ys5]), 0.5, Constant(0.0))
         if not (isinstance(o1, StopReason) or isinstance(o2, StopReason)):
             a, b = g(o1), o2
             worst_eq = max(worst_eq, abs(a - b) / max(1.0, abs(a), abs(b)))

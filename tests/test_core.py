@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from invdisc import (Constant, ConstantS, FunctionOfX, IdentityInY, Jet,
-                     NonFiniteError, Point, SchemeKind, SchemeSpec,
-                     Uniform, seed_stencil_from_function,
+                     NonFiniteError, Point, SchemeKind, SchemeSpec, StopReason,
+                     Uniform, integrate, seed_stencil_from_function,
                      stencil_from_sequences)
+
+from conftest import STEPS
 
 
 def test_seed_identity():
@@ -72,19 +74,29 @@ def test_point_and_jet_reject_non_finite():
 
 
 def test_scheme_spec_forcing_rules():
-    u = Uniform(0.1)
-    SchemeSpec(SchemeKind.SLY4, FunctionOfX(math.cos), u)
-    SchemeSpec(SchemeKind.SLY4, Constant(1.0), u)
-    SchemeSpec(SchemeKind.SLX3, Constant(2.0), u)
-    with pytest.raises(ValueError):
-        SchemeSpec(SchemeKind.SLX3, FunctionOfX(math.cos), u)
-    SchemeSpec(SchemeKind.H5, Constant(0.0), u)
-    # the stencil mean is one of the two identity forcings: slx3 only
-    for mean in (False, True):
-        SchemeSpec(SchemeKind.SLX3, IdentityInY(mean), u)
-        for kind in (SchemeKind.SLY4, SchemeKind.H5):
-            with pytest.raises(ValueError):
-                SchemeSpec(kind, IdentityInY(mean), u)
+    # every scheme takes a constant, sly4 also a function of x and slx3 the
+    # identity in y, at the new point or as the stencil mean
+    takes = {SchemeKind.SLY4: (Constant, FunctionOfX),
+             SchemeKind.SLX3: (Constant, IdentityInY), SchemeKind.H5: (Constant,)}
+    for kind in SchemeKind:
+        for forcing in (Constant(0.5), FunctionOfX(math.cos), IdentityInY(),
+                        IdentityInY(stencil_mean=True)):
+            # SchemeSpec holds any pair; integrate and the step function judge it
+            spec = SchemeSpec(kind, forcing, Uniform(0.1))
+            seed = seed_stencil_from_function(math.exp, 0.0, 0.1, spec.arity)
+            x_next = 0.1 * spec.arity
+            if isinstance(forcing, takes[kind]):
+                out = STEPS[kind](seed, x_next, forcing)
+                assert not isinstance(out, StopReason)
+                traj = integrate(spec, seed, 3)
+                assert (traj.xs[spec.arity], traj.ys[spec.arity]) == (x_next, out)
+                continue
+            refused = f"^{kind.value} does not take the forcing {type(forcing).__name__}"
+            with pytest.raises(ValueError, match=refused):
+                STEPS[kind](seed, x_next, forcing)
+            # refused before the lattice, which the seed does not continue
+            with pytest.raises(ValueError, match=refused):
+                integrate(SchemeSpec(kind, forcing, Uniform(-0.1)), seed, 3)
 
 
 def test_scheme_spec_rejects_non_uniform_lattice():

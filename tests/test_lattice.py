@@ -35,6 +35,14 @@ def test_extension_keeps_cross_ratio(K, seed):
         assert r == pytest.approx(K, rel=1e-12)
 
 
+def test_extend_lattice_counts():
+    rule = ConstantS(4.0, (0.0, 1.0, 2.0))
+    assert extend_lattice(rule, 0) == []
+    assert extend_lattice(rule, 2) == [0.0, 1.0]
+    with pytest.raises(ValueError, match="non-negative"):
+        extend_lattice(rule, -1)
+
+
 def test_k4_arithmetic_extension_is_exact():
     xs = extend_lattice(ConstantS(4.0, (2.0, 2.5, 3.0)), 8)
     assert xs == pytest.approx([2.0 + 0.5 * k for k in range(8)], rel=1e-14)

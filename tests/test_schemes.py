@@ -14,7 +14,7 @@ from invdisc import (Constant, CrossRatioWindow, FunctionOfX, IdentityInY,
 from invdisc import schemes
 from invdisc.schemes import extrapolate, h5_step
 
-from conftest import (_ref_horner, _ref_slx3_kernel, make_mobius, random_mobius,
+from conftest import (STEPS, _ref_horner, _ref_slx3_kernel, make_mobius, random_mobius,
                       scheme_reference_loop)
 
 OMEX = lambda x: 1.0 / (1.0 - math.exp(x))
@@ -95,13 +95,17 @@ def test_extrapolate_exact_on_polynomials():
     xs = (0.0, 0.5, 1.0)
     ys = [3.0 - 2.0 * x + 0.5 * x * x for x in xs]
     assert extrapolate(xs, ys, 1.5) == pytest.approx(3.0 - 3.0 + 0.5 * 2.25, rel=1e-12)
+    # a repeated abscissa among the last three has no quadratic through it
+    for repeated in ((0, 0, 1), (0, 1, 1), (1, 0, 1), (5, -0.0, 0.0, 1)):
+        with pytest.raises(ValueError, match="distinct abscissae"):
+            extrapolate(repeated, (1, 2, 3), 2)
 
 
 # --- single steps ------------------------------------------------------------------
 
 def test_sly4_zero_forcing_preserves_mobius_manifold():
     prev = seed_stencil_from_function(MOBIUS, 0.0, 0.1, 4)
-    out = sly4_step(prev, 0.4, lambda x: 0.0)
+    out = sly4_step(prev, 0.4, Constant(0.0))
     assert not isinstance(out, StopReason)
     assert out == pytest.approx(MOBIUS(0.4), rel=1e-9)
     # the new window still sits on the weakly invariant manifold
@@ -112,7 +116,7 @@ def test_sly4_zero_forcing_preserves_mobius_manifold():
 
 def test_sly4_consistency_with_forcing():
     prev = seed_stencil_from_function(math.exp, 0.0, 0.5, 4)
-    out = sly4_step(prev, 2.0, math.cos)
+    out = sly4_step(prev, 2.0, FunctionOfX(math.cos))
     full = stencil_from_sequences([0, 0.5, 1.0, 1.5, 2.0],
                                   list(prev.ys) + [out])
     assert abs(l4(full) - math.cos(1.0)) <= 1e-10 * abs(math.cos(1.0))
@@ -169,7 +173,7 @@ def test_h5_exact_propagation():
 
 def test_h5_consistency_nonzero_forcing():
     seed = seed_stencil_from_function(math.log, 1.0, 0.5, 5)
-    out = h5_step(seed, 3.5, 2.0)
+    out = h5_step(seed, 3.5, Constant(2.0))
     assert not isinstance(out, StopReason)
     ys = list(seed.ys) + [out]
 
@@ -182,7 +186,7 @@ def test_h5_consistency_nonzero_forcing():
 
 def test_h5_degenerate_on_weak_manifold_with_forcing():
     seed = seed_stencil_from_function(MOBIUS, 0.0, 0.1, 5)
-    out = h5_step(seed, 0.5, 2.0)
+    out = h5_step(seed, 0.5, Constant(2.0))
     assert out is StopReason.DEGENERATE_COEFFICIENT
 
 
@@ -195,7 +199,7 @@ def test_sly4_equivariance(rng):
         ys = list(np.cumsum(rng.uniform(1.0, 2.0, 4)))
         stencil = stencil_from_sequences(xs, ys)
         g = make_mobius(*random_mobius(rng, ys + [8.0]))
-        f = lambda x: math.cos(3.0 * x)
+        f = FunctionOfX(lambda x: math.cos(3.0 * x))
         out = sly4_step(stencil, 0.4, f)
         out_g = sly4_step(stencil_from_sequences(xs, [g(y) for y in ys]), 0.4, f)
         if isinstance(out, StopReason) or isinstance(out_g, StopReason):
@@ -212,8 +216,8 @@ def test_h5_equivariance(rng):
         ys = list(np.cumsum(rng.uniform(0.5, 1.5, 5)))
         stencil = stencil_from_sequences(xs, ys)
         g = make_mobius(*random_mobius(rng, ys + [8.0]))
-        out = h5_step(stencil, 0.5, 0.0)
-        out_g = h5_step(stencil_from_sequences(xs, [g(y) for y in ys]), 0.5, 0.0)
+        out = h5_step(stencil, 0.5, Constant(0.0))
+        out_g = h5_step(stencil_from_sequences(xs, [g(y) for y in ys]), 0.5, Constant(0.0))
         if isinstance(out, StopReason) or isinstance(out_g, StopReason):
             continue
         a, b = g(out), out_g
@@ -226,8 +230,12 @@ def test_h5_equivariance(rng):
 def test_integrate_validates_seed():
     seed = seed_stencil_from_function(math.exp, 0.0, 0.1, 4)
     spec = SchemeSpec(SchemeKind.SLX3, Constant(2.0), Uniform(0.1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^slx3 steps from 3 points, got 4$"):
         integrate(spec, seed, 5)
+    for kind, step in STEPS.items():
+        if kind is not SchemeKind.SLY4:
+            with pytest.raises(ValueError, match=f"^{kind.value} steps from"):
+                step(seed, 0.4, Constant(2.0))
     with pytest.raises(ValueError):
         integrate(SchemeSpec(SchemeKind.SLY4, Constant(0.0), Uniform(0.1)), seed, -5)
     # abscissae inconsistent with the declared step
@@ -359,29 +367,7 @@ def test_integrate_reports_scheme_consistency_after_steps(spec, seed, n_steps, i
         assert abs(invariant(window) - t) <= rtol * max(1.0, abs(t))
 
 
-# --- integrate against the public step functions ------------------------------------
-
-def _stepped_by_hand(spec, seed, n_steps):
-    """What integrate must return: the public step function applied to the
-    trailing window, one step at a time, as (xs, ys, stop reason)."""
-    xs, ys = list(seed.xs), list(seed.ys)
-    f, h, k = spec.forcing, spec.lattice.h, spec.arity
-    for _ in range(n_steps):
-        window = Stencil(xs[-k:], ys[-k:])
-        x_next = xs[0] + len(xs) * h
-        if spec.scheme is SchemeKind.SLY4:
-            fn = f.fn if isinstance(f, FunctionOfX) else (lambda _x: f.c)
-            out = sly4_step(window, x_next, fn)
-        elif spec.scheme is SchemeKind.SLX3:
-            out = slx3_step(window, x_next, f)
-        else:
-            out = h5_step(window, x_next, f.c)
-        if isinstance(out, StopReason):
-            return xs, ys, out
-        xs.append(x_next)
-        ys.append(out)
-    return xs, ys, StopReason.COMPLETED
-
+# --- integrate against the composed kernels, stepped by hand ------------------------
 
 def _slx3(forcing, h):
     return SchemeSpec(SchemeKind.SLX3, forcing, Uniform(h))
@@ -428,13 +414,12 @@ EQUIVALENCE_CASES = [
                          ids=[case[0] for case in EQUIVALENCE_CASES])
 def test_integrate_equals_stepping_by_hand(spec, seed, n_steps, expected):
     traj = integrate(spec, seed, n_steps)
-    xs, ys, stop = _stepped_by_hand(spec, seed, n_steps)
+    xs, ys, stop = scheme_reference_loop(spec, seed, n_steps)
     assert traj.stop is stop
     if expected is not None:
         assert stop is expected
-    assert len(traj.points) == len(xs)
     # bit for bit: == on every abscissa and ordinate
-    assert (traj.xs, traj.ys) == (tuple(xs), tuple(ys))
+    assert (traj.xs, traj.ys) == (xs, ys)
 
 
 # --- the error contract: stop reasons, never exceptions --------------------------------
@@ -468,12 +453,7 @@ def test_steps_and_integrate_never_raise(kind, ys, x0, h, backward, c, forcing_o
     spec = SchemeSpec(kind, forcing, Uniform(h))
     seed = stencil_from_sequences([x0 + k * h for k in range(spec.arity)], ys[:spec.arity])
     x_next = x0 + spec.arity * h
-    if kind is SchemeKind.SLY4:
-        out = sly4_step(seed, x_next, math.cos if forcing_of_state else (lambda _x: c))
-    elif kind is SchemeKind.SLX3:
-        out = slx3_step(seed, x_next, forcing)
-    else:
-        out = h5_step(seed, x_next, c)
+    out = STEPS[kind](seed, x_next, forcing)
     assert isinstance(out, (float, StopReason))
     traj = integrate(spec, seed, 30)
     assert isinstance(traj, Trajectory)
@@ -501,12 +481,7 @@ def test_extreme_windows_stop_as_degenerate(kind, ys):
     forcing = FunctionOfX(math.cos) if kind is SchemeKind.SLY4 else Constant(0.5)
     spec = SchemeSpec(kind, forcing, Uniform(0.1))
     seed = stencil_from_sequences([0.1 * k for k in range(spec.arity)], ys)
-    if kind is SchemeKind.SLY4:
-        out = sly4_step(seed, 0.4, math.cos)
-    elif kind is SchemeKind.SLX3:
-        out = slx3_step(seed, 0.3, forcing)
-    else:
-        out = h5_step(seed, 0.5, 0.5)
+    out = STEPS[kind](seed, 0.1 * spec.arity, forcing)
     assert out is StopReason.DEGENERATE_COEFFICIENT
     traj = integrate(spec, seed, 5)
     assert traj.stop is StopReason.DEGENERATE_COEFFICIENT
