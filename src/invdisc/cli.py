@@ -163,10 +163,11 @@ def _solve_spec(args) -> SchemeSpec:
 @dataclass(frozen=True)
 class Example:
     """One paper experiment, run by :func:`run_example`.  The seed samples
-    ``solution`` or, without one, strides a fine RK4 run of ``system`` from
-    ``init`` over ``span`` (default: the seed only).  The RK4 baseline runs
-    ``system`` from ``init`` (default: the solution's jet at x0) over the
-    run's lattice, or on ``baseline_grid(h, x0, lattice_steps)``."""
+    ``solution`` or, without one, strides a fine RK4 run of ``system`` at
+    step ``h_ref`` from ``init`` over ``span`` (default: the seed only).
+    The RK4 baseline runs ``system`` from ``init`` (default: the solution's
+    jet at x0) over the run's lattice, or on
+    ``baseline_grid(h, x0, lattice_steps)``."""
 
     scheme: SchemeKind
     forcing: ForcingTerm
@@ -179,6 +180,7 @@ class Example:
     init: tuple[float, ...] | None = None
     span: float | None = None
     baseline_grid: Callable[[float, float, int], tuple[float, int]] | None = None
+    h_ref: float = 1e-5
 
 
 @dataclass
@@ -208,6 +210,19 @@ class ExampleRun:
         return rk4_integrate(ex.system, self.init, self.x0, h_base, n_base)
 
     @cached_property
+    def ref_error(self) -> float:
+        """Largest |y_ref - y_2ref| at the abscissae the reference shares
+        with an RK4 run at twice its step over the same span, on their
+        common prefix (step doubling, Hairer, Norsett and Wanner, *Solving
+        ODEs I*, II.4).  The raw difference, not the Richardson /15 form:
+        at round-off the reference's error does not fall 16x with its step,
+        and /15 would understate it."""
+        ref = self.ref
+        coarse = rk4_integrate(self.example.system, self.init, ref.xs[0],
+                               2.0 * ref.h_nominal, (len(ref) - 1) // 2)
+        return max(abs(a - b) for a, b in zip(ref.ys[::2], coarse.ys))
+
+    @cached_property
     def summary(self) -> dict:
         return {"example": self.id, **self.example.summarize(self)}
 
@@ -223,15 +238,26 @@ def _check_size(what: str, steps: int) -> None:
 
 
 def run_example(example_id: str, h: float | None = None, steps: int | None = None,
-                out_dir: Path | None = None, h_ref: float = 1e-5,
+                out_dir: Path | None = None, h_ref: float | None = None,
                 x0: float | None = None, ref: Trajectory | None = None) -> ExampleRun:
     """Run one entry of :data:`EXAMPLES`; options left as None take its
-    defaults.  With ``out_dir`` the invariant and baseline trajectories and
-    the summary are written there.  ``ref`` reuses the fine reference of an
-    earlier run of the same example at the same x0 and h_ref."""
+    defaults.  ``h_ref`` is the step of the RK4 run that seeds an example
+    without an exact solution (the example's own ``h_ref`` by default); an
+    example seeded from its exact solution makes no such run.  With
+    ``out_dir`` the invariant and baseline trajectories and the summary are
+    written there.  ``ref`` reuses the fine reference of an earlier run of
+    the same example at the same x0; its own step is the h_ref, and an
+    ``h_ref`` that differs from it is refused."""
     ex = EXAMPLES[example_id]
     h = ex.h if h is None else h
     x0 = ex.x0 if x0 is None else x0
+    if ref is not None:
+        if h_ref is not None and h_ref != ref.h_nominal:
+            raise ConfigError(f"h-ref {h_ref!r} differs from the step "
+                              f"{ref.h_nominal!r} of the reused reference")
+        h_ref = ref.h_nominal
+    elif h_ref is None:
+        h_ref = ex.h_ref
     if not (h != 0 and math.isfinite(h) and math.isfinite(x0)):
         raise ConfigError("h must be finite and nonzero, x0 finite")
     if not h_ref > 0:
@@ -254,6 +280,7 @@ def run_example(example_id: str, h: float | None = None, steps: int | None = Non
         if ref is None:
             n_ref = (round((x0 + ex.span - x0) / h_ref) if ex.span is not None
                      else (spec.arity - 1) * stride)
+            # also bounds the summary's check run at 2 h_ref, half as long
             _check_size("reference", n_ref)
             ref = rk4_integrate(ex.system, init, x0, h_ref, n_ref)
         end = (spec.arity - 1) * stride + 1
@@ -309,7 +336,8 @@ def _summary_forced(run: ExampleRun) -> dict:
     return {"invariant stop": inv.stop.value,
             "baseline stop": run.base.stop.value,
             "invariant endpoint": f"x = {_fmt(inv.xs[-1])}, y = {_fmt(inv.ys[-1])}",
-            "chi vs fine reference": chi(inv.ys[:n], ref_at_lattice[:n])}
+            "chi vs fine reference": chi(inv.ys[:n], ref_at_lattice[:n]),
+            "reference error estimate": run.ref_error}
 
 
 def _summary_constant_source(run: ExampleRun) -> dict:
@@ -366,7 +394,8 @@ EXAMPLES: dict[str, Example] = {
                  # x0 + 1.5 - x0, not 1.5: the run ends where the reference does
                  steps=lambda h, x0: round((x0 + 1.5 - x0) / h) - 3,
                  system=schwarzian_rate_system(math.cos), summarize=_summary_forced,
-                 init=(1.0, -1.0, -2.5, 5.0), span=1.5),
+                 # 1e-4 is at round-off already: 7.4e-15 from a 30-digit solution
+                 init=(1.0, -1.0, -2.5, 5.0), span=1.5, h_ref=1e-4),
     "2-log": Example(SchemeKind.SLX3, Constant(0.5), h=1e-4, x0=-1.0,
                      steps=lambda h, x0: round(1.05 * abs(x0) / abs(h)),
                      system=scaled_schwarzian_system(lambda x, y: 0.5),
@@ -473,8 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--x0", type=float, default=None, help="override the start abscissa")
     p.add_argument("--out", default=None, help="directory for CSVs and summary")
-    p.add_argument("--h-ref", dest="h_ref", type=float, default=1e-5,
-                   help="step of the seeding/reference RK4 run")
+    p.add_argument("--h-ref", dest="h_ref", type=float, default=None,
+                   help="step of the RK4 run that seeds examples 1 and 3 and "
+                        "scores example 1 (default: 1e-4 for example 1, 1e-5 "
+                        "for example 3; no effect on the others)")
     p.set_defaults(fn=cmd_example)
 
     p = sub.add_parser("solve", help="integrate a scheme from a seed file")

@@ -1,13 +1,15 @@
 import math
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from invdisc import (IdentityInY, SchemeKind, SchemeSpec, StopReason, Trajectory, Uniform,
                      integrate, seed_stencil_from_function)
 from invdisc import cli
-from invdisc.cli import MAX_STEPS, main, read_trajectory_csv, write_trajectory_csv
+from invdisc.cli import (MAX_STEPS, main, read_trajectory_csv, run_example,
+                         write_trajectory_csv)
 
 from conftest import csv_reference_reader
 
@@ -348,6 +350,68 @@ def test_example_1_run_past_the_reference(capsys):
     assert float(line.split(":")[1]) >= 0.0
 
 
+# --- example 1's fine reference ---------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def example_1_truth():
+    """Example 1's fourth-order equation solved by mpmath's Taylor method at
+    20 digits (about 1.5 s, paid on first use): its value at a float
+    abscissa, as an mpf."""
+    with mp.workdps(20):
+        def rhs(x, u):
+            y0, y1, y2, y3 = u
+            return [y1, y2, y3, y1 * mp.cos(x) + 4 * y2 * y3 / y1 - 3 * y2 ** 3 / y1 ** 2]
+
+        sol = mp.odefun(rhs, 1, [mp.mpf(1), mp.mpf(-1), mp.mpf(-2.5), mp.mpf(5)])
+
+    def at(x):
+        with mp.workdps(20):
+            return sol(mp.mpf(x))[0]
+    return at
+
+
+@pytest.mark.parametrize("h_ref", [None, 1e-3])
+def test_example_1_reference_error_estimate(h_ref, example_1_truth):
+    run = run_example("1", h_ref=h_ref)
+    lattice = zip(run.ref.xs[::run.stride], run.ref.ys[::run.stride])
+    true_error = max(float(abs(example_1_truth(x) - y)) for x, y in lattice)
+    estimate = run.summary["reference error estimate"]
+    if h_ref is None:
+        # at round-off: 6.2e-15 against 7.4e-15
+        assert true_error / 10 <= estimate <= 10 * true_error
+    else:
+        # above round-off the raw difference overestimates: 5.3e-11 against 3.5e-12
+        assert estimate >= true_error
+
+
+def test_example_reference_sizes():
+    run = run_example("1")
+    assert run.ref.h_nominal == 1e-4
+    assert len(run.ref) - 1 <= 15_000
+    assert run_example("3").ref.h_nominal == 1e-5
+
+
+def test_example_1_fine_reference_still_runs(tmp_path, capsys):
+    out = tmp_path / "ex1"
+    assert main(["example", "1", "--h-ref", "1e-5", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "chi vs fine reference: 1.78672e-06" in lines
+    assert [l for l in lines if l.startswith("reference error estimate: ")]
+    assert (out / "summary.txt").read_text().splitlines() == lines
+
+
+def test_example_reused_reference_sets_h_ref():
+    ref = run_example("1", 0.1, h_ref=1e-3).ref
+    reused = run_example("1", 0.01, ref=ref)
+    assert reused.stride == 10
+    assert reused.inv == run_example("1", 0.01, h_ref=1e-3).inv
+    assert run_example("1", 0.01, h_ref=1e-3, ref=ref).inv == reused.inv
+    # a mismatched h_ref used to stride the reference by 100 and fail the
+    # lattice check inside integrate
+    with pytest.raises(ValueError, match=r"h-ref 0\.0001 differs .* 0\.001 "):
+        run_example("1", 0.01, h_ref=1e-4, ref=ref)
+
+
 def test_example_5_started_past_the_pole(capsys):
     assert main(["example", "5", "--x0", "0.2", "--steps", "5"]) == 0
     text = capsys.readouterr().out
@@ -464,7 +528,7 @@ def _fuzz_options(command, tmp_path):
     steps = (["4", "40", None], COUNTS)
     if command == "example":
         # --h and --h-ref always given: their defaults run example 1 on a
-        # 1.5e5-step reference
+        # 1.5e4-step reference
         return [(None, list(cli.EXAMPLES), ["9"]),
                 ("--h", ["0.05", "0.1"], NUMBERS), ("--h-ref", ["1e-3", "5e-3"], NUMBERS),
                 ("--steps", *steps), ("--x0", [None], STARTS),
