@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -209,18 +210,25 @@ class ExampleRun:
                           if ex.baseline_grid else (self.h, self.lattice_steps))
         return rk4_integrate(ex.system, self.init, self.x0, h_base, n_base)
 
-    @cached_property
+    @property
     def ref_error(self) -> float:
         """Largest |y_ref - y_2ref| at the abscissae the reference shares
         with an RK4 run at twice its step over the same span, on their
         common prefix (step doubling, Hairer, Norsett and Wanner, *Solving
         ODEs I*, II.4).  The raw difference, not the Richardson /15 form:
         at round-off the reference's error does not fall 16x with its step,
-        and /15 would understate it."""
+        and /15 would understate it.  Computed once per reference, so runs
+        that share one through ``run_example(ref=...)`` share the check run."""
         ref = self.ref
-        coarse = rk4_integrate(self.example.system, self.init, ref.xs[0],
-                               2.0 * ref.h_nominal, (len(ref) - 1) // 2)
-        return max(abs(a - b) for a, b in zip(ref.ys[::2], coarse.ys))
+        err = _REF_ERRORS.get(id(ref))
+        if err is None:
+            coarse = rk4_integrate(self.example.system, self.init, ref.xs[0],
+                                   2.0 * ref.h_nominal, (len(ref) - 1) // 2)
+            err = max(abs(a - b) for a, b in zip(ref.ys[::2], coarse.ys))
+            _REF_ERRORS[id(ref)] = err
+            # the entry goes with its reference, so a reused id finds none
+            weakref.finalize(ref, _REF_ERRORS.pop, id(ref), None)
+        return err
 
     @cached_property
     def summary(self) -> dict:
@@ -230,6 +238,10 @@ class ExampleRun:
     def lines(self) -> list[str]:
         return [f"{k}: {v:.6g}" if isinstance(v, float) else f"{k}: {v}"
                 for k, v in self.summary.items()]
+
+
+#: ExampleRun.ref_error by the id of the live reference it measures
+_REF_ERRORS: dict[int, float] = {}
 
 
 def _check_size(what: str, steps: int) -> None:

@@ -412,6 +412,22 @@ def test_example_reused_reference_sets_h_ref():
         run_example("1", 0.01, h_ref=1e-4, ref=ref)
 
 
+def test_example_shared_reference_checked_once(monkeypatch):
+    first = run_example("1", 0.1, h_ref=1e-3)
+    calls = []
+    real = cli.rk4_integrate
+
+    def counting(system, init, x0, h, n):
+        calls.append(h)
+        return real(system, init, x0, h, n)
+
+    monkeypatch.setattr(cli, "rk4_integrate", counting)
+    estimates = {run_example("1", h, ref=first.ref).ref_error for h in (0.1, 0.01)}
+    assert estimates == {first.ref_error} and first.ref_error > 0
+    # the check run at 2 h_ref ran once for the three runs on one reference
+    assert calls.count(2e-3) == 1
+
+
 def test_example_5_started_past_the_pole(capsys):
     assert main(["example", "5", "--x0", "0.2", "--steps", "5"]) == 0
     text = capsys.readouterr().out

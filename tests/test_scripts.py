@@ -2,6 +2,8 @@
 import runpy
 from pathlib import Path
 
+from test_acceptance import TABLE2
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -28,3 +30,16 @@ def test_limit_probes(capsys):
     # one error per refinement level, and every invariant converges
     assert [len(r) - 3 for r in rows] == [5, 5, 6, 5, 5, 6, 6]
     assert all(float(r[2]) > 0.5 for r in rows)
+
+
+def test_tables_chi_within_published_band(capsys):
+    """Table 2 as the script prints it stays inside criterion 2's factor-5
+    band of the published chi, at every h and on the script's own shared
+    reference."""
+    out = _run("run_tables.py", capsys)
+    start = out.index("deviation from the fine reference (chi)")
+    rows = [l.split() for l in out[start + 1:start + 1 + len(TABLE2)]]
+    chis = {float(r[0].removeprefix("h=")): float(r[-1]) for r in rows}
+    assert chis.keys() == TABLE2.keys()
+    for h, wanted in TABLE2.items():
+        assert 1.0 / 5.0 <= chis[h] / wanted <= 5.0, (h, chis[h], wanted)
