@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -165,10 +164,10 @@ def _solve_spec(args) -> SchemeSpec:
 class Example:
     """One paper experiment, run by :func:`run_example`.  The seed samples
     ``solution`` or, without one, strides a fine RK4 run of ``system`` at
-    step ``h_ref`` from ``init`` over ``span`` (default: the seed only).
-    The RK4 baseline runs ``system`` from ``init`` (default: the solution's
-    jet at x0) over the run's lattice, or on
-    ``baseline_grid(h, x0, lattice_steps)``."""
+    step ``h_ref`` from ``init`` over ``span`` (default: the seed only); a
+    reference with a span also scores the run.  The RK4 baseline runs
+    ``system`` from ``init`` (default: the solution's jet at x0) over the
+    run's lattice, or on the ``(h, steps)`` of ``baseline_grid(h, x0)``."""
 
     scheme: SchemeKind
     forcing: ForcingTerm
@@ -180,24 +179,25 @@ class Example:
     solution: ExactSolution | None = None
     init: tuple[float, ...] | None = None
     span: float | None = None
-    baseline_grid: Callable[[float, float, int], tuple[float, int]] | None = None
+    baseline_grid: Callable[[float, float], tuple[float, int]] | None = None
     h_ref: float = 1e-5
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExampleRun:
-    """One run of a paper example.  The RK4 baseline and the summary are
-    computed on first use; ``summary`` maps each label to its value, and
-    floats print with six significant digits."""
+    """One run of a paper example, as :func:`run_example` resolved it.  The
+    RK4 baseline and the summary are computed on first use; ``summary`` maps
+    each label to its value, and floats print with six significant digits."""
 
     id: str
     h: float
     x0: float
-    lattice_steps: int  # from x0 to the last point the run was asked for
     init: tuple[float, ...]  # RK4 initial values
+    base_grid: tuple[float, int]  # the RK4 baseline's (h, steps)
     inv: Trajectory
     ref: Trajectory | None  # the fine reference the seed came from, if any
     stride: int
+    ref_error: float | None  # ref's step-doubling error, if ref scores the run
 
     @property
     def example(self) -> Example:
@@ -205,30 +205,7 @@ class ExampleRun:
 
     @cached_property
     def base(self) -> Trajectory:
-        ex = self.example
-        h_base, n_base = (ex.baseline_grid(self.h, self.x0, self.lattice_steps)
-                          if ex.baseline_grid else (self.h, self.lattice_steps))
-        return rk4_integrate(ex.system, self.init, self.x0, h_base, n_base)
-
-    @property
-    def ref_error(self) -> float:
-        """Largest |y_ref - y_2ref| at the abscissae the reference shares
-        with an RK4 run at twice its step over the same span, on their
-        common prefix (step doubling, Hairer, Norsett and Wanner, *Solving
-        ODEs I*, II.4).  The raw difference, not the Richardson /15 form:
-        at round-off the reference's error does not fall 16x with its step,
-        and /15 would understate it.  Computed once per reference, so runs
-        that share one through ``run_example(ref=...)`` share the check run."""
-        ref = self.ref
-        err = _REF_ERRORS.get(id(ref))
-        if err is None:
-            coarse = rk4_integrate(self.example.system, self.init, ref.xs[0],
-                                   2.0 * ref.h_nominal, (len(ref) - 1) // 2)
-            err = max(abs(a - b) for a, b in zip(ref.ys[::2], coarse.ys))
-            _REF_ERRORS[id(ref)] = err
-            # the entry goes with its reference, so a reused id finds none
-            weakref.finalize(ref, _REF_ERRORS.pop, id(ref), None)
-        return err
+        return rk4_integrate(self.example.system, self.init, self.x0, *self.base_grid)
 
     @cached_property
     def summary(self) -> dict:
@@ -240,36 +217,43 @@ class ExampleRun:
                 for k, v in self.summary.items()]
 
 
-#: ExampleRun.ref_error by the id of the live reference it measures
-_REF_ERRORS: dict[int, float] = {}
-
-
 def _check_size(what: str, steps: int) -> None:
     if steps > MAX_STEPS:
         raise ConfigError(f"the {what} run would take {steps} steps, more than {MAX_STEPS}")
 
 
+def _reused(what: str, value, prior):
+    """``prior``, the reused run's value, unless ``value`` was given and differs."""
+    if value is not None and value != prior:
+        raise ConfigError(f"{what} {value!r} differs from the {what} {prior!r} "
+                          "of the reused run")
+    return prior
+
+
 def run_example(example_id: str, h: float | None = None, steps: int | None = None,
                 out_dir: Path | None = None, h_ref: float | None = None,
-                x0: float | None = None, ref: Trajectory | None = None) -> ExampleRun:
+                x0: float | None = None, ref: ExampleRun | None = None) -> ExampleRun:
     """Run one entry of :data:`EXAMPLES`; options left as None take its
     defaults.  ``h_ref`` is the step of the RK4 run that seeds an example
     without an exact solution (the example's own ``h_ref`` by default); an
-    example seeded from its exact solution makes no such run.  With
+    example seeded from its exact solution makes no such run.  An example
+    whose reference scores the run (``Example.span``) is checked with a
+    second RK4 run at 2 h_ref when its reference is built.  With
     ``out_dir`` the invariant and baseline trajectories and the summary are
-    written there.  ``ref`` reuses the fine reference of an earlier run of
-    the same example at the same x0; its own step is the h_ref, and an
-    ``h_ref`` that differs from it is refused."""
+    written there.  ``ref`` is an earlier run of the same example: the new
+    run takes its x0, fine reference, h_ref and reference check, and an
+    ``example_id``, ``x0`` or ``h_ref`` that differs from it is refused."""
     ex = EXAMPLES[example_id]
     h = ex.h if h is None else h
-    x0 = ex.x0 if x0 is None else x0
+    run_ref = ref_error = None
     if ref is not None:
-        if h_ref is not None and h_ref != ref.h_nominal:
-            raise ConfigError(f"h-ref {h_ref!r} differs from the step "
-                              f"{ref.h_nominal!r} of the reused reference")
-        h_ref = ref.h_nominal
-    elif h_ref is None:
-        h_ref = ex.h_ref
+        _reused("example", example_id, ref.id)
+        x0 = _reused("x0", x0, ref.x0)
+        run_ref, ref_error = ref.ref, ref.ref_error
+        if run_ref is not None:
+            h_ref = _reused("h-ref", h_ref, run_ref.h_nominal)
+    x0 = ex.x0 if x0 is None else x0
+    h_ref = ex.h_ref if h_ref is None else h_ref
     if not (h != 0 and math.isfinite(h) and math.isfinite(x0)):
         raise ConfigError("h must be finite and nonzero, x0 finite")
     if not h_ref > 0:
@@ -278,9 +262,10 @@ def run_example(example_id: str, h: float | None = None, steps: int | None = Non
     if not 1 <= steps <= MAX_STEPS:
         raise ConfigError(f"steps must be an integer from 1 to {MAX_STEPS}")
     spec = SchemeSpec(ex.scheme, ex.forcing, Uniform(h))
-    lattice_steps = steps + spec.arity - 1
-    if ex.baseline_grid is not None:
-        _check_size("baseline", ex.baseline_grid(h, x0, lattice_steps)[1])
+    lattice_steps = steps + spec.arity - 1  # from x0 to the last point asked for
+    base_grid = (ex.baseline_grid(h, x0) if ex.baseline_grid
+                 else (h, lattice_steps))
+    _check_size("baseline", base_grid[1])
     init = ex.init if ex.init is not None else ex.solution.jet_fn(x0).d[:ex.system.order]
     stride = 1
     if ex.solution is not None:
@@ -289,19 +274,26 @@ def run_example(example_id: str, h: float | None = None, steps: int | None = Non
         stride = round(h / h_ref)
         if stride < 1 or abs(stride * h_ref - h) > 1e-12 * abs(h):
             raise ConfigError("h must be a positive integer multiple of h-ref")
-        if ref is None:
+        if run_ref is None:
             n_ref = (round((x0 + ex.span - x0) / h_ref) if ex.span is not None
                      else (spec.arity - 1) * stride)
-            # also bounds the summary's check run at 2 h_ref, half as long
+            # also bounds the check run at 2 h_ref, half as long
             _check_size("reference", n_ref)
-            ref = rk4_integrate(ex.system, init, x0, h_ref, n_ref)
+            run_ref = rk4_integrate(ex.system, init, x0, h_ref, n_ref)
+            if ex.span is not None:
+                # step doubling (Hairer, Norsett and Wanner, *Solving ODEs I*,
+                # II.4), the raw difference, not the Richardson /15 form: at
+                # round-off the error no longer falls 16x with the step
+                coarse = rk4_integrate(ex.system, init, x0, 2.0 * h_ref,
+                                       (len(run_ref) - 1) // 2)
+                ref_error = max(abs(a - b) for a, b in zip(run_ref.ys[::2], coarse.ys))
         end = (spec.arity - 1) * stride + 1
-        if len(ref) < end:
+        if len(run_ref) < end:
             raise ConfigError(
-                f"the fine reference stopped ({ref.stop.value}) before the seed")
-        seed = Stencil(ref.xs[:end:stride], ref.ys[:end:stride])
-    run = ExampleRun(example_id, h, x0, lattice_steps, init,
-                     integrate(spec, seed, steps), ref, stride)
+                f"the fine reference ends ({run_ref.stop.value}) before the seed")
+        seed = Stencil(run_ref.xs[:end:stride], run_ref.ys[:end:stride])
+    run = ExampleRun(example_id, h, x0, init, base_grid, integrate(spec, seed, steps),
+                     run_ref, stride, ref_error)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_trajectory_csv(out_dir / "invariant.csv", run.inv)
@@ -392,7 +384,7 @@ def _summary_beyond_pole(run: ExampleRun) -> dict:
                 run, x_max=TAN_RECIPROCAL_POLE - 2 * run.h)}
 
 
-def _grid_past_pole(h: float, x0: float, lattice_steps: int) -> tuple[float, int]:
+def _grid_past_pole(h: float, x0: float) -> tuple[float, int]:
     # fixed-step RK4 with a coarse step can hop the pole on garbage values;
     # 1e-5 keeps the blow-up on the near side; a run started past the pole
     # (or stepping away from it) gets a baseline of its initial point only
@@ -514,10 +506,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--x0", type=float, default=None, help="override the start abscissa")
     p.add_argument("--out", default=None, help="directory for CSVs and summary")
+    seeded = {k: ex for k, ex in EXAMPLES.items() if ex.solution is None}
+    scored = [k for k, ex in seeded.items() if ex.span is not None]
     p.add_argument("--h-ref", dest="h_ref", type=float, default=None,
-                   help="step of the RK4 run that seeds examples 1 and 3 and "
-                        "scores example 1 (default: 1e-4 for example 1, 1e-5 "
-                        "for example 3; no effect on the others)")
+                   help=f"step of the RK4 run that seeds examples {' and '.join(seeded)} "
+                        f"and scores example {' and '.join(scored)} (default: "
+                        + ", ".join(f"{ex.h_ref:g} for example {k}" for k, ex in seeded.items())
+                        + "; no effect on the others)")
     p.set_defaults(fn=cmd_example)
 
     p = sub.add_parser("solve", help="integrate a scheme from a seed file")

@@ -343,6 +343,29 @@ def test_oversized_runs_rejected_before_integrating(argv, tmp_path, monkeypatch)
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize("example_id", list(cli.EXAMPLES))
+def test_example_baselines_bounded_by_max_steps(example_id, monkeypatch):
+    """With MAX_STEPS scheme steps the lattice, and so the baseline, needs
+    more; example 5's baseline runs at 1e-5 to past the pole."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an integration started")
+
+    monkeypatch.setattr(cli, "MAX_STEPS", 40)
+    monkeypatch.setattr(cli, "integrate", refuse)
+    monkeypatch.setattr(cli, "rk4_integrate", refuse)
+    assert main(["example", example_id, "--steps", "40"]) == 2
+
+
+def test_example_h_ref_help_names_each_default(capsys):
+    with pytest.raises(SystemExit):
+        main(["example", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    seeded = {k: ex for k, ex in cli.EXAMPLES.items() if ex.solution is None}
+    assert seeded.keys() == {"1", "3"}
+    for k, ex in seeded.items():
+        assert f"{ex.h_ref:g} for example {k}" in text
+
+
 def test_example_1_run_past_the_reference(capsys):
     assert main(["example", "1", "--h", "0.5", "--h-ref", "1e-3", "--steps", "3"]) == 0
     text = capsys.readouterr().out
@@ -401,19 +424,31 @@ def test_example_1_fine_reference_still_runs(tmp_path, capsys):
 
 
 def test_example_reused_reference_sets_h_ref():
-    ref = run_example("1", 0.1, h_ref=1e-3).ref
-    reused = run_example("1", 0.01, ref=ref)
+    first = run_example("1", 0.1, h_ref=1e-3)
+    reused = run_example("1", 0.01, ref=first)
     assert reused.stride == 10
     assert reused.inv == run_example("1", 0.01, h_ref=1e-3).inv
-    assert run_example("1", 0.01, h_ref=1e-3, ref=ref).inv == reused.inv
+    assert run_example("1", 0.01, h_ref=1e-3, ref=first).inv == reused.inv
     # a mismatched h_ref used to stride the reference by 100 and fail the
     # lattice check inside integrate
     with pytest.raises(ValueError, match=r"h-ref 0\.0001 differs .* 0\.001 "):
-        run_example("1", 0.01, h_ref=1e-4, ref=ref)
+        run_example("1", 0.01, h_ref=1e-4, ref=first)
 
 
-def test_example_shared_reference_checked_once(monkeypatch):
+def test_example_reuse_refuses_another_example_or_start():
     first = run_example("1", 0.1, h_ref=1e-3)
+    # once seeded example 3 from example 1's fourth-order reference
+    with pytest.raises(cli.ConfigError, match=r"example '3' differs .* '1' "):
+        run_example("3", ref=first)
+    # once ran the scheme from the reference's x0 = 1 and the baseline from 1.2
+    with pytest.raises(cli.ConfigError, match=r"x0 1\.2 differs .* 1\.0 "):
+        run_example("1", 0.1, x0=1.2, ref=first)
+    assert run_example("1", 0.1, x0=1.0, ref=first).inv == first.inv
+
+
+@pytest.fixture
+def rk4_steps(monkeypatch):
+    """The step of every ``rk4_integrate`` call ``cli`` makes, in order."""
     calls = []
     real = cli.rk4_integrate
 
@@ -422,10 +457,27 @@ def test_example_shared_reference_checked_once(monkeypatch):
         return real(system, init, x0, h, n)
 
     monkeypatch.setattr(cli, "rk4_integrate", counting)
-    estimates = {run_example("1", h, ref=first.ref).ref_error for h in (0.1, 0.01)}
+    return calls
+
+
+def test_example_shared_reference_checked_once(rk4_steps):
+    first = run_example("1", 0.1, h_ref=1e-3)
+    estimates = {run_example("1", h, ref=first).ref_error for h in (0.1, 0.01)}
     assert estimates == {first.ref_error} and first.ref_error > 0
     # the check run at 2 h_ref ran once for the three runs on one reference
-    assert calls.count(2e-3) == 1
+    assert rk4_steps.count(2e-3) == 1
+    assert rk4_steps == [1e-3, 2e-3]  # no baseline was asked for
+
+
+@pytest.mark.parametrize("example_id", [k for k in cli.EXAMPLES if k != "1"])
+def test_example_reference_checked_only_where_it_scores(example_id, rk4_steps):
+    ex = cli.EXAMPLES[example_id]
+    run = run_example(example_id)
+    assert run.ref_error is None
+    # example 3's reference only seeds the run; the others seed from a solution
+    assert rk4_steps == ([] if ex.solution is not None else [ex.h_ref])
+    assert run_example(example_id, ref=run).inv == run.inv
+    assert len(rk4_steps) <= 1
 
 
 def test_example_5_started_past_the_pole(capsys):
