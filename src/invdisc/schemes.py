@@ -9,15 +9,19 @@ coefficient drops its polynomial one degree, down to the linear weakly
 invariant form; each degree has one closed-form solver for all its real
 roots, and the one nearest a quadratic extrapolation is kept.
 
-Each scheme has one straight-line kernel on plain floats that returns the
-new ordinate or the :class:`StopReason` that ends the run: ``_sly4_kernel``,
-``_h5_kernel``, and for ``slx3`` ``_slx3_kernel`` (constant forcing) and
-``_slx3_cubic_kernel`` (identity forcing).  A kernel evaluates invariants
-inline, with the float operations and degeneracy checks of
-:mod:`invdisc.discrete`, which stays their definition.  :func:`_resolve`
-alone knows which forcing each scheme takes, from how many points, and which
-kernel runs them; :func:`integrate` resolves once per run and drives the
-kernel over a rolling window, ``*_step(stencil, x_next, forcing)`` one step.
+Each scheme has one straight-line run loop on plain floats, which advances
+a window over a sequence of abscissae and returns the :class:`StopReason`
+that ends the run: ``_sly4_run``, ``_slx3_run`` (constant and identity
+forcing) and ``_h5_run``.  A loop keeps its window in local floats and
+evaluates invariants inline, with the float operations and degeneracy checks
+of :mod:`invdisc.discrete`, which stays their definition.  It carries what
+the next window would recompute from the same operands: ``sly4`` the
+abscissa and ordinate differences its l3 and cross-ratio share, ``slx3`` two
+ordinate differences, ``h5`` its checked R4, which is the next window's R3.
+:func:`_resolve` alone knows which forcing each scheme takes, from how many
+points, and which loop runs them; :func:`integrate` resolves once per run
+and runs the loop over the lattice, ``*_step(stencil, x_next, forcing)``
+over the one abscissa ``x_next``.
 """
 from __future__ import annotations
 
@@ -32,9 +36,9 @@ from .discrete import _h5_r5_line
 
 # --- closed-form real roots ---------------------------------------------------
 
-def _quadratic_roots(c0: float, c1: float, c2: float) -> list[float]:
-    """Real roots of c0 + c1*t + c2*t^2 (c2 != 0) in ascending order, each
-    polished once.
+def _quadratic_roots(c0: float, c1: float, c2: float) -> tuple[float, ...]:
+    """Real roots of c0 + c1*t + c2*t^2 (c2 != 0) as an ascending pair, each
+    polished once, or () when there are none.
 
     The polish is one Newton iteration, accepted only if it reduces the
     residual: at (near-)multiple roots both p and p' are noise-level and the
@@ -42,21 +46,24 @@ def _quadratic_roots(c0: float, c1: float, c2: float) -> list[float]:
     """
     disc = c1 * c1 - 4.0 * c2 * c0
     if disc < 0.0:
-        return []
+        return ()
     sq = math.sqrt(disc)
     # Citardauq pairing avoids cancellation in the small root.
     q = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0.0 else -0.5 * sq
-    roots = []
-    for t in ((0.0, 0.0) if q == 0.0 else (q / c2, c0 / q)):
-        dp = 2.0 * c2 * t + c1
-        if dp != 0.0 and math.isfinite(dp):
-            p = (c2 * t + c1) * t + c0
-            t1 = t - p / dp
-            if math.isfinite(t1) and abs((c2 * t1 + c1) * t1 + c0) <= abs(p):
-                t = t1
-        roots.append(t)
-    roots.sort()
-    return roots
+    lo, hi = (0.0, 0.0) if q == 0.0 else (q / c2, c0 / q)
+    dp = 2.0 * c2 * lo + c1
+    if dp != 0.0 and math.isfinite(dp):
+        p = (c2 * lo + c1) * lo + c0
+        t1 = lo - p / dp
+        if math.isfinite(t1) and abs((c2 * t1 + c1) * t1 + c0) <= abs(p):
+            lo = t1
+    dp = 2.0 * c2 * hi + c1
+    if dp != 0.0 and math.isfinite(dp):
+        p = (c2 * hi + c1) * hi + c0
+        t1 = hi - p / dp
+        if math.isfinite(t1) and abs((c2 * t1 + c1) * t1 + c0) <= abs(p):
+            hi = t1
+    return (hi, lo) if hi < lo else (lo, hi)
 
 
 def _cubic_roots(c0: float, c1: float, c2: float, c3: float) -> list[float]:
@@ -130,7 +137,7 @@ def solve_poly(coeffs: Sequence[float]) -> list[float]:
     if len(c) == 4:
         return _cubic_roots(*c)
     if len(c) == 3:
-        return _quadratic_roots(*c)
+        return list(_quadratic_roots(*c))
     return [_linear_root(*c)]
 
 
@@ -138,8 +145,12 @@ def _cbrt(v: float) -> float:
     return math.copysign(abs(v) ** (1.0 / 3.0), v)
 
 
-def _extrapolate(xs, ys, x: float) -> float:
+def extrapolate(xs: Sequence[float], ys: Sequence[float], x: float) -> float:
     """Value at x of the quadratic through the last three (xs, ys)."""
+    if len(xs) < 3 or len(ys) < 3:
+        raise ValueError("extrapolation needs 3 points")
+    if xs[-3] == xs[-2] or xs[-2] == xs[-1] or xs[-3] == xs[-1]:
+        raise ValueError(f"extrapolation needs distinct abscissae, got {tuple(xs[-3:])}")
     # Newton divided differences on abscissae shifted by the last one, for
     # conditioning: last point b, a before it, p before a
     xref = xs[-1]
@@ -149,15 +160,6 @@ def _extrapolate(xs, ys, x: float) -> float:
     sp, yp = xs[-3] - xref, ys[-3]
     da = (ya - yp) / (sa - sp)
     return ((db - da) / (sb - sp) * (x - xref - sa) + da) * (x - xref - sp) + yp
-
-
-def extrapolate(xs: Sequence[float], ys: Sequence[float], x: float) -> float:
-    """Value at x of the quadratic through the last three (xs, ys)."""
-    if len(xs) < 3 or len(ys) < 3:
-        raise ValueError("extrapolation needs 3 points")
-    if xs[-3] == xs[-2] or xs[-2] == xs[-1] or xs[-3] == xs[-1]:
-        raise ValueError(f"extrapolation needs distinct abscissae, got {tuple(xs[-3:])}")
-    return _extrapolate(xs, ys, x)
 
 
 def select_root(roots: list[float], prediction: float) -> float | None:
@@ -175,54 +177,207 @@ def select_root(roots: list[float], prediction: float) -> float | None:
 
 
 # --- the three schemes --------------------------------------------------------
-# Each kernel is (xs, ys, x_next, param) -> new ordinate | StopReason.  Its
-# inline checks |d| <= DEGENERACY_RTOL * scale are core.is_degenerate, and
-# abs(t) <= OVERFLOW_LIMIT is false for NaN and +-inf as well.
+# Each run loop is (xs, ys, abscissae, param, out_xs, out_ys) -> StopReason:
+# it advances the window (xs, ys) to each abscissa in turn, appends each new
+# point to out_xs and out_ys, and returns why it stopped, COMPLETED when the
+# abscissae run out.  The window lives in local floats, and a difference or
+# cross-ratio that the next window would recompute from the same operands is
+# carried over.  Inline checks |d| <= DEGENERACY_RTOL * scale are
+# core.is_degenerate, and abs(t) <= OVERFLOW_LIMIT is false for NaN and
+# +-inf as well.
 
-def _sly4_kernel(xs, ys, x_next: float, fn) -> float | StopReason:
-    """Kernel of the fourth-order scheme: l4(window + new point) = fn(x2),
+def _sly4_run(xs, ys, abscissae, fn, out_xs, out_ys) -> StopReason:
+    """Run loop of the fourth-order scheme: l4(window + new point) = fn(x2),
     i.e. l3 of the right window equals a target built from the left l3 and
     the forcing, unwound to the cross-ratio of (y1, y2, y3, t) and cleared to
     a*t = b.  The l3 and cross-ratio evaluations are discrete._l3 and
-    discrete._cross_ratio inline."""
+    discrete._cross_ratio inline; the next window takes over all but four of
+    their abscissa differences and all but two of their ordinate ones."""
     x0, x1, x2, x3 = xs
     y0, y1, y2, y3 = ys
-    # l3 of the window: 6 / ((x2-x1)(x3-x0)) * (1 - R/S)
-    dx21 = x2 - x1
-    d = dx21 * (x3 - x0)
-    if d == 0.0:  # underflow; the differences of distinct abscissae never vanish
-        return StopReason.DEGENERATE_COEFFICIENT
-    dy32, dy10, dy31, dy20 = y3 - y2, y1 - y0, y3 - y1, y2 - y0
-    tol = DEGENERACY_RTOL * max(abs(dy32), abs(dy10), abs(dy31), abs(dy20))
-    if abs(dy32) <= tol or abs(dy10) <= tol:
-        return StopReason.DEGENERATE_COEFFICIENT
-    dx31, dx20, dx32 = x3 - x1, x2 - x0, x3 - x2
-    rx = dx31 * dx20
-    x_scale = max(abs(dx31), abs(dx20))
-    den = dy32 * dy10 * rx
-    if abs(rx) <= DEGENERACY_RTOL * (x_scale * x_scale) or den == 0.0:
-        return StopReason.DEGENERATE_COEFFICIENT
-    l3_left = 6.0 / d * (1.0 - (dy31 * dy20 * (dx32 * (x1 - x0))) / den)
-    # x cross-ratio of (x1, x2, x3, x_next)
-    n1, d1 = x_next - x2, x_next - x3
-    tol = DEGENERACY_RTOL * max(abs(n1), abs(dx31), abs(d1), abs(dx21))
-    den = d1 * dx21
-    if abs(d1) <= tol or abs(dx21) <= tol or den == 0.0:
-        return StopReason.DEGENERATE_COEFFICIENT
-    s4 = (n1 * dx31) / den
-    target = l3_left + fn(x2) * (x_next - x0) / 4.0
-    # l3 on the right window must equal `target`; unwind to a cross-ratio
-    # value v and clear cross-ratio(y1, y2, y3, t) = v to a*t = b
-    v = s4 * (1.0 - target * dx32 * (x_next - x1) / 6.0)
+    dx10, dx20, dx30, dx21, dx31, dx32 = x1 - x0, x2 - x0, x3 - x0, x2 - x1, x3 - x1, x3 - x2
+    dy10, dy20, dy21, dy31, dy32 = y1 - y0, y2 - y0, y2 - y1, y3 - y1, y3 - y2
+    for x in abscissae:
+        # l3 of the window: 6 / ((x2-x1)(x3-x0)) * (1 - R/S)
+        d = dx21 * dx30
+        if d == 0.0:  # underflow; the differences of distinct abscissae never vanish
+            return StopReason.DEGENERATE_COEFFICIENT
+        a32, a10 = abs(dy32), abs(dy10)
+        tol = DEGENERACY_RTOL * max(a32, a10, abs(dy31), abs(dy20))
+        if a32 <= tol or a10 <= tol:
+            return StopReason.DEGENERATE_COEFFICIENT
+        rx = dx31 * dx20
+        x_scale = max(abs(dx31), abs(dx20))
+        den = dy32 * dy10 * rx
+        if abs(rx) <= DEGENERACY_RTOL * (x_scale * x_scale) or den == 0.0:
+            return StopReason.DEGENERATE_COEFFICIENT
+        l3_left = 6.0 / d * (1.0 - (dy31 * dy20 * (dx32 * dx10)) / den)
+        # x cross-ratio of (x1, x2, x3, x)
+        dx42, dx43 = x - x2, x - x3
+        a43, a21 = abs(dx43), abs(dx21)
+        tol = DEGENERACY_RTOL * max(abs(dx42), abs(dx31), a43, a21)
+        den = dx43 * dx21
+        if a43 <= tol or a21 <= tol or den == 0.0:
+            return StopReason.DEGENERATE_COEFFICIENT
+        s4 = (dx42 * dx31) / den
+        target = l3_left + fn(x2) * (x - x0) / 4.0
+        # l3 on the right window must equal `target`; unwind to a cross-ratio
+        # value v and clear cross-ratio(y1, y2, y3, t) = v to a*t = b
+        dx41 = x - x1
+        v = s4 * (1.0 - target * dx32 * dx41 / 6.0)
+        a = dy31 - v * dy21
+        b = y2 * dy31 - v * y3 * dy21
+        if not (math.isfinite(a) and math.isfinite(b)):
+            return StopReason.NON_FINITE
+        if abs(a) <= DEGENERACY_RTOL * max(abs(dy31), abs(v * dy21)):
+            return StopReason.DEGENERATE_COEFFICIENT
+        t = b / a
+        if not abs(t) <= OVERFLOW_LIMIT:
+            return StopReason.NON_FINITE
+        out_xs.append(x)
+        out_ys.append(t)
+        x0, x1, x2, x3 = x1, x2, x3, x
+        dx10, dx20, dx30, dx21, dx31, dx32 = dx21, dx31, dx41, dx32, dx42, dx43
+        dy10, dy20, dy21, dy31, dy32 = dy21, dy31, dy32, t - y2, t - y3
+        y2, y3 = y3, t
+    return StopReason.COMPLETED
+
+
+def _slx3_run(xs, ys, abscissae, forcing, out_xs, out_ys) -> StopReason:
+    """Run loop of the third-order scheme on a uniform lattice (S = 4): the
+    real root of its cleared polynomial nearest the quadratic through the
+    window at the new abscissa.  ``forcing`` is (c, None) for constant
+    forcing c, a quadratic, or (None, stencil_mean) for identity forcing, a
+    cubic.  A leading coefficient at most DEGENERACY_RTOL times the largest
+    remaining one in size drops the polynomial one degree; a NaN scale
+    disables that test, not the exact zero test, which stops the run."""
+    c, mean = forcing
+    x0, x1, x2 = xs
+    y0, y1, y2 = ys
+    dy10, dy21 = y1 - y0, y2 - y1
+    for x in abscissae:
+        # the weakly invariant part lin0 + lin1*t is
+        # 24 (y1 - y0)(t - y2) - 6 (y2 - y0)(t - y1); the forcing enters
+        # multiplied by `common`
+        dy20 = y2 - y0
+        common = 4.0 * dy21 * dy10
+        lin1 = 24.0 * dy10 - 6.0 * dy20
+        lin0 = -24.0 * y2 * dy10 + 6.0 * y1 * dy20
+        if mean is None:
+            cc = c * common
+            c0, c1, c2 = lin0 - cc * y0 * y2, lin1 + cc * (y0 + y2), -cc
+        elif mean:  # rhs(t) = (y0 + y1 + y2 + t)/4
+            s3 = y0 + y1 + y2
+            q = common / 4.0
+            c0, c1, c2, c3 = (lin0 - q * s3 * y0 * y2, lin1 - q * (y0 * y2 - s3 * (y0 + y2)),
+                              -q * (s3 - y0 - y2), -q)
+        else:  # rhs(t) = t
+            c0, c1, c2, c3 = lin0, lin1 - common * y0 * y2, common * (y0 + y2), -common
+        a2 = abs(c2)
+        if mean is not None and not (abs(c3) <= DEGENERACY_RTOL
+                                     * max(abs(c0), abs(c1), abs(c2), abs(c3))):
+            if c3 == 0.0:
+                return StopReason.DEGENERATE_COEFFICIENT
+            try:
+                roots = _cubic_roots(c0, c1, c2, c3)
+            except NonFiniteError:
+                return StopReason.NON_FINITE
+        elif a2 <= DEGENERACY_RTOL * max(abs(c0), abs(c1), a2):
+            if c1 == 0.0 or abs(c1) <= DEGENERACY_RTOL * max(abs(c0), abs(c1)):
+                return StopReason.DEGENERATE_COEFFICIENT
+            roots = (_linear_root(c0, c1),)
+        elif c2 == 0.0:
+            return StopReason.DEGENERATE_COEFFICIENT
+        else:
+            roots = _quadratic_roots(c0, c1, c2)
+            if not roots:
+                return StopReason.NO_REAL_ROOT
+        if len(roots) == 1:
+            t = roots[0]
+        else:
+            # the prediction: extrapolate's Newton divided differences on the
+            # abscissae shifted by x2, where (x2 - x2) - s is -s
+            sa, sp, sx = x1 - x2, x0 - x2, x - x2
+            da = dy10 / (sa - sp)
+            p = ((dy21 / -sa - da) / -sp * (sx - sa) + da) * (sx - sp) + y0
+            if len(roots) == 2:
+                # select_root: the root nearest the prediction, ties to the smaller one
+                lo, hi = roots
+                d_lo, d_hi = abs(lo - p), abs(hi - p)
+                t = hi if d_hi < d_lo or (d_hi == d_lo and hi < lo) else lo
+            else:
+                t = select_root(roots, p)
+        if not abs(t) <= OVERFLOW_LIMIT:
+            return StopReason.NON_FINITE
+        out_xs.append(x)
+        out_ys.append(t)
+        x0, x1, x2 = x1, x2, x
+        dy10, dy21 = dy21, t - y2
+        y0, y1, y2 = y1, y2, t
+    return StopReason.COMPLETED
+
+
+def _h5_run(xs, ys, abscissae, c, out_xs, out_ys) -> StopReason:
+    """Run loop of the six-point scheme: the y cross-ratios R3 and R4 of the
+    window give R5 from :func:`discrete._h5_r5_line`, and cross-ratio(y2, y3,
+    y4, t) = R5 clears to a*t = b.  The abscissae do not enter on a uniform
+    lattice.  The cross-ratios are discrete._cross_ratio inline, and each
+    window's R4, checked and with its differences, is the next one's R3."""
+    y0, y1, y2, y3, y4 = ys
+    # R3 = cross-ratio(y0, y1, y2, y3) of the first window
+    dy31, dy20, dy32, dy10 = y3 - y1, y2 - y0, y3 - y2, y1 - y0
+    tol = DEGENERACY_RTOL * max(abs(dy31), abs(dy20), abs(dy32), abs(dy10))
+    den = dy32 * dy10
+    if abs(dy32) <= tol or abs(dy10) <= tol or den == 0.0:
+        for _ in abscissae:  # the first step stops
+            return StopReason.DEGENERATE_COEFFICIENT
+        return StopReason.COMPLETED
+    r3 = (dy31 * dy20) / den
     dy21 = y2 - y1
-    a = dy31 - v * dy21
-    b = y2 * dy31 - v * y3 * dy21
-    if not (math.isfinite(a) and math.isfinite(b)):
-        return StopReason.NON_FINITE
-    if abs(a) <= DEGENERACY_RTOL * max(abs(dy31), abs(v * dy21)):
-        return StopReason.DEGENERATE_COEFFICIENT
-    t = b / a
-    return t if abs(t) <= OVERFLOW_LIMIT else StopReason.NON_FINITE
+    for x in abscissae:
+        # R4 = cross-ratio(y1, y2, y3, y4)
+        dy42, dy43 = y4 - y2, y4 - y3
+        a43, a21 = abs(dy43), abs(dy21)
+        tol = DEGENERACY_RTOL * max(abs(dy42), abs(dy31), a43, a21)
+        den = dy43 * dy21
+        if a43 <= tol or a21 <= tol or den == 0.0:
+            return StopReason.DEGENERATE_COEFFICIENT
+        r4 = (dy42 * dy31) / den
+        a_r5, b_r5, scale = _h5_r5_line(r3, r4, c)
+        if abs(a_r5) <= DEGENERACY_RTOL * scale:
+            return StopReason.DEGENERATE_COEFFICIENT
+        v = b_r5 / a_r5
+        a = dy42 - v * dy32
+        b = y3 * dy42 - v * y4 * dy32
+        if not (math.isfinite(a) and math.isfinite(b)):
+            return StopReason.NON_FINITE
+        if abs(a) <= DEGENERACY_RTOL * max(abs(dy42), abs(v * dy32)):
+            return StopReason.DEGENERATE_COEFFICIENT
+        t = b / a
+        if not abs(t) <= OVERFLOW_LIMIT:
+            return StopReason.NON_FINITE
+        out_xs.append(x)
+        out_ys.append(t)
+        r3, dy21, dy31, dy32 = r4, dy32, dy42, dy43
+        y2, y3, y4 = y3, y4, t
+    return StopReason.COMPLETED
+
+
+def _step(scheme: SchemeKind, stencil: Stencil, x_next: float,
+          forcing: ForcingTerm) -> float | StopReason:
+    """One step of ``scheme``'s run loop from ``stencil`` to ``x_next``, which
+    must continue the stencil monotonically, and for ``slx3`` and ``h5`` by
+    the lattice rule of :func:`integrate` with step x_next - xs[-1]."""
+    run, param = _resolve(scheme, forcing, stencil)
+    xs = stencil.xs
+    if scheme is SchemeKind.SLY4:
+        if not (x_next > xs[-1] if xs[1] > xs[0] else x_next < xs[-1]):
+            raise ValueError(f"{x_next!r} does not continue the abscissae {xs} monotonically")
+    else:
+        _check_lattice(stencil, x_next - xs[-1], 1)
+    out_ys = []
+    stop = run(xs, stencil.ys, (x_next,), param, [], out_ys)
+    return out_ys[0] if out_ys else stop
 
 
 def sly4_step(prev4: Stencil, x_next: float,
@@ -230,91 +385,10 @@ def sly4_step(prev4: Stencil, x_next: float,
     """Advance the fourth-order scheme: solve l4(prev4 + new point) = f(x_mid).
 
     The forcing f, a constant or a function of x, is taken at the middle
-    abscissa; the cleared equation is linear in the new ordinate.
+    abscissa; the cleared equation is linear in the new ordinate.  The
+    abscissae need not be equally spaced.
     """
-    kernel, param = _resolve(SchemeKind.SLY4, forcing, prev4)
-    return kernel(prev4.xs, prev4.ys, x_next, param)
-
-
-def _slx3_linear(y0: float, y1: float, y2: float) -> tuple[float, float, float]:
-    """(common, lin0, lin1) of the third-order scheme's cleared polynomial on
-    a uniform lattice (S = 4): lin0 + lin1*t is the weakly invariant part,
-    and the forcing enters multiplied by ``common``."""
-    common = 4.0 * (y2 - y1) * (y1 - y0)
-    # linear part: 24 (y1 - y0)(t - y2) - 6 (y2 - y0)(t - y1)
-    lin1 = 24.0 * (y1 - y0) - 6.0 * (y2 - y0)
-    lin0 = -24.0 * y2 * (y1 - y0) + 6.0 * y1 * (y2 - y0)
-    return common, lin0, lin1
-
-
-def _slx3_cubic(y0: float, y1: float, y2: float,
-                stencil_mean: bool) -> tuple[float, float, float, float]:
-    """Cleared polynomial for identity forcing, low order first."""
-    common, lin0, lin1 = _slx3_linear(y0, y1, y2)
-    if not stencil_mean:
-        # rhs(t) = t
-        return (lin0,
-                lin1 - common * y0 * y2,
-                common * (y0 + y2),
-                -common)
-    # rhs(t) = (y0 + y1 + y2 + t)/4
-    s3 = y0 + y1 + y2
-    q = common / 4.0
-    return (lin0 - q * s3 * y0 * y2,
-            lin1 - q * (y0 * y2 - s3 * (y0 + y2)),
-            -q * (s3 - y0 - y2),
-            -q)
-
-
-# A leading coefficient at most DEGENERACY_RTOL times the largest remaining
-# one in size drops the polynomial one degree.  A NaN scale disables that
-# test, not the exact zero test, which stops the run instead.
-
-def _slx3_quadratic_root(xs, ys, x_next: float, c0: float, c1: float,
-                         c2: float) -> float | StopReason:
-    """The real root of c0 + c1*t + c2*t^2 nearest the prediction, or why
-    there is none; a degenerate c2 leaves the linear equation c0 + c1*t."""
-    if abs(c2) <= DEGENERACY_RTOL * max(abs(c0), abs(c1), abs(c2)):
-        if c1 == 0.0 or abs(c1) <= DEGENERACY_RTOL * max(abs(c0), abs(c1)):
-            return StopReason.DEGENERATE_COEFFICIENT
-        t = _linear_root(c0, c1)
-    elif c2 == 0.0:
-        return StopReason.DEGENERATE_COEFFICIENT
-    else:
-        roots = _quadratic_roots(c0, c1, c2)
-        if not roots:
-            return StopReason.NO_REAL_ROOT
-        lo, hi = roots
-        # select_root: the root nearest the prediction, ties to the smaller one
-        p = _extrapolate(xs, ys, x_next)
-        d_lo, d_hi = abs(lo - p), abs(hi - p)
-        t = hi if d_hi < d_lo or (d_hi == d_lo and hi < lo) else lo
-    return t if abs(t) <= OVERFLOW_LIMIT else StopReason.NON_FINITE
-
-
-def _slx3_kernel(xs, ys, x_next: float, c: float) -> float | StopReason:
-    """Kernel of the third-order scheme with constant forcing c: the root of
-    its cleared quadratic nearest the prediction."""
-    y0, y1, y2 = ys
-    common, lin0, lin1 = _slx3_linear(y0, y1, y2)
-    return _slx3_quadratic_root(xs, ys, x_next, lin0 - c * common * y0 * y2,
-                                lin1 + c * common * (y0 + y2), -c * common)
-
-
-def _slx3_cubic_kernel(xs, ys, x_next: float, stencil_mean: bool) -> float | StopReason:
-    """Kernel of the third-order scheme with identity forcing: the root of
-    its cubic nearest the prediction; a degenerate c3 leaves the quadratic."""
-    c0, c1, c2, c3 = _slx3_cubic(ys[0], ys[1], ys[2], stencil_mean)
-    if abs(c3) <= DEGENERACY_RTOL * max(abs(c0), abs(c1), abs(c2), abs(c3)):
-        return _slx3_quadratic_root(xs, ys, x_next, c0, c1, c2)
-    if c3 == 0.0:
-        return StopReason.DEGENERATE_COEFFICIENT
-    try:
-        roots = _cubic_roots(c0, c1, c2, c3)
-    except NonFiniteError:
-        return StopReason.NON_FINITE
-    t = roots[0] if len(roots) == 1 else select_root(roots, _extrapolate(xs, ys, x_next))
-    return t if abs(t) <= OVERFLOW_LIMIT else StopReason.NON_FINITE
+    return _step(SchemeKind.SLY4, prev4, x_next, forcing)
 
 
 def slx3_step(prev3: Stencil, x_next: float, forcing: ForcingTerm) -> float | StopReason:
@@ -325,42 +399,7 @@ def slx3_step(prev3: Stencil, x_next: float, forcing: ForcingTerm) -> float | St
     the quadratic through prev3 at ``x_next``; no real root means a barrier.
     A degenerate leading coefficient drops the polynomial one degree.
     """
-    kernel, param = _resolve(SchemeKind.SLX3, forcing, prev3)
-    return kernel(prev3.xs, prev3.ys, x_next, param)
-
-
-def _h5_kernel(xs, ys, x_next: float, c: float) -> float | StopReason:
-    """Kernel of the six-point scheme: the y cross-ratios R3 and R4 of the
-    window give R5 from :func:`discrete._h5_r5_line`, and cross-ratio(y2, y3,
-    y4, t) = R5 clears to a*t = b.  The abscissae do not enter on a uniform
-    lattice.  The cross-ratios are discrete._cross_ratio inline."""
-    y0, y1, y2, y3, y4 = ys
-    # R3 = cross-ratio(y0, y1, y2, y3)
-    dy31, dy20, dy32, dy10 = y3 - y1, y2 - y0, y3 - y2, y1 - y0
-    tol = DEGENERACY_RTOL * max(abs(dy31), abs(dy20), abs(dy32), abs(dy10))
-    den = dy32 * dy10
-    if abs(dy32) <= tol or abs(dy10) <= tol or den == 0.0:
-        return StopReason.DEGENERATE_COEFFICIENT
-    r3 = (dy31 * dy20) / den
-    # R4 = cross-ratio(y1, y2, y3, y4)
-    dy42, dy43, dy21 = y4 - y2, y4 - y3, y2 - y1
-    tol = DEGENERACY_RTOL * max(abs(dy42), abs(dy31), abs(dy43), abs(dy21))
-    den = dy43 * dy21
-    if abs(dy43) <= tol or abs(dy21) <= tol or den == 0.0:
-        return StopReason.DEGENERATE_COEFFICIENT
-    r4 = (dy42 * dy31) / den
-    a_r5, b_r5, scale = _h5_r5_line(r3, r4, c)
-    if abs(a_r5) <= DEGENERACY_RTOL * scale:
-        return StopReason.DEGENERATE_COEFFICIENT
-    v = b_r5 / a_r5
-    a = dy42 - v * dy32
-    b = y3 * dy42 - v * y4 * dy32
-    if not (math.isfinite(a) and math.isfinite(b)):
-        return StopReason.NON_FINITE
-    if abs(a) <= DEGENERACY_RTOL * max(abs(dy42), abs(v * dy32)):
-        return StopReason.DEGENERATE_COEFFICIENT
-    t = b / a
-    return t if abs(t) <= OVERFLOW_LIMIT else StopReason.NON_FINITE
+    return _step(SchemeKind.SLX3, prev3, x_next, forcing)
 
 
 def h5_step(prev5: Stencil, x_next: float, forcing: Constant) -> float | StopReason:
@@ -370,8 +409,7 @@ def h5_step(prev5: Stencil, x_next: float, forcing: Constant) -> float | StopRea
     linear in R5, and R5 is a linear-fractional function of the new ordinate,
     so the cleared equation is linear in it.
     """
-    kernel, param = _resolve(SchemeKind.H5, forcing, prev5)
-    return kernel(prev5.xs, prev5.ys, x_next, param)
+    return _step(SchemeKind.H5, prev5, x_next, forcing)
 
 
 # --- trajectory driver --------------------------------------------------------
@@ -396,26 +434,28 @@ def _check_lattice(seed: Stencil, h: float, n_steps: int):
 
 
 def _resolve(scheme: SchemeKind, forcing: ForcingTerm, stencil: Stencil):
-    """The kernel that advances ``scheme`` from ``stencil`` under ``forcing``,
-    and its parameter; ValueError, naming the scheme and what it was given,
-    for a stencil length or a forcing the scheme does not take."""
+    """The run loop that advances ``scheme`` from ``stencil`` under
+    ``forcing``, and its parameter; ValueError, naming the scheme and what it
+    was given, for a stencil length or a forcing the scheme does not take."""
     arity = SCHEME_ARITY[scheme]
     if len(stencil) != arity:
         raise ValueError(f"{scheme.value} steps from {arity} points, got {len(stencil)}")
     if isinstance(forcing, Constant):
         if scheme is SchemeKind.SLY4:
-            return _sly4_kernel, lambda _x, c=forcing.c: c
-        return (_slx3_kernel if scheme is SchemeKind.SLX3 else _h5_kernel), forcing.c
+            return _sly4_run, lambda _x, c=forcing.c: c
+        if scheme is SchemeKind.SLX3:
+            return _slx3_run, (forcing.c, None)
+        return _h5_run, forcing.c
     if isinstance(forcing, FunctionOfX) and scheme is SchemeKind.SLY4:
-        return _sly4_kernel, forcing.fn
+        return _sly4_run, forcing.fn
     if isinstance(forcing, IdentityInY) and scheme is SchemeKind.SLX3:
-        return _slx3_cubic_kernel, forcing.stencil_mean
+        return _slx3_run, (None, forcing.stencil_mean)
     raise ValueError(f"{scheme.value} does not take the forcing {forcing!r}")
 
 
 def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
-    """Advance the seed up to ``n_steps`` lattice steps with the scheme's
-    kernel, collecting the new points.
+    """Advance the seed up to ``n_steps`` lattice steps with the scheme's run
+    loop, collecting the new points.
 
     Returns the partial trajectory and the reason extension ceased; scheme
     failures surface as stop reasons, never as exceptions.  Before the first
@@ -425,23 +465,11 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
     """
     if n_steps < 0:
         raise ValueError(f"step count must be non-negative, got {n_steps}")
-    kernel, param = _resolve(spec.scheme, spec.forcing, seed)
+    run, param = _resolve(spec.scheme, spec.forcing, seed)
     h, arity = spec.lattice.h, len(seed)
     _check_lattice(seed, h, n_steps)
-    x0 = seed.xs[0]
     out_xs, out_ys = list(seed.xs), list(seed.ys)
-    xs, ys = list(seed.xs), list(seed.ys)  # the rolling window
-    stop = StopReason.COMPLETED
-    for n in range(arity, arity + n_steps):
-        x = x0 + n * h
-        y = kernel(xs, ys, x, param)
-        if y.__class__ is StopReason:
-            stop = y
-            break
-        xs.append(x)
-        del xs[0]
-        ys.append(y)
-        del ys[0]
-        out_xs.append(x)
-        out_ys.append(y)
+    # x0 + n*h; float() lets an int x0 add a float
+    nodes = map(float(seed.xs[0]).__add__, map(h.__mul__, range(arity, arity + n_steps)))
+    stop = run(seed.xs, seed.ys, nodes, param, out_xs, out_ys)
     return Trajectory(tuple(out_xs), tuple(out_ys), stop, spec.scheme.value, h)

@@ -196,8 +196,8 @@ def csv_reference_reader(path) -> Trajectory:
 
 # --- a test-only copy of the composed scheme kernels ------------------------------
 # Each scheme step as a chain of small functions over the invariants of
-# invdisc.discrete; the straight-line kernels of invdisc.schemes must agree
-# with it bit for bit.
+# invdisc.discrete; the run loops of invdisc.schemes must agree with it bit
+# for bit.
 
 def _ref_linear_kernel(xs, ys, x_next, line, param):
     try:
@@ -332,19 +332,24 @@ def _ref_slx3_kernel(xs, ys, x_next, forcing):
     return t if math.isfinite(t) and abs(t) <= OVERFLOW_LIMIT else StopReason.NON_FINITE
 
 
+def ref_step(scheme, forcing):
+    """One step (xs, ys, x_next) -> new ordinate | StopReason of the composed
+    kernels of ``scheme`` under ``forcing``."""
+    f = forcing
+    if scheme is SchemeKind.SLY4:
+        fn = (lambda _x: f.c) if isinstance(f, Constant) else f.fn
+        return lambda xs, ys, x: _ref_linear_kernel(xs, ys, x, _ref_sly4_line, fn)
+    if scheme is SchemeKind.SLX3:
+        return lambda xs, ys, x: _ref_slx3_kernel(xs, ys, x, f)
+    return lambda xs, ys, x: _ref_linear_kernel(xs, ys, x, _ref_h5_line, f.c)
+
+
 def scheme_reference_loop(spec, seed, n_steps):
     """Test-only copy of the composed kernels that ``schemes.integrate``
-    runs as one straight-line kernel per scheme, stepped over a rolling
-    window as integrate does (the lattice is not checked); the two must
+    runs as one straight-line loop per scheme, stepped over a rolling window
+    at x0 + n*h as integrate does (the lattice is not checked); the two must
     agree bit for bit.  Returns (xs, ys, stop)."""
-    f = spec.forcing
-    if spec.scheme is SchemeKind.SLY4:
-        fn = (lambda _x: f.c) if isinstance(f, Constant) else f.fn
-        step = lambda xs, ys, x: _ref_linear_kernel(xs, ys, x, _ref_sly4_line, fn)
-    elif spec.scheme is SchemeKind.SLX3:
-        step = lambda xs, ys, x: _ref_slx3_kernel(xs, ys, x, f)
-    else:
-        step = lambda xs, ys, x: _ref_linear_kernel(xs, ys, x, _ref_h5_line, f.c)
+    step = ref_step(spec.scheme, spec.forcing)
     h, k = spec.lattice.h, spec.arity
     xs, ys = list(seed.xs), list(seed.ys)
     for n in range(k, k + n_steps):

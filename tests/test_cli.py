@@ -5,13 +5,13 @@ import mpmath as mp
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from invdisc import (IdentityInY, SchemeKind, SchemeSpec, StopReason, Trajectory, Uniform,
-                     integrate, seed_stencil_from_function)
+from invdisc import (IdentityInY, SchemeKind, SchemeSpec, Stencil, StopReason, Trajectory,
+                     Uniform, integrate, seed_stencil_from_function)
 from invdisc import cli
 from invdisc.cli import (MAX_STEPS, main, read_trajectory_csv, run_example,
                          write_trajectory_csv)
 
-from conftest import csv_reference_reader
+from conftest import csv_reference_reader, scheme_reference_loop
 
 
 def _traj(ys, scheme="test", h=0.5, stop=StopReason.COMPLETED):
@@ -405,6 +405,17 @@ def test_example_1_reference_error_estimate(h_ref, example_1_truth):
     else:
         # above round-off the raw difference overestimates: 5.3e-11 against 3.5e-12
         assert estimate >= true_error
+
+
+@pytest.mark.parametrize("example_id", cli.EXAMPLES)
+def test_example_runs_equal_the_composed_kernels(example_id):
+    # the paper runs, bit for bit and with their stop reasons
+    run = run_example(example_id)
+    ex = cli.EXAMPLES[example_id]
+    spec = SchemeSpec(ex.scheme, ex.forcing, Uniform(run.h))
+    seed = Stencil(run.inv.xs[:spec.arity], run.inv.ys[:spec.arity])
+    assert (run.inv.xs, run.inv.ys, run.inv.stop) == scheme_reference_loop(
+        spec, seed, ex.steps(run.h, run.x0))
 
 
 def test_example_reference_sizes():

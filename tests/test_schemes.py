@@ -12,10 +12,11 @@ from invdisc import (Constant, CrossRatioWindow, FunctionOfX, IdentityInY,
                      integrate, l3, l4, m3, seed_stencil_from_function, select_root,
                      slx3_step, sly4_step, solve_poly, stencil_from_sequences)
 from invdisc import schemes
+from invdisc.core import SCHEME_ARITY
 from invdisc.schemes import extrapolate, h5_step
 
 from conftest import (STEPS, _ref_horner, _ref_slx3_kernel, make_mobius, random_mobius,
-                      scheme_reference_loop)
+                      ref_step, scheme_reference_loop)
 
 OMEX = lambda x: 1.0 / (1.0 - math.exp(x))
 MOBIUS = lambda x: (2.0 * x + 1.0) / (x + 3.0)
@@ -190,6 +191,41 @@ def test_h5_degenerate_on_weak_manifold_with_forcing():
     assert out is StopReason.DEGENERATE_COEFFICIENT
 
 
+def test_sly4_step_refuses_x_next_that_does_not_continue_the_stencil():
+    prev = seed_stencil_from_function(MOBIUS, 0.0, 0.1, 4)
+    for x_next in (0.1, 0.3, -1.0, math.nan):
+        with pytest.raises(ValueError, match="does not continue the abscissae"):
+            sly4_step(prev, x_next, Constant(0.0))
+    # the abscissae need not be equally spaced
+    xs = (0.0, 0.1, 0.3, 0.35)
+    uneven = stencil_from_sequences(xs, [MOBIUS(x) for x in xs])
+    assert sly4_step(uneven, 0.9, Constant(0.0)) == pytest.approx(MOBIUS(0.9), rel=1e-9)
+    # a spacing whose products underflow still continues, and stops as degenerate
+    for s in (1e-170, -1e-170):
+        tiny = stencil_from_sequences([0.0, s, 2 * s, 3 * s], [1.0, 2.0, 3.5, 5.0])
+        for forcing in (Constant(0.0), FunctionOfX(math.cos)):
+            assert sly4_step(tiny, 4 * s, forcing) is StopReason.DEGENERATE_COEFFICIENT
+
+
+def test_slx3_step_refuses_x_next_off_the_uniform_lattice():
+    ys = (0.0, 0.4, 0.7)
+    assert not isinstance(slx3_step(Stencil((0.0, 0.5, 1.0), ys), 1.5, Constant(0.5)),
+                          StopReason)
+    # uneven abscissae, a step that is not the stencil's, and one turning back
+    for xs, x_next in (((0.0, 0.1, 0.5), 1.0), ((0.0, 0.1, 0.5), 0.9),
+                       ((0.0, 0.5, 1.0), 1.7), ((0.0, 0.5, 1.0), 0.5)):
+        with pytest.raises(ValueError):
+            slx3_step(Stencil(xs, ys), x_next, Constant(0.5))
+
+
+def test_h5_step_refuses_x_next_off_the_uniform_lattice():
+    seed = seed_stencil_from_function(math.exp, 0.0, 0.1, 5)
+    assert not isinstance(h5_step(seed, 0.5, Constant(0.0)), StopReason)
+    for x_next in (-7.0, 0.4, 0.45, 0.7):
+        with pytest.raises(ValueError):
+            h5_step(seed, x_next, Constant(0.0))
+
+
 # --- equivariance ------------------------------------------------------------------
 
 def test_sly4_equivariance(rng):
@@ -258,7 +294,7 @@ def test_integrate_validates_seed():
         integrate(spec5, half_off, 2)
     # a seed inside the tolerance that runs against h
     back5 = stencil_from_sequences([-1e-10 * k for k in range(5)], seed5.ys)
-    with _kernels_counted() as calls, pytest.raises(ValueError):
+    with _loops_counted() as calls, pytest.raises(ValueError):
         integrate(spec5, back5, 3)
     assert calls() == 0
     # a lattice whose abscissae overflow within the run
@@ -274,21 +310,22 @@ def test_integrate_validates_seed():
         spec = SchemeSpec(kind, forcing, Uniform(3.0))
         coarse = stencil_from_sequences([x0 + 3.0 * k for k in range(spec.arity)],
                                         [1.0, 2.0, 4.0, 8.0, 16.0][:spec.arity])
-        with _kernels_counted() as calls, pytest.raises(ValueError):
+        with _loops_counted() as calls, pytest.raises(ValueError):
             integrate(spec, coarse, 30)
         assert calls() == 0
 
 
-KERNELS = ("_sly4_kernel", "_slx3_kernel", "_slx3_cubic_kernel", "_h5_kernel")
+RUN_LOOPS = ("_sly4_run", "_slx3_run", "_h5_run")
 
 
 @contextmanager
-def _kernels_counted():
-    """Count the scheme kernel calls made inside the block."""
+def _loops_counted():
+    """Count the scheme run loops started inside the block; a refused
+    lattice starts none, so it runs no step."""
     with ExitStack() as stack:
         mocks = [stack.enter_context(mock.patch.object(schemes, name,
                                                        wraps=getattr(schemes, name)))
-                 for name in KERNELS]
+                 for name in RUN_LOOPS]
         yield lambda: sum(m.call_count for m in mocks)
 
 
@@ -307,7 +344,7 @@ def test_integrate_raises_or_returns_monotone_abscissae(kind, e, negative, offse
     xs = [x0 + k * h for k in range(spec.arity)]
     assume(all((b - a) * h > 0.0 for a, b in zip(xs, xs[1:])))
     seed = stencil_from_sequences(xs, [OMEX(-1.0 + 0.1 * k) for k in range(spec.arity)])
-    with _kernels_counted() as calls:
+    with _loops_counted() as calls:
         try:
             traj = integrate(spec, seed, n_steps)
         except ValueError:
@@ -324,6 +361,23 @@ def test_integrate_completed_and_metadata():
     assert len(traj.points) == 13
     assert traj.scheme_id == "slx3"
     assert traj.h_nominal == 0.01
+
+
+@pytest.mark.parametrize("kind, forcing, f, x0, h", [
+    (SchemeKind.SLY4, Constant(0.0), MOBIUS, 0, 0.1),
+    (SchemeKind.SLY4, FunctionOfX(math.cos), math.exp, 0, 0.1),
+    (SchemeKind.SLX3, Constant(0.5), lambda x: math.log(abs(x)), 1, 0.5),
+    (SchemeKind.SLX3, IdentityInY(), math.exp, 0, 0.1),
+    (SchemeKind.H5, Constant(0.0), math.exp, 0, -0.1),
+])
+def test_integrate_int_led_seed_equals_float_led(kind, forcing, f, x0, h):
+    # Stencil keeps an int abscissa as given; the lattice must still be x0 + n*h
+    seed = seed_stencil_from_function(f, float(x0), h, SCHEME_ARITY[kind])
+    int_led = Stencil((x0,) + seed.xs[1:], seed.ys)
+    spec = SchemeSpec(kind, forcing, Uniform(h))
+    want, got = integrate(spec, seed, 12), integrate(spec, int_led, 12)
+    assert got.xs[0] is x0
+    assert repr((got.xs[1:], got.ys, got.stop)) == repr((want.xs[1:], want.ys, want.stop))
 
 
 def test_integrate_backward():
@@ -488,7 +542,7 @@ def test_extreme_windows_stop_as_degenerate(kind, ys):
     assert len(traj.points) == spec.arity
 
 
-# --- the straight-line kernels against the composed ones ---------------------------
+# --- the run loops against the composed kernels ----------------------------------------
 
 TAN_RECIPROCAL = lambda x: math.tan(1.0 / x)
 
@@ -547,7 +601,8 @@ def test_slx3_descent_equals_composed_kernels(ys, forcing, solver):
         calls = {name: stack.enter_context(mock.patch.object(
                      schemes, name, wraps=getattr(schemes, name))) for name in solvers}
         t = slx3_step(Stencil(xs, ys), 1.5, forcing)
-    assert [name for name in solvers if calls[name].called] == ([solver] if solver else [])
+    assert {name: calls[name].call_count for name in solvers if calls[name].called} == (
+        {solver: 1} if solver else {})
     want = _ref_slx3_kernel(xs, ys, 1.5, forcing)
     assert repr(t) == repr(want)
     assert (t is StopReason.DEGENERATE_COEFFICIENT) == (solver is None)
@@ -579,3 +634,26 @@ def test_integrate_equals_composed_kernels_on_hard_windows(data, kind, ys, c, x0
     assume(len(ys) >= spec.arity)
     seed = stencil_from_sequences([x0 + k * h for k in range(spec.arity)], ys[:spec.arity])
     _assert_integrate_is_composed(spec, seed, 30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(list(SchemeKind)),
+       ys=st.one_of(WINDOWS, st.sampled_from([ys for _, ys in EXTREME_WINDOWS])),
+       c=st.floats(-3.0, 3.0), x0=st.floats(-10.0, 10.0), h=st.floats(1e-6, 1.0),
+       backward=st.booleans(), to_negative_zero=st.booleans())
+def test_steps_equal_one_step_of_the_composed_kernels(kind, ys, c, x0, h, backward,
+                                                      to_negative_zero):
+    # each public step equals one step of the oracle, stop reasons included
+    h = -h if backward else h
+    n = SCHEME_ARITY[kind]
+    assume(len(ys) >= n)
+    if to_negative_zero:  # the stencil ends one step before x_next = -0.0
+        x0 = -n * h
+    xs = [x0 + k * h for k in range(n)]
+    x_next = -0.0 if to_negative_zero else x0 + n * h
+    stencil = stencil_from_sequences(xs, ys[:n])
+    for forcing in _oracle_forcings(kind, c):
+        out = STEPS[kind](stencil, x_next, forcing)
+        want = ref_step(kind, forcing)(stencil.xs, stencil.ys, x_next)
+        event(f"{kind.value} {type(forcing).__name__}: {getattr(out, 'value', 'advanced')}")
+        assert repr(out) == repr(want)
