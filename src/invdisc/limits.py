@@ -58,7 +58,7 @@ class LimitProbe:
     x_center; ``h_sequence`` must be strictly decreasing with at least 4
     levels.  A ``lattice`` callable overrides the placement entirely: it
     maps h to explicit abscissae (the jet target is then taken at the first
-    abscissa).
+    abscissa), and must give each level its own mean spacing.
     """
 
     invariant: str
@@ -110,6 +110,10 @@ def probe_limit(p: LimitProbe) -> LimitReport:
     values, errors, targets, mean_hs = [], [], [], []
     for h in p.h_sequence:
         xs = _abscissae(p, h, npts)
+        mean_h = sum(abs(b - a) for a, b in zip(xs, xs[1:])) / (npts - 1)
+        if mean_h in mean_hs:  # the order fit needs distinct spacings
+            raise ValueError(f"mean spacing {mean_h!r} at h = {h!r} repeats an earlier level's")
+        mean_hs.append(mean_h)
         jets = [p.test_function(x) for x in xs]
         stencil = Stencil(xs, [j.d[0] for j in jets])
         value = evaluate(stencil)
@@ -121,7 +125,6 @@ def probe_limit(p: LimitProbe) -> LimitReport:
         values.append(value)
         targets.append(target)
         errors.append(abs(value - target))
-        mean_hs.append(sum(abs(b - a) for a, b in zip(xs, xs[1:])) / (npts - 1))
     # roundoff floor: first level whose error stops decreasing
     floor = len(errors)
     for i in range(1, len(errors)):

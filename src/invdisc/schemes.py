@@ -6,15 +6,16 @@ scheme reduce to a linear equation a*t = b in the new ordinate t.  The
 third-order hodograph scheme is quadratic for constant forcing and cubic
 when the forcing is the dependent variable itself.  A degenerate leading
 coefficient drops its polynomial one degree, down to the linear weakly
-invariant form; each degree has one closed-form solver for all its real
-roots, and the one nearest a quadratic extrapolation is kept.
+invariant form.  Each step predicts the new ordinate by the quadratic through
+the window, and each degree keeps its real root nearest that prediction.
 
 Each scheme has one straight-line run loop on plain floats, which advances
 a window over a sequence of abscissae and returns the :class:`StopReason`
 that ends the run: ``_sly4_run``, ``_slx3_run`` (constant and identity
 forcing) and ``_h5_run``.  A loop keeps its window in local floats and
-evaluates invariants inline, with the float operations and degeneracy checks
-of :mod:`invdisc.discrete`, which stays their definition.  It carries what
+evaluates each step's invariants inline, with the float operations and
+degeneracy checks of :mod:`invdisc.discrete`, which stays their definition;
+``h5``'s first cross-ratio, evaluated once per run, calls it.  It carries what
 the next window would recompute from the same operands: ``sly4`` the
 abscissa and ordinate differences its l3 and cross-ratio share, ``slx3`` two
 ordinate differences, ``h5`` its checked R4, which is the next window's R3.
@@ -28,10 +29,10 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import (Constant, DEGENERACY_RTOL, ForcingTerm, FunctionOfX, IdentityInY,
-                   NonFiniteError, OVERFLOW_LIMIT, SCHEME_ARITY, SchemeKind, SchemeSpec,
-                   Stencil, StopReason, Trajectory)
-from .discrete import _h5_r5_line
+from .core import (Constant, DEGENERACY_RTOL, DegenerateCoefficientError, ForcingTerm,
+                   FunctionOfX, IdentityInY, NonFiniteError, OVERFLOW_LIMIT, SCHEME_ARITY,
+                   SchemeKind, SchemeSpec, Stencil, StopReason, Trajectory)
+from .discrete import _cross_ratio, _h5_r5_line
 
 
 # --- closed-form real roots ---------------------------------------------------
@@ -182,9 +183,9 @@ def select_root(roots: list[float], prediction: float) -> float | None:
 # point to out_xs and out_ys, and returns why it stopped, COMPLETED when the
 # abscissae run out.  The window lives in local floats, and a difference or
 # cross-ratio that the next window would recompute from the same operands is
-# carried over.  Inline checks |d| <= DEGENERACY_RTOL * scale are
-# core.is_degenerate, and abs(t) <= OVERFLOW_LIMIT is false for NaN and
-# +-inf as well.
+# carried over.  Only what each step evaluates is inline.  Inline checks
+# |d| <= DEGENERACY_RTOL * scale are core.is_degenerate, and
+# abs(t) <= OVERFLOW_LIMIT is false for NaN and +-inf as well.
 
 def _sly4_run(xs, ys, abscissae, fn, out_xs, out_ys) -> StopReason:
     """Run loop of the fourth-order scheme: l4(window + new point) = fn(x2),
@@ -244,12 +245,13 @@ def _sly4_run(xs, ys, abscissae, fn, out_xs, out_ys) -> StopReason:
 
 
 def _slx3_run(xs, ys, abscissae, forcing, out_xs, out_ys) -> StopReason:
-    """Run loop of the third-order scheme on a uniform lattice (S = 4): the
-    real root of its cleared polynomial nearest the quadratic through the
-    window at the new abscissa.  ``forcing`` is (c, None) for constant
-    forcing c, a quadratic, or (None, stencil_mean) for identity forcing, a
-    cubic.  A leading coefficient at most DEGENERACY_RTOL times the largest
-    remaining one in size drops the polynomial one degree; a NaN scale
+    """Run loop of the third-order scheme on a uniform lattice (S = 4): each
+    step predicts p, the quadratic through the window at the new abscissa,
+    and keeps the real root of its cleared polynomial nearest p.  ``forcing``
+    is (c, None) for constant forcing c, a quadratic, or (None, stencil_mean)
+    for identity forcing, a cubic.  A leading coefficient at most
+    DEGENERACY_RTOL times the largest remaining one in size drops the
+    polynomial one degree, and each degree picks its own root; a NaN scale
     disables that test, not the exact zero test, which stops the run."""
     c, mean = forcing
     x0, x1, x2 = xs
@@ -273,40 +275,33 @@ def _slx3_run(xs, ys, abscissae, forcing, out_xs, out_ys) -> StopReason:
                               -q * (s3 - y0 - y2), -q)
         else:  # rhs(t) = t
             c0, c1, c2, c3 = lin0, lin1 - common * y0 * y2, common * (y0 + y2), -common
+        # the prediction: extrapolate's Newton divided differences on the
+        # abscissae shifted by x2, where (x2 - x2) - s is -s
+        sa, sp, sx = x1 - x2, x0 - x2, x - x2
+        da = dy10 / (sa - sp)
+        p = ((dy21 / -sa - da) / -sp * (sx - sa) + da) * (sx - sp) + y0
         a2 = abs(c2)
         if mean is not None and not (abs(c3) <= DEGENERACY_RTOL
                                      * max(abs(c0), abs(c1), abs(c2), abs(c3))):
             if c3 == 0.0:
                 return StopReason.DEGENERATE_COEFFICIENT
             try:
-                roots = _cubic_roots(c0, c1, c2, c3)
+                t = select_root(_cubic_roots(c0, c1, c2, c3), p)
             except NonFiniteError:
                 return StopReason.NON_FINITE
         elif a2 <= DEGENERACY_RTOL * max(abs(c0), abs(c1), a2):
             if c1 == 0.0 or abs(c1) <= DEGENERACY_RTOL * max(abs(c0), abs(c1)):
                 return StopReason.DEGENERATE_COEFFICIENT
-            roots = (_linear_root(c0, c1),)
+            t = _linear_root(c0, c1)
         elif c2 == 0.0:
             return StopReason.DEGENERATE_COEFFICIENT
         else:
             roots = _quadratic_roots(c0, c1, c2)
             if not roots:
                 return StopReason.NO_REAL_ROOT
-        if len(roots) == 1:
-            t = roots[0]
-        else:
-            # the prediction: extrapolate's Newton divided differences on the
-            # abscissae shifted by x2, where (x2 - x2) - s is -s
-            sa, sp, sx = x1 - x2, x0 - x2, x - x2
-            da = dy10 / (sa - sp)
-            p = ((dy21 / -sa - da) / -sp * (sx - sa) + da) * (sx - sp) + y0
-            if len(roots) == 2:
-                # select_root: the root nearest the prediction, ties to the smaller one
-                lo, hi = roots
-                d_lo, d_hi = abs(lo - p), abs(hi - p)
-                t = hi if d_hi < d_lo or (d_hi == d_lo and hi < lo) else lo
-            else:
-                t = select_root(roots, p)
+            # select_root on the ascending pair: a tie keeps the smaller root
+            lo, hi = roots
+            t = hi if abs(hi - p) < abs(lo - p) else lo
         if not abs(t) <= OVERFLOW_LIMIT:
             return StopReason.NON_FINITE
         out_xs.append(x)
@@ -321,19 +316,17 @@ def _h5_run(xs, ys, abscissae, c, out_xs, out_ys) -> StopReason:
     """Run loop of the six-point scheme: the y cross-ratios R3 and R4 of the
     window give R5 from :func:`discrete._h5_r5_line`, and cross-ratio(y2, y3,
     y4, t) = R5 clears to a*t = b.  The abscissae do not enter on a uniform
-    lattice.  The cross-ratios are discrete._cross_ratio inline, and each
-    window's R4, checked and with its differences, is the next one's R3."""
+    lattice.  The first window's R3 is discrete._cross_ratio, whose
+    degeneracy stops the first step; each step's R4 is the same cross-ratio
+    inline, and, checked and with its differences, is the next window's R3."""
     y0, y1, y2, y3, y4 = ys
-    # R3 = cross-ratio(y0, y1, y2, y3) of the first window
-    dy31, dy20, dy32, dy10 = y3 - y1, y2 - y0, y3 - y2, y1 - y0
-    tol = DEGENERACY_RTOL * max(abs(dy31), abs(dy20), abs(dy32), abs(dy10))
-    den = dy32 * dy10
-    if abs(dy32) <= tol or abs(dy10) <= tol or den == 0.0:
+    try:
+        r3 = _cross_ratio(y0, y1, y2, y3)
+    except DegenerateCoefficientError:
         for _ in abscissae:  # the first step stops
             return StopReason.DEGENERATE_COEFFICIENT
         return StopReason.COMPLETED
-    r3 = (dy31 * dy20) / den
-    dy21 = y2 - y1
+    dy21, dy31, dy32 = y2 - y1, y3 - y1, y3 - y2
     for x in abscissae:
         # R4 = cross-ratio(y1, y2, y3, y4)
         dy42, dy43 = y4 - y2, y4 - y3

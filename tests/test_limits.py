@@ -28,6 +28,11 @@ def test_probe_validation():
     for hs in ((math.nan,) * 4, (0.01, math.nan, 0.005, 0.001), (math.inf, 1.0, 0.5, 0.1)):
         with pytest.raises(ValueError):
             LimitProbe("l3", jet_exp, 0.0, hs)
+    # every level's mean spacing is 0.1, so the order fit has nothing to fit
+    probe = LimitProbe("l3", jet_exp, 0.0, (0.4, 0.2, 0.1, 0.05),
+                       lattice=lambda h: [0.0, 0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match="mean spacing .* repeats"):
+        probe_limit(probe)
 
 
 def test_l3_probe_on_log():

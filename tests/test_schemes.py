@@ -26,6 +26,8 @@ MOBIUS = lambda x: (2.0 * x + 1.0) / (x + 3.0)
 
 def test_solve_poly_quadratic():
     assert solve_poly((2.0, -3.0, 1.0)) == pytest.approx([1.0, 2.0])
+    # ascending for a negative leading coefficient too
+    assert solve_poly((-2.0, 3.0, -1.0)) == [1.0, 2.0]
     assert solve_poly((1.0, 0.0, 1.0)) == []
 
 
@@ -540,6 +542,8 @@ def test_extreme_windows_stop_as_degenerate(kind, ys):
     traj = integrate(spec, seed, 5)
     assert traj.stop is StopReason.DEGENERATE_COEFFICIENT
     assert len(traj.points) == spec.arity
+    # with no step to take, the window is never solved and the run completes
+    assert integrate(spec, seed, 0).stop is StopReason.COMPLETED
 
 
 # --- the run loops against the composed kernels ----------------------------------------
