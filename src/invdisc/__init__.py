@@ -9,9 +9,8 @@ from .core import (ConstantS, Constant, DEGENERACY_RTOL, DegenerateCoefficientEr
                    stencil_from_sequences)
 from .differential import (InvariantTriple, compose_jet, h5_differential,
                            jy_invariants, kx_invariants)
-from .discrete import (CrossRatioWindow, cross_ratio, h5_discrete,
-                       h5_uniform, l3, l4, l5, m3, m4, m5, q_triple,
-                       w_coefficient, wx_coefficient)
+from .discrete import (CrossRatioWindow, cross_ratio, h5_discrete, h5_uniform,
+                       l3, l4, l5, m3, m4, m5, w_coefficient, wx_coefficient)
 from .lattice import extend_constant_s, extend_lattice, w0_sol2
 from .limits import LimitProbe, LimitReport, probe_limit, target_value
 from .reference import (EXACT_SOLUTIONS, ExactSolution, OdeSystem, arctanh_solution,

@@ -68,40 +68,34 @@ def _ratio_r_over_s(xs, ys, k: int) -> float:
     return (ry * dx) / den
 
 
-def _l3(xs, ys, k: int) -> float:
-    d = (xs[k + 2] - xs[k + 1]) * (xs[k + 3] - xs[k])
-    if d == 0.0:  # underflow; the differences of distinct abscissae never vanish
-        raise DegenerateCoefficientError("l3 denominator underflows")
-    return 6.0 / d * (1.0 - _ratio_r_over_s(xs, ys, k))
+def _l(xs, ys, k: int, n: int) -> float:
+    """Order-n L invariant of the window starting at k: l3 for n = 3, above
+    it n times the divided difference of the two windows of order n - 1 over
+    the spanning x-difference."""
+    if n == 3:
+        d = (xs[k + 2] - xs[k + 1]) * (xs[k + 3] - xs[k])
+        if d == 0.0:  # underflow; the differences of distinct abscissae never vanish
+            raise DegenerateCoefficientError("l3 denominator underflows")
+        return 6.0 / d * (1.0 - _ratio_r_over_s(xs, ys, k))
+    return n / (xs[k + n] - xs[k]) * (_l(xs, ys, k + 1, n - 1) - _l(xs, ys, k, n - 1))
 
 
-def _m3(xs, ys, k: int) -> float:
-    d1 = ys[k + 3] - ys[k]
-    d2 = ys[k + 2] - ys[k + 1]
-    win = ys[k:k + 4]
-    scale = max(win) - min(win)  # the largest |y-difference| in the window
-    den = d1 * d2
-    if is_degenerate(d1, scale) or is_degenerate(d2, scale) or den == 0.0:
-        raise DegenerateCoefficientError("vanishing y-difference in M window")
-    return 6.0 / den * (1.0 - _ratio_r_over_s(xs, ys, k))
-
-
-def _l4(xs, ys, k: int) -> float:
-    return 4.0 / (xs[k + 4] - xs[k]) * (_l3(xs, ys, k + 1) - _l3(xs, ys, k))
-
-
-def _spanning_dy(ys, k: int, n: int) -> float:
-    """ys[k+n] - ys[k], checked against every y-difference in the window."""
+def _m(xs, ys, k: int, n: int) -> float:
+    """Order-n M invariant of the window starting at k: m3 for n = 3, above
+    it the same divided difference over the spanning y-difference, which is
+    checked against every y-difference in the window."""
     d = ys[k + n] - ys[k]
     win = ys[k:k + n + 1]
-    scale = max(win) - min(win)
+    scale = max(win) - min(win)  # the largest |y-difference| in the window
+    if n == 3:
+        d2 = ys[k + 2] - ys[k + 1]
+        den = d * d2
+        if is_degenerate(d, scale) or is_degenerate(d2, scale) or den == 0.0:
+            raise DegenerateCoefficientError("vanishing y-difference in M window")
+        return 6.0 / den * (1.0 - _ratio_r_over_s(xs, ys, k))
     if is_degenerate(d, scale):
         raise DegenerateCoefficientError("vanishing spanning y-difference")
-    return d
-
-
-def _m4(xs, ys, k: int) -> float:
-    return 4.0 / _spanning_dy(ys, k, 4) * (_m3(xs, ys, k + 1) - _m3(xs, ys, k))
+    return n / d * (_m(xs, ys, k + 1, n - 1) - _m(xs, ys, k, n - 1))
 
 
 def _require_len(s: Stencil, n: int, name: str):
@@ -112,13 +106,13 @@ def _require_len(s: Stencil, n: int, name: str):
 def l3(s: Stencil) -> float:
     """Third-order invariant on 4 points; continuous limit is the Schwarzian."""
     _require_len(s, 4, "l3")
-    return _l3(s.xs, s.ys, 0)
+    return _l(s.xs, s.ys, 0, 3)
 
 
 def l4(s: Stencil) -> float:
     """Fourth-order invariant on 5 points; limit is the Schwarzian's x-derivative."""
     _require_len(s, 5, "l4")
-    return _l4(s.xs, s.ys, 0)
+    return _l(s.xs, s.ys, 0, 4)
 
 
 def l5(s: Stencil) -> float:
@@ -128,22 +122,19 @@ def l5(s: Stencil) -> float:
     carries a W * (Schwarzian)^2 correction.
     """
     _require_len(s, 6, "l5")
-    xs, ys = s.xs, s.ys
-    l4a = _l4(xs, ys, 0)
-    l4b = _l4(xs, ys, 1)
-    return 5.0 / (xs[5] - xs[0]) * (l4b - l4a)
+    return _l(s.xs, s.ys, 0, 5)
 
 
 def m3(s: Stencil) -> float:
     """Third-order hodograph-side invariant on 4 points."""
     _require_len(s, 4, "m3")
-    return _m3(s.xs, s.ys, 0)
+    return _m(s.xs, s.ys, 0, 3)
 
 
 def m4(s: Stencil) -> float:
     """Fourth-order hodograph-side invariant on 5 points."""
     _require_len(s, 5, "m4")
-    return _m4(s.xs, s.ys, 0)
+    return _m(s.xs, s.ys, 0, 4)
 
 
 def m5(s: Stencil) -> float:
@@ -153,16 +144,7 @@ def m5(s: Stencil) -> float:
     with W_x from :func:`wx_coefficient` (equal to 2 on uniform lattices).
     """
     _require_len(s, 6, "m5")
-    xs, ys = s.xs, s.ys
-    return 5.0 / _spanning_dy(ys, 0, 5) * (_m4(xs, ys, 1) - _m4(xs, ys, 0))
-
-
-def q_triple(s: Stencil) -> tuple[float, float, float]:
-    """(Q3, Q4, Q5) with Q_i = 1 - R_i/S_i for the three windows of a
-    six-point stencil, computed from full-precision R/S ratios."""
-    _require_len(s, 6, "q_triple")
-    xs, ys = s.xs, s.ys
-    return tuple(1.0 - _ratio_r_over_s(xs, ys, k) for k in range(3))
+    return _m(s.xs, s.ys, 0, 5)
 
 
 def _check_factor(value: float, scale: float, what: str):
@@ -181,7 +163,8 @@ def h5_discrete(s: Stencil) -> float:
     s3 = _cross_ratio(xs[0], xs[1], xs[2], xs[3])
     s4 = _cross_ratio(xs[1], xs[2], xs[3], xs[4])
     s5 = _cross_ratio(xs[2], xs[3], xs[4], xs[5])
-    q3, q4, q5 = q_triple(s)
+    # Q_i = 1 - R_i/S_i of the three windows, from full-precision R/S ratios
+    q3, q4, q5 = (1.0 - _ratio_r_over_s(xs, ys, k) for k in range(3))
     s_scale = max(abs(s3), abs(s4), abs(s5), 1.0)
     for qi in (q3, q4, q5):
         _check_factor(qi, 1.0, "Q factor (window on the R = S manifold)")

@@ -191,9 +191,10 @@ def _sly4_run(xs, ys, abscissae, fn, out_xs, out_ys) -> StopReason:
     """Run loop of the fourth-order scheme: l4(window + new point) = fn(x2),
     i.e. l3 of the right window equals a target built from the left l3 and
     the forcing, unwound to the cross-ratio of (y1, y2, y3, t) and cleared to
-    a*t = b.  The l3 and cross-ratio evaluations are discrete._l3 and
-    discrete._cross_ratio inline; the next window takes over all but four of
-    their abscissa differences and all but two of their ordinate ones."""
+    a*t = b.  The l3 and cross-ratio evaluations are discrete._l's base
+    case and discrete._cross_ratio inline; the next window takes over all
+    but four of their abscissa differences and all but two of their ordinate
+    ones."""
     x0, x1, x2, x3 = xs
     y0, y1, y2, y3 = ys
     dx10, dx20, dx30, dx21, dx31, dx32 = x1 - x0, x2 - x0, x3 - x0, x2 - x1, x3 - x1, x3 - x2

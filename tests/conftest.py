@@ -8,7 +8,7 @@ from invdisc import (Constant, DegenerateCoefficientError, Jet, NonFiniteError,
                      SchemeKind, StopReason, Trajectory, kx_invariants)
 from invdisc.cli import ConfigError
 from invdisc.core import OVERFLOW_LIMIT, is_degenerate
-from invdisc.discrete import _cross_ratio, _cross_ratio_line, _h5_r5_line, _l3
+from invdisc.discrete import _cross_ratio, _cross_ratio_line, _h5_r5_line, _l
 from invdisc.schemes import extrapolate, h5_step, select_root, slx3_step, sly4_step
 
 #: each scheme's public step function
@@ -213,7 +213,7 @@ def _ref_linear_kernel(xs, ys, x_next, line, param):
 
 
 def _ref_sly4_line(xs, ys, x_next, forcing):
-    l3_left = _l3(xs, ys, 0)
+    l3_left = _l(xs, ys, 0, 3)
     s4 = _cross_ratio(xs[1], xs[2], xs[3], x_next)
     target = l3_left + forcing(xs[2]) * (x_next - xs[0]) / 4.0
     v = s4 * (1.0 - target * (xs[3] - xs[2]) * (x_next - xs[1]) / 6.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from invdisc import (DegenerateCoefficientError, cross_ratio, h5_discrete,
-                     h5_uniform, l3, l4, l5, m3, m4, m5, q_triple,
+                     h5_uniform, l3, l4, l5, m3, m4, m5,
                      seed_stencil_from_function, stencil_from_sequences,
                      w_coefficient, w0_sol2, wx_coefficient)
 from invdisc.discrete import CrossRatioWindow
@@ -154,6 +154,26 @@ def test_m5_limits():
     assert abs(m5(s)) <= 1e-2
 
 
+@pytest.mark.parametrize("family, along_y", [((l3, l4, l5), False),
+                                              ((m3, m4, m5), True)], ids=["L", "M"])
+def test_each_order_divides_the_difference_of_the_order_below(rng, family, along_y):
+    """l_n (m_n) is n / (x_n - x_0) (n / (y_n - y_0)) times the difference of
+    the order below on the right and the left window, bit for bit."""
+    for _ in range(200):
+        direction = rng.choice((-1.0, 1.0))
+        xs = [float(v) for v in direction * np.cumsum(rng.uniform(0.05, 1.0, 6))]
+        ys = [float(v) for v in rng.uniform(-3.0, 3.0, 6)]
+        span = ys if along_y else xs
+
+        def window(a, b):
+            return stencil_from_sequences(xs[a:b], ys[a:b])
+
+        for n, lower, upper in ((4, family[0], family[1]), (5, family[1], family[2])):
+            expected = n / (span[n] - span[0]) * (lower(window(1, n + 1))
+                                                 - lower(window(0, n)))
+            assert upper(window(0, n + 1)) == expected
+
+
 # --- six-point product invariant -------------------------------------------------
 
 def test_h5_discrete_vanishes_on_exact_solution():
@@ -207,9 +227,11 @@ def test_h5_degenerate_near_weak_manifold():
         h5_uniform(4.0, 5.0, 6.0)
 
 
-def test_q_triple_matches_definition():
-    s = seed_stencil_from_function(OMEX, -1.0, 0.1, 6)
-    q3, _, _ = q_triple(s)
+def test_q3_matches_definition():
+    # Q3 = 1 - R/S of h5_discrete's first window is l3 * (x2-x1)(x3-x0) / 6
+    s = seed_stencil_from_function(OMEX, -1.0, 0.1, 4)
+    xs = s.xs
+    q3 = l3(s) * (xs[2] - xs[1]) * (xs[3] - xs[0]) / 6.0
     assert q3 == pytest.approx(1.0 - RHO_01 / 4.0, rel=1e-10)
 
 

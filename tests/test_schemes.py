@@ -207,6 +207,8 @@ def test_sly4_step_refuses_x_next_that_does_not_continue_the_stencil():
         tiny = stencil_from_sequences([0.0, s, 2 * s, 3 * s], [1.0, 2.0, 3.5, 5.0])
         for forcing in (Constant(0.0), FunctionOfX(math.cos)):
             assert sly4_step(tiny, 4 * s, forcing) is StopReason.DEGENERATE_COEFFICIENT
+    # so does an x_next a hair past x3: the x cross-ratio's denominator vanishes
+    assert sly4_step(uneven, 0.35 + 1e-15, Constant(0.0)) is StopReason.DEGENERATE_COEFFICIENT
 
 
 def test_slx3_step_refuses_x_next_off_the_uniform_lattice():
@@ -544,6 +546,27 @@ def test_extreme_windows_stop_as_degenerate(kind, ys):
     assert len(traj.points) == spec.arity
     # with no step to take, the window is never solved and the run completes
     assert integrate(spec, seed, 0).stop is StopReason.COMPLETED
+
+
+SLY4_NON_FINITE_WINDOWS = {
+    # an infinite forcing value makes the cleared equation's a and b non-finite
+    "infinite-forcing": ((0.0, 0.1, 0.2, 0.3), (0.0, 0.1, 0.3, 0.6),
+                         FunctionOfX(lambda x: math.inf)),
+    # y0 == y2 gives R/S = 0 and l3 = 6/((x2-x1)(x3-x0)) = 2, so with zero
+    # forcing the new ordinate repeats y2: finite, but past OVERFLOW_LIMIT
+    "past-overflow-limit": ((0.0, 1.0, 2.0, 3.0), (1.5e300, 0.0, 1.5e300, 1.0),
+                            Constant(0.0)),
+}
+
+
+@pytest.mark.parametrize("xs, ys, forcing", SLY4_NON_FINITE_WINDOWS.values(),
+                         ids=SLY4_NON_FINITE_WINDOWS)
+def test_sly4_windows_stop_as_non_finite(xs, ys, forcing):
+    seed = stencil_from_sequences(xs, ys)
+    h = xs[1] - xs[0]
+    assert sly4_step(seed, xs[3] + h, forcing) is StopReason.NON_FINITE
+    traj = integrate(SchemeSpec(SchemeKind.SLY4, forcing, Uniform(h)), seed, 5)
+    assert traj.stop is StopReason.NON_FINITE and traj.xs == seed.xs
 
 
 # --- the run loops against the composed kernels ----------------------------------------
