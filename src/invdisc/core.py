@@ -82,17 +82,18 @@ class Stencil:
 
 @dataclass(frozen=True)
 class Jet:
-    """Value and derivatives (y, y', ..., y^(5)) at an abscissa x."""
+    """Value and derivatives (y, y', ..., y^(5)) at an abscissa x; ``d``
+    becomes a tuple of six floats, and x and each entry must be finite."""
 
     x: float
     d: tuple[float, ...]
 
     def __post_init__(self):
-        d = tuple(float(v) for v in self.d)
+        d = tuple(map(float, self.d))
         object.__setattr__(self, "d", d)
         if len(d) != 6:
             raise ValueError(f"jet needs entries for orders 0..5, got {len(d)}")
-        if not all(math.isfinite(v) for v in (self.x, *d)):
+        if not (math.isfinite(self.x) and all(map(math.isfinite, d))):
             raise NonFiniteError("non-finite jet entry")
 
 

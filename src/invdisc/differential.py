@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DegenerateCoefficientError, Jet
+from .core import DegenerateCoefficientError, Jet, NonFiniteError
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,19 @@ def compose_jet(outer: tuple[float, ...], inner: Jet) -> Jet:
     """Jet of f(g(x)) from derivatives of f at g(x) and the jet of g.
 
     ``outer`` lists f(u), f'(u), ..., f^(5)(u) at u = g(x).  Uses the chain
-    rule through fifth order.
+    rule through fifth order; NonFiniteError where a power in the rule overflows.
     """
     f0, f1, f2, f3, f4, f5 = outer
     _, g1, g2, g3, g4, g5 = inner.d
-    d1 = f1 * g1
-    d2 = f2 * g1 ** 2 + f1 * g2
-    d3 = f3 * g1 ** 3 + 3.0 * f2 * g1 * g2 + f1 * g3
-    d4 = (f4 * g1 ** 4 + 6.0 * f3 * g1 ** 2 * g2
-          + f2 * (3.0 * g2 ** 2 + 4.0 * g1 * g3) + f1 * g4)
-    d5 = (f5 * g1 ** 5 + 10.0 * f4 * g1 ** 3 * g2
-          + f3 * (15.0 * g1 * g2 ** 2 + 10.0 * g1 ** 2 * g3)
-          + f2 * (10.0 * g2 * g3 + 5.0 * g1 * g4) + f1 * g5)
+    try:
+        d1 = f1 * g1
+        d2 = f2 * g1 ** 2 + f1 * g2
+        d3 = f3 * g1 ** 3 + 3.0 * f2 * g1 * g2 + f1 * g3
+        d4 = (f4 * g1 ** 4 + 6.0 * f3 * g1 ** 2 * g2
+              + f2 * (3.0 * g2 ** 2 + 4.0 * g1 * g3) + f1 * g4)
+        d5 = (f5 * g1 ** 5 + 10.0 * f4 * g1 ** 3 * g2
+              + f3 * (15.0 * g1 * g2 ** 2 + 10.0 * g1 ** 2 * g3)
+              + f2 * (10.0 * g2 * g3 + 5.0 * g1 * g4) + f1 * g5)
+    except OverflowError:
+        raise NonFiniteError(f"composed jet overflows at x = {inner.x!r}") from None
     return Jet(inner.x, (f0, d1, d2, d3, d4, d5))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DegenerateCoefficientError, Stencil, is_degenerate
+from .core import DegenerateCoefficientError, NonFiniteError, Stencil, is_degenerate
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,8 @@ def cross_ratio(w: CrossRatioWindow) -> float:
 
 
 def _ratio_r_over_s(xs, ys, k: int) -> float:
-    """R_{k+3}/S_{k+3} in one full-precision expression."""
+    """R_{k+3}/S_{k+3} in one full-precision expression; NonFiniteError where
+    it is NaN (products of y-differences past about 1e154 are inf / inf)."""
     ry = (ys[k + 3] - ys[k + 1]) * (ys[k + 2] - ys[k])
     dy = (ys[k + 3] - ys[k + 2]) * (ys[k + 1] - ys[k])
     rx = (xs[k + 3] - xs[k + 1]) * (xs[k + 2] - xs[k])
@@ -65,7 +66,10 @@ def _ratio_r_over_s(xs, ys, k: int) -> float:
     den = dy * rx
     if is_degenerate(rx, x_scale * x_scale) or den == 0.0:
         raise DegenerateCoefficientError("vanishing denominator of R/S")
-    return (ry * dx) / den
+    q = (ry * dx) / den
+    if q != q:
+        raise NonFiniteError(f"R/S is NaN on window {k} (its products overflow)")
+    return q
 
 
 def _l(xs, ys, k: int, n: int) -> float:

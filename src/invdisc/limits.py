@@ -59,6 +59,9 @@ class LimitProbe:
     levels.  A ``lattice`` callable overrides the placement entirely: it
     maps h to explicit abscissae (the jet target is then taken at the first
     abscissa), and must give each level its own mean spacing.
+
+    A probe calls ``test_function`` once per distinct abscissa (-0.0 and 0.0
+    are two) and reuses the jet where a level repeats it: it must be deterministic.
     """
 
     invariant: str
@@ -108,13 +111,22 @@ def probe_limit(p: LimitProbe) -> LimitReport:
     convergence order on the levels before the roundoff floor."""
     npts, evaluate = _INVARIANTS[p.invariant]
     values, errors, targets, mean_hs = [], [], [], []
+    memo = {}  # abscissa -> jet; 0.0 is keyed by its repr, to keep -0.0 apart
+
+    def jet(x):
+        key = x if x else repr(x)
+        j = memo.get(key)
+        if j is None:
+            j = memo[key] = p.test_function(x)
+        return j
+
     for h in p.h_sequence:
         xs = _abscissae(p, h, npts)
         mean_h = sum(abs(b - a) for a, b in zip(xs, xs[1:])) / (npts - 1)
         if mean_h in mean_hs:  # the order fit needs distinct spacings
             raise ValueError(f"mean spacing {mean_h!r} at h = {h!r} repeats an earlier level's")
         mean_hs.append(mean_h)
-        jets = [p.test_function(x) for x in xs]
+        jets = [jet(x) for x in xs]
         stencil = Stencil(xs, [j.d[0] for j in jets])
         value = evaluate(stencil)
         anchor = jets[0]

@@ -184,11 +184,16 @@ class ExactSolution:
     jet_fn: Callable[[float], Jet]
 
 
-def _reciprocal_derivatives(x: float) -> tuple[float, ...]:
-    """1/x and its first four derivatives."""
+def _reciprocal_derivatives(x: float, n: int = 5) -> tuple[float, ...]:
+    """1/x and its first n - 1 derivatives (n = 5 or 6); NonFiniteError where
+    a power of x leaves the float range."""
     if x == 0.0:
         raise DomainError("singular at x = 0")
-    return (1.0 / x, -1.0 / x ** 2, 2.0 / x ** 3, -6.0 / x ** 4, 24.0 / x ** 5)
+    try:
+        d = (1.0 / x, -1.0 / x ** 2, 2.0 / x ** 3, -6.0 / x ** 4, 24.0 / x ** 5)
+        return d if n == 5 else (*d, -120.0 / x ** 6)
+    except (ZeroDivisionError, OverflowError):
+        raise NonFiniteError(f"derivatives of 1/x out of float range at x = {x!r}") from None
 
 
 def _log_abs_jet(x: float) -> Jet:
@@ -241,7 +246,7 @@ def _tan_outer(u: float) -> tuple[float, ...]:
 
 
 def _tan_reciprocal_jet(x: float) -> Jet:
-    inner = Jet(x, (*_reciprocal_derivatives(x), -120.0 / x ** 6))
+    inner = Jet(x, _reciprocal_derivatives(x, 6))
     return compose_jet(_tan_outer(inner.d[0]), inner)
 
 

@@ -204,6 +204,8 @@ def _ref_linear_kernel(xs, ys, x_next, line, param):
         a, b, scale = line(xs, ys, x_next, param)
     except DegenerateCoefficientError:
         return StopReason.DEGENERATE_COEFFICIENT
+    except NonFiniteError:  # _l's R/S is NaN where the loops' a or b is
+        return StopReason.NON_FINITE
     if not (math.isfinite(a) and math.isfinite(b)):
         return StopReason.NON_FINITE
     if is_degenerate(a, scale):

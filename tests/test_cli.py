@@ -510,6 +510,14 @@ def test_limit_overflowing_jets(argv):
     assert main(["limit", "--invariant", "l3", *argv]) == 2
 
 
+def test_limit_jet_underflow_names_x(capsys):
+    # x ** 4 underflows to zero in the log|x| jet
+    argv = ["limit", "--invariant", "l3", "--function", "log-abs", "--x0", "1e-100",
+            "--h0", "1e-102"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: derivatives of 1/x out of float range at x = 1e-100\n"
+
+
 def test_chi_non_finite_row(tmp_path):
     p = tmp_path / "nan.csv"
     p.write_text("x,y\n0,1\n1,nan\n")

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -71,6 +72,63 @@ def test_point_and_jet_reject_non_finite():
         Jet(0.0, (1, 2, 3, float("nan"), 5, 6))
     with pytest.raises(ValueError):
         Jet(0.0, (1, 2, 3))
+
+
+def jet_generator_form(x, d):
+    """Test-only copy of the generator-form conversion and checks that
+    ``Jet.__post_init__`` makes as C-level passes: (x, d) or its exception."""
+    d = tuple(float(v) for v in d)
+    if len(d) != 6:
+        raise ValueError(f"jet needs entries for orders 0..5, got {len(d)}")
+    if not all(math.isfinite(v) for v in (x, *d)):
+        raise NonFiniteError("non-finite jet entry")
+    return x, d
+
+
+ONES = (1.0,) * 6
+JET_INPUTS = {
+    "floats": (0.5, (1.0, -2.0, 3.5, 0.0, -0.0, 6e300)),
+    "ints": (1, (1, -2, 3, 0, 5, 2 ** 60 + 1)),
+    "numeric-strings": (0.0, ("1", "-2.5", " 3e2 ", "4", "5.0", "1_000")),
+    "bools": (True, (True, False, 1, 0.5, False, True)),
+    "list": (-1.0, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+    "fractions": (Fraction(1, 3), (Fraction(1, 3),) * 6),
+    "nan-x": (math.nan, ONES),
+    "inf-x": (-math.inf, ONES),
+    "nan-in-d": (0.0, (1.0, 2.0, math.nan, 4.0, 5.0, 6.0)),
+    "inf-in-d": (0.0, (1.0, 2.0, 3.0, 4.0, 5.0, math.inf)),
+    "inf-string-in-d": (0.0, ("-inf", 2, 3, 4, 5, 6)),
+    "nan-x-and-d": (math.nan, (math.nan,) * 6),
+    "short": (0.0, ONES[:5]),
+    "long": (0.0, ONES + (1.0,)),
+    "empty": (0.0, ()),
+    "short-with-nan-x": (math.nan, ONES[:3]),
+    "short-with-nan-in-d": (0.0, (math.nan,) * 3),
+    "word-in-d": (0.0, ("one", 2, 3, 4, 5, 6)),
+    "none-in-d": (0.0, (None,) * 6),
+    "d-not-iterable": (0.0, 6),
+    "d-string": (0.0, "123456"),
+    "x-string": ("0.5", ONES),
+    "x-none": (None, ONES),
+    "x-complex": (1j, ONES),
+    "x-huge-int": (10 ** 400, ONES),
+    "huge-int-in-d": (0.0, (10 ** 400,) + ONES[1:]),
+    "complex-in-d": (0.0, (1j,) + ONES[1:]),
+}
+
+
+@pytest.mark.parametrize("x, d", JET_INPUTS.values(), ids=JET_INPUTS)
+def test_jet_checks_match_generator_form(x, d):
+    try:
+        expected = jet_generator_form(x, d)
+    except Exception as e:
+        with pytest.raises(type(e)) as got:
+            Jet(x, d)
+        assert type(got.value) is type(e) and str(got.value) == str(e)
+    else:
+        jet = Jet(x, d)
+        assert repr((jet.x, jet.d)) == repr(expected)
+        assert all(type(v) is float for v in jet.d)
 
 
 def test_scheme_spec_forcing_rules():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from invdisc import (DegenerateCoefficientError, cross_ratio, h5_discrete,
+from invdisc import (DegenerateCoefficientError, NonFiniteError, cross_ratio, h5_discrete,
                      h5_uniform, l3, l4, l5, m3, m4, m5,
                      seed_stencil_from_function, stencil_from_sequences,
                      w_coefficient, w0_sol2, wx_coefficient)
@@ -58,6 +58,25 @@ UNDERFLOW_YS = (-1.4198183315542606e-151, -1.419818331507339e-151,
 def test_underflowing_denominator_is_degenerate(evaluate, xs, ys):
     with pytest.raises(DegenerateCoefficientError):
         evaluate(stencil_from_sequences(xs, ys))
+
+
+#: ordinates (0, 1, 3, 6, 10, 15) times 1e155: the products of two
+#: y-differences overflow, and R/S is inf / inf
+NAN_RATIO_YS = tuple(v * 1e155 for v in (0.0, 1.0, 3.0, 6.0, 10.0, 15.0))
+
+
+@pytest.mark.parametrize("evaluate, n", [(l3, 4), (m3, 4), (l4, 5), (m4, 5), (l5, 6),
+                                         (m5, 6), (h5_discrete, 6)],
+                         ids=["l3", "m3", "l4", "m4", "l5", "m5", "h5_discrete"])
+def test_overflowing_ratio_is_non_finite(evaluate, n):
+    xs = [float(k) for k in range(n)]
+    with pytest.raises(NonFiniteError, match="R/S is NaN"):
+        evaluate(stencil_from_sequences(xs, NAN_RATIO_YS[:n]))
+    # R/S does not depend on the scale of y, below the overflow
+    for scale in (1.0, 1e150):
+        ys = [v / 1e155 * scale for v in NAN_RATIO_YS[:n]]
+        assert math.isfinite(evaluate(stencil_from_sequences(xs, ys)))
+    assert l3(stencil_from_sequences(xs[:4], [v / 1e5 for v in NAN_RATIO_YS[:4]])) == -0.5
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 
 import pytest
 
-from invdisc import (Jet, LimitProbe, arctanh_solution, jy_invariants,
-                     kx_invariants, log_abs, one_over_one_minus_exp,
-                     probe_limit, w0_sol2)
+from invdisc import (Jet, LimitProbe, LimitReport, Stencil, arctanh_solution,
+                     jy_invariants, kx_invariants, log_abs, one_over_one_minus_exp,
+                     probe_limit, tan_reciprocal, w0_sol2)
+from invdisc.limits import _INVARIANTS, _abscissae, target_value
 
 from conftest import polynomial_jet
 
@@ -121,3 +123,86 @@ def test_report_fields():
     assert len(rep.hs) == len(rep.errors) == len(rep.values) == 5
     assert rep.floor_level == 5
     assert 0.8 <= rep.estimated_order <= 1.3
+
+
+# --- one test_function call per distinct abscissa ---------------------------------
+
+def probe_limit_per_level(p: LimitProbe) -> LimitReport:
+    """Test-only copy of ``probe_limit`` that calls ``test_function`` for
+    every point of every level; the two reports must be equal."""
+    npts, evaluate = _INVARIANTS[p.invariant]
+    values, errors, targets, mean_hs = [], [], [], []
+    for h in p.h_sequence:
+        xs = _abscissae(p, h, npts)
+        mean_hs.append(sum(abs(b - a) for a, b in zip(xs, xs[1:])) / (npts - 1))
+        jets = [p.test_function(x) for x in xs]
+        value = evaluate(Stencil(xs, [j.d[0] for j in jets]))
+        if p.target_fn is not None:
+            target = p.target_fn(jets[0], xs)
+        else:
+            target = target_value(p.invariant, jets[0], xs)
+        values.append(value)
+        targets.append(target)
+        errors.append(abs(value - target))
+    floor = next((i for i in range(1, len(errors)) if errors[i] >= errors[i - 1]),
+                 len(errors))
+    clean = max(floor, 2)
+    us = [math.log(h) for h in mean_hs[:clean]]
+    vs = [math.log(max(e, 1e-300)) for e in errors[:clean]]
+    mu, mv = sum(us) / len(us), sum(vs) / len(vs)
+    slope = (sum((u - mu) * (v - mv) for u, v in zip(us, vs))
+             / sum((u - mu) ** 2 for u in us))
+    return LimitReport(tuple(mean_hs), tuple(values), tuple(errors), tuple(targets),
+                       slope, values[clean - 1], floor)
+
+
+class CountingJets:
+    """A test function that counts its calls per abscissa, -0.0 and 0.0 apart."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, Counter()
+
+    def __call__(self, x):
+        self.calls[repr(x)] += 1
+        return self.fn(x)
+
+
+def sol2_lattice(h):
+    lam = 1.0 / (h * 36.0)
+    return [1.0 / (lam * (m + 6.0)) for m in range(6)]
+
+
+def signed_zero_lattice(h):
+    # -0.0 at the first level, 0.0 at the later ones
+    return [-0.0 if h == 0.04 else 0.0, h, 2.0 * h, 3.0 * h]
+
+
+def signed_exp(x):
+    # tells -0.0 from 0.0, so that a jet of one at the other shows in the report
+    return Jet(x, (math.exp(x + 0.01 * math.copysign(1.0, x)),) * 6)
+
+
+PROBES = {
+    "uniform-0.5-log": ("l3", log_abs().jet_fn, 1.0, geometric(0.01, 0.5, 5), None),
+    "uniform-0.5-tan": ("l4", tan_reciprocal().jet_fn, 0.165, geometric(1e-3, 0.5, 5), None),
+    "uniform-0.6-log": ("l5", log_abs().jet_fn, 1.0, geometric(0.05, 0.6, 6), None),
+    "uniform-0.6-exp": ("m5", jet_exp, 0.2, geometric(0.05, 0.6, 6), None),
+    "lattice": ("l5", jet_exp, 0.0, (0.05, 0.03, 0.02, 0.012), sol2_lattice),
+    "signed-zero": ("l3", signed_exp, 0.0, geometric(0.04, 0.5, 4), signed_zero_lattice),
+}
+
+
+@pytest.mark.parametrize("invariant, fn, x0, hs, lattice", PROBES.values(), ids=PROBES)
+def test_probe_evaluates_each_abscissa_once(invariant, fn, x0, hs, lattice):
+    counting = CountingJets(fn)
+    probe = LimitProbe(invariant, counting, x0, hs, lattice=lattice)
+    rep = probe_limit(probe)
+    npts = _INVARIANTS[invariant][0]
+    abscissae = [repr(x) for h in hs for x in _abscissae(probe, h, npts)]
+    assert set(counting.calls) == set(abscissae)
+    assert set(counting.calls.values()) == {1}
+    assert rep == probe_limit_per_level(LimitProbe(invariant, fn, x0, hs, lattice=lattice))
+    if lattice is None:  # the anchor repeats at every uniform level
+        assert len(counting.calls) < len(abscissae)
+    if lattice is signed_zero_lattice:
+        assert counting.calls["-0.0"] == counting.calls["0.0"] == 1

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +17,9 @@ from invdisc import (DegenerateCoefficientError, DomainError, NonFiniteError,
                      one_over_one_minus_exp, rk4_integrate,
                      scaled_schwarzian_system, schwarzian_rate_system,
                      tan_reciprocal)
-from invdisc import cli
+from invdisc import Jet, cli, compose_jet, reference
 from invdisc.core import OVERFLOW_LIMIT
+from invdisc.reference import EXACT_SOLUTIONS
 
 from conftest import finite_difference_jet, rk4_reference_loop
 
@@ -215,6 +217,53 @@ def test_exact_solutions_satisfy_their_equations(sol, system, grid):
         rhs = system.rhs(float(x), *jet.d[:system.order])
         resid = abs(jet.d[system.order] - rhs)
         assert resid <= 1e-8 * max(1.0, abs(jet.d[system.order]), abs(rhs))
+
+
+#: |x| log-spaced from 1e-320 to 1e308, four points a decade, both signs, and the ends
+JET_SWEEP = [s * 10.0 ** (e / 4) for s in (1.0, -1.0) for e in range(-1280, 1233)]
+JET_SWEEP += [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max]
+
+
+def reciprocal_jet_literal(x):
+    """The closed-form 1/x and its first four derivatives."""
+    return (1.0 / x, -1.0 / x ** 2, 2.0 / x ** 3, -6.0 / x ** 4, 24.0 / x ** 5)
+
+
+@pytest.mark.parametrize("name", ["log-abs", "arctanh", "tan-reciprocal"])
+def test_exact_jets_raise_non_finite_where_a_derivative_overflows(name):
+    # a jet is finite, or raises NonFiniteError, or DomainError at a
+    # singular point; never ZeroDivisionError or OverflowError
+    jet_fn = EXACT_SOLUTIONS[name]().jet_fn
+    finite = 0
+    for x in JET_SWEEP:
+        try:
+            jet = jet_fn(x)
+        except DomainError:
+            continue
+        except NonFiniteError as e:
+            # from the power that leaves the float range, or from Jet's check
+            assert repr(x) in str(e) or str(e) == "non-finite jet entry"
+            continue
+        finite += 1
+        assert all(map(math.isfinite, jet.d))
+        # the jets of 1/x stay the closed form, bit for bit
+        if name == "log-abs":
+            assert jet.d == (math.log(abs(x)), *reciprocal_jet_literal(x))
+        elif name == "tan-reciprocal":
+            inner = Jet(x, (*reciprocal_jet_literal(x), -120.0 / x ** 6))
+            assert jet == compose_jet(reference._tan_outer(1.0 / x), inner)
+    assert finite >= 200
+
+
+@pytest.mark.parametrize("sol, x", [
+    (log_abs(), 1e-66),  # x ** 4 underflows to zero
+    (log_abs(), -1e62),  # x ** 5 overflows
+    (tan_reciprocal(), 1e-40),  # g1 ** 4 overflows in compose_jet
+    (tan_reciprocal(), 1e-60),  # x ** 6 underflows to zero
+], ids=["log-underflow", "log-overflow", "tan-compose", "tan-underflow"])
+def test_jet_overflow_names_x(sol, x):
+    with pytest.raises(NonFiniteError, match=re.escape(f"at x = {x!r}") + "$"):
+        sol.jet_fn(x)
 
 
 def test_general_arctanh_reduces_to_base():
