@@ -475,8 +475,7 @@ def _jet_function(name: str):
     if name == "exp":
         return lambda x: Jet(x, (math.exp(x),) * 6)
     if name in EXACT_SOLUTIONS:
-        sol = EXACT_SOLUTIONS[name]()
-        return sol.jet_fn
+        return EXACT_SOLUTIONS[name]().jet_fn
     raise ConfigError(f"unknown test function {name!r}")
 
 

@@ -32,7 +32,10 @@ def _cross_ratio(a0: float, a1: float, a2: float, a3: float) -> float:
     if is_degenerate(d1, scale) or is_degenerate(d2, scale) or den == 0.0:
         raise DegenerateCoefficientError(
             f"cross-ratio denominator vanishes on window ({a0}, {a1}, {a2}, {a3})")
-    return (n1 * n2) / den
+    q = (n1 * n2) / den
+    if q != q:  # inf / inf: both products overflow
+        raise NonFiniteError(f"cross-ratio is NaN on window ({a0}, {a1}, {a2}, {a3})")
+    return q
 
 
 def _cross_ratio_line(a0: float, a1: float, a2: float,

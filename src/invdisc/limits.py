@@ -129,20 +129,14 @@ def probe_limit(p: LimitProbe) -> LimitReport:
         jets = [jet(x) for x in xs]
         stencil = Stencil(xs, [j.d[0] for j in jets])
         value = evaluate(stencil)
-        anchor = jets[0]
-        if p.target_fn is not None:
-            target = p.target_fn(anchor, xs)
-        else:
-            target = target_value(p.invariant, anchor, xs)
+        target = (p.target_fn(jets[0], xs) if p.target_fn is not None
+                  else target_value(p.invariant, jets[0], xs))
         values.append(value)
         targets.append(target)
         errors.append(abs(value - target))
     # roundoff floor: first level whose error stops decreasing
-    floor = len(errors)
-    for i in range(1, len(errors)):
-        if errors[i] >= errors[i - 1]:
-            floor = i
-            break
+    floor = next((i for i in range(1, len(errors)) if errors[i] >= errors[i - 1]),
+                 len(errors))
     clean = max(floor, 2)
     # least-squares slope of log error against log h
     us = [math.log(h) for h in mean_hs[:clean]]

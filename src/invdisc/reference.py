@@ -215,8 +215,11 @@ def _arctanh_outer(u: float) -> tuple[float, ...]:
 
 
 def _exp_and_gap(x: float) -> tuple[float, float]:
-    """(e^x, 1 - e^x), refusing the x where 1 - e^x rounds to zero."""
-    s = math.exp(x)
+    """(e^x, 1 - e^x), refusing the x where e^x overflows or 1 - e^x is 0."""
+    try:
+        s = math.exp(x)
+    except OverflowError:
+        raise NonFiniteError(f"e^x overflows at x = {x!r}") from None
     d = 1.0 - s
     if d == 0.0:
         raise DomainError(f"1/(1 - e^x) is singular at {x}")
@@ -225,13 +228,16 @@ def _exp_and_gap(x: float) -> tuple[float, float]:
 
 def _one_over_one_minus_exp_jet(x: float) -> Jet:
     s, d = _exp_and_gap(x)
-    # numerator polynomials follow the Eulerian-number pattern
-    return Jet(x, (1.0 / d,
-                   s / d ** 2,
-                   s * (1.0 + s) / d ** 3,
-                   s * (1.0 + 4.0 * s + s * s) / d ** 4,
-                   s * (1.0 + 11.0 * s + 11.0 * s ** 2 + s ** 3) / d ** 5,
-                   s * (1.0 + 26.0 * s + 66.0 * s ** 2 + 26.0 * s ** 3 + s ** 4) / d ** 6))
+    try:  # numerator polynomials follow the Eulerian-number pattern
+        return Jet(x, (1.0 / d,
+                       s / d ** 2,
+                       s * (1.0 + s) / d ** 3,
+                       s * (1.0 + 4.0 * s + s * s) / d ** 4,
+                       s * (1.0 + 11.0 * s + 11.0 * s ** 2 + s ** 3) / d ** 5,
+                       s * (1.0 + 26.0 * s + 66.0 * s ** 2 + 26.0 * s ** 3 + s ** 4)
+                       / d ** 6))
+    except OverflowError:  # a power of e^x or of 1 - e^x, past x of about 118
+        raise NonFiniteError(f"derivatives of 1/(1 - e^x) overflow at x = {x!r}") from None
 
 
 def _tan_outer(u: float) -> tuple[float, ...]:

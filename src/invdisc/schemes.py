@@ -6,8 +6,8 @@ scheme reduce to a linear equation a*t = b in the new ordinate t.  The
 third-order hodograph scheme is quadratic for constant forcing and cubic
 when the forcing is the dependent variable itself.  A degenerate leading
 coefficient drops its polynomial one degree, down to the linear weakly
-invariant form.  Each step predicts the new ordinate by the quadratic through
-the window, and each degree keeps its real root nearest that prediction.
+invariant form.  Each step predicts y0 - 3 y1 + 3 y2, the quadratic through
+the window at the next node, and each degree keeps its real root nearest it.
 
 Each scheme has one straight-line run loop on plain floats, which advances
 a window over a sequence of abscissae and returns the :class:`StopReason`
@@ -19,6 +19,7 @@ degeneracy checks of :mod:`invdisc.discrete`, which stays their definition;
 the next window would recompute from the same operands: ``sly4`` the
 abscissa and ordinate differences its l3 and cross-ratio share, ``slx3`` two
 ordinate differences, ``h5`` its checked R4, which is the next window's R3.
+``slx3`` and ``h5`` assume the uniform lattice and read x only to append it.
 :func:`_resolve` alone knows which forcing each scheme takes, from how many
 points, and which loop runs them; :func:`integrate` resolves once per run
 and runs the loop over the lattice, ``*_step(stencil, x_next, forcing)``
@@ -247,15 +248,14 @@ def _sly4_run(xs, ys, abscissae, fn, out_xs, out_ys) -> StopReason:
 
 def _slx3_run(xs, ys, abscissae, forcing, out_xs, out_ys) -> StopReason:
     """Run loop of the third-order scheme on a uniform lattice (S = 4): each
-    step predicts p, the quadratic through the window at the new abscissa,
-    and keeps the real root of its cleared polynomial nearest p.  ``forcing``
+    step keeps the real root of its cleared polynomial nearest the quadratic
+    through the window at the next node, p = y0 - 3 y1 + 3 y2.  ``forcing``
     is (c, None) for constant forcing c, a quadratic, or (None, stencil_mean)
     for identity forcing, a cubic.  A leading coefficient at most
     DEGENERACY_RTOL times the largest remaining one in size drops the
     polynomial one degree, and each degree picks its own root; a NaN scale
     disables that test, not the exact zero test, which stops the run."""
     c, mean = forcing
-    x0, x1, x2 = xs
     y0, y1, y2 = ys
     dy10, dy21 = y1 - y0, y2 - y1
     for x in abscissae:
@@ -276,11 +276,7 @@ def _slx3_run(xs, ys, abscissae, forcing, out_xs, out_ys) -> StopReason:
                               -q * (s3 - y0 - y2), -q)
         else:  # rhs(t) = t
             c0, c1, c2, c3 = lin0, lin1 - common * y0 * y2, common * (y0 + y2), -common
-        # the prediction: extrapolate's Newton divided differences on the
-        # abscissae shifted by x2, where (x2 - x2) - s is -s
-        sa, sp, sx = x1 - x2, x0 - x2, x - x2
-        da = dy10 / (sa - sp)
-        p = ((dy21 / -sa - da) / -sp * (sx - sa) + da) * (sx - sp) + y0
+        p = 3.0 * dy21 + y0  # y0 - 3 y1 + 3 y2
         a2 = abs(c2)
         if mean is not None and not (abs(c3) <= DEGENERACY_RTOL
                                      * max(abs(c0), abs(c1), abs(c2), abs(c3))):
@@ -307,7 +303,6 @@ def _slx3_run(xs, ys, abscissae, forcing, out_xs, out_ys) -> StopReason:
             return StopReason.NON_FINITE
         out_xs.append(x)
         out_ys.append(t)
-        x0, x1, x2 = x1, x2, x
         dy10, dy21 = dy21, t - y2
         y0, y1, y2 = y1, y2, t
     return StopReason.COMPLETED
@@ -317,15 +312,16 @@ def _h5_run(xs, ys, abscissae, c, out_xs, out_ys) -> StopReason:
     """Run loop of the six-point scheme: the y cross-ratios R3 and R4 of the
     window give R5 from :func:`discrete._h5_r5_line`, and cross-ratio(y2, y3,
     y4, t) = R5 clears to a*t = b.  The abscissae do not enter on a uniform
-    lattice.  The first window's R3 is discrete._cross_ratio, whose
-    degeneracy stops the first step; each step's R4 is the same cross-ratio
-    inline, and, checked and with its differences, is the next window's R3."""
+    lattice.  The first window's R3 is discrete._cross_ratio, whose degeneracy
+    or overflow stops the first step; each step's R4 is that cross-ratio
+    inline, and, checked and with its differences, the next window's R3."""
     y0, y1, y2, y3, y4 = ys
     try:
         r3 = _cross_ratio(y0, y1, y2, y3)
-    except DegenerateCoefficientError:
+    except (DegenerateCoefficientError, NonFiniteError) as e:
         for _ in abscissae:  # the first step stops
-            return StopReason.DEGENERATE_COEFFICIENT
+            return (StopReason.NON_FINITE if isinstance(e, NonFiniteError)
+                    else StopReason.DEGENERATE_COEFFICIENT)
         return StopReason.COMPLETED
     dy21, dy31, dy32 = y2 - y1, y3 - y1, y3 - y2
     for x in abscissae:
@@ -388,10 +384,10 @@ def sly4_step(prev4: Stencil, x_next: float,
 def slx3_step(prev3: Stencil, x_next: float, forcing: ForcingTerm) -> float | StopReason:
     """Advance the third-order hodograph scheme on a uniform lattice.
 
-    Clears m3(prev3 + new point) = rhs into a polynomial of degree 2
-    (constant forcing) or 3 (identity forcing) and keeps the real root nearest
-    the quadratic through prev3 at ``x_next``; no real root means a barrier.
-    A degenerate leading coefficient drops the polynomial one degree.
+    Clears m3(prev3 + new point) = rhs into a polynomial of degree 2 (constant
+    forcing) or 3 (identity forcing), which a degenerate leading coefficient
+    drops one degree, and keeps the real root nearest y0 - 3 y1 + 3 y2, the
+    quadratic through prev3 at the next node; no real root means a barrier.
     """
     return _step(SchemeKind.SLX3, prev3, x_next, forcing)
 

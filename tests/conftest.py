@@ -9,7 +9,7 @@ from invdisc import (Constant, DegenerateCoefficientError, Jet, NonFiniteError,
 from invdisc.cli import ConfigError
 from invdisc.core import OVERFLOW_LIMIT, is_degenerate
 from invdisc.discrete import _cross_ratio, _cross_ratio_line, _h5_r5_line, _l
-from invdisc.schemes import extrapolate, h5_step, select_root, slx3_step, sly4_step
+from invdisc.schemes import h5_step, select_root, slx3_step, sly4_step
 
 #: each scheme's public step function
 STEPS = {SchemeKind.SLY4: sly4_step, SchemeKind.SLX3: slx3_step, SchemeKind.H5: h5_step}
@@ -330,7 +330,8 @@ def _ref_slx3_kernel(xs, ys, x_next, forcing):
         return StopReason.NON_FINITE
     if not roots:
         return StopReason.NO_REAL_ROOT
-    t = roots[0] if len(roots) == 1 else select_root(roots, extrapolate(xs, ys, x_next))
+    # the quadratic through the window at the next node of the uniform lattice
+    t = roots[0] if len(roots) == 1 else select_root(roots, 3.0 * (ys[2] - ys[1]) + ys[0])
     return t if math.isfinite(t) and abs(t) <= OVERFLOW_LIMIT else StopReason.NON_FINITE
 
 

@@ -285,6 +285,25 @@ def test_example_2_log_stops_at_barrier(capsys):
     assert "invariant stop: no-real-root" in text
 
 
+@pytest.mark.parametrize("command", [["example", "2-log", "--x0", "1"],
+                                     ["solve", "--scheme", "slx3", "--steps", "5"]])
+def test_negative_value_in_exponent_form_needs_the_equals_form(command, capsys):
+    # argparse takes "-1e-4" for an option: its negative-number pattern has no
+    # exponent, so the value is written --h=-1e-4
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--h", "-1e-4"])
+    assert exc.value.code == 2
+    assert "argument --h: expected one argument" in capsys.readouterr().err
+
+
+def test_example_2_log_backward_stops_at_barrier(capsys):
+    # the singularity demo's backward run from x = 1 to the barrier near 0
+    assert main(["example", "2-log", "--x0", "1", "--h=-1e-4"]) == 0
+    summary = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert summary["invariant stop"] == "no-real-root"
+    assert 0.0 < float(summary["invariant last x"]) <= 0.01
+
+
 def test_example_5_goes_beyond_pole(tmp_path, capsys):
     out = tmp_path / "ex5"
     assert main(["example", "5", "--steps", "40", "--out", str(out)]) == 0
@@ -516,6 +535,17 @@ def test_limit_jet_underflow_names_x(capsys):
             "--h0", "1e-102"]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: derivatives of 1/x out of float range at x = 1e-100\n"
+
+
+@pytest.mark.parametrize("x0, err", [
+    ("200", "derivatives of 1/(1 - e^x) overflow at x = 200.0"),  # a power of e^x
+    ("800", "e^x overflows at x = 800.0"),
+])
+def test_limit_one_over_one_minus_exp_overflow_names_x(x0, err, capsys):
+    argv = ["limit", "--invariant", "m3", "--function", "one-over-one-minus-exp",
+            "--x0", x0, "--h0", "0.01"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_chi_non_finite_row(tmp_path):

@@ -79,6 +79,16 @@ def test_overflowing_ratio_is_non_finite(evaluate, n):
     assert l3(stencil_from_sequences(xs[:4], [v / 1e5 for v in NAN_RATIO_YS[:4]])) == -0.5
 
 
+def test_overflowing_cross_ratio_is_non_finite():
+    # both products of two differences overflow, and the quotient is inf / inf
+    with pytest.raises(NonFiniteError, match=r"window \(0\.0, 1e\+155, 3e\+155, 6e\+155\)"):
+        cross_ratio(CrossRatioWindow(*NAN_RATIO_YS[:4]))
+    # the cross-ratio does not depend on the scale, below the overflow
+    for scale in (1.0, 1e150):
+        ys = (v / 1e155 * scale for v in NAN_RATIO_YS[:4])
+        assert cross_ratio(CrossRatioWindow(*ys)) == 5.0
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_cross_ratio_mobius_invariance(data):

@@ -229,7 +229,8 @@ def reciprocal_jet_literal(x):
     return (1.0 / x, -1.0 / x ** 2, 2.0 / x ** 3, -6.0 / x ** 4, 24.0 / x ** 5)
 
 
-@pytest.mark.parametrize("name", ["log-abs", "arctanh", "tan-reciprocal"])
+@pytest.mark.parametrize("name", ["log-abs", "arctanh", "tan-reciprocal",
+                                  "one-over-one-minus-exp"])
 def test_exact_jets_raise_non_finite_where_a_derivative_overflows(name):
     # a jet is finite, or raises NonFiniteError, or DomainError at a
     # singular point; never ZeroDivisionError or OverflowError
@@ -260,10 +261,18 @@ def test_exact_jets_raise_non_finite_where_a_derivative_overflows(name):
     (log_abs(), -1e62),  # x ** 5 overflows
     (tan_reciprocal(), 1e-40),  # g1 ** 4 overflows in compose_jet
     (tan_reciprocal(), 1e-60),  # x ** 6 underflows to zero
-], ids=["log-underflow", "log-overflow", "tan-compose", "tan-underflow"])
+    (one_over_one_minus_exp(), 119.0),  # (1 - e^x) ** 6 overflows
+    (one_over_one_minus_exp(), 710.0),  # e^x overflows
+], ids=["log-underflow", "log-overflow", "tan-compose", "tan-underflow", "omex-power",
+        "omex-exp"])
 def test_jet_overflow_names_x(sol, x):
     with pytest.raises(NonFiniteError, match=re.escape(f"at x = {x!r}") + "$"):
         sol.jet_fn(x)
+
+
+def test_one_over_one_minus_exp_value_overflow_names_x():
+    with pytest.raises(NonFiniteError, match=re.escape("at x = 710.0") + "$"):
+        one_over_one_minus_exp().eval_fn(710.0)
 
 
 def test_general_arctanh_reduces_to_base():

@@ -15,8 +15,8 @@ from invdisc import schemes
 from invdisc.core import SCHEME_ARITY
 from invdisc.schemes import extrapolate, h5_step
 
-from conftest import (STEPS, _ref_horner, _ref_slx3_kernel, make_mobius, random_mobius,
-                      ref_step, scheme_reference_loop)
+from conftest import (STEPS, _ref_horner, _ref_slx3_coeffs, _ref_slx3_kernel, make_mobius,
+                      random_mobius, ref_step, scheme_reference_loop)
 
 OMEX = lambda x: 1.0 / (1.0 - math.exp(x))
 MOBIUS = lambda x: (2.0 * x + 1.0) / (x + 3.0)
@@ -220,6 +220,23 @@ def test_slx3_step_refuses_x_next_off_the_uniform_lattice():
                        ((0.0, 0.5, 1.0), 1.7), ((0.0, 0.5, 1.0), 0.5)):
         with pytest.raises(ValueError):
             slx3_step(Stencil(xs, ys), x_next, Constant(0.5))
+
+
+def test_slx3_keeps_the_root_nearest_the_prediction_on_the_lattice():
+    # x1 is 4.7e-7 of h off its node, which the lattice check accepts; the
+    # quadratic through the window as placed predicts -2.0912883 at x3, the
+    # lattice one y0 - 3 y1 + 3 y2 -2.0912887, and the two roots straddle both
+    xs, x3 = (0.0, 0.09999995283363289, 0.2), 0.30000000000000004
+    ys = (0.0, 0.17691690118380743, -0.520179333807683)
+    forcing = Constant(4.077631037435684)
+    lo, hi = solve_poly(_ref_slx3_coeffs(ys, forcing))
+    p, p_placed = 3.0 * (ys[2] - ys[1]) + ys[0], extrapolate(xs, ys, x3)
+    assert lo < p < (lo + hi) / 2.0 < p_placed < hi
+    seed = Stencil(xs, ys)
+    traj = integrate(SchemeSpec(SchemeKind.SLX3, forcing, Uniform(0.1)), seed, 1)
+    assert traj.xs[-1] == x3 and traj.stop is StopReason.COMPLETED
+    for t in (slx3_step(seed, x3, forcing), traj.ys[-1]):
+        assert t == lo == pytest.approx(-3.97542894437797, rel=1e-13)
 
 
 def test_h5_step_refuses_x_next_off_the_uniform_lattice():
@@ -567,6 +584,22 @@ def test_sly4_windows_stop_as_non_finite(xs, ys, forcing):
     assert sly4_step(seed, xs[3] + h, forcing) is StopReason.NON_FINITE
     traj = integrate(SchemeSpec(SchemeKind.SLY4, forcing, Uniform(h)), seed, 5)
     assert traj.stop is StopReason.NON_FINITE and traj.xs == seed.xs
+
+
+def test_h5_first_window_overflow_stops_as_non_finite():
+    # ordinates (0, 1, 3, 6, 10) times 1e155: the first window's products of
+    # two y-differences overflow and its cross-ratio is inf / inf
+    xs, forcing = [0.1 * k for k in range(5)], Constant(0.0)
+    spec = SchemeSpec(SchemeKind.H5, forcing, Uniform(0.1))
+    seed = stencil_from_sequences(xs, [v * 1e155 for v in (0.0, 1.0, 3.0, 6.0, 10.0)])
+    assert h5_step(seed, 0.5, forcing) is StopReason.NON_FINITE
+    traj = integrate(spec, seed, 5)
+    assert traj.stop is StopReason.NON_FINITE and traj.xs == seed.xs
+    # with no step to take, the window is never solved and the run completes
+    assert integrate(spec, seed, 0).stop is StopReason.COMPLETED
+    # the 1e150-scaled window steps
+    seed = stencil_from_sequences(xs, [v * 1e150 for v in (0.0, 1.0, 3.0, 6.0, 10.0)])
+    assert integrate(spec, seed, 5).stop is StopReason.COMPLETED
 
 
 # --- the run loops against the composed kernels ----------------------------------------
