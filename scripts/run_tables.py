@@ -10,9 +10,12 @@ import time
 from invdisc.cli import run_example
 
 STEPS_H = (0.1, 0.01, 0.001)
-#: the reference the published-table gate in tests/test_acceptance.py uses,
-#: not example 1's default: Table 2's h = 0.001 row swings with 1-2 ulp
-#: changes of the seed, which differ between references of equal accuracy
+#: the step of the published-table gate in tests/test_acceptance.py, not
+#: example 1's default 2e-4.  The gate keeps its own plain-RK4 reference;
+#: these runs share example 1's linearised-RK4 one.  Table 2's h = 0.001 row
+#: swings with 1-2 ulp changes of the seed, which differ between references
+#: of equal accuracy: 6.3e-8 here, 1.68e-7 from the 2e-4 reference
+#: (published 7.23e-8)
 H_REF = 1e-5
 
 

@@ -16,8 +16,8 @@ from .limits import LimitProbe, LimitReport, probe_limit, target_value
 from .reference import (EXACT_SOLUTIONS, ExactSolution, OdeSystem, arctanh_solution,
                         chi, fifth_order_invariant_system, general_arctanh,
                         log_abs, one_over_one_minus_exp, rk4_integrate,
-                        scaled_schwarzian_system, schwarzian_rate_system,
-                        tan_reciprocal)
+                        rk4_schwarzian_rate, scaled_schwarzian_system,
+                        schwarzian_rate_system, tan_reciprocal)
 from .schemes import (extrapolate, h5_step, integrate, select_root, slx3_step,
                       sly4_step, solve_poly)
 

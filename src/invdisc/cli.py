@@ -20,8 +20,8 @@ from .limits import _INVARIANTS, LimitProbe, probe_limit
 from .reference import (EXACT_SOLUTIONS, ExactSolution, OdeSystem,
                         arctanh_solution, chi, fifth_order_invariant_system,
                         log_abs, one_over_one_minus_exp, rk4_integrate,
-                        scaled_schwarzian_system, schwarzian_rate_system,
-                        tan_reciprocal)
+                        rk4_schwarzian_rate, scaled_schwarzian_system,
+                        schwarzian_rate_system, tan_reciprocal)
 from .schemes import integrate
 
 EXIT_OK = 0
@@ -165,9 +165,13 @@ class Example:
     """One paper experiment, run by :func:`run_example`.  The seed samples
     ``solution`` or, without one, strides a fine RK4 run of ``system`` at
     step ``h_ref`` from ``init`` over ``span`` (default: the seed only); a
-    reference with a span also scores the run.  The RK4 baseline runs
-    ``system`` from ``init`` (default: the solution's jet at x0) over the
-    run's lattice, or on the ``(h, steps)`` of ``baseline_grid(h, x0)``."""
+    reference with a span also scores the run.  An ``sly4`` example's
+    reference runs RK4 on the linear form of its S' = f(x) equation
+    (:func:`~invdisc.reference.rk4_schwarzian_rate`, f the forcing's
+    ``fn``), the others plain RK4 on ``system``.  The RK4 baseline runs
+    plain RK4 on ``system`` from ``init`` (default: the solution's jet at
+    x0) over the run's lattice, or on the ``(h, steps)`` of
+    ``baseline_grid(h, x0)``."""
 
     scheme: SchemeKind
     forcing: ForcingTerm
@@ -230,19 +234,28 @@ def _reused(what: str, value, prior):
     return prior
 
 
+def _fine_rk4(ex: Example, init, x0: float, h: float, n: int) -> Trajectory:
+    # sly4's equation S' = f(x) is linear in disguise: RK4 on its linear form
+    if ex.scheme is SchemeKind.SLY4:
+        return rk4_schwarzian_rate(ex.forcing.fn, init, x0, h, n)
+    return rk4_integrate(ex.system, init, x0, h, n)
+
+
 def run_example(example_id: str, h: float | None = None, steps: int | None = None,
                 out_dir: Path | None = None, h_ref: float | None = None,
                 x0: float | None = None, ref: ExampleRun | None = None) -> ExampleRun:
     """Run one entry of :data:`EXAMPLES`; options left as None take its
     defaults.  ``h_ref`` is the step of the RK4 run that seeds an example
-    without an exact solution (the example's own ``h_ref`` by default); an
-    example seeded from its exact solution makes no such run.  An example
-    whose reference scores the run (``Example.span``) is checked with a
-    second RK4 run at 2 h_ref when its reference is built.  With
-    ``out_dir`` the invariant and baseline trajectories and the summary are
-    written there.  ``ref`` is an earlier run of the same example: the new
-    run takes its x0, fine reference, h_ref and reference check, and an
-    ``example_id``, ``x0`` or ``h_ref`` that differs from it is refused."""
+    without an exact solution (the example's own ``h_ref`` by default; an
+    ``sly4`` example's runs on the linearised equation, see
+    :class:`Example`); an example seeded from its exact solution makes no
+    such run.  An example whose reference scores the run (``Example.span``)
+    is checked with a second run of the same method at 2 h_ref when its
+    reference is built.  With ``out_dir`` the invariant and baseline
+    trajectories and the summary are written there.  ``ref`` is an earlier
+    run of the same example: the new run takes its x0, fine reference, h_ref
+    and reference check, and an ``example_id``, ``x0`` or ``h_ref`` that
+    differs from it is refused."""
     ex = EXAMPLES[example_id]
     h = ex.h if h is None else h
     run_ref = ref_error = None
@@ -279,13 +292,12 @@ def run_example(example_id: str, h: float | None = None, steps: int | None = Non
                      else (spec.arity - 1) * stride)
             # also bounds the check run at 2 h_ref, half as long
             _check_size("reference", n_ref)
-            run_ref = rk4_integrate(ex.system, init, x0, h_ref, n_ref)
+            run_ref = _fine_rk4(ex, init, x0, h_ref, n_ref)
             if ex.span is not None:
                 # step doubling (Hairer, Norsett and Wanner, *Solving ODEs I*,
                 # II.4), the raw difference, not the Richardson /15 form: at
                 # round-off the error no longer falls 16x with the step
-                coarse = rk4_integrate(ex.system, init, x0, 2.0 * h_ref,
-                                       (len(run_ref) - 1) // 2)
+                coarse = _fine_rk4(ex, init, x0, 2.0 * h_ref, (len(run_ref) - 1) // 2)
                 ref_error = max(abs(a - b) for a, b in zip(run_ref.ys[::2], coarse.ys))
         end = (spec.arity - 1) * stride + 1
         if len(run_ref) < end:
@@ -398,8 +410,8 @@ EXAMPLES: dict[str, Example] = {
                  # x0 + 1.5 - x0, not 1.5: the run ends where the reference does
                  steps=lambda h, x0: round((x0 + 1.5 - x0) / h) - 3,
                  system=schwarzian_rate_system(math.cos), summarize=_summary_forced,
-                 # 1e-4 is at round-off already: 7.4e-15 from a 30-digit solution
-                 init=(1.0, -1.0, -2.5, 5.0), span=1.5, h_ref=1e-4),
+                 # 2e-4 is at round-off already: 4.8e-15 from a 30-digit solution
+                 init=(1.0, -1.0, -2.5, 5.0), span=1.5, h_ref=2e-4),
     "2-log": Example(SchemeKind.SLX3, Constant(0.5), h=1e-4, x0=-1.0,
                      steps=lambda h, x0: round(1.05 * abs(x0) / abs(h)),
                      system=scaled_schwarzian_system(lambda x, y: 0.5),

@@ -52,12 +52,16 @@ def scaled_schwarzian_system(source: Callable[[float, float], float]) -> OdeSyst
 def fifth_order_invariant_system(c: float) -> OdeSystem:
     """Fifth-order equation fixing the product-group invariant to c."""
 
+    # every product keeps its operands, so each value is the written-out formula's
+    c4, c23 = 2.0 * (c + 4.0), 2.25 * (c + 2.0 / 3.0)
+
     def rhs(x, _y0, y1, y2, y3, y4):
-        den = y1 ** 3 * (2.0 * y1 * y3 - 3.0 * y2 ** 2)
-        num = (2.5 * y1 ** 4 * y4 ** 2 - 10.0 * y1 ** 3 * y2 * y3 * y4
-               + 2.0 * (c + 4.0) * y1 ** 3 * y3 ** 3
-               - 2.25 * (c + 2.0 / 3.0) * (4.0 * y1 ** 2 * y2 ** 2 * y3 ** 2
-                                           - 6.0 * y1 * y2 ** 4 * y3 + 3.0 * y2 ** 6))
+        y1_3, y2_2 = y1 ** 3, y2 ** 2
+        den = y1_3 * (2.0 * y1 * y3 - 3.0 * y2_2)
+        num = (2.5 * y1 ** 4 * y4 ** 2 - 10.0 * y1_3 * y2 * y3 * y4
+               + c4 * y1_3 * y3 ** 3
+               - c23 * (4.0 * y1 ** 2 * y2_2 * y3 ** 2
+                        - 6.0 * y1 * y2 ** 4 * y3 + 3.0 * y2 ** 6))
         return num / den
 
     return OdeSystem(5, rhs, "fifth-order-invariant")
@@ -154,8 +158,18 @@ def rk4_integrate(sys: OdeSystem, init: Sequence[float], x0: float, h: float,
     is bit-identical to it (``tests/test_reference.py`` checks that).  A step
     whose state passes OVERFLOW_LIMIT or is NaN or +-inf is not kept.
     """
-    if len(init) != sys.order:
-        raise ValueError(f"init needs {sys.order} values, got {len(init)}")
+    u = _initial_values(init, sys.order, x0, h, n)
+    ys = [u[0]]
+    try:
+        _RK4_RUNS[sys.order](sys.rhs, x0, h, n, ys, *u)
+    except (ZeroDivisionError, OverflowError):
+        pass  # a stage failed: the run ends before that step, as at the bound
+    return _trajectory(x0, h, n, ys, f"rk4-{sys.name}")
+
+
+def _initial_values(init, order, x0, h, n) -> list[float]:
+    if len(init) != order:
+        raise ValueError(f"init needs {order} values, got {len(init)}")
     if h == 0:
         raise ValueError("h must be nonzero")
     if n < 0:
@@ -163,15 +177,74 @@ def rk4_integrate(sys: OdeSystem, init: Sequence[float], x0: float, h: float,
     u = [float(v) for v in init]
     if not (math.isfinite(x0) and math.isfinite(x0 + n * h) and math.isfinite(u[0])):
         raise NonFiniteError("non-finite initial value or lattice abscissa")
-    ys = [u[0]]
-    try:
-        _RK4_RUNS[sys.order](sys.rhs, x0, h, n, ys, *u)
-    except (ZeroDivisionError, OverflowError):
-        pass  # a stage failed: the run ends before that step, as at the bound
+    return u
+
+
+def _trajectory(x0, h, n, ys, scheme_id) -> Trajectory:
     stop = StopReason.COMPLETED if len(ys) == n + 1 else StopReason.NON_FINITE
     xs = [x0]  # x0 itself, so that -0.0 stays -0.0
     xs += [x0 + k * h for k in range(1, len(ys))]
-    return Trajectory(tuple(xs), tuple(ys), stop, f"rk4-{sys.name}", h)
+    return Trajectory(tuple(xs), tuple(ys), stop, scheme_id, h)
+
+
+def _linear_rk4_run(f, x0, h, n, ys, q, u1, v1, u2, v2):
+    # q = S/2, q' = f/2 and u'' = -q*u for u = u1, u2: the v slopes are -q*u,
+    # so the v stages subtract; y = u1/u2 raises ZeroDivisionError where u2 = 0
+    half, quarter, sixth, twelfth, L = 0.5 * h, 0.25 * h, h / 6.0, h / 12.0, OVERFLOW_LIMIT
+    for k in range(n):
+        x = x0 + k * h
+        fa, fb = f(x), f(x + half)
+        qb, qc, qd = q + quarter * fa, q + quarter * fb, q + half * fb
+        a1, a2 = q * u1, q * u2
+        bu1, bv1 = u1 + half * v1, v1 - half * a1
+        bu2, bv2 = u2 + half * v2, v2 - half * a2
+        b1, b2 = qb * bu1, qb * bu2
+        cu1, cv1 = u1 + half * bv1, v1 - half * b1
+        cu2, cv2 = u2 + half * bv2, v2 - half * b2
+        c1, c2 = qc * cu1, qc * cu2
+        du1, du2 = u1 + h * cv1, u2 + h * cv2
+        dv1, dv2 = v1 - h * c1, v2 - h * c2
+        q += twelfth * (fa + 4.0 * fb + f(x + h))
+        u1 += sixth * (v1 + 2.0 * (bv1 + cv1) + dv1)
+        u2 += sixth * (v2 + 2.0 * (bv2 + cv2) + dv2)
+        v1 -= sixth * (a1 + 2.0 * (b1 + c1) + qd * du1)
+        v2 -= sixth * (a2 + 2.0 * (b2 + c2) + qd * du2)
+        y = u1 / u2
+        if not abs(y) <= L:
+            break
+        ys.append(y)
+
+
+def rk4_schwarzian_rate(forcing: Callable[[float], float], init: Sequence[float],
+                        x0: float, h: float, n: int) -> Trajectory:
+    """RK4 on the linear form of ``schwarzian_rate_system(forcing)``.
+
+    The Schwarzian S = y'''/y' - 1.5 (y''/y')^2 is 2q exactly when
+    y = u1/u2 for two solutions of u'' + q u = 0 (Ovsienko and Tabachnikov,
+    *Projective Differential Geometry Old and New*, ch. 1).  So S' = f(x)
+    is the linear system S' = f, u'' = -(S/2) u, started from ``init`` =
+    (y, y', y'', y''') with S as above, u2 = 1, u2' = -y''/(2y'), u1 = y
+    and u1' = y' + y u2'.  Classic RK4 on it is fourth-order, evaluates f
+    three times a step and divides only for y; a Mobius map of y acts
+    linearly on (u1, u2), so the run is equivariant to round-off.
+
+    Returns n+1 points like :func:`rk4_integrate`, and stops with NON_FINITE
+    at the first node where u2 = 0 or |y| passes OVERFLOW_LIMIT.  Raises
+    DomainError where y' = 0 (S is undefined there), and like
+    :func:`rk4_integrate` for a bad n, h, x0 or last abscissa.
+    """
+    y, y1, y2, y3 = _initial_values(init, 4, x0, h, n)
+    if y1 == 0.0:
+        raise DomainError("the Schwarzian is undefined where y' = 0")
+    r = y2 / y1
+    v2 = -0.5 * r
+    ys = [y]
+    try:
+        _linear_rk4_run(forcing, x0, h, n, ys, 0.5 * (y3 / y1 - 1.5 * r * r),
+                        y, y1 + y * v2, 1.0, v2)
+    except ZeroDivisionError:
+        pass  # u2 = 0: y has a pole at this node
+    return _trajectory(x0, h, n, ys, "linear-rk4-schwarzian-rate")
 
 
 # --- exact solutions ----------------------------------------------------------

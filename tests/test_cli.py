@@ -1,7 +1,6 @@
 import math
 from pathlib import Path
 
-import mpmath as mp
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -355,6 +354,7 @@ def test_oversized_runs_rejected_before_integrating(argv, tmp_path, monkeypatch)
 
     monkeypatch.setattr(cli, "integrate", refuse)
     monkeypatch.setattr(cli, "rk4_integrate", refuse)
+    monkeypatch.setattr(cli, "rk4_schwarzian_rate", refuse)
     monkeypatch.setattr(cli, "probe_limit", refuse)
     if argv[0] == "solve":
         seed = _write_seed_csv(tmp_path / "seed.csv", math.atanh, -0.5, 0.01, 3)
@@ -372,6 +372,7 @@ def test_example_baselines_bounded_by_max_steps(example_id, monkeypatch):
     monkeypatch.setattr(cli, "MAX_STEPS", 40)
     monkeypatch.setattr(cli, "integrate", refuse)
     monkeypatch.setattr(cli, "rk4_integrate", refuse)
+    monkeypatch.setattr(cli, "rk4_schwarzian_rate", refuse)
     assert main(["example", example_id, "--steps", "40"]) == 2
 
 
@@ -393,24 +394,6 @@ def test_example_1_run_past_the_reference(capsys):
 
 
 # --- example 1's fine reference ---------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def example_1_truth():
-    """Example 1's fourth-order equation solved by mpmath's Taylor method at
-    20 digits (about 1.5 s, paid on first use): its value at a float
-    abscissa, as an mpf."""
-    with mp.workdps(20):
-        def rhs(x, u):
-            y0, y1, y2, y3 = u
-            return [y1, y2, y3, y1 * mp.cos(x) + 4 * y2 * y3 / y1 - 3 * y2 ** 3 / y1 ** 2]
-
-        sol = mp.odefun(rhs, 1, [mp.mpf(1), mp.mpf(-1), mp.mpf(-2.5), mp.mpf(5)])
-
-    def at(x):
-        with mp.workdps(20):
-            return sol(mp.mpf(x))[0]
-    return at
-
 
 @pytest.mark.parametrize("h_ref", [None, 1e-3])
 def test_example_1_reference_error_estimate(h_ref, example_1_truth):
@@ -439,8 +422,8 @@ def test_example_runs_equal_the_composed_kernels(example_id):
 
 def test_example_reference_sizes():
     run = run_example("1")
-    assert run.ref.h_nominal == 1e-4
-    assert len(run.ref) - 1 <= 15_000
+    assert run.ref.h_nominal == 2e-4
+    assert len(run.ref) - 1 <= 7_500
     assert run_example("3").ref.h_nominal == 1e-5
 
 
@@ -448,7 +431,7 @@ def test_example_1_fine_reference_still_runs(tmp_path, capsys):
     out = tmp_path / "ex1"
     assert main(["example", "1", "--h-ref", "1e-5", "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert "chi vs fine reference: 1.78672e-06" in lines
+    assert "chi vs fine reference: 1.78626e-06" in lines
     assert [l for l in lines if l.startswith("reference error estimate: ")]
     assert (out / "summary.txt").read_text().splitlines() == lines
 
@@ -478,15 +461,18 @@ def test_example_reuse_refuses_another_example_or_start():
 
 @pytest.fixture
 def rk4_steps(monkeypatch):
-    """The step of every ``rk4_integrate`` call ``cli`` makes, in order."""
+    """The step of every ``rk4_integrate`` and ``rk4_schwarzian_rate`` call
+    ``cli`` makes, in order."""
     calls = []
-    real = cli.rk4_integrate
 
-    def counting(system, init, x0, h, n):
-        calls.append(h)
-        return real(system, init, x0, h, n)
+    def counting(real):
+        def run(equation, init, x0, h, n):
+            calls.append(h)
+            return real(equation, init, x0, h, n)
+        return run
 
-    monkeypatch.setattr(cli, "rk4_integrate", counting)
+    for name in ("rk4_integrate", "rk4_schwarzian_rate"):
+        monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
     return calls
 
 

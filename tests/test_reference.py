@@ -14,14 +14,15 @@ import invdisc
 from invdisc import (DegenerateCoefficientError, DomainError, NonFiniteError,
                      OdeSystem, StopReason, Trajectory, arctanh_solution, chi,
                      fifth_order_invariant_system, general_arctanh, log_abs,
-                     one_over_one_minus_exp, rk4_integrate,
+                     one_over_one_minus_exp, rk4_integrate, rk4_schwarzian_rate,
                      scaled_schwarzian_system, schwarzian_rate_system,
                      tan_reciprocal)
 from invdisc import Jet, cli, compose_jet, reference
 from invdisc.core import OVERFLOW_LIMIT
 from invdisc.reference import EXACT_SOLUTIONS
 
-from conftest import finite_difference_jet, rk4_reference_loop
+from conftest import (finite_difference_jet, make_mobius, mobius_jet, rel_diff,
+                      rk4_reference_loop)
 
 
 # --- RK4 baseline ------------------------------------------------------------------
@@ -146,6 +147,112 @@ def test_rk4_unrolled_matches_loop_property(data, x0, h, n):
     system = data.draw(st.sampled_from(RK4_SYSTEMS))
     init = data.draw(st.tuples(*[st.floats(-3.0, 3.0)] * system.order))
     _assert_same_rk4(system, init, x0, h, n)
+
+
+def _fifth_order_rhs_formula(c, y1, y2, y3, y4):
+    """``fifth_order_invariant_system``'s right-hand side as first written,
+    each power and coefficient computed where it is used."""
+    den = y1 ** 3 * (2.0 * y1 * y3 - 3.0 * y2 ** 2)
+    num = (2.5 * y1 ** 4 * y4 ** 2 - 10.0 * y1 ** 3 * y2 * y3 * y4
+           + 2.0 * (c + 4.0) * y1 ** 3 * y3 ** 3
+           - 2.25 * (c + 2.0 / 3.0) * (4.0 * y1 ** 2 * y2 ** 2 * y3 ** 2
+                                       - 6.0 * y1 * y2 ** 4 * y3 + 3.0 * y2 ** 6))
+    return num / den
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (ZeroDivisionError, OverflowError) as e:
+        return type(e).__name__
+
+
+def test_fifth_order_rhs_equals_its_formula(rng):
+    # the shared powers and hoisted coefficients change no bit, nor where a
+    # power overflows or the denominator vanishes
+    for c in (0.0, -2.0 / 3.0, 0.1, 1.0 / 3.0, -4.0, 7.3, 1e100):
+        rhs = fifth_order_invariant_system(c).rhs
+        states = rng.choice([-1.0, 1.0], (4000, 4)) * 10.0 ** rng.uniform(-100.0, 100.0, (4000, 4))
+        states = [tuple(map(float, s)) for s in states]
+        states += [(0.0, 1.0, 1.0, 1.0), (1.0, 2.0, 6.0, 1.0), (1e80, 1.0, 1.0, 1.0),
+                   (-0.0, 0.0, 0.0, 0.0), (1.0, -1.0, 1.5, 2.0)]
+        for y1, y2, y3, y4 in states:
+            assert (_outcome(rhs, 0.0, 0.0, y1, y2, y3, y4)
+                    == _outcome(_fifth_order_rhs_formula, c, y1, y2, y3, y4))
+
+
+# --- linearised RK4 for S' = f(x): example 1's reference --------------------------
+
+def _mobius_init(m, init):
+    """The initial values (Y, Y', Y'', Y''') of Y = (a y + b)/(c y + d)."""
+    inner = Jet(0.0, (*init, 0.0, 0.0))  # y's 4th and 5th derivatives reach only Y's
+    return compose_jet(mobius_jet(*m, init[0]).d, inner).d[:4]
+
+
+def test_linear_rk4_observed_order(example_1_truth):
+    ex = cli.EXAMPLES["1"]
+    errors = {}
+    for h in (0.02, 0.01):
+        run = rk4_schwarzian_rate(math.cos, ex.init, 1.0, h, round(1.5 / h))
+        stride = round(0.1 / h)
+        errors[h] = max(float(abs(example_1_truth(x) - y))
+                        for x, y in zip(run.xs[::stride], run.ys[::stride]))
+    assert math.log2(errors[0.02] / errors[0.01]) >= 3.8
+
+
+def test_linear_rk4_default_reference_error(example_1_truth):
+    # plain RK4 at the former default of 1e-4 read 7.4e-15
+    run = cli.run_example("1")
+    assert run.ref.scheme_id == "linear-rk4-schwarzian-rate"
+    lattice = zip(run.ref.xs[::run.stride], run.ref.ys[::run.stride])
+    assert max(float(abs(example_1_truth(x) - y)) for x, y in lattice) <= 7.4e-15
+
+
+@pytest.mark.parametrize("m", [(2.0, 1.0, 1.0, 3.0), (0.0, 1.0, -1.0, 0.5)])
+def test_linear_rk4_mobius_equivariant(m):
+    ex = cli.EXAMPLES["1"]
+    run = rk4_schwarzian_rate(math.cos, ex.init, 1.0, 0.01, 150)
+    image = rk4_schwarzian_rate(math.cos, _mobius_init(m, ex.init), 1.0, 0.01, 150)
+    assert image.stop is run.stop is StopReason.COMPLETED and image.xs == run.xs
+    mobius = make_mobius(*m)
+    assert max(rel_diff(mobius(y), w) for y, w in zip(run.ys, image.ys)) <= 1e-13
+
+
+def test_linear_rk4_crosses_the_pole_of_tan():
+    init = reference._tan_outer(1.0)[:4]
+    run = rk4_schwarzian_rate(lambda x: 0.0, init, 1.0, 1e-2, 120)
+    assert run.stop is StopReason.COMPLETED and run.xs[-1] > math.pi / 2
+    # the angle atan(y) of tan x is x, mod pi; 1.0e-10 measured
+    gaps = [abs((math.atan(y) - x + math.pi / 2) % math.pi - math.pi / 2)
+            for x, y in zip(run.xs, run.ys)]
+    assert max(gaps) <= 1e-9
+
+
+def test_linear_rk4_stops_on_a_pole_node_or_past_the_limit():
+    # y = 1/x has S = 0, so u2 = -x, which vanishes on the node x = 0
+    run = rk4_schwarzian_rate(lambda x: 0.0, (-1.0, -1.0, -2.0, -6.0), -1.0, 0.25, 8)
+    assert run.stop is StopReason.NON_FINITE and run.xs == (-1.0, -0.75, -0.5, -0.25)
+    assert run.ys == (-1.0, -1.0 / 0.75, -2.0, -4.0)
+    # a straight line, finite everywhere, passes OVERFLOW_LIMIT at x = 3
+    run = rk4_schwarzian_rate(lambda x: 0.0, (9.9e299, 4e297, 0.0, 0.0), 0.0, 1.0, 10)
+    assert run.stop is StopReason.NON_FINITE and len(run) == 3
+
+
+def test_linear_rk4_validates_input():
+    init = cli.EXAMPLES["1"].init
+    with pytest.raises(DomainError, match="y' = 0"):
+        rk4_schwarzian_rate(math.cos, (1.0, 0.0, 1.0, 1.0), 1.0, 1e-3, 10)
+    with pytest.raises(ValueError):
+        rk4_schwarzian_rate(math.cos, init, 1.0, 1e-3, -1)
+    with pytest.raises(ValueError):
+        rk4_schwarzian_rate(math.cos, init, 1.0, 0.0, 10)
+    with pytest.raises(ValueError):
+        rk4_schwarzian_rate(math.cos, init[:3], 1.0, 1e-3, 10)
+    for x0 in (math.nan, math.inf):
+        with pytest.raises(NonFiniteError):
+            rk4_schwarzian_rate(math.cos, init, x0, 1e-3, 10)
+    with pytest.raises(NonFiniteError):  # the last abscissa overflows
+        rk4_schwarzian_rate(math.cos, init, 1.7e308, 1e306, 20)
 
 
 # --- exact solutions ----------------------------------------------------------------
