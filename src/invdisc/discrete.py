@@ -9,6 +9,7 @@ tends to the lowest-order invariant of the product action.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import DegenerateCoefficientError, NonFiniteError, Stencil, is_degenerate
@@ -35,6 +36,10 @@ def _cross_ratio(a0: float, a1: float, a2: float, a3: float) -> float:
     q = (n1 * n2) / den
     if q != q:  # inf / inf: both products overflow
         raise NonFiniteError(f"cross-ratio is NaN on window ({a0}, {a1}, {a2}, {a3})")
+    if abs(q) == math.inf:
+        # only the numerator's product overflows; paired with its
+        # denominator, each factor is below 1 / DEGENERACY_RTOL in size
+        q = (n1 / d1) * (n2 / d2)
     return q
 
 

@@ -1,8 +1,9 @@
 """Invariant difference schemes: advance a stencil one lattice step by
 solving the invariant equation for the new ordinate.
 
-The fourth-order scheme (Mobius maps of y) and the six-point product-group
-scheme reduce to a linear equation a*t = b in the new ordinate t.  The
+The fourth-order scheme (Mobius maps of y) is a recursion on the ratio of
+successive ordinate differences, and the six-point product-group scheme
+reduces to a linear equation a*t = b in the new ordinate t.  The
 third-order hodograph scheme is quadratic for constant forcing and cubic
 when the forcing is the dependent variable itself.  A degenerate leading
 coefficient drops its polynomial one degree, down to the linear weakly
@@ -12,14 +13,14 @@ the window at the next node, and each degree keeps its real root nearest it.
 Each scheme has one straight-line run loop on plain floats, which advances
 a window over a sequence of abscissae and returns the :class:`StopReason`
 that ends the run: ``_sly4_run``, ``_slx3_run`` (constant and identity
-forcing) and ``_h5_run``.  A loop keeps its window in local floats and
-evaluates each step's invariants inline, with the float operations and
-degeneracy checks of :mod:`invdisc.discrete`, which stays their definition;
-``h5``'s first cross-ratio, evaluated once per run, calls it.  It carries what
-the next window would recompute from the same operands: ``sly4`` the
-abscissa and ordinate differences its l3 and cross-ratio share, ``slx3`` two
-ordinate differences, ``h5`` its checked R4, which is the next window's R3.
-``slx3`` and ``h5`` assume the uniform lattice and read x only to append it.
+forcing) and ``_h5_run``.  ``slx3`` and ``h5`` evaluate each step's
+invariants inline, with the float operations and degeneracy checks of
+:mod:`invdisc.discrete`, which stays their definition, and carry what the
+next window would recompute: ``slx3`` two ordinate differences, ``h5`` its
+checked R4, the next window's R3.  ``sly4`` carries its recursion's state:
+l3, a ratio deficit, the last difference and a compensated sum.  Only the
+seed's l3 and ``h5``'s first R3 call :mod:`invdisc.discrete`.  ``slx3`` and
+``h5`` assume the uniform lattice and read x only to append it.
 :func:`_resolve` alone knows which forcing each scheme takes, from how many
 points, and which loop runs them; :func:`integrate` resolves once per run
 and runs the loop over the lattice, ``*_step(stencil, x_next, forcing)``
@@ -33,7 +34,7 @@ from typing import Sequence
 from .core import (Constant, DEGENERACY_RTOL, DegenerateCoefficientError, ForcingTerm,
                    FunctionOfX, IdentityInY, NonFiniteError, OVERFLOW_LIMIT, SCHEME_ARITY,
                    SchemeKind, SchemeSpec, Stencil, StopReason, Trajectory)
-from .discrete import _cross_ratio, _h5_r5_line
+from .discrete import _cross_ratio, _h5_r5_line, _l
 
 
 # --- closed-form real roots ---------------------------------------------------
@@ -188,61 +189,55 @@ def select_root(roots: list[float], prediction: float) -> float | None:
 # |d| <= DEGENERACY_RTOL * scale are core.is_degenerate, and
 # abs(t) <= OVERFLOW_LIMIT is false for NaN and +-inf as well.
 
+def _first_step_stop(abscissae, exc: Exception) -> StopReason:
+    """The stop of the first step over ``abscissae`` from a window that has
+    no invariant (``exc``), or COMPLETED if there is no step to take."""
+    for _ in abscissae:
+        return (StopReason.NON_FINITE if isinstance(exc, NonFiniteError)
+                else StopReason.DEGENERATE_COEFFICIENT)
+    return StopReason.COMPLETED
+
+
 def _sly4_run(xs, ys, abscissae, fn, out_xs, out_ys) -> StopReason:
-    """Run loop of the fourth-order scheme: l4(window + new point) = fn(x2),
-    i.e. l3 of the right window equals a target built from the left l3 and
-    the forcing, unwound to the cross-ratio of (y1, y2, y3, t) and cleared to
-    a*t = b.  The l3 and cross-ratio evaluations are discrete._l's base
-    case and discrete._cross_ratio inline; the next window takes over all
-    but four of their abscissa differences and all but two of their ordinate
-    ones."""
+    """Run loop of the fourth-order scheme, l4(window + new point) = fn(x2):
+    the right window's l3 is the left one's plus fn(x2)·(x - x0)/4, and the
+    y cross-ratio of (y1, y2, y3, t) is K = S·(1 - l3·(x3 - x2)(x - x1)/6),
+    S the x cross-ratio of (x1, x2, x3, x).  With K = 4 + ρ, d = y3 - y2 and
+    e = d/(y2 - y1) - 1, a step is e <- (2e - ρ)/(2 - e + ρ), d <- d·(1 + e),
+    and d is added to a Kahan sum; ρ is formed directly, never as K - 4.  A
+    seed without l3 (discrete._l) or with y2 = y1 stops the first step."""
     x0, x1, x2, x3 = xs
-    y0, y1, y2, y3 = ys
-    dx10, dx20, dx30, dx21, dx31, dx32 = x1 - x0, x2 - x0, x3 - x0, x2 - x1, x3 - x1, x3 - x2
-    dy10, dy20, dy21, dy31, dy32 = y1 - y0, y2 - y0, y2 - y1, y3 - y1, y3 - y2
+    _, y1, y2, s = ys
+    d2, d, comp = y2 - y1, s - y2, 0.0  # comp: the compensation of the sum s
+    try:
+        l3, e = _l(xs, ys, 0, 3), (d - d2) / d2
+    except (DegenerateCoefficientError, NonFiniteError, ZeroDivisionError) as exc:
+        return _first_step_stop(abscissae, exc)
+    dx21, dx31, dx32 = x2 - x1, x3 - x1, x3 - x2
     for x in abscissae:
-        # l3 of the window: 6 / ((x2-x1)(x3-x0)) * (1 - R/S)
-        d = dx21 * dx30
-        if d == 0.0:  # underflow; the differences of distinct abscissae never vanish
-            return StopReason.DEGENERATE_COEFFICIENT
-        a32, a10 = abs(dy32), abs(dy10)
-        tol = DEGENERACY_RTOL * max(a32, a10, abs(dy31), abs(dy20))
-        if a32 <= tol or a10 <= tol:
-            return StopReason.DEGENERATE_COEFFICIENT
-        rx = dx31 * dx20
-        x_scale = max(abs(dx31), abs(dx20))
-        den = dy32 * dy10 * rx
-        if abs(rx) <= DEGENERACY_RTOL * (x_scale * x_scale) or den == 0.0:
-            return StopReason.DEGENERATE_COEFFICIENT
-        l3_left = 6.0 / d * (1.0 - (dy31 * dy20 * (dx32 * dx10)) / den)
-        # x cross-ratio of (x1, x2, x3, x)
+        l3 += fn(x2) * (x - x0) / 4.0
+        # S = num / den, the x cross-ratio of (x1, x2, x3, x)
         dx42, dx43 = x - x2, x - x3
-        a43, a21 = abs(dx43), abs(dx21)
-        tol = DEGENERACY_RTOL * max(abs(dx42), abs(dx31), a43, a21)
         den = dx43 * dx21
-        if a43 <= tol or a21 <= tol or den == 0.0:
+        if den == 0.0:  # underflow
             return StopReason.DEGENERATE_COEFFICIENT
-        s4 = (dx42 * dx31) / den
-        target = l3_left + fn(x2) * (x - x0) / 4.0
-        # l3 on the right window must equal `target`; unwind to a cross-ratio
-        # value v and clear cross-ratio(y1, y2, y3, t) = v to a*t = b
-        dx41 = x - x1
-        v = s4 * (1.0 - target * dx32 * dx41 / 6.0)
-        a = dy31 - v * dy21
-        b = y2 * dy31 - v * y3 * dy21
-        if not (math.isfinite(a) and math.isfinite(b)):
+        num = dx42 * dx31
+        rho = (num - 4.0 * den) / den - num / den * l3 * dx32 * (x - x1) / 6.0
+        q = 2.0 - e + rho
+        if q == 0.0:  # the new point is at infinity
             return StopReason.NON_FINITE
-        if abs(a) <= DEGENERACY_RTOL * max(abs(dy31), abs(v * dy21)):
+        e = (2.0 * e - rho) / q
+        d *= 1.0 + e
+        if d == 0.0:  # t would repeat y3 (y3 = y1 made e = -2), or d underflows
             return StopReason.DEGENERATE_COEFFICIENT
-        t = b / a
+        t = s + (dc := d - comp)
+        comp, s = (t - s) - dc, t
         if not abs(t) <= OVERFLOW_LIMIT:
             return StopReason.NON_FINITE
         out_xs.append(x)
         out_ys.append(t)
         x0, x1, x2, x3 = x1, x2, x3, x
-        dx10, dx20, dx30, dx21, dx31, dx32 = dx21, dx31, dx41, dx32, dx42, dx43
-        dy10, dy20, dy21, dy31, dy32 = dy21, dy31, dy32, t - y2, t - y3
-        y2, y3 = y3, t
+        dx21, dx31, dx32 = dx32, dx42, dx43
     return StopReason.COMPLETED
 
 
@@ -318,11 +313,8 @@ def _h5_run(xs, ys, abscissae, c, out_xs, out_ys) -> StopReason:
     y0, y1, y2, y3, y4 = ys
     try:
         r3 = _cross_ratio(y0, y1, y2, y3)
-    except (DegenerateCoefficientError, NonFiniteError) as e:
-        for _ in abscissae:  # the first step stops
-            return (StopReason.NON_FINITE if isinstance(e, NonFiniteError)
-                    else StopReason.DEGENERATE_COEFFICIENT)
-        return StopReason.COMPLETED
+    except (DegenerateCoefficientError, NonFiniteError) as exc:
+        return _first_step_stop(abscissae, exc)
     dy21, dy31, dy32 = y2 - y1, y3 - y1, y3 - y2
     for x in abscissae:
         # R4 = cross-ratio(y1, y2, y3, y4)
@@ -363,6 +355,10 @@ def _step(scheme: SchemeKind, stencil: Stencil, x_next: float,
     if scheme is SchemeKind.SLY4:
         if not (x_next > xs[-1] if xs[1] > xs[0] else x_next < xs[-1]):
             raise ValueError(f"{x_next!r} does not continue the abscissae {xs} monotonically")
+        try:  # the step's x cross-ratio, which integrate's lattice check keeps regular
+            _cross_ratio(*xs[1:], x_next)
+        except (DegenerateCoefficientError, NonFiniteError) as exc:
+            return _first_step_stop((x_next,), exc)
     else:
         _check_lattice(stencil, x_next - xs[-1], 1)
     out_ys = []
@@ -375,8 +371,9 @@ def sly4_step(prev4: Stencil, x_next: float,
     """Advance the fourth-order scheme: solve l4(prev4 + new point) = f(x_mid).
 
     The forcing f, a constant or a function of x, is taken at the middle
-    abscissa; the cleared equation is linear in the new ordinate.  The
-    abscissae need not be equally spaced.
+    abscissa.  The abscissae need not be equally spaced.  Chained over a
+    run, sly4_step rebuilds from floats the state that :func:`integrate`
+    carries, so the two agree to round-off.
     """
     return _step(SchemeKind.SLY4, prev4, x_next, forcing)
 

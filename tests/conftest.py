@@ -216,7 +216,7 @@ def csv_reference_reader(path) -> Trajectory:
 # --- a test-only copy of the composed scheme kernels ------------------------------
 # Each scheme step as a chain of small functions over the invariants of
 # invdisc.discrete; the run loops of invdisc.schemes must agree with it bit
-# for bit.
+# for bit.  sly4 carries state from step to step, as its run loop does.
 
 def _ref_linear_kernel(xs, ys, x_next, line, param):
     try:
@@ -233,12 +233,87 @@ def _ref_linear_kernel(xs, ys, x_next, line, param):
     return t if math.isfinite(t) and abs(t) <= OVERFLOW_LIMIT else StopReason.NON_FINITE
 
 
-def _ref_sly4_line(xs, ys, x_next, forcing):
-    l3_left = _l(xs, ys, 0, 3)
-    s4 = _cross_ratio(xs[1], xs[2], xs[3], x_next)
-    target = l3_left + forcing(xs[2]) * (x_next - xs[0]) / 4.0
-    v = s4 * (1.0 - target * (xs[3] - xs[2]) * (x_next - xs[1]) / 6.0)
-    return _cross_ratio_line(ys[1], ys[2], ys[3], v)
+def _ref_sly4_start(xs, ys):
+    """sly4's state [l3, e, d, y, compensation] on the seed window: its l3,
+    the ratio deficit e = d/d2 - 1 of its last two ordinate differences d2
+    and d, and its last ordinate as a compensated sum.  Raises as l3 does,
+    and DegenerateCoefficientError where d2 = 0."""
+    l3 = _l(xs, ys, 0, 3)
+    d2, d = ys[2] - ys[1], ys[3] - ys[2]
+    if d2 == 0.0:
+        raise DegenerateCoefficientError("y2 = y1 in the seed")
+    return [l3, (d - d2) / d2, d, ys[3], 0.0]
+
+
+def _ref_sly4_deficit(xs, x_next, l3):
+    """K - 4, K = S·(1 - l3·(x3 - x2)(x - x1)/6) the y cross-ratio that the
+    right window's l3 asks of the step, S the x cross-ratio of (x1, x2, x3,
+    x_next), with S - 4 formed before it is divided."""
+    s = _cross_ratio(xs[1], xs[2], xs[3], x_next)
+    den = (x_next - xs[3]) * (xs[2] - xs[1])
+    s_minus_4 = ((x_next - xs[2]) * (xs[3] - xs[1]) - 4.0 * den) / den
+    return s_minus_4 - s * l3 * (xs[3] - xs[2]) * (x_next - xs[1]) / 6.0
+
+
+def _ref_ratio_recursion(e, rho):
+    """e' = r' - 1 of the new difference ratio r' = (1 + r)/(K - 1 - r), with
+    r = 1 + e and K = 4 + rho; NonFiniteError where the new point is at
+    infinity."""
+    q = 2.0 - e + rho
+    if q == 0.0:
+        raise NonFiniteError("the new point is at infinity")
+    return (2.0 * e - rho) / q
+
+
+def _ref_kahan_add(total, comp, v):
+    """(total + v, its new compensation) by Kahan's compensated sum."""
+    v -= comp
+    t = total + v
+    return t, (t - total) - v
+
+
+def _ref_sly4_advance(state, xs, x_next, forcing):
+    """The new ordinate of one sly4 step from the window abscissae ``xs``,
+    or its StopReason; ``state`` moves to the new window."""
+    l3, e, d, y, comp = state
+    l3 += forcing(xs[2]) * (x_next - xs[0]) / 4.0
+    try:
+        e = _ref_ratio_recursion(e, _ref_sly4_deficit(xs, x_next, l3))
+    except DegenerateCoefficientError:
+        return StopReason.DEGENERATE_COEFFICIENT
+    except NonFiniteError:
+        return StopReason.NON_FINITE
+    d *= 1.0 + e
+    if d == 0.0:
+        return StopReason.DEGENERATE_COEFFICIENT
+    y, comp = _ref_kahan_add(y, comp, d)
+    if not abs(y) <= OVERFLOW_LIMIT:
+        return StopReason.NON_FINITE
+    state[:] = l3, e, d, y, comp
+    return y
+
+
+def _ref_sly4_stepper(seed_xs, seed_ys, forcing):
+    """(xs, ys, x_next) -> new ordinate | StopReason over the run from the
+    seed: the seed's state, or its stop on the first step."""
+    try:
+        state = _ref_sly4_start(seed_xs, seed_ys)
+    except DegenerateCoefficientError:
+        return lambda xs, ys, x: StopReason.DEGENERATE_COEFFICIENT
+    except NonFiniteError:
+        return lambda xs, ys, x: StopReason.NON_FINITE
+    return lambda xs, ys, x: _ref_sly4_advance(state, xs, x, forcing)
+
+
+def _ref_sly4_step(xs, ys, x_next, forcing):
+    # sly4_step checks its x cross-ratio before the seed
+    try:
+        _cross_ratio(xs[1], xs[2], xs[3], x_next)
+    except DegenerateCoefficientError:
+        return StopReason.DEGENERATE_COEFFICIENT
+    except NonFiniteError:
+        return StopReason.NON_FINITE
+    return _ref_sly4_stepper(xs, ys, forcing)(xs, ys, x_next)
 
 
 def _ref_h5_line(xs, ys, x_next, c):
@@ -354,13 +429,16 @@ def _ref_slx3_kernel(xs, ys, x_next, forcing):
     return t if math.isfinite(t) and abs(t) <= OVERFLOW_LIMIT else StopReason.NON_FINITE
 
 
+def _ref_fn(forcing):
+    return (lambda _x: forcing.c) if isinstance(forcing, Constant) else forcing.fn
+
+
 def ref_step(scheme, forcing):
     """One step (xs, ys, x_next) -> new ordinate | StopReason of the composed
-    kernels of ``scheme`` under ``forcing``."""
+    kernels of ``scheme`` under ``forcing``, from the window alone."""
     f = forcing
     if scheme is SchemeKind.SLY4:
-        fn = (lambda _x: f.c) if isinstance(f, Constant) else f.fn
-        return lambda xs, ys, x: _ref_linear_kernel(xs, ys, x, _ref_sly4_line, fn)
+        return lambda xs, ys, x: _ref_sly4_step(xs, ys, x, _ref_fn(f))
     if scheme is SchemeKind.SLX3:
         return lambda xs, ys, x: _ref_slx3_kernel(xs, ys, x, f)
     return lambda xs, ys, x: _ref_linear_kernel(xs, ys, x, _ref_h5_line, f.c)
@@ -369,9 +447,13 @@ def ref_step(scheme, forcing):
 def scheme_reference_loop(spec, seed, n_steps):
     """Test-only copy of the composed kernels that ``schemes.integrate``
     runs as one straight-line loop per scheme, stepped over a rolling window
-    at x0 + n*h as integrate does (the lattice is not checked); the two must
-    agree bit for bit.  Returns (xs, ys, stop)."""
-    step = ref_step(spec.scheme, spec.forcing)
+    at x0 + n*h as integrate does (the lattice is not checked); ``sly4``
+    carries its state from the seed on.  The two must agree bit for bit.
+    Returns (xs, ys, stop)."""
+    if spec.scheme is SchemeKind.SLY4:
+        step = _ref_sly4_stepper(seed.xs, seed.ys, _ref_fn(spec.forcing))
+    else:
+        step = ref_step(spec.scheme, spec.forcing)
     h, k = spec.lattice.h, spec.arity
     xs, ys = list(seed.xs), list(seed.ys)
     for n in range(k, k + n_steps):

@@ -431,7 +431,7 @@ def test_example_1_fine_reference_still_runs(tmp_path, capsys):
     out = tmp_path / "ex1"
     assert main(["example", "1", "--h-ref", "1e-5", "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert "chi vs fine reference: 1.78626e-06" in lines
+    assert "chi vs fine reference: 1.78624e-06" in lines
     assert [l for l in lines if l.startswith("reference error estimate: ")]
     assert (out / "summary.txt").read_text().splitlines() == lines
 

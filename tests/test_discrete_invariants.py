@@ -89,6 +89,16 @@ def test_overflowing_cross_ratio_is_non_finite():
         assert cross_ratio(CrossRatioWindow(*ys)) == 5.0
 
 
+def test_cross_ratio_with_an_overflowing_numerator_is_finite():
+    # only (a3-a1)(a2-a0) overflows: the quotient is inf where the cross-ratio
+    # is about 1e10, as on the 1e-10-scaled window
+    w = (0.0, 1e150, 1e155, 1e155 + 1e150)
+    got = cross_ratio(CrossRatioWindow(*w))
+    assert got == pytest.approx(cross_ratio(CrossRatioWindow(*(v * 1e-10 for v in w))),
+                                rel=1e-9)
+    assert cross_ratio(CrossRatioWindow(*(-v for v in w))) == got
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_cross_ratio_mobius_invariance(data):

@@ -2,6 +2,7 @@ import math
 from contextlib import ExitStack, contextmanager
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
@@ -15,6 +16,7 @@ from invdisc import schemes
 from invdisc.core import SCHEME_ARITY
 from invdisc.schemes import extrapolate, h5_step
 
+import shadow
 from conftest import (STEPS, _ref_horner, _ref_slx3_coeffs, _ref_slx3_kernel, make_mobius,
                       random_mobius, ref_step, scheme_reference_loop)
 
@@ -495,6 +497,17 @@ def test_integrate_equals_stepping_by_hand(spec, seed, n_steps, expected):
         assert stop is expected
     # bit for bit: == on every abscissa and ordinate
     assert (traj.xs, traj.ys) == (xs, ys)
+    if spec.scheme is SchemeKind.SLY4:
+        # each sly4_step rebuilds from floats the state that integrate
+        # carries: the first step is integrate's bit for bit, and the steps
+        # chained over the run agree with it to round-off
+        k, step = spec.arity, STEPS[spec.scheme]
+        chained = list(seed.ys)
+        for n, x in enumerate(traj.xs[k:], k):
+            chained.append(step(Stencil(traj.xs[n - k:n], tuple(chained[-k:])), x,
+                                spec.forcing))
+        assert chained[k] == traj.ys[k]
+        assert max(abs(a - b) / max(1.0, abs(a)) for a, b in zip(chained, traj.ys)) <= 1e-8
 
 
 # --- the error contract: stop reasons, never exceptions --------------------------------
@@ -566,11 +579,12 @@ def test_extreme_windows_stop_as_degenerate(kind, ys):
 
 
 SLY4_NON_FINITE_WINDOWS = {
-    # an infinite forcing value makes the cleared equation's a and b non-finite
+    # an infinite forcing value makes l3 infinite and the new ordinate NaN
     "infinite-forcing": ((0.0, 0.1, 0.2, 0.3), (0.0, 0.1, 0.3, 0.6),
                          FunctionOfX(lambda x: math.inf)),
     # y0 == y2 gives R/S = 0 and l3 = 6/((x2-x1)(x3-x0)) = 2, so with zero
-    # forcing the new ordinate repeats y2: finite, but past OVERFLOW_LIMIT
+    # forcing the new ordinate repeats y2, past OVERFLOW_LIMIT; in floats
+    # y3 - y2 = -y2 and the new point is at infinity
     "past-overflow-limit": ((0.0, 1.0, 2.0, 3.0), (1.5e300, 0.0, 1.5e300, 1.0),
                             Constant(0.0)),
 }
@@ -584,6 +598,80 @@ def test_sly4_windows_stop_as_non_finite(xs, ys, forcing):
     assert sly4_step(seed, xs[3] + h, forcing) is StopReason.NON_FINITE
     traj = integrate(SchemeSpec(SchemeKind.SLY4, forcing, Uniform(h)), seed, 5)
     assert traj.stop is StopReason.NON_FINITE and traj.xs == seed.xs
+
+
+#: per stop of the sly4 recursion: (ordinates over x = 0, 1, 2, 3, forcing,
+#: the stop of the first step)
+SLY4_RECURSION_STOPS = {
+    # a seed window whose l3 overflows (EXTREME_WINDOWS has one that l3
+    # finds degenerate)
+    "seed-overflow": (tuple(v * 1e155 for v in (0.0, 1.0, 3.0, 6.0)), Constant(0.0),
+                      StopReason.NON_FINITE),
+    # y2 = y1: the seed's difference ratio has no denominator
+    "seed-flat-middle": ((0.0, 1.0, 1.0, 3.0), Constant(0.0),
+                         StopReason.DEGENERATE_COEFFICIENT),
+    # y3 = y1 gives e = -2, and with it a new difference of exactly zero
+    "zero-difference": ((0.0, 1.0, 2.0, 1.0), Constant(0.5),
+                        StopReason.DEGENERATE_COEFFICIENT),
+    # a line (l3 = 0, e = 0) whose l3 the forcing lifts to 1: K = 2 puts the
+    # new point at infinity, 2 - e + rho = 0
+    "point-at-infinity": ((0.0, 1.0, 2.0, 3.0), Constant(1.0), StopReason.NON_FINITE),
+}
+
+
+@pytest.mark.parametrize("ys, forcing, stop", SLY4_RECURSION_STOPS.values(),
+                         ids=SLY4_RECURSION_STOPS)
+def test_sly4_recursion_stops(ys, forcing, stop):
+    xs = (0.0, 1.0, 2.0, 3.0)
+    seed = Stencil(xs, ys)
+    assert sly4_step(seed, 4.0, forcing) is stop
+    assert ref_step(SchemeKind.SLY4, forcing)(xs, ys, 4.0) is stop
+    spec = SchemeSpec(SchemeKind.SLY4, forcing, Uniform(1.0))
+    traj = integrate(spec, seed, 5)
+    assert traj.stop is stop and traj.xs == xs
+    # with no step to take, the seed is never stepped and the run completes
+    assert integrate(spec, seed, 0).stop is StopReason.COMPLETED
+
+
+def test_sly4_step_stops_where_its_x_cross_ratio_overflows():
+    # products of two x-differences past 1e308 make the x cross-ratio inf / inf
+    xs, ys, forcing = (0.0, 1e155, 2e155, 3e155), (0.0, 1.0, 3.0, 6.0), Constant(0.0)
+    out = sly4_step(Stencil(xs, ys), 4e155, forcing)
+    assert out is StopReason.NON_FINITE
+    assert ref_step(SchemeKind.SLY4, forcing)(xs, ys, 4e155) is out
+
+
+def test_sly4_crosses_the_pole_of_tan():
+    # tan x from x = 1 over [1, 2.2]: a pole between two nodes is one large
+    # finite difference, and the angle of (y, 1) stays on x modulo pi
+    h = 1e-3
+    seed = seed_stencil_from_function(math.tan, 1.0, h, 4)
+    traj = integrate(SchemeSpec(SchemeKind.SLY4, Constant(0.0), Uniform(h)), seed,
+                     round(1.2 / h) - 3)
+    assert traj.stop is StopReason.COMPLETED and traj.xs[-1] == pytest.approx(2.2)
+    assert max(abs(y) for y in traj.ys) > 1e3
+    worst = max(abs(math.remainder(math.atan(y) - x, math.pi))
+                for x, y in zip(traj.xs, traj.ys))
+    assert worst <= 5e-8  # 1.3e-8; 1.6e-7 when each step cleared cross-ratios
+
+
+@pytest.mark.parametrize("h, span", [(1e-2, 2.4), (1e-3, 2.4), (3e-4, 1.2)])
+def test_sly4_arithmetic_error_is_below_the_seed_error(h, span):
+    # zero-forcing tan x from x = -1.2, where tan x is an exact discrete
+    # solution: a 40-digit shadow run from the same float seed, on the same
+    # nodes, has only the seed's rounding to carry, so the float run's
+    # distance to it is the float arithmetic's error
+    seed = seed_stencil_from_function(math.tan, -1.2, h, 4)
+    traj = integrate(SchemeSpec(SchemeKind.SLY4, Constant(0.0), Uniform(h)), seed,
+                     round(span / h) - 3)
+    assert traj.stop is StopReason.COMPLETED
+    exact = shadow.sly4(seed.xs, seed.ys, traj.xs[4:], lambda x: 0)
+    with mp.workdps(40):
+        arithmetic = max(abs(mp.mpf(y) - s) for y, s in zip(traj.ys, exact))
+        seeded = max(abs(s - mp.tan(mp.mpf(x))) for x, s in zip(traj.xs, exact))
+    # arithmetic / seeded reads 0.019, 3.6e-4 and 7e-4; 28, 13 and 13 when
+    # each step cleared cross-ratios
+    assert arithmetic <= 0.1 * seeded
 
 
 def test_h5_first_window_overflow_stops_as_non_finite():
