@@ -8,7 +8,8 @@ third-order hodograph scheme is quadratic for constant forcing and cubic
 when the forcing is the dependent variable itself.  A degenerate leading
 coefficient drops its polynomial one degree, down to the linear weakly
 invariant form.  Each step predicts y0 - 3 y1 + 3 y2, the quadratic through
-the window at the next node, and each degree keeps its real root nearest it.
+the window at the next node; the degree its descent ends on keeps its real
+root nearest it, and :func:`_polish` polishes only that root.
 
 Each scheme has one straight-line run loop on plain floats, which advances
 a window over a sequence of abscissae and returns the :class:`StopReason`
@@ -39,14 +40,23 @@ from .discrete import _cross_ratio, _h5_r5_line, _l
 
 # --- closed-form real roots ---------------------------------------------------
 
-def _quadratic_roots(c0: float, c1: float, c2: float) -> tuple[float, ...]:
-    """Real roots of c0 + c1*t + c2*t^2 (c2 != 0) as an ascending pair, each
-    polished once, or () when there are none.
+def _polish(c0: float, c1: float, c2: float, c3: float, t: float) -> float:
+    """One Newton iteration on c0 + c1*t + c2*t^2 + c3*t^3 from the root t,
+    accepted only if it reduces the residual: at (near-)multiple roots both
+    p and p' are noise-level and the raw step can jump to an unrelated
+    point.  A lower degree passes zero for the coefficients it lacks."""
+    dp = (3.0 * c3 * t + 2.0 * c2) * t + c1
+    if dp != 0.0 and math.isfinite(dp):
+        p = ((c3 * t + c2) * t + c1) * t + c0
+        t1 = t - p / dp
+        if math.isfinite(t1) and abs(((c3 * t1 + c2) * t1 + c1) * t1 + c0) <= abs(p):
+            return t1
+    return t
 
-    The polish is one Newton iteration, accepted only if it reduces the
-    residual: at (near-)multiple roots both p and p' are noise-level and the
-    raw step can jump to an unrelated point.  The other degrees polish alike.
-    """
+
+def _quadratic_roots(c0: float, c1: float, c2: float) -> tuple[float, ...]:
+    """Real roots of c0 + c1*t + c2*t^2 (c2 != 0) as an ascending pair, not
+    polished, or () when there are none."""
     disc = c1 * c1 - 4.0 * c2 * c0
     if disc < 0.0:
         return ()
@@ -54,25 +64,13 @@ def _quadratic_roots(c0: float, c1: float, c2: float) -> tuple[float, ...]:
     # Citardauq pairing avoids cancellation in the small root.
     q = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0.0 else -0.5 * sq
     lo, hi = (0.0, 0.0) if q == 0.0 else (q / c2, c0 / q)
-    dp = 2.0 * c2 * lo + c1
-    if dp != 0.0 and math.isfinite(dp):
-        p = (c2 * lo + c1) * lo + c0
-        t1 = lo - p / dp
-        if math.isfinite(t1) and abs((c2 * t1 + c1) * t1 + c0) <= abs(p):
-            lo = t1
-    dp = 2.0 * c2 * hi + c1
-    if dp != 0.0 and math.isfinite(dp):
-        p = (c2 * hi + c1) * hi + c0
-        t1 = hi - p / dp
-        if math.isfinite(t1) and abs((c2 * t1 + c1) * t1 + c0) <= abs(p):
-            hi = t1
     return (hi, lo) if hi < lo else (lo, hi)
 
 
 def _cubic_roots(c0: float, c1: float, c2: float, c3: float) -> list[float]:
     """Real roots of c0 + c1*t + c2*t^2 + c3*t^3 (c3 != 0) in ascending
-    order, each polished once as :func:`_quadratic_roots` polishes; raises
-    NonFiniteError if the depressed coefficients overflow."""
+    order, not polished; raises NonFiniteError if the depressed coefficients
+    overflow."""
     b, cc, d = c2 / c3, c1 / c3, c0 / c3
     try:
         # depressed form u^3 + p*u + q with t = u - b/3
@@ -97,32 +95,13 @@ def _cubic_roots(c0: float, c1: float, c2: float, c3: float) -> list[float]:
         roots = [u + shift]
         if disc == 0.0 and pp != 0.0:
             roots.append(-u / 2.0 + shift)
-    for i, t in enumerate(roots):
-        dp = (3.0 * c3 * t + 2.0 * c2) * t + c1
-        if dp != 0.0 and math.isfinite(dp):
-            p = ((c3 * t + c2) * t + c1) * t + c0
-            t1 = t - p / dp
-            if math.isfinite(t1) and abs(((c3 * t1 + c2) * t1 + c1) * t1 + c0) <= abs(p):
-                roots[i] = t1
     roots.sort()
     return roots
 
 
-def _linear_root(c0: float, c1: float) -> float:
-    """Root of c0 + c1*t (c1 != 0), polished once as :func:`_quadratic_roots`
-    polishes."""
-    t = -c0 / c1
-    if math.isfinite(c1):
-        p = c1 * t + c0
-        t1 = t - p / c1
-        if math.isfinite(t1) and abs(c1 * t1 + c0) <= abs(p):
-            t = t1
-    return t
-
-
 def solve_poly(coeffs: Sequence[float]) -> list[float]:
     """All real roots of c0 + c1*t + ... (coefficients low order first) in
-    ascending order, each polished once.
+    ascending order, each polished once by :func:`_polish`.
 
     Complex-conjugate pairs are simply absent from the result; an empty
     list is a valid return.  Raises ValueError unless the degree is 1..3
@@ -137,11 +116,10 @@ def solve_poly(coeffs: Sequence[float]) -> list[float]:
         raise NonFiniteError(f"coefficients {c} are not all finite")
     if c[-1] == 0.0:
         raise ValueError("leading coefficient must be nonzero")
-    if len(c) == 4:
-        return _cubic_roots(*c)
-    if len(c) == 3:
-        return list(_quadratic_roots(*c))
-    return [_linear_root(*c)]
+    roots = (_cubic_roots(*c) if len(c) == 4 else _quadratic_roots(*c) if len(c) == 3
+             else (-c[0] / c[1],))
+    c = c + (0.0,) * (4 - len(c))
+    return sorted(_polish(*c, t) for t in roots)
 
 
 def _cbrt(v: float) -> float:
@@ -248,8 +226,10 @@ def _slx3_run(xs, ys, abscissae, forcing, out_xs, out_ys) -> StopReason:
     is (c, None) for constant forcing c, a quadratic, or (None, stencil_mean)
     for identity forcing, a cubic.  A leading coefficient at most
     DEGENERACY_RTOL times the largest remaining one in size drops the
-    polynomial one degree, and each degree picks its own root; a NaN scale
-    disables that test, not the exact zero test, which stops the run."""
+    polynomial one degree, and each degree picks its own unpolished root; a
+    NaN scale disables that test, not the exact zero test, which stops the
+    run.  The kept root alone is polished, on the polynomial of the degree
+    that picked it, with zero for the coefficients that degree dropped."""
     c, mean = forcing
     y0, y1, y2 = ys
     dy10, dy21 = y1 - y0, y2 - y1
@@ -272,7 +252,6 @@ def _slx3_run(xs, ys, abscissae, forcing, out_xs, out_ys) -> StopReason:
         else:  # rhs(t) = t
             c0, c1, c2, c3 = lin0, lin1 - common * y0 * y2, common * (y0 + y2), -common
         p = 3.0 * dy21 + y0  # y0 - 3 y1 + 3 y2
-        a2 = abs(c2)
         if mean is not None and not (abs(c3) <= DEGENERACY_RTOL
                                      * max(abs(c0), abs(c1), abs(c2), abs(c3))):
             if c3 == 0.0:
@@ -281,19 +260,22 @@ def _slx3_run(xs, ys, abscissae, forcing, out_xs, out_ys) -> StopReason:
                 t = select_root(_cubic_roots(c0, c1, c2, c3), p)
             except NonFiniteError:
                 return StopReason.NON_FINITE
-        elif a2 <= DEGENERACY_RTOL * max(abs(c0), abs(c1), a2):
-            if c1 == 0.0 or abs(c1) <= DEGENERACY_RTOL * max(abs(c0), abs(c1)):
-                return StopReason.DEGENERATE_COEFFICIENT
-            t = _linear_root(c0, c1)
-        elif c2 == 0.0:
-            return StopReason.DEGENERATE_COEFFICIENT
         else:
-            roots = _quadratic_roots(c0, c1, c2)
-            if not roots:
-                return StopReason.NO_REAL_ROOT
-            # select_root on the ascending pair: a tie keeps the smaller root
-            lo, hi = roots
-            t = hi if abs(hi - p) < abs(lo - p) else lo
+            c3, a2 = 0.0, abs(c2)
+            if a2 <= DEGENERACY_RTOL * max(abs(c0), abs(c1), a2):
+                if c1 == 0.0 or abs(c1) <= DEGENERACY_RTOL * max(abs(c0), abs(c1)):
+                    return StopReason.DEGENERATE_COEFFICIENT
+                c2, t = 0.0, -c0 / c1
+            elif c2 == 0.0:
+                return StopReason.DEGENERATE_COEFFICIENT
+            else:
+                roots = _quadratic_roots(c0, c1, c2)
+                if not roots:
+                    return StopReason.NO_REAL_ROOT
+                # select_root on the ascending pair: a tie keeps the smaller root
+                lo, hi = roots
+                t = hi if abs(hi - p) < abs(lo - p) else lo
+        t = _polish(c0, c1, c2, c3, t)
         if not abs(t) <= OVERFLOW_LIMIT:
             return StopReason.NON_FINITE
         out_xs.append(x)
@@ -412,7 +394,9 @@ def _check_lattice(seed: Stencil, h: float, n_steps: int):
         expected = x0 + k * h
         if abs(x - expected) > 1e-6 * abs(h) + 4.0 * math.ulp(expected):
             raise ValueError("seed abscissae inconsistent with the uniform lattice rule")
-    if not ((xs[1] - xs[0]) * h > 0.0 and (x0 + len(xs) * h - xs[-1]) * h > 0.0):
+    x_next = x0 + len(xs) * h  # directions, not products of spacings, which underflow
+    if not (xs[0] < xs[1] and xs[-1] < x_next if h > 0.0
+            else xs[0] > xs[1] and xs[-1] > x_next):
         raise ValueError("the lattice does not continue the seed monotonically")
     # rounding x0 + n*h is monotone in n, and a step this far above the
     # spacing of the floats keeps each rounded step strict

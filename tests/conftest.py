@@ -412,12 +412,13 @@ def _ref_real_roots(c):
             roots = [u + shift]
             if disc == 0.0 and pp != 0.0:
                 roots.append(-u / 2.0 + shift)
-    return sorted(_ref_polish(c, t) for t in roots)
+    return sorted(roots)
 
 
 def _ref_slx3_kernel(xs, ys, x_next, forcing):
     try:
-        roots = _ref_real_roots(_ref_slx3_coeffs(ys, forcing))
+        coeffs = _ref_slx3_coeffs(ys, forcing)
+        roots = _ref_real_roots(coeffs)
     except DegenerateCoefficientError:
         return StopReason.DEGENERATE_COEFFICIENT
     except NonFiniteError:
@@ -426,6 +427,7 @@ def _ref_slx3_kernel(xs, ys, x_next, forcing):
         return StopReason.NO_REAL_ROOT
     # the quadratic through the window at the next node of the uniform lattice
     t = roots[0] if len(roots) == 1 else select_root(roots, 3.0 * (ys[2] - ys[1]) + ys[0])
+    t = _ref_polish(coeffs, t)  # only the kept root is polished
     return t if math.isfinite(t) and abs(t) <= OVERFLOW_LIMIT else StopReason.NON_FINITE
 
 

@@ -85,6 +85,65 @@ def test_solve_poly_factored_cubics(r):
             assert got == pytest.approx(want, abs=1e-6)
 
 
+# test-only copies of the one-Newton-step polish that each degree once wrote
+# inline: the quadratic's block ran on its low and its high root alike
+
+def _former_linear_polish(c0, c1, t):
+    if math.isfinite(c1):
+        p = c1 * t + c0
+        t1 = t - p / c1
+        if math.isfinite(t1) and abs(c1 * t1 + c0) <= abs(p):
+            t = t1
+    return t
+
+
+def _former_quadratic_polish(c0, c1, c2, t):
+    dp = 2.0 * c2 * t + c1
+    if dp != 0.0 and math.isfinite(dp):
+        p = (c2 * t + c1) * t + c0
+        t1 = t - p / dp
+        if math.isfinite(t1) and abs((c2 * t1 + c1) * t1 + c0) <= abs(p):
+            t = t1
+    return t
+
+
+def _former_cubic_polish(c0, c1, c2, c3, t):
+    dp = (3.0 * c3 * t + 2.0 * c2) * t + c1
+    if dp != 0.0 and math.isfinite(dp):
+        p = ((c3 * t + c2) * t + c1) * t + c0
+        t1 = t - p / dp
+        if math.isfinite(t1) and abs(((c3 * t1 + c2) * t1 + c1) * t1 + c0) <= abs(p):
+            t = t1
+    return t
+
+
+COEFFICIENTS = st.one_of(st.floats(), st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), degree=st.sampled_from([1, 2, 3]),
+       c=st.lists(COEFFICIENTS, min_size=4, max_size=4), raw=st.booleans(),
+       t=st.one_of(st.floats(), st.sampled_from([math.inf, -math.inf, math.nan])))
+def test_polish_equals_the_former_per_degree_polish(data, degree, c, raw, t):
+    # zero for the coefficients a lower degree lacks; each degree's leading
+    # coefficient is nonzero, as its solver requires
+    c = c[:degree + 1] + [0.0] * (3 - degree)
+    assume(c[degree] != 0.0)
+    if raw:  # a root of the solver, which may be +-inf or NaN
+        try:
+            roots = ((-c[0] / c[1],) if degree == 1 else schemes._quadratic_roots(*c[:3])
+                     if degree == 2 else schemes._cubic_roots(*c))
+        except NonFiniteError:  # the cubic's depressed form overflows
+            roots = ()
+        assume(roots)
+        t = data.draw(st.sampled_from(roots))
+    former = (_former_linear_polish(c[0], c[1], t) if degree == 1
+              else _former_quadratic_polish(*c[:3], t) if degree == 2
+              else _former_cubic_polish(*c, t))
+    event(f"degree {degree}: {'polished' if repr(former) != repr(t) else 'kept'}")
+    assert repr(schemes._polish(*c, t)) == repr(former)
+
+
 def test_select_root():
     assert select_root([1.0, 5.0], 1.2) == 1.0
     assert select_root([1.0, 5.0], 4.9) == 5.0
@@ -403,6 +462,35 @@ def test_integrate_int_led_seed_equals_float_led(kind, forcing, f, x0, h):
     assert repr((got.xs[1:], got.ys, got.stop)) == repr((want.xs[1:], want.ys, want.stop))
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("kind, forcing", [(SchemeKind.SLX3, Constant(2.0)),
+                                           (SchemeKind.SLX3, IdentityInY()),
+                                           (SchemeKind.H5, Constant(0.0))])
+def test_slx3_and_h5_on_a_lattice_of_spacing_1e_170_step_as_on_spacing_1(kind, forcing, sign):
+    # a product of two such spacings underflows to 0, and the lattice check
+    # compares directions instead; neither loop reads an abscissa
+    arity = SCHEME_ARITY[kind]
+    ys = tuple(math.atanh(-0.9 + 0.1 * k) for k in range(arity))
+    tiny, unit = (Stencil(tuple(sign * h * k for k in range(arity)), ys) for h in (1e-170, 1.0))
+    got = integrate(SchemeSpec(kind, forcing, Uniform(sign * 1e-170)), tiny, 20)
+    want = integrate(SchemeSpec(kind, forcing, Uniform(sign)), unit, 20)
+    assert len(got.ys) > arity
+    assert repr((got.ys, got.stop)) == repr((want.ys, want.stop))
+    step = slx3_step if kind is SchemeKind.SLX3 else h5_step
+    assert repr(step(tiny, sign * 1e-170 * arity, forcing)) == repr(
+        step(unit, sign * arity, forcing))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_sly4_on_a_lattice_of_spacing_1e_170_stops_degenerate(sign):
+    # its seed's l3 underflows, which stops the first step; the lattice is valid
+    xs = tuple(sign * 1e-170 * k for k in range(4))
+    seed = Stencil(xs, tuple(math.tan(-1.2 + 0.1 * k) for k in range(4)))
+    traj = integrate(SchemeSpec(SchemeKind.SLY4, Constant(0.0), Uniform(sign * 1e-170)), seed, 5)
+    assert traj.stop is StopReason.DEGENERATE_COEFFICIENT and traj.xs == xs
+    assert sly4_step(seed, sign * 4e-170, Constant(0.0)) is StopReason.DEGENERATE_COEFFICIENT
+
+
 def test_integrate_backward():
     f = lambda x: math.log(abs(x))
     seed = seed_stencil_from_function(f, 1.0, -1e-3, 3)
@@ -690,6 +778,32 @@ def test_h5_first_window_overflow_stops_as_non_finite():
     assert integrate(spec, seed, 5).stop is StopReason.COMPLETED
 
 
+#: windows over x = 0, 0.1, ... whose first zero-forcing step stops
+#: NON_FINITE at a return of its run loop that no other test reaches
+FIRST_STEP_NON_FINITE = {
+    # products of two ordinates overflow, so every coefficient of the
+    # quadratic is NaN, which disables the degeneracy tests; the kept root is
+    # NaN, and |t| <= OVERFLOW_LIMIT is false
+    "slx3-root": (SchemeKind.SLX3, (2.56186378782458e257, 2.5933638886239894e257,
+                                    2.561863812844665e257)),
+    # y3 * (y4 - y2) overflows in a*t = b
+    "h5-line": (SchemeKind.H5, (4.137153556905783e160, 4.1371535562890215e160,
+                                4.137153557161971e160, 4.1371550557453077e160,
+                                4.137150846082239e160)),
+}
+
+
+@pytest.mark.parametrize("kind, ys", FIRST_STEP_NON_FINITE.values(), ids=FIRST_STEP_NON_FINITE)
+def test_first_step_stops_as_non_finite(kind, ys):
+    forcing, xs = Constant(0.0), tuple(0.1 * k for k in range(len(ys)))
+    seed, x_next = Stencil(xs, ys), 0.1 * len(ys)
+    step = slx3_step if kind is SchemeKind.SLX3 else h5_step
+    assert step(seed, x_next, forcing) is StopReason.NON_FINITE
+    assert ref_step(kind, forcing)(xs, ys, x_next) is StopReason.NON_FINITE
+    traj = integrate(SchemeSpec(kind, forcing, Uniform(0.1)), seed, 5)
+    assert traj.stop is StopReason.NON_FINITE and traj.xs == xs
+
+
 # --- the run loops against the composed kernels ----------------------------------------
 
 TAN_RECIPROCAL = lambda x: math.tan(1.0 / x)
@@ -726,15 +840,14 @@ def _assert_integrate_is_composed(spec, seed, n_steps):
 
 #: per degree of the slx3 step and per branch of its descent, where a
 #: degenerate leading coefficient drops the cleared polynomial one degree:
-#: (ys, forcing, the solver that runs)
+#: (ys, forcing, the root solver that runs); a linear degree runs no solver
 SLX3_DEGREES = {
     "quadratic": ((0.0, 0.4, 0.7), Constant(0.5), "_quadratic_roots"),
     "cubic": ((0.0, 0.4, 0.7), IdentityInY(), "_cubic_roots"),
     "cubic-mean": ((0.0, 0.4, 0.7), IdentityInY(stencil_mean=True), "_cubic_roots"),
     "cubic-to-quadratic": ((1e7, 1e7 + 1.0, 1e7 + 3.0), IdentityInY(), "_quadratic_roots"),
-    "cubic-to-linear": ((1e7, 1e7 + 1.0, 1e7 + 3.0), IdentityInY(stencil_mean=True),
-                        "_linear_root"),
-    "quadratic-to-linear": ((0.0, 0.4, 0.7), Constant(0.0), "_linear_root"),
+    "cubic-to-linear": ((1e7, 1e7 + 1.0, 1e7 + 3.0), IdentityInY(stencil_mean=True), ""),
+    "quadratic-to-linear": ((0.0, 0.4, 0.7), Constant(0.0), ""),
     # c0 is NaN, so the exact zero leading coefficient stops the step
     "nan-scale-quadratic": ((-1e300, 1e300, 1e300), Constant(0.5), None),
     "nan-scale-cubic": ((-1e300, 1e300, 1e300), IdentityInY(), None),
@@ -744,18 +857,21 @@ SLX3_DEGREES = {
 @pytest.mark.parametrize("ys, forcing, solver", SLX3_DEGREES.values(), ids=SLX3_DEGREES)
 def test_slx3_descent_equals_composed_kernels(ys, forcing, solver):
     xs = (0.0, 0.5, 1.0)
-    solvers = ("_linear_root", "_quadratic_roots", "_cubic_roots")
+    counted = ("_quadratic_roots", "_cubic_roots", "_polish")
+    spec = SchemeSpec(SchemeKind.SLX3, forcing, Uniform(0.5))
     with ExitStack() as stack:
         calls = {name: stack.enter_context(mock.patch.object(
-                     schemes, name, wraps=getattr(schemes, name))) for name in solvers}
+                     schemes, name, wraps=getattr(schemes, name))) for name in counted}
         t = slx3_step(Stencil(xs, ys), 1.5, forcing)
-    assert {name: calls[name].call_count for name in solvers if calls[name].called} == (
-        {solver: 1} if solver else {})
+        # the step's one root solver, if any, and one polish of the kept root
+        assert {name: calls[name].call_count for name in counted if calls[name].called} == (
+            {} if solver is None else {solver: 1, "_polish": 1} if solver else {"_polish": 1})
+        calls["_polish"].reset_mock()
+        traj = integrate(spec, Stencil(xs, ys), 20)
+        assert calls["_polish"].call_count == len(traj.ys) - len(ys)
     want = _ref_slx3_kernel(xs, ys, 1.5, forcing)
     assert repr(t) == repr(want)
     assert (t is StopReason.DEGENERATE_COEFFICIENT) == (solver is None)
-    spec = SchemeSpec(SchemeKind.SLX3, forcing, Uniform(0.5))
-    traj = integrate(spec, Stencil(xs, ys), 20)
     assert (traj.xs, traj.ys, traj.stop) == scheme_reference_loop(spec, Stencil(xs, ys), 20)
 
 
