@@ -7,10 +7,9 @@ between threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Callable, Sequence
 
 
 class DegenerateCoefficientError(ArithmeticError):
@@ -117,9 +116,31 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.xs)
 
-    @cached_property
-    def points(self) -> tuple[Point, ...]:
-        return tuple(map(Point, self.xs, self.ys))
+    @property
+    def points(self) -> Sequence[Point]:
+        """The nodes as :class:`Point` values, each built and checked only
+        when it is read."""
+        return _Points(self.xs, self.ys)
+
+
+class _Points(Sequence):
+    """Read-only view of equal-length abscissae and ordinates as points."""
+
+    __slots__ = ("_xs", "_ys")
+
+    def __init__(self, xs: tuple[float, ...], ys: tuple[float, ...]):
+        self._xs, self._ys = xs, ys
+
+    def __len__(self) -> int:
+        return len(self._xs)
+
+    def __getitem__(self, i: int | slice) -> Point | tuple[Point, ...]:
+        if isinstance(i, slice):
+            return tuple(map(Point, self._xs[i], self._ys[i]))
+        return Point(self._xs[i], self._ys[i])
+
+    def __iter__(self) -> Iterator[Point]:
+        return map(Point, self._xs, self._ys)
 
 
 # --- forcing terms -----------------------------------------------------------

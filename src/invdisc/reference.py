@@ -9,6 +9,7 @@ throughout.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -401,4 +402,4 @@ def chi(candidate: Trajectory | Sequence[float], reference: Sequence[float]) -> 
     denom = math.hypot(*reference)
     if denom == 0.0:
         raise DegenerateCoefficientError("reference is identically zero")
-    return math.hypot(*[a - b for a, b in zip(ys, reference)]) / denom
+    return math.hypot(*map(operator.sub, ys, reference)) / denom

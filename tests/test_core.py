@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from invdisc import (Constant, ConstantS, FunctionOfX, IdentityInY, Jet,
                      NonFiniteError, Point, SchemeKind, SchemeSpec, StopReason,
-                     Uniform, integrate, seed_stencil_from_function,
-                     stencil_from_sequences)
+                     Trajectory, Uniform, core, integrate,
+                     seed_stencil_from_function, stencil_from_sequences)
 
 from conftest import STEPS
 
@@ -72,6 +72,65 @@ def test_point_and_jet_reject_non_finite():
         Jet(0.0, (1, 2, 3, float("nan"), 5, 6))
     with pytest.raises(ValueError):
         Jet(0.0, (1, 2, 3))
+
+
+def _sly4_run(n_steps=40):
+    spec = SchemeSpec(SchemeKind.SLY4, Constant(0.0), Uniform(0.01))
+    return integrate(spec, seed_stencil_from_function(math.tan, 0.0, 0.01, 4), n_steps)
+
+
+def test_trajectory_points_are_built_only_when_read(monkeypatch):
+    built = []
+
+    class CountingPoint(Point):
+        def __post_init__(self):
+            built.append((self.x, self.y))
+            super().__post_init__()
+
+    traj = _sly4_run()
+    monkeypatch.setattr(core, "Point", CountingPoint)
+    assert len(traj.points) == len(traj.xs) == 44
+    assert built == []
+    last = traj.points[-1]
+    assert built == [(traj.xs[-1], traj.ys[-1])]
+    assert type(last) is CountingPoint
+
+
+def test_trajectory_points_view_reads_like_a_tuple():
+    traj = _sly4_run()
+    points = tuple(map(Point, traj.xs, traj.ys))
+    view = traj.points
+    assert tuple(view) == tuple(iter(view)) == points
+    assert [view[i] for i in range(len(view))] == list(points)
+    for i in (-1, -2, -len(points)):
+        assert view[i] == points[i]
+    for s in (slice(None), slice(3, 9), slice(-5, None), slice(None, None, -3),
+              slice(50, 60)):
+        assert view[s] == points[s]
+    assert list(reversed(view)) == list(reversed(points))
+    assert points[7] in view and view.index(points[7]) == 7
+    for i in (len(points), -len(points) - 1):
+        with pytest.raises(IndexError):
+            view[i]
+
+
+def test_trajectory_points_check_each_point_when_read():
+    xs, ys = (0.0, 1.0, 2.0), (1.0, math.inf, 3.0)
+    traj = Trajectory(xs, ys, StopReason.NON_FINITE, "test", 1.0)
+    assert len(traj.points) == 3
+    assert traj.points[0] == Point(0.0, 1.0) and traj.points[2:] == (Point(2.0, 3.0),)
+    with pytest.raises(NonFiniteError):
+        traj.points[1]
+    with pytest.raises(NonFiniteError):
+        tuple(traj.points)
+
+
+def test_trajectory_identity_ignores_points():
+    a, b = _sly4_run(), _sly4_run()
+    h = hash(a)
+    assert a == b and hash(b) == h
+    tuple(a.points), a.points[-1]
+    assert a == b and hash(a) == hash(b) == h
 
 
 def jet_generator_form(x, d):

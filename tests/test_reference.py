@@ -417,6 +417,23 @@ def test_chi_far_from_unit_scale(scale):
     assert value == pytest.approx(0.1 / math.sqrt(5.0), rel=1e-12)
 
 
+def chi_list_form(ys, reference):
+    """Test-only copy of chi's former quotient, its deviations in a list."""
+    return (math.hypot(*[a - b for a, b in zip(ys, reference)])
+            / math.hypot(*reference))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8_000])
+def test_chi_matches_list_form(rng, n):
+    # magnitudes spread over 1e-150..1e150, both signs, so hypot rescales
+    scale = 10.0 ** rng.uniform(-150, 150, n)
+    ref = (rng.standard_normal(n) * scale).tolist()
+    ys = [r * (1 + d) for r, d in zip(ref, rng.standard_normal(n) * 1e-6)]
+    expected = chi_list_form(ys, ref)
+    assert chi(_traj(ys), ref) == expected
+    assert chi(ys, ref) == expected
+
+
 def test_import_leaves_numpy_out():
     src = str(Path(invdisc.__file__).parents[1])
     code = "import sys, invdisc; print('numpy' in sys.modules)"
