@@ -33,13 +33,14 @@ def _cross_ratio(a0: float, a1: float, a2: float, a3: float) -> float:
     if is_degenerate(d1, scale) or is_degenerate(d2, scale) or den == 0.0:
         raise DegenerateCoefficientError(
             f"cross-ratio denominator vanishes on window ({a0}, {a1}, {a2}, {a3})")
-    q = (n1 * n2) / den
-    if q != q:  # inf / inf: both products overflow
+    num = n1 * n2
+    if abs(num) < math.inf and abs(den) < math.inf:
+        return num / den
+    # a product overflows (or a value is NaN); paired with its denominator,
+    # each factor is below 1 / DEGENERACY_RTOL in size
+    q = (n1 / d1) * (n2 / d2)
+    if q != q:
         raise NonFiniteError(f"cross-ratio is NaN on window ({a0}, {a1}, {a2}, {a3})")
-    if abs(q) == math.inf:
-        # only the numerator's product overflows; paired with its
-        # denominator, each factor is below 1 / DEGENERACY_RTOL in size
-        q = (n1 / d1) * (n2 / d2)
     return q
 
 
@@ -58,25 +59,28 @@ def cross_ratio(w: CrossRatioWindow) -> float:
 
 
 def _ratio_r_over_s(xs, ys, k: int) -> float:
-    """R_{k+3}/S_{k+3} in one full-precision expression; NonFiniteError where
-    it is NaN (products of y-differences past about 1e154 are inf / inf)."""
-    ry = (ys[k + 3] - ys[k + 1]) * (ys[k + 2] - ys[k])
-    dy = (ys[k + 3] - ys[k + 2]) * (ys[k + 1] - ys[k])
-    rx = (xs[k + 3] - xs[k + 1]) * (xs[k + 2] - xs[k])
-    dx = (xs[k + 3] - xs[k + 2]) * (xs[k + 1] - xs[k])
-    y_scale = max(abs(ys[k + 3] - ys[k + 2]), abs(ys[k + 1] - ys[k]),
-                  abs(ys[k + 3] - ys[k + 1]), abs(ys[k + 2] - ys[k]))
-    if is_degenerate(ys[k + 3] - ys[k + 2], y_scale) or \
-       is_degenerate(ys[k + 1] - ys[k], y_scale):
+    """R_{k+3}/S_{k+3} in one full-precision expression, or, where one of its
+    products overflows, as a product of paired difference ratios;
+    NonFiniteError where that is NaN (a NaN coordinate)."""
+    ny1, ny2 = ys[k + 3] - ys[k + 1], ys[k + 2] - ys[k]
+    dy1, dy2 = ys[k + 3] - ys[k + 2], ys[k + 1] - ys[k]
+    nx1, nx2 = xs[k + 3] - xs[k + 1], xs[k + 2] - xs[k]
+    dx1, dx2 = xs[k + 3] - xs[k + 2], xs[k + 1] - xs[k]
+    y_scale = max(abs(dy1), abs(dy2), abs(ny1), abs(ny2))
+    if is_degenerate(dy1, y_scale) or is_degenerate(dy2, y_scale):
         raise DegenerateCoefficientError("repeated y-values in cross-ratio window")
     # x-differences cannot vanish on a valid stencil, rx may:
-    x_scale = max(abs(xs[k + 3] - xs[k + 1]), abs(xs[k + 2] - xs[k]))
-    den = dy * rx
+    x_scale = max(abs(nx1), abs(nx2))
+    rx = nx1 * nx2
+    den = dy1 * dy2 * rx
     if is_degenerate(rx, x_scale * x_scale) or den == 0.0:
         raise DegenerateCoefficientError("vanishing denominator of R/S")
-    q = (ry * dx) / den
+    num = ny1 * ny2 * (dx1 * dx2)
+    if abs(num) < math.inf and abs(den) < math.inf:
+        return num / den
+    q = (ny1 / dy1) * (ny2 / dy2) * ((dx1 / nx1) * (dx2 / nx2))
     if q != q:
-        raise NonFiniteError(f"R/S is NaN on window {k} (its products overflow)")
+        raise NonFiniteError(f"R/S is NaN on window {k}")
     return q
 
 

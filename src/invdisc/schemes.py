@@ -4,17 +4,18 @@ solving the invariant equation for the new ordinate.
 The fourth-order scheme (Mobius maps of y) is a recursion on the ratio of
 successive ordinate differences, and the six-point product-group scheme
 reduces to a linear equation a*t = b in the new ordinate t.  The
-third-order hodograph scheme is quadratic for constant forcing and cubic
-when the forcing is the dependent variable itself.  A degenerate leading
-coefficient drops its polynomial one degree, down to the linear weakly
-invariant form.  Each step predicts y0 - 3 y1 + 3 y2, the quadratic through
-the window at the next node; the degree its descent ends on keeps its real
-root nearest it, and :func:`_polish` polishes only that root.
+third-order hodograph scheme sets m3 to a + b*t, which clears to one
+polynomial in t: a quadratic for constant forcing (b = 0), a cubic when the
+forcing is the dependent variable itself or its stencil mean.  A degenerate
+leading coefficient drops the polynomial one degree, down to the linear
+weakly invariant form.  Each step predicts y0 - 3 y1 + 3 y2, the quadratic
+through the window at the next node; the degree its descent ends on keeps
+its real root nearest it, and :func:`_polish` polishes only that root.
 
 Each scheme has one straight-line run loop on plain floats, which advances
 a window over a sequence of abscissae and returns the :class:`StopReason`
-that ends the run: ``_sly4_run``, ``_slx3_run`` (constant and identity
-forcing) and ``_h5_run``.  ``slx3`` and ``h5`` evaluate each step's
+that ends the run: ``_sly4_run``, ``_slx3_run`` (every forcing of the form
+a + b*t) and ``_h5_run``.  ``slx3`` and ``h5`` evaluate each step's
 invariants inline, with the float operations and degeneracy checks of
 :mod:`invdisc.discrete`, which stays their definition, and carry what the
 next window would recompute: ``slx3`` two ordinate differences, ``h5`` its
@@ -221,45 +222,32 @@ def _sly4_run(xs, ys, abscissae, fn, out_xs, out_ys) -> StopReason:
 
 def _slx3_run(xs, ys, abscissae, forcing, out_xs, out_ys) -> StopReason:
     """Run loop of the third-order scheme on a uniform lattice (S = 4): each
-    step keeps the real root of its cleared polynomial nearest the quadratic
-    through the window at the next node, p = y0 - 3 y1 + 3 y2.  ``forcing``
-    is (c, None) for constant forcing c, a quadratic, or (None, stencil_mean)
-    for identity forcing, a cubic.  A leading coefficient at most
-    DEGENERACY_RTOL times the largest remaining one in size drops the
-    polynomial one degree, and each degree picks its own unpolished root; a
-    NaN scale disables that test, not the exact zero test, which stops the
-    run.  The kept root alone is polished, on the polynomial of the degree
-    that picked it, with zero for the coefficients that degree dropped."""
-    c, mean = forcing
+    step clears m3(window + new point) = a + b t, with ``forcing`` = (c, w, b)
+    and a = c + w (y0 + y1 + y2), into the cubic c0 + c1 t + c2 t^2 + c3 t^3
+    and keeps its real root nearest the quadratic through the window at the
+    next node, p = y0 - 3 y1 + 3 y2.  A zero c3, or a leading coefficient at
+    most DEGENERACY_RTOL times the largest one in size, drops the polynomial
+    one degree, and each degree picks its own unpolished root; a NaN scale
+    disables the relative test, and a zero c2 or c1 then stops the run.  The
+    kept root alone is polished, on the polynomial of the degree that picked
+    it, with zero for the coefficients that degree dropped."""
+    c, w, b = forcing
     y0, y1, y2 = ys
     dy10, dy21 = y1 - y0, y2 - y1
     for x in abscissae:
-        # the weakly invariant part lin0 + lin1*t is
-        # 24 (y1 - y0)(t - y2) - 6 (y2 - y0)(t - y1); the forcing enters
-        # multiplied by `common`
-        dy20 = y2 - y0
+        # lin0 + lin1*t - common*(a + b*t)(t - y0)(t - y2), whose weakly
+        # invariant part is 24 (y1 - y0)(t - y2) - 6 (y2 - y0)(t - y1)
+        dy20, s02 = y2 - y0, y0 + y2
         common = 4.0 * dy21 * dy10
         lin1 = 24.0 * dy10 - 6.0 * dy20
         lin0 = -24.0 * y2 * dy10 + 6.0 * y1 * dy20
-        if mean is None:
-            cc = c * common
-            c0, c1, c2 = lin0 - cc * y0 * y2, lin1 + cc * (y0 + y2), -cc
-        elif mean:  # rhs(t) = (y0 + y1 + y2 + t)/4
-            s3 = y0 + y1 + y2
-            q = common / 4.0
-            c0, c1, c2, c3 = (lin0 - q * s3 * y0 * y2, lin1 - q * (y0 * y2 - s3 * (y0 + y2)),
-                              -q * (s3 - y0 - y2), -q)
-        else:  # rhs(t) = t
-            c0, c1, c2, c3 = lin0, lin1 - common * y0 * y2, common * (y0 + y2), -common
+        ca, cb = common * (c + w * (y0 + y1 + y2) if w else c), common * b
+        c0, c1 = lin0 - ca * y0 * y2, lin1 + ca * s02 - cb * y0 * y2
+        c2, c3 = cb * s02 - ca, -cb
         p = 3.0 * dy21 + y0  # y0 - 3 y1 + 3 y2
-        if mean is not None and not (abs(c3) <= DEGENERACY_RTOL
-                                     * max(abs(c0), abs(c1), abs(c2), abs(c3))):
-            if c3 == 0.0:
-                return StopReason.DEGENERATE_COEFFICIENT
-            try:
-                t = select_root(_cubic_roots(c0, c1, c2, c3), p)
-            except NonFiniteError:
-                return StopReason.NON_FINITE
+        if c3 != 0.0 and not abs(c3) <= DEGENERACY_RTOL * max(abs(c0), abs(c1), abs(c2),
+                                                              abs(c3)):
+            t = select_root(_cubic_roots(c0, c1, c2, c3), p)
         else:
             c3, a2 = 0.0, abs(c2)
             if a2 <= DEGENERACY_RTOL * max(abs(c0), abs(c1), a2):
@@ -290,8 +278,8 @@ def _h5_run(xs, ys, abscissae, c, out_xs, out_ys) -> StopReason:
     window give R5 from :func:`discrete._h5_r5_line`, and cross-ratio(y2, y3,
     y4, t) = R5 clears to a*t = b.  The abscissae do not enter on a uniform
     lattice.  The first window's R3 is discrete._cross_ratio, whose degeneracy
-    or overflow stops the first step; each step's R4 is that cross-ratio
-    inline, and, checked and with its differences, the next window's R3."""
+    or NaN stops the first step; each step's R4 is that cross-ratio inline,
+    and, checked and with its differences, the next window's R3."""
     y0, y1, y2, y3, y4 = ys
     try:
         r3 = _cross_ratio(y0, y1, y2, y3)
@@ -363,10 +351,11 @@ def sly4_step(prev4: Stencil, x_next: float,
 def slx3_step(prev3: Stencil, x_next: float, forcing: ForcingTerm) -> float | StopReason:
     """Advance the third-order hodograph scheme on a uniform lattice.
 
-    Clears m3(prev3 + new point) = rhs into a polynomial of degree 2 (constant
-    forcing) or 3 (identity forcing), which a degenerate leading coefficient
-    drops one degree, and keeps the real root nearest y0 - 3 y1 + 3 y2, the
-    quadratic through prev3 at the next node; no real root means a barrier.
+    Clears m3(prev3 + new point) = a + b t, the forcing at the new point t,
+    into a polynomial of degree 2 (constant forcing, b = 0) or 3 (identity
+    forcing), which a degenerate leading coefficient drops one degree, and
+    keeps the real root nearest y0 - 3 y1 + 3 y2, the quadratic through
+    prev3 at the next node; no real root means a barrier.
     """
     return _step(SchemeKind.SLX3, prev3, x_next, forcing)
 
@@ -415,12 +404,13 @@ def _resolve(scheme: SchemeKind, forcing: ForcingTerm, stencil: Stencil):
         if scheme is SchemeKind.SLY4:
             return _sly4_run, lambda _x, c=forcing.c: c
         if scheme is SchemeKind.SLX3:
-            return _slx3_run, (forcing.c, None)
+            return _slx3_run, (forcing.c, 0.0, 0.0)
         return _h5_run, forcing.c
     if isinstance(forcing, FunctionOfX) and scheme is SchemeKind.SLY4:
         return _sly4_run, forcing.fn
     if isinstance(forcing, IdentityInY) and scheme is SchemeKind.SLX3:
-        return _slx3_run, (None, forcing.stencil_mean)
+        # rhs(t) = t, or the stencil mean (y0 + y1 + y2 + t)/4
+        return _slx3_run, (0.0, 0.25, 0.25) if forcing.stencil_mean else (0.0, 0.0, 1.0)
     raise ValueError(f"{scheme.value} does not take the forcing {forcing!r}")
 
 

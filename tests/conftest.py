@@ -335,11 +335,10 @@ def _ref_slx3_coeffs(ys, forcing):
         coeffs = (lin0 - c * common * y0 * y2, lin1 + c * common * (y0 + y2), -c * common)
     elif not forcing.stencil_mean:
         coeffs = (lin0, lin1 - common * y0 * y2, common * (y0 + y2), -common)
-    else:
-        s3 = y0 + y1 + y2
-        q = common / 4.0
-        coeffs = (lin0 - q * s3 * y0 * y2, lin1 - q * (y0 * y2 - s3 * (y0 + y2)),
-                  -q * (s3 - y0 - y2), -q)
+    else:  # rhs(t) = a + b t with a = (y0 + y1 + y2)/4, b = 1/4
+        ca, cb = common * (0.25 * (y0 + y1 + y2)), common * 0.25
+        coeffs = (lin0 - ca * y0 * y2, lin1 + ca * (y0 + y2) - cb * y0 * y2,
+                  cb * (y0 + y2) - ca, -cb)
     scale = max(map(abs, coeffs))
     n = len(coeffs)
     while n > 2 and is_degenerate(coeffs[n - 1], scale):

@@ -8,7 +8,7 @@ from invdisc import (DegenerateCoefficientError, NonFiniteError, cross_ratio, h5
                      h5_uniform, l3, l4, l5, m3, m4, m5,
                      seed_stencil_from_function, stencil_from_sequences,
                      w_coefficient, w0_sol2, wx_coefficient)
-from invdisc.discrete import CrossRatioWindow
+from invdisc.discrete import CrossRatioWindow, _ratio_r_over_s
 from invdisc.lattice import extend_constant_s
 
 from conftest import make_mobius, random_mobius
@@ -61,32 +61,57 @@ def test_underflowing_denominator_is_degenerate(evaluate, xs, ys):
 
 
 #: ordinates (0, 1, 3, 6, 10, 15) times 1e155: the products of two
-#: y-differences overflow, and R/S is inf / inf
-NAN_RATIO_YS = tuple(v * 1e155 for v in (0.0, 1.0, 3.0, 6.0, 10.0, 15.0))
+#: y-differences overflow, and R/S in one expression is inf / inf
+OVERFLOW_RATIO_YS = tuple(v * 1e155 for v in (0.0, 1.0, 3.0, 6.0, 10.0, 15.0))
 
 
 @pytest.mark.parametrize("evaluate, n", [(l3, 4), (m3, 4), (l4, 5), (m4, 5), (l5, 6),
                                          (m5, 6), (h5_discrete, 6)],
                          ids=["l3", "m3", "l4", "m4", "l5", "m5", "h5_discrete"])
 def test_overflowing_ratio_is_non_finite(evaluate, n):
+    # where its products overflow, R/S is formed from paired difference
+    # ratios, and it does not depend on the scale of y
     xs = [float(k) for k in range(n)]
-    with pytest.raises(NonFiniteError, match="R/S is NaN"):
-        evaluate(stencil_from_sequences(xs, NAN_RATIO_YS[:n]))
-    # R/S does not depend on the scale of y, below the overflow
+    got = evaluate(stencil_from_sequences(xs, OVERFLOW_RATIO_YS[:n]))
     for scale in (1.0, 1e150):
-        ys = [v / 1e155 * scale for v in NAN_RATIO_YS[:n]]
-        assert math.isfinite(evaluate(stencil_from_sequences(xs, ys)))
-    assert l3(stencil_from_sequences(xs[:4], [v / 1e5 for v in NAN_RATIO_YS[:4]])) == -0.5
+        ys = [v / 1e155 * scale for v in OVERFLOW_RATIO_YS[:n]]
+        want = evaluate(stencil_from_sequences(xs, ys))
+        if evaluate in (m3, m4, m5):
+            # M scales as 1/y^2 and underflows at 1e155
+            assert math.isfinite(want) and math.isfinite(got) and abs(got) < 1e-300
+        else:
+            assert got == pytest.approx(want, rel=1e-13)
+    assert l3(stencil_from_sequences(xs[:4], [v / 1e5 for v in OVERFLOW_RATIO_YS[:4]])) == -0.5
+    assert l3(stencil_from_sequences(xs[:4], OVERFLOW_RATIO_YS[:4])) == -0.5
 
 
 def test_overflowing_cross_ratio_is_non_finite():
-    # both products of two differences overflow, and the quotient is inf / inf
-    with pytest.raises(NonFiniteError, match=r"window \(0\.0, 1e\+155, 3e\+155, 6e\+155\)"):
-        cross_ratio(CrossRatioWindow(*NAN_RATIO_YS[:4]))
-    # the cross-ratio does not depend on the scale, below the overflow
+    # both products of two differences overflow: the paired factors give the
+    # cross-ratio of the scaled-down windows
+    assert cross_ratio(CrossRatioWindow(*OVERFLOW_RATIO_YS[:4])) == 5.0
     for scale in (1.0, 1e150):
-        ys = (v / 1e155 * scale for v in NAN_RATIO_YS[:4])
+        ys = (v / 1e155 * scale for v in OVERFLOW_RATIO_YS[:4])
         assert cross_ratio(CrossRatioWindow(*ys)) == 5.0
+    # a NaN coordinate is the one non-finite value left
+    with pytest.raises(NonFiniteError, match=r"cross-ratio is NaN on window \(nan, "):
+        cross_ratio(CrossRatioWindow(math.nan, 1.0, 3.0, 6.0))
+    with pytest.raises(NonFiniteError, match="R/S is NaN on window 0"):
+        _ratio_r_over_s((0.0, 1.0, 2.0, 3.0), (math.nan, 1.0, 3.0, 6.0), 0)
+
+
+def test_overflowing_denominator_is_paired():
+    # only the denominator's product overflows, where the one-expression
+    # quotient reads 0.0: paired, a cross-ratio of about 1e-10 and, in l3,
+    # an R/S of about -5e-6 (l3 = 2.0 for R/S = 0) equal their values on
+    # the 1e-10-scaled windows
+    w = (0.0, 1e155, 1e150, 1e155 + 1e150)
+    assert cross_ratio(CrossRatioWindow(*w)) == pytest.approx(
+        cross_ratio(CrossRatioWindow(*(v * 1e-10 for v in w))), rel=1e-9)
+    xs, ys = (0.0, 1.0, 2.0, 3.0), (0.0, 1e155, 2e155, 1e155 + 1e150)
+    got = l3(stencil_from_sequences(xs, ys))
+    assert got != 2.0
+    assert got == pytest.approx(l3(stencil_from_sequences(xs, [v * 1e-10 for v in ys])),
+                                rel=1e-12)
 
 
 def test_cross_ratio_with_an_overflowing_numerator_is_finite():

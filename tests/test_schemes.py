@@ -13,7 +13,7 @@ from invdisc import (Constant, CrossRatioWindow, FunctionOfX, IdentityInY,
                      integrate, l3, l4, m3, seed_stencil_from_function, select_root,
                      slx3_step, sly4_step, solve_poly, stencil_from_sequences)
 from invdisc import schemes
-from invdisc.core import SCHEME_ARITY
+from invdisc.core import DEGENERACY_RTOL, SCHEME_ARITY
 from invdisc.schemes import extrapolate, h5_step
 
 import shadow
@@ -142,6 +142,23 @@ def test_polish_equals_the_former_per_degree_polish(data, degree, c, raw, t):
               else _former_cubic_polish(*c, t))
     event(f"degree {degree}: {'polished' if repr(former) != repr(t) else 'kept'}")
     assert repr(schemes._polish(*c, t)) == repr(former)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), e3=st.floats(-300.0, 300.0), edge=st.booleans(),
+       signs=st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=3, max_size=3),
+       s3=st.sampled_from([-1.0, 1.0]))
+def test_cubic_roots_never_raise_past_the_slx3_degree_test(data, e3, edge, signs, s3):
+    # _slx3_run solves a cubic only when |c3| > DEGENERACY_RTOL * max|c_i|,
+    # so c2/c3, c1/c3 and c0/c3 stay below 1e13 and the depressed form's
+    # pp ** 3 below about 1e77: _cubic_roots' overflow check cannot fire there
+    c3 = s3 * 10.0 ** e3
+    c = [s * 10.0 ** data.draw(st.floats(-300.0, min(300.0, e3 + 13.0))) for s in signs]
+    if edge:  # |c3| the next float above the degree test's bound
+        c3 = s3 * math.nextafter(DEGENERACY_RTOL * max(map(abs, c)), math.inf)
+    assume(abs(c3) > DEGENERACY_RTOL * max(map(abs, c + [c3])))
+    roots = schemes._cubic_roots(*c, c3)
+    assert roots and all(map(math.isfinite, roots))
 
 
 def test_select_root():
@@ -691,10 +708,6 @@ def test_sly4_windows_stop_as_non_finite(xs, ys, forcing):
 #: per stop of the sly4 recursion: (ordinates over x = 0, 1, 2, 3, forcing,
 #: the stop of the first step)
 SLY4_RECURSION_STOPS = {
-    # a seed window whose l3 overflows (EXTREME_WINDOWS has one that l3
-    # finds degenerate)
-    "seed-overflow": (tuple(v * 1e155 for v in (0.0, 1.0, 3.0, 6.0)), Constant(0.0),
-                      StopReason.NON_FINITE),
     # y2 = y1: the seed's difference ratio has no denominator
     "seed-flat-middle": ((0.0, 1.0, 1.0, 3.0), Constant(0.0),
                          StopReason.DEGENERATE_COEFFICIENT),
@@ -721,11 +734,27 @@ def test_sly4_recursion_stops(ys, forcing, stop):
     assert integrate(spec, seed, 0).stop is StopReason.COMPLETED
 
 
+def test_sly4_seed_past_the_product_overflow_steps_as_its_unscaled_copy():
+    # (0, 1, 3, 6) times 1e155: the products of two y-differences in the
+    # seed's l3 overflow, and its R/S pairs them instead
+    xs, ys, forcing = (0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 3.0, 6.0), Constant(0.0)
+    big = tuple(v * 1e155 for v in ys)
+    spec = SchemeSpec(SchemeKind.SLY4, forcing, Uniform(1.0))
+    traj, unit = integrate(spec, Stencil(xs, big), 5), integrate(spec, Stencil(xs, ys), 5)
+    assert traj.stop is unit.stop is StopReason.COMPLETED
+    assert traj.ys[4:] == pytest.approx([v * 1e155 for v in unit.ys[4:]], rel=1e-15)
+    assert sly4_step(Stencil(xs, big), 4.0, forcing) == traj.ys[4]
+    assert ref_step(SchemeKind.SLY4, forcing)(xs, big, 4.0) == traj.ys[4]
+
+
 def test_sly4_step_stops_where_its_x_cross_ratio_overflows():
-    # products of two x-differences past 1e308 make the x cross-ratio inf / inf
+    # products of two x-differences past 1e308: the x cross-ratio pairs them
+    # and is finite, but the seed's l3 tests R/S's x product against the
+    # square of its x scale, which overflows, and finds it degenerate
     xs, ys, forcing = (0.0, 1e155, 2e155, 3e155), (0.0, 1.0, 3.0, 6.0), Constant(0.0)
+    assert cross_ratio(CrossRatioWindow(*xs[1:], 4e155)) == pytest.approx(4.0, rel=1e-15)
     out = sly4_step(Stencil(xs, ys), 4e155, forcing)
-    assert out is StopReason.NON_FINITE
+    assert out is StopReason.DEGENERATE_COEFFICIENT
     assert ref_step(SchemeKind.SLY4, forcing)(xs, ys, 4e155) is out
 
 
