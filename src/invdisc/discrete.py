@@ -10,6 +10,7 @@ tends to the lowest-order invariant of the product action.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .core import DegenerateCoefficientError, NonFiniteError, Stencil, is_degenerate
@@ -25,6 +26,10 @@ class CrossRatioWindow:
     a3: float
 
 
+#: the smallest normal float; a product below it in size has lost digits
+_MIN_NORMAL = sys.float_info.min
+
+
 def _cross_ratio(a0: float, a1: float, a2: float, a3: float) -> float:
     n1, n2 = a3 - a1, a2 - a0
     d1, d2 = a3 - a2, a1 - a0
@@ -34,10 +39,11 @@ def _cross_ratio(a0: float, a1: float, a2: float, a3: float) -> float:
         raise DegenerateCoefficientError(
             f"cross-ratio denominator vanishes on window ({a0}, {a1}, {a2}, {a3})")
     num = n1 * n2
-    if abs(num) < math.inf and abs(den) < math.inf:
+    if _MIN_NORMAL <= abs(den) < math.inf and (
+            num == 0.0 or _MIN_NORMAL <= abs(num) < math.inf):
         return num / den
-    # a product overflows (or a value is NaN); paired with its denominator,
-    # each factor is below 1 / DEGENERACY_RTOL in size
+    # a product overflows or is subnormal (or a value is NaN); paired with
+    # its denominator, each factor is below 1 / DEGENERACY_RTOL in size
     q = (n1 / d1) * (n2 / d2)
     if q != q:
         raise NonFiniteError(f"cross-ratio is NaN on window ({a0}, {a1}, {a2}, {a3})")
@@ -60,8 +66,8 @@ def cross_ratio(w: CrossRatioWindow) -> float:
 
 def _ratio_r_over_s(xs, ys, k: int) -> float:
     """R_{k+3}/S_{k+3} in one full-precision expression, or, where one of its
-    products overflows, as a product of paired difference ratios;
-    NonFiniteError where that is NaN (a NaN coordinate)."""
+    products overflows or is subnormal, as a product of paired difference
+    ratios; NonFiniteError where that is NaN (a NaN coordinate)."""
     ny1, ny2 = ys[k + 3] - ys[k + 1], ys[k + 2] - ys[k]
     dy1, dy2 = ys[k + 3] - ys[k + 2], ys[k + 1] - ys[k]
     nx1, nx2 = xs[k + 3] - xs[k + 1], xs[k + 2] - xs[k]
@@ -73,10 +79,13 @@ def _ratio_r_over_s(xs, ys, k: int) -> float:
     x_scale = max(abs(nx1), abs(nx2))
     rx = nx1 * nx2
     den = dy1 * dy2 * rx
-    if is_degenerate(rx, x_scale * x_scale) or den == 0.0:
+    sq = x_scale * x_scale  # past about 1.3e154 it overflows, and rx is tested by factor
+    if (is_degenerate(rx, sq) if sq < math.inf
+            else is_degenerate(min(abs(nx1), abs(nx2)), x_scale)) or den == 0.0:
         raise DegenerateCoefficientError("vanishing denominator of R/S")
     num = ny1 * ny2 * (dx1 * dx2)
-    if abs(num) < math.inf and abs(den) < math.inf:
+    if _MIN_NORMAL <= abs(den) < math.inf and (
+            num == 0.0 or _MIN_NORMAL <= abs(num) < math.inf):
         return num / den
     q = (ny1 / dy1) * (ny2 / dy2) * ((dx1 / nx1) * (dx2 / nx2))
     if q != q:
@@ -89,10 +98,13 @@ def _l(xs, ys, k: int, n: int) -> float:
     it n times the divided difference of the two windows of order n - 1 over
     the spanning x-difference."""
     if n == 3:
-        d = (xs[k + 2] - xs[k + 1]) * (xs[k + 3] - xs[k])
+        dx21, dx30 = xs[k + 2] - xs[k + 1], xs[k + 3] - xs[k]
+        d = dx21 * dx30
         if d == 0.0:  # underflow; the differences of distinct abscissae never vanish
             raise DegenerateCoefficientError("l3 denominator underflows")
-        return 6.0 / d * (1.0 - _ratio_r_over_s(xs, ys, k))
+        # 6/d, unless d overflows or is subnormal
+        w = 6.0 / d if _MIN_NORMAL <= abs(d) < math.inf else 6.0 / dx21 / dx30
+        return w * (1.0 - _ratio_r_over_s(xs, ys, k))
     return n / (xs[k + n] - xs[k]) * (_l(xs, ys, k + 1, n - 1) - _l(xs, ys, k, n - 1))
 
 
@@ -209,12 +221,19 @@ def _h5_r5_line(r3: float, r4: float, c: float) -> tuple[float, float, float]:
 
 def h5_uniform(r3: float, r4: float, r5: float) -> float:
     """Uniform-lattice (S = 4) form of the six-point product invariant: the c
-    of :func:`_h5_r5_line`'s relation."""
+    of :func:`_h5_r5_line`'s relation; NonFiniteError where its terms
+    overflow (R past about 1e154) or it is NaN."""
     scale = max(abs(r3), abs(r4), abs(r5), 4.0)
     for r in (r3, r4, r5):
         _check_factor(r - 4.0, scale, "R - 4 factor (window on the R = S manifold)")
-    a, b, _ = _h5_r5_line(r3, r4, 0.0)
-    return (a * r5 - b) / (2.0 * (r3 - 4.0) * (r4 - 4.0) * (r5 - 4.0))
+    try:
+        a, b, _ = _h5_r5_line(r3, r4, 0.0)
+    except OverflowError:  # r4 ** 2
+        raise NonFiniteError(f"h5_uniform{(r3, r4, r5)} overflows") from None
+    c = (a * r5 - b) / (2.0 * (r3 - 4.0) * (r4 - 4.0) * (r5 - 4.0))
+    if c != c:
+        raise NonFiniteError(f"h5_uniform{(r3, r4, r5)} is NaN")
+    return c
 
 
 def w_coefficient(x0: float, x1: float, x2: float, x3: float, x4: float,

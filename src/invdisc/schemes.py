@@ -4,18 +4,19 @@ solving the invariant equation for the new ordinate.
 The fourth-order scheme (Mobius maps of y) is a recursion on the ratio of
 successive ordinate differences, and the six-point product-group scheme
 reduces to a linear equation a*t = b in the new ordinate t.  The
-third-order hodograph scheme sets m3 to a + b*t, which clears to one
-polynomial in t: a quadratic for constant forcing (b = 0), a cubic when the
-forcing is the dependent variable itself or its stencil mean.  A degenerate
-leading coefficient drops the polynomial one degree, down to the linear
-weakly invariant form.  Each step predicts y0 - 3 y1 + 3 y2, the quadratic
-through the window at the next node; the degree its descent ends on keeps
-its real root nearest it, and :func:`_polish` polishes only that root.
+third-order hodograph scheme sets m3 to its forcing, which clears to one
+polynomial in the new difference u = t - y2: a quadratic for constant
+forcing, a cubic when the forcing is the dependent variable itself or its
+stencil mean.  A degenerate leading coefficient drops the polynomial one
+degree, down to the linear weakly invariant form.  Each step predicts
+y0 - 3 y1 + 3 y2, the quadratic through the window at the next node; the
+degree its descent ends on keeps its real root nearest it, and
+:func:`_polish` polishes a cubic's root.
 
 Each scheme has one straight-line run loop on plain floats, which advances
 a window over a sequence of abscissae and returns the :class:`StopReason`
-that ends the run: ``_sly4_run``, ``_slx3_run`` (every forcing of the form
-a + b*t) and ``_h5_run``.  ``slx3`` and ``h5`` evaluate each step's
+that ends the run: ``_sly4_run``, ``_slx3_run`` (every forcing, affine in
+the new ordinate) and ``_h5_run``.  ``slx3`` and ``h5`` evaluate each step's
 invariants inline, with the float operations and degeneracy checks of
 :mod:`invdisc.discrete`, which stays their definition, and carry what the
 next window would recompute: ``slx3`` two ordinate differences, ``h5`` its
@@ -36,7 +37,7 @@ from typing import Sequence
 from .core import (Constant, DEGENERACY_RTOL, DegenerateCoefficientError, ForcingTerm,
                    FunctionOfX, IdentityInY, NonFiniteError, OVERFLOW_LIMIT, SCHEME_ARITY,
                    SchemeKind, SchemeSpec, Stencil, StopReason, Trajectory)
-from .discrete import _cross_ratio, _h5_r5_line, _l
+from .discrete import _MIN_NORMAL, _cross_ratio, _h5_r5_line, _l
 
 
 # --- closed-form real roots ---------------------------------------------------
@@ -45,7 +46,8 @@ def _polish(c0: float, c1: float, c2: float, c3: float, t: float) -> float:
     """One Newton iteration on c0 + c1*t + c2*t^2 + c3*t^3 from the root t,
     accepted only if it reduces the residual: at (near-)multiple roots both
     p and p' are noise-level and the raw step can jump to an unrelated
-    point.  A lower degree passes zero for the coefficients it lacks."""
+    point.  A lower degree passes zero for the coefficients it lacks.  Only
+    :func:`solve_poly` and ``slx3``'s cubic path, for its trigonometric branch, call it."""
     dp = (3.0 * c3 * t + 2.0 * c2) * t + c1
     if dp != 0.0 and math.isfinite(dp):
         p = ((c3 * t + c2) * t + c1) * t + c0
@@ -221,54 +223,45 @@ def _sly4_run(xs, ys, abscissae, fn, out_xs, out_ys) -> StopReason:
 
 
 def _slx3_run(xs, ys, abscissae, forcing, out_xs, out_ys) -> StopReason:
-    """Run loop of the third-order scheme on a uniform lattice (S = 4): each
-    step clears m3(window + new point) = a + b t, with ``forcing`` = (c, w, b)
-    and a = c + w (y0 + y1 + y2), into the cubic c0 + c1 t + c2 t^2 + c3 t^3
-    and keeps its real root nearest the quadratic through the window at the
-    next node, p = y0 - 3 y1 + 3 y2.  A zero c3, or a leading coefficient at
-    most DEGENERACY_RTOL times the largest one in size, drops the polynomial
-    one degree, and each degree picks its own unpolished root; a NaN scale
-    disables the relative test, and a zero c2 or c1 then stops the run.  The
-    kept root alone is polished, on the polynomial of the degree that picked
-    it, with zero for the coefficients that degree dropped."""
-    c, w, b = forcing
+    """Run loop of the third-order scheme on a uniform lattice (S = 4) in the
+    new difference u = t - y2.  With a = y1 - y0, b = y2 - y1, s = a + b,
+    K = 4ab and the forcing f0 + f1 u at the new point (f0 = c + w (y0 + y1
+    + y2) + fb y2, f1 = fb for ``forcing`` = (c, w, fb)), m3 = forcing is
+    -K f1 u^3 - K (f0 + f1 s) u^2 + (18a - 6b - K f0 s) u - 6 s b = 0.  A
+    leading coefficient at most DEGENERACY_RTOL times the largest drops it
+    one degree; the last keeps its real root nearest u_p = 2b - a, polished
+    if cubic.  b = 0 (m3 has no value) stops the step; a NaN scale (a and b
+    infinite, opposite in sign) takes the cubic path to a NaN root."""
+    c, w, fb = forcing
     y0, y1, y2 = ys
-    dy10, dy21 = y1 - y0, y2 - y1
+    a, b = y1 - y0, y2 - y1
     for x in abscissae:
-        # lin0 + lin1*t - common*(a + b*t)(t - y0)(t - y2), whose weakly
-        # invariant part is 24 (y1 - y0)(t - y2) - 6 (y2 - y0)(t - y1)
-        dy20, s02 = y2 - y0, y0 + y2
-        common = 4.0 * dy21 * dy10
-        lin1 = 24.0 * dy10 - 6.0 * dy20
-        lin0 = -24.0 * y2 * dy10 + 6.0 * y1 * dy20
-        ca, cb = common * (c + w * (y0 + y1 + y2) if w else c), common * b
-        c0, c1 = lin0 - ca * y0 * y2, lin1 + ca * s02 - cb * y0 * y2
-        c2, c3 = cb * s02 - ca, -cb
-        p = 3.0 * dy21 + y0  # y0 - 3 y1 + 3 y2
-        if c3 != 0.0 and not abs(c3) <= DEGENERACY_RTOL * max(abs(c0), abs(c1), abs(c2),
-                                                              abs(c3)):
-            t = select_root(_cubic_roots(c0, c1, c2, c3), p)
+        if b == 0.0:
+            return StopReason.DEGENERATE_COEFFICIENT
+        s, k = a + b, 4.0 * a * b
+        f0 = (c + w * (y0 + y1 + y2) if w else c) + fb * y2
+        c0, c1 = -6.0 * s * b, 18.0 * a - 6.0 * b - k * f0 * s
+        c2, c3 = -k * (f0 + fb * s), -k * fb
+        up = 2.0 * b - a  # y0 - 3 y1 + 3 y2, less y2
+        if not abs(c3) <= DEGENERACY_RTOL * max(abs(c0), abs(c1), abs(c2), abs(c3)):
+            u = _polish(c0, c1, c2, c3, select_root(_cubic_roots(c0, c1, c2, c3), up))
+        elif not abs(c2) <= DEGENERACY_RTOL * max(abs(c0), abs(c1), abs(c2)):
+            roots = _quadratic_roots(c0, c1, c2)
+            if not roots:
+                return StopReason.NO_REAL_ROOT
+            # select_root on the ascending pair: a tie keeps the smaller root
+            lo, hi = roots
+            u = hi if abs(hi - up) < abs(lo - up) else lo
+        elif not abs(c1) <= DEGENERACY_RTOL * max(abs(c0), abs(c1)):
+            u = -c0 / c1
         else:
-            c3, a2 = 0.0, abs(c2)
-            if a2 <= DEGENERACY_RTOL * max(abs(c0), abs(c1), a2):
-                if c1 == 0.0 or abs(c1) <= DEGENERACY_RTOL * max(abs(c0), abs(c1)):
-                    return StopReason.DEGENERATE_COEFFICIENT
-                c2, t = 0.0, -c0 / c1
-            elif c2 == 0.0:
-                return StopReason.DEGENERATE_COEFFICIENT
-            else:
-                roots = _quadratic_roots(c0, c1, c2)
-                if not roots:
-                    return StopReason.NO_REAL_ROOT
-                # select_root on the ascending pair: a tie keeps the smaller root
-                lo, hi = roots
-                t = hi if abs(hi - p) < abs(lo - p) else lo
-        t = _polish(c0, c1, c2, c3, t)
+            return StopReason.DEGENERATE_COEFFICIENT
+        t = y2 + u
         if not abs(t) <= OVERFLOW_LIMIT:
             return StopReason.NON_FINITE
         out_xs.append(x)
         out_ys.append(t)
-        dy10, dy21 = dy21, t - y2
+        a, b = b, t - y2
         y0, y1, y2 = y1, y2, t
     return StopReason.COMPLETED
 
@@ -294,7 +287,12 @@ def _h5_run(xs, ys, abscissae, c, out_xs, out_ys) -> StopReason:
         den = dy43 * dy21
         if a43 <= tol or a21 <= tol or den == 0.0:
             return StopReason.DEGENERATE_COEFFICIENT
-        r4 = (dy42 * dy31) / den
+        num = dy42 * dy31
+        if _MIN_NORMAL <= abs(den) < math.inf and (
+                num == 0.0 or _MIN_NORMAL <= abs(num) < math.inf):
+            r4 = num / den
+        else:  # paired, as in discrete._cross_ratio
+            r4 = (dy42 / dy43) * (dy31 / dy21)
         a_r5, b_r5, scale = _h5_r5_line(r3, r4, c)
         if abs(a_r5) <= DEGENERACY_RTOL * scale:
             return StopReason.DEGENERATE_COEFFICIENT
@@ -351,11 +349,12 @@ def sly4_step(prev4: Stencil, x_next: float,
 def slx3_step(prev3: Stencil, x_next: float, forcing: ForcingTerm) -> float | StopReason:
     """Advance the third-order hodograph scheme on a uniform lattice.
 
-    Clears m3(prev3 + new point) = a + b t, the forcing at the new point t,
-    into a polynomial of degree 2 (constant forcing, b = 0) or 3 (identity
-    forcing), which a degenerate leading coefficient drops one degree, and
-    keeps the real root nearest y0 - 3 y1 + 3 y2, the quadratic through
-    prev3 at the next node; no real root means a barrier.
+    Clears m3(prev3 + new point t) = the forcing into a polynomial in
+    u = t - y2 of degree 2 (constant forcing) or 3 (identity forcing), which
+    a degenerate leading coefficient drops one degree, and keeps the real
+    root nearest y0 - 3 y1 + 3 y2, the quadratic through prev3 at the next
+    node; no real root means a barrier, and y2 = y1, where m3 has no value,
+    stops as degenerate.
     """
     return _step(SchemeKind.SLX3, prev3, x_next, forcing)
 

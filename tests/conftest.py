@@ -326,19 +326,24 @@ def _ref_h5_line(xs, ys, x_next, c):
 
 
 def _ref_slx3_coeffs(ys, forcing):
+    """Coefficients, low order first, of the polynomial in u = t - y2 to
+    which m3(ys + new point t) = rhs(t) clears on the uniform lattice: with
+    a = y1 - y0, b = y2 - y1, s = y2 - y0, K = 4ab and rhs(y2 + u) = f0 + f1 u,
+    24 a u - 6 s (u + b) - K (f0 + f1 u)(u + s) u, cut to the degree its
+    descent ends on.  DegenerateCoefficientError where b = 0, which leaves m3
+    without a value, or where the descent ends on a vanishing linear term."""
     y0, y1, y2 = ys
-    common = 4.0 * (y2 - y1) * (y1 - y0)
-    lin1 = 24.0 * (y1 - y0) - 6.0 * (y2 - y0)
-    lin0 = -24.0 * y2 * (y1 - y0) + 6.0 * y1 * (y2 - y0)
-    if isinstance(forcing, Constant):
-        c = forcing.c
-        coeffs = (lin0 - c * common * y0 * y2, lin1 + c * common * (y0 + y2), -c * common)
-    elif not forcing.stencil_mean:
-        coeffs = (lin0, lin1 - common * y0 * y2, common * (y0 + y2), -common)
-    else:  # rhs(t) = a + b t with a = (y0 + y1 + y2)/4, b = 1/4
-        ca, cb = common * (0.25 * (y0 + y1 + y2)), common * 0.25
-        coeffs = (lin0 - ca * y0 * y2, lin1 + ca * (y0 + y2) - cb * y0 * y2,
-                  cb * (y0 + y2) - ca, -cb)
+    a, b = y1 - y0, y2 - y1
+    if b == 0.0:
+        raise DegenerateCoefficientError("m3 has no value where y2 = y1")
+    if isinstance(forcing, Constant):  # rhs(t) = c
+        f0, f1 = forcing.c, 0.0
+    elif not forcing.stencil_mean:  # rhs(t) = t
+        f0, f1 = y2, 1.0
+    else:  # rhs(t) = (y0 + y1 + y2 + t) / 4
+        f0, f1 = (y0 + y1 + y2) / 4.0 + y2 / 4.0, 1.0 / 4.0
+    s, k = a + b, 4.0 * a * b
+    coeffs = (-6.0 * s * b, 18.0 * a - 6.0 * b - k * f0 * s, -k * (f0 + f1 * s), -k * f1)
     scale = max(map(abs, coeffs))
     n = len(coeffs)
     while n > 2 and is_degenerate(coeffs[n - 1], scale):
@@ -346,7 +351,7 @@ def _ref_slx3_coeffs(ys, forcing):
     if n < len(coeffs):
         coeffs = coeffs[:n]
         scale = max(map(abs, coeffs))
-    if coeffs[-1] == 0.0 or is_degenerate(coeffs[-1], scale):
+    if is_degenerate(coeffs[-1], scale):
         raise DegenerateCoefficientError("scheme polynomial degenerates")
     return coeffs
 
@@ -359,12 +364,9 @@ def _ref_horner(c, t):
 
 
 def _ref_polish(c, t):
-    if len(c) == 4:
-        dp = (3.0 * c[3] * t + 2.0 * c[2]) * t + c[1]
-    elif len(c) == 3:
-        dp = 2.0 * c[2] * t + c[1]
-    else:
-        dp = c[1]
+    """One Newton step on the cubic c from its root t, kept only if it does
+    not raise the residual."""
+    dp = (3.0 * c[3] * t + 2.0 * c[2]) * t + c[1]
     if dp == 0.0 or not math.isfinite(dp):
         return t
     p = _ref_horner(c, t)
@@ -424,9 +426,13 @@ def _ref_slx3_kernel(xs, ys, x_next, forcing):
         return StopReason.NON_FINITE
     if not roots:
         return StopReason.NO_REAL_ROOT
-    # the quadratic through the window at the next node of the uniform lattice
-    t = roots[0] if len(roots) == 1 else select_root(roots, 3.0 * (ys[2] - ys[1]) + ys[0])
-    t = _ref_polish(coeffs, t)  # only the kept root is polished
+    # the quadratic through the window at the next node of the uniform
+    # lattice, y0 - 3 y1 + 3 y2, less y2
+    p = 2.0 * (ys[2] - ys[1]) - (ys[1] - ys[0])
+    u = roots[0] if len(roots) == 1 else select_root(roots, p)
+    if len(coeffs) == 4:  # only a cubic's kept root is polished
+        u = _ref_polish(coeffs, u)
+    t = ys[2] + u
     return t if math.isfinite(t) and abs(t) <= OVERFLOW_LIMIT else StopReason.NON_FINITE
 
 

@@ -1,6 +1,6 @@
-"""Extended-precision shadow runs of the invariant schemes (so far ``sly4``),
-written from the invariant definitions in mpmath and with no code from
-``invdisc.schemes``.
+"""Extended-precision shadow runs of the invariant schemes (so far ``sly4``
+and ``slx3`` under constant forcing), written from the invariant definitions
+in mpmath and with no code from ``invdisc.schemes``.
 
 A shadow run starts from the same float seed and steps on the same float
 lattice nodes as the library, so its distance to a float run is the float
@@ -42,4 +42,40 @@ def sly4(xs, ys, nodes, forcing, digits=40):
             # cross_ratio(y1, y2, y3, t) = k is linear in t
             out.append((y2 * (y3 - y1) - k * y3 * (y2 - y1)) / ((y3 - y1) - k * (y2 - y1)))
             wx = [x1, x2, x3, x]
+    return out
+
+
+def slx3(xs, ys, nodes, c, digits=40):
+    """Ordinates of the third-order scheme m3 = c from the seed (xs, ys) over
+    ``nodes``, seed included, as mpf values; a run whose step has no real
+    root ends there, shorter than the nodes.
+
+    m3 of the window (y0, y1, y2, t) is 6 / ((t - y0)(y2 - y1)) * (1 - R/S),
+    R and S the cross-ratios of its ordinates and abscissae.  Cleared of its
+    denominators, m3 = c is the quadratic
+    6 (S (t - y2)(y1 - y0) - (t - y1)(y2 - y0)) = c S (y2 - y1)(y1 - y0)(t - y0)(t - y2)
+    in t, and each step keeps its real root nearest y0 - 3 y1 + 3 y2, the
+    quadratic through the window at the next node of a uniform lattice.
+    """
+    with mp.workdps(digits):
+        wx = [mp.mpf(x) for x in xs]
+        out = [mp.mpf(y) for y in ys]
+        for x in map(mp.mpf, nodes):
+            y0, y1, y2 = out[-3:]
+            s = cross_ratio(*wx, x)
+            # lin1 t + lin0 = k (t - y0)(t - y2)
+            lin1 = 6 * (s * (y1 - y0) - (y2 - y0))
+            lin0 = 6 * ((y2 - y0) * y1 - s * (y1 - y0) * y2)
+            k = c * s * (y2 - y1) * (y1 - y0)
+            qa, qb, qc = k, -k * (y0 + y2) - lin1, k * y0 * y2 - lin0
+            if qa == 0:
+                roots = [-qc / qb]
+            else:
+                disc = qb * qb - 4 * qa * qc
+                if disc < 0:
+                    break
+                roots = [(-qb - mp.sqrt(disc)) / (2 * qa), (-qb + mp.sqrt(disc)) / (2 * qa)]
+            p = y0 - 3 * y1 + 3 * y2
+            out.append(min(roots, key=lambda t: abs(t - p)))
+            wx = wx[1:] + [x]
     return out

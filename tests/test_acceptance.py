@@ -3,9 +3,9 @@ stated tolerance and printing a PASS/FAIL line.
 
 Criterion 3 is parametrized per step size.  Its h = 0.1 and h = 0.01 rows
 check the published Table-3 deviation within +-20%.  At h = 0.001 the scheme
-gives chi = 9.1459e-5, not the published 0.001131, and that value is the
+gives chi = 9.1454e-5, not the published 0.001131, and that value is the
 scheme's own: a 30-digit mpmath run of the same scheme (exact seeds, m3 = 2
-solved from its cross-ratio definition) agrees with it to 5e-5 relative, and
+solved from its cross-ratio definition) agrees with it to 2e-6 relative, and
 the deviation falls ~ h^1.9 from h = 0.01, so it is limited by truncation.
 The published value comes back only from degraded input: seeds rounded to 9
 or 8 decimals give chi = 1.3e-4 or 4.4e-3.  Working precision does not
@@ -35,6 +35,7 @@ from invdisc.discrete import CrossRatioWindow
 from invdisc.reference import general_arctanh
 from invdisc.differential import h5_differential
 
+import shadow
 from conftest import (h5_differential_hodograph, jtilde5, make_mobius, mobius_jet,
                       random_mobius)
 
@@ -106,34 +107,15 @@ def test_criterion_2_table2_chi(eq1_reference):
     assert elapsed < 30.0
 
 
-def _mp_cross_ratio(a0, a1, a2, a3):
-    return (a3 - a1) * (a2 - a0) / ((a3 - a2) * (a1 - a0))
-
-
 def _slx3_shadow_chi(h, n_steps, digits=30):
     """chi against arctanh of the Table-3 run m3 = 2 from x = -0.9, redone
-    in ``digits``-digit mpmath.
-
-    The seeds are arctanh at the first three nodes.  Each new ordinate t
-    solves 6 / ((t - y0)(y2 - y1)) * (1 - CR(y0, y1, y2, t) / CR(x's)) = 2,
-    m3 written from the cross-ratio definition without clearing
-    denominators, by the secant method started at the quadratic
-    extrapolation of the last three ordinates.
-    """
+    in ``digits``-digit mpmath by :func:`shadow.slx3`, which solves m3 from
+    its cross-ratio definition, from arctanh at the first three nodes."""
     with mp.workdps(digits):
         x0, step = mp.mpf(-0.9), mp.mpf(h)
         xs = [x0 + k * step for k in range(n_steps + 3)]
-        ys = [mp.atanh(x) for x in xs[:3]]
-        for k in range(3, n_steps + 3):
-            y0, y1, y2 = ys[-3:]
-            cr_x = _mp_cross_ratio(*xs[k - 3:k + 1])
-
-            def residual(t):
-                cr_y = _mp_cross_ratio(y0, y1, y2, t)
-                return 6 / ((t - y0) * (y2 - y1)) * (1 - cr_y / cr_x) - 2
-
-            guess = 3 * y2 - 3 * y1 + y0
-            ys.append(mp.findroot(residual, (guess, guess + (y2 - y1) / 1000)))
+        ys = shadow.slx3(xs[:3], [mp.atanh(x) for x in xs[:3]], xs[3:], 2, digits)
+        assert len(ys) == len(xs)
         num = mp.fsum((y - mp.atanh(x)) ** 2 for x, y in zip(xs, ys))
         den = mp.fsum(mp.atanh(x) ** 2 for x in xs)
         return float(mp.sqrt(num / den))
@@ -163,7 +145,7 @@ def test_criterion_3_table3_chi(h):
     if h == 0.001:
         # NOTE: the published 0.001131 is not what this scheme gives at
         # double or higher precision: the 30-digit shadow run gives 9.1454e-5
-        # (this run 9.1459e-5), seeds rounded to 8 decimals give 4.4e-3 and
+        # (this run 9.1454e-5), seeds rounded to 8 decimals give 4.4e-3 and
         # float32 arithmetic gives > 0.1 (see the module docstring).  Check
         # the direction of the paper's claim, no worse than the published
         # row, and that the value is the scheme's own.

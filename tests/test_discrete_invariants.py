@@ -114,6 +114,28 @@ def test_overflowing_denominator_is_paired():
                                 rel=1e-12)
 
 
+def test_subnormal_products_are_paired():
+    # differences near 1e-161: their products of two are subnormal, not zero,
+    # and lose digits in one expression; paired, the windows read as their
+    # unscaled copies
+    assert cross_ratio(CrossRatioWindow(0.0, 1e-161, 3e-161, 6e-161)) == 5.0
+    xs = (0.0, 1.0, 2.0, 3.0)
+    assert l3(stencil_from_sequences(xs, [v * 1e-161 for v in (0.0, 1.0, 3.0, 6.0)])) == -0.5
+
+
+def test_overflowing_x_products_are_tested_by_factor():
+    # abscissa differences past 1.3e154: the square of the x scale and l3's
+    # denominator overflow, and m3, which does not depend on the scale of x,
+    # reads its unscaled value
+    ys = (0.0, 1.0, 3.0, 6.0)
+    for scale in (1e155, 1e200):
+        xs = [v * scale for v in (0.0, 1.0, 2.0, 3.0)]
+        assert m3(stencil_from_sequences(xs, ys)) == -0.125
+    # l3 scales as 1/x^2: the unscaled -0.5 times 1e-310, a subnormal
+    xs = [v * 1e155 for v in (0.0, 1.0, 2.0, 3.0)]
+    assert l3(stencil_from_sequences(xs, ys)) == pytest.approx(-0.5e-310, rel=1e-9)
+
+
 def test_cross_ratio_with_an_overflowing_numerator_is_finite():
     # only (a3-a1)(a2-a0) overflows: the quotient is inf where the cross-ratio
     # is about 1e10, as on the 1e-10-scaled window
@@ -272,6 +294,18 @@ def test_h5_uniform_equal_ratios_vanish():
 def test_h5_uniform_direct_value():
     # direct arithmetic: (16*7 + 6*(18+7-32) + 5*(6-35+16)) / (2*1*2*3)
     assert h5_uniform(5.0, 6.0, 7.0) == pytest.approx(5.0 / 12.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("r", [1e150, 1e153, 1e154, 1e155, 1e160, 1e180, 1e200])
+def test_h5_uniform_of_huge_ratios_is_finite_or_non_finite(r):
+    # from about 1e154 its terms overflow (r4 ** 2 raises from 1e155, and
+    # at 1e154 the quotient is inf / inf): NonFiniteError, never NaN
+    for args in ((r, r, r), (r, 2.0 * r, 3.0 * r), (-r, r, -2.0 * r)):
+        if r < 1e154:
+            assert math.isfinite(h5_uniform(*args))
+        else:
+            with pytest.raises(NonFiniteError):
+                h5_uniform(*args)
 
 
 def test_h5_uniform_value_cross_checked_against_discrete():

@@ -17,8 +17,8 @@ from invdisc.core import DEGENERACY_RTOL, SCHEME_ARITY
 from invdisc.schemes import extrapolate, h5_step
 
 import shadow
-from conftest import (STEPS, _ref_horner, _ref_slx3_coeffs, _ref_slx3_kernel, make_mobius,
-                      random_mobius, ref_step, scheme_reference_loop)
+from conftest import (STEPS, _ref_horner, _ref_real_roots, _ref_slx3_coeffs, _ref_slx3_kernel,
+                      make_mobius, random_mobius, ref_step, scheme_reference_loop)
 
 OMEX = lambda x: 1.0 / (1.0 - math.exp(x))
 MOBIUS = lambda x: (2.0 * x + 1.0) / (x + 3.0)
@@ -307,7 +307,7 @@ def test_slx3_keeps_the_root_nearest_the_prediction_on_the_lattice():
     xs, x3 = (0.0, 0.09999995283363289, 0.2), 0.30000000000000004
     ys = (0.0, 0.17691690118380743, -0.520179333807683)
     forcing = Constant(4.077631037435684)
-    lo, hi = solve_poly(_ref_slx3_coeffs(ys, forcing))
+    lo, hi = (ys[2] + u for u in _ref_real_roots(_ref_slx3_coeffs(ys, forcing)))
     p, p_placed = 3.0 * (ys[2] - ys[1]) + ys[0], extrapolate(xs, ys, x3)
     assert lo < p < (lo + hi) / 2.0 < p_placed < hi
     seed = Stencil(xs, ys)
@@ -663,8 +663,7 @@ EXTREME_WINDOWS = [
     (SchemeKind.SLY4, [-1.4198183315542606e-151, -1.419818331507339e-151,
                        -1.4198183314925497e-151, -1.419818331489371e-151]),
     (SchemeKind.H5, [1e-151 * (1.0 + k * 1e-11) for k in range(5)]),
-    # y1 == y2 at 1e300: the cleared quadratic's constant term is NaN, its
-    # leading coefficient exactly zero
+    # y1 == y2 at 1e300: m3 has no value
     (SchemeKind.SLX3, [-1e300, 1e300, 1e300]),
 ]
 
@@ -749,12 +748,14 @@ def test_sly4_seed_past_the_product_overflow_steps_as_its_unscaled_copy():
 
 def test_sly4_step_stops_where_its_x_cross_ratio_overflows():
     # products of two x-differences past 1e308: the x cross-ratio pairs them
-    # and is finite, but the seed's l3 tests R/S's x product against the
-    # square of its x scale, which overflows, and finds it degenerate
+    # and is finite, and so is the seed's l3, which scales as 1/x^2 and is
+    # the (0, 1, 2, 3) window's -0.5 times 1e-310; the step's own products of
+    # two x-differences overflow, and it stops non-finite
     xs, ys, forcing = (0.0, 1e155, 2e155, 3e155), (0.0, 1.0, 3.0, 6.0), Constant(0.0)
     assert cross_ratio(CrossRatioWindow(*xs[1:], 4e155)) == pytest.approx(4.0, rel=1e-15)
+    assert l3(Stencil(xs, ys)) == pytest.approx(-0.5e-310, rel=1e-9)
     out = sly4_step(Stencil(xs, ys), 4e155, forcing)
-    assert out is StopReason.DEGENERATE_COEFFICIENT
+    assert out is StopReason.NON_FINITE
     assert ref_step(SchemeKind.SLY4, forcing)(xs, ys, 4e155) is out
 
 
@@ -791,6 +792,60 @@ def test_sly4_arithmetic_error_is_below_the_seed_error(h, span):
     assert arithmetic <= 0.1 * seeded
 
 
+def _slx3_shadow_errors(traj, c, exact):
+    """(arithmetic, truncation) of an slx3 run under m3 = c: its largest
+    distance to the 40-digit shadow run from its seed on its nodes, and the
+    shadow's largest distance to the exact solution."""
+    shadow_ys = shadow.slx3(traj.xs[:3], traj.ys[:3], traj.xs[3:], c)
+    assert len(shadow_ys) == len(traj.ys)
+    with mp.workdps(40):
+        return (max(abs(mp.mpf(y) - s) for y, s in zip(traj.ys, shadow_ys)),
+                max(abs(s - exact(mp.mpf(x))) for x, s in zip(traj.xs, shadow_ys)))
+
+
+@pytest.mark.parametrize("h", [1e-2, 1e-3])
+def test_slx3_arithmetic_error_is_below_the_truncation_error(h):
+    # m3 = 2 on atanh from x = -0.9 to 0.9 (Table 3)
+    seed = seed_stencil_from_function(math.atanh, -0.9, h, 3)
+    traj = integrate(SchemeSpec(SchemeKind.SLX3, Constant(2.0), Uniform(h)), seed,
+                     round(1.8 / h) - 2)
+    assert traj.stop is StopReason.COMPLETED
+    arithmetic, truncation = _slx3_shadow_errors(traj, 2.0, mp.atanh)
+    # arithmetic / truncation reads 1.1e-10 and 5.7e-7; 6.2e-10 and 5.5e-5
+    # when the step solved for t rather than for t - y2
+    assert arithmetic <= truncation
+
+
+def test_slx3_arithmetic_error_toward_the_log_barrier():
+    # example 2-log, m3 = 1/2 on log|x| from x = -1 at h = 1e-4, up to
+    # x = -0.01: toward the barrier at 0 the arithmetic error overtakes the
+    # truncation error
+    h = 1e-4
+    seed = seed_stencil_from_function(LOG_ABS, -1.0, h, 3)
+    traj = integrate(SchemeSpec(SchemeKind.SLX3, Constant(0.5), Uniform(h)), seed,
+                     round(0.99 / h) - 2)
+    assert traj.stop is StopReason.COMPLETED and traj.xs[-1] == pytest.approx(-0.01)
+    arithmetic, truncation = _slx3_shadow_errors(traj, 0.5, lambda x: mp.log(abs(x)))
+    # reads 2.26; 3.40 when the step solved for t rather than for t - y2
+    assert arithmetic <= 4.5 * truncation
+
+
+def test_slx3_run_is_equivariant_under_translation_of_y():
+    # m3 = c depends on y through differences alone, so y -> y + k maps its
+    # solutions to solutions: an atanh seed on a 2^-40 grid and the same
+    # seed + 1024, both exact in floats, step 1024 apart up to rounding.
+    # The largest gap reads 3.0e-9; 6.8e-7 when the step solved for t, whose
+    # coefficients hold products of ordinates and their differences
+    h = 1e-2
+    seed = seed_stencil_from_function(math.atanh, -0.9, h, 3)
+    ys = tuple(round(y * 2.0 ** 40) / 2.0 ** 40 for y in seed.ys)
+    spec = SchemeSpec(SchemeKind.SLX3, Constant(2.0), Uniform(h))
+    base = integrate(spec, Stencil(seed.xs, ys), 178)
+    shifted = integrate(spec, Stencil(seed.xs, tuple(y + 1024.0 for y in ys)), 178)
+    assert base.stop is shifted.stop is StopReason.COMPLETED
+    assert max(abs((s - 1024.0) - y) for s, y in zip(shifted.ys, base.ys)) <= 1e-8
+
+
 def test_h5_first_window_overflow_stops_as_non_finite():
     # ordinates (0, 1, 3, 6, 10) times 1e155: the first window's products of
     # two y-differences overflow and its cross-ratio is inf / inf
@@ -810,9 +865,9 @@ def test_h5_first_window_overflow_stops_as_non_finite():
 #: windows over x = 0, 0.1, ... whose first zero-forcing step stops
 #: NON_FINITE at a return of its run loop that no other test reaches
 FIRST_STEP_NON_FINITE = {
-    # products of two ordinates overflow, so every coefficient of the
-    # quadratic is NaN, which disables the degeneracy tests; the kept root is
-    # NaN, and |t| <= OVERFLOW_LIMIT is false
+    # K = 4 (y1 - y0)(y2 - y1) overflows, so every term but the constant
+    # one is K times a zero forcing, NaN; the cubic path takes them to a NaN
+    # root, and |t| <= OVERFLOW_LIMIT is false
     "slx3-root": (SchemeKind.SLX3, (2.56186378782458e257, 2.5933638886239894e257,
                                     2.561863812844665e257)),
     # y3 * (y4 - y2) overflows in a*t = b
@@ -868,18 +923,24 @@ def _assert_integrate_is_composed(spec, seed, n_steps):
 
 
 #: per degree of the slx3 step and per branch of its descent, where a
-#: degenerate leading coefficient drops the cleared polynomial one degree:
-#: (ys, forcing, the root solver that runs); a linear degree runs no solver
+#: degenerate leading coefficient drops the polynomial in u = t - y2 one
+#: degree: (ys, forcing, the root solver that runs); a linear degree runs no
+#: solver.  Under the identity forcings f0 is about y2, so the u^3 term is
+#: about 1/(y2 s) of the u term and the u^2 term 1/s + 1/y2 of it: a window
+#: far from 0 drops the cubic, one as wide as it is far the quadratic too
 SLX3_DEGREES = {
     "quadratic": ((0.0, 0.4, 0.7), Constant(0.5), "_quadratic_roots"),
     "cubic": ((0.0, 0.4, 0.7), IdentityInY(), "_cubic_roots"),
     "cubic-mean": ((0.0, 0.4, 0.7), IdentityInY(stencil_mean=True), "_cubic_roots"),
-    "cubic-to-quadratic": ((1e7, 1e7 + 1.0, 1e7 + 3.0), IdentityInY(), "_quadratic_roots"),
-    "cubic-to-linear": ((1e7, 1e7 + 1.0, 1e7 + 3.0), IdentityInY(stencil_mean=True), ""),
+    "cubic-to-quadratic": ((1e14, 1e14 + 1.0, 1e14 + 3.0), IdentityInY(), "_quadratic_roots"),
+    "cubic-to-linear": ((0.0, 1e14, 3e14), IdentityInY(stencil_mean=True), ""),
     "quadratic-to-linear": ((0.0, 0.4, 0.7), Constant(0.0), ""),
-    # c0 is NaN, so the exact zero leading coefficient stops the step
-    "nan-scale-quadratic": ((-1e300, 1e300, 1e300), Constant(0.5), None),
-    "nan-scale-cubic": ((-1e300, 1e300, 1e300), IdentityInY(), None),
+    # y1 - y0 and y2 - y1 infinite with opposite signs: s = y2 - y0 and with
+    # it the scale are NaN, which takes the cubic path to a NaN root
+    "nan-scale-quadratic": ((-1.7e308, 1.7e308, -1.7e308), Constant(0.5), "_cubic_roots"),
+    "nan-scale-cubic": ((-1.7e308, 1.7e308, -1.7e308), IdentityInY(), "_cubic_roots"),
+    # y2 = y1: m3 has no value, and the step solves nothing
+    "flat-middle": ((0.0, 0.4, 0.4), IdentityInY(), None),
 }
 
 
@@ -892,15 +953,18 @@ def test_slx3_descent_equals_composed_kernels(ys, forcing, solver):
         calls = {name: stack.enter_context(mock.patch.object(
                      schemes, name, wraps=getattr(schemes, name))) for name in counted}
         t = slx3_step(Stencil(xs, ys), 1.5, forcing)
-        # the step's one root solver, if any, and one polish of the kept root
+        # the step's one root solver, if any, and a polish of a cubic's root
         assert {name: calls[name].call_count for name in counted if calls[name].called} == (
-            {} if solver is None else {solver: 1, "_polish": 1} if solver else {"_polish": 1})
-        calls["_polish"].reset_mock()
+            {} if not solver else {solver: 1, "_polish": 1} if solver == "_cubic_roots"
+            else {solver: 1})
+        for m in calls.values():
+            m.reset_mock()
         traj = integrate(spec, Stencil(xs, ys), 20)
-        assert calls["_polish"].call_count == len(traj.ys) - len(ys)
+        assert calls["_polish"].call_count == calls["_cubic_roots"].call_count
     want = _ref_slx3_kernel(xs, ys, 1.5, forcing)
     assert repr(t) == repr(want)
     assert (t is StopReason.DEGENERATE_COEFFICIENT) == (solver is None)
+    assert (t is StopReason.NON_FINITE) == (ys[0] < -1e308)
     assert (traj.xs, traj.ys, traj.stop) == scheme_reference_loop(spec, Stencil(xs, ys), 20)
 
 
