@@ -212,11 +212,17 @@ def h5_discrete(s: Stencil) -> float:
 
 def _h5_r5_line(r3: float, r4: float, c: float) -> tuple[float, float, float]:
     """(a, b, scale) of a*R5 = b, cleared from the uniform-lattice relation
-    16 R5 + R4 (3 R4 + R5 - 32) + R3 (R4 - 5 R5 + 16) = 2c (R3-4)(R4-4)(R5-4)."""
+    16 R5 + R4 (3 R4 + R5 - 32) + R3 (R4 - 5 R5 + 16) = 2c (R3-4)(R4-4)(R5-4).
+    ``scale`` is max(|R3|, |R4|, 16, |k|), k = 2c (R3-4)(R4-4), written out
+    as a left fold in that order: the same float as max(), without a call on
+    ``h5``'s per-step path."""
     k = 2.0 * c * (r3 - 4.0) * (r4 - 4.0)
+    m3, m4, mk = abs(r3), abs(r4), abs(k)
+    scale = m4 if m4 > m3 else m3
+    scale = 16.0 if 16.0 > scale else scale
     return (16.0 + r4 - 5.0 * r3 - k,
             -3.0 * r4 ** 2 + 32.0 * r4 - r3 * r4 - 16.0 * r3 - 4.0 * k,
-            max(abs(r3), abs(r4), 16.0, abs(k)))
+            mk if mk > scale else scale)
 
 
 def h5_uniform(r3: float, r4: float, r5: float) -> float:

@@ -168,7 +168,10 @@ def select_root(roots: list[float], prediction: float) -> float | None:
 # cross-ratio that the next window would recompute from the same operands is
 # carried over.  Only what each step evaluates is inline.  Inline checks
 # |d| <= DEGENERACY_RTOL * scale are core.is_degenerate, and
-# abs(t) <= OVERFLOW_LIMIT is false for NaN and +-inf as well.
+# abs(t) <= OVERFLOW_LIMIT is false for NaN and +-inf as well.  Each scale is
+# max() of magnitudes taken once per step, written out as the left fold
+# m = v if v > m else m in max()'s argument order: the same float as max(),
+# which keeps a NaN first operand and skips a later one, without a call.
 
 def _first_step_stop(abscissae, exc: Exception) -> StopReason:
     """The stop of the first step over ``abscissae`` from a window that has
@@ -243,16 +246,19 @@ def _slx3_run(xs, ys, abscissae, forcing, out_xs, out_ys) -> StopReason:
         c0, c1 = -6.0 * s * b, 18.0 * a - 6.0 * b - k * f0 * s
         c2, c3 = -k * (f0 + fb * s), -k * fb
         up = 2.0 * b - a  # y0 - 3 y1 + 3 y2, less y2
-        if not abs(c3) <= DEGENERACY_RTOL * max(abs(c0), abs(c1), abs(c2), abs(c3)):
+        m0, m1, m2, m3 = abs(c0), abs(c1), abs(c2), abs(c3)
+        m01 = m1 if m1 > m0 else m0
+        m012 = m2 if m2 > m01 else m01
+        if not m3 <= DEGENERACY_RTOL * (m3 if m3 > m012 else m012):
             u = _polish(c0, c1, c2, c3, select_root(_cubic_roots(c0, c1, c2, c3), up))
-        elif not abs(c2) <= DEGENERACY_RTOL * max(abs(c0), abs(c1), abs(c2)):
+        elif not m2 <= DEGENERACY_RTOL * m012:
             roots = _quadratic_roots(c0, c1, c2)
             if not roots:
                 return StopReason.NO_REAL_ROOT
             # select_root on the ascending pair: a tie keeps the smaller root
             lo, hi = roots
             u = hi if abs(hi - up) < abs(lo - up) else lo
-        elif not abs(c1) <= DEGENERACY_RTOL * max(abs(c0), abs(c1)):
+        elif not m1 <= DEGENERACY_RTOL * m01:
             u = -c0 / c1
         else:
             return StopReason.DEGENERATE_COEFFICIENT
@@ -282,8 +288,10 @@ def _h5_run(xs, ys, abscissae, c, out_xs, out_ys) -> StopReason:
     for x in abscissae:
         # R4 = cross-ratio(y1, y2, y3, y4)
         dy42, dy43 = y4 - y2, y4 - y3
-        a43, a21 = abs(dy43), abs(dy21)
-        tol = DEGENERACY_RTOL * max(abs(dy42), abs(dy31), a43, a21)
+        a42, a31, a43, a21 = abs(dy42), abs(dy31), abs(dy43), abs(dy21)
+        tol = a31 if a31 > a42 else a42
+        tol = a43 if a43 > tol else tol
+        tol = DEGENERACY_RTOL * (a21 if a21 > tol else tol)
         den = dy43 * dy21
         if a43 <= tol or a21 <= tol or den == 0.0:
             return StopReason.DEGENERATE_COEFFICIENT
@@ -297,11 +305,13 @@ def _h5_run(xs, ys, abscissae, c, out_xs, out_ys) -> StopReason:
         if abs(a_r5) <= DEGENERACY_RTOL * scale:
             return StopReason.DEGENERATE_COEFFICIENT
         v = b_r5 / a_r5
-        a = dy42 - v * dy32
+        vd = v * dy32
+        a = dy42 - vd
         b = y3 * dy42 - v * y4 * dy32
         if not (math.isfinite(a) and math.isfinite(b)):
             return StopReason.NON_FINITE
-        if abs(a) <= DEGENERACY_RTOL * max(abs(dy42), abs(v * dy32)):
+        avd = abs(vd)
+        if abs(a) <= DEGENERACY_RTOL * (avd if avd > a42 else a42):
             return StopReason.DEGENERATE_COEFFICIENT
         t = b / a
         if not abs(t) <= OVERFLOW_LIMIT:

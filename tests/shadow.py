@@ -1,6 +1,6 @@
-"""Extended-precision shadow runs of the invariant schemes (so far ``sly4``
-and ``slx3`` under constant forcing), written from the invariant definitions
-in mpmath and with no code from ``invdisc.schemes``.
+"""Extended-precision shadow runs of the invariant schemes (``sly4``,
+``slx3`` under constant forcing and ``h5``), written from the invariant
+definitions in mpmath and with no code from ``invdisc.schemes``.
 
 A shadow run starts from the same float seed and steps on the same float
 lattice nodes as the library, so its distance to a float run is the float
@@ -78,4 +78,30 @@ def slx3(xs, ys, nodes, c, digits=40):
             p = y0 - 3 * y1 + 3 * y2
             out.append(min(roots, key=lambda t: abs(t - p)))
             wx = wx[1:] + [x]
+    return out
+
+
+def h5(ys, n_steps, c, digits=40):
+    """Ordinates of the six-point scheme from the five seed ordinates ``ys``
+    over ``n_steps`` nodes of a uniform lattice, seed included, as mpf
+    values; a run whose step has no finite solution ends there, shorter.
+
+    R3 and R4 are the y cross-ratios of the windows (y0, y1, y2, y3) and
+    (y1, y2, y3, y4).  On a uniform lattice (S = 4) the scheme is
+    16 R5 + R4 (3 R4 + R5 - 32) + R3 (R4 - 5 R5 + 16) = 2c (R3-4)(R4-4)(R5-4),
+    linear in R5, and the new ordinate t solves cross_ratio(y2, y3, y4, t) = R5.
+    """
+    with mp.workdps(digits):
+        out = [mp.mpf(y) for y in ys]
+        for _ in range(n_steps):
+            y1, y2, y3, y4 = out[-4:]
+            r3, r4 = cross_ratio(*out[-5:-1]), cross_ratio(*out[-4:])
+            k = 2 * c * (r3 - 4) * (r4 - 4)
+            # r5 (16 + R4 - 5 R3 - k) = -3 R4^2 + 32 R4 - R3 R4 - 16 R3 - 4k
+            r5 = (-3 * r4 ** 2 + 32 * r4 - r3 * r4 - 16 * r3 - 4 * k) / (16 + r4 - 5 * r3 - k)
+            # (t - y3)(y4 - y2) = r5 (t - y4)(y3 - y2) is linear in t
+            den = (y4 - y2) - r5 * (y3 - y2)
+            if den == 0:
+                break
+            out.append((y3 * (y4 - y2) - r5 * y4 * (y3 - y2)) / den)
     return out

@@ -8,7 +8,7 @@ from invdisc import (DegenerateCoefficientError, NonFiniteError, cross_ratio, h5
                      h5_uniform, l3, l4, l5, m3, m4, m5,
                      seed_stencil_from_function, stencil_from_sequences,
                      w_coefficient, w0_sol2, wx_coefficient)
-from invdisc.discrete import CrossRatioWindow, _ratio_r_over_s
+from invdisc.discrete import CrossRatioWindow, _h5_r5_line, _ratio_r_over_s
 from invdisc.lattice import extend_constant_s
 
 from conftest import make_mobius, random_mobius
@@ -306,6 +306,34 @@ def test_h5_uniform_of_huge_ratios_is_finite_or_non_finite(r):
         else:
             with pytest.raises(NonFiniteError):
                 h5_uniform(*args)
+
+
+def _h5_r5_line_with_builtin_max(r3, r4, c):
+    """Test-only copy of ``_h5_r5_line`` that takes its scale with max()."""
+    k = 2.0 * c * (r3 - 4.0) * (r4 - 4.0)
+    return (16.0 + r4 - 5.0 * r3 - k,
+            -3.0 * r4 ** 2 + 32.0 * r4 - r3 * r4 - 16.0 * r3 - 4.0 * k,
+            max(abs(r3), abs(r4), 16.0, abs(k)))
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except OverflowError as exc:  # r4 ** 2 past about 1.3e154
+        return type(exc).__name__
+
+
+def test_h5_r5_line_scale_equals_builtin_max():
+    # the scale, folded in max()'s order, is max()'s float on every edge:
+    # signed zeros, the 16 it holds, infinities, a NaN first or later
+    # operand, subnormals and values whose square overflows
+    edges = (0.0, -0.0, 16.0, -16.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+             2.2250738585072014e-308, 1e300, -1e300, 4.0, 1.0, -2.5)
+    for r3 in edges:
+        for r4 in edges:
+            for c in (0.0, 0.5, math.nan):
+                assert _outcome(_h5_r5_line, r3, r4, c) == _outcome(
+                    _h5_r5_line_with_builtin_max, r3, r4, c), (r3, r4, c)
 
 
 def test_h5_uniform_value_cross_checked_against_discrete():

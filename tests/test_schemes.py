@@ -1,4 +1,5 @@
 import math
+import random
 from contextlib import ExitStack, contextmanager
 from unittest import mock
 
@@ -14,6 +15,7 @@ from invdisc import (Constant, CrossRatioWindow, FunctionOfX, IdentityInY,
                      slx3_step, sly4_step, solve_poly, stencil_from_sequences)
 from invdisc import schemes
 from invdisc.core import DEGENERACY_RTOL, SCHEME_ARITY
+from invdisc.discrete import _cross_ratio, _h5_r5_line
 from invdisc.schemes import extrapolate, h5_step
 
 import shadow
@@ -22,6 +24,7 @@ from conftest import (STEPS, _ref_horner, _ref_real_roots, _ref_slx3_coeffs, _re
 
 OMEX = lambda x: 1.0 / (1.0 - math.exp(x))
 MOBIUS = lambda x: (2.0 * x + 1.0) / (x + 3.0)
+TAN_RECIPROCAL = lambda x: math.tan(1.0 / x)
 
 
 # --- root solving ----------------------------------------------------------------
@@ -830,6 +833,43 @@ def test_slx3_arithmetic_error_toward_the_log_barrier():
     assert arithmetic <= 4.5 * truncation
 
 
+def _h5_shadow_errors(traj, c, exact):
+    """(arithmetic, truncation) of an h5 run: its largest distance to the
+    40-digit shadow run from its seed, and the shadow's largest distance to
+    the exact solution."""
+    shadow_ys = shadow.h5(traj.ys[:5], len(traj.ys) - 5, c)
+    assert len(shadow_ys) == len(traj.ys)
+    with mp.workdps(40):
+        return (max(abs(mp.mpf(y) - s) for y, s in zip(traj.ys, shadow_ys)),
+                max(abs(s - exact(mp.mpf(x))) for x, s in zip(traj.xs, shadow_ys)))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 17: h5 clears cross-ratios to a*t = b, "
+                                       "not the deficit form, and its arithmetic error leads")
+def test_h5_arithmetic_error_is_below_the_truncation_error():
+    # c = 0 on 1/(1 - e^x) from x = -3 at h = 1e-2 (fine-step-sweep's h5
+    # row): the arithmetic error reads 44 times the truncation error
+    h = 1e-2
+    seed = seed_stencil_from_function(OMEX, -3.0, h, 5)
+    traj = integrate(SchemeSpec(SchemeKind.H5, Constant(0.0), Uniform(h)), seed,
+                     round(2.5 / h) - 4)
+    assert traj.stop is StopReason.COMPLETED
+    arithmetic, truncation = _h5_shadow_errors(traj, 0.0, lambda x: 1 / (1 - mp.exp(x)))
+    assert arithmetic <= truncation
+
+
+def test_h5_arithmetic_error_across_the_pole_of_tan_reciprocal():
+    # c = 0 on tan(1/x) from 50.5 steps before its pole at 2/(5 pi), 30 steps
+    # past it, at h = 1e-4: the arithmetic error reads 2.85 times the
+    # truncation error
+    h, pole = 1e-4, 2.0 / (5.0 * math.pi)
+    seed = seed_stencil_from_function(TAN_RECIPROCAL, pole - 50.5 * h, h, 5)
+    traj = integrate(SchemeSpec(SchemeKind.H5, Constant(0.0), Uniform(h)), seed, 80)
+    assert traj.stop is StopReason.COMPLETED and traj.xs[0] < pole < traj.xs[-1]
+    arithmetic, truncation = _h5_shadow_errors(traj, 0.0, lambda x: mp.tan(1 / x))
+    assert arithmetic <= 6.0 * truncation
+
+
 def test_slx3_run_is_equivariant_under_translation_of_y():
     # m3 = c depends on y through differences alone, so y -> y + k maps its
     # solutions to solutions: an atanh seed on a 2^-40 grid and the same
@@ -890,8 +930,6 @@ def test_first_step_stops_as_non_finite(kind, ys):
 
 # --- the run loops against the composed kernels ----------------------------------------
 
-TAN_RECIPROCAL = lambda x: math.tan(1.0 / x)
-
 #: per scheme: (seed function, start, steps h) of the benchmark's and the
 #: examples' problems
 ORACLE_PROBLEMS = {
@@ -939,6 +977,16 @@ SLX3_DEGREES = {
     # it the scale are NaN, which takes the cubic path to a NaN root
     "nan-scale-quadratic": ((-1.7e308, 1.7e308, -1.7e308), Constant(0.5), "_cubic_roots"),
     "nan-scale-cubic": ((-1.7e308, 1.7e308, -1.7e308), IdentityInY(), "_cubic_roots"),
+    # K = 4ab overflows: under a constant forcing the u^3 coefficient is
+    # -inf * 0, a NaN, so the cubic path runs to a NaN root; under the
+    # identity forcings every coefficient is infinite, each degree's test
+    # reads inf <= DEGENERACY_RTOL * inf, and the descent ends degenerate
+    "k-overflow-constant": ((0.0, 1e155, 2e155), Constant(0.5), "_cubic_roots"),
+    "k-overflow-identity": ((0.0, 1e155, 2e155), IdentityInY(), None),
+    "k-overflow-mean": ((0.0, 1e155, 2e155), IdentityInY(stencil_mean=True), None),
+    # subnormal differences: K and the constant term underflow to zero, and
+    # DEGENERACY_RTOL times the linear scale is zero, below the linear term
+    "subnormal-scale": ((0.0, 1e-320, 3e-320), Constant(0.5), ""),
     # y2 = y1: m3 has no value, and the step solves nothing
     "flat-middle": ((0.0, 0.4, 0.4), IdentityInY(), None),
 }
@@ -964,8 +1012,63 @@ def test_slx3_descent_equals_composed_kernels(ys, forcing, solver):
     want = _ref_slx3_kernel(xs, ys, 1.5, forcing)
     assert repr(t) == repr(want)
     assert (t is StopReason.DEGENERATE_COEFFICIENT) == (solver is None)
-    assert (t is StopReason.NON_FINITE) == (ys[0] < -1e308)
+    # a NaN root: the cubic path on a window whose K overflows
+    assert (t is StopReason.NON_FINITE) == (solver == "_cubic_roots" and ys[1] - ys[0] > 1e154)
     assert (traj.xs, traj.ys, traj.stop) == scheme_reference_loop(spec, Stencil(xs, ys), 20)
+
+
+#: h5 windows over x = 0, 0.1, ... by the term that leads the scale of the
+#: a*t = b test, max(|y4 - y2|, |v (y3 - y2)|), v the step's R5
+H5_LINE_SCALES = {
+    "v-dy32-leads": ((0.0, 1.0, 3.0, 6.0, 10.0), "vd"),
+    "dy42-leads": ((0.0, 1.0, 3.0, 3.5, 5.5), "dy42"),
+}
+
+
+@pytest.mark.parametrize("ys, leader", H5_LINE_SCALES.values(), ids=H5_LINE_SCALES)
+@pytest.mark.parametrize("c", [0.0, 0.5])
+def test_h5_line_scale_equals_composed_kernels(ys, leader, c):
+    xs, forcing = tuple(0.1 * k for k in range(5)), Constant(c)
+    a_r5, b_r5, _ = _h5_r5_line(_cross_ratio(*ys[:4]), _cross_ratio(*ys[1:]), c)
+    vd, dy42 = b_r5 / a_r5 * (ys[3] - ys[2]), ys[4] - ys[2]
+    assert (abs(vd) > abs(dy42)) == (leader == "vd")
+    assert repr(h5_step(Stencil(xs, ys), 0.5, forcing)) == repr(
+        ref_step(SchemeKind.H5, forcing)(xs, ys, 0.5))
+    spec = SchemeSpec(SchemeKind.H5, forcing, Uniform(0.1))
+    traj = integrate(spec, Stencil(xs, ys), 20)
+    assert repr((traj.xs, traj.ys, traj.stop)) == repr(
+        scheme_reference_loop(spec, Stencil(xs, ys), 20))
+
+
+def test_integrate_equals_composed_kernels_across_scales():
+    # the run loops' degeneracy scales, max() written out as folds, against
+    # the composed kernels' max() calls: 2 000 seeded windows at scales from
+    # 1e-300 to 1e300, about one in four nearly flat (a level with spreads
+    # of a few DEGENERACY_RTOL), each run 20 steps under every slx3 forcing
+    # and h5 at c = 0, 0.5 and -2
+    rng = random.Random(34)
+    specs = ([SchemeSpec(SchemeKind.SLX3, f, Uniform(0.1))
+              for f in (Constant(0.5), IdentityInY(), IdentityInY(stencil_mean=True))]
+             + [SchemeSpec(SchemeKind.H5, Constant(c), Uniform(0.1)) for c in (0.0, 0.5, -2.0)])
+    xs = tuple(0.1 * k for k in range(5))
+    stops = set()
+    for _ in range(2000):
+        scale = 10.0 ** rng.uniform(-300.0, 300.0)
+        if rng.random() < 0.25:
+            level = scale * rng.uniform(1.0, 10.0)
+            ys = tuple(level * (1.0 + DEGENERACY_RTOL * rng.uniform(-4.0, 4.0))
+                       for _ in range(5))
+        else:
+            ys = tuple(scale * rng.uniform(-1.0, 1.0) for _ in range(5))
+        for spec in specs:
+            seed = Stencil(xs[:spec.arity], ys[:spec.arity])
+            traj = integrate(spec, seed, 20)
+            assert repr((traj.xs, traj.ys, traj.stop)) == repr(
+                scheme_reference_loop(spec, seed, 20)), (spec, ys)
+            stops.add((spec.scheme, traj.stop))
+    # every stop of both loops is reached, a barrier of slx3 included
+    assert stops == {(kind, r) for kind in (SchemeKind.SLX3, SchemeKind.H5) for r in StopReason
+                     if kind is SchemeKind.SLX3 or r is not StopReason.NO_REAL_ROOT}
 
 
 @settings(max_examples=150, deadline=None)
