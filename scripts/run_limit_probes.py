@@ -1,18 +1,13 @@
 """Convergence of every difference invariant to its differential target,
 plus the lattice-coefficient correction on the constant-cross-ratio mesh."""
-import math
-
-from invdisc import (Jet, LimitProbe, arctanh_solution, jy_invariants, log_abs,
-                     probe_limit, w0_sol2)
-
-
-def jet_exp(x):
-    return Jet(x, (math.exp(x),) * 6)
+from invdisc import (EXACT_SOLUTIONS, LimitProbe, arctanh_solution, jy_invariants,
+                     log_abs, probe_limit, w0_sol2)
 
 
 def main():
     log_jets = log_abs().jet_fn
     atanh_jets = arctanh_solution().jet_fn
+    jet_exp = EXACT_SOLUTIONS["exp"]().jet_fn
     probes = [
         ("l3", log_jets, 1.0, 0.01, 0.5, 5),
         ("l4", log_jets, 1.0, 0.01, 0.5, 5),

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Callable
 
 from .core import (Constant, DomainError, ForcingTerm, FunctionOfX, IdentityInY,
-                   Jet, NonFiniteError, SchemeKind, SchemeSpec, Stencil,
+                   NonFiniteError, SchemeKind, SchemeSpec, Stencil,
                    StopReason, Trajectory, Uniform, seed_stencil_from_function)
 from .discrete import _cross_ratio
 from .limits import _INVARIANTS, LimitProbe, probe_limit
@@ -483,19 +483,13 @@ def cmd_chi(args) -> int:
     return EXIT_OK
 
 
-def _jet_function(name: str):
-    if name == "exp":
-        return lambda x: Jet(x, (math.exp(x),) * 6)
-    if name in EXACT_SOLUTIONS:
-        return EXACT_SOLUTIONS[name]().jet_fn
-    raise ConfigError(f"unknown test function {name!r}")
-
-
 def cmd_limit(args) -> int:
     if not 4 <= args.levels <= MAX_STEPS:
         raise ConfigError(f"levels must be an integer from 4 to {MAX_STEPS}")
+    if args.function not in EXACT_SOLUTIONS:
+        raise ConfigError(f"unknown test function {args.function!r}")
     hs = tuple(args.h0 * args.ratio ** k for k in range(args.levels))
-    probe = LimitProbe(args.invariant, _jet_function(args.function), args.x0, hs)
+    probe = LimitProbe(args.invariant, EXACT_SOLUTIONS[args.function]().jet_fn, args.x0, hs)
     report = probe_limit(probe)
     print(f"{'h':>12} {'value':>24} {'target':>24} {'error':>12}")
     for h, v, t, e in zip(report.hs, report.values, report.targets, report.errors):
@@ -533,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=[k.value for k in SchemeKind], default=None)
     p.add_argument("--forcing", default=None,
                    help="const, y (at the new point), y-mean (the stencil mean), "
-                        "or a named function of x (cos, sin, zero)")
+                        f"or a named function of x ({', '.join(NAMED_FORCINGS)})")
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
@@ -549,7 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limit", help="continuous-limit probe of one invariant")
     p.add_argument("--invariant", required=True, choices=list(_INVARIANTS))
-    p.add_argument("--function", required=True)
+    p.add_argument("--function", required=True,
+                   help=f"test function ({', '.join(EXACT_SOLUTIONS)})")
     p.add_argument("--x0", type=float, required=True)
     p.add_argument("--h0", type=float, default=0.01)
     p.add_argument("--levels", type=int, default=5)

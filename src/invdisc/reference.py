@@ -288,12 +288,16 @@ def _arctanh_outer(u: float) -> tuple[float, ...]:
             (24.0 + 240.0 * u * u + 120.0 * u ** 4) / g ** 5)
 
 
-def _exp_and_gap(x: float) -> tuple[float, float]:
-    """(e^x, 1 - e^x), refusing the x where e^x overflows or 1 - e^x is 0."""
+def _exp(x: float) -> float:
     try:
-        s = math.exp(x)
+        return math.exp(x)
     except OverflowError:
         raise NonFiniteError(f"e^x overflows at x = {x!r}") from None
+
+
+def _exp_and_gap(x: float) -> tuple[float, float]:
+    """(e^x, 1 - e^x), refusing the x where e^x overflows or 1 - e^x is 0."""
+    s = _exp(x)
     d = 1.0 - s
     if d == 0.0:
         raise DomainError(f"1/(1 - e^x) is singular at {x}")
@@ -387,6 +391,7 @@ EXACT_SOLUTIONS: dict[str, Callable[[], ExactSolution]] = {
     "arctanh": arctanh_solution,
     "one-over-one-minus-exp": one_over_one_minus_exp,
     "tan-reciprocal": tan_reciprocal,
+    "exp": lambda: ExactSolution(_exp, lambda x: Jet(x, (_exp(x),) * 6)),
 }
 
 

@@ -5,8 +5,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from invdisc import (Constant, DegenerateCoefficientError, Jet, NonFiniteError,
-                     SchemeKind, StopReason, Trajectory, kx_invariants)
+from invdisc import (Constant, DegenerateCoefficientError, ExactSolution, Jet,
+                     NonFiniteError, SchemeKind, StopReason, Trajectory, compose_jet,
+                     kx_invariants, reference)
 from invdisc.cli import ConfigError
 from invdisc.core import OVERFLOW_LIMIT, is_degenerate
 from invdisc.discrete import _cross_ratio, _cross_ratio_line, _h5_r5_line, _l
@@ -90,6 +91,37 @@ def mobius_jet(a: float, b: float, c: float, d: float, x: float) -> Jet:
         ds.append(sign * det * fact * c ** (k - 1) / den ** (k + 1))
         sign = -sign
     return Jet(x, tuple(ds))
+
+
+def _atan_derivatives(x: float) -> tuple[float, ...]:
+    w = 1.0 / (1.0 + x * x)
+    return (math.atan(x), w, -2.0 * x * w ** 2, (6.0 * x * x - 2.0) * w ** 3,
+            24.0 * x * (1.0 - x * x) * w ** 4,
+            24.0 * (5.0 * x ** 4 - 10.0 * x * x + 1.0) * w ** 5)
+
+
+def _tan_atan_jet(x: float) -> Jet:
+    inner = Jet(x, tuple(math.sqrt(1.5) * d for d in _atan_derivatives(x)))
+    return compose_jet(reference._tan_outer(inner.d[0]), inner)
+
+
+def _power_orbit_jet(x: float) -> Jet:
+    inner, p = mobius_jet(1.0, 1.0, 1.0, -3.0, x), math.sqrt(0.75)
+    outer, falling = [], 1.0  # u^p and its derivatives p(p-1)..(p-k+1) u^(p-k)
+    for k in range(6):
+        outer.append(falling * inner.d[0] ** (p - k))
+        falling *= p - k
+    return compose_jet(tuple(outer), inner)
+
+
+#: Orbits of one-parameter subgroups of the product group, on which the
+#: fifth-order invariant h5 is a nonzero constant (ROADMAP item 21):
+#: tan(sqrt(1.5) atan x) has c = -4 and a pole at x = 3.3726;
+#: ((x + 1)/(x - 3))^sqrt(0.75), defined for x < -1 and x > 3, has c = 8.
+TAN_ATAN_ORBIT = ExactSolution(lambda x: math.tan(math.sqrt(1.5) * math.atan(x)),
+                               _tan_atan_jet)
+POWER_ORBIT = ExactSolution(lambda x: ((x + 1.0) / (x - 3.0)) ** math.sqrt(0.75),
+                            _power_orbit_jet)
 
 
 def jtilde5(jet: Jet) -> float:

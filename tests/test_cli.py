@@ -183,12 +183,14 @@ def test_chi_identical_files(tmp_path, capsys):
 
 
 def test_chi_against_exact_id(tmp_path, capsys):
+    # exp too: limit --function's test functions are exact-solution ids
     xs = (-0.5, 0.0, 0.5)
-    traj = Trajectory(xs, tuple(math.atanh(x) for x in xs), StopReason.COMPLETED, "x", 0.5)
-    p = tmp_path / "a.csv"
-    write_trajectory_csv(p, traj)
-    assert main(["chi", str(p), "arctanh"]) == 0
-    assert float(capsys.readouterr().out.strip()) == 0.0
+    for name, fn in (("arctanh", math.atanh), ("exp", math.exp)):
+        traj = Trajectory(xs, tuple(map(fn, xs)), StopReason.COMPLETED, "x", 0.5)
+        p = tmp_path / f"{name}.csv"
+        write_trajectory_csv(p, traj)
+        assert main(["chi", str(p), name]) == 0
+        assert capsys.readouterr().out == "0.000000\n"
 
 
 @pytest.mark.parametrize("other", [
@@ -243,6 +245,7 @@ def test_limit_command(capsys):
 def test_limit_rejects_unknown_function(capsys):
     assert main(["limit", "--invariant", "l3", "--function", "nope",
                  "--x0", "0"]) == 2
+    assert capsys.readouterr().err == "error: unknown test function 'nope'\n"
 
 
 # --- example runs ----------------------------------------------------------------------
@@ -534,6 +537,12 @@ def test_limit_one_over_one_minus_exp_overflow_names_x(x0, err, capsys):
     assert capsys.readouterr().err == f"error: {err}\n"
 
 
+def test_limit_exp_overflow_names_x(capsys):
+    argv = ["limit", "--invariant", "l3", "--function", "exp", "--x0", "710", "--h0", "0.01"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: e^x overflows at x = 710.0\n"
+
+
 def test_chi_non_finite_row(tmp_path):
     p = tmp_path / "nan.csv"
     p.write_text("x,y\n0,1\n1,nan\n")
@@ -646,9 +655,9 @@ def _fuzz_options(command, tmp_path):
                 ("--out", [str(tmp_path / "out.csv")], [str(tmp_path), None])]
     if command == "chi":
         return [(None, [seed, str(tmp_path / "out.csv")], files),
-                (None, [seed, *cli.EXACT_SOLUTIONS], files + ["exp"])]
+                (None, [seed, *cli.EXACT_SOLUTIONS], files)]
     return [("--invariant", ["l3", "l4", "l5", "m3", "m4", "m5", "h5"], ["l6", None]),
-            ("--function", ["exp", *cli.EXACT_SOLUTIONS], ["sin", None]),
+            ("--function", list(cli.EXACT_SOLUTIONS), ["sin", None]),
             ("--x0", ["0.3", "0.7"], STARTS), ("--h0", ["0.01", None], NUMBERS),
             ("--levels", ["4", "7", "40", None], COUNTS),
             ("--ratio", ["0.5", "0.9", None], NUMBERS)]

@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 from invdisc import (DegenerateCoefficientError, Jet, compose_jet,
                      h5_differential, jy_invariants, kx_invariants)
 
-from conftest import h5_differential_hodograph, jtilde5, mobius_jet
+from conftest import (POWER_ORBIT, TAN_ATAN_ORBIT, h5_differential_hodograph, jtilde5,
+                      mobius_jet)
 
 MOBIUS_JET = Jet(1.0, (1.0, -1.0, 2.0, -6.0, 24.0, -120.0))  # y = 1/x at 1
 EXP_JET = Jet(0.0, (1.0,) * 6)
@@ -104,6 +105,12 @@ def test_h5_differential_values():
     assert h5_differential(LOG_JET) == pytest.approx(2.0, rel=1e-13)
     # exp: numerator invariants vanish identically
     assert h5_differential(EXP_JET) == 0.0
+    # orbits with h5 = c at c != 0: -4.000000000000008, ..118 and ..15362;
+    # 8.000000000000568, 8.0 and 7.999999999979053
+    for sol, c, xs in ((TAN_ATAN_ORBIT, -4.0, (0.0, 0.7, 2.0)),
+                       (POWER_ORBIT, 8.0, (-3.0, -1.5, 5.0))):
+        for x in xs:
+            assert h5_differential(sol.jet_fn(x)) == pytest.approx(c, abs=1e-9)
 
 
 def test_h5_differential_degenerate_on_schwarzian_manifold():

@@ -3,16 +3,14 @@ from collections import Counter
 
 import pytest
 
-from invdisc import (Jet, LimitProbe, LimitReport, Stencil, arctanh_solution,
-                     jy_invariants, kx_invariants, log_abs, one_over_one_minus_exp,
-                     probe_limit, tan_reciprocal, w0_sol2)
+from invdisc import (EXACT_SOLUTIONS, Jet, LimitProbe, LimitReport, Stencil,
+                     arctanh_solution, jy_invariants, kx_invariants, log_abs,
+                     one_over_one_minus_exp, probe_limit, tan_reciprocal, w0_sol2)
 from invdisc.limits import _INVARIANTS, _abscissae, target_value
 
 from conftest import polynomial_jet
 
-
-def jet_exp(x):
-    return Jet(x, (math.exp(x),) * 6)
+jet_exp = EXACT_SOLUTIONS["exp"]().jet_fn
 
 
 def geometric(h0, ratio, levels):

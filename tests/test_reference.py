@@ -21,8 +21,8 @@ from invdisc import Jet, cli, compose_jet, reference
 from invdisc.core import OVERFLOW_LIMIT
 from invdisc.reference import EXACT_SOLUTIONS
 
-from conftest import (finite_difference_jet, make_mobius, mobius_jet, rel_diff,
-                      rk4_reference_loop)
+from conftest import (POWER_ORBIT, TAN_ATAN_ORBIT, finite_difference_jet, make_mobius,
+                      mobius_jet, rel_diff, rk4_reference_loop)
 
 
 # --- RK4 baseline ------------------------------------------------------------------
@@ -317,6 +317,10 @@ def test_tan_reciprocal_jet_steep_region():
     (tan_reciprocal(), fifth_order_invariant_system(0.0), np.linspace(0.14, 0.19, 100)),
     (general_arctanh(0.8, 0.05, 1.5, 3.0), scaled_schwarzian_system(lambda x, y: 3.0),
      np.linspace(-0.9, 0.9, 100)),
+    # y^(5)(0) = 0 on the first: the scale's 1 covers it
+    (TAN_ATAN_ORBIT, fifth_order_invariant_system(-4.0), np.linspace(-2.0, 3.0, 101)),
+    (POWER_ORBIT, fifth_order_invariant_system(8.0),
+     np.concatenate([np.linspace(-6.0, -1.2, 50), np.linspace(3.2, 8.0, 50)])),
 ])
 def test_exact_solutions_satisfy_their_equations(sol, system, grid):
     for x in grid:
@@ -336,8 +340,7 @@ def reciprocal_jet_literal(x):
     return (1.0 / x, -1.0 / x ** 2, 2.0 / x ** 3, -6.0 / x ** 4, 24.0 / x ** 5)
 
 
-@pytest.mark.parametrize("name", ["log-abs", "arctanh", "tan-reciprocal",
-                                  "one-over-one-minus-exp"])
+@pytest.mark.parametrize("name", list(EXACT_SOLUTIONS))
 def test_exact_jets_raise_non_finite_where_a_derivative_overflows(name):
     # a jet is finite, or raises NonFiniteError, or DomainError at a
     # singular point; never ZeroDivisionError or OverflowError
@@ -363,6 +366,29 @@ def test_exact_jets_raise_non_finite_where_a_derivative_overflows(name):
     assert finite >= 200
 
 
+@pytest.mark.parametrize("name", list(EXACT_SOLUTIONS))
+def test_exact_value_is_the_jet_value(name):
+    # wherever both evaluators return, the value is the jet's first entry, bit
+    # for bit; and where one finds x singular, so does the other
+    sol = EXACT_SOLUTIONS[name]()
+    both = 0
+    for x in JET_SWEEP:
+        value, jet = _value_or_error(sol.eval_fn, x), _value_or_error(sol.jet_fn, x)
+        assert (value is DomainError) == (jet is DomainError), x
+        if isinstance(value, float) and isinstance(jet, Jet):
+            both += 1
+            assert value == jet.d[0], x
+    assert both >= 200
+
+
+def _value_or_error(fn, x):
+    """fn(x), or the class of the error it raises."""
+    try:
+        return fn(x)
+    except (ValueError, ArithmeticError) as e:
+        return type(e)
+
+
 @pytest.mark.parametrize("sol, x", [
     (log_abs(), 1e-66),  # x ** 4 underflows to zero
     (log_abs(), -1e62),  # x ** 5 overflows
@@ -370,8 +396,9 @@ def test_exact_jets_raise_non_finite_where_a_derivative_overflows(name):
     (tan_reciprocal(), 1e-60),  # x ** 6 underflows to zero
     (one_over_one_minus_exp(), 119.0),  # (1 - e^x) ** 6 overflows
     (one_over_one_minus_exp(), 710.0),  # e^x overflows
+    (EXACT_SOLUTIONS["exp"](), 710.0),
 ], ids=["log-underflow", "log-overflow", "tan-compose", "tan-underflow", "omex-power",
-        "omex-exp"])
+        "omex-exp", "exp"])
 def test_jet_overflow_names_x(sol, x):
     with pytest.raises(NonFiniteError, match=re.escape(f"at x = {x!r}") + "$"):
         sol.jet_fn(x)

@@ -19,8 +19,9 @@ from invdisc.discrete import _cross_ratio, _h5_r5_line
 from invdisc.schemes import extrapolate, h5_step
 
 import shadow
-from conftest import (STEPS, _ref_horner, _ref_real_roots, _ref_slx3_coeffs, _ref_slx3_kernel,
-                      make_mobius, random_mobius, ref_step, scheme_reference_loop)
+from conftest import (STEPS, TAN_ATAN_ORBIT, _ref_horner, _ref_real_roots, _ref_slx3_coeffs,
+                      _ref_slx3_kernel, make_mobius, random_mobius, ref_step,
+                      scheme_reference_loop)
 
 OMEX = lambda x: 1.0 / (1.0 - math.exp(x))
 MOBIUS = lambda x: (2.0 * x + 1.0) / (x + 3.0)
@@ -844,8 +845,12 @@ def _h5_shadow_errors(traj, c, exact):
                 max(abs(s - exact(mp.mpf(x))) for x, s in zip(traj.xs, shadow_ys)))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 17: h5 clears cross-ratios to a*t = b, "
-                                       "not the deficit form, and its arithmetic error leads")
+H5_ARITHMETIC_LEADS = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 17: h5 clears cross-ratios to a*t = b, "
+                        "not the deficit form, and its arithmetic error leads")
+
+
+@H5_ARITHMETIC_LEADS
 def test_h5_arithmetic_error_is_below_the_truncation_error():
     # c = 0 on 1/(1 - e^x) from x = -3 at h = 1e-2 (fine-step-sweep's h5
     # row): the arithmetic error reads 44 times the truncation error
@@ -856,6 +861,25 @@ def test_h5_arithmetic_error_is_below_the_truncation_error():
     assert traj.stop is StopReason.COMPLETED
     arithmetic, truncation = _h5_shadow_errors(traj, 0.0, lambda x: 1 / (1 - mp.exp(x)))
     assert arithmetic <= truncation
+
+
+@pytest.mark.parametrize("h", [1e-2, pytest.param(5e-3, marks=H5_ARITHMETIC_LEADS),
+                               pytest.param(2e-3, marks=H5_ARITHMETIC_LEADS)])
+def test_h5_arithmetic_error_on_an_orbit_with_nonzero_c(h):
+    # h5 = -4 on tan(sqrt(1.5) atan x) from x = 0 to 2.5 (ROADMAP item 21),
+    # relative to y over x > 0: the arithmetic error reads 1.01, 66.6 and
+    # 4.9e7 times the truncation error
+    seed = seed_stencil_from_function(TAN_ATAN_ORBIT.eval_fn, 0.0, h, 5)
+    traj = integrate(SchemeSpec(SchemeKind.H5, Constant(-4.0), Uniform(h)), seed,
+                     round(2.5 / h) - 4)
+    assert traj.stop is StopReason.COMPLETED and traj.xs[-1] == pytest.approx(2.5)
+    shadow_ys = shadow.h5(traj.ys[:5], len(traj.ys) - 5, -4.0)
+    with mp.workdps(40):
+        ys = [mp.tan(mp.sqrt(1.5) * mp.atan(mp.mpf(x))) for x in traj.xs[1:]]
+        arithmetic = max(abs(mp.mpf(f) - s) / abs(y)
+                         for f, s, y in zip(traj.ys[1:], shadow_ys[1:], ys))
+        truncation = max(abs(s - y) / abs(y) for s, y in zip(shadow_ys[1:], ys))
+    assert arithmetic <= 2.0 * truncation
 
 
 def test_h5_arithmetic_error_across_the_pole_of_tan_reciprocal():
