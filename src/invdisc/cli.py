@@ -8,7 +8,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -499,6 +499,7 @@ def cmd_limit(args) -> int:
     return EXIT_OK
 
 
+@cache  # built once per process: each add_argument builds a help formatter
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invdisc",

@@ -214,8 +214,8 @@ def _h5_r5_line(r3: float, r4: float, c: float) -> tuple[float, float, float]:
     """(a, b, scale) of a*R5 = b, cleared from the uniform-lattice relation
     16 R5 + R4 (3 R4 + R5 - 32) + R3 (R4 - 5 R5 + 16) = 2c (R3-4)(R4-4)(R5-4).
     ``scale`` is max(|R3|, |R4|, 16, |k|), k = 2c (R3-4)(R4-4), written out
-    as a left fold in that order: the same float as max(), without a call on
-    ``h5``'s per-step path."""
+    as a left fold in that order: the same float as max().  This is the
+    definition that ``schemes._h5_run`` inlines, operation for operation."""
     k = 2.0 * c * (r3 - 4.0) * (r4 - 4.0)
     m3, m4, mk = abs(r3), abs(r4), abs(k)
     scale = m4 if m4 > m3 else m3

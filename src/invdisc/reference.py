@@ -9,7 +9,6 @@ throughout.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -359,7 +358,9 @@ def tan_reciprocal() -> ExactSolution:
     def ev(x):
         if x == 0.0:
             raise DomainError("tan(1/x) is singular at 0")
-        return math.tan(1.0 / x)
+        if math.isinf(u := 1.0 / x):  # |x| below about 5.6e-309
+            raise NonFiniteError(f"1/x out of float range at x = {x!r}")
+        return math.tan(u)
     return ExactSolution(ev, _tan_reciprocal_jet)
 
 
@@ -407,4 +408,4 @@ def chi(candidate: Trajectory | Sequence[float], reference: Sequence[float]) -> 
     denom = math.hypot(*reference)
     if denom == 0.0:
         raise DegenerateCoefficientError("reference is identically zero")
-    return math.hypot(*map(operator.sub, ys, reference)) / denom
+    return math.dist(ys, reference) / denom

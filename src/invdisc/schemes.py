@@ -16,18 +16,19 @@ degree its descent ends on keeps its real root nearest it, and
 Each scheme has one straight-line run loop on plain floats, which advances
 a window over a sequence of abscissae and returns the :class:`StopReason`
 that ends the run: ``_sly4_run``, ``_slx3_run`` (every forcing, affine in
-the new ordinate) and ``_h5_run``.  ``slx3`` and ``h5`` evaluate each step's
-invariants inline, with the float operations and degeneracy checks of
-:mod:`invdisc.discrete`, which stays their definition, and carry what the
-next window would recompute: ``slx3`` two ordinate differences, ``h5`` its
-checked R4, the next window's R3.  ``sly4`` carries its recursion's state:
-l3, a ratio deficit, the last difference and a compensated sum.  Only the
-seed's l3 and ``h5``'s first R3 call :mod:`invdisc.discrete`.  ``slx3`` and
-``h5`` assume the uniform lattice and read x only to append it.
+the new ordinate) and ``_h5_run``, which write ordinates only.  ``slx3``
+and ``h5`` evaluate each step's invariants, root choice and R5 line inline,
+with the float operations of :mod:`invdisc.discrete`, :func:`select_root`
+and :func:`_quadratic_roots`, which stay their definition, and carry what
+the next window would recompute: ``slx3`` two ordinate differences, ``h5``
+its checked R4 (the next R3) and differences.  ``sly4`` carries its recursion's state: l3, a
+ratio deficit, the last difference and a compensated sum.  Only the seed's
+l3 and ``h5``'s first R3 call :mod:`invdisc.discrete`.  ``slx3`` and ``h5``
+assume the uniform lattice and read no abscissa.
 :func:`_resolve` alone knows which forcing each scheme takes, from how many
-points, and which loop runs them; :func:`integrate` resolves once per run
-and runs the loop over the lattice, ``*_step(stencil, x_next, forcing)``
-over the one abscissa ``x_next``.
+points, and which loop runs them; :func:`integrate` resolves once per run,
+runs the loop over the lattice and lays out the abscissae the run reached,
+``*_step(stencil, x_next, forcing)`` over the one abscissa ``x_next``.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from typing import Sequence
 from .core import (Constant, DEGENERACY_RTOL, DegenerateCoefficientError, ForcingTerm,
                    FunctionOfX, IdentityInY, NonFiniteError, OVERFLOW_LIMIT, SCHEME_ARITY,
                    SchemeKind, SchemeSpec, Stencil, StopReason, Trajectory)
-from .discrete import _MIN_NORMAL, _cross_ratio, _h5_r5_line, _l
+from .discrete import _MIN_NORMAL, _cross_ratio, _l
 
 
 # --- closed-form real roots ---------------------------------------------------
@@ -161,12 +162,13 @@ def select_root(roots: list[float], prediction: float) -> float | None:
 
 
 # --- the three schemes --------------------------------------------------------
-# Each run loop is (xs, ys, abscissae, param, out_xs, out_ys) -> StopReason:
-# it advances the window (xs, ys) to each abscissa in turn, appends each new
-# point to out_xs and out_ys, and returns why it stopped, COMPLETED when the
-# abscissae run out.  The window lives in local floats, and a difference or
-# cross-ratio that the next window would recompute from the same operands is
-# carried over.  Only what each step evaluates is inline.  Inline checks
+# Each run loop is (xs, ys, abscissae, param, out_ys) -> StopReason: it
+# advances the window (xs, ys) to each abscissa in turn, appends each new
+# ordinate to out_ys, and returns why it stopped, COMPLETED when the
+# abscissae run out; slx3 and h5 only count them.  The window lives in local
+# floats, and a difference or cross-ratio that the next window would
+# recompute from the same operands is carried over.  A step calls Python
+# code only for sly4's forcing and slx3's cubic.  Inline checks
 # |d| <= DEGENERACY_RTOL * scale are core.is_degenerate, and
 # abs(t) <= OVERFLOW_LIMIT is false for NaN and +-inf as well.  Each scale is
 # max() of magnitudes taken once per step, written out as the left fold
@@ -182,7 +184,7 @@ def _first_step_stop(abscissae, exc: Exception) -> StopReason:
     return StopReason.COMPLETED
 
 
-def _sly4_run(xs, ys, abscissae, fn, out_xs, out_ys) -> StopReason:
+def _sly4_run(xs, ys, abscissae, fn, out_ys) -> StopReason:
     """Run loop of the fourth-order scheme, l4(window + new point) = fn(x2):
     the right window's l3 is the left one's plus fn(x2)·(x - x0)/4, and the
     y cross-ratio of (y1, y2, y3, t) is K = S·(1 - l3·(x3 - x2)(x - x1)/6),
@@ -218,14 +220,13 @@ def _sly4_run(xs, ys, abscissae, fn, out_xs, out_ys) -> StopReason:
         comp, s = (t - s) - dc, t
         if not abs(t) <= OVERFLOW_LIMIT:
             return StopReason.NON_FINITE
-        out_xs.append(x)
         out_ys.append(t)
         x0, x1, x2, x3 = x1, x2, x3, x
         dx21, dx31, dx32 = dx32, dx42, dx43
     return StopReason.COMPLETED
 
 
-def _slx3_run(xs, ys, abscissae, forcing, out_xs, out_ys) -> StopReason:
+def _slx3_run(xs, ys, abscissae, forcing, out_ys) -> StopReason:
     """Run loop of the third-order scheme on a uniform lattice (S = 4) in the
     new difference u = t - y2.  With a = y1 - y0, b = y2 - y1, s = a + b,
     K = 4ab and the forcing f0 + f1 u at the new point (f0 = c + w (y0 + y1
@@ -238,7 +239,7 @@ def _slx3_run(xs, ys, abscissae, forcing, out_xs, out_ys) -> StopReason:
     c, w, fb = forcing
     y0, y1, y2 = ys
     a, b = y1 - y0, y2 - y1
-    for x in abscissae:
+    for _ in abscissae:
         if b == 0.0:
             return StopReason.DEGENERATE_COEFFICIENT
         s, k = a + b, 4.0 * a * b
@@ -250,13 +251,22 @@ def _slx3_run(xs, ys, abscissae, forcing, out_xs, out_ys) -> StopReason:
         m01 = m1 if m1 > m0 else m0
         m012 = m2 if m2 > m01 else m01
         if not m3 <= DEGENERACY_RTOL * (m3 if m3 > m012 else m012):
-            u = _polish(c0, c1, c2, c3, select_root(_cubic_roots(c0, c1, c2, c3), up))
+            roots = _cubic_roots(c0, c1, c2, c3)
+            u = roots[0]  # select_root on ascending roots: the first nearest u_p
+            for r in roots[1:]:
+                if abs(r - up) < abs(u - up):
+                    u = r
+            u = _polish(c0, c1, c2, c3, u)
         elif not m2 <= DEGENERACY_RTOL * m012:
-            roots = _quadratic_roots(c0, c1, c2)
-            if not roots:
+            # _quadratic_roots, then select_root on its ascending pair
+            disc = c1 * c1 - 4.0 * c2 * c0
+            if disc < 0.0:
                 return StopReason.NO_REAL_ROOT
-            # select_root on the ascending pair: a tie keeps the smaller root
-            lo, hi = roots
+            sq = math.sqrt(disc)
+            q = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0.0 else -0.5 * sq
+            lo, hi = (0.0, 0.0) if q == 0.0 else (q / c2, c0 / q)
+            if hi < lo:
+                lo, hi = hi, lo
             u = hi if abs(hi - up) < abs(lo - up) else lo
         elif not m1 <= DEGENERACY_RTOL * m01:
             u = -c0 / c1
@@ -265,30 +275,30 @@ def _slx3_run(xs, ys, abscissae, forcing, out_xs, out_ys) -> StopReason:
         t = y2 + u
         if not abs(t) <= OVERFLOW_LIMIT:
             return StopReason.NON_FINITE
-        out_xs.append(x)
         out_ys.append(t)
         a, b = b, t - y2
         y0, y1, y2 = y1, y2, t
     return StopReason.COMPLETED
 
 
-def _h5_run(xs, ys, abscissae, c, out_xs, out_ys) -> StopReason:
+def _h5_run(xs, ys, abscissae, c, out_ys) -> StopReason:
     """Run loop of the six-point scheme: the y cross-ratios R3 and R4 of the
-    window give R5 from :func:`discrete._h5_r5_line`, and cross-ratio(y2, y3,
-    y4, t) = R5 clears to a*t = b.  The abscissae do not enter on a uniform
+    window give R5 by :func:`discrete._h5_r5_line`, inline, and cross-ratio(y2,
+    y3, y4, t) = R5 clears to a*t = b.  The abscissae do not enter on a uniform
     lattice.  The first window's R3 is discrete._cross_ratio, whose degeneracy
     or NaN stops the first step; each step's R4 is that cross-ratio inline,
-    and, checked and with its differences, the next window's R3."""
+    and, checked and with its differences and their magnitudes, the next R3."""
     y0, y1, y2, y3, y4 = ys
     try:
         r3 = _cross_ratio(y0, y1, y2, y3)
     except (DegenerateCoefficientError, NonFiniteError) as exc:
         return _first_step_stop(abscissae, exc)
     dy21, dy31, dy32 = y2 - y1, y3 - y1, y3 - y2
-    for x in abscissae:
+    a21, a31, a32 = abs(dy21), abs(dy31), abs(dy32)
+    for _ in abscissae:
         # R4 = cross-ratio(y1, y2, y3, y4)
         dy42, dy43 = y4 - y2, y4 - y3
-        a42, a31, a43, a21 = abs(dy42), abs(dy31), abs(dy43), abs(dy21)
+        a42, a43 = abs(dy42), abs(dy43)
         tol = a31 if a31 > a42 else a42
         tol = a43 if a43 > tol else tol
         tol = DEGENERACY_RTOL * (a21 if a21 > tol else tol)
@@ -301,8 +311,14 @@ def _h5_run(xs, ys, abscissae, c, out_xs, out_ys) -> StopReason:
             r4 = num / den
         else:  # paired, as in discrete._cross_ratio
             r4 = (dy42 / dy43) * (dy31 / dy21)
-        a_r5, b_r5, scale = _h5_r5_line(r3, r4, c)
-        if abs(a_r5) <= DEGENERACY_RTOL * scale:
+        # a_r5 R5 = b_r5 and its scale, as discrete._h5_r5_line forms them
+        k = 2.0 * c * (r3 - 4.0) * (r4 - 4.0)
+        m3, m4, mk = abs(r3), abs(r4), abs(k)
+        scale = m4 if m4 > m3 else m3
+        scale = 16.0 if 16.0 > scale else scale
+        a_r5 = 16.0 + r4 - 5.0 * r3 - k
+        b_r5 = -3.0 * r4 ** 2 + 32.0 * r4 - r3 * r4 - 16.0 * r3 - 4.0 * k
+        if abs(a_r5) <= DEGENERACY_RTOL * (mk if mk > scale else scale):
             return StopReason.DEGENERATE_COEFFICIENT
         v = b_r5 / a_r5
         vd = v * dy32
@@ -316,9 +332,9 @@ def _h5_run(xs, ys, abscissae, c, out_xs, out_ys) -> StopReason:
         t = b / a
         if not abs(t) <= OVERFLOW_LIMIT:
             return StopReason.NON_FINITE
-        out_xs.append(x)
         out_ys.append(t)
         r3, dy21, dy31, dy32 = r4, dy32, dy42, dy43
+        a21, a31, a32 = a32, a42, a43
         y2, y3, y4 = y3, y4, t
     return StopReason.COMPLETED
 
@@ -340,7 +356,7 @@ def _step(scheme: SchemeKind, stencil: Stencil, x_next: float,
     else:
         _check_lattice(stencil, x_next - xs[-1], 1)
     out_ys = []
-    stop = run(xs, stencil.ys, (x_next,), param, [], out_ys)
+    stop = run(xs, stencil.ys, (x_next,), param, out_ys)
     return out_ys[0] if out_ys else stop
 
 
@@ -438,8 +454,10 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
     run, param = _resolve(spec.scheme, spec.forcing, seed)
     h, arity = spec.lattice.h, len(seed)
     _check_lattice(seed, h, n_steps)
-    out_xs, out_ys = list(seed.xs), list(seed.ys)
-    # x0 + n*h; float() lets an int x0 add a float
-    nodes = map(float(seed.xs[0]).__add__, map(h.__mul__, range(arity, arity + n_steps)))
-    stop = run(seed.xs, seed.ys, nodes, param, out_xs, out_ys)
-    return Trajectory(tuple(out_xs), tuple(out_ys), stop, spec.scheme.value, h)
+    out_ys, x0, steps = list(seed.ys), float(seed.xs[0]), range(arity, arity + n_steps)
+    # only sly4 reads the nodes x0 + n*h; slx3 and h5 count the steps
+    nodes = (x0 + k * h for k in steps) if run is _sly4_run else steps
+    stop = run(seed.xs, seed.ys, nodes, param, out_ys)
+    # the advanced nodes only, by a list comprehension: faster than a generator
+    xs = seed.xs + tuple([x0 + k * h for k in range(arity, len(out_ys))])
+    return Trajectory(xs, tuple(out_ys), stop, spec.scheme.value, h)

@@ -543,6 +543,19 @@ def test_limit_exp_overflow_names_x(capsys):
     assert capsys.readouterr().err == "error: e^x overflows at x = 710.0\n"
 
 
+def test_chi_tan_reciprocal_at_tiny_x_names_x(tmp_path, capsys):
+    # 1/x rounds to inf at x = 1e-320: exit 2 with an error that names x
+    p = tmp_path / "tiny.csv"
+    p.write_text("x,y\n1e-320,0.5\n")
+    assert main(["chi", str(p), "tan-reciprocal"]) == 2
+    assert capsys.readouterr().err == "error: 1/x out of float range at x = 1e-320\n"
+
+
+def test_parser_is_built_once():
+    # main reuses one parser per process; --config re-parses through it
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_chi_non_finite_row(tmp_path):
     p = tmp_path / "nan.csv"
     p.write_text("x,y\n0,1\n1,nan\n")

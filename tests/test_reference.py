@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import re
 import subprocess
@@ -404,6 +405,15 @@ def test_jet_overflow_names_x(sol, x):
         sol.jet_fn(x)
 
 
+@pytest.mark.parametrize("x", [1e-320, 1e-309, 5.5e-309])
+def test_tan_reciprocal_tiny_x_raises_non_finite(x):
+    # 1/x rounds to inf: both evaluators name x, where math.tan raised ValueError
+    sol = tan_reciprocal()
+    for fn in (sol.eval_fn, sol.jet_fn):
+        with pytest.raises(NonFiniteError, match=re.escape(f"at x = {x!r}") + "$"):
+            fn(x)
+
+
 def test_one_over_one_minus_exp_value_overflow_names_x():
     with pytest.raises(NonFiniteError, match=re.escape("at x = 710.0") + "$"):
         one_over_one_minus_exp().eval_fn(710.0)
@@ -459,6 +469,29 @@ def test_chi_matches_list_form(rng, n):
     expected = chi_list_form(ys, ref)
     assert chi(_traj(ys), ref) == expected
     assert chi(ys, ref) == expected
+
+
+def chi_hypot_form(ys, reference):
+    """Test-only copy of chi's former quotient, hypot over mapped differences."""
+    return math.hypot(*map(operator.sub, ys, reference)) / math.hypot(*reference)
+
+
+#: a float at any scale from 1e-300 to 1e300, or near the top of the range,
+#: where the difference of two of opposite sign overflows to inf
+_ANY_SCALE = st.one_of(st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0),
+                                 st.integers(-300, 300)),
+                       st.sampled_from([1.7e308, -1.7e308, 8.9e307, -8.9e307]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_ANY_SCALE, _ANY_SCALE), min_size=1, max_size=12))
+def test_chi_is_the_hypot_of_mapped_differences(rows):
+    ys, ref = (list(col) for col in zip(*rows))
+    if math.hypot(*ref) == 0.0:
+        with pytest.raises(DegenerateCoefficientError):
+            chi(ys, ref)
+        return
+    assert repr(chi(ys, ref)) == repr(chi_hypot_form(ys, ref))
 
 
 def test_import_leaves_numpy_out():

@@ -466,6 +466,50 @@ def test_integrate_completed_and_metadata():
     assert traj.h_nominal == 0.01
 
 
+ATANH_UNIT = (-1.4722194895832204, -1.0986122886681098, -0.8673005276940531)
+#: runs whose abscissae integrate lays out after the loop:
+#: (scheme, forcing, h, seed, n_steps, stop)
+LATTICE_RUNS = {
+    "int-abscissae-sly4": (SchemeKind.SLY4, Constant(0.0), 1.0,
+                           Stencil((0, 1, 2, 3), tuple(map(MOBIUS, range(4)))), 6,
+                           StopReason.COMPLETED),
+    "int-abscissae-slx3": (SchemeKind.SLX3, Constant(2.0), 1.0, Stencil((0, 1, 2), ATANH_UNIT),
+                           5, StopReason.COMPLETED),
+    "backward-sly4": (SchemeKind.SLY4, FunctionOfX(math.cos), -0.01,
+                      seed_stencil_from_function(MOBIUS, 1.0, -0.01, 4), 30,
+                      StopReason.COMPLETED),
+    "backward-h5": (SchemeKind.H5, Constant(0.0), -0.01,
+                    seed_stencil_from_function(OMEX, -1.0, -0.01, 5), 30, StopReason.COMPLETED),
+    # y2 = y1 leaves sly4 without a ratio and h5 without its first R3
+    "first-step-stop-sly4": (SchemeKind.SLY4, Constant(0.0), 0.1,
+                             Stencil((0.0, 0.1, 0.2, 0.3), (0.0, 1.0, 1.0, 2.0)), 10,
+                             StopReason.DEGENERATE_COEFFICIENT),
+    "first-step-stop-h5": (SchemeKind.H5, Constant(0.0), 0.1,
+                           Stencil((0.0, 0.1, 0.2, 0.3, 0.4), (0.0, 1.0, 1.0, 2.0, 3.0)), 10,
+                           StopReason.DEGENERATE_COEFFICIENT),
+    "no-steps-sly4": (SchemeKind.SLY4, Constant(0.0), 0.1,
+                      seed_stencil_from_function(MOBIUS, 0.0, 0.1, 4), 0, StopReason.COMPLETED),
+    "no-steps-slx3": (SchemeKind.SLX3, Constant(0.0), 0.1,
+                      Stencil((0.0, 0.1, 0.2), (0.0, 1.0, 1.0)), 0, StopReason.COMPLETED),
+    # the log barrier 50 steps on: a million nodes asked for, about 50 laid out
+    "barrier": (SchemeKind.SLX3, Constant(0.5), 1e-3,
+                seed_stencil_from_function(lambda x: math.log(abs(x)), -0.05, 1e-3, 3), 10 ** 6,
+                StopReason.NO_REAL_ROOT),
+}
+
+
+@pytest.mark.parametrize("kind, forcing, h, seed, n_steps, stop", LATTICE_RUNS.values(),
+                         ids=LATTICE_RUNS)
+def test_integrate_lays_out_the_nodes_it_advanced(kind, forcing, h, seed, n_steps, stop):
+    traj = integrate(SchemeSpec(kind, forcing, Uniform(h)), seed, n_steps)
+    assert traj.stop is stop
+    # the nodes as the loops once appended them: h * k, then x0 + that
+    x0, ks = float(seed.xs[0]), range(len(seed), len(traj.ys))
+    assert traj.xs == seed.xs + tuple(map(x0.__add__, map(h.__mul__, ks)))
+    assert list(map(type, traj.xs)) == list(map(type, seed.xs)) + [float] * len(ks)
+    assert len(traj.xs) <= len(seed) + min(n_steps, 50)
+
+
 @pytest.mark.parametrize("kind, forcing, f, x0, h", [
     (SchemeKind.SLY4, Constant(0.0), MOBIUS, 0, 0.1),
     (SchemeKind.SLY4, FunctionOfX(math.cos), math.exp, 0, 0.1),
@@ -986,58 +1030,62 @@ def _assert_integrate_is_composed(spec, seed, n_steps):
 
 #: per degree of the slx3 step and per branch of its descent, where a
 #: degenerate leading coefficient drops the polynomial in u = t - y2 one
-#: degree: (ys, forcing, the root solver that runs); a linear degree runs no
-#: solver.  Under the identity forcings f0 is about y2, so the u^3 term is
-#: about 1/(y2 s) of the u term and the u^2 term 1/s + 1/y2 of it: a window
-#: far from 0 drops the cubic, one as wide as it is far the quadratic too
+#: degree: (ys, forcing, the degree the descent ends on); None where the step
+#: solves nothing.  Only a cubic calls a root solver, whose root is polished;
+#: the quadratic and linear roots are inline.  Under the identity forcings f0
+#: is about y2, so the u^3 term is about 1/(y2 s) of the u term and the u^2
+#: term 1/s + 1/y2 of it: a window far from 0 drops the cubic, one as wide
+#: as it is far the quadratic too
 SLX3_DEGREES = {
-    "quadratic": ((0.0, 0.4, 0.7), Constant(0.5), "_quadratic_roots"),
-    "cubic": ((0.0, 0.4, 0.7), IdentityInY(), "_cubic_roots"),
-    "cubic-mean": ((0.0, 0.4, 0.7), IdentityInY(stencil_mean=True), "_cubic_roots"),
-    "cubic-to-quadratic": ((1e14, 1e14 + 1.0, 1e14 + 3.0), IdentityInY(), "_quadratic_roots"),
-    "cubic-to-linear": ((0.0, 1e14, 3e14), IdentityInY(stencil_mean=True), ""),
-    "quadratic-to-linear": ((0.0, 0.4, 0.7), Constant(0.0), ""),
+    "quadratic": ((0.0, 0.4, 0.7), Constant(0.5), 2),
+    "cubic": ((0.0, 0.4, 0.7), IdentityInY(), 3),
+    "cubic-mean": ((0.0, 0.4, 0.7), IdentityInY(stencil_mean=True), 3),
+    "cubic-to-quadratic": ((1e14, 1e14 + 1.0, 1e14 + 3.0), IdentityInY(), 2),
+    "cubic-to-linear": ((0.0, 1e14, 3e14), IdentityInY(stencil_mean=True), 1),
+    "quadratic-to-linear": ((0.0, 0.4, 0.7), Constant(0.0), 1),
     # y1 - y0 and y2 - y1 infinite with opposite signs: s = y2 - y0 and with
     # it the scale are NaN, which takes the cubic path to a NaN root
-    "nan-scale-quadratic": ((-1.7e308, 1.7e308, -1.7e308), Constant(0.5), "_cubic_roots"),
-    "nan-scale-cubic": ((-1.7e308, 1.7e308, -1.7e308), IdentityInY(), "_cubic_roots"),
+    "nan-scale-quadratic": ((-1.7e308, 1.7e308, -1.7e308), Constant(0.5), 3),
+    "nan-scale-cubic": ((-1.7e308, 1.7e308, -1.7e308), IdentityInY(), 3),
     # K = 4ab overflows: under a constant forcing the u^3 coefficient is
     # -inf * 0, a NaN, so the cubic path runs to a NaN root; under the
     # identity forcings every coefficient is infinite, each degree's test
     # reads inf <= DEGENERACY_RTOL * inf, and the descent ends degenerate
-    "k-overflow-constant": ((0.0, 1e155, 2e155), Constant(0.5), "_cubic_roots"),
+    "k-overflow-constant": ((0.0, 1e155, 2e155), Constant(0.5), 3),
     "k-overflow-identity": ((0.0, 1e155, 2e155), IdentityInY(), None),
     "k-overflow-mean": ((0.0, 1e155, 2e155), IdentityInY(stencil_mean=True), None),
     # subnormal differences: K and the constant term underflow to zero, and
     # DEGENERACY_RTOL times the linear scale is zero, below the linear term
-    "subnormal-scale": ((0.0, 1e-320, 3e-320), Constant(0.5), ""),
+    "subnormal-scale": ((0.0, 1e-320, 3e-320), Constant(0.5), 1),
     # y2 = y1: m3 has no value, and the step solves nothing
     "flat-middle": ((0.0, 0.4, 0.4), IdentityInY(), None),
 }
 
 
-@pytest.mark.parametrize("ys, forcing, solver", SLX3_DEGREES.values(), ids=SLX3_DEGREES)
-def test_slx3_descent_equals_composed_kernels(ys, forcing, solver):
+@pytest.mark.parametrize("ys, forcing, degree", SLX3_DEGREES.values(), ids=SLX3_DEGREES)
+def test_slx3_descent_equals_composed_kernels(ys, forcing, degree):
     xs = (0.0, 0.5, 1.0)
     counted = ("_quadratic_roots", "_cubic_roots", "_polish")
     spec = SchemeSpec(SchemeKind.SLX3, forcing, Uniform(0.5))
+    if degree is not None:  # the composed kernels' descent ends on the same degree
+        assert len(_ref_slx3_coeffs(ys, forcing)) == degree + 1
     with ExitStack() as stack:
         calls = {name: stack.enter_context(mock.patch.object(
                      schemes, name, wraps=getattr(schemes, name))) for name in counted}
         t = slx3_step(Stencil(xs, ys), 1.5, forcing)
-        # the step's one root solver, if any, and a polish of a cubic's root
+        # a cubic's root solver and its polish, and no call on another degree
         assert {name: calls[name].call_count for name in counted if calls[name].called} == (
-            {} if not solver else {solver: 1, "_polish": 1} if solver == "_cubic_roots"
-            else {solver: 1})
+            {"_cubic_roots": 1, "_polish": 1} if degree == 3 else {})
         for m in calls.values():
             m.reset_mock()
         traj = integrate(spec, Stencil(xs, ys), 20)
         assert calls["_polish"].call_count == calls["_cubic_roots"].call_count
+        assert not calls["_quadratic_roots"].called
     want = _ref_slx3_kernel(xs, ys, 1.5, forcing)
     assert repr(t) == repr(want)
-    assert (t is StopReason.DEGENERATE_COEFFICIENT) == (solver is None)
+    assert (t is StopReason.DEGENERATE_COEFFICIENT) == (degree is None)
     # a NaN root: the cubic path on a window whose K overflows
-    assert (t is StopReason.NON_FINITE) == (solver == "_cubic_roots" and ys[1] - ys[0] > 1e154)
+    assert (t is StopReason.NON_FINITE) == (degree == 3 and ys[1] - ys[0] > 1e154)
     assert (traj.xs, traj.ys, traj.stop) == scheme_reference_loop(spec, Stencil(xs, ys), 20)
 
 
