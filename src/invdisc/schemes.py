@@ -14,31 +14,34 @@ degree its descent ends on keeps its real root nearest it, and
 :func:`_polish` polishes a cubic's root.
 
 Each scheme has one straight-line run loop on plain floats, which advances
-a window over a sequence of abscissae and returns the :class:`StopReason`
-that ends the run: ``_sly4_run``, ``_slx3_run`` (every forcing, affine in
-the new ordinate) and ``_h5_run``, which write ordinates only.  ``slx3``
-and ``h5`` evaluate each step's invariants, root choice and R5 line inline,
-with the float operations of :mod:`invdisc.discrete`, :func:`select_root`
-and :func:`_quadratic_roots`, which stay their definition, and carry what
-the next window would recompute: ``slx3`` two ordinate differences, ``h5``
-its checked R4 (the next R3) and differences.  ``sly4`` carries its recursion's state: l3, a
-ratio deficit, the last difference and a compensated sum.  Only the seed's
-l3 and ``h5``'s first R3 call :mod:`invdisc.discrete`.  ``slx3`` and ``h5``
-assume the uniform lattice and read no abscissa.
-:func:`_resolve` alone knows which forcing each scheme takes, from how many
-points, and which loop runs them; :func:`integrate` resolves once per run,
-runs the loop over the lattice and lays out the abscissae the run reached,
-``*_step(stencil, x_next, forcing)`` over the one abscissa ``x_next``.
+a window one step of a uniform lattice per node and returns the
+:class:`StopReason` that ends the run: ``_sly4_run``, ``_slx3_run`` (every
+forcing, affine in the new ordinate) and ``_h5_run``, which write ordinates
+only and read no spacing.  ``slx3`` and ``h5`` evaluate each step's
+invariants, root choice and R5 line inline, with the float operations of
+:mod:`invdisc.discrete`, :func:`select_root` and :func:`_quadratic_roots`,
+which stay their definition, and carry what the next window would
+recompute: ``slx3`` two ordinate differences, ``h5`` its checked R4 (the
+next R3) and differences.  ``sly4`` carries ρ, the deficit of the y
+cross-ratio from 4, a ratio deficit, the last difference and a compensated
+sum, and takes from ρ what :func:`_sly4_decrements` yields per step, which
+alone reads sly4's nodes.  Only the seed's R/S and ``h5``'s first R3 call
+:mod:`invdisc.discrete`.  :func:`_advance` alone knows which forcing each
+scheme takes, from how many points, and which loop runs them; it checks the
+lattice once and runs the loop over it for :func:`integrate`, which lays
+out the abscissae the run reached, and for ``*_step(stencil, x_next,
+forcing)``, the first step to x_next on the lattice of step x_next - xs[-1].
 """
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
 from .core import (Constant, DEGENERACY_RTOL, DegenerateCoefficientError, ForcingTerm,
                    FunctionOfX, IdentityInY, NonFiniteError, OVERFLOW_LIMIT, SCHEME_ARITY,
                    SchemeKind, SchemeSpec, Stencil, StopReason, Trajectory)
-from .discrete import _MIN_NORMAL, _cross_ratio, _l
+from .discrete import _MIN_NORMAL, _cross_ratio, _ratio_r_over_s
 
 
 # --- closed-form real roots ---------------------------------------------------
@@ -162,53 +165,44 @@ def select_root(roots: list[float], prediction: float) -> float | None:
 
 
 # --- the three schemes --------------------------------------------------------
-# Each run loop is (xs, ys, abscissae, param, out_ys) -> StopReason: it
-# advances the window (xs, ys) to each abscissa in turn, appends each new
-# ordinate to out_ys, and returns why it stopped, COMPLETED when the
-# abscissae run out; slx3 and h5 only count them.  The window lives in local
-# floats, and a difference or cross-ratio that the next window would
-# recompute from the same operands is carried over.  A step calls Python
-# code only for sly4's forcing and slx3's cubic.  Inline checks
-# |d| <= DEGENERACY_RTOL * scale are core.is_degenerate, and
-# abs(t) <= OVERFLOW_LIMIT is false for NaN and +-inf as well.  Each scale is
-# max() of magnitudes taken once per step, written out as the left fold
-# m = v if v > m else m in max()'s argument order: the same float as max(),
-# which keeps a NaN first operand and skips a later one, without a call.
+# Each run loop is (xs, ys, steps, param, out_ys) -> StopReason: it
+# advances the window (xs, ys) one lattice step per item of steps, appends
+# each new ordinate to out_ys, and returns why it stopped, COMPLETED when
+# the steps run out; sly4 takes each item from its deficit, and slx3 and h5
+# only count them.  The window lives in local floats, and a difference or
+# cross-ratio that the next window would recompute from the same operands
+# is carried over.  A step calls Python code only for slx3's cubic and, in
+# its decrements, sly4's forcing.  Inline checks |d| <= DEGENERACY_RTOL *
+# scale are core.is_degenerate, and abs(t) <= OVERFLOW_LIMIT is false for
+# NaN and +-inf as well.  Each scale is max() of magnitudes taken once per
+# step, written out as the left fold m = v if v > m else m in max()'s
+# argument order: the same float as max(), which keeps a NaN first operand
+# and skips a later one, without a call.
 
-def _first_step_stop(abscissae, exc: Exception) -> StopReason:
-    """The stop of the first step over ``abscissae`` from a window that has
-    no invariant (``exc``), or COMPLETED if there is no step to take."""
-    for _ in abscissae:
+def _first_step_stop(steps, exc: Exception) -> StopReason:
+    """The stop of the first step over ``steps`` from a window that has no
+    invariant (``exc``), or COMPLETED if there is no step to take."""
+    for _ in steps:
         return (StopReason.NON_FINITE if isinstance(exc, NonFiniteError)
                 else StopReason.DEGENERATE_COEFFICIENT)
     return StopReason.COMPLETED
 
 
-def _sly4_run(xs, ys, abscissae, fn, out_ys) -> StopReason:
-    """Run loop of the fourth-order scheme, l4(window + new point) = fn(x2):
-    the right window's l3 is the left one's plus fn(x2)·(x - x0)/4, and the
-    y cross-ratio of (y1, y2, y3, t) is K = S·(1 - l3·(x3 - x2)(x - x1)/6),
-    S the x cross-ratio of (x1, x2, x3, x).  With K = 4 + ρ, d = y3 - y2 and
+def _sly4_run(xs, ys, decrements, _, out_ys) -> StopReason:
+    """Run loop of the fourth-order scheme, l4(window + new point) = f(x2),
+    on a uniform lattice: the y cross-ratio of (y1, y2, y3, t) is 4 + ρ, and
+    each step takes the next of ``decrements`` from ρ.  With d = y3 - y2 and
     e = d/(y2 - y1) - 1, a step is e <- (2e - ρ)/(2 - e + ρ), d <- d·(1 + e),
-    and d is added to a Kahan sum; ρ is formed directly, never as K - 4.  A
-    seed without l3 (discrete._l) or with y2 = y1 stops the first step."""
-    x0, x1, x2, x3 = xs
+    and d is added to a Kahan sum.  The seed's ρ is 4(R/S - 1) on its own
+    abscissae; a seed without R/S or with y2 = y1 stops the first step."""
     _, y1, y2, s = ys
     d2, d, comp = y2 - y1, s - y2, 0.0  # comp: the compensation of the sum s
     try:
-        l3, e = _l(xs, ys, 0, 3), (d - d2) / d2
+        rho, e = 4.0 * (_ratio_r_over_s(xs, ys, 0) - 1.0), (d - d2) / d2
     except (DegenerateCoefficientError, NonFiniteError, ZeroDivisionError) as exc:
-        return _first_step_stop(abscissae, exc)
-    dx21, dx31, dx32 = x2 - x1, x3 - x1, x3 - x2
-    for x in abscissae:
-        l3 += fn(x2) * (x - x0) / 4.0
-        # S = num / den, the x cross-ratio of (x1, x2, x3, x)
-        dx42, dx43 = x - x2, x - x3
-        den = dx43 * dx21
-        if den == 0.0:  # underflow
-            return StopReason.DEGENERATE_COEFFICIENT
-        num = dx42 * dx31
-        rho = (num - 4.0 * den) / den - num / den * l3 * dx32 * (x - x1) / 6.0
+        return _first_step_stop(decrements, exc)
+    for dr in decrements:
+        rho -= dr
         q = 2.0 - e + rho
         if q == 0.0:  # the new point is at infinity
             return StopReason.NON_FINITE
@@ -221,12 +215,10 @@ def _sly4_run(xs, ys, abscissae, fn, out_ys) -> StopReason:
         if not abs(t) <= OVERFLOW_LIMIT:
             return StopReason.NON_FINITE
         out_ys.append(t)
-        x0, x1, x2, x3 = x1, x2, x3, x
-        dx21, dx31, dx32 = dx32, dx42, dx43
     return StopReason.COMPLETED
 
 
-def _slx3_run(xs, ys, abscissae, forcing, out_ys) -> StopReason:
+def _slx3_run(xs, ys, steps, forcing, out_ys) -> StopReason:
     """Run loop of the third-order scheme on a uniform lattice (S = 4) in the
     new difference u = t - y2.  With a = y1 - y0, b = y2 - y1, s = a + b,
     K = 4ab and the forcing f0 + f1 u at the new point (f0 = c + w (y0 + y1
@@ -239,7 +231,7 @@ def _slx3_run(xs, ys, abscissae, forcing, out_ys) -> StopReason:
     c, w, fb = forcing
     y0, y1, y2 = ys
     a, b = y1 - y0, y2 - y1
-    for _ in abscissae:
+    for _ in steps:
         if b == 0.0:
             return StopReason.DEGENERATE_COEFFICIENT
         s, k = a + b, 4.0 * a * b
@@ -281,7 +273,7 @@ def _slx3_run(xs, ys, abscissae, forcing, out_ys) -> StopReason:
     return StopReason.COMPLETED
 
 
-def _h5_run(xs, ys, abscissae, c, out_ys) -> StopReason:
+def _h5_run(xs, ys, steps, c, out_ys) -> StopReason:
     """Run loop of the six-point scheme: the y cross-ratios R3 and R4 of the
     window give R5 by :func:`discrete._h5_r5_line`, inline, and cross-ratio(y2,
     y3, y4, t) = R5 clears to a*t = b.  The abscissae do not enter on a uniform
@@ -292,10 +284,10 @@ def _h5_run(xs, ys, abscissae, c, out_ys) -> StopReason:
     try:
         r3 = _cross_ratio(y0, y1, y2, y3)
     except (DegenerateCoefficientError, NonFiniteError) as exc:
-        return _first_step_stop(abscissae, exc)
+        return _first_step_stop(steps, exc)
     dy21, dy31, dy32 = y2 - y1, y3 - y1, y3 - y2
     a21, a31, a32 = abs(dy21), abs(dy31), abs(dy32)
-    for _ in abscissae:
+    for _ in steps:
         # R4 = cross-ratio(y1, y2, y3, y4)
         dy42, dy43 = y4 - y2, y4 - y3
         a42, a43 = abs(dy42), abs(dy43)
@@ -341,33 +333,25 @@ def _h5_run(xs, ys, abscissae, c, out_ys) -> StopReason:
 
 def _step(scheme: SchemeKind, stencil: Stencil, x_next: float,
           forcing: ForcingTerm) -> float | StopReason:
-    """One step of ``scheme``'s run loop from ``stencil`` to ``x_next``, which
-    must continue the stencil monotonically, and for ``slx3`` and ``h5`` by
-    the lattice rule of :func:`integrate` with step x_next - xs[-1]."""
-    run, param = _resolve(scheme, forcing, stencil)
-    xs = stencil.xs
-    if scheme is SchemeKind.SLY4:
-        if not (x_next > xs[-1] if xs[1] > xs[0] else x_next < xs[-1]):
-            raise ValueError(f"{x_next!r} does not continue the abscissae {xs} monotonically")
-        try:  # the step's x cross-ratio, which integrate's lattice check keeps regular
-            _cross_ratio(*xs[1:], x_next)
-        except (DegenerateCoefficientError, NonFiniteError) as exc:
-            return _first_step_stop((x_next,), exc)
-    else:
-        _check_lattice(stencil, x_next - xs[-1], 1)
+    """The first step of :func:`integrate` from ``stencil`` to ``x_next`` on
+    the lattice of step h = x_next - xs[-1], which ``stencil`` must fit."""
     out_ys = []
-    stop = run(xs, stencil.ys, (x_next,), param, out_ys)
+    stop = _advance(scheme, forcing, stencil, x_next - stencil.xs[-1], 1, out_ys, x_next)
     return out_ys[0] if out_ys else stop
 
 
 def sly4_step(prev4: Stencil, x_next: float,
               forcing: Constant | FunctionOfX) -> float | StopReason:
-    """Advance the fourth-order scheme: solve l4(prev4 + new point) = f(x_mid).
+    """Advance the fourth-order scheme on a uniform lattice: solve
+    l4(prev4 + new point) = f(x_mid) for f a constant or a function of x.
 
-    The forcing f, a constant or a function of x, is taken at the middle
-    abscissa.  The abscissae need not be equally spaced.  Chained over a
-    run, sly4_step rebuilds from floats the state that :func:`integrate`
-    carries, so the two agree to round-off.
+    This is :func:`integrate`'s first step to x_next on the lattice x0 + k*h
+    through ``prev4``, h = x_next - x3 (ValueError if there is none or h is
+    not finite), with f taken at x0 + 2h.  A run of another rounding of h
+    whose first node is x_next takes the same step bit for bit under zero
+    forcing; under a forcing its term 2h³·f(x0 + 2h) differs by that
+    rounding, and the new ordinate by the term's change times its
+    sensitivity d·(2 + e)/(2 - e + ρ)² to the deficit ρ (see ``_sly4_run``).
     """
     return _step(SchemeKind.SLY4, prev4, x_next, forcing)
 
@@ -398,8 +382,11 @@ def h5_step(prev5: Stencil, x_next: float, forcing: Constant) -> float | StopRea
 # --- trajectory driver --------------------------------------------------------
 
 def _check_lattice(seed: Stencil, h: float, n_steps: int):
-    """Refuse a lattice x0 + n*h that overflows, that the seed does not fit,
-    or whose rounded abscissae may stop being strictly monotone."""
+    """Refuse a step that is not finite, a lattice x0 + n*h that overflows,
+    that the seed does not fit, or whose rounded abscissae may stop being
+    strictly monotone."""
+    if not math.isfinite(h):
+        raise ValueError(f"lattice step {h!r} is not finite")
     xs, x0 = seed.xs, seed.xs[0]
     x_end = x0 + (len(xs) + n_steps - 1) * h
     if not math.isfinite(x_end):
@@ -418,25 +405,55 @@ def _check_lattice(seed: Stencil, h: float, n_steps: int):
         raise ValueError(f"step {h!r} is too small for abscissae up to {x_end!r}")
 
 
-def _resolve(scheme: SchemeKind, forcing: ForcingTerm, stencil: Stencil):
-    """The run loop that advances ``scheme`` from ``stencil`` under
-    ``forcing``, and its parameter; ValueError, naming the scheme and what it
-    was given, for a stencil length or a forcing the scheme does not take."""
+def _sly4_decrements(seed: Stencil, fn, h: float, n_steps: int, x_next: float):
+    """The decrement of the deficit ρ for each of ``n_steps`` sly4 steps from
+    ``seed``, the first to ``x_next``, lazily.  Where S = 4, l4 = f(x2) takes
+    2h³·f(x2) from ρ, x2 = x0 + (k - 2)h for new node k, formed in an order
+    that overflows only where that product does.  The three windows after
+    the seed hold seed nodes and add S - 4 to their y cross-ratio, to first
+    order in the seed's offsets from the lattice, so the first four
+    decrements are less by the change of S - 4 from window to window."""
+    x0 = seed.xs[0]
+    xs = seed.xs + (x_next, x0 + 5 * h, x0 + 6 * h)[:n_steps]
+    excess = [0.0, *((xs[k + 3] - xs[k + 1]) / (xs[k + 3] - xs[k + 2])
+                     * ((xs[k + 2] - xs[k]) / (xs[k + 1] - xs[k])) - 4.0
+                     for k in range(1, len(xs) - 3)), 0.0]
+    return itertools.chain(
+        (h * fn(x0 + (k + 2) * h) * h * h * 2.0 - (excess[k + 1] - excess[k])
+         for k in range(min(n_steps, 4))),
+        (h * fn(x0 + k * h) * h * h * 2.0 for k in range(6, 2 + n_steps)))
+
+
+def _advance(scheme: SchemeKind, forcing: ForcingTerm, seed: Stencil, h: float,
+             n_steps: int, out_ys: list, x_next: float) -> StopReason:
+    """Run ``scheme``'s loop under ``forcing`` from ``seed`` over ``n_steps``
+    steps of the lattice x0 + k*h, the first to ``x_next``, appending each new
+    ordinate to ``out_ys``.  It alone knows which forcing each scheme takes,
+    from how many points, and which loop runs them: before the first step,
+    ValueError names the scheme and a seed length or forcing it does not
+    take, or the lattice is refused."""
     arity = SCHEME_ARITY[scheme]
-    if len(stencil) != arity:
-        raise ValueError(f"{scheme.value} steps from {arity} points, got {len(stencil)}")
-    if isinstance(forcing, Constant):
-        if scheme is SchemeKind.SLY4:
-            return _sly4_run, lambda _x, c=forcing.c: c
-        if scheme is SchemeKind.SLX3:
-            return _slx3_run, (forcing.c, 0.0, 0.0)
-        return _h5_run, forcing.c
-    if isinstance(forcing, FunctionOfX) and scheme is SchemeKind.SLY4:
-        return _sly4_run, forcing.fn
-    if isinstance(forcing, IdentityInY) and scheme is SchemeKind.SLX3:
+    if len(seed) != arity:
+        raise ValueError(f"{scheme.value} steps from {arity} points, got {len(seed)}")
+    sly4, slx3 = scheme is SchemeKind.SLY4, scheme is SchemeKind.SLX3
+    if sly4 and isinstance(forcing, Constant):
+        run, param = _sly4_run, lambda _x, c=forcing.c: c
+    elif sly4 and isinstance(forcing, FunctionOfX):
+        run, param = _sly4_run, forcing.fn
+    elif slx3 and isinstance(forcing, Constant):
+        run, param = _slx3_run, (forcing.c, 0.0, 0.0)
+    elif slx3 and isinstance(forcing, IdentityInY):
         # rhs(t) = t, or the stencil mean (y0 + y1 + y2 + t)/4
-        return _slx3_run, (0.0, 0.25, 0.25) if forcing.stencil_mean else (0.0, 0.0, 1.0)
-    raise ValueError(f"{scheme.value} does not take the forcing {forcing!r}")
+        run, param = _slx3_run, (0.0, 0.25, 0.25) if forcing.stencil_mean else (0.0, 0.0, 1.0)
+    elif scheme is SchemeKind.H5 and isinstance(forcing, Constant):
+        run, param = _h5_run, forcing.c
+    else:
+        raise ValueError(f"{scheme.value} does not take the forcing {forcing!r}")
+    _check_lattice(seed, h, n_steps)
+    # slx3 and h5 only count the steps
+    steps = (_sly4_decrements(seed, param, h, n_steps, x_next) if run is _sly4_run
+             else range(n_steps))
+    return run(seed.xs, seed.ys, steps, param, out_ys)
 
 
 def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
@@ -451,13 +468,8 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
     """
     if n_steps < 0:
         raise ValueError(f"step count must be non-negative, got {n_steps}")
-    run, param = _resolve(spec.scheme, spec.forcing, seed)
-    h, arity = spec.lattice.h, len(seed)
-    _check_lattice(seed, h, n_steps)
-    out_ys, x0, steps = list(seed.ys), float(seed.xs[0]), range(arity, arity + n_steps)
-    # only sly4 reads the nodes x0 + n*h; slx3 and h5 count the steps
-    nodes = (x0 + k * h for k in steps) if run is _sly4_run else steps
-    stop = run(seed.xs, seed.ys, nodes, param, out_ys)
+    h, out_ys, x0 = spec.lattice.h, list(seed.ys), float(seed.xs[0])
+    stop = _advance(spec.scheme, spec.forcing, seed, h, n_steps, out_ys, x0 + len(seed) * h)
     # the advanced nodes only, by a list comprehension: faster than a generator
-    xs = seed.xs + tuple([x0 + k * h for k in range(arity, len(out_ys))])
+    xs = seed.xs + tuple([x0 + k * h for k in range(len(seed), len(out_ys))])
     return Trajectory(xs, tuple(out_ys), stop, spec.scheme.value, h)

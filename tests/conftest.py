@@ -10,7 +10,7 @@ from invdisc import (Constant, DegenerateCoefficientError, ExactSolution, Jet,
                      kx_invariants, reference)
 from invdisc.cli import ConfigError
 from invdisc.core import OVERFLOW_LIMIT, is_degenerate
-from invdisc.discrete import _cross_ratio, _cross_ratio_line, _h5_r5_line, _l
+from invdisc.discrete import _cross_ratio, _cross_ratio_line, _h5_r5_line, _ratio_r_over_s
 from invdisc.schemes import h5_step, select_root, slx3_step, sly4_step
 
 #: each scheme's public step function
@@ -255,7 +255,7 @@ def _ref_linear_kernel(xs, ys, x_next, line, param):
         a, b, scale = line(xs, ys, x_next, param)
     except DegenerateCoefficientError:
         return StopReason.DEGENERATE_COEFFICIENT
-    except NonFiniteError:  # _l's R/S is NaN where the loops' a or b is
+    except NonFiniteError:  # a cross-ratio is NaN where the loops' a or b is
         return StopReason.NON_FINITE
     if not (math.isfinite(a) and math.isfinite(b)):
         return StopReason.NON_FINITE
@@ -266,25 +266,16 @@ def _ref_linear_kernel(xs, ys, x_next, line, param):
 
 
 def _ref_sly4_start(xs, ys):
-    """sly4's state [l3, e, d, y, compensation] on the seed window: its l3,
-    the ratio deficit e = d/d2 - 1 of its last two ordinate differences d2
-    and d, and its last ordinate as a compensated sum.  Raises as l3 does,
-    and DegenerateCoefficientError where d2 = 0."""
-    l3 = _l(xs, ys, 0, 3)
+    """sly4's state [rho, e, d, y, compensation] on the seed window: the
+    deficit rho = 4(R/S - 1) of its y cross-ratio from 4, S its own x
+    cross-ratio, the ratio deficit e = d/d2 - 1 of its last two ordinate
+    differences d2 and d, and its last ordinate as a compensated sum.  Raises
+    as R/S does, and DegenerateCoefficientError where d2 = 0."""
+    rho = 4.0 * (_ratio_r_over_s(xs, ys, 0) - 1.0)
     d2, d = ys[2] - ys[1], ys[3] - ys[2]
     if d2 == 0.0:
         raise DegenerateCoefficientError("y2 = y1 in the seed")
-    return [l3, (d - d2) / d2, d, ys[3], 0.0]
-
-
-def _ref_sly4_deficit(xs, x_next, l3):
-    """K - 4, K = S·(1 - l3·(x3 - x2)(x - x1)/6) the y cross-ratio that the
-    right window's l3 asks of the step, S the x cross-ratio of (x1, x2, x3,
-    x_next), with S - 4 formed before it is divided."""
-    s = _cross_ratio(xs[1], xs[2], xs[3], x_next)
-    den = (x_next - xs[3]) * (xs[2] - xs[1])
-    s_minus_4 = ((x_next - xs[2]) * (xs[3] - xs[1]) - 4.0 * den) / den
-    return s_minus_4 - s * l3 * (xs[3] - xs[2]) * (x_next - xs[1]) / 6.0
+    return [rho, (d - d2) / d2, d, ys[3], 0.0]
 
 
 def _ref_ratio_recursion(e, rho):
@@ -304,15 +295,19 @@ def _ref_kahan_add(total, comp, v):
     return t, (t - total) - v
 
 
-def _ref_sly4_advance(state, xs, x_next, forcing):
-    """The new ordinate of one sly4 step from the window abscissae ``xs``,
-    or its StopReason; ``state`` moves to the new window."""
-    l3, e, d, y, comp = state
-    l3 += forcing(xs[2]) * (x_next - xs[0]) / 4.0
+def _ref_sly4_excess(xs):
+    """S - 4, S the x cross-ratio of the window abscissae ``xs``, from the
+    ratios of its paired differences."""
+    return (xs[3] - xs[1]) / (xs[3] - xs[2]) * ((xs[2] - xs[0]) / (xs[1] - xs[0])) - 4.0
+
+
+def _ref_sly4_advance(state, dr):
+    """The new ordinate of one sly4 step that takes ``dr`` from the deficit,
+    or its StopReason.  ``state`` moves to the new window."""
+    rho, e, d, y, comp = state
+    rho -= dr
     try:
-        e = _ref_ratio_recursion(e, _ref_sly4_deficit(xs, x_next, l3))
-    except DegenerateCoefficientError:
-        return StopReason.DEGENERATE_COEFFICIENT
+        e = _ref_ratio_recursion(e, rho)
     except NonFiniteError:
         return StopReason.NON_FINITE
     d *= 1.0 + e
@@ -321,31 +316,35 @@ def _ref_sly4_advance(state, xs, x_next, forcing):
     y, comp = _ref_kahan_add(y, comp, d)
     if not abs(y) <= OVERFLOW_LIMIT:
         return StopReason.NON_FINITE
-    state[:] = l3, e, d, y, comp
+    state[:] = rho, e, d, y, comp
     return y
 
 
-def _ref_sly4_stepper(seed_xs, seed_ys, forcing):
-    """(xs, ys, x_next) -> new ordinate | StopReason over the run from the
-    seed: the seed's state, or its stop on the first step."""
+def _ref_sly4_stepper(seed_xs, seed_ys, forcing, h):
+    """(x2, xs) -> new ordinate | StopReason over the run of step ``h`` from
+    the seed, x2 each step's forcing node and xs its new window's abscissae:
+    l4 = forcing(x2) takes 2h^3 forcing(x2) from the deficit, and the three
+    windows after the seed, which hold seed nodes, add S - 4 to it, each in
+    place of the last one's.  The seed's state, or its stop on the first
+    step."""
     try:
         state = _ref_sly4_start(seed_xs, seed_ys)
     except DegenerateCoefficientError:
-        return lambda xs, ys, x: StopReason.DEGENERATE_COEFFICIENT
+        return lambda x2, xs: StopReason.DEGENERATE_COEFFICIENT
     except NonFiniteError:
-        return lambda xs, ys, x: StopReason.NON_FINITE
-    return lambda xs, ys, x: _ref_sly4_advance(state, xs, x, forcing)
+        return lambda x2, xs: StopReason.NON_FINITE
+    excess = [0.0]  # S - 4 of each window so far, 0 on the seed and past its nodes
+
+    def step(x2, xs):
+        excess.append(_ref_sly4_excess(xs) if len(excess) < 4 else 0.0)
+        return _ref_sly4_advance(state, h * forcing(x2) * h * h * 2.0 - (excess[-1] - excess[-2]))
+    return step
 
 
 def _ref_sly4_step(xs, ys, x_next, forcing):
-    # sly4_step checks its x cross-ratio before the seed
-    try:
-        _cross_ratio(xs[1], xs[2], xs[3], x_next)
-    except DegenerateCoefficientError:
-        return StopReason.DEGENERATE_COEFFICIENT
-    except NonFiniteError:
-        return StopReason.NON_FINITE
-    return _ref_sly4_stepper(xs, ys, forcing)(xs, ys, x_next)
+    # sly4_step steps by h = x_next - x3 to x_next, forcing taken at x0 + 2h
+    h = x_next - xs[3]
+    return _ref_sly4_stepper(xs, ys, forcing, h)(xs[0] + 2 * h, (*xs[1:], x_next))
 
 
 def _ref_h5_line(xs, ys, x_next, c):
@@ -487,19 +486,20 @@ def scheme_reference_loop(spec, seed, n_steps):
     """Test-only copy of the composed kernels that ``schemes.integrate``
     runs as one straight-line loop per scheme, stepped over a rolling window
     at x0 + n*h as integrate does (the lattice is not checked); ``sly4``
-    carries its state from the seed on.  The two must agree bit for bit.
-    Returns (xs, ys, stop)."""
+    carries its state from the seed on and takes step n's forcing at
+    x0 + (n - 2)*h.  The two must agree bit for bit.  Returns (xs, ys, stop)."""
+    h, k, x0 = spec.lattice.h, spec.arity, seed.xs[0]
     if spec.scheme is SchemeKind.SLY4:
-        step = _ref_sly4_stepper(seed.xs, seed.ys, _ref_fn(spec.forcing))
+        advance = _ref_sly4_stepper(seed.xs, seed.ys, _ref_fn(spec.forcing), h)
+        step = lambda xs, ys, n: advance(x0 + (n - 2) * h, (*xs[1:], x0 + n * h))
     else:
-        step = ref_step(spec.scheme, spec.forcing)
-    h, k = spec.lattice.h, spec.arity
+        kernel = ref_step(spec.scheme, spec.forcing)
+        step = lambda xs, ys, n: kernel(xs, ys, x0 + n * h)
     xs, ys = list(seed.xs), list(seed.ys)
     for n in range(k, k + n_steps):
-        x = seed.xs[0] + n * h
-        y = step(xs[-k:], ys[-k:], x)
+        y = step(xs[-k:], ys[-k:], n)
         if isinstance(y, StopReason):
             return tuple(xs), tuple(ys), y
-        xs.append(x)
+        xs.append(x0 + n * h)
         ys.append(y)
     return tuple(xs), tuple(ys), StopReason.COMPLETED

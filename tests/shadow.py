@@ -2,10 +2,12 @@
 ``slx3`` under constant forcing and ``h5``), written from the invariant
 definitions in mpmath and with no code from ``invdisc.schemes``.
 
-A shadow run starts from the same float seed and steps on the same float
-lattice nodes as the library, so its distance to a float run is the float
-run's arithmetic error alone, and its distance to an exact solution is the
-truncation and seed error that no arithmetic removes.
+A shadow run starts from the same float seed as the library and steps on
+the same float lattice nodes, or for ``sly4`` on the exact lattice of the
+same float step, whose windows that hold seed nodes take the x
+cross-ratio of the float nodes, so its distance to a float run is the
+float run's arithmetic error alone, and its distance to an exact solution
+is the truncation and seed error that no arithmetic removes.
 """
 import mpmath as mp
 
@@ -15,33 +17,32 @@ def cross_ratio(a0, a1, a2, a3):
     return (a3 - a1) * (a2 - a0) / ((a3 - a2) * (a1 - a0))
 
 
-def l3(xs, ys):
-    """6 / ((x2-x1)(x3-x0)) * (1 - R/S) of a four-point window, R and S the
-    cross-ratios of its ordinates and abscissae."""
-    return 6 / ((xs[2] - xs[1]) * (xs[3] - xs[0])) * (1 - cross_ratio(*ys) / cross_ratio(*xs))
-
-
-def sly4(xs, ys, nodes, forcing, digits=40):
+def sly4(xs, ys, h, nodes, forcing, digits=40):
     """Ordinates of the fourth-order scheme l4 = forcing(x2) from the seed
-    (xs, ys) over ``nodes``, seed included, as mpf values.
+    (xs, ys) over the new abscissae ``nodes`` of the uniform lattice of step
+    ``h``, seed included, as mpf values.
 
-    Each step takes the left window's l3 from its definition, adds
-    forcing(x2)·(x - x0)/4 to it for the right window's, and solves the y
-    cross-ratio of (y1, y2, y3, t) equal to S·(1 - l3·(x3 - x2)(x - x1)/6),
-    S the x cross-ratio of (x1, x2, x3, x), for the new ordinate t.
-    ``forcing`` takes and returns mpf values.
+    On that lattice S = 4, so a window's l3 is 2/h^2 (1 - R/4) and l4 =
+    forcing(x2) makes the right window's l3 the left one's plus
+    h·forcing(x2), x2 = x0 + (n - 2)h for the new node n; the new ordinate t
+    solves the y cross-ratio of (y1, y2, y3, t) equal to 4 - 2h^2 l3, plus
+    S - 4 on the three windows that hold seed nodes, S the x cross-ratio of
+    their abscissae.  The seed's l3 is 2/h^2 (1 - R/S) with S its own x
+    cross-ratio.  ``forcing`` takes and returns mpf values.
     """
     with mp.workdps(digits):
-        wx = [mp.mpf(x) for x in xs]
+        h, x0 = mp.mpf(h), mp.mpf(xs[0])
         out = [mp.mpf(y) for y in ys]
-        for x in map(mp.mpf, nodes):
-            x0, x1, x2, x3 = wx
+        wx = [mp.mpf(x) for x in (*xs, *nodes)]
+        l3 = 2 / h ** 2 * (1 - cross_ratio(*out) / cross_ratio(*wx[:4]))
+        for n in range(4, len(wx)):
             y1, y2, y3 = out[-3:]
-            target = l3(wx, out[-4:]) + forcing(x2) * (x - x0) / 4
-            k = cross_ratio(x1, x2, x3, x) * (1 - target * (x3 - x2) * (x - x1) / 6)
+            l3 += h * forcing(x0 + (n - 2) * h)
+            k = 4 - 2 * h ** 2 * l3
+            if n < 7:
+                k += cross_ratio(*wx[n - 3:n + 1]) - 4
             # cross_ratio(y1, y2, y3, t) = k is linear in t
             out.append((y2 * (y3 - y1) - k * y3 * (y2 - y1)) / ((y3 - y1) - k * (y2 - y1)))
-            wx = [x1, x2, x3, x]
     return out
 
 

@@ -10,7 +10,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 
 from invdisc import (Constant, CrossRatioWindow, FunctionOfX, IdentityInY,
                      NonFiniteError, SchemeKind, SchemeSpec, Stencil, StopReason,
-                     Trajectory, Uniform, cross_ratio, h5_uniform,
+                     Trajectory, Uniform, chi, cross_ratio, h5_uniform,
                      integrate, l3, l4, m3, seed_stencil_from_function, select_root,
                      slx3_step, sly4_step, solve_poly, stencil_from_sequences)
 from invdisc import schemes
@@ -19,9 +19,9 @@ from invdisc.discrete import _cross_ratio, _h5_r5_line
 from invdisc.schemes import extrapolate, h5_step
 
 import shadow
-from conftest import (STEPS, TAN_ATAN_ORBIT, _ref_horner, _ref_real_roots, _ref_slx3_coeffs,
-                      _ref_slx3_kernel, make_mobius, random_mobius, ref_step,
-                      scheme_reference_loop)
+from conftest import (STEPS, TAN_ATAN_ORBIT, _ref_fn, _ref_horner, _ref_real_roots,
+                      _ref_slx3_coeffs, _ref_slx3_kernel, _ref_sly4_excess, _ref_sly4_start,
+                      make_mobius, random_mobius, ref_step, scheme_reference_loop)
 
 OMEX = lambda x: 1.0 / (1.0 - math.exp(x))
 MOBIUS = lambda x: (2.0 * x + 1.0) / (x + 3.0)
@@ -277,20 +277,30 @@ def test_h5_degenerate_on_weak_manifold_with_forcing():
 
 def test_sly4_step_refuses_x_next_that_does_not_continue_the_stencil():
     prev = seed_stencil_from_function(MOBIUS, 0.0, 0.1, 4)
-    for x_next in (0.1, 0.3, -1.0, math.nan):
-        with pytest.raises(ValueError, match="does not continue the abscissae"):
+    # a step that is not the stencil's, none, and one turning back
+    for x_next in (0.45, 0.3, 0.1, -1.0):
+        with pytest.raises(ValueError, match="uniform lattice rule"):
             sly4_step(prev, x_next, Constant(0.0))
-    # the abscissae need not be equally spaced
-    xs = (0.0, 0.1, 0.3, 0.35)
-    uneven = stencil_from_sequences(xs, [MOBIUS(x) for x in xs])
-    assert sly4_step(uneven, 0.9, Constant(0.0)) == pytest.approx(MOBIUS(0.9), rel=1e-9)
+    for x_next in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="is not finite"):
+            sly4_step(prev, x_next, Constant(0.0))
     # a spacing whose products underflow still continues, and stops as degenerate
     for s in (1e-170, -1e-170):
         tiny = stencil_from_sequences([0.0, s, 2 * s, 3 * s], [1.0, 2.0, 3.5, 5.0])
         for forcing in (Constant(0.0), FunctionOfX(math.cos)):
             assert sly4_step(tiny, 4 * s, forcing) is StopReason.DEGENERATE_COEFFICIENT
-    # so does an x_next a hair past x3: the x cross-ratio's denominator vanishes
-    assert sly4_step(uneven, 0.35 + 1e-15, Constant(0.0)) is StopReason.DEGENERATE_COEFFICIENT
+
+
+def test_sly4_step_refuses_abscissae_off_the_uniform_lattice():
+    # as slx3_step and h5_step refuse theirs: each step of h = x_next - x3
+    # assumes S = 4 and the lattice check refuses the stencil, even where its
+    # x cross-ratio would be regular or would have a vanishing denominator
+    xs = (0.0, 0.1, 0.3, 0.35)
+    uneven = stencil_from_sequences(xs, [MOBIUS(x) for x in xs])
+    for x_next in (0.4, 0.9, 0.35 + 1e-15):
+        for forcing in (Constant(0.0), FunctionOfX(math.cos)):
+            with pytest.raises(ValueError, match="uniform lattice rule"):
+                sly4_step(uneven, x_next, forcing)
 
 
 def test_slx3_step_refuses_x_next_off_the_uniform_lattice():
@@ -548,7 +558,8 @@ def test_slx3_and_h5_on_a_lattice_of_spacing_1e_170_step_as_on_spacing_1(kind, f
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_sly4_on_a_lattice_of_spacing_1e_170_stops_degenerate(sign):
-    # its seed's l3 underflows, which stops the first step; the lattice is valid
+    # its seed's R/S has a product of two x-differences that underflows,
+    # which stops the first step; the lattice is valid
     xs = tuple(sign * 1e-170 * k for k in range(4))
     seed = Stencil(xs, tuple(math.tan(-1.2 + 0.1 * k) for k in range(4)))
     traj = integrate(SchemeSpec(SchemeKind.SLY4, Constant(0.0), Uniform(sign * 1e-170)), seed, 5)
@@ -651,15 +662,18 @@ def test_integrate_equals_stepping_by_hand(spec, seed, n_steps, expected):
     # bit for bit: == on every abscissa and ordinate
     assert (traj.xs, traj.ys) == (xs, ys)
     if spec.scheme is SchemeKind.SLY4:
-        # each sly4_step rebuilds from floats the state that integrate
-        # carries: the first step is integrate's bit for bit, and the steps
-        # chained over the run agree with it to round-off
+        # sly4_step is the run's first step to round-off: it takes the
+        # forcing term with h = x_next - x3.  Chained from the seed, each step
+        # seeds the deficit on its window's own abscissae, where the run
+        # carries it, and sets the x cross-ratio of its new window, which
+        # holds seed nodes for three steps, as the run does: the chained
+        # steps agree with the run to round-off
         k, step = spec.arity, STEPS[spec.scheme]
         chained = list(seed.ys)
         for n, x in enumerate(traj.xs[k:], k):
             chained.append(step(Stencil(traj.xs[n - k:n], tuple(chained[-k:])), x,
                                 spec.forcing))
-        assert chained[k] == traj.ys[k]
+        assert abs(chained[k] - traj.ys[k]) <= 1e-12 * abs(traj.ys[k])
         assert max(abs(a - b) / max(1.0, abs(a)) for a, b in zip(chained, traj.ys)) <= 1e-8
 
 
@@ -699,11 +713,26 @@ def test_steps_and_integrate_never_raise(kind, ys, x0, h, backward, c, forcing_o
     traj = integrate(spec, seed, 30)
     assert isinstance(traj, Trajectory)
     assert len(traj.points) <= spec.arity + 30
-    # the step is integrate's first step
-    if not isinstance(out, StopReason):
-        assert (traj.xs[spec.arity], traj.ys[spec.arity]) == (x_next, out)
-    else:
+    # the step is integrate's first step, to x_next: bit for bit, but that
+    # sly4 takes its forcing term 2h^3 f(x0 + 2h) with h = x_next - x3, which
+    # is ulp(x)/h of h off the run's
+    if isinstance(out, StopReason):
         assert len(traj) == spec.arity and traj.stop is out
+        return
+    t = traj.ys[spec.arity]
+    assert traj.xs[spec.arity] == x_next
+    if kind is not SchemeKind.SLY4 or forcing == Constant(0.0):
+        assert t == out
+        return
+    # the two forcing terms differ by under 1e-12 here (|x| < 15, |h| <= 1
+    # and |f| <= 3), which moves the new ordinate by its sensitivity
+    # d (2 + e)/(2 - e + rho)^2 to the run's new deficit rho times as much
+    rho, e, d = _ref_sly4_start(seed.xs, seed.ys)[:3]
+    rho -= (h * _ref_fn(forcing)(x0 + 2 * h) * h * h * 2.0
+            - _ref_sly4_excess((*seed.xs[1:], x_next)))
+    q = 2.0 - e + rho
+    sensitivity = abs(d / q * ((2.0 + e) / q)) if 2.0 + e else 0.0
+    assert abs(out - t) <= 1e-12 * (abs(t) + abs(d) + sensitivity)
 
 
 EXTREME_WINDOWS = [
@@ -731,12 +760,13 @@ def test_extreme_windows_stop_as_degenerate(kind, ys):
 
 
 SLY4_NON_FINITE_WINDOWS = {
-    # an infinite forcing value makes l3 infinite and the new ordinate NaN
+    # an infinite forcing value makes the deficit infinite and the new
+    # ordinate NaN
     "infinite-forcing": ((0.0, 0.1, 0.2, 0.3), (0.0, 0.1, 0.3, 0.6),
                          FunctionOfX(lambda x: math.inf)),
-    # y0 == y2 gives R/S = 0 and l3 = 6/((x2-x1)(x3-x0)) = 2, so with zero
-    # forcing the new ordinate repeats y2, past OVERFLOW_LIMIT; in floats
-    # y3 - y2 = -y2 and the new point is at infinity
+    # y0 == y2 gives R/S = 0 and the deficit -4, so with zero forcing the
+    # new ordinate repeats y2, past OVERFLOW_LIMIT; in floats y3 - y2 = -y2
+    # and the new point is at infinity
     "past-overflow-limit": ((0.0, 1.0, 2.0, 3.0), (1.5e300, 0.0, 1.5e300, 1.0),
                             Constant(0.0)),
 }
@@ -761,8 +791,8 @@ SLY4_RECURSION_STOPS = {
     # y3 = y1 gives e = -2, and with it a new difference of exactly zero
     "zero-difference": ((0.0, 1.0, 2.0, 1.0), Constant(0.5),
                         StopReason.DEGENERATE_COEFFICIENT),
-    # a line (l3 = 0, e = 0) whose l3 the forcing lifts to 1: K = 2 puts the
-    # new point at infinity, 2 - e + rho = 0
+    # a line (deficit 0, e = 0) whose deficit the forcing lowers by 2h^3 = 2:
+    # K = 2 puts the new point at infinity, 2 - e + rho = 0
     "point-at-infinity": ((0.0, 1.0, 2.0, 3.0), Constant(1.0), StopReason.NON_FINITE),
 }
 
@@ -783,7 +813,7 @@ def test_sly4_recursion_stops(ys, forcing, stop):
 
 def test_sly4_seed_past_the_product_overflow_steps_as_its_unscaled_copy():
     # (0, 1, 3, 6) times 1e155: the products of two y-differences in the
-    # seed's l3 overflow, and its R/S pairs them instead
+    # seed's R/S overflow, and it pairs them instead
     xs, ys, forcing = (0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 3.0, 6.0), Constant(0.0)
     big = tuple(v * 1e155 for v in ys)
     spec = SchemeSpec(SchemeKind.SLY4, forcing, Uniform(1.0))
@@ -794,17 +824,24 @@ def test_sly4_seed_past_the_product_overflow_steps_as_its_unscaled_copy():
     assert ref_step(SchemeKind.SLY4, forcing)(xs, big, 4.0) == traj.ys[4]
 
 
-def test_sly4_step_stops_where_its_x_cross_ratio_overflows():
-    # products of two x-differences past 1e308: the x cross-ratio pairs them
-    # and is finite, and so is the seed's l3, which scales as 1/x^2 and is
-    # the (0, 1, 2, 3) window's -0.5 times 1e-310; the step's own products of
-    # two x-differences overflow, and it stops non-finite
-    xs, ys, forcing = (0.0, 1e155, 2e155, 3e155), (0.0, 1.0, 3.0, 6.0), Constant(0.0)
-    assert cross_ratio(CrossRatioWindow(*xs[1:], 4e155)) == pytest.approx(4.0, rel=1e-15)
-    assert l3(Stencil(xs, ys)) == pytest.approx(-0.5e-310, rel=1e-9)
-    out = sly4_step(Stencil(xs, ys), 4e155, forcing)
+@pytest.mark.parametrize("spacing", [1e120, 1e155])
+def test_sly4_on_a_huge_spacing_steps_as_on_spacing_1_until_its_forcing_term_overflows(spacing):
+    # products of two x-differences overflow past spacing 1.3e154 and 2h^3
+    # past 5.6e102: the seed's R/S pairs its differences, and its l3 is the
+    # (0, 1, 2, 3) window's -0.5 times 1/h^2; a zero forcing term stays zero,
+    # so the run steps as on spacing 1, and a forcing of 1 overflows the
+    # term and stops the step non-finite
+    xs, ys, zero = (0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 3.0, 6.0), Constant(0.0)
+    big = Stencil(tuple(spacing * x for x in xs), ys)
+    assert l3(big) == pytest.approx(-0.5 / spacing / spacing, rel=1e-9)
+    unit = integrate(SchemeSpec(SchemeKind.SLY4, zero, Uniform(1.0)), Stencil(xs, ys), 5)
+    traj = integrate(SchemeSpec(SchemeKind.SLY4, zero, Uniform(spacing)), big, 5)
+    assert traj.stop is unit.stop is StopReason.COMPLETED
+    assert traj.ys == pytest.approx(unit.ys, rel=1e-14)
+    assert sly4_step(big, 4 * spacing, zero) == traj.ys[4]
+    out = sly4_step(big, 4 * spacing, Constant(1.0))
     assert out is StopReason.NON_FINITE
-    assert ref_step(SchemeKind.SLY4, forcing)(xs, ys, 4e155) is out
+    assert ref_step(SchemeKind.SLY4, Constant(1.0))(big.xs, ys, 4 * spacing) is out
 
 
 def test_sly4_crosses_the_pole_of_tan():
@@ -824,20 +861,33 @@ def test_sly4_crosses_the_pole_of_tan():
 @pytest.mark.parametrize("h, span", [(1e-2, 2.4), (1e-3, 2.4), (3e-4, 1.2)])
 def test_sly4_arithmetic_error_is_below_the_seed_error(h, span):
     # zero-forcing tan x from x = -1.2, where tan x is an exact discrete
-    # solution: a 40-digit shadow run from the same float seed, on the same
-    # nodes, has only the seed's rounding to carry, so the float run's
-    # distance to it is the float arithmetic's error
+    # solution: a 40-digit shadow run from the same float seed, on the
+    # lattice of the same h, has only the seed's rounding to carry, so the
+    # float run's distance to it is the float arithmetic's error
     seed = seed_stencil_from_function(math.tan, -1.2, h, 4)
     traj = integrate(SchemeSpec(SchemeKind.SLY4, Constant(0.0), Uniform(h)), seed,
                      round(span / h) - 3)
     assert traj.stop is StopReason.COMPLETED
-    exact = shadow.sly4(seed.xs, seed.ys, traj.xs[4:], lambda x: 0)
+    exact = shadow.sly4(seed.xs, seed.ys, h, traj.xs[4:], lambda x: 0)
     with mp.workdps(40):
         arithmetic = max(abs(mp.mpf(y) - s) for y, s in zip(traj.ys, exact))
         seeded = max(abs(s - mp.tan(mp.mpf(x))) for x, s in zip(traj.xs, exact))
-    # arithmetic / seeded reads 0.019, 3.6e-4 and 7e-4; 28, 13 and 13 when
+    # arithmetic / seeded reads 0.019, 7.2e-4 and 8.7e-4; 28, 13 and 13 when
     # each step cleared cross-ratios
     assert arithmetic <= 0.1 * seeded
+
+
+def test_sly4_seeds_its_deficit_on_its_own_abscissae():
+    # the seed's deficit is 4(R/S - 1) with S the x cross-ratio of its float
+    # abscissae, 4 only to round-off: zero-forcing tan x from -1.2 at
+    # h = 3e-3 over 2.4 reads chi 2.8e-10, and 1.9e-8 with the seed's
+    # deficit R - 4
+    h = 3e-3
+    seed = seed_stencil_from_function(math.tan, -1.2, h, 4)
+    traj = integrate(SchemeSpec(SchemeKind.SLY4, Constant(0.0), Uniform(h)), seed,
+                     round(2.4 / h) - 3)
+    assert traj.stop is StopReason.COMPLETED
+    assert chi(traj, [math.tan(-1.2 + k * h) for k in range(len(traj))]) <= 5e-10
 
 
 def _slx3_shadow_errors(traj, c, exact):
