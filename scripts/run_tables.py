@@ -14,8 +14,8 @@ STEPS_H = (0.1, 0.01, 0.001)
 #: example 1's default 2e-4.  The gate keeps its own plain-RK4 reference;
 #: these runs share example 1's linearised-RK4 one.  Table 2's h = 0.001 row
 #: swings with 1-2 ulp changes of the seed, which differ between references
-#: of equal accuracy: 6.3e-8 here, 1.68e-7 from the 2e-4 reference
-#: (published 7.23e-8)
+#: of equal accuracy: 9.63e-8 here, 5.65e-9 from the 2e-4 reference
+#: (published 7.23e-8; README.md tabulates the references)
 H_REF = 1e-5
 
 

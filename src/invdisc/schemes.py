@@ -13,24 +13,24 @@ y0 - 3 y1 + 3 y2, the quadratic through the window at the next node; the
 degree its descent ends on keeps its real root nearest it, and
 :func:`_polish` polishes a cubic's root.
 
-Each scheme has one straight-line run loop on plain floats, which advances
-a window one step of a uniform lattice per node and returns the
-:class:`StopReason` that ends the run: ``_sly4_run``, ``_slx3_run`` (every
-forcing, affine in the new ordinate) and ``_h5_run``, which write ordinates
-only and read no spacing.  ``slx3`` and ``h5`` evaluate each step's
-invariants, root choice and R5 line inline, with the float operations of
-:mod:`invdisc.discrete`, :func:`select_root` and :func:`_quadratic_roots`,
-which stay their definition, and carry what the next window would
+Each scheme has one straight-line run loop on plain floats, ``_sly4_run``,
+``_slx3_run`` (every forcing, affine in the new ordinate) or ``_h5_run``,
+which advances a window one step of a uniform lattice per node, writes
+ordinates only and reads no spacing.  ``slx3`` and ``h5`` evaluate each
+step's invariants, root choice and R5 line inline, with the float operations
+of :mod:`invdisc.discrete`, :func:`select_root` and :func:`_quadratic_roots`,
+which stay their definition.  Each loop carries what the next window would
 recompute: ``slx3`` two ordinate differences, ``h5`` its checked R4 (the
-next R3) and differences.  ``sly4`` carries ρ, the deficit of the y
-cross-ratio from 4, a ratio deficit, the last difference and a compensated
-sum, and takes from ρ what :func:`_sly4_decrements` yields per step, which
-alone reads sly4's nodes.  Only the seed's R/S and ``h5``'s first R3 call
-:mod:`invdisc.discrete`.  :func:`_advance` alone knows which forcing each
-scheme takes, from how many points, and which loop runs them; it checks the
-lattice once and runs the loop over it for :func:`integrate`, which lays
-out the abscissae the run reached, and for ``*_step(stencil, x_next,
-forcing)``, the first step to x_next on the lattice of step x_next - xs[-1].
+next R3) and differences, ``sly4`` ρ, the deficit of the y cross-ratio from
+4, a ratio deficit, the last difference and a compensated sum.  ``sly4``
+takes from ρ what :func:`_sly4_decrements` yields per step, which alone
+reads sly4's nodes.  :func:`_advance` alone knows which forcing each scheme
+takes, from how many points, and which loop runs them.  It checks the
+lattice once, resolves the seed into the loop's start state, the schemes'
+only calls into :mod:`invdisc.discrete`, and runs the loop for
+:func:`integrate`, which lays out the abscissae the run reached, and for
+``*_step(stencil, x_next, forcing)``, the first step to x_next on the
+lattice of step x_next - xs[-1].
 """
 from __future__ import annotations
 
@@ -165,10 +165,11 @@ def select_root(roots: list[float], prediction: float) -> float | None:
 
 
 # --- the three schemes --------------------------------------------------------
-# Each run loop is (xs, ys, steps, param, out_ys) -> StopReason: it
-# advances the window (xs, ys) one lattice step per item of steps, appends
-# each new ordinate to out_ys, and returns why it stopped, COMPLETED when
-# the steps run out; sly4 takes each item from its deficit, and slx3 and h5
+# Each run loop is (ys, state, steps, out_ys) -> StopReason: from the
+# seed ordinates ys and the start state that _advance resolved from them,
+# it advances the window one lattice step per item of steps, appends each
+# new ordinate to out_ys, and returns why it stopped, COMPLETED when the
+# steps run out; sly4 takes each item from its deficit, and slx3 and h5
 # only count them.  The window lives in local floats, and a difference or
 # cross-ratio that the next window would recompute from the same operands
 # is carried over.  A step calls Python code only for slx3's cubic and, in
@@ -179,28 +180,14 @@ def select_root(roots: list[float], prediction: float) -> float | None:
 # argument order: the same float as max(), which keeps a NaN first operand
 # and skips a later one, without a call.
 
-def _first_step_stop(steps, exc: Exception) -> StopReason:
-    """The stop of the first step over ``steps`` from a window that has no
-    invariant (``exc``), or COMPLETED if there is no step to take."""
-    for _ in steps:
-        return (StopReason.NON_FINITE if isinstance(exc, NonFiniteError)
-                else StopReason.DEGENERATE_COEFFICIENT)
-    return StopReason.COMPLETED
-
-
-def _sly4_run(xs, ys, decrements, _, out_ys) -> StopReason:
+def _sly4_run(ys, state, decrements, out_ys) -> StopReason:
     """Run loop of the fourth-order scheme, l4(window + new point) = f(x2),
     on a uniform lattice: the y cross-ratio of (y1, y2, y3, t) is 4 + ρ, and
     each step takes the next of ``decrements`` from ρ.  With d = y3 - y2 and
     e = d/(y2 - y1) - 1, a step is e <- (2e - ρ)/(2 - e + ρ), d <- d·(1 + e),
-    and d is added to a Kahan sum.  The seed's ρ is 4(R/S - 1) on its own
-    abscissae; a seed without R/S or with y2 = y1 stops the first step."""
-    _, y1, y2, s = ys
-    d2, d, comp = y2 - y1, s - y2, 0.0  # comp: the compensation of the sum s
-    try:
-        rho, e = 4.0 * (_ratio_r_over_s(xs, ys, 0) - 1.0), (d - d2) / d2
-    except (DegenerateCoefficientError, NonFiniteError, ZeroDivisionError) as exc:
-        return _first_step_stop(decrements, exc)
+    and d is added to a Kahan sum from y3; ``state`` is the seed's (ρ, e, d)."""
+    rho, e, d = state
+    s, comp = ys[3], 0.0  # comp: the compensation of the sum s
     for dr in decrements:
         rho -= dr
         q = 2.0 - e + rho
@@ -218,17 +205,17 @@ def _sly4_run(xs, ys, decrements, _, out_ys) -> StopReason:
     return StopReason.COMPLETED
 
 
-def _slx3_run(xs, ys, steps, forcing, out_ys) -> StopReason:
+def _slx3_run(ys, state, steps, out_ys) -> StopReason:
     """Run loop of the third-order scheme on a uniform lattice (S = 4) in the
     new difference u = t - y2.  With a = y1 - y0, b = y2 - y1, s = a + b,
     K = 4ab and the forcing f0 + f1 u at the new point (f0 = c + w (y0 + y1
-    + y2) + fb y2, f1 = fb for ``forcing`` = (c, w, fb)), m3 = forcing is
+    + y2) + fb y2, f1 = fb for ``state`` = (c, w, fb)), m3 = forcing is
     -K f1 u^3 - K (f0 + f1 s) u^2 + (18a - 6b - K f0 s) u - 6 s b = 0.  A
     leading coefficient at most DEGENERACY_RTOL times the largest drops it
     one degree; the last keeps its real root nearest u_p = 2b - a, polished
     if cubic.  b = 0 (m3 has no value) stops the step; a NaN scale (a and b
     infinite, opposite in sign) takes the cubic path to a NaN root."""
-    c, w, fb = forcing
+    c, w, fb = state
     y0, y1, y2 = ys
     a, b = y1 - y0, y2 - y1
     for _ in steps:
@@ -273,18 +260,15 @@ def _slx3_run(xs, ys, steps, forcing, out_ys) -> StopReason:
     return StopReason.COMPLETED
 
 
-def _h5_run(xs, ys, steps, c, out_ys) -> StopReason:
+def _h5_run(ys, state, steps, out_ys) -> StopReason:
     """Run loop of the six-point scheme: the y cross-ratios R3 and R4 of the
     window give R5 by :func:`discrete._h5_r5_line`, inline, and cross-ratio(y2,
     y3, y4, t) = R5 clears to a*t = b.  The abscissae do not enter on a uniform
-    lattice.  The first window's R3 is discrete._cross_ratio, whose degeneracy
-    or NaN stops the first step; each step's R4 is that cross-ratio inline,
-    and, checked and with its differences and their magnitudes, the next R3."""
-    y0, y1, y2, y3, y4 = ys
-    try:
-        r3 = _cross_ratio(y0, y1, y2, y3)
-    except (DegenerateCoefficientError, NonFiniteError) as exc:
-        return _first_step_stop(steps, exc)
+    lattice.  ``state`` is the first window's R3 and c; each step's R4 is
+    discrete._cross_ratio inline, and, checked and with its differences and
+    their magnitudes, the next R3."""
+    r3, c = state
+    _, y1, y2, y3, y4 = ys
     dy21, dy31, dy32 = y2 - y1, y3 - y1, y3 - y2
     a21, a31, a32 = abs(dy21), abs(dy31), abs(dy32)
     for _ in steps:
@@ -431,29 +415,43 @@ def _advance(scheme: SchemeKind, forcing: ForcingTerm, seed: Stencil, h: float,
     ordinate to ``out_ys``.  It alone knows which forcing each scheme takes,
     from how many points, and which loop runs them: before the first step,
     ValueError names the scheme and a seed length or forcing it does not
-    take, or the lattice is refused."""
+    take, or the lattice is refused.  With a step to take, it resolves the
+    seed into the loop's start state: sly4's ρ = 4(R/S - 1) on the seed's
+    abscissae, e and d, h5's first R3 and c, slx3's forcing.  A seed without
+    them stops the first step, and no loop starts."""
     arity = SCHEME_ARITY[scheme]
     if len(seed) != arity:
         raise ValueError(f"{scheme.value} steps from {arity} points, got {len(seed)}")
     sly4, slx3 = scheme is SchemeKind.SLY4, scheme is SchemeKind.SLX3
     if sly4 and isinstance(forcing, Constant):
-        run, param = _sly4_run, lambda _x, c=forcing.c: c
+        run, fn = _sly4_run, lambda _x, c=forcing.c: c
     elif sly4 and isinstance(forcing, FunctionOfX):
-        run, param = _sly4_run, forcing.fn
+        run, fn = _sly4_run, forcing.fn
     elif slx3 and isinstance(forcing, Constant):
-        run, param = _slx3_run, (forcing.c, 0.0, 0.0)
+        run, state = _slx3_run, (forcing.c, 0.0, 0.0)
     elif slx3 and isinstance(forcing, IdentityInY):
         # rhs(t) = t, or the stencil mean (y0 + y1 + y2 + t)/4
-        run, param = _slx3_run, (0.0, 0.25, 0.25) if forcing.stencil_mean else (0.0, 0.0, 1.0)
+        run, state = _slx3_run, (0.0, 0.25, 0.25) if forcing.stencil_mean else (0.0, 0.0, 1.0)
     elif scheme is SchemeKind.H5 and isinstance(forcing, Constant):
-        run, param = _h5_run, forcing.c
+        run, c = _h5_run, forcing.c
     else:
         raise ValueError(f"{scheme.value} does not take the forcing {forcing!r}")
     _check_lattice(seed, h, n_steps)
+    if n_steps == 0:
+        return StopReason.COMPLETED
+    ys = seed.ys
+    try:
+        if sly4:
+            d2, d = ys[2] - ys[1], ys[3] - ys[2]
+            state = 4.0 * (_ratio_r_over_s(seed.xs, ys, 0) - 1.0), (d - d2) / d2, d
+        elif not slx3:
+            state = _cross_ratio(*ys[:4]), c
+    except (DegenerateCoefficientError, NonFiniteError, ZeroDivisionError) as exc:
+        return (StopReason.NON_FINITE if isinstance(exc, NonFiniteError)
+                else StopReason.DEGENERATE_COEFFICIENT)
     # slx3 and h5 only count the steps
-    steps = (_sly4_decrements(seed, param, h, n_steps, x_next) if run is _sly4_run
-             else range(n_steps))
-    return run(seed.xs, seed.ys, steps, param, out_ys)
+    steps = _sly4_decrements(seed, fn, h, n_steps, x_next) if sly4 else range(n_steps)
+    return run(ys, state, steps, out_ys)
 
 
 def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
@@ -461,9 +459,10 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
     loop, collecting the new points.
 
     Returns the partial trajectory and the reason extension ceased; scheme
-    failures surface as stop reasons, never as exceptions.  Before the first
-    step, a negative step count, a forcing or seed the scheme does not take,
-    or a lattice whose abscissae may not stay strictly monotone raise
+    failures surface as stop reasons, never as exceptions.  Once the lattice
+    is accepted, ``n_steps`` = 0 returns the seed with COMPLETED.  Before the
+    first step, a negative step count, a forcing or seed the scheme does not
+    take, or a lattice whose abscissae may not stay strictly monotone raise
     ValueError; a lattice whose last abscissa overflows raises NonFiniteError.
     """
     if n_steps < 0:

@@ -433,8 +433,10 @@ RUN_LOOPS = ("_sly4_run", "_slx3_run", "_h5_run")
 
 @contextmanager
 def _loops_counted():
-    """Count the scheme run loops started inside the block; a refused
-    lattice starts none, so it runs no step."""
+    """Count the scheme run loops started inside the block, patched as the
+    module attributes that _advance looks up at each call; a refused
+    lattice, a run of no steps and a seed without its invariants start
+    none."""
     with ExitStack() as stack:
         mocks = [stack.enter_context(mock.patch.object(schemes, name,
                                                        wraps=getattr(schemes, name)))
@@ -490,7 +492,7 @@ LATTICE_RUNS = {
                       StopReason.COMPLETED),
     "backward-h5": (SchemeKind.H5, Constant(0.0), -0.01,
                     seed_stencil_from_function(OMEX, -1.0, -0.01, 5), 30, StopReason.COMPLETED),
-    # y2 = y1 leaves sly4 without a ratio and h5 without its first R3
+    # y2 = y1 leaves sly4 without a ratio and h5 without its first R4
     "first-step-stop-sly4": (SchemeKind.SLY4, Constant(0.0), 0.1,
                              Stencil((0.0, 0.1, 0.2, 0.3), (0.0, 1.0, 1.0, 2.0)), 10,
                              StopReason.DEGENERATE_COEFFICIENT),
@@ -511,8 +513,13 @@ LATTICE_RUNS = {
 @pytest.mark.parametrize("kind, forcing, h, seed, n_steps, stop", LATTICE_RUNS.values(),
                          ids=LATTICE_RUNS)
 def test_integrate_lays_out_the_nodes_it_advanced(kind, forcing, h, seed, n_steps, stop):
-    traj = integrate(SchemeSpec(kind, forcing, Uniform(h)), seed, n_steps)
+    with _loops_counted() as calls:
+        traj = integrate(SchemeSpec(kind, forcing, Uniform(h)), seed, n_steps)
     assert traj.stop is stop
+    # one loop, reached through its module attribute, unless there is no
+    # step or the seed has no invariant to start from: sly4's e needs
+    # y2 != y1, and h5's first R3 does not
+    assert calls() == (n_steps > 0 and (kind is not SchemeKind.SLY4 or seed.ys[1] != seed.ys[2]))
     # the nodes as the loops once appended them: h * k, then x0 + that
     x0, ks = float(seed.xs[0]), range(len(seed), len(traj.ys))
     assert traj.xs == seed.xs + tuple(map(x0.__add__, map(h.__mul__, ks)))
@@ -752,11 +759,18 @@ def test_extreme_windows_stop_as_degenerate(kind, ys):
     seed = stencil_from_sequences([0.1 * k for k in range(spec.arity)], ys)
     out = STEPS[kind](seed, 0.1 * spec.arity, forcing)
     assert out is StopReason.DEGENERATE_COEFFICIENT
-    traj = integrate(spec, seed, 5)
+    with _loops_counted() as calls:
+        traj = integrate(spec, seed, 5)
     assert traj.stop is StopReason.DEGENERATE_COEFFICIENT
     assert len(traj.points) == spec.arity
-    # with no step to take, the window is never solved and the run completes
-    assert integrate(spec, seed, 0).stop is StopReason.COMPLETED
+    # sly4's and h5's seeds have no invariant, so no loop starts; slx3's
+    # loop checks y2 = y1 on every window, the first too
+    assert calls() == (kind is SchemeKind.SLX3)
+    # with no step to take, the window is never solved, no loop starts and
+    # the run completes
+    with _loops_counted() as calls:
+        assert integrate(spec, seed, 0).stop is StopReason.COMPLETED
+    assert calls() == 0
 
 
 SLY4_NON_FINITE_WINDOWS = {
@@ -805,10 +819,16 @@ def test_sly4_recursion_stops(ys, forcing, stop):
     assert sly4_step(seed, 4.0, forcing) is stop
     assert ref_step(SchemeKind.SLY4, forcing)(xs, ys, 4.0) is stop
     spec = SchemeSpec(SchemeKind.SLY4, forcing, Uniform(1.0))
-    traj = integrate(spec, seed, 5)
+    with _loops_counted() as calls:
+        traj = integrate(spec, seed, 5)
     assert traj.stop is stop and traj.xs == xs
-    # with no step to take, the seed is never stepped and the run completes
-    assert integrate(spec, seed, 0).stop is StopReason.COMPLETED
+    # a seed with y2 = y1 has no e and starts no loop
+    assert calls() == (ys[2] != ys[1])
+    # with no step to take, the seed is never stepped, no loop starts and
+    # the run completes
+    with _loops_counted() as calls:
+        assert integrate(spec, seed, 0).stop is StopReason.COMPLETED
+    assert calls() == 0
 
 
 def test_sly4_seed_past_the_product_overflow_steps_as_its_unscaled_copy():
