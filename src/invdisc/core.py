@@ -151,6 +151,10 @@ class Constant:
 
     c: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.c):
+            raise ValueError(f"constant forcing {self.c!r} is not finite")
+
 
 @dataclass(frozen=True)
 class FunctionOfX:

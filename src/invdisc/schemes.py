@@ -13,24 +13,25 @@ y0 - 3 y1 + 3 y2, the quadratic through the window at the next node; the
 degree its descent ends on keeps its real root nearest it, and
 :func:`_polish` polishes a cubic's root.
 
-Each scheme has one straight-line run loop on plain floats, ``_sly4_run``,
-``_slx3_run`` (every forcing, affine in the new ordinate) or ``_h5_run``,
-which advances a window one step of a uniform lattice per node, writes
-ordinates only and reads no spacing.  ``slx3`` and ``h5`` evaluate each
-step's invariants, root choice and R5 line inline, with the float operations
-of :mod:`invdisc.discrete`, :func:`select_root` and :func:`_quadratic_roots`,
-which stay their definition.  Each loop carries what the next window would
-recompute: ``slx3`` two ordinate differences, ``h5`` its checked R4 (the
-next R3) and differences, ``sly4`` ρ, the deficit of the y cross-ratio from
-4, a ratio deficit, the last difference and a compensated sum.  ``sly4``
-takes from ρ what :func:`_sly4_decrements` yields per step, which alone
-reads sly4's nodes.  :func:`_advance` alone knows which forcing each scheme
-takes, from how many points, and which loop runs them.  It checks the
-lattice once, resolves the seed into the loop's start state, the schemes'
-only calls into :mod:`invdisc.discrete`, and runs the loop for
-:func:`integrate`, which lays out the abscissae the run reached, and for
-``*_step(stencil, x_next, forcing)``, the first step to x_next on the
-lattice of step x_next - xs[-1].
+Each scheme has a straight-line run loop on plain floats, ``_sly4_run``,
+``_slx3_run`` (forcing affine in the new ordinate), its constant-forcing form
+``_slx3_constant_run`` or ``_h5_run``, which advances a window one step of a
+uniform lattice per node, writes ordinates only and reads no spacing.
+``slx3`` and ``h5`` evaluate each step's invariants, root choice and R5 line
+inline, with the float operations of :mod:`invdisc.discrete`,
+:func:`select_root` and :func:`_quadratic_roots`, which stay their
+definition.  Each loop carries what the next window would recompute:
+``slx3`` two ordinate differences, ``h5`` its checked R4 (the next R3) and
+differences, ``sly4`` ρ, the deficit of the y cross-ratio from 4, a ratio
+deficit, the last difference and a compensated sum.  ``sly4`` takes from ρ
+what :func:`_sly4_decrements` yields per step, which alone reads sly4's
+nodes.  A constant forcing costs nothing per step.  :func:`_advance` alone
+knows which forcing each scheme takes, from how many points, and which loop
+runs them.  It checks the lattice once, resolves the seed into the loop's
+start state, the schemes' only calls into :mod:`invdisc.discrete`, and runs
+the loop for :func:`integrate`, which lays out the abscissae the run
+reached, and for ``*_step(stencil, x_next, forcing)``, the first step to
+x_next on the lattice of step x_next - xs[-1].
 """
 from __future__ import annotations
 
@@ -173,7 +174,7 @@ def select_root(roots: list[float], prediction: float) -> float | None:
 # only count them.  The window lives in local floats, and a difference or
 # cross-ratio that the next window would recompute from the same operands
 # is carried over.  A step calls Python code only for slx3's cubic and, in
-# its decrements, sly4's forcing.  Inline checks |d| <= DEGENERACY_RTOL *
+# its decrements, sly4's function of x.  Inline checks |d| <= DEGENERACY_RTOL *
 # scale are core.is_degenerate, and abs(t) <= OVERFLOW_LIMIT is false for
 # NaN and +-inf as well.  Each scale is max() of magnitudes taken once per
 # step, written out as the left fold m = v if v > m else m in max()'s
@@ -213,8 +214,8 @@ def _slx3_run(ys, state, steps, out_ys) -> StopReason:
     -K f1 u^3 - K (f0 + f1 s) u^2 + (18a - 6b - K f0 s) u - 6 s b = 0.  A
     leading coefficient at most DEGENERACY_RTOL times the largest drops it
     one degree; the last keeps its real root nearest u_p = 2b - a, polished
-    if cubic.  b = 0 (m3 has no value) stops the step; a NaN scale (a and b
-    infinite, opposite in sign) takes the cubic path to a NaN root."""
+    if cubic.  b = 0 (m3 has no value) stops the step.  It runs the
+    ``IdentityInY`` forcings, and under (c, 0, 0) defines ``_slx3_constant_run``."""
     c, w, fb = state
     y0, y1, y2 = ys
     a, b = y1 - y0, y2 - y1
@@ -257,6 +258,48 @@ def _slx3_run(ys, state, steps, out_ys) -> StopReason:
         out_ys.append(t)
         a, b = b, t - y2
         y0, y1, y2 = y1, y2, t
+    return StopReason.COMPLETED
+
+
+def _slx3_constant_run(ys, c, steps, out_ys) -> StopReason:
+    """``_slx3_run`` under Constant(c), the state (c, 0, 0), less the terms
+    that vanish there: the window's forcing sum and the u^3 coefficient -K·0
+    with its test.  Its quadratic, linear and degenerate branches are
+    ``_slx3_run``'s, float for float.  Where K = 4ab is not finite (a NaN
+    scale among such), -K·0 is NaN and ``_slx3_run``'s cubic path ends on a
+    NaN root; here the step stops NON_FINITE unsolved."""
+    y1, y2 = ys[1], ys[2]
+    a, b = y1 - ys[0], y2 - y1
+    for _ in steps:
+        if b == 0.0:
+            return StopReason.DEGENERATE_COEFFICIENT
+        s, k = a + b, 4.0 * a * b
+        if k - k:  # NaN, a true float, where K is infinite or NaN
+            return StopReason.NON_FINITE
+        kc = k * c
+        c0, c1, c2 = -6.0 * s * b, 18.0 * a - 6.0 * b - kc * s, -kc
+        m0, m1, m2 = abs(c0), abs(c1), abs(c2)
+        m01 = m1 if m1 > m0 else m0
+        if not m2 <= DEGENERACY_RTOL * (m2 if m2 > m01 else m01):
+            up = 2.0 * b - a  # y0 - 3 y1 + 3 y2, less y2
+            disc = c1 * c1 - 4.0 * c2 * c0
+            if disc < 0.0:
+                return StopReason.NO_REAL_ROOT
+            sq = math.sqrt(disc)
+            q = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0.0 else -0.5 * sq
+            lo, hi = (0.0, 0.0) if q == 0.0 else (q / c2, c0 / q)
+            if hi < lo:
+                lo, hi = hi, lo
+            u = hi if abs(hi - up) < abs(lo - up) else lo
+        elif not m1 <= DEGENERACY_RTOL * m01:
+            u = -c0 / c1
+        else:
+            return StopReason.DEGENERATE_COEFFICIENT
+        t = y2 + u
+        if not abs(t) <= OVERFLOW_LIMIT:
+            return StopReason.NON_FINITE
+        out_ys.append(t)
+        a, b, y2 = b, t - y2, t
     return StopReason.COMPLETED
 
 
@@ -389,23 +432,29 @@ def _check_lattice(seed: Stencil, h: float, n_steps: int):
         raise ValueError(f"step {h!r} is too small for abscissae up to {x_end!r}")
 
 
-def _sly4_decrements(seed: Stencil, fn, h: float, n_steps: int, x_next: float):
+def _sly4_decrements(seed: Stencil, forcing, h: float, n_steps: int, x_next: float):
     """The decrement of the deficit ρ for each of ``n_steps`` sly4 steps from
     ``seed``, the first to ``x_next``, lazily.  Where S = 4, l4 = f(x2) takes
     2h³·f(x2) from ρ, x2 = x0 + (k - 2)h for new node k, formed in an order
     that overflows only where that product does.  The three windows after
     the seed hold seed nodes and add S - 4 to their y cross-ratio, to first
     order in the seed's offsets from the lattice, so the first four
-    decrements are less by the change of S - 4 from window to window."""
+    decrements are less by the change of S - 4 from window to window.  Under
+    Constant(c) every later decrement is the one float 2h³·c, repeated."""
     x0 = seed.xs[0]
+    if isinstance(forcing, Constant):
+        c = forcing.c
+        fn, rest = (lambda _x: c), itertools.repeat(h * c * h * h * 2.0, n_steps - 4)
+    else:
+        fn = forcing.fn
+        rest = (h * fn(x0 + k * h) * h * h * 2.0 for k in range(6, 2 + n_steps))
     xs = seed.xs + (x_next, x0 + 5 * h, x0 + 6 * h)[:n_steps]
     excess = [0.0, *((xs[k + 3] - xs[k + 1]) / (xs[k + 3] - xs[k + 2])
                      * ((xs[k + 2] - xs[k]) / (xs[k + 1] - xs[k])) - 4.0
                      for k in range(1, len(xs) - 3)), 0.0]
     return itertools.chain(
         (h * fn(x0 + (k + 2) * h) * h * h * 2.0 - (excess[k + 1] - excess[k])
-         for k in range(min(n_steps, 4))),
-        (h * fn(x0 + k * h) * h * h * 2.0 for k in range(6, 2 + n_steps)))
+         for k in range(min(n_steps, 4))), rest)
 
 
 def _advance(scheme: SchemeKind, forcing: ForcingTerm, seed: Stencil, h: float,
@@ -418,17 +467,16 @@ def _advance(scheme: SchemeKind, forcing: ForcingTerm, seed: Stencil, h: float,
     take, or the lattice is refused.  With a step to take, it resolves the
     seed into the loop's start state: sly4's ρ = 4(R/S - 1) on the seed's
     abscissae, e and d, h5's first R3 and c, slx3's forcing.  A seed without
-    them stops the first step, and no loop starts."""
+    them stops the first step, and no loop starts.  A Constant is resolved
+    once, for ``_slx3_constant_run`` and :func:`_sly4_decrements`."""
     arity = SCHEME_ARITY[scheme]
     if len(seed) != arity:
         raise ValueError(f"{scheme.value} steps from {arity} points, got {len(seed)}")
     sly4, slx3 = scheme is SchemeKind.SLY4, scheme is SchemeKind.SLX3
-    if sly4 and isinstance(forcing, Constant):
-        run, fn = _sly4_run, lambda _x, c=forcing.c: c
-    elif sly4 and isinstance(forcing, FunctionOfX):
-        run, fn = _sly4_run, forcing.fn
+    if sly4 and isinstance(forcing, (Constant, FunctionOfX)):
+        run = _sly4_run
     elif slx3 and isinstance(forcing, Constant):
-        run, state = _slx3_run, (forcing.c, 0.0, 0.0)
+        run, state = _slx3_constant_run, forcing.c
     elif slx3 and isinstance(forcing, IdentityInY):
         # rhs(t) = t, or the stencil mean (y0 + y1 + y2 + t)/4
         run, state = _slx3_run, (0.0, 0.25, 0.25) if forcing.stencil_mean else (0.0, 0.0, 1.0)
@@ -450,7 +498,7 @@ def _advance(scheme: SchemeKind, forcing: ForcingTerm, seed: Stencil, h: float,
         return (StopReason.NON_FINITE if isinstance(exc, NonFiniteError)
                 else StopReason.DEGENERATE_COEFFICIENT)
     # slx3 and h5 only count the steps
-    steps = _sly4_decrements(seed, fn, h, n_steps, x_next) if sly4 else range(n_steps)
+    steps = _sly4_decrements(seed, forcing, h, n_steps, x_next) if sly4 else range(n_steps)
     return run(ys, state, steps, out_ys)
 
 

@@ -167,6 +167,14 @@ def test_solve_validation_failures(tmp_path, capsys):
     assert main(["solve", "--scheme", "h5", "--forcing", "const", "--c", "0",
                  "--h", "0.01", "--steps", "5", "--seed", str(seed),
                  "--out", str(tmp_path / "x.csv")]) == 2
+    # a constant that is not finite, an input error and not a scheme's stop
+    capsys.readouterr()
+    for c in ("nan", "inf", "-inf"):
+        assert main(["solve", "--scheme", "slx3", "--forcing", "const", f"--c={c}",
+                     "--h", "0.01", "--steps", "5", "--seed", str(seed),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: constant forcing {float(c)!r} is not finite\n"
+        assert not (tmp_path / "x.csv").exists()
     # missing seed file -> I/O error
     assert main(["solve", "--scheme", "slx3", "--forcing", "const", "--c", "2",
                  "--h", "0.01", "--steps", "5", "--seed", str(tmp_path / "no.csv"),

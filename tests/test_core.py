@@ -222,6 +222,15 @@ def test_scheme_spec_rejects_non_uniform_lattice():
         SchemeSpec(SchemeKind.H5, Constant(0.0), rule)
 
 
+def test_constant_forcing_must_be_finite():
+    # refused at the boundary, as Uniform refuses a non-finite step, not
+    # reported as a scheme's stop
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^constant forcing .* is not finite$"):
+            Constant(c)
+    assert Constant(-1e308).c == -1e308
+
+
 def test_lattice_rule_validation():
     with pytest.raises(ValueError):
         Uniform(0.0)

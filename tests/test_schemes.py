@@ -6,10 +6,10 @@ from unittest import mock
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
-from invdisc import (Constant, CrossRatioWindow, FunctionOfX, IdentityInY,
-                     NonFiniteError, SchemeKind, SchemeSpec, Stencil, StopReason,
+from invdisc import (Constant, CrossRatioWindow, DegenerateCoefficientError, FunctionOfX,
+                     IdentityInY, NonFiniteError, SchemeKind, SchemeSpec, Stencil, StopReason,
                      Trajectory, Uniform, chi, cross_ratio, h5_uniform,
                      integrate, l3, l4, m3, seed_stencil_from_function, select_root,
                      slx3_step, sly4_step, solve_poly, stencil_from_sequences)
@@ -428,7 +428,7 @@ def test_integrate_validates_seed():
         assert calls() == 0
 
 
-RUN_LOOPS = ("_sly4_run", "_slx3_run", "_h5_run")
+RUN_LOOPS = ("_sly4_run", "_slx3_run", "_slx3_constant_run", "_h5_run")
 
 
 @contextmanager
@@ -910,6 +910,25 @@ def test_sly4_seeds_its_deficit_on_its_own_abscissae():
     assert chi(traj, [math.tan(-1.2 + k * h) for k in range(len(traj))]) <= 5e-10
 
 
+@pytest.mark.parametrize("h, c", [(0.1, 0.5), (-1e-3, -2.0), (0.1, 0.0), (-0.1, 0.0),
+                                  (-0.1, -0.0), (1e120, 1.0), (-1e120, 0.5), (2.0, 1e308)])
+def test_sly4_constant_decrements_repeat_the_per_step_term(h, c):
+    # a Constant(c) stream is the stream of the same c as a function of x,
+    # whose every step forms h * f(x2) * h * h * 2.0, bit for bit, also
+    # where 2h^3 c overflows (the last three rows); past the four seed
+    # windows it repeats that one float
+    xs = [k * h for k in range(4)]
+    xs[2] += 1e-7 * h  # a seed off the lattice, which the seed windows correct
+    seed = Stencil(tuple(xs), (0.0, 1.0, 3.0, 6.0))
+    term = h * c * h * h * 2.0
+    for n_steps in range(9):
+        got = list(schemes._sly4_decrements(seed, Constant(c), h, n_steps, 4 * h))
+        want = list(schemes._sly4_decrements(seed, FunctionOfX(lambda _x: c), h, n_steps, 4 * h))
+        assert repr(got) == repr(want)
+        assert repr(got[4:]) == repr([term] * (n_steps - 4))
+    assert math.isinf(term) == (abs(h) > 1e100 or c > 1e300)
+
+
 def _slx3_shadow_errors(traj, c, exact):
     """(arithmetic, truncation) of an slx3 run under m3 = c: its largest
     distance to the 40-digit shadow run from its seed on its nodes, and the
@@ -1025,13 +1044,18 @@ def test_slx3_run_is_equivariant_under_translation_of_y():
 
 
 def test_h5_first_window_overflow_stops_as_non_finite():
-    # ordinates (0, 1, 3, 6, 10) times 1e155: the first window's products of
-    # two y-differences overflow and its cross-ratio is inf / inf
+    # ordinates (0, 1, 3, 6, 10) times 1e155: the products of two
+    # y-differences in the first window overflow, and discrete._cross_ratio
+    # pairs them into a finite R3, 5.0; the loop starts, and its first step
+    # stops where y3 (y4 - y2) overflows in a*t = b
     xs, forcing = [0.1 * k for k in range(5)], Constant(0.0)
     spec = SchemeSpec(SchemeKind.H5, forcing, Uniform(0.1))
     seed = stencil_from_sequences(xs, [v * 1e155 for v in (0.0, 1.0, 3.0, 6.0, 10.0)])
+    assert _cross_ratio(*seed.ys[:4]) == 5.0
     assert h5_step(seed, 0.5, forcing) is StopReason.NON_FINITE
-    traj = integrate(spec, seed, 5)
+    with _loops_counted() as calls:
+        traj = integrate(spec, seed, 5)
+    assert calls() == 1
     assert traj.stop is StopReason.NON_FINITE and traj.xs == seed.xs
     # with no step to take, the window is never solved and the run completes
     assert integrate(spec, seed, 0).stop is StopReason.COMPLETED
@@ -1040,12 +1064,37 @@ def test_h5_first_window_overflow_stops_as_non_finite():
     assert integrate(spec, seed, 5).stop is StopReason.COMPLETED
 
 
+#: h5 seeds of finite ordinates whose first R3 raises before the loop: a
+#: repeated ordinate, and a difference that overflows, which makes the
+#: window's scale infinite and each difference degenerate beside it.  No
+#: finite seed makes it non-finite: its differences are finite, or one is
+#: infinite and the window is degenerate, and with finite differences each
+#: paired ratio is below 1 / DEGENERACY_RTOL in size
+H5_SEEDS_WITHOUT_R3 = {
+    "repeated-ordinate": (0.0, 0.0, 1.0, 3.0, 6.0),
+    "overflowing-difference": (-1e308, 1e308, 0.0, 1.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("ys", H5_SEEDS_WITHOUT_R3.values(), ids=H5_SEEDS_WITHOUT_R3)
+def test_h5_seed_without_its_first_r3_starts_no_loop(ys):
+    xs, forcing = tuple(0.1 * k for k in range(5)), Constant(0.0)
+    with pytest.raises(DegenerateCoefficientError):
+        _cross_ratio(*ys[:4])
+    with _loops_counted() as calls:
+        traj = integrate(SchemeSpec(SchemeKind.H5, forcing, Uniform(0.1)), Stencil(xs, ys), 5)
+        assert h5_step(Stencil(xs, ys), 0.5, forcing) is StopReason.DEGENERATE_COEFFICIENT
+    assert calls() == 0
+    assert traj.stop is StopReason.DEGENERATE_COEFFICIENT and traj.ys == ys
+
+
 #: windows over x = 0, 0.1, ... whose first zero-forcing step stops
-#: NON_FINITE at a return of its run loop that no other test reaches
+#: NON_FINITE at a return of its run loop
 FIRST_STEP_NON_FINITE = {
-    # K = 4 (y1 - y0)(y2 - y1) overflows, so every term but the constant
-    # one is K times a zero forcing, NaN; the cubic path takes them to a NaN
-    # root, and |t| <= OVERFLOW_LIMIT is false
+    # K = 4 (y1 - y0)(y2 - y1) overflows: the constant-forcing loop stops on
+    # it before the step is solved; in the composed kernels every term but
+    # the constant one is K times a zero forcing, NaN, and the cubic path
+    # takes them to a NaN root, for which |t| <= OVERFLOW_LIMIT is false
     "slx3-root": (SchemeKind.SLX3, (2.56186378782458e257, 2.5933638886239894e257,
                                     2.561863812844665e257)),
     # y3 * (y4 - y2) overflows in a*t = b
@@ -1100,12 +1149,12 @@ def _assert_integrate_is_composed(spec, seed, n_steps):
 
 #: per degree of the slx3 step and per branch of its descent, where a
 #: degenerate leading coefficient drops the polynomial in u = t - y2 one
-#: degree: (ys, forcing, the degree the descent ends on); None where the step
-#: solves nothing.  Only a cubic calls a root solver, whose root is polished;
-#: the quadratic and linear roots are inline.  Under the identity forcings f0
-#: is about y2, so the u^3 term is about 1/(y2 s) of the u term and the u^2
-#: term 1/s + 1/y2 of it: a window far from 0 drops the cubic, one as wide
-#: as it is far the quadratic too
+#: degree: (ys, forcing, the degree the descent ends on, or the stop where
+#: the step solves nothing).  Only a cubic calls a root solver, whose root
+#: is polished; the quadratic and linear roots are inline.  Under the
+#: identity forcings f0 is about y2, so the u^3 term is about 1/(y2 s) of
+#: the u term and the u^2 term 1/s + 1/y2 of it: a window far from 0 drops
+#: the cubic, one as wide as it is far the quadratic too
 SLX3_DEGREES = {
     "quadratic": ((0.0, 0.4, 0.7), Constant(0.5), 2),
     "cubic": ((0.0, 0.4, 0.7), IdentityInY(), 3),
@@ -1114,21 +1163,26 @@ SLX3_DEGREES = {
     "cubic-to-linear": ((0.0, 1e14, 3e14), IdentityInY(stencil_mean=True), 1),
     "quadratic-to-linear": ((0.0, 0.4, 0.7), Constant(0.0), 1),
     # y1 - y0 and y2 - y1 infinite with opposite signs: s = y2 - y0 and with
-    # it the scale are NaN, which takes the cubic path to a NaN root
-    "nan-scale-quadratic": ((-1.7e308, 1.7e308, -1.7e308), Constant(0.5), 3),
+    # it the scale are NaN, which takes the cubic path to a NaN root; K =
+    # 4ab is infinite, and under a constant forcing the step stops on it
+    "nan-scale-quadratic": ((-1.7e308, 1.7e308, -1.7e308), Constant(0.5),
+                            StopReason.NON_FINITE),
     "nan-scale-cubic": ((-1.7e308, 1.7e308, -1.7e308), IdentityInY(), 3),
-    # K = 4ab overflows: under a constant forcing the u^3 coefficient is
-    # -inf * 0, a NaN, so the cubic path runs to a NaN root; under the
-    # identity forcings every coefficient is infinite, each degree's test
-    # reads inf <= DEGENERACY_RTOL * inf, and the descent ends degenerate
-    "k-overflow-constant": ((0.0, 1e155, 2e155), Constant(0.5), 3),
-    "k-overflow-identity": ((0.0, 1e155, 2e155), IdentityInY(), None),
-    "k-overflow-mean": ((0.0, 1e155, 2e155), IdentityInY(stencil_mean=True), None),
+    # K = 4ab overflows: under a constant forcing the step stops NON_FINITE
+    # before it is solved, where the composed kernels' u^3 coefficient
+    # -inf * 0, a NaN, takes the cubic path to a NaN root; under the identity
+    # forcings every coefficient is infinite, each degree's test reads
+    # inf <= DEGENERACY_RTOL * inf, and the descent ends degenerate
+    "k-overflow-constant": ((0.0, 1e155, 2e155), Constant(0.5), StopReason.NON_FINITE),
+    "k-overflow-identity": ((0.0, 1e155, 2e155), IdentityInY(),
+                            StopReason.DEGENERATE_COEFFICIENT),
+    "k-overflow-mean": ((0.0, 1e155, 2e155), IdentityInY(stencil_mean=True),
+                        StopReason.DEGENERATE_COEFFICIENT),
     # subnormal differences: K and the constant term underflow to zero, and
     # DEGENERACY_RTOL times the linear scale is zero, below the linear term
     "subnormal-scale": ((0.0, 1e-320, 3e-320), Constant(0.5), 1),
     # y2 = y1: m3 has no value, and the step solves nothing
-    "flat-middle": ((0.0, 0.4, 0.4), IdentityInY(), None),
+    "flat-middle": ((0.0, 0.4, 0.4), IdentityInY(), StopReason.DEGENERATE_COEFFICIENT),
 }
 
 
@@ -1137,7 +1191,7 @@ def test_slx3_descent_equals_composed_kernels(ys, forcing, degree):
     xs = (0.0, 0.5, 1.0)
     counted = ("_quadratic_roots", "_cubic_roots", "_polish")
     spec = SchemeSpec(SchemeKind.SLX3, forcing, Uniform(0.5))
-    if degree is not None:  # the composed kernels' descent ends on the same degree
+    if isinstance(degree, int):  # the composed kernels' descent ends on the same degree
         assert len(_ref_slx3_coeffs(ys, forcing)) == degree + 1
     with ExitStack() as stack:
         calls = {name: stack.enter_context(mock.patch.object(
@@ -1153,10 +1207,45 @@ def test_slx3_descent_equals_composed_kernels(ys, forcing, degree):
         assert not calls["_quadratic_roots"].called
     want = _ref_slx3_kernel(xs, ys, 1.5, forcing)
     assert repr(t) == repr(want)
-    assert (t is StopReason.DEGENERATE_COEFFICIENT) == (degree is None)
-    # a NaN root: the cubic path on a window whose K overflows
-    assert (t is StopReason.NON_FINITE) == (degree == 3 and ys[1] - ys[0] > 1e154)
+    if isinstance(degree, StopReason):
+        assert t is degree
+    else:  # a root, or a NaN root: the cubic path on a window whose K overflows
+        assert (t is StopReason.NON_FINITE if degree == 3 and ys[1] - ys[0] > 1e154
+                else isinstance(t, float))
     assert (traj.xs, traj.ys, traj.stop) == scheme_reference_loop(spec, Stencil(xs, ys), 20)
+
+
+#: slx3 windows beyond the seeded ones: the constant rows of SLX3_DEGREES,
+#: the K overflow of FIRST_STEP_NON_FINITE and y2 = y1 at 1e300
+SLX3_CONSTANT_WINDOWS = [ys for ys, forcing, _ in SLX3_DEGREES.values()
+                         if isinstance(forcing, Constant)] + [
+    FIRST_STEP_NON_FINITE["slx3-root"][1], (-1e300, 1e300, 1e300)]
+
+
+@settings(max_examples=400, deadline=None)
+# a finite K with a NaN linear term, 18a - 6b = -inf less K c s = -inf: the
+# linear root is NaN, and its new point fails the OVERFLOW_LIMIT test
+@example(ys=(0.0, 1e-300, 1e308), c=-1e300, n_steps=1)
+@given(ys=st.one_of(
+           st.sampled_from(SLX3_CONSTANT_WINDOWS),
+           st.builds(lambda e, us: tuple(10.0 ** e * u for u in us), st.floats(-300.0, 300.0),
+                     st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)),
+           # nearly flat: a level with spreads of a few DEGENERACY_RTOL
+           st.builds(lambda e, us: tuple(10.0 ** e * (1.0 + DEGENERACY_RTOL * u) for u in us),
+                     st.floats(-300.0, 300.0),
+                     st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3))),
+       c=st.one_of(st.sampled_from([0.0, -0.0, 0.5, 2.0]),
+                   st.floats(allow_nan=False, allow_infinity=False)),
+       n_steps=st.integers(1, 40))
+def test_slx3_constant_run_steps_as_slx3_run(ys, c, n_steps):
+    # _slx3_run under the state (c, 0, 0) is the definition: the constant
+    # loop leaves out only terms that vanish there, and stops on a K that
+    # is not finite where _slx3_run's cubic path ends on a NaN root
+    want, got = [], []
+    stop = schemes._slx3_run(ys, (c, 0.0, 0.0), range(n_steps), want)
+    assert schemes._slx3_constant_run(ys, c, range(n_steps), got) is stop
+    assert repr(got) == repr(want)
+    event(f"{stop.value}, {'stepped' if got else 'no step'}")
 
 
 #: h5 windows over x = 0, 0.1, ... by the term that leads the scale of the
