@@ -184,8 +184,10 @@ class Uniform:
     h: float
 
     def __post_init__(self):
-        if self.h == 0 or not math.isfinite(self.h):
-            raise ValueError("uniform lattice needs a nonzero finite step")
+        if not math.isfinite(self.h):
+            raise ValueError(f"lattice step {self.h!r} is not finite")
+        if self.h == 0:
+            raise ValueError("uniform lattice needs a nonzero step")
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,13 @@ definition.  Each loop carries what the next window would recompute:
 differences, ``sly4`` ρ, the deficit of the y cross-ratio from 4, a ratio
 deficit, the last difference and a compensated sum.  ``sly4`` takes from ρ
 what :func:`_sly4_decrements` yields per step, which alone reads sly4's
-nodes.  A constant forcing costs nothing per step.  :func:`_advance` alone
+nodes.  A constant forcing costs nothing per step.  :func:`integrate` alone
 knows which forcing each scheme takes, from how many points, and which loop
-runs them.  It checks the lattice once, resolves the seed into the loop's
-start state, the schemes' only calls into :mod:`invdisc.discrete`, and runs
-the loop for :func:`integrate`, which lays out the abscissae the run
-reached, and for ``*_step(stencil, x_next, forcing)``, the first step to
-x_next on the lattice of step x_next - xs[-1].
+runs them; it checks the lattice once, resolves the seed into the loop's
+start state, the schemes' only calls into :mod:`invdisc.discrete`, runs the
+loop and lays out the abscissae the run reached.  Each
+``*_step(stencil, x_next, forcing)`` is its first step on the lattice through
+the stencil and x_next.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from typing import Sequence
 
 from .core import (Constant, DEGENERACY_RTOL, DegenerateCoefficientError, ForcingTerm,
                    FunctionOfX, IdentityInY, NonFiniteError, OVERFLOW_LIMIT, SCHEME_ARITY,
-                   SchemeKind, SchemeSpec, Stencil, StopReason, Trajectory)
+                   SchemeKind, SchemeSpec, Stencil, StopReason, Trajectory, Uniform)
 from .discrete import _MIN_NORMAL, _cross_ratio, _ratio_r_over_s
 
 
@@ -167,7 +167,7 @@ def select_root(roots: list[float], prediction: float) -> float | None:
 
 # --- the three schemes --------------------------------------------------------
 # Each run loop is (ys, state, steps, out_ys) -> StopReason: from the
-# seed ordinates ys and the start state that _advance resolved from them,
+# seed ordinates ys and the start state that integrate resolved from them,
 # it advances the window one lattice step per item of steps, appends each
 # new ordinate to out_ys, and returns why it stopped, COMPLETED when the
 # steps run out; sly4 takes each item from its deficit, and slx3 and h5
@@ -360,25 +360,19 @@ def _h5_run(ys, state, steps, out_ys) -> StopReason:
 
 def _step(scheme: SchemeKind, stencil: Stencil, x_next: float,
           forcing: ForcingTerm) -> float | StopReason:
-    """The first step of :func:`integrate` from ``stencil`` to ``x_next`` on
-    the lattice of step h = x_next - xs[-1], which ``stencil`` must fit."""
-    out_ys = []
-    stop = _advance(scheme, forcing, stencil, x_next - stencil.xs[-1], 1, out_ys, x_next)
-    return out_ys[0] if out_ys else stop
+    """The new ordinate of :func:`integrate`'s first step on the lattice
+    through ``stencil`` and ``x_next``, h = (x_next - x0)/n, or its stop."""
+    h = (x_next - stencil.xs[0]) / len(stencil)
+    traj = integrate(SchemeSpec(scheme, forcing, Uniform(h)), stencil, 1)
+    return traj.ys[-1] if traj.stop is StopReason.COMPLETED else traj.stop
 
 
 def sly4_step(prev4: Stencil, x_next: float,
               forcing: Constant | FunctionOfX) -> float | StopReason:
     """Advance the fourth-order scheme on a uniform lattice: solve
-    l4(prev4 + new point) = f(x_mid) for f a constant or a function of x.
-
-    This is :func:`integrate`'s first step to x_next on the lattice x0 + k*h
-    through ``prev4``, h = x_next - x3 (ValueError if there is none or h is
-    not finite), with f taken at x0 + 2h.  A run of another rounding of h
-    whose first node is x_next takes the same step bit for bit under zero
-    forcing; under a forcing its term 2h³·f(x0 + 2h) differs by that
-    rounding, and the new ordinate by the term's change times its
-    sensitivity d·(2 + e)/(2 - e + ρ)² to the deficit ρ (see ``_sly4_run``).
+    l4(prev4 + new point) = f(x0 + 2h) for f a constant or a function of x.
+    This is :func:`integrate`'s first step on the lattice x0 + k*h through
+    ``prev4`` and x_next, h = (x_next - x0)/4 (ValueError if there is none).
     """
     return _step(SchemeKind.SLY4, prev4, x_next, forcing)
 
@@ -409,11 +403,8 @@ def h5_step(prev5: Stencil, x_next: float, forcing: Constant) -> float | StopRea
 # --- trajectory driver --------------------------------------------------------
 
 def _check_lattice(seed: Stencil, h: float, n_steps: int):
-    """Refuse a step that is not finite, a lattice x0 + n*h that overflows,
-    that the seed does not fit, or whose rounded abscissae may stop being
-    strictly monotone."""
-    if not math.isfinite(h):
-        raise ValueError(f"lattice step {h!r} is not finite")
+    """Refuse a lattice x0 + n*h that overflows, that the seed does not fit,
+    or whose rounded abscissae may stop being strictly monotone."""
     xs, x0 = seed.xs, seed.xs[0]
     x_end = x0 + (len(xs) + n_steps - 1) * h
     if not math.isfinite(x_end):
@@ -432,9 +423,9 @@ def _check_lattice(seed: Stencil, h: float, n_steps: int):
         raise ValueError(f"step {h!r} is too small for abscissae up to {x_end!r}")
 
 
-def _sly4_decrements(seed: Stencil, forcing, h: float, n_steps: int, x_next: float):
+def _sly4_decrements(seed: Stencil, forcing, h: float, n_steps: int):
     """The decrement of the deficit ρ for each of ``n_steps`` sly4 steps from
-    ``seed``, the first to ``x_next``, lazily.  Where S = 4, l4 = f(x2) takes
+    ``seed`` on the lattice x0 + k*h, lazily.  Where S = 4, l4 = f(x2) takes
     2h³·f(x2) from ρ, x2 = x0 + (k - 2)h for new node k, formed in an order
     that overflows only where that product does.  The three windows after
     the seed hold seed nodes and add S - 4 to their y cross-ratio, to first
@@ -448,7 +439,7 @@ def _sly4_decrements(seed: Stencil, forcing, h: float, n_steps: int, x_next: flo
     else:
         fn = forcing.fn
         rest = (h * fn(x0 + k * h) * h * h * 2.0 for k in range(6, 2 + n_steps))
-    xs = seed.xs + (x_next, x0 + 5 * h, x0 + 6 * h)[:n_steps]
+    xs = seed.xs + (x0 + 4 * h, x0 + 5 * h, x0 + 6 * h)[:n_steps]
     excess = [0.0, *((xs[k + 3] - xs[k + 1]) / (xs[k + 3] - xs[k + 2])
                      * ((xs[k + 2] - xs[k]) / (xs[k + 1] - xs[k])) - 4.0
                      for k in range(1, len(xs) - 3)), 0.0]
@@ -457,18 +448,22 @@ def _sly4_decrements(seed: Stencil, forcing, h: float, n_steps: int, x_next: flo
          for k in range(min(n_steps, 4))), rest)
 
 
-def _advance(scheme: SchemeKind, forcing: ForcingTerm, seed: Stencil, h: float,
-             n_steps: int, out_ys: list, x_next: float) -> StopReason:
-    """Run ``scheme``'s loop under ``forcing`` from ``seed`` over ``n_steps``
-    steps of the lattice x0 + k*h, the first to ``x_next``, appending each new
-    ordinate to ``out_ys``.  It alone knows which forcing each scheme takes,
-    from how many points, and which loop runs them: before the first step,
-    ValueError names the scheme and a seed length or forcing it does not
-    take, or the lattice is refused.  With a step to take, it resolves the
-    seed into the loop's start state: sly4's ρ = 4(R/S - 1) on the seed's
-    abscissae, e and d, h5's first R3 and c, slx3's forcing.  A seed without
-    them stops the first step, and no loop starts.  A Constant is resolved
-    once, for ``_slx3_constant_run`` and :func:`_sly4_decrements`."""
+def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
+    """Advance the seed up to ``n_steps`` lattice steps with the scheme's run
+    loop, collecting the new points.
+
+    Returns the partial trajectory and the reason extension ceased; scheme
+    failures surface as stop reasons, never as exceptions.  Once the lattice
+    is accepted, ``n_steps`` = 0 returns the seed with COMPLETED.  Before the
+    first step, a negative step count, a forcing or seed the scheme does not
+    take, or a lattice whose abscissae may not stay strictly monotone raise
+    ValueError; a lattice whose last abscissa overflows raises NonFiniteError.
+    A seed without its start state (sly4's ρ = 4(R/S - 1) on its abscissae
+    and e, h5's first R3) stops the first step, and no loop starts.
+    """
+    if n_steps < 0:
+        raise ValueError(f"step count must be non-negative, got {n_steps}")
+    scheme, forcing, h = spec.scheme, spec.forcing, spec.lattice.h
     arity = SCHEME_ARITY[scheme]
     if len(seed) != arity:
         raise ValueError(f"{scheme.value} steps from {arity} points, got {len(seed)}")
@@ -486,8 +481,8 @@ def _advance(scheme: SchemeKind, forcing: ForcingTerm, seed: Stencil, h: float,
         raise ValueError(f"{scheme.value} does not take the forcing {forcing!r}")
     _check_lattice(seed, h, n_steps)
     if n_steps == 0:
-        return StopReason.COMPLETED
-    ys = seed.ys
+        return Trajectory(seed.xs, seed.ys, StopReason.COMPLETED, scheme.value, h)
+    ys, out_ys, x0 = seed.ys, list(seed.ys), float(seed.xs[0])
     try:
         if sly4:
             d2, d = ys[2] - ys[1], ys[3] - ys[2]
@@ -495,28 +490,12 @@ def _advance(scheme: SchemeKind, forcing: ForcingTerm, seed: Stencil, h: float,
         elif not slx3:
             state = _cross_ratio(*ys[:4]), c
     except (DegenerateCoefficientError, NonFiniteError, ZeroDivisionError) as exc:
-        return (StopReason.NON_FINITE if isinstance(exc, NonFiniteError)
+        stop = (StopReason.NON_FINITE if isinstance(exc, NonFiniteError)
                 else StopReason.DEGENERATE_COEFFICIENT)
-    # slx3 and h5 only count the steps
-    steps = _sly4_decrements(seed, forcing, h, n_steps, x_next) if sly4 else range(n_steps)
-    return run(ys, state, steps, out_ys)
-
-
-def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
-    """Advance the seed up to ``n_steps`` lattice steps with the scheme's run
-    loop, collecting the new points.
-
-    Returns the partial trajectory and the reason extension ceased; scheme
-    failures surface as stop reasons, never as exceptions.  Once the lattice
-    is accepted, ``n_steps`` = 0 returns the seed with COMPLETED.  Before the
-    first step, a negative step count, a forcing or seed the scheme does not
-    take, or a lattice whose abscissae may not stay strictly monotone raise
-    ValueError; a lattice whose last abscissa overflows raises NonFiniteError.
-    """
-    if n_steps < 0:
-        raise ValueError(f"step count must be non-negative, got {n_steps}")
-    h, out_ys, x0 = spec.lattice.h, list(seed.ys), float(seed.xs[0])
-    stop = _advance(spec.scheme, spec.forcing, seed, h, n_steps, out_ys, x0 + len(seed) * h)
+    else:
+        # slx3 and h5 only count the steps
+        steps = _sly4_decrements(seed, forcing, h, n_steps) if sly4 else range(n_steps)
+        stop = run(ys, state, steps, out_ys)
     # the advanced nodes only, by a list comprehension: faster than a generator
     xs = seed.xs + tuple([x0 + k * h for k in range(len(seed), len(out_ys))])
-    return Trajectory(xs, tuple(out_ys), stop, spec.scheme.value, h)
+    return Trajectory(xs, tuple(out_ys), stop, scheme.value, h)

@@ -342,9 +342,10 @@ def _ref_sly4_stepper(seed_xs, seed_ys, forcing, h):
 
 
 def _ref_sly4_step(xs, ys, x_next, forcing):
-    # sly4_step steps by h = x_next - x3 to x_next, forcing taken at x0 + 2h
-    h = x_next - xs[3]
-    return _ref_sly4_stepper(xs, ys, forcing, h)(xs[0] + 2 * h, (*xs[1:], x_next))
+    # sly4_step steps on the lattice through xs and x_next, h = (x_next - x0)/4,
+    # to its node x0 + 4h, forcing taken at x0 + 2h
+    h = (x_next - xs[0]) / 4
+    return _ref_sly4_stepper(xs, ys, forcing, h)(xs[0] + 2 * h, (*xs[1:], xs[0] + 4 * h))
 
 
 def _ref_h5_line(xs, ys, x_next, c):

@@ -175,6 +175,16 @@ def test_solve_validation_failures(tmp_path, capsys):
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == f"error: constant forcing {float(c)!r} is not finite\n"
         assert not (tmp_path / "x.csv").exists()
+    # a lattice step that is not finite or is zero: Uniform names which
+    for h, message in (("nan", "lattice step nan is not finite"),
+                       ("inf", "lattice step inf is not finite"),
+                       ("-inf", "lattice step -inf is not finite"),
+                       ("0", "uniform lattice needs a nonzero step")):
+        assert main(["solve", "--scheme", "slx3", "--forcing", "const", "--c", "2",
+                     f"--h={h}", "--steps", "5", "--seed", str(seed),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
     # missing seed file -> I/O error
     assert main(["solve", "--scheme", "slx3", "--forcing", "const", "--c", "2",
                  "--h", "0.01", "--steps", "5", "--seed", str(tmp_path / "no.csv"),

@@ -232,8 +232,11 @@ def test_constant_forcing_must_be_finite():
 
 
 def test_lattice_rule_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^uniform lattice needs a nonzero step$"):
         Uniform(0.0)
+    for h in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^lattice step {h!r} is not finite$"):
+            Uniform(h)
     with pytest.raises(ValueError):
         ConstantS(0.0, (0.0, 1.0, 2.0))
     with pytest.raises(ValueError):

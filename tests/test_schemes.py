@@ -292,9 +292,10 @@ def test_sly4_step_refuses_x_next_that_does_not_continue_the_stencil():
 
 
 def test_sly4_step_refuses_abscissae_off_the_uniform_lattice():
-    # as slx3_step and h5_step refuse theirs: each step of h = x_next - x3
-    # assumes S = 4 and the lattice check refuses the stencil, even where its
-    # x cross-ratio would be regular or would have a vanishing denominator
+    # as slx3_step and h5_step refuse theirs: each step on the lattice of
+    # h = (x_next - x0)/4 assumes S = 4 and the lattice check refuses the
+    # stencil, even where its x cross-ratio would be regular or would have a
+    # vanishing denominator
     xs = (0.0, 0.1, 0.3, 0.35)
     uneven = stencil_from_sequences(xs, [MOBIUS(x) for x in xs])
     for x_next in (0.4, 0.9, 0.35 + 1e-15):
@@ -434,7 +435,7 @@ RUN_LOOPS = ("_sly4_run", "_slx3_run", "_slx3_constant_run", "_h5_run")
 @contextmanager
 def _loops_counted():
     """Count the scheme run loops started inside the block, patched as the
-    module attributes that _advance looks up at each call; a refused
+    module attributes that integrate looks up at each call; a refused
     lattice, a run of no steps and a seed without its invariants start
     none."""
     with ExitStack() as stack:
@@ -669,8 +670,9 @@ def test_integrate_equals_stepping_by_hand(spec, seed, n_steps, expected):
     # bit for bit: == on every abscissa and ordinate
     assert (traj.xs, traj.ys) == (xs, ys)
     if spec.scheme is SchemeKind.SLY4:
-        # sly4_step is the run's first step to round-off: it takes the
-        # forcing term with h = x_next - x3.  Chained from the seed, each step
+        # sly4_step is the run's first step to round-off: it steps on the
+        # lattice of h = (x_next - x0)/4 through its window and x_next, with
+        # that h in its forcing term.  Chained from the seed, each step
         # seeds the deficit on its window's own abscissae, where the run
         # carries it, and sets the x cross-ratio of its new window, which
         # holds seed nodes for three steps, as the run does: the chained
@@ -706,12 +708,7 @@ WINDOWS = st.one_of(
 def test_steps_and_integrate_never_raise(kind, ys, x0, h, backward, c, forcing_of_state,
                                          stencil_mean):
     h = -h if backward else h
-    if kind is SchemeKind.SLY4:
-        forcing = FunctionOfX(math.cos) if forcing_of_state else Constant(c)
-    elif kind is SchemeKind.SLX3:
-        forcing = IdentityInY(stencil_mean) if forcing_of_state else Constant(c)
-    else:
-        forcing = Constant(c)
+    forcing = _drawn_forcing(kind, c, forcing_of_state, stencil_mean)
     spec = SchemeSpec(kind, forcing, Uniform(h))
     seed = stencil_from_sequences([x0 + k * h for k in range(spec.arity)], ys[:spec.arity])
     x_next = x0 + spec.arity * h
@@ -720,9 +717,10 @@ def test_steps_and_integrate_never_raise(kind, ys, x0, h, backward, c, forcing_o
     traj = integrate(spec, seed, 30)
     assert isinstance(traj, Trajectory)
     assert len(traj.points) <= spec.arity + 30
-    # the step is integrate's first step, to x_next: bit for bit, but that
-    # sly4 takes its forcing term 2h^3 f(x0 + 2h) with h = x_next - x3, which
-    # is ulp(x)/h of h off the run's
+    # the step is integrate's first step on the lattice through the seed and
+    # x_next, of step (x_next - x0)/4 for sly4, which is up to ulp(x)/h of h
+    # off the drawn h: bit for bit, but that sly4 takes its forcing term
+    # 2h^3 f(x0 + 2h) with that step
     if isinstance(out, StopReason):
         assert len(traj) == spec.arity and traj.stop is out
         return
@@ -740,6 +738,41 @@ def test_steps_and_integrate_never_raise(kind, ys, x0, h, backward, c, forcing_o
     q = 2.0 - e + rho
     sensitivity = abs(d / q * ((2.0 + e) / q)) if 2.0 + e else 0.0
     assert abs(out - t) <= 1e-12 * (abs(t) + abs(d) + sensitivity)
+
+
+def _drawn_forcing(kind, c, forcing_of_state, stencil_mean):
+    """Constant(c), or the forcing of x (sly4) or of the state (slx3)."""
+    if kind is SchemeKind.SLY4:
+        return FunctionOfX(math.cos) if forcing_of_state else Constant(c)
+    if kind is SchemeKind.SLX3:
+        return IdentityInY(stencil_mean) if forcing_of_state else Constant(c)
+    return Constant(c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(list(SchemeKind)), ys=WINDOWS,
+       x0=st.floats(-10.0, 10.0), h=st.floats(1e-6, 1.0), backward=st.booleans(),
+       c=st.floats(-3.0, 3.0), forcing_of_state=st.booleans(), stencil_mean=st.booleans(),
+       offsets=st.lists(st.floats(-5e-7, 5e-7), min_size=5, max_size=5))
+def test_steps_are_integrate_on_the_lattice_through_the_stencil_and_x_next(
+        kind, ys, x0, h, backward, c, forcing_of_state, stencil_mean, offsets):
+    # seed nodes up to 5e-7 h off the lattice x0 + k*h, which integrate
+    # accepts at h: the step to x_next = x0 + n*h takes the lattice through
+    # the seed's x0 and x_next, and never refuses the seed
+    h = -h if backward else h
+    forcing = _drawn_forcing(kind, c, forcing_of_state, stencil_mean)
+    n = SCHEME_ARITY[kind]
+    xs = [x0 + (k + offsets[k]) * h for k in range(n)]
+    assume(all((b - a) * h > 0.0 for a, b in zip(xs, xs[1:])))
+    seed = stencil_from_sequences(xs, ys[:n])
+    try:
+        integrate(SchemeSpec(kind, forcing, Uniform(h)), seed, 1)
+    except ValueError:
+        assume(False)
+    x_next = x0 + n * h
+    out = STEPS[kind](seed, x_next, forcing)
+    traj = integrate(SchemeSpec(kind, forcing, Uniform((x_next - xs[0]) / n)), seed, 1)
+    assert repr(out) == repr(traj.ys[n] if traj.stop is StopReason.COMPLETED else traj.stop)
 
 
 EXTREME_WINDOWS = [
@@ -922,8 +955,8 @@ def test_sly4_constant_decrements_repeat_the_per_step_term(h, c):
     seed = Stencil(tuple(xs), (0.0, 1.0, 3.0, 6.0))
     term = h * c * h * h * 2.0
     for n_steps in range(9):
-        got = list(schemes._sly4_decrements(seed, Constant(c), h, n_steps, 4 * h))
-        want = list(schemes._sly4_decrements(seed, FunctionOfX(lambda _x: c), h, n_steps, 4 * h))
+        got = list(schemes._sly4_decrements(seed, Constant(c), h, n_steps))
+        want = list(schemes._sly4_decrements(seed, FunctionOfX(lambda _x: c), h, n_steps))
         assert repr(got) == repr(want)
         assert repr(got[4:]) == repr([term] * (n_steps - 4))
     assert math.isinf(term) == (abs(h) > 1e100 or c > 1e300)
