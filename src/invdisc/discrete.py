@@ -187,7 +187,11 @@ def h5_discrete(s: Stencil) -> float:
     those windows raise DegenerateCoefficientError.
     """
     _require_len(s, 6, "h5_discrete")
-    xs, ys = s.xs, s.ys
+    return _h5_discrete(s.xs, s.ys)
+
+
+def _h5_discrete(xs, ys) -> float:
+    """:func:`h5_discrete` on six checked abscissae and ordinates."""
     s3 = _cross_ratio(xs[0], xs[1], xs[2], xs[3])
     s4 = _cross_ratio(xs[1], xs[2], xs[3], xs[4])
     s5 = _cross_ratio(xs[2], xs[3], xs[4], xs[5])

@@ -6,14 +6,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import gt, lt
 from typing import Callable, Sequence
 
-from .core import Jet, Stencil
-from .differential import h5_differential, jy_invariants, kx_invariants
-from .discrete import (h5_discrete, l3, l4, l5, m3, m4, m5, w_coefficient,
-                       wx_coefficient)
+from .core import Jet, NonFiniteError
+from .differential import InvariantTriple, h5_differential, jy_invariants, kx_invariants
+from .discrete import (_h5_discrete, _l, _m, h5_discrete, l3, l4, l5, m3, m4, m5,
+                       w_coefficient, wx_coefficient)
 
-#: discrete invariant -> (stencil length, evaluator)
+#: discrete invariant -> (stencil length, evaluator on a Stencil)
 _INVARIANTS = {
     "l3": (4, l3),
     "l4": (5, l4),
@@ -24,30 +25,53 @@ _INVARIANTS = {
     "h5": (6, h5_discrete),
 }
 
+#: the same evaluators on lists of abscissae and ordinates checked as a
+#: Stencil checks them
+_ON_LISTS = {
+    "l3": lambda xs, ys: _l(xs, ys, 0, 3),
+    "l4": lambda xs, ys: _l(xs, ys, 0, 4),
+    "l5": lambda xs, ys: _l(xs, ys, 0, 5),
+    "m3": lambda xs, ys: _m(xs, ys, 0, 3),
+    "m4": lambda xs, ys: _m(xs, ys, 0, 4),
+    "m5": lambda xs, ys: _m(xs, ys, 0, 5),
+    "h5": _h5_discrete,
+}
+
+
+def _anchor_invariants(invariant: str, jet: Jet) -> InvariantTriple | float:
+    """The part of :func:`target_value` that reads the jet: its J (L-family),
+    K (M-family) or product invariants."""
+    if invariant[0] == "l":
+        return jy_invariants(jet)
+    if invariant[0] == "m":
+        return kx_invariants(jet)
+    return h5_differential(jet)
+
+
+def _lattice_target(invariant: str, t: InvariantTriple | float,
+                    xs: Sequence[float]) -> float:
+    """The part of :func:`target_value` that reads the abscissae: the target
+    from the anchor's invariants ``t``, with the lattice-coefficient
+    corrections on xs."""
+    if invariant in ("l3", "m3"):
+        return t.third
+    if invariant in ("l4", "m4"):
+        return t.fourth
+    if invariant == "l5":
+        return t.fifth + w_coefficient(*xs) * t.third ** 2
+    hs = [b - a for a, b in zip(xs, xs[1:])]
+    if invariant == "m5":
+        return t.fifth - wx_coefficient(*hs) * t.third ** 2
+    factor = (hs[4] * hs[0]) / (hs[3] * hs[1])
+    return factor * (t + w_coefficient(*xs))
+
 
 def target_value(invariant: str, jet: Jet, xs: Sequence[float]) -> float:
     """Differential-invariant target for one stencil, including the
     lattice-coefficient corrections evaluated on the actual abscissae."""
-    if invariant in ("l3", "l4", "l5"):
-        t = jy_invariants(jet)
-        if invariant == "l3":
-            return t.third
-        if invariant == "l4":
-            return t.fourth
-        return t.fifth + w_coefficient(*xs) * t.third ** 2
-    if invariant in ("m3", "m4", "m5"):
-        t = kx_invariants(jet)
-        if invariant == "m3":
-            return t.third
-        if invariant == "m4":
-            return t.fourth
-        hs = [b - a for a, b in zip(xs, xs[1:])]
-        return t.fifth - wx_coefficient(*hs) * t.third ** 2
-    if invariant == "h5":
-        hs = [b - a for a, b in zip(xs, xs[1:])]
-        factor = (hs[4] * hs[0]) / (hs[3] * hs[1])
-        return factor * (h5_differential(jet) + w_coefficient(*xs))
-    raise ValueError(f"unknown invariant {invariant!r}")
+    if invariant not in _INVARIANTS:
+        raise ValueError(f"unknown invariant {invariant!r}")
+    return _lattice_target(invariant, _anchor_invariants(invariant, jet), xs)
 
 
 @dataclass(frozen=True)
@@ -62,6 +86,11 @@ class LimitProbe:
 
     A probe calls ``test_function`` once per distinct abscissa (-0.0 and 0.0
     are two) and reuses the jet where a level repeats it: it must be deterministic.
+    The jets check the ordinates; each level then checks its abscissae once,
+    as a Stencil would (finite, else NonFiniteError; strictly monotone, else
+    ValueError).  Without a ``target_fn``, the anchor jet's differential
+    invariants are computed once per distinct anchor jet, so once for a
+    uniform probe, and each level adds only its lattice correction.
     """
 
     invariant: str
@@ -106,12 +135,30 @@ def _abscissae(p: LimitProbe, h: float, npts: int) -> list[float]:
     return xs
 
 
+def _check_abscissae(xs: list[float], ys: list[float]):
+    """The checks of a Stencil that finite ordinates leave: finite, then
+    strictly monotone abscissae.  With every x finite, b - a > 0 is a < b."""
+    if not all(map(math.isfinite, xs)):
+        x, y = next((x, y) for x, y in zip(xs, ys) if not math.isfinite(x))
+        raise NonFiniteError(f"non-finite point ({x}, {y})")
+    if not (all(map(lt, xs, xs[1:])) or all(map(gt, xs, xs[1:]))):
+        raise ValueError("stencil abscissae must be strictly monotone")
+
+
 def probe_limit(p: LimitProbe) -> LimitReport:
     """Evaluate the invariant across the shrinking stencils and fit the
-    convergence order on the levels before the roundoff floor."""
-    npts, evaluate = _INVARIANTS[p.invariant]
+    convergence order on the levels before the roundoff floor.
+
+    A level pays for its new jets, one check of its abscissae and one
+    evaluation on plain lists; the anchor's differential invariants are
+    computed once per distinct anchor jet (see :class:`LimitProbe`).  The
+    report is the one that a Stencil per level, the public evaluator and
+    :func:`target_value` give."""
+    npts = _INVARIANTS[p.invariant][0]
+    evaluate = _ON_LISTS[p.invariant]
     values, errors, targets, mean_hs = [], [], [], []
     memo = {}  # abscissa -> jet; 0.0 is keyed by its repr, to keep -0.0 apart
+    anchors = {}  # id of an anchor jet (kept alive by memo) -> its invariants
 
     def jet(x):
         key = x if x else repr(x)
@@ -127,10 +174,16 @@ def probe_limit(p: LimitProbe) -> LimitReport:
             raise ValueError(f"mean spacing {mean_h!r} at h = {h!r} repeats an earlier level's")
         mean_hs.append(mean_h)
         jets = [jet(x) for x in xs]
-        stencil = Stencil(xs, [j.d[0] for j in jets])
-        value = evaluate(stencil)
-        target = (p.target_fn(jets[0], xs) if p.target_fn is not None
-                  else target_value(p.invariant, jets[0], xs))
+        ys = [j.d[0] for j in jets]
+        _check_abscissae(xs, ys)
+        value = evaluate(xs, ys)
+        if p.target_fn is not None:
+            target = p.target_fn(jets[0], xs)
+        else:
+            t = anchors.get(id(jets[0]))
+            if t is None:
+                t = anchors[id(jets[0])] = _anchor_invariants(p.invariant, jets[0])
+            target = _lattice_target(p.invariant, t, xs)
         values.append(value)
         targets.append(target)
         errors.append(abs(value - target))

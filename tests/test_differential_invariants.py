@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from invdisc import (DegenerateCoefficientError, Jet, compose_jet,
+from invdisc import (DegenerateCoefficientError, Jet, NonFiniteError, compose_jet,
                      h5_differential, jy_invariants, kx_invariants)
 
 from conftest import (POWER_ORBIT, TAN_ATAN_ORBIT, h5_differential_hodograph, jtilde5,
@@ -182,6 +182,40 @@ def _assert_invariants_vanish(jet):
     assert abs(k.third) <= 1e-9 * max(1.0, s3 / y1 ** 2)
     assert abs(k.fourth) <= 1e-9 * max(1.0, s4 / abs(y1) ** 3)
     assert abs(k.fifth) <= 1e-9 * max(1.0, s5 / y1 ** 4)
+
+
+#: magnitudes from far below to far above the float range's square root
+MAGNITUDES = [s * 10.0 ** (e / 4) for s in (1.0, -1.0) for e in range(-1280, 1233, 7)]
+
+
+@pytest.mark.parametrize("fn", [jy_invariants, kx_invariants, h5_differential],
+                         ids=lambda fn: fn.__name__)
+def test_invariants_raise_non_finite_where_a_power_overflows(fn):
+    # like the exact jets: an invariant is finite, or raises NonFiniteError
+    # (naming x), or DegenerateCoefficientError where y' = 0 or, for
+    # h5_differential, on the vanishing-Schwarzian manifold; never
+    # ZeroDivisionError or OverflowError
+    for d in ((0.0, 1.0, 1e200, 1.0, 1.0, 1.0), (0.0, 1e-150, 0.0, 1.0, 0.0, 1e10)):
+        with pytest.raises(NonFiniteError, match="at x = 0.0"):
+            fn(Jet(0.0, d))
+    base = (0.5, 1.0, -0.5, 2.0, 1.5, -3.0)
+    finite = non_finite = 0
+    for k in range(1, 6):
+        for v in MAGNITUDES:
+            d = base[:k] + (v,) + base[k + 1:]
+            try:
+                value = fn(Jet(0.25, d))
+            except DegenerateCoefficientError:
+                continue
+            except NonFiniteError as e:
+                assert "at x = 0.25" in str(e)
+                non_finite += 1
+                continue
+            finite += 1
+            values = (value,) if fn is h5_differential else (value.third, value.fourth,
+                                                              value.fifth)
+            assert all(map(math.isfinite, values))
+    assert finite >= 1000 and non_finite >= 100
 
 
 def test_compose_jet_chain_rule():

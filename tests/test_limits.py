@@ -3,9 +3,10 @@ from collections import Counter
 
 import pytest
 
-from invdisc import (EXACT_SOLUTIONS, Jet, LimitProbe, LimitReport, Stencil,
-                     arctanh_solution, jy_invariants, kx_invariants, log_abs,
-                     one_over_one_minus_exp, probe_limit, tan_reciprocal, w0_sol2)
+from invdisc import (EXACT_SOLUTIONS, Jet, LimitProbe, LimitReport, NonFiniteError,
+                     Stencil, arctanh_solution, jy_invariants, kx_invariants, limits,
+                     log_abs, one_over_one_minus_exp, probe_limit, tan_reciprocal,
+                     w0_sol2)
 from invdisc.limits import _INVARIANTS, _abscissae, target_value
 
 from conftest import polynomial_jet
@@ -127,7 +128,8 @@ def test_report_fields():
 
 def probe_limit_per_level(p: LimitProbe) -> LimitReport:
     """Test-only copy of ``probe_limit`` that calls ``test_function`` for
-    every point of every level; the two reports must be equal."""
+    every point of every level, builds a Stencil per level and calls the
+    public evaluator and ``target_value``; the two reports must be equal."""
     npts, evaluate = _INVARIANTS[p.invariant]
     values, errors, targets, mean_hs = [], [], [], []
     for h in p.h_sequence:
@@ -187,6 +189,10 @@ PROBES = {
     "uniform-0.6-exp": ("m5", jet_exp, 0.2, geometric(0.05, 0.6, 6), None),
     "lattice": ("l5", jet_exp, 0.0, (0.05, 0.03, 0.02, 0.012), sol2_lattice),
     "signed-zero": ("l3", signed_exp, 0.0, geometric(0.04, 0.5, 4), signed_zero_lattice),
+    "uniform-0.6-log-h5": ("h5", log_abs().jet_fn, 1.0, geometric(0.05, 0.6, 6), None),
+    "uniform-0.5-atanh": ("m3", arctanh_solution().jet_fn, 0.3, geometric(0.01, 0.5, 5), None),
+    "decreasing": ("l4", jet_exp, 0.0, geometric(0.04, 0.5, 4),
+                   lambda h: [-k * h for k in range(5)]),
 }
 
 
@@ -204,3 +210,63 @@ def test_probe_evaluates_each_abscissa_once(invariant, fn, x0, hs, lattice):
         assert len(counting.calls) < len(abscissae)
     if lattice is signed_zero_lattice:
         assert counting.calls["-0.0"] == counting.calls["0.0"] == 1
+
+
+@pytest.mark.parametrize("invariant, fn, x0, hs, lattice", PROBES.values(), ids=PROBES)
+def test_probe_takes_each_anchor_jets_invariants_once(invariant, fn, x0, hs, lattice,
+                                                      monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(limits, name)
+
+        def counted(jet):
+            calls[name, repr(jet.x)] += 1
+            return real(jet)
+        return counted
+
+    for name in ("jy_invariants", "kx_invariants", "h5_differential"):
+        monkeypatch.setattr(limits, name, counting(name))
+    probe = LimitProbe(invariant, fn, x0, hs, lattice=lattice)
+    probe_limit(probe)
+    npts = _INVARIANTS[invariant][0]
+    anchors = {repr(_abscissae(probe, h, npts)[0]) for h in hs}
+    family = {"l": "jy_invariants", "m": "kx_invariants", "h": "h5_differential"}
+    assert calls == Counter({(family[invariant[0]], x): 1 for x in anchors})
+    if lattice is None:
+        assert sum(calls.values()) == 1
+    # a target_fn takes the place of the anchor's invariants
+    calls.clear()
+    probe_limit(LimitProbe(invariant, fn, x0, hs, lattice=lattice,
+                           target_fn=lambda jet, xs: 0.0))
+    assert not calls
+
+
+def ignores_x(x):
+    return Jet(0.0, (1.0, 1.0, 2.0, 3.0, 4.0, 5.0))
+
+
+@pytest.mark.parametrize("nodes, error, message", [
+    ((0.0, 0.2, 0.1, 0.3), ValueError, "strictly monotone"),
+    ((0.0, 0.1, 0.1, 0.3), ValueError, "strictly monotone"),
+    ((0.3, 0.1, 0.2, 0.0), ValueError, "strictly monotone"),
+    ((0.0, 0.1, 0.2, math.inf), NonFiniteError, "non-finite point"),
+    ((-math.inf, 0.1, 0.2, 0.3), NonFiniteError, "non-finite point"),
+    # not monotone either: the finite check comes first, as in a Stencil
+    ((0.0, math.inf, 0.2, 0.3), NonFiniteError, "non-finite point"),
+    ((0.0, 0.1, 0.2, math.nan), NonFiniteError, "non-finite point"),
+    ((math.nan,) * 4, NonFiniteError, "non-finite point"),
+], ids=["swapped", "repeated", "unordered", "inf-last", "-inf-first", "inf-unordered",
+        "nan-last", "all-nan"])
+def test_probe_checks_each_levels_abscissae(nodes, error, message):
+    # the jets check the ordinates, and this test function ignores x, so only
+    # the probe's own check of each level's abscissae can catch these
+    def lattice(h):
+        return [x * h / 0.1 for x in nodes]
+
+    probe = LimitProbe("l3", ignores_x, 0.0, geometric(0.1, 0.5, 4), lattice=lattice)
+    with pytest.raises(error, match=message):
+        probe_limit(probe)
+    # and so does the per-level oracle, which builds a Stencil
+    with pytest.raises(error, match=message):
+        probe_limit_per_level(probe)

@@ -1,5 +1,8 @@
 """The experiment scripts run end to end and print their key lines."""
+import json
 import runpy
+import shutil
+import sys
 from pathlib import Path
 
 from test_acceptance import TABLE2
@@ -43,3 +46,34 @@ def test_tables_chi_within_published_band(capsys):
     assert chis.keys() == TABLE2.keys()
     for h, wanted in TABLE2.items():
         assert 1.0 / 5.0 <= chis[h] / wanted <= 5.0, (h, chis[h], wanted)
+
+
+def test_ab_inprocess_loads_two_trees_side_by_side(tmp_path):
+    """A/A: two copies of the working tree's package, loaded as two packages
+    and timed in alternating rounds; no git, no timing bound."""
+    ab = runpy.run_path(str(SCRIPTS / "ab_inprocess.py"))
+    src = SCRIPTS.parent / "src" / "invdisc"
+    setup = ("import invdisc\n"
+             "from invdisc.limits import LimitProbe, probe_limit\n"
+             "probe = LimitProbe('l3', invdisc.log_abs().jet_fn, 1.0, (0.01, 0.005, 0.0025, 0.00125))")
+    before = sys.modules.get("invdisc")
+    timers, names = [], []
+    for side in ("a", "b"):
+        tree = shutil.copytree(src, tmp_path / side / "invdisc")
+        name = f"_ab_test_{side}"
+        package = ab["load"](tree, name)
+        assert package.__file__ == str(tree / "__init__.py")
+        timers.append(ab["prepare"](package, setup, "probe_limit(probe)"))
+        # setup's imports resolve to this copy, and sys.modules is put back
+        assert timers[-1].inner.__globals__["probe_limit"].__module__ == f"{name}.limits"
+        assert sys.modules.get("invdisc") is before
+        names.append(name)
+    result = ab["compare"](*timers, number=2, rounds=3, repeat=2)
+    assert json.loads(json.dumps(result)) == result
+    assert 0 <= result["head_won"] <= 3
+    for side in ("base", "head"):
+        s = result[side]
+        assert 0.0 < s["q1"] <= s["median"] <= s["q3"]
+    assert result["ratio"] == result["base"]["median"] / result["head"]["median"]
+    for key in [k for k in sys.modules if k.split(".")[0] in names]:
+        del sys.modules[key]
