@@ -5,9 +5,12 @@
 BASE is a git commit.  Its ``src/invdisc`` (from ``git archive``) and the
 working tree's are loaded side by side under two package names.  S runs once
 per side with ``invdisc`` naming that side's package: ``import invdisc`` and
-``from invdisc.limits import ...`` in S resolve to it.  T, which should not
-import, is then timed in S's namespace.  Each of 40 rounds takes, for both
-sides in shuffled order, the best of 5 runs of about 10 ms each.
+``from invdisc.limits import ...`` in S resolve to it.  A module outside the
+package that S imports, such as ``bench/workloads.py``, must be dropped from
+``sys.modules`` before S imports it, so that each side imports it anew.  T,
+which should not import, is then timed in S's namespace.  Each of 40 rounds
+takes, for both sides in shuffled order, the best of 5 runs of about 10 ms
+each.
 
 Prints one JSON line: each side's median and quartiles of the per-execution
 seconds over the rounds, the ratio base / head of the medians (above 1 means
@@ -46,13 +49,17 @@ def unpack(base: str, dest: Path) -> Path:
 
 
 def load(package_dir: Path, name: str):
-    """Import the package in package_dir as ``name``; its submodules load
-    under ``name.`` through its relative imports."""
+    """Import the package in package_dir as ``name``, and every submodule
+    under ``name.``, those that ``__init__`` does not import too (``cli``),
+    so that S imports no module of either side outside the mapping."""
     spec = importlib.util.spec_from_file_location(
         name, package_dir / "__init__.py", submodule_search_locations=[str(package_dir)])
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    for path in sorted(package_dir.glob("*.py")):
+        if path.stem != "__init__":
+            importlib.import_module(f"{name}.{path.stem}")
     return module
 
 

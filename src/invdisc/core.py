@@ -7,9 +7,10 @@ between threads.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from operator import gt, lt
 
 
 class DegenerateCoefficientError(ArithmeticError):
@@ -48,32 +49,34 @@ class Point:
             raise NonFiniteError(f"non-finite point ({self.x}, {self.y})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Stencil:
-    """Ordered window of 3..6 consecutive lattice points, stored as their
-    abscissae and ordinates.
+    """Ordered window of 3..6 consecutive lattice points, stored as tuples
+    of their abscissae and ordinates.
 
-    Abscissae must be strictly monotone; decreasing order expresses
-    backward integration.
+    The checks run in this order: equal lengths; finite points, naming the
+    first non-finite one (NonFiniteError); 3..6 points; strictly monotone
+    abscissae, where decreasing order expresses backward integration.
     """
 
     xs: tuple[float, ...]
     ys: tuple[float, ...]
 
-    def __post_init__(self):
-        xs, ys = tuple(self.xs), tuple(self.ys)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+    def __init__(self, xs: Iterable[float], ys: Iterable[float]):
+        xs, ys = tuple(xs), tuple(ys)
         if len(xs) != len(ys):
             raise ValueError("xs and ys must have equal length")
-        for x, y in zip(xs, ys):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise NonFiniteError(f"non-finite point ({x}, {y})")
+        if not all(map(math.isfinite, xs + ys)):
+            x, y = next((x, y) for x, y in zip(xs, ys)
+                        if not (math.isfinite(x) and math.isfinite(y)))
+            raise NonFiniteError(f"non-finite point ({x}, {y})")
         if not 3 <= len(xs) <= 6:
             raise ValueError(f"stencil needs 3..6 points, got {len(xs)}")
-        dxs = [b - a for a, b in zip(xs, xs[1:])]
-        if not (all(d > 0 for d in dxs) or all(d < 0 for d in dxs)):
+        # with every x finite, b - a > 0 is a < b
+        if not (all(map(lt, xs, xs[1:])) or all(map(gt, xs, xs[1:]))):
             raise ValueError("stencil abscissae must be strictly monotone")
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
 
     def __len__(self) -> int:
         return len(self.xs)

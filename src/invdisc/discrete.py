@@ -13,7 +13,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .core import DegenerateCoefficientError, NonFiniteError, Stencil, is_degenerate
+from .core import (DEGENERACY_RTOL, DegenerateCoefficientError, NonFiniteError, Stencil,
+                   is_degenerate)
 
 
 @dataclass(frozen=True)
@@ -72,16 +73,17 @@ def _ratio_r_over_s(xs, ys, k: int) -> float:
     dy1, dy2 = ys[k + 3] - ys[k + 2], ys[k + 1] - ys[k]
     nx1, nx2 = xs[k + 3] - xs[k + 1], xs[k + 2] - xs[k]
     dx1, dx2 = xs[k + 3] - xs[k + 2], xs[k + 1] - xs[k]
-    y_scale = max(abs(dy1), abs(dy2), abs(ny1), abs(ny2))
-    if is_degenerate(dy1, y_scale) or is_degenerate(dy2, y_scale):
+    # is_degenerate, written out: every L, M and h5 evaluation runs this per window
+    y_tol = DEGENERACY_RTOL * max(abs(dy1), abs(dy2), abs(ny1), abs(ny2))
+    if abs(dy1) <= y_tol or abs(dy2) <= y_tol:
         raise DegenerateCoefficientError("repeated y-values in cross-ratio window")
     # x-differences cannot vanish on a valid stencil, rx may:
     x_scale = max(abs(nx1), abs(nx2))
     rx = nx1 * nx2
     den = dy1 * dy2 * rx
     sq = x_scale * x_scale  # past about 1.3e154 it overflows, and rx is tested by factor
-    if (is_degenerate(rx, sq) if sq < math.inf
-            else is_degenerate(min(abs(nx1), abs(nx2)), x_scale)) or den == 0.0:
+    if (abs(rx) <= DEGENERACY_RTOL * sq if sq < math.inf
+            else min(abs(nx1), abs(nx2)) <= DEGENERACY_RTOL * x_scale) or den == 0.0:
         raise DegenerateCoefficientError("vanishing denominator of R/S")
     num = ny1 * ny2 * (dx1 * dx2)
     if _MIN_NORMAL <= abs(den) < math.inf and (
@@ -127,8 +129,8 @@ def _m(xs, ys, k: int, n: int) -> float:
 
 
 def _require_len(s: Stencil, n: int, name: str):
-    if len(s) != n:
-        raise ValueError(f"{name} needs a {n}-point stencil, got {len(s)}")
+    if len(s.xs) != n:
+        raise ValueError(f"{name} needs a {n}-point stencil, got {len(s.xs)}")
 
 
 def l3(s: Stencil) -> float:
@@ -184,14 +186,11 @@ def h5_discrete(s: Stencil) -> float:
     """Six-point invariant of the product action, on an arbitrary lattice.
 
     Undefined where any window has R = S (the weakly invariant manifold);
-    those windows raise DegenerateCoefficientError.
+    those windows raise DegenerateCoefficientError.  Every caller, the
+    limit probes included, evaluates it through this function on a Stencil.
     """
     _require_len(s, 6, "h5_discrete")
-    return _h5_discrete(s.xs, s.ys)
-
-
-def _h5_discrete(xs, ys) -> float:
-    """:func:`h5_discrete` on six checked abscissae and ordinates."""
+    xs, ys = s.xs, s.ys
     s3 = _cross_ratio(xs[0], xs[1], xs[2], xs[3])
     s4 = _cross_ratio(xs[1], xs[2], xs[3], xs[4])
     s5 = _cross_ratio(xs[2], xs[3], xs[4], xs[5])

@@ -6,15 +6,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import gt, lt
+from operator import sub
 from typing import Callable, Sequence
 
-from .core import Jet, NonFiniteError
+from .core import Jet, Stencil
 from .differential import InvariantTriple, h5_differential, jy_invariants, kx_invariants
-from .discrete import (_h5_discrete, _l, _m, h5_discrete, l3, l4, l5, m3, m4, m5,
-                       w_coefficient, wx_coefficient)
+from .discrete import (h5_discrete, l3, l4, l5, m3, m4, m5, w_coefficient,
+                       wx_coefficient)
 
-#: discrete invariant -> (stencil length, evaluator on a Stencil)
+#: discrete invariant -> (stencil length, evaluator)
 _INVARIANTS = {
     "l3": (4, l3),
     "l4": (5, l4),
@@ -23,18 +23,6 @@ _INVARIANTS = {
     "m4": (5, m4),
     "m5": (6, m5),
     "h5": (6, h5_discrete),
-}
-
-#: the same evaluators on lists of abscissae and ordinates checked as a
-#: Stencil checks them
-_ON_LISTS = {
-    "l3": lambda xs, ys: _l(xs, ys, 0, 3),
-    "l4": lambda xs, ys: _l(xs, ys, 0, 4),
-    "l5": lambda xs, ys: _l(xs, ys, 0, 5),
-    "m3": lambda xs, ys: _m(xs, ys, 0, 3),
-    "m4": lambda xs, ys: _m(xs, ys, 0, 4),
-    "m5": lambda xs, ys: _m(xs, ys, 0, 5),
-    "h5": _h5_discrete,
 }
 
 
@@ -86,11 +74,11 @@ class LimitProbe:
 
     A probe calls ``test_function`` once per distinct abscissa (-0.0 and 0.0
     are two) and reuses the jet where a level repeats it: it must be deterministic.
-    The jets check the ordinates; each level then checks its abscissae once,
-    as a Stencil would (finite, else NonFiniteError; strictly monotone, else
-    ValueError).  Without a ``target_fn``, the anchor jet's differential
-    invariants are computed once per distinct anchor jet, so once for a
-    uniform probe, and each level adds only its lattice correction.
+    Each level builds one Stencil, which checks its points (finite, else
+    NonFiniteError; strictly monotone abscissae, else ValueError), and calls
+    the public evaluator on it.  Without a ``target_fn``, the anchor jet's
+    differential invariants are computed once per distinct anchor jet, so
+    once for a uniform probe, and each level adds only its lattice correction.
     """
 
     invariant: str
@@ -135,27 +123,15 @@ def _abscissae(p: LimitProbe, h: float, npts: int) -> list[float]:
     return xs
 
 
-def _check_abscissae(xs: list[float], ys: list[float]):
-    """The checks of a Stencil that finite ordinates leave: finite, then
-    strictly monotone abscissae.  With every x finite, b - a > 0 is a < b."""
-    if not all(map(math.isfinite, xs)):
-        x, y = next((x, y) for x, y in zip(xs, ys) if not math.isfinite(x))
-        raise NonFiniteError(f"non-finite point ({x}, {y})")
-    if not (all(map(lt, xs, xs[1:])) or all(map(gt, xs, xs[1:]))):
-        raise ValueError("stencil abscissae must be strictly monotone")
-
-
 def probe_limit(p: LimitProbe) -> LimitReport:
     """Evaluate the invariant across the shrinking stencils and fit the
     convergence order on the levels before the roundoff floor.
 
-    A level pays for its new jets, one check of its abscissae and one
-    evaluation on plain lists; the anchor's differential invariants are
-    computed once per distinct anchor jet (see :class:`LimitProbe`).  The
-    report is the one that a Stencil per level, the public evaluator and
-    :func:`target_value` give."""
-    npts = _INVARIANTS[p.invariant][0]
-    evaluate = _ON_LISTS[p.invariant]
+    A level pays for its new jets, one Stencil and one call of the public
+    evaluator; the anchor's differential invariants are computed once per
+    distinct anchor jet (see :class:`LimitProbe`).  Each target is the one
+    :func:`target_value` gives."""
+    npts, evaluate = _INVARIANTS[p.invariant]
     values, errors, targets, mean_hs = [], [], [], []
     memo = {}  # abscissa -> jet; 0.0 is keyed by its repr, to keep -0.0 apart
     anchors = {}  # id of an anchor jet (kept alive by memo) -> its invariants
@@ -169,14 +145,12 @@ def probe_limit(p: LimitProbe) -> LimitReport:
 
     for h in p.h_sequence:
         xs = _abscissae(p, h, npts)
-        mean_h = sum(abs(b - a) for a, b in zip(xs, xs[1:])) / (npts - 1)
+        mean_h = sum(map(abs, map(sub, xs[1:], xs))) / (npts - 1)
         if mean_h in mean_hs:  # the order fit needs distinct spacings
             raise ValueError(f"mean spacing {mean_h!r} at h = {h!r} repeats an earlier level's")
         mean_hs.append(mean_h)
         jets = [jet(x) for x in xs]
-        ys = [j.d[0] for j in jets]
-        _check_abscissae(xs, ys)
-        value = evaluate(xs, ys)
+        value = evaluate(Stencil(xs, [j.d[0] for j in jets]))
         if p.target_fn is not None:
             target = p.target_fn(jets[0], xs)
         else:

@@ -2,10 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from invdisc import (Constant, ConstantS, FunctionOfX, IdentityInY, Jet,
-                     NonFiniteError, Point, SchemeKind, SchemeSpec, StopReason,
+                     NonFiniteError, Point, SchemeKind, SchemeSpec, Stencil, StopReason,
                      Trajectory, Uniform, core, integrate,
                      seed_stencil_from_function, stencil_from_sequences)
 
@@ -188,6 +188,71 @@ def test_jet_checks_match_generator_form(x, d):
         jet = Jet(x, d)
         assert repr((jet.x, jet.d)) == repr(expected)
         assert all(type(v) is float for v in jet.d)
+
+
+def stencil_post_init_form(xs, ys):
+    """Test-only copy of the former ``Stencil.__post_init__``, verbatim but
+    for its two field assignments: (xs, ys) or its exception."""
+    xs, ys = tuple(xs), tuple(ys)
+    if len(xs) != len(ys):
+        raise ValueError("xs and ys must have equal length")
+    for x, y in zip(xs, ys):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise NonFiniteError(f"non-finite point ({x}, {y})")
+    if not 3 <= len(xs) <= 6:
+        raise ValueError(f"stencil needs 3..6 points, got {len(xs)}")
+    dxs = [b - a for a, b in zip(xs, xs[1:])]
+    if not (all(d > 0 for d in dxs) or all(d < 0 for d in dxs)):
+        raise ValueError("stencil abscissae must be strictly monotone")
+    return xs, ys
+
+
+#: a small pool, so that draws repeat values; the ints are small, because
+#: past 2**53 the exact int-float comparison of Stencil and the float
+#: difference of the former check tell some pairs apart differently
+STENCIL_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                     1e-310, 1e308, -1e308, 0.5, 1.0, 2.0]),
+    st.integers(-3, 3),
+    st.floats(-1e3, 1e3))
+
+
+@st.composite
+def stencil_inputs(draw):
+    """2..7 abscissae, as drawn or sorted, and ordinates of the same count or
+    one more or fewer."""
+    n = draw(st.integers(2, 7))
+    xs = draw(st.lists(STENCIL_VALUES, min_size=n, max_size=n))
+    order = draw(st.sampled_from(["as drawn", "increasing", "decreasing"]))
+    if order != "as drawn":
+        xs.sort(reverse=order == "decreasing")
+    m = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
+    return xs, draw(st.lists(STENCIL_VALUES, min_size=m, max_size=m))
+
+
+def _outcome(check, xs, ys):
+    try:
+        return repr(check(xs, ys))
+    except Exception as e:
+        return type(e), str(e)
+
+
+@given(stencil_inputs())
+# one example per pair of faults, each also caught by the later checks
+@example(([0.0, math.nan], [1.0, 2.0, 3.0]))          # lengths, then finite
+@example(([0.0, 1.0], [math.inf, 2.0]))               # finite, then count
+@example(([0.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0] * 7))  # count, then monotone
+@example(([0.0, 2.0, 1.0, math.nan], [1.0, math.inf, 2.0, 3.0]))  # first non-finite point
+@example(([1e308, -1e308, 0.0], [1.0, 2.0, 3.0]))     # a difference that overflows
+@example(([-0.0, 0.0, 1.0], [1.0, 2.0, 3.0]))         # signed zeros repeat
+def test_stencil_checks_match_former_post_init(args):
+    xs, ys = args
+
+    def stencil(xs, ys):
+        s = Stencil(xs, ys)
+        return s.xs, s.ys
+
+    assert _outcome(stencil, xs, ys) == _outcome(stencil_post_init_form, xs, ys)
 
 
 def test_scheme_spec_forcing_rules():

@@ -242,6 +242,24 @@ def test_probe_takes_each_anchor_jets_invariants_once(invariant, fn, x0, hs, lat
     assert not calls
 
 
+@pytest.mark.parametrize("invariant, fn, x0, hs, lattice", PROBES.values(), ids=PROBES)
+def test_probe_evaluates_each_level_through_the_public_evaluator(invariant, fn, x0, hs,
+                                                                 lattice, monkeypatch):
+    # wrapped where probe_limit looks it up, as bench/tracing.py wraps it
+    npts, evaluate = _INVARIANTS[invariant]
+    stencils = []
+
+    def counted(s):
+        stencils.append(s)
+        return evaluate(s)
+
+    monkeypatch.setitem(_INVARIANTS, invariant, (npts, counted))
+    rep = probe_limit(LimitProbe(invariant, fn, x0, hs, lattice=lattice))
+    assert len(stencils) == len(hs)
+    assert all(type(s) is Stencil and len(s.xs) == len(s.ys) == npts for s in stencils)
+    assert rep.values == tuple(map(evaluate, stencils))
+
+
 def ignores_x(x):
     return Jet(0.0, (1.0, 1.0, 2.0, 3.0, 4.0, 5.0))
 
@@ -260,13 +278,13 @@ def ignores_x(x):
         "nan-last", "all-nan"])
 def test_probe_checks_each_levels_abscissae(nodes, error, message):
     # the jets check the ordinates, and this test function ignores x, so only
-    # the probe's own check of each level's abscissae can catch these
+    # the Stencil of each level, which checks its abscissae, can catch these
     def lattice(h):
         return [x * h / 0.1 for x in nodes]
 
     probe = LimitProbe("l3", ignores_x, 0.0, geometric(0.1, 0.5, 4), lattice=lattice)
     with pytest.raises(error, match=message):
         probe_limit(probe)
-    # and so does the per-level oracle, which builds a Stencil
+    # and so does the per-level oracle
     with pytest.raises(error, match=message):
         probe_limit_per_level(probe)

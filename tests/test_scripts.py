@@ -63,6 +63,9 @@ def test_ab_inprocess_loads_two_trees_side_by_side(tmp_path):
         name = f"_ab_test_{side}"
         package = ab["load"](tree, name)
         assert package.__file__ == str(tree / "__init__.py")
+        # every submodule, cli too, which __init__ does not import
+        assert {f"{name}.{f.stem}" for f in tree.glob("*.py") if f.stem != "__init__"} \
+            <= set(sys.modules)
         timers.append(ab["prepare"](package, setup, "probe_limit(probe)"))
         # setup's imports resolve to this copy, and sys.modules is put back
         assert timers[-1].inner.__globals__["probe_limit"].__module__ == f"{name}.limits"
