@@ -17,21 +17,21 @@ Each scheme has a straight-line run loop on plain floats, ``_sly4_run``,
 ``_slx3_run`` (forcing affine in the new ordinate), its constant-forcing form
 ``_slx3_constant_run`` or ``_h5_run``, which advances a window one step of a
 uniform lattice per node, writes ordinates only and reads no spacing.
-``slx3`` and ``h5`` evaluate each step's invariants, root choice and R5 line
-inline, with the float operations of :mod:`invdisc.discrete`,
-:func:`select_root` and :func:`_quadratic_roots`, which stay their
-definition.  Each loop carries what the next window would recompute:
-``slx3`` two ordinate differences, ``h5`` its checked R4 (the next R3) and
-differences, ``sly4`` ρ, the deficit of the y cross-ratio from 4, a ratio
-deficit, the last difference and a compensated sum.  ``sly4`` takes from ρ
-what :func:`_sly4_decrements` yields per step, which alone reads sly4's
-nodes.  A constant forcing costs nothing per step.  :func:`integrate` alone
-knows which forcing each scheme takes, from how many points, and which loop
-runs them; it checks the lattice once, resolves the seed into the loop's
-start state, the schemes' only calls into :mod:`invdisc.discrete`, runs the
-loop and lays out the abscissae the run reached.  Each
-``*_step(stencil, x_next, forcing)`` is its first step on the lattice through
-the stencil and x_next.
+``slx3`` and ``h5`` evaluate each step's invariants and R5 line inline, with
+the float operations of :mod:`invdisc.discrete`.  ``_slx3_run`` takes its
+roots from :func:`_cubic_roots` or :func:`_quadratic_roots` and keeps one by
+:func:`select_root`; ``_slx3_constant_run`` writes the last two inline.  Each
+loop carries what the next window would recompute: ``slx3`` two ordinate
+differences, ``h5`` its checked R4 (the next R3) and differences, ``sly4`` ρ,
+the deficit of the y cross-ratio from 4, a ratio deficit, the last difference
+and a compensated sum.  ``sly4`` takes from ρ what :func:`_sly4_decrements`
+yields per step, which alone reads sly4's nodes.  A constant forcing costs
+nothing per step.  :func:`integrate` alone knows which forcing each scheme
+takes, from how many points, and which loop runs them; it checks the lattice
+once, resolves the seed into the loop's start state, the schemes' only calls
+into :mod:`invdisc.discrete`, runs the loop and lays out the abscissae the run
+reached.  Each ``*_step(stencil, x_next, forcing)`` is its first step on the
+lattice through the stencil and x_next.
 """
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ def _polish(c0: float, c1: float, c2: float, c3: float, t: float) -> float:
     accepted only if it reduces the residual: at (near-)multiple roots both
     p and p' are noise-level and the raw step can jump to an unrelated
     point.  A lower degree passes zero for the coefficients it lacks.  Only
-    :func:`solve_poly` and ``slx3``'s cubic path, for its trigonometric branch, call it."""
+    :func:`solve_poly` and ``_slx3_run``, on a cubic's root, call it."""
     dp = (3.0 * c3 * t + 2.0 * c2) * t + c1
     if dp != 0.0 and math.isfinite(dp):
         p = ((c3 * t + c2) * t + c1) * t + c0
@@ -173,13 +173,13 @@ def select_root(roots: list[float], prediction: float) -> float | None:
 # steps run out; sly4 takes each item from its deficit, and slx3 and h5
 # only count them.  The window lives in local floats, and a difference or
 # cross-ratio that the next window would recompute from the same operands
-# is carried over.  A step calls Python code only for slx3's cubic and, in
-# its decrements, sly4's function of x.  Inline checks |d| <= DEGENERACY_RTOL *
-# scale are core.is_degenerate, and abs(t) <= OVERFLOW_LIMIT is false for
-# NaN and +-inf as well.  Each scale is max() of magnitudes taken once per
-# step, written out as the left fold m = v if v > m else m in max()'s
-# argument order: the same float as max(), which keeps a NaN first operand
-# and skips a later one, without a call.
+# is carried over.  A step calls Python code only in _slx3_run, for its roots
+# and their choice, and in sly4's decrements, for its function of x.  Inline
+# checks |d| <= DEGENERACY_RTOL * scale are core.is_degenerate, and abs(t) <=
+# OVERFLOW_LIMIT is false for NaN and +-inf as well.  Each scale is max() of
+# magnitudes taken once per step, written out as the left fold m = v if v > m
+# else m in max()'s argument order: the same float as max(), which keeps a
+# NaN first operand and skips a later one, without a call.
 
 def _sly4_run(ys, state, decrements, out_ys) -> StopReason:
     """Run loop of the fourth-order scheme, l4(window + new point) = f(x2),
@@ -213,9 +213,10 @@ def _slx3_run(ys, state, steps, out_ys) -> StopReason:
     + y2) + fb y2, f1 = fb for ``state`` = (c, w, fb)), m3 = forcing is
     -K f1 u^3 - K (f0 + f1 s) u^2 + (18a - 6b - K f0 s) u - 6 s b = 0.  A
     leading coefficient at most DEGENERACY_RTOL times the largest drops it
-    one degree; the last keeps its real root nearest u_p = 2b - a, polished
-    if cubic.  b = 0 (m3 has no value) stops the step.  It runs the
-    ``IdentityInY`` forcings, and under (c, 0, 0) defines ``_slx3_constant_run``."""
+    one degree; :func:`select_root` keeps the last one's real root nearest
+    u_p = 2b - a, polished if cubic.  No root, or b = 0 (m3 has no value),
+    stops the step.  It runs the ``IdentityInY`` forcings, and under the
+    state (c, 0, 0) defines ``_slx3_constant_run``."""
     c, w, fb = state
     y0, y1, y2 = ys
     a, b = y1 - y0, y2 - y1
@@ -226,33 +227,21 @@ def _slx3_run(ys, state, steps, out_ys) -> StopReason:
         f0 = (c + w * (y0 + y1 + y2) if w else c) + fb * y2
         c0, c1 = -6.0 * s * b, 18.0 * a - 6.0 * b - k * f0 * s
         c2, c3 = -k * (f0 + fb * s), -k * fb
-        up = 2.0 * b - a  # y0 - 3 y1 + 3 y2, less y2
         m0, m1, m2, m3 = abs(c0), abs(c1), abs(c2), abs(c3)
         m01 = m1 if m1 > m0 else m0
         m012 = m2 if m2 > m01 else m01
-        if not m3 <= DEGENERACY_RTOL * (m3 if m3 > m012 else m012):
+        if cubic := not m3 <= DEGENERACY_RTOL * (m3 if m3 > m012 else m012):
             roots = _cubic_roots(c0, c1, c2, c3)
-            u = roots[0]  # select_root on ascending roots: the first nearest u_p
-            for r in roots[1:]:
-                if abs(r - up) < abs(u - up):
-                    u = r
-            u = _polish(c0, c1, c2, c3, u)
         elif not m2 <= DEGENERACY_RTOL * m012:
-            # _quadratic_roots, then select_root on its ascending pair
-            disc = c1 * c1 - 4.0 * c2 * c0
-            if disc < 0.0:
-                return StopReason.NO_REAL_ROOT
-            sq = math.sqrt(disc)
-            q = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0.0 else -0.5 * sq
-            lo, hi = (0.0, 0.0) if q == 0.0 else (q / c2, c0 / q)
-            if hi < lo:
-                lo, hi = hi, lo
-            u = hi if abs(hi - up) < abs(lo - up) else lo
+            roots = _quadratic_roots(c0, c1, c2)
         elif not m1 <= DEGENERACY_RTOL * m01:
-            u = -c0 / c1
+            roots = (-c0 / c1,)
         else:
             return StopReason.DEGENERATE_COEFFICIENT
-        t = y2 + u
+        u = select_root(roots, 2.0 * b - a)  # u_p: y0 - 3 y1 + 3 y2, less y2
+        if u is None:
+            return StopReason.NO_REAL_ROOT
+        t = y2 + (_polish(c0, c1, c2, c3, u) if cubic else u)
         if not abs(t) <= OVERFLOW_LIMIT:
             return StopReason.NON_FINITE
         out_ys.append(t)
@@ -264,10 +253,11 @@ def _slx3_run(ys, state, steps, out_ys) -> StopReason:
 def _slx3_constant_run(ys, c, steps, out_ys) -> StopReason:
     """``_slx3_run`` under Constant(c), the state (c, 0, 0), less the terms
     that vanish there: the window's forcing sum and the u^3 coefficient -K·0
-    with its test.  Its quadratic, linear and degenerate branches are
-    ``_slx3_run``'s, float for float.  Where K = 4ab is not finite (a NaN
-    scale among such), -K·0 is NaN and ``_slx3_run``'s cubic path ends on a
-    NaN root; here the step stops NON_FINITE unsolved."""
+    with its test.  The rest is ``_slx3_run``'s, float for float; its tail
+    inlines :func:`_quadratic_roots` and :func:`select_root`, which pays on
+    the constant forcings, most slx3 steps of the benchmark.  Where K = 4ab
+    is not finite (a NaN scale among such), -K·0 is NaN and ``_slx3_run``'s
+    cubic path ends on a NaN root; here the step stops NON_FINITE unsolved."""
     y1, y2 = ys[1], ys[2]
     a, b = y1 - ys[0], y2 - y1
     for _ in steps:

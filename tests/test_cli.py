@@ -282,6 +282,21 @@ def test_example_4_summary_and_files(tmp_path, capsys):
     assert (out / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("size", [["--steps", "1000"], ["--h", "1e-3", "--steps", "300"],
+                                  ["--h", "0.02", "--steps", "3000"],
+                                  ["--h", "0.002", "--steps", "3000"],
+                                  ["--x0", "-40"]], ids=" ".join)
+def test_example_4_summarizes_a_degenerate_stop(tmp_path, capsys, size):
+    # the run stops on a window whose last two ordinates repeat, which has no
+    # cross-ratio: the summary takes its deviation over the windows that have
+    # one, and reads nan where none has (at x0 = -40 every seed ordinate is 1.0)
+    out = tmp_path / "ex4"
+    assert main(["example", "4", *size, "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "invariant stop: degenerate-coefficient" in text.splitlines()
+    assert (out / "summary.txt").read_text().splitlines() == text.splitlines()
+
+
 def test_example_2_arctanh_chi(capsys):
     assert main(["example", "2-arctanh", "--h", "0.01"]) == 0
     text = capsys.readouterr().out

@@ -14,6 +14,7 @@ from invdisc import (Constant, CrossRatioWindow, DegenerateCoefficientError, Fun
                      integrate, l3, l4, m3, seed_stencil_from_function, select_root,
                      slx3_step, sly4_step, solve_poly, stencil_from_sequences)
 from invdisc import schemes
+from invdisc.cli import run_example
 from invdisc.core import DEGENERACY_RTOL, SCHEME_ARITY
 from invdisc.discrete import _cross_ratio, _h5_r5_line
 from invdisc.schemes import extrapolate, h5_step
@@ -1183,8 +1184,9 @@ def _assert_integrate_is_composed(spec, seed, n_steps):
 #: per degree of the slx3 step and per branch of its descent, where a
 #: degenerate leading coefficient drops the polynomial in u = t - y2 one
 #: degree: (ys, forcing, the degree the descent ends on, or the stop where
-#: the step solves nothing).  Only a cubic calls a root solver, whose root
-#: is polished; the quadratic and linear roots are inline.  Under the
+#: the step solves nothing).  Under the identity forcings a cubic or a
+#: quadratic calls its root solver and only a cubic's root is polished; the
+#: constant-forcing loop finds its roots inline.  Under the
 #: identity forcings f0 is about y2, so the u^3 term is about 1/(y2 s) of
 #: the u term and the u^2 term 1/s + 1/y2 of it: a window far from 0 drops
 #: the cubic, one as wide as it is far the quadratic too
@@ -1230,14 +1232,17 @@ def test_slx3_descent_equals_composed_kernels(ys, forcing, degree):
         calls = {name: stack.enter_context(mock.patch.object(
                      schemes, name, wraps=getattr(schemes, name))) for name in counted}
         t = slx3_step(Stencil(xs, ys), 1.5, forcing)
-        # a cubic's root solver and its polish, and no call on another degree
+        # a cubic's root solver and its polish, an identity forcing's
+        # quadratic root solver, and no call under a constant forcing
+        identity = isinstance(forcing, IdentityInY)
         assert {name: calls[name].call_count for name in counted if calls[name].called} == (
-            {"_cubic_roots": 1, "_polish": 1} if degree == 3 else {})
+            {"_cubic_roots": 1, "_polish": 1} if degree == 3
+            else {"_quadratic_roots": 1} if identity and degree == 2 else {})
         for m in calls.values():
             m.reset_mock()
         traj = integrate(spec, Stencil(xs, ys), 20)
         assert calls["_polish"].call_count == calls["_cubic_roots"].call_count
-        assert not calls["_quadratic_roots"].called
+        assert identity or not any(m.called for m in calls.values())
     want = _ref_slx3_kernel(xs, ys, 1.5, forcing)
     assert repr(t) == repr(want)
     if isinstance(degree, StopReason):
@@ -1246,6 +1251,24 @@ def test_slx3_descent_equals_composed_kernels(ys, forcing, degree):
         assert (t is StopReason.NON_FINITE if degree == 3 and ys[1] - ys[0] > 1e154
                 else isinstance(t, float))
     assert (traj.xs, traj.ys, traj.stop) == scheme_reference_loop(spec, Stencil(xs, ys), 20)
+
+
+def test_slx3_identity_forcings_keep_each_root_by_select_root():
+    # example 3's run, 300 steps from its RK4 seed: under either identity
+    # forcing select_root keeps the root of every solved step, and the
+    # constant-forcing loop, which chooses inline, never calls it
+    run = run_example("3")
+    seed, n_steps = Stencil(run.inv.xs[:3], run.inv.ys[:3]), len(run.inv) - 3
+    assert n_steps == 300
+    for forcing in (IdentityInY(), IdentityInY(stencil_mean=True), Constant(0.5)):
+        spec = SchemeSpec(SchemeKind.SLX3, forcing, Uniform(run.h))
+        with mock.patch.object(schemes, "select_root", wraps=select_root) as calls:
+            traj = integrate(spec, seed, n_steps)
+        if isinstance(forcing, IdentityInY):
+            assert traj.stop is StopReason.COMPLETED
+            assert calls.call_count == len(traj) - 3 == n_steps
+        else:
+            assert len(traj) > 3 and not calls.called
 
 
 #: slx3 windows beyond the seeded ones: the constant rows of SLX3_DEGREES,

@@ -2,6 +2,7 @@
 import json
 import runpy
 import shutil
+import statistics
 import sys
 from pathlib import Path
 
@@ -78,5 +79,11 @@ def test_ab_inprocess_loads_two_trees_side_by_side(tmp_path):
         s = result[side]
         assert 0.0 < s["q1"] <= s["median"] <= s["q3"]
     assert result["ratio"] == result["base"]["median"] / result["head"]["median"]
+    # the median of the rounds' own ratios, from the per-round seconds returned
+    rounds = result["per_round"]
+    assert [len(rounds[side]) for side in ("base", "head")] == [3, 3]
+    assert result["round_ratio"] == statistics.median(
+        x / y for x, y in zip(rounds["base"], rounds["head"]))
+    assert result["head_won"] == sum(y < x for x, y in zip(rounds["base"], rounds["head"]))
     for key in [k for k in sys.modules if k.split(".")[0] in names]:
         del sys.modules[key]
