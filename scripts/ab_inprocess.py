@@ -13,13 +13,13 @@ takes, for both sides in shuffled order, the best of 5 runs of about 10 ms
 each.
 
 Prints one JSON line: each side's median and quartiles of the per-execution
-seconds over the rounds, the ratio base / head of the medians (above 1 means
-the working tree is faster), ``round_ratio``, the median over the rounds of
-base / head within each round, the rounds the working tree won and each
-side's per-round seconds.  Pairs in one process share the machine's state at
-that moment, so their ratio spreads far less than that of two processes run
-one after the other; a change of the machine's speed during the run moves
-the ratio of the medians, but ``round_ratio`` only by the rounds it spans.
+seconds over the rounds, ``round_ratio``, the median over the rounds of
+base / head within each round (above 1 means the working tree is faster),
+the rounds the working tree won and each side's per-round seconds.  Pairs in
+one process share the machine's state at that moment, so their ratio spreads
+far less than that of two processes run one after the other; a change of the
+machine's speed during the run moves each side's median, but ``round_ratio``
+only by the rounds it spans.
 """
 from __future__ import annotations
 
@@ -110,8 +110,7 @@ def compare(base: timeit.Timer, head: timeit.Timer, number: int,
     b, h = _summary(best["base"]), _summary(best["head"])
     pairs = list(zip(best["base"], best["head"]))
     return {"rounds": rounds, "repeat": repeat, "number": number,
-            "base": b, "head": h, "ratio": b["median"] / h["median"],
-            "round_ratio": statistics.median(x / y for x, y in pairs),
+            "base": b, "head": h, "round_ratio": statistics.median(x / y for x, y in pairs),
             "head_won": sum(y < x for x, y in pairs), "per_round": best}
 
 

@@ -1,7 +1,8 @@
 """Command-line front end: run the bundled example problems, custom
 integrations from seed files, deviation estimates between trajectories, and
-continuous-limit probes.  Trajectories are exchanged as small CSV files
-with '#'-prefixed metadata lines."""
+continuous-limit probes.  Every setting comes from the command line; a
+missing required flag is argparse's exit 2.  Trajectories are exchanged as
+small CSV files with '#'-prefixed metadata lines."""
 from __future__ import annotations
 
 import argparse
@@ -122,27 +123,8 @@ def _seed_from_csv(path, arity: int) -> Stencil:
 
 # --- run configuration for `solve` ---------------------------------------------
 
-def _config_flags(path) -> list[str]:
-    """A configuration file's ``key = value`` lines as ``--key=value`` flags
-    of ``solve``, with '_' in a key read as '-'."""
-    flags = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
-        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
-    return flags
-
-
 def _solve_spec(args) -> SchemeSpec:
-    if args.scheme is None:
-        raise ConfigError("a scheme is required")
     kind = SchemeKind(args.scheme)
-    if args.h is None:
-        raise ConfigError("h must be set")
     forcing = args.forcing or ("const" if kind is not SchemeKind.SLY4 else None)
     if forcing is None:
         raise ConfigError(f"sly4 needs --forcing: const, {', '.join(NAMED_FORCINGS)}")
@@ -272,8 +254,12 @@ def run_example(example_id: str, h: float | None = None, steps: int | None = Non
         raise ConfigError("h must be finite and nonzero, x0 finite")
     if not h_ref > 0:
         raise ConfigError("h-ref must be positive")
-    steps = ex.steps(h, x0) if steps is None else steps
-    if not 1 <= steps <= MAX_STEPS:
+    if steps is None:
+        steps = ex.steps(h, x0)
+        if not 1 <= steps <= MAX_STEPS:
+            raise ConfigError(f"example {example_id}'s default step count at h = {h!r}, "
+                              f"x0 = {x0!r} is {steps}, not from 1 to {MAX_STEPS}")
+    elif not 1 <= steps <= MAX_STEPS:
         raise ConfigError(f"steps must be an integer from 1 to {MAX_STEPS}")
     spec = SchemeSpec(ex.scheme, ex.forcing, Uniform(h))
     lattice_steps = steps + spec.arity - 1  # from x0 to the last point asked for
@@ -448,11 +434,7 @@ def cmd_example(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if not args.seed:
-        raise ConfigError("a seed file is required")
-    if not args.out:
-        raise ConfigError("an output path is required")
-    if args.steps is None or not 1 <= args.steps <= MAX_STEPS:
+    if not 1 <= args.steps <= MAX_STEPS:
         raise ConfigError(f"steps must be an integer from 1 to {MAX_STEPS}")
     spec = _solve_spec(args)
     seed = _seed_from_csv(args.seed, spec.arity)
@@ -525,18 +507,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_example)
 
     p = sub.add_parser("solve", help="integrate a scheme from a seed file")
-    p.add_argument("--config", default=None,
-                   help="file of key = value lines, read as --key=value flags "
-                        "before the command line's own")
-    p.add_argument("--scheme", choices=[k.value for k in SchemeKind], default=None)
+    p.add_argument("--scheme", choices=[k.value for k in SchemeKind], required=True)
     p.add_argument("--forcing", default=None,
                    help="const, y (at the new point), y-mean (the stencil mean), "
                         f"or a named function of x ({', '.join(NAMED_FORCINGS)})")
     p.add_argument("--c", type=float, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--seed", default=None, help="CSV file; first rows feed the stencil")
-    p.add_argument("--out", default=None)
+    p.add_argument("--h", type=float, required=True)
+    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--seed", required=True, help="CSV file; first rows feed the stencil")
+    p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("chi", help="deviation between two trajectories")
@@ -558,14 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.fn is cmd_solve and args.config:
-            # the file's flags go first, so that the command line's win
-            at = argv.index("solve") + 1
-            args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
         return args.fn(args)
     except (ValueError, KeyError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from invdisc import (IdentityInY, SchemeKind, SchemeSpec, Stencil, StopReason, Trajectory,
-                     Uniform, integrate, seed_stencil_from_function)
+                     Uniform, integrate, one_over_one_minus_exp, seed_stencil_from_function)
 from invdisc import cli
 from invdisc.cli import (MAX_STEPS, main, read_trajectory_csv, run_example,
                          write_trajectory_csv)
@@ -93,38 +93,42 @@ def test_solve_is_deterministic(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_solve_config_file_and_overrides(tmp_path):
+def test_solve_requires_its_flags_and_reads_no_config_file(tmp_path, capsys):
     seed = _write_seed_csv(tmp_path / "seed.csv", math.atanh, -0.5, 0.01, 3)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"scheme = slx3\nforcing = const\nc = 2\nh = 0.01\n"
-                   f"steps = 5\nseed = {seed}\nout = {tmp_path / 'c.csv'}\n")
-    assert main(["solve", "--config", str(cfg)]) == 0
-    traj = read_trajectory_csv(tmp_path / "c.csv")
-    assert len(traj.points) == 8
-    # flag overrides the file value
-    assert main(["solve", "--config", str(cfg), "--steps", "7",
-                 "--out", str(tmp_path / "d.csv")]) == 0
-    assert len(read_trajectory_csv(tmp_path / "d.csv").points) == 10
-
-
-def test_solve_config_rejects_unknown_key(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    # root_policy: slx3 has one root rule and no flag that picks it
-    for line in ("wibble = 3", "root_policy = nearest"):
-        cfg.write_text(f"scheme = slx3\n{line}\n")
+    flags = {"--scheme": "slx3", "--h": "0.01", "--steps": "5", "--seed": str(seed),
+             "--out": str(tmp_path / "x.csv")}
+    # each missing flag is named by argparse, which exits 2 before any run
+    for missing in flags:
         with pytest.raises(SystemExit) as exc:
-            main(["solve", "--config", str(cfg)])
+            main(["solve"] + [f"{k}={v}" for k, v in flags.items() if k != missing])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: the following arguments are required: {missing}\n")
+    assert not (tmp_path / "x.csv").exists()
+    # a file of key = value lines is no way to give them
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k[2:]} = {v}\n" for k, v in flags.items()))
+    for extra, err in (([], "the following arguments are required: --scheme, --h, "
+                            "--steps, --seed, --out\n"),
+                       ([f"{k}={v}" for k, v in flags.items()],
+                        f"unrecognized arguments: --config {cfg}\n")):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", str(cfg), *extra])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {err}")
+    assert not (tmp_path / "x.csv").exists()
 
 
-def test_solve_config_block_of_readme(tmp_path, monkeypatch):
+def test_solve_command_line_of_readme(tmp_path, monkeypatch):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    block = readme.split("`solve --config run.cfg`", 1)[1].split("```\n", 2)[1]
+    section = readme.split("`solve` takes its settings from the command line alone", 1)[1]
+    argv = section.split("```sh\n", 1)[1].split("\n", 1)[0].split()
+    assert argv[:2] == ["invdisc", "solve"]
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "run.cfg").write_text(block)
-    _write_seed_csv(tmp_path / "seed.csv", math.atanh, -0.5, 0.01, 3)
-    assert main(["solve", "--config", "run.cfg"]) == 0
-    assert len(read_trajectory_csv(tmp_path / "traj.csv")) == 53
+    _write_seed_csv(tmp_path / "seed.csv", one_over_one_minus_exp().eval_fn, 1.0, 0.01, 3)
+    assert main(argv[1:]) == 0
+    traj = read_trajectory_csv(tmp_path / "traj.csv")
+    assert (len(traj), traj.stop) == (53, StopReason.COMPLETED)
 
 
 def test_solve_y_mean_is_the_stencil_mean_forcing(tmp_path):
@@ -150,9 +154,13 @@ def test_solve_validation_failures(tmp_path, capsys):
     assert main(["solve", "--scheme", "sly4", "--h", "0.01", "--steps", "5",
                  "--seed", str(seed), "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err == "error: sly4 needs --forcing: const, cos, sin, zero\n"
-    # missing out
-    assert main(["solve", "--scheme", "slx3", "--forcing", "const", "--c", "2",
-                 "--h", "0.01", "--steps", "5", "--seed", str(seed)]) == 2
+    # missing out: argparse names the flag and exits 2
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--scheme", "slx3", "--forcing", "const", "--c", "2",
+              "--h", "0.01", "--steps", "5", "--seed", str(seed)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: the following arguments are required: --out\n")
     # bad forcing for the scheme
     for forcing in ("y", "y-mean"):
         for scheme in ("sly4", "h5"):
@@ -372,6 +380,19 @@ def test_example_rejects_out_of_range_options(opts):
     assert main(["example", *opts]) == 2
 
 
+@pytest.mark.parametrize("opts, err", [
+    (["1", "--h=-0.01"], "example 1's default step count at h = -0.01, x0 = 1.0 is -153"),
+    (["2-log", "--x0", "0"], "example 2-log's default step count at h = 0.0001, x0 = 0.0 is 0"),
+    (["3", "--h", "1e-7"], "example 3's default step count at h = 1e-07, x0 = 0.0 is 3000000"),
+])
+def test_example_default_step_count_out_of_range_is_named(opts, err, capsys):
+    assert main(["example", *opts]) == 2
+    assert capsys.readouterr().err == f"error: {err}, not from 1 to {MAX_STEPS}\n"
+    # an explicit count out of range keeps its own message
+    assert main(["example", opts[0], "--steps", "0"]) == 2
+    assert capsys.readouterr().err == f"error: steps must be an integer from 1 to {MAX_STEPS}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["example", "1", "--steps", str(MAX_STEPS + 1)],
     ["example", "2-log", "--h", "1e-9"],  # a default step count of 1.05e9
@@ -585,7 +606,7 @@ def test_chi_tan_reciprocal_at_tiny_x_names_x(tmp_path, capsys):
 
 
 def test_parser_is_built_once():
-    # main reuses one parser per process; --config re-parses through it
+    # main reuses one parser per process: each add_argument builds a help formatter
     assert cli.build_parser() is cli.build_parser()
 
 
@@ -680,8 +701,6 @@ def _fuzz_options(command, tmp_path):
     out.  Usable values keep every run at 40 steps or levels, or at about
     10^4 steps where an example's own default sets the size."""
     seed = str(_write_seed_csv(tmp_path / "seed.csv", math.exp, 0.1, 0.1, 6))
-    config = tmp_path / "run.cfg"
-    config.write_text("scheme = slx3\nc = 2\nh = 0.1\nsteps = 4\n")
     files = [str(tmp_path / "missing.csv"), str(tmp_path)]
     steps = (["4", "40", None], COUNTS)
     if command == "example":
@@ -692,11 +711,11 @@ def _fuzz_options(command, tmp_path):
                 ("--steps", *steps), ("--x0", [None], STARTS),
                 ("--out", [str(tmp_path / "ex"), None], [seed])]
     if command == "solve":
-        return [("--config", [None, str(config)], [str(tmp_path / "missing.cfg")]),
-                ("--scheme", [k.value for k in SchemeKind], ["rk4", None]),
+        # the five required flags are always given in usable runs
+        return [("--scheme", [k.value for k in SchemeKind], ["rk4", None]),
                 ("--forcing", ["const", "y", "y-mean", "cos", "zero", None], ["tan"]),
                 ("--c", ["0.5", "2", None], NUMBERS), ("--h", ["0.1"], NUMBERS + [None]),
-                ("--steps", *steps),
+                ("--steps", ["4", "40"], COUNTS + [None]),
                 ("--seed", [seed], files + [None]),
                 ("--out", [str(tmp_path / "out.csv")], [str(tmp_path), None])]
     if command == "chi":

@@ -224,6 +224,15 @@ def test_m3_degenerate_on_repeated_y():
         m3(s)
 
 
+def test_m4_degenerate_span_and_l3_stencil_length():
+    xs = [float(k) for k in range(5)]
+    # y4 = y0, though every window of m3 inside is regular
+    with pytest.raises(DegenerateCoefficientError, match="^vanishing spanning y-difference$"):
+        m4(stencil_from_sequences(xs, [0.0, 1.0, 2.0, 1.0, 0.0]))
+    with pytest.raises(ValueError, match="^l3 needs a 4-point stencil, got 5$"):
+        l3(stencil_from_sequences(xs, [0.0, 1.0, 2.0, 3.0, 5.0]))
+
+
 def test_m4_limits():
     s = seed_stencil_from_function(lambda x: math.log(abs(x)), -1.0, 1e-4, 5)
     assert abs(m4(s)) <= 1e-2

@@ -25,6 +25,12 @@ def test_probe_validation():
         LimitProbe("l3", jet_exp, 0.0, (0.01, 0.005))
     with pytest.raises(ValueError):
         LimitProbe("nope", jet_exp, 0.0, geometric(0.01, 0.5, 4))
+    with pytest.raises(ValueError, match="^unknown invariant 'l6'$"):
+        target_value("l6", jet_exp(0.0), (0.0, 0.1, 0.2, 0.3))
+    short = LimitProbe("l3", jet_exp, 0.0, geometric(0.01, 0.5, 4),
+                       lattice=lambda h: [0.0, h, 2 * h])
+    with pytest.raises(ValueError, match="^lattice callable returned 3 abscissae, need 4$"):
+        probe_limit(short)
     # every comparison with NaN is false, so a NaN ladder is not decreasing
     for hs in ((math.nan,) * 4, (0.01, math.nan, 0.005, 0.001), (math.inf, 1.0, 0.5, 0.1)):
         with pytest.raises(ValueError):

@@ -71,6 +71,8 @@ def test_rk4_validates_input():
         rk4_integrate(sys2, (0.0, 1.0, 0.0), 1.7e308, 1e306, 20)
     with pytest.raises(ValueError):
         rk4_integrate(sys2, (0.0, 1.0, 0.0), 0.0, 1e-3, -3)
+    with pytest.raises(ValueError, match="^order must be 3..5$"):
+        OdeSystem(6, sys2.rhs)
 
 
 # --- bit-identity of the run loops with the textbook loop ------------------------
@@ -424,6 +426,8 @@ def test_general_arctanh_reduces_to_base():
     for x in (-0.5, 0.2, 0.7):
         assert g.eval_fn(x) == pytest.approx(math.atanh(x), rel=1e-14)
         assert g.jet_fn(x).d == pytest.approx(arctanh_solution().jet_fn(x).d)
+    with pytest.raises(ValueError, match="^c must be positive$"):
+        general_arctanh(1, 0, 0, 0)
 
 
 # --- chi ------------------------------------------------------------------------------
@@ -507,3 +511,5 @@ def test_chi_errors():
         chi(_traj([1.0, 2.0]), [1.0])
     with pytest.raises(DegenerateCoefficientError):
         chi(_traj([1.0, 2.0]), [0.0, 0.0])
+    with pytest.raises(ValueError, match="^chi needs at least one point$"):
+        chi([], [])

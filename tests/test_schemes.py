@@ -185,6 +185,8 @@ def test_extrapolate_exact_on_polynomials():
     for repeated in ((0, 0, 1), (0, 1, 1), (1, 0, 1), (5, -0.0, 0.0, 1)):
         with pytest.raises(ValueError, match="distinct abscissae"):
             extrapolate(repeated, (1, 2, 3), 2)
+    with pytest.raises(ValueError, match="^extrapolation needs 3 points$"):
+        extrapolate([0, 1], [0, 1], 2)
 
 
 # --- single steps ------------------------------------------------------------------
@@ -407,6 +409,12 @@ def test_integrate_validates_seed():
     half_off = stencil_from_sequences([0.0, 1e-10, 2e-10, 3e-10, 3.5e-10], seed5.ys)
     with pytest.raises(ValueError):
         integrate(spec5, half_off, 2)
+    # a step of 4.1 ulp(1) puts the first new abscissa on the last seed one
+    tight = stencil_from_sequences([1.0, 1.0000000000000009, 1.0000000000000027],
+                                   [1.0, 2.0, 4.0])
+    with pytest.raises(ValueError, match="^the lattice does not continue the seed monotonically$"):
+        integrate(SchemeSpec(SchemeKind.SLX3, Constant(0.5), Uniform(4.1 * math.ulp(1.0))),
+                  tight, 1)
     # a seed inside the tolerance that runs against h
     back5 = stencil_from_sequences([-1e-10 * k for k in range(5)], seed5.ys)
     with _loops_counted() as calls, pytest.raises(ValueError):
