@@ -1,8 +1,8 @@
 """Command-line front end: run the bundled example problems, custom
 integrations from seed files, deviation estimates between trajectories, and
-continuous-limit probes.  Every setting comes from the command line; a
-missing required flag is argparse's exit 2.  Trajectories are exchanged as
-small CSV files with '#'-prefixed metadata lines."""
+continuous-limit probes.  Every setting but `solve`'s step (the seed file's)
+comes from the command line, where no flag may be abbreviated.  Trajectories
+are exchanged as small CSV files with '#'-prefixed metadata lines."""
 from __future__ import annotations
 
 import argparse
@@ -10,13 +10,14 @@ import math
 import sys
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from pathlib import Path
 from typing import Callable
 
-from .core import (Constant, DegenerateCoefficientError, DomainError, ForcingTerm,
-                   FunctionOfX, IdentityInY, NonFiniteError, SchemeKind, SchemeSpec,
-                   Stencil, StopReason, Trajectory, Uniform, seed_stencil_from_function)
+from .core import (SCHEME_ARITY, Constant, DegenerateCoefficientError, DomainError,
+                   ForcingTerm, FunctionOfX, IdentityInY, NonFiniteError, SchemeKind,
+                   SchemeSpec, Stencil, StopReason, Trajectory, Uniform,
+                   seed_stencil_from_function)
 from .discrete import _cross_ratio
 from .limits import _INVARIANTS, LimitProbe, probe_limit
 from .reference import (EXACT_SOLUTIONS, ExactSolution, OdeSystem,
@@ -36,11 +37,14 @@ TAN_RECIPROCAL_POLE = 2.0 / (5.0 * math.pi)
 #: or baseline), so that a mistyped size fails at once instead of filling memory
 MAX_STEPS = 1_000_000
 
-#: named right-hand sides usable as --forcing for the fourth-order scheme
-NAMED_FORCINGS = {
-    "cos": math.cos,
-    "sin": math.sin,
-    "zero": lambda x: 0.0,
+#: the term each --forcing name stands for; --c replaces const's constant
+FORCINGS: dict[str, ForcingTerm] = {
+    "const": Constant(0.0),
+    "y": IdentityInY(),  # at the new point
+    "y-mean": IdentityInY(stencil_mean=True),  # the mean of the four stencil ordinates
+    "cos": FunctionOfX(math.cos),
+    "sin": FunctionOfX(math.sin),
+    "zero": FunctionOfX(lambda x: 0.0),
 }
 
 
@@ -114,33 +118,6 @@ def read_trajectory_csv(path) -> Trajectory:
     return Trajectory(tuple(xs), tuple(ys), StopReason(meta["stop"]), meta["scheme"], h)
 
 
-def _seed_from_csv(path, arity: int) -> Stencil:
-    traj = read_trajectory_csv(path)
-    if len(traj) < arity:
-        raise ConfigError(f"{path}: need at least {arity} rows, got {len(traj)}")
-    return Stencil(traj.xs[:arity], traj.ys[:arity])
-
-
-# --- run configuration for `solve` ---------------------------------------------
-
-def _solve_spec(args) -> SchemeSpec:
-    kind = SchemeKind(args.scheme)
-    forcing = args.forcing or ("const" if kind is not SchemeKind.SLY4 else None)
-    if forcing is None:
-        raise ConfigError(f"sly4 needs --forcing: const, {', '.join(NAMED_FORCINGS)}")
-    if args.c is not None and forcing != "const":
-        raise ConfigError("--c needs --forcing const")
-    if forcing == "const":
-        term = Constant(args.c if args.c is not None else 0.0)
-    elif forcing in ("y", "y-mean"):
-        term = IdentityInY(stencil_mean=forcing == "y-mean")
-    elif forcing in NAMED_FORCINGS:
-        term = FunctionOfX(NAMED_FORCINGS[forcing])
-    else:
-        raise ConfigError(f"unknown forcing {args.forcing!r}")
-    return SchemeSpec(kind, term, Uniform(args.h))
-
-
 # --- paper examples -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -206,7 +183,9 @@ class ExampleRun:
 
 def _check_size(what: str, steps: int) -> None:
     if steps > MAX_STEPS:
-        raise ConfigError(f"the {what} run would take {steps} steps, more than {MAX_STEPS}")
+        from decimal import Decimal  # not at start-up; it formats counts past floats
+        raise ConfigError(f"the {what} run would take {Decimal(steps):.7g} steps, "
+                          f"more than {MAX_STEPS}")
 
 
 def _reused(what: str, value, prior):
@@ -436,9 +415,20 @@ def cmd_example(args) -> int:
 def cmd_solve(args) -> int:
     if not 1 <= args.steps <= MAX_STEPS:
         raise ConfigError(f"steps must be an integer from 1 to {MAX_STEPS}")
-    spec = _solve_spec(args)
-    seed = _seed_from_csv(args.seed, spec.arity)
-    traj = integrate(spec, seed, args.steps)
+    kind = SchemeKind(args.scheme)
+    forcing = args.forcing or ("const" if kind is not SchemeKind.SLY4 else None)
+    if forcing is None:
+        raise ConfigError("sly4 needs --forcing: " + ", ".join(
+            k for k, term in FORCINGS.items() if not isinstance(term, IdentityInY)))
+    if args.c is not None and forcing != "const":
+        raise ConfigError("--c needs --forcing const")
+    term = FORCINGS[forcing] if args.c is None else Constant(args.c)
+    seed, n = read_trajectory_csv(args.seed), SCHEME_ARITY[kind]
+    if len(seed) < n:
+        raise ConfigError(f"{args.seed}: need at least {n} rows, got {len(seed)}")
+    # the step the seed file records or, in a plain x,y file, its first spacing
+    spec = SchemeSpec(kind, term, Uniform(seed.h_nominal or seed.xs[1] - seed.xs[0]))
+    traj = integrate(spec, Stencil(seed.xs[:n], seed.ys[:n]), args.steps)
     write_trajectory_csv(args.out, traj)
     print(f"wrote {len(traj)} points to {args.out} (stop: {traj.stop.value})")
     return EXIT_OK
@@ -471,8 +461,6 @@ def cmd_chi(args) -> int:
 def cmd_limit(args) -> int:
     if not 4 <= args.levels <= MAX_STEPS:
         raise ConfigError(f"levels must be an integer from 4 to {MAX_STEPS}")
-    if args.function not in EXACT_SOLUTIONS:
-        raise ConfigError(f"unknown test function {args.function!r}")
     hs = tuple(args.h0 * args.ratio ** k for k in range(args.levels))
     probe = LimitProbe(args.invariant, EXACT_SOLUTIONS[args.function]().jet_fn, args.x0, hs)
     report = probe_limit(probe)
@@ -490,8 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="invdisc",
         description="Projective-invariant difference schemes for ODEs")
     sub = parser.add_subparsers(dest="command", required=True)
+    add = partial(sub.add_parser, allow_abbrev=False)  # else `solve --h` reads as --help
 
-    p = sub.add_parser("example", help="run one of the bundled example problems")
+    p = add("example", help="run one of the bundled example problems")
     p.add_argument("id", choices=list(EXAMPLES))
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
@@ -506,28 +495,28 @@ def build_parser() -> argparse.ArgumentParser:
                         + "; no effect on the others)")
     p.set_defaults(fn=cmd_example)
 
-    p = sub.add_parser("solve", help="integrate a scheme from a seed file")
+    p = add("solve", help="integrate a scheme from a seed file")
     p.add_argument("--scheme", choices=[k.value for k in SchemeKind], required=True)
-    p.add_argument("--forcing", default=None,
-                   help="const, y (at the new point), y-mean (the stencil mean), "
-                        f"or a named function of x ({', '.join(NAMED_FORCINGS)})")
+    p.add_argument("--forcing", choices=list(FORCINGS), default=None,
+                   help="y at the new point, y-mean the stencil mean; cos, sin and zero "
+                        "are functions of x (default: const, none for sly4)")
     p.add_argument("--c", type=float, default=None)
-    p.add_argument("--h", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", required=True, help="CSV file; first rows feed the stencil")
+    p.add_argument("--seed", required=True, help="CSV file: its first rows are the "
+                   "stencil, its '# h:' value (else its first spacing) the step")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("chi", help="deviation between two trajectories")
+    p = add("chi", help="deviation between two trajectories")
     p.add_argument("a")
     p.add_argument("b", help="CSV path or exact-solution id "
                             f"({', '.join(EXACT_SOLUTIONS)})")
     p.set_defaults(fn=cmd_chi)
 
-    p = sub.add_parser("limit", help="continuous-limit probe of one invariant")
+    p = add("limit", help="continuous-limit probe of one invariant")
     p.add_argument("--invariant", required=True, choices=list(_INVARIANTS))
-    p.add_argument("--function", required=True,
-                   help=f"test function ({', '.join(EXACT_SOLUTIONS)})")
+    p.add_argument("--function", required=True, choices=list(EXACT_SOLUTIONS),
+                   help="test function")
     p.add_argument("--x0", type=float, required=True)
     p.add_argument("--h0", type=float, default=0.01)
     p.add_argument("--levels", type=int, default=5)

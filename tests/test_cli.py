@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from invdisc import (IdentityInY, SchemeKind, SchemeSpec, Stencil, StopReason, Trajectory,
-                     Uniform, integrate, one_over_one_minus_exp, seed_stencil_from_function)
+from invdisc import (Constant, FunctionOfX, IdentityInY, SchemeKind, SchemeSpec, Stencil,
+                     StopReason, Trajectory, Uniform, integrate, one_over_one_minus_exp,
+                     seed_stencil_from_function)
 from invdisc import cli
 from invdisc.cli import (MAX_STEPS, main, read_trajectory_csv, run_example,
                          write_trajectory_csv)
@@ -76,8 +77,7 @@ def test_solve_h5_from_seed_file_extends_past_pole(tmp_path):
                            lambda x: math.tan(1.0 / x), 0.1, 0.001, 5)
     out = tmp_path / "out.csv"
     rc = main(["solve", "--scheme", "h5", "--forcing", "const", "--c", "0",
-               "--h", "0.001", "--steps", "40", "--seed", str(seed),
-               "--out", str(out)])
+               "--steps", "40", "--seed", str(seed), "--out", str(out)])
     assert rc == 0
     traj = read_trajectory_csv(out)
     assert traj.points[-1].x > pole
@@ -87,7 +87,7 @@ def test_solve_h5_from_seed_file_extends_past_pole(tmp_path):
 def test_solve_is_deterministic(tmp_path):
     seed = _write_seed_csv(tmp_path / "seed.csv", math.atanh, -0.5, 0.01, 3)
     args = ["solve", "--scheme", "slx3", "--forcing", "const", "--c", "2",
-            "--h", "0.01", "--steps", "20", "--seed", str(seed)]
+            "--steps", "20", "--seed", str(seed)]
     assert main(args + ["--out", str(tmp_path / "a.csv")]) == 0
     assert main(args + ["--out", str(tmp_path / "b.csv")]) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -95,7 +95,7 @@ def test_solve_is_deterministic(tmp_path):
 
 def test_solve_requires_its_flags_and_reads_no_config_file(tmp_path, capsys):
     seed = _write_seed_csv(tmp_path / "seed.csv", math.atanh, -0.5, 0.01, 3)
-    flags = {"--scheme": "slx3", "--h": "0.01", "--steps": "5", "--seed": str(seed),
+    flags = {"--scheme": "slx3", "--steps": "5", "--seed": str(seed),
              "--out": str(tmp_path / "x.csv")}
     # each missing flag is named by argparse, which exits 2 before any run
     for missing in flags:
@@ -108,7 +108,7 @@ def test_solve_requires_its_flags_and_reads_no_config_file(tmp_path, capsys):
     # a file of key = value lines is no way to give them
     cfg = tmp_path / "run.cfg"
     cfg.write_text("".join(f"{k[2:]} = {v}\n" for k, v in flags.items()))
-    for extra, err in (([], "the following arguments are required: --scheme, --h, "
+    for extra, err in (([], "the following arguments are required: --scheme, "
                             "--steps, --seed, --out\n"),
                        ([f"{k}={v}" for k, v in flags.items()],
                         f"unrecognized arguments: --config {cfg}\n")):
@@ -121,7 +121,7 @@ def test_solve_requires_its_flags_and_reads_no_config_file(tmp_path, capsys):
 
 def test_solve_command_line_of_readme(tmp_path, monkeypatch):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    section = readme.split("`solve` takes its settings from the command line alone", 1)[1]
+    section = readme.split("`solve` takes every setting but its step", 1)[1]
     argv = section.split("```sh\n", 1)[1].split("\n", 1)[0].split()
     assert argv[:2] == ["invdisc", "solve"]
     monkeypatch.chdir(tmp_path)
@@ -137,8 +137,8 @@ def test_solve_y_mean_is_the_stencil_mean_forcing(tmp_path):
     runs = {}
     for forcing in ("y", "y-mean"):
         out = tmp_path / f"{forcing}.csv"
-        assert main(["solve", "--scheme", "slx3", "--forcing", forcing, "--h", "1e-3",
-                     "--steps", "300", "--seed", str(seed_path), "--out", str(out)]) == 0
+        assert main(["solve", "--scheme", "slx3", "--forcing", forcing, "--steps", "300",
+                     "--seed", str(seed_path), "--out", str(out)]) == 0
         runs[forcing] = read_trajectory_csv(out)
     seed = seed_stencil_from_function(lambda x: 10.0 - x - 5.0 * x * x, 0.0, 1e-3, 3)
     spec = SchemeSpec(SchemeKind.SLX3, IdentityInY(stencil_mean=True), Uniform(1e-3))
@@ -151,53 +151,111 @@ def test_solve_y_mean_is_the_stencil_mean_forcing(tmp_path):
 def test_solve_validation_failures(tmp_path, capsys):
     seed = _write_seed_csv(tmp_path / "seed.csv", math.atanh, -0.5, 0.01, 3)
     # sly4 has no default forcing: the message names the flag and its choices
-    assert main(["solve", "--scheme", "sly4", "--h", "0.01", "--steps", "5",
+    assert main(["solve", "--scheme", "sly4", "--steps", "5",
                  "--seed", str(seed), "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err == "error: sly4 needs --forcing: const, cos, sin, zero\n"
     # missing out: argparse names the flag and exits 2
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--scheme", "slx3", "--forcing", "const", "--c", "2",
-              "--h", "0.01", "--steps", "5", "--seed", str(seed)])
+              "--steps", "5", "--seed", str(seed)])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(
         "error: the following arguments are required: --out\n")
     # bad forcing for the scheme
     for forcing in ("y", "y-mean"):
         for scheme in ("sly4", "h5"):
-            assert main(["solve", "--scheme", scheme, "--forcing", forcing, "--h", "0.01",
+            assert main(["solve", "--scheme", scheme, "--forcing", forcing,
                          "--steps", "5", "--seed", str(seed),
                          "--out", str(tmp_path / "x.csv")]) == 2
     # a constant without constant forcing
     assert main(["solve", "--scheme", "slx3", "--forcing", "y", "--c", "5",
-                 "--h", "0.01", "--steps", "5", "--seed", str(seed),
+                 "--steps", "5", "--seed", str(seed),
                  "--out", str(tmp_path / "x.csv")]) == 2
     # seed file shorter than the scheme arity
     assert main(["solve", "--scheme", "h5", "--forcing", "const", "--c", "0",
-                 "--h", "0.01", "--steps", "5", "--seed", str(seed),
+                 "--steps", "5", "--seed", str(seed),
                  "--out", str(tmp_path / "x.csv")]) == 2
     # a constant that is not finite, an input error and not a scheme's stop
     capsys.readouterr()
     for c in ("nan", "inf", "-inf"):
         assert main(["solve", "--scheme", "slx3", "--forcing", "const", f"--c={c}",
-                     "--h", "0.01", "--steps", "5", "--seed", str(seed),
+                     "--steps", "5", "--seed", str(seed),
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == f"error: constant forcing {float(c)!r} is not finite\n"
         assert not (tmp_path / "x.csv").exists()
-    # a lattice step that is not finite or is zero: Uniform names which
-    for h, message in (("nan", "lattice step nan is not finite"),
-                       ("inf", "lattice step inf is not finite"),
-                       ("-inf", "lattice step -inf is not finite"),
-                       ("0", "uniform lattice needs a nonzero step")):
+    # a seed whose step is not finite or is zero (Uniform names which), or
+    # whose '# h:' line its rows do not fit
+    rows = "x,y\n0,1\n0.01,2\n0.02,3\n"
+    for text, message in ((f"# h: 0.02\n{rows}",
+                           "seed abscissae inconsistent with the uniform lattice rule"),
+                          (f"# h: nan\n{rows}", "lattice step nan is not finite"),
+                          (f"# h: inf\n{rows}", "lattice step inf is not finite"),
+                          (f"# h: -inf\n{rows}", "lattice step -inf is not finite"),
+                          # no '# h:' line, and a first spacing of 0
+                          ("x,y\n0,1\n0,2\n0.02,3\n", "uniform lattice needs a nonzero step")):
+        bad = tmp_path / "bad-h.csv"
+        bad.write_text(text)
         assert main(["solve", "--scheme", "slx3", "--forcing", "const", "--c", "2",
-                     f"--h={h}", "--steps", "5", "--seed", str(seed),
-                     "--out", str(tmp_path / "x.csv")]) == 2
+                     "--steps", "5", "--seed", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x.csv").exists()
     # missing seed file -> I/O error
     assert main(["solve", "--scheme", "slx3", "--forcing", "const", "--c", "2",
-                 "--h", "0.01", "--steps", "5", "--seed", str(tmp_path / "no.csv"),
+                 "--steps", "5", "--seed", str(tmp_path / "no.csv"),
                  "--out", str(tmp_path / "x.csv")]) == 3
 
+
+
+def test_solve_continues_example_1_bit_for_bit(tmp_path):
+    # the step is the '# h: 0.01' line of example 1's invariant.csv
+    ex1 = tmp_path / "ex1" / "invariant.csv"
+    assert main(["example", "1", "--out", str(ex1.parent)]) == 0
+    out = tmp_path / "out.csv"
+    assert main(["solve", "--scheme", "sly4", "--forcing", "cos", "--steps", "100",
+                 "--seed", str(ex1), "--out", str(out)]) == 0
+    seed = read_trajectory_csv(ex1)
+    want = integrate(SchemeSpec(SchemeKind.SLY4, FunctionOfX(math.cos), Uniform(0.01)),
+                     Stencil(seed.xs[:4], seed.ys[:4]), 100)
+    got = read_trajectory_csv(out)
+    assert (got.xs, got.ys, got.stop, got.h_nominal) == (want.xs, want.ys, want.stop, 0.01)
+
+
+def test_solve_without_an_h_line_steps_on_the_first_spacing(tmp_path):
+    # a plain x,y seed, whose first spacing is 0.010000000000000009
+    xs = (0.3, 0.31, 0.32)
+    seed = tmp_path / "seed.csv"
+    seed.write_text("x,y\n" + "".join(f"{x!r},{math.atanh(x)!r}\n" for x in xs))
+    out = tmp_path / "out.csv"
+    assert main(["solve", "--scheme", "slx3", "--c", "2", "--steps", "5",
+                 "--seed", str(seed), "--out", str(out)]) == 0
+    h = xs[1] - xs[0]
+    want = integrate(SchemeSpec(SchemeKind.SLX3, Constant(2.0), Uniform(h)),
+                     Stencil(xs, map(math.atanh, xs)), 5)
+    got = read_trajectory_csv(out)
+    assert (got.xs, got.ys, got.stop, got.h_nominal) == (want.xs, want.ys, want.stop, h)
+    assert h != 0.01 and got.xs[-1] == xs[0] + 7 * h
+
+
+def test_no_flag_is_taken_by_a_prefix_of_its_name(tmp_path, capsys):
+    # with prefixes taken, a stale `solve --h` would match --help, print the
+    # usage and exit 0 without a run: each command line below exits 2
+    seed = _write_seed_csv(tmp_path / "seed.csv", math.atanh, -0.5, 0.01, 3)
+    out = tmp_path / "x.csv"
+    solve = ["solve", "--scheme", "slx3", "--seed", str(seed), "--out", str(out)]
+    for argv, err in (
+            ([*solve, "--steps", "4", "--h", "0.1"], "unrecognized arguments: --h 0.1"),
+            ([*solve, "--steps", "4", "--forc", "y"], "unrecognized arguments: --forc y"),
+            ([*solve, "--ste", "4"], "the following arguments are required: --steps"),
+            (["example", "4", "--ste", "40"], "unrecognized arguments: --ste 40"),
+            (["chi", str(seed), str(seed), "--he"], "unrecognized arguments: --he"),
+            (["limit", "--invariant", "l3", "--function", "exp", "--x0", "0", "--lev", "4"],
+             "unrecognized arguments: --lev 4")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out_text, err_text = capsys.readouterr()
+        assert out_text == "" and err_text.endswith(f"error: {err}\n")
+    assert not out.exists()
 
 # --- chi -----------------------------------------------------------------------------
 
@@ -269,9 +327,11 @@ def test_limit_command(capsys):
 
 
 def test_limit_rejects_unknown_function(capsys):
-    assert main(["limit", "--invariant", "l3", "--function", "nope",
-                 "--x0", "0"]) == 2
-    assert capsys.readouterr().err == "error: unknown test function 'nope'\n"
+    # the test functions are argparse choices
+    with pytest.raises(SystemExit) as exc:
+        main(["limit", "--invariant", "l3", "--function", "nope", "--x0", "0"])
+    assert exc.value.code == 2
+    assert "error: argument --function: invalid choice: 'nope'" in capsys.readouterr().err
 
 
 # --- example runs ----------------------------------------------------------------------
@@ -328,15 +388,15 @@ def test_example_2_log_stops_at_barrier(capsys):
     assert "invariant stop: no-real-root" in text
 
 
-@pytest.mark.parametrize("command", [["example", "2-log", "--x0", "1"],
-                                     ["solve", "--scheme", "slx3", "--steps", "5"]])
+@pytest.mark.parametrize("command", [["example", "2-log", "--x0", "1", "--h"],
+                                     ["solve", "--scheme", "slx3", "--steps", "5", "--c"]])
 def test_negative_value_in_exponent_form_needs_the_equals_form(command, capsys):
     # argparse takes "-1e-4" for an option: its negative-number pattern has no
-    # exponent, so the value is written --h=-1e-4
+    # exponent, so the value is written --h=-1e-4 or --c=-1e-4
     with pytest.raises(SystemExit) as exc:
-        main([*command, "--h", "-1e-4"])
+        main([*command, "-1e-4"])
     assert exc.value.code == 2
-    assert "argument --h: expected one argument" in capsys.readouterr().err
+    assert f"argument {command[-1]}: expected one argument" in capsys.readouterr().err
 
 
 def test_example_2_log_backward_stops_at_barrier(capsys):
@@ -399,8 +459,7 @@ def test_example_default_step_count_out_of_range_is_named(opts, err, capsys):
     ["example", "1", "--h-ref", "1e-8"],  # a 1.5e8-step reference
     ["example", "3", "--h-ref", "1e-12"],  # seed strides of 1e9 reference steps
     ["example", "5", "--x0", "-1000"],  # a 2e8-step baseline to past the pole
-    ["solve", "--scheme", "slx3", "--c", "2", "--h", "0.01",
-     "--steps", str(MAX_STEPS + 1)],
+    ["solve", "--scheme", "slx3", "--c", "2", "--steps", str(MAX_STEPS + 1)],
     # a strictly decreasing ladder, so only the size bound refuses it
     ["limit", "--invariant", "l3", "--function", "exp", "--x0", "0",
      "--ratio", "0.99999", "--levels", str(MAX_STEPS + 1)],
@@ -418,6 +477,18 @@ def test_oversized_runs_rejected_before_integrating(argv, tmp_path, monkeypatch)
         argv = argv + ["--seed", str(seed), "--out", str(tmp_path / "out.csv")]
     assert main(argv) == 2
 
+
+@pytest.mark.parametrize("argv, what, count", [
+    (["3", "--h-ref", "1e-300"], "reference", "2.000000e+297"),
+    # past the float range, where an int's :.7g raises OverflowError
+    (["3", "--h", "1.7", "--steps", "10", "--h-ref", "1e-308"], "reference", "3.400000e+308"),
+    (["2-arctanh", "--steps", str(MAX_STEPS)], "baseline", "1000002"),
+], ids=["e297", "e308", "exact"])
+def test_oversized_run_count_is_short(argv, what, count, capsys):
+    # seven significant digits, exact up to 9 999 999
+    assert main(["example", *argv]) == 2
+    assert (capsys.readouterr().err
+            == f"error: the {what} run would take {count} steps, more than {MAX_STEPS}\n")
 
 @pytest.mark.parametrize("example_id", list(cli.EXAMPLES))
 def test_example_baselines_bounded_by_max_steps(example_id, monkeypatch):
@@ -636,6 +707,10 @@ LINES = st.one_of(
               st.one_of(st.text(max_size=8), CELLS,
                         st.sampled_from([s.value for s in StopReason]))),
     st.text(max_size=20))
+#: a '# h:' line for LATTICE_ROWS, or none: on the rows, not a number, not
+#: finite, zero (which leaves the first spacing) or off the rows
+H_LINES = st.sampled_from([[], ["# h: 0.1"], ["# h: abc"], ["# h: nan"], ["# h: 0"],
+                           ["# h: 0.25"], ["# h: -0.1"]])
 #: rows on the lattice x = 0.1*k, so that a seed can pass validation and run
 LATTICE_ROWS = st.lists(st.floats(), min_size=3, max_size=7).map(
     lambda ys: [f"{0.1 * k!r},{y!r}" for k, y in enumerate(ys)])
@@ -643,17 +718,17 @@ LATTICE_ROWS = st.lists(st.floats(), min_size=3, max_size=7).map(
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(header=st.booleans(), lines=st.lists(LINES, max_size=8),
+@given(header=st.booleans(), lines=st.lists(LINES, max_size=8), h_line=H_LINES,
        rows=st.one_of(st.just([]), LATTICE_ROWS), scheme=st.sampled_from(list(SchemeKind)))
-def test_csv_fuzz_exits_0_2_or_3(tmp_path, capsys, header, lines, rows, scheme):
+def test_csv_fuzz_exits_0_2_or_3(tmp_path, capsys, header, lines, h_line, rows, scheme):
     path = tmp_path / "fuzz.csv"
-    path.write_text("\n".join((["x,y"] if header else []) + lines + rows) + "\n",
+    path.write_text("\n".join((["x,y"] if header else []) + lines + h_line + rows) + "\n",
                     encoding="utf-8")
     f = str(path)
     assert main(["chi", f, f]) in (0, 2, 3)
+    # solve steps on the file's '# h:' value, or else on its first spacing
     assert main(["solve", "--scheme", scheme.value, "--forcing", "const", "--c", "1",
-                 "--h", "0.1", "--steps", "20", "--seed", f,
-                 "--out", str(tmp_path / "out.csv")]) in (0, 2, 3)
+                 "--steps", "20", "--seed", f, "--out", str(tmp_path / "out.csv")]) in (0, 2, 3)
     capsys.readouterr()
 
 
@@ -711,11 +786,11 @@ def _fuzz_options(command, tmp_path):
                 ("--steps", *steps), ("--x0", [None], STARTS),
                 ("--out", [str(tmp_path / "ex"), None], [seed])]
     if command == "solve":
-        # the five required flags are always given in usable runs
+        # the four required flags are always given in usable runs; the step
+        # is the seed file's
         return [("--scheme", [k.value for k in SchemeKind], ["rk4", None]),
                 ("--forcing", ["const", "y", "y-mean", "cos", "zero", None], ["tan"]),
-                ("--c", ["0.5", "2", None], NUMBERS), ("--h", ["0.1"], NUMBERS + [None]),
-                ("--steps", ["4", "40"], COUNTS + [None]),
+                ("--c", ["0.5", "2", None], NUMBERS), ("--steps", ["4", "40"], COUNTS + [None]),
                 ("--seed", [seed], files + [None]),
                 ("--out", [str(tmp_path / "out.csv")], [str(tmp_path), None])]
     if command == "chi":
