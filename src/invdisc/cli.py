@@ -1,8 +1,8 @@
-"""Command-line front end: run the bundled example problems, custom
-integrations from seed files, deviation estimates between trajectories, and
-continuous-limit probes.  Every setting but `solve`'s step (the seed file's)
-comes from the command line, where no flag may be abbreviated.  Trajectories
-are exchanged as small CSV files with '#'-prefixed metadata lines."""
+"""Command-line front end: the bundled example problems, integrations from
+seed files, deviation estimates and continuous-limit probes.  Every setting
+but `solve`'s step (the seed file's) comes from the command line, where no
+flag may be abbreviated and a forcing is a name of FORCINGS or a number.
+Trajectories are exchanged as CSV files with '#'-prefixed metadata lines."""
 from __future__ import annotations
 
 import argparse
@@ -37,14 +37,12 @@ TAN_RECIPROCAL_POLE = 2.0 / (5.0 * math.pi)
 #: or baseline), so that a mistyped size fails at once instead of filling memory
 MAX_STEPS = 1_000_000
 
-#: the term each --forcing name stands for; --c replaces const's constant
+#: the term each --forcing name stands for; a number stands for the constant
 FORCINGS: dict[str, ForcingTerm] = {
-    "const": Constant(0.0),
     "y": IdentityInY(),  # at the new point
     "y-mean": IdentityInY(stencil_mean=True),  # the mean of the four stencil ordinates
     "cos": FunctionOfX(math.cos),
     "sin": FunctionOfX(math.sin),
-    "zero": FunctionOfX(lambda x: 0.0),
 }
 
 
@@ -111,10 +109,12 @@ def read_trajectory_csv(path) -> Trajectory:
         raise NonFiniteError(f"{path}: non-finite value in the data rows")
     if meta["stop"] not in {r.value for r in StopReason}:
         raise ConfigError(f"{path}: '# stop:' has no stop reason {meta['stop']!r}")
-    try:
+    h = math.nan
+    with suppress(ValueError):
         h = float(meta["h"])
-    except ValueError:
-        raise ConfigError(f"{path}:{meta_line['h']}: bad '# h:' value {meta['h']!r}") from None
+    if "h" in meta_line and not 0 < abs(h) < math.inf:  # else h is 0.0, no step recorded
+        raise ConfigError(f"{path}:{meta_line['h']}: '# h:' value {meta['h']!r} "
+                          "is not a finite nonzero step")
     return Trajectory(tuple(xs), tuple(ys), StopReason(meta["stop"]), meta["scheme"], h)
 
 
@@ -416,18 +416,11 @@ def cmd_solve(args) -> int:
     if not 1 <= args.steps <= MAX_STEPS:
         raise ConfigError(f"steps must be an integer from 1 to {MAX_STEPS}")
     kind = SchemeKind(args.scheme)
-    forcing = args.forcing or ("const" if kind is not SchemeKind.SLY4 else None)
-    if forcing is None:
-        raise ConfigError("sly4 needs --forcing: " + ", ".join(
-            k for k, term in FORCINGS.items() if not isinstance(term, IdentityInY)))
-    if args.c is not None and forcing != "const":
-        raise ConfigError("--c needs --forcing const")
-    term = FORCINGS[forcing] if args.c is None else Constant(args.c)
     seed, n = read_trajectory_csv(args.seed), SCHEME_ARITY[kind]
     if len(seed) < n:
         raise ConfigError(f"{args.seed}: need at least {n} rows, got {len(seed)}")
     # the step the seed file records or, in a plain x,y file, its first spacing
-    spec = SchemeSpec(kind, term, Uniform(seed.h_nominal or seed.xs[1] - seed.xs[0]))
+    spec = SchemeSpec(kind, args.forcing, Uniform(seed.h_nominal or seed.xs[1] - seed.xs[0]))
     traj = integrate(spec, Stencil(seed.xs[:n], seed.ys[:n]), args.steps)
     write_trajectory_csv(args.out, traj)
     print(f"wrote {len(traj)} points to {args.out} (stop: {traj.stop.value})")
@@ -472,6 +465,14 @@ def cmd_limit(args) -> int:
     return EXIT_OK
 
 
+def _forcing(value: str) -> ForcingTerm:
+    try:  # a name of FORCINGS, else a finite number: the constant
+        return FORCINGS.get(value) or Constant(float(value))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{value!r} is neither a finite number nor one of {', '.join(FORCINGS)}") from None
+
+
 @cache  # built once per process: each add_argument builds a help formatter
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -497,10 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("solve", help="integrate a scheme from a seed file")
     p.add_argument("--scheme", choices=[k.value for k in SchemeKind], required=True)
-    p.add_argument("--forcing", choices=list(FORCINGS), default=None,
-                   help="y at the new point, y-mean the stencil mean; cos, sin and zero "
-                        "are functions of x (default: const, none for sly4)")
-    p.add_argument("--c", type=float, default=None)
+    p.add_argument("--forcing", type=_forcing, default=Constant(0.0), help="a constant "
+                   "(default 0), y or its stencil mean y-mean (slx3), or cos or sin of x (sly4)")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", required=True, help="CSV file: its first rows are the "
                    "stencil, its '# h:' value (else its first spacing) the step")

@@ -238,10 +238,16 @@ def csv_reference_reader(path) -> Trajectory:
         raise NonFiniteError(f"{path}: non-finite value in the data rows")
     if meta["stop"] not in {r.value for r in StopReason}:
         raise ConfigError(f"{path}: '# stop:' has no stop reason {meta['stop']!r}")
-    try:
-        h = float(meta["h"])
-    except ValueError:
-        raise ConfigError(f"{path}:{meta_line['h']}: bad '# h:' value {meta['h']!r}") from None
+    if "h" not in meta_line:
+        h = 0.0
+    else:
+        try:
+            h = float(meta["h"])
+        except ValueError:
+            h = math.nan
+        if h == 0 or not math.isfinite(h):
+            raise ConfigError(f"{path}:{meta_line['h']}: '# h:' value {meta['h']!r} "
+                              "is not a finite nonzero step")
     return Trajectory(tuple(xs), tuple(ys), StopReason(meta["stop"]), meta["scheme"], h)
 
 

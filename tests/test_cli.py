@@ -76,7 +76,7 @@ def test_solve_h5_from_seed_file_extends_past_pole(tmp_path):
     seed = _write_seed_csv(tmp_path / "seed.csv",
                            lambda x: math.tan(1.0 / x), 0.1, 0.001, 5)
     out = tmp_path / "out.csv"
-    rc = main(["solve", "--scheme", "h5", "--forcing", "const", "--c", "0",
+    rc = main(["solve", "--scheme", "h5", "--forcing", "0",
                "--steps", "40", "--seed", str(seed), "--out", str(out)])
     assert rc == 0
     traj = read_trajectory_csv(out)
@@ -86,7 +86,7 @@ def test_solve_h5_from_seed_file_extends_past_pole(tmp_path):
 
 def test_solve_is_deterministic(tmp_path):
     seed = _write_seed_csv(tmp_path / "seed.csv", math.atanh, -0.5, 0.01, 3)
-    args = ["solve", "--scheme", "slx3", "--forcing", "const", "--c", "2",
+    args = ["solve", "--scheme", "slx3", "--forcing", "2",
             "--steps", "20", "--seed", str(seed)]
     assert main(args + ["--out", str(tmp_path / "a.csv")]) == 0
     assert main(args + ["--out", str(tmp_path / "b.csv")]) == 0
@@ -150,60 +150,67 @@ def test_solve_y_mean_is_the_stencil_mean_forcing(tmp_path):
 
 def test_solve_validation_failures(tmp_path, capsys):
     seed = _write_seed_csv(tmp_path / "seed.csv", math.atanh, -0.5, 0.01, 3)
-    # sly4 has no default forcing: the message names the flag and its choices
-    assert main(["solve", "--scheme", "sly4", "--steps", "5",
-                 "--seed", str(seed), "--out", str(tmp_path / "x.csv")]) == 2
-    assert capsys.readouterr().err == "error: sly4 needs --forcing: const, cos, sin, zero\n"
     # missing out: argparse names the flag and exits 2
     with pytest.raises(SystemExit) as exc:
-        main(["solve", "--scheme", "slx3", "--forcing", "const", "--c", "2",
-              "--steps", "5", "--seed", str(seed)])
+        main(["solve", "--scheme", "slx3", "--forcing", "2", "--steps", "5", "--seed", str(seed)])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(
         "error: the following arguments are required: --out\n")
-    # bad forcing for the scheme
-    for forcing in ("y", "y-mean"):
-        for scheme in ("sly4", "h5"):
+    # bad forcing for the scheme: integrate is the one place that knows
+    wide = _write_seed_csv(tmp_path / "wide.csv", math.atanh, -0.5, 0.01, 5)
+    for forcing in ("y", "y-mean", "cos"):
+        for scheme in ("sly4", "h5") if forcing != "cos" else ("slx3", "h5"):
             assert main(["solve", "--scheme", scheme, "--forcing", forcing,
-                         "--steps", "5", "--seed", str(seed),
+                         "--steps", "5", "--seed", str(wide),
                          "--out", str(tmp_path / "x.csv")]) == 2
-    # a constant without constant forcing
-    assert main(["solve", "--scheme", "slx3", "--forcing", "y", "--c", "5",
-                 "--steps", "5", "--seed", str(seed),
-                 "--out", str(tmp_path / "x.csv")]) == 2
+            assert f"error: {scheme} does not take the forcing " in capsys.readouterr().err
     # seed file shorter than the scheme arity
-    assert main(["solve", "--scheme", "h5", "--forcing", "const", "--c", "0",
+    assert main(["solve", "--scheme", "h5", "--forcing", "0",
                  "--steps", "5", "--seed", str(seed),
                  "--out", str(tmp_path / "x.csv")]) == 2
-    # a constant that is not finite, an input error and not a scheme's stop
-    capsys.readouterr()
-    for c in ("nan", "inf", "-inf"):
-        assert main(["solve", "--scheme", "slx3", "--forcing", "const", f"--c={c}",
-                     "--steps", "5", "--seed", str(seed),
-                     "--out", str(tmp_path / "x.csv")]) == 2
-        assert capsys.readouterr().err == f"error: constant forcing {float(c)!r} is not finite\n"
+    # a forcing that is neither a name nor a finite number, or the --c flag
+    # and the const and zero names that --forcing replaced: argparse exits 2
+    for bad, err in [*((["--forcing=" + v], f"argument --forcing: {v!r} is neither a finite "
+                                           "number nor one of y, y-mean, cos, sin")
+                       for v in ("nan", "inf", "-inf", "1e999", "const", "zero", "tan")),
+                     (["--c", "2"], "unrecognized arguments: --c 2")]:
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--scheme", "slx3", *bad, "--steps", "5", "--seed", str(seed),
+                  "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {err}\n")
         assert not (tmp_path / "x.csv").exists()
-    # a seed whose step is not finite or is zero (Uniform names which), or
-    # whose '# h:' line its rows do not fit
+    # a seed whose '# h:' line is not a finite nonzero step (the file and the
+    # line named), whose '# h:' line its rows do not fit, or, without one,
+    # whose first spacing is 0 (Uniform's message)
     rows = "x,y\n0,1\n0.01,2\n0.02,3\n"
-    for text, message in ((f"# h: 0.02\n{rows}",
-                           "seed abscissae inconsistent with the uniform lattice rule"),
-                          (f"# h: nan\n{rows}", "lattice step nan is not finite"),
-                          (f"# h: inf\n{rows}", "lattice step inf is not finite"),
-                          (f"# h: -inf\n{rows}", "lattice step -inf is not finite"),
-                          # no '# h:' line, and a first spacing of 0
-                          ("x,y\n0,1\n0,2\n0.02,3\n", "uniform lattice needs a nonzero step")):
-        bad = tmp_path / "bad-h.csv"
+    bad = tmp_path / "bad-h.csv"
+    cases = [(f"# h: {v}\n{rows}", f"{bad}:1: '# h:' value {v!r} is not a finite nonzero step")
+             for v in ("0", "-0", "nan", "inf", "-inf")]
+    cases += [(f"# h: 0.02\n{rows}", "seed abscissae inconsistent with the uniform lattice rule"),
+              ("x,y\n0,1\n0,2\n0.02,3\n", "uniform lattice needs a nonzero step")]
+    for text, message in cases:
         bad.write_text(text)
-        assert main(["solve", "--scheme", "slx3", "--forcing", "const", "--c", "2",
+        assert main(["solve", "--scheme", "slx3", "--forcing", "2",
                      "--steps", "5", "--seed", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x.csv").exists()
     # missing seed file -> I/O error
-    assert main(["solve", "--scheme", "slx3", "--forcing", "const", "--c", "2",
+    assert main(["solve", "--scheme", "slx3", "--forcing", "2",
                  "--steps", "5", "--seed", str(tmp_path / "no.csv"),
                  "--out", str(tmp_path / "x.csv")]) == 3
 
+
+def test_solve_default_forcing_is_the_constant_zero(tmp_path):
+    # every scheme's default; for sly4 it is the zero forcing that the
+    # deleted name 'zero' spelled as a function of x
+    seed = _write_seed_csv(tmp_path / "seed.csv", math.tan, 1.0, 0.01, 5)
+    for scheme in SchemeKind:
+        outs = [tmp_path / f"{scheme.value}-{k}.csv" for k in range(2)]
+        for forcing, out in zip(([], ["--forcing", "0"]), outs):
+            assert main(["solve", "--scheme", scheme.value, *forcing, "--steps", "110",
+                         "--seed", str(seed), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_solve_continues_example_1_bit_for_bit(tmp_path):
@@ -226,7 +233,7 @@ def test_solve_without_an_h_line_steps_on_the_first_spacing(tmp_path):
     seed = tmp_path / "seed.csv"
     seed.write_text("x,y\n" + "".join(f"{x!r},{math.atanh(x)!r}\n" for x in xs))
     out = tmp_path / "out.csv"
-    assert main(["solve", "--scheme", "slx3", "--c", "2", "--steps", "5",
+    assert main(["solve", "--scheme", "slx3", "--forcing", "2", "--steps", "5",
                  "--seed", str(seed), "--out", str(out)]) == 0
     h = xs[1] - xs[0]
     want = integrate(SchemeSpec(SchemeKind.SLX3, Constant(2.0), Uniform(h)),
@@ -389,10 +396,11 @@ def test_example_2_log_stops_at_barrier(capsys):
 
 
 @pytest.mark.parametrize("command", [["example", "2-log", "--x0", "1", "--h"],
-                                     ["solve", "--scheme", "slx3", "--steps", "5", "--c"]])
+                                     ["solve", "--scheme", "slx3", "--steps", "5",
+                                      "--forcing"]])
 def test_negative_value_in_exponent_form_needs_the_equals_form(command, capsys):
     # argparse takes "-1e-4" for an option: its negative-number pattern has no
-    # exponent, so the value is written --h=-1e-4 or --c=-1e-4
+    # exponent, so the value is written --h=-1e-4 or --forcing=-1e-4
     with pytest.raises(SystemExit) as exc:
         main([*command, "-1e-4"])
     assert exc.value.code == 2
@@ -459,7 +467,7 @@ def test_example_default_step_count_out_of_range_is_named(opts, err, capsys):
     ["example", "1", "--h-ref", "1e-8"],  # a 1.5e8-step reference
     ["example", "3", "--h-ref", "1e-12"],  # seed strides of 1e9 reference steps
     ["example", "5", "--x0", "-1000"],  # a 2e8-step baseline to past the pole
-    ["solve", "--scheme", "slx3", "--c", "2", "--steps", str(MAX_STEPS + 1)],
+    ["solve", "--scheme", "slx3", "--forcing", "2", "--steps", str(MAX_STEPS + 1)],
     # a strictly decreasing ladder, so only the size bound refuses it
     ["limit", "--invariant", "l3", "--function", "exp", "--x0", "0",
      "--ratio", "0.99999", "--levels", str(MAX_STEPS + 1)],
@@ -708,9 +716,9 @@ LINES = st.one_of(
                         st.sampled_from([s.value for s in StopReason]))),
     st.text(max_size=20))
 #: a '# h:' line for LATTICE_ROWS, or none: on the rows, not a number, not
-#: finite, zero (which leaves the first spacing) or off the rows
+#: finite, zero or off the rows
 H_LINES = st.sampled_from([[], ["# h: 0.1"], ["# h: abc"], ["# h: nan"], ["# h: 0"],
-                           ["# h: 0.25"], ["# h: -0.1"]])
+                           ["# h: -0"], ["# h: 0.25"], ["# h: -0.1"]])
 #: rows on the lattice x = 0.1*k, so that a seed can pass validation and run
 LATTICE_ROWS = st.lists(st.floats(), min_size=3, max_size=7).map(
     lambda ys: [f"{0.1 * k!r},{y!r}" for k, y in enumerate(ys)])
@@ -727,7 +735,7 @@ def test_csv_fuzz_exits_0_2_or_3(tmp_path, capsys, header, lines, h_line, rows, 
     f = str(path)
     assert main(["chi", f, f]) in (0, 2, 3)
     # solve steps on the file's '# h:' value, or else on its first spacing
-    assert main(["solve", "--scheme", scheme.value, "--forcing", "const", "--c", "1",
+    assert main(["solve", "--scheme", scheme.value, "--forcing", "1",
                  "--steps", "20", "--seed", f, "--out", str(tmp_path / "out.csv")]) in (0, 2, 3)
     capsys.readouterr()
 
@@ -787,10 +795,12 @@ def _fuzz_options(command, tmp_path):
                 ("--out", [str(tmp_path / "ex"), None], [seed])]
     if command == "solve":
         # the four required flags are always given in usable runs; the step
-        # is the seed file's
+        # is the seed file's; --forcing takes a name or a number, and a stale
+        # --c or a deleted name exits 2
         return [("--scheme", [k.value for k in SchemeKind], ["rk4", None]),
-                ("--forcing", ["const", "y", "y-mean", "cos", "zero", None], ["tan"]),
-                ("--c", ["0.5", "2", None], NUMBERS), ("--steps", ["4", "40"], COUNTS + [None]),
+                ("--forcing", [*cli.FORCINGS, "0.5", "-0", "-1e-4", None],
+                 ["nan", "inf", "1e999", "const", "zero", "tan", ""]),
+                ("--c", [None], ["2"]), ("--steps", ["4", "40"], COUNTS + [None]),
                 ("--seed", [seed], files + [None]),
                 ("--out", [str(tmp_path / "out.csv")], [str(tmp_path), None])]
     if command == "chi":

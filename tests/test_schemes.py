@@ -996,6 +996,25 @@ def test_sly4_constant_decrements_repeat_the_per_step_term(h, c):
     assert math.isinf(term) == (abs(h) > 1e100 or c > 1e300)
 
 
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.tuples(*[st.floats(-2.0, 2.0)] * 4), x0=st.floats(-3.0, 3.0),
+       h=st.floats(3e-4, 0.1), backward=st.booleans(), n_steps=st.integers(1, 300))
+def test_sly4_zero_constant_runs_as_the_zero_function_of_x(coeffs, x0, h, backward, n_steps):
+    # Constant(0.0), the CLI's default forcing, and FunctionOfX(lambda x: 0.0),
+    # the 'zero' name it replaced, run a Mobius image of tan x alike to the
+    # last bit, across its poles and into the same stop
+    a, b, c, d = coeffs
+    assume(abs(a * d - b * c) > 0.1)
+    g, h = make_mobius(a, b, c, d), -h if backward else h
+    try:
+        seed = seed_stencil_from_function(lambda x: g(math.tan(x)), x0, h, 4)
+    except (ArithmeticError, ValueError):  # a pole of the image on the seed
+        assume(False)
+    const, fn = (integrate(SchemeSpec(SchemeKind.SLY4, forcing, Uniform(h)), seed, n_steps)
+                 for forcing in (Constant(0.0), FunctionOfX(lambda x: 0.0)))
+    assert repr((const.xs, const.ys, const.stop)) == repr((fn.xs, fn.ys, fn.stop))
+
+
 def _slx3_shadow_errors(traj, c, exact):
     """(arithmetic, truncation) of an slx3 run under m3 = c: its largest
     distance to the 40-digit shadow run from its seed on its nodes, and the
