@@ -122,29 +122,39 @@ def read_trajectory_csv(path) -> Trajectory:
 
 @dataclass(frozen=True)
 class Example:
-    """One paper experiment, run by :func:`run_example`.  The seed samples
-    ``solution`` or, without one, strides a fine RK4 run of ``system`` at
-    step ``h_ref`` from ``init`` over ``span`` (default: the seed only); a
+    """One paper experiment, run by :func:`run_example`.  ``system`` is the
+    ODE that ``scheme`` discretises under ``forcing``.  The seed samples
+    ``solution`` or, without one, strides a fine RK4 run of ``system`` at step
+    ``h_ref`` from ``init`` over ``span`` (default: the seed only); a
     reference with a span also scores the run.  An ``sly4`` example's
     reference runs RK4 on the linear form of its S' = f(x) equation
-    (:func:`~invdisc.reference.rk4_schwarzian_rate`, f the forcing's
-    ``fn``), the others plain RK4 on ``system``.  The RK4 baseline runs
-    plain RK4 on ``system`` from ``init`` (default: the solution's jet at
-    x0) over the run's lattice, or on the ``(h, steps)`` of
-    ``baseline_grid(h, x0)``."""
+    (:func:`~invdisc.reference.rk4_schwarzian_rate`, f the forcing's ``fn``),
+    the others plain RK4 on ``system``.  The RK4 baseline runs plain RK4 on
+    ``system`` from ``init`` (default: the solution's jet at x0) over the
+    run's lattice, or on the ``(h, steps)`` of ``baseline_grid(h, x0)``."""
 
     scheme: SchemeKind
     forcing: ForcingTerm
     h: float
     x0: float
     steps: Callable[[float, float], int]  # default step count from (h, x0)
-    system: OdeSystem
     summarize: Callable[["ExampleRun"], dict]  # label -> value
     solution: ExactSolution | None = None
     init: tuple[float, ...] | None = None
     span: float | None = None
     baseline_grid: Callable[[float, float], tuple[float, int]] | None = None
     h_ref: float = 1e-5
+
+    @property
+    def system(self) -> OdeSystem:
+        """S' = f(x) (sly4), S/y'^2 = c or y (slx3; y for its stencil mean too) or h5 = c."""
+        f = self.forcing
+        c = f.c if isinstance(f, Constant) else None
+        if self.scheme is SchemeKind.H5:
+            return fifth_order_invariant_system(c)
+        if self.scheme is SchemeKind.SLY4:
+            return schwarzian_rate_system(f.fn if c is None else lambda x: c)
+        return scaled_schwarzian_system((lambda x, y: y) if c is None else lambda x, y: c)
 
 
 @dataclass(frozen=True)
@@ -229,8 +239,9 @@ def run_example(example_id: str, h: float | None = None, steps: int | None = Non
             h_ref = _reused("h-ref", h_ref, run_ref.h_nominal)
     x0 = ex.x0 if x0 is None else x0
     h_ref = ex.h_ref if h_ref is None else h_ref
-    if not (h != 0 and math.isfinite(h) and math.isfinite(x0)):
-        raise ConfigError("h must be finite and nonzero, x0 finite")
+    spec = SchemeSpec(ex.scheme, ex.forcing, Uniform(h))  # refuses a zero or non-finite h
+    if not math.isfinite(x0):
+        raise ConfigError("x0 must be finite")
     if not h_ref > 0:
         raise ConfigError("h-ref must be positive")
     if steps is None:
@@ -240,12 +251,11 @@ def run_example(example_id: str, h: float | None = None, steps: int | None = Non
                               f"x0 = {x0!r} is {steps}, not from 1 to {MAX_STEPS}")
     elif not 1 <= steps <= MAX_STEPS:
         raise ConfigError(f"steps must be an integer from 1 to {MAX_STEPS}")
-    spec = SchemeSpec(ex.scheme, ex.forcing, Uniform(h))
     lattice_steps = steps + spec.arity - 1  # from x0 to the last point asked for
     base_grid = (ex.baseline_grid(h, x0) if ex.baseline_grid
                  else (h, lattice_steps))
     _check_size("baseline", base_grid[1])
-    init = ex.init if ex.init is not None else ex.solution.jet_fn(x0).d[:ex.system.order]
+    init = ex.init if ex.init is not None else ex.solution.jet_fn(x0).d[:spec.arity]
     stride = 1
     if ex.solution is not None:
         seed = seed_stencil_from_function(ex.solution.eval_fn, x0, h, spec.arity)
@@ -281,12 +291,12 @@ def run_example(example_id: str, h: float | None = None, steps: int | None = Non
 
 
 def _where_defined(traj: Trajectory, sol: ExactSolution,
-                   x_max: float = math.inf) -> tuple[list[float], list[float]]:
-    """The ordinates of ``traj`` at the abscissae x <= x_max where ``sol`` is
-    defined, and the exact values there; singular abscissae are left out."""
+                   keep=None) -> tuple[list[float], list[float]]:
+    """The ordinates of ``traj`` at the abscissae x where ``sol`` is defined
+    and ``keep(x)``, if given, holds, and the exact values there."""
     cand, ref = [], []
     for x, y in zip(traj.xs, traj.ys):
-        if not x <= x_max:
+        if keep and not keep(x):
             continue
         try:
             ref.append(sol.eval_fn(x))
@@ -296,10 +306,10 @@ def _where_defined(traj: Trajectory, sol: ExactSolution,
     return cand, ref
 
 
-def _chi_against_exact(run: ExampleRun, x_max: float = math.inf) -> float:
+def _chi_against_exact(run: ExampleRun, keep=None) -> float:
     """chi of the invariant run against the exact solution where that is
-    defined and x <= x_max; NaN when no point qualifies."""
-    cand, ref = _where_defined(run.inv, run.example.solution, x_max)
+    defined (and ``keep(x)`` holds, if given); NaN when no point qualifies."""
+    cand, ref = _where_defined(run.inv, run.example.solution, keep)
     return chi(cand, ref) if cand else math.nan
 
 
@@ -350,7 +360,8 @@ def _summary_exact_discrete(run: ExampleRun) -> dict:
 
 
 def _summary_beyond_pole(run: ExampleRun) -> dict:
-    beyond = run.inv.xs[-1] > TAN_RECIPROCAL_POLE
+    beyond = (run.inv.xs[-1] > TAN_RECIPROCAL_POLE) != (run.x0 > TAN_RECIPROCAL_POLE)
+    s, near = math.copysign(1.0, run.h), TAN_RECIPROCAL_POLE - 2 * run.h  # 2|h| short of the pole
     return {"invariant stop": run.inv.stop.value,
             "invariant last x": _fmt(run.inv.xs[-1]),
             "first pole": _fmt(TAN_RECIPROCAL_POLE),
@@ -360,15 +371,14 @@ def _summary_beyond_pole(run: ExampleRun) -> dict:
                               and run.base.stop is StopReason.COMPLETED
                               else run.base.stop.value),
             "baseline last x": _fmt(run.base.xs[-1]),
-            "chi vs exact before pole": _chi_against_exact(
-                run, x_max=TAN_RECIPROCAL_POLE - 2 * run.h)}
+            "chi vs exact before pole": _chi_against_exact(run, lambda x: s * x <= s * near)}
 
 
 def _grid_past_pole(h: float, x0: float) -> tuple[float, int]:
     # fixed-step RK4 with a coarse step can hop the pole on garbage values;
-    # 1e-5 keeps the blow-up on the near side; a run started past the pole
-    # (or stepping away from it) gets a baseline of its initial point only
-    h_base = min(h, 1e-5)
+    # |h| <= 1e-5 keeps the blow-up on the near side; a run stepping away
+    # from the pole gets a baseline of its initial point only
+    h_base = math.copysign(min(abs(h), 1e-5), h)
     return h_base, max(0, round(2.0 * (TAN_RECIPROCAL_POLE - x0) / h_base))
 
 
@@ -376,28 +386,22 @@ def _grid_past_pole(h: float, x0: float) -> tuple[float, int]:
 EXAMPLES: dict[str, Example] = {
     "1": Example(SchemeKind.SLY4, FunctionOfX(math.cos), h=0.01, x0=1.0,
                  # x0 + 1.5 - x0, not 1.5: the run ends where the reference does
-                 steps=lambda h, x0: round((x0 + 1.5 - x0) / h) - 3,
-                 system=schwarzian_rate_system(math.cos), summarize=_summary_forced,
+                 steps=lambda h, x0: round((x0 + 1.5 - x0) / h) - 3, summarize=_summary_forced,
                  # 2e-4 is at round-off already: 4.8e-15 from a 30-digit solution
                  init=(1.0, -1.0, -2.5, 5.0), span=1.5, h_ref=2e-4),
     "2-log": Example(SchemeKind.SLX3, Constant(0.5), h=1e-4, x0=-1.0,
                      steps=lambda h, x0: round(1.05 * abs(x0) / abs(h)),
-                     system=scaled_schwarzian_system(lambda x, y: 0.5),
                      summarize=_summary_constant_source, solution=log_abs()),
     "2-arctanh": Example(SchemeKind.SLX3, Constant(2.0), h=0.01, x0=-0.9,
                          steps=lambda h, x0: round(1.8 / abs(h)) - 2,
-                         system=scaled_schwarzian_system(lambda x, y: 2.0),
                          summarize=_summary_constant_source,
                          solution=arctanh_solution()),
     "3": Example(SchemeKind.SLX3, IdentityInY(), h=0.001, x0=0.0,
                  steps=lambda h, x0: round(0.3 / h),
-                 system=scaled_schwarzian_system(lambda x, y: y),
                  summarize=_summary_state_source, init=(10.0, -1.0, -10.0)),
-    "4": Example(SchemeKind.H5, Constant(0.0), h=0.1, x0=-1.0,
-                 steps=lambda h, x0: 40, system=fifth_order_invariant_system(0.0),
+    "4": Example(SchemeKind.H5, Constant(0.0), h=0.1, x0=-1.0, steps=lambda h, x0: 40,
                  summarize=_summary_exact_discrete, solution=one_over_one_minus_exp()),
-    "5": Example(SchemeKind.H5, Constant(0.0), h=0.001, x0=0.1,
-                 steps=lambda h, x0: 60, system=fifth_order_invariant_system(0.0),
+    "5": Example(SchemeKind.H5, Constant(0.0), h=0.001, x0=0.1, steps=lambda h, x0: 60,
                  summarize=_summary_beyond_pole, solution=tan_reciprocal(),
                  baseline_grid=_grid_past_pole),
 }
@@ -419,8 +423,12 @@ def cmd_solve(args) -> int:
     seed, n = read_trajectory_csv(args.seed), SCHEME_ARITY[kind]
     if len(seed) < n:
         raise ConfigError(f"{args.seed}: need at least {n} rows, got {len(seed)}")
-    # the step the seed file records or, in a plain x,y file, its first spacing
-    spec = SchemeSpec(kind, args.forcing, Uniform(seed.h_nominal or seed.xs[1] - seed.xs[0]))
+    lattice = Uniform(seed.h_nominal or seed.xs[1] - seed.xs[0])  # '# h:', else the 1st spacing
+    try:
+        spec = SchemeSpec(kind, args.forcing, lattice)
+    except ValueError as e:  # every scheme takes a constant: a name of FORCINGS
+        typed = next(name for name, f in FORCINGS.items() if f == args.forcing)
+        raise ConfigError(f"--forcing {typed}: {e}") from None
     traj = integrate(spec, Stencil(seed.xs[:n], seed.ys[:n]), args.steps)
     write_trajectory_csv(args.out, traj)
     print(f"wrote {len(traj)} points to {args.out} (stop: {traj.stop.value})")
@@ -499,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("solve", help="integrate a scheme from a seed file")
     p.add_argument("--scheme", choices=[k.value for k in SchemeKind], required=True)
     p.add_argument("--forcing", type=_forcing, default=Constant(0.0), help="a constant "
-                   "(default 0), y or its stencil mean y-mean (slx3), or cos or sin of x (sly4)")
+                   "(default 0) or one of " + ", ".join(FORCINGS) + ", if the scheme takes it")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", required=True, help="CSV file: its first rows are the "
                    "stencil, its '# h:' value (else its first spacing) the step")

@@ -222,16 +222,23 @@ class SchemeKind(Enum):
 #: points each scheme steps from (the new point extends these by one).
 SCHEME_ARITY = {SchemeKind.SLY4: 4, SchemeKind.SLX3: 3, SchemeKind.H5: 5}
 
+#: the forcings each scheme takes: l4 = f(x), m3 = c or y, h5 = c.
+SCHEME_FORCINGS = {SchemeKind.SLY4: (Constant, FunctionOfX),
+                   SchemeKind.SLX3: (Constant, IdentityInY), SchemeKind.H5: (Constant,)}
+
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """Which scheme, forcing and lattice define a run; integrate checks the pair."""
+    """Which scheme, forcing and lattice define a run; refuses a forcing the scheme cannot run."""
 
     scheme: SchemeKind
     forcing: ForcingTerm
     lattice: Uniform
 
     def __post_init__(self):
+        if not isinstance(self.forcing, takes := SCHEME_FORCINGS[self.scheme]):
+            raise ValueError(f"{self.scheme.value} takes {' or '.join(t.__name__ for t in takes)}"
+                             f" forcings, not {type(self.forcing).__name__}")
         if not isinstance(self.lattice, Uniform):
             raise ValueError("schemes run on uniform lattices only")
 

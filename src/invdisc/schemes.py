@@ -26,12 +26,12 @@ differences, ``h5`` its checked R4 (the next R3) and differences, ``sly4`` ρ,
 the deficit of the y cross-ratio from 4, a ratio deficit, the last difference
 and a compensated sum.  ``sly4`` takes from ρ what :func:`_sly4_decrements`
 yields per step, which alone reads sly4's nodes.  A constant forcing costs
-nothing per step.  :func:`integrate` alone knows which forcing each scheme
-takes, from how many points, and which loop runs them; it checks the lattice
-once, resolves the seed into the loop's start state, the schemes' only calls
-into :mod:`invdisc.discrete`, runs the loop and lays out the abscissae the run
-reached.  Each ``*_step(stencil, x_next, forcing)`` is its first step on the
-lattice through the stencil and x_next.
+nothing per step.  :func:`integrate` alone knows from how many points each
+scheme steps and which loop runs a forcing (``SchemeSpec`` refuses the rest);
+it checks the lattice once, resolves the seed into the loop's start state, the
+schemes' only calls into :mod:`invdisc.discrete`, runs the loop and lays out
+the abscissae the run reached.  Each ``*_step(stencil, x_next, forcing)`` is
+its first step on the lattice through the stencil and x_next.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ import math
 from typing import Sequence
 
 from .core import (Constant, DEGENERACY_RTOL, DegenerateCoefficientError, ForcingTerm,
-                   FunctionOfX, IdentityInY, NonFiniteError, OVERFLOW_LIMIT, SCHEME_ARITY,
+                   FunctionOfX, NonFiniteError, OVERFLOW_LIMIT, SCHEME_ARITY,
                    SchemeKind, SchemeSpec, Stencil, StopReason, Trajectory, Uniform)
 from .discrete import _MIN_NORMAL, _cross_ratio, _ratio_r_over_s
 
@@ -445,8 +445,8 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
     Returns the partial trajectory and the reason extension ceased; scheme
     failures surface as stop reasons, never as exceptions.  Once the lattice
     is accepted, ``n_steps`` = 0 returns the seed with COMPLETED.  Before the
-    first step, a negative step count, a forcing or seed the scheme does not
-    take, or a lattice whose abscissae may not stay strictly monotone raise
+    first step, a negative step count, a seed of other than the scheme's
+    arity, or a lattice whose abscissae may not stay strictly monotone raise
     ValueError; a lattice whose last abscissa overflows raises NonFiniteError.
     A seed without its start state (sly4's ρ = 4(R/S - 1) on its abscissae
     and e, h5's first R3) stops the first step, and no loop starts.
@@ -457,18 +457,17 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
     arity = SCHEME_ARITY[scheme]
     if len(seed) != arity:
         raise ValueError(f"{scheme.value} steps from {arity} points, got {len(seed)}")
+    # SchemeSpec holds only a forcing its scheme takes
     sly4, slx3 = scheme is SchemeKind.SLY4, scheme is SchemeKind.SLX3
-    if sly4 and isinstance(forcing, (Constant, FunctionOfX)):
+    if sly4:
         run = _sly4_run
-    elif slx3 and isinstance(forcing, Constant):
+    elif not slx3:
+        run, c = _h5_run, forcing.c
+    elif isinstance(forcing, Constant):
         run, state = _slx3_constant_run, forcing.c
-    elif slx3 and isinstance(forcing, IdentityInY):
+    else:
         # rhs(t) = t, or the stencil mean (y0 + y1 + y2 + t)/4
         run, state = _slx3_run, (0.0, 0.25, 0.25) if forcing.stencil_mean else (0.0, 0.0, 1.0)
-    elif scheme is SchemeKind.H5 and isinstance(forcing, Constant):
-        run, c = _h5_run, forcing.c
-    else:
-        raise ValueError(f"{scheme.value} does not take the forcing {forcing!r}")
     _check_lattice(seed, h, n_steps)
     if n_steps == 0:
         return Trajectory(seed.xs, seed.ys, StopReason.COMPLETED, scheme.value, h)

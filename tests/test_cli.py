@@ -156,14 +156,20 @@ def test_solve_validation_failures(tmp_path, capsys):
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(
         "error: the following arguments are required: --out\n")
-    # bad forcing for the scheme: integrate is the one place that knows
+    # bad forcing for the scheme: SchemeSpec refuses it and names what the
+    # scheme takes, and solve names the forcing as it was typed
     wide = _write_seed_csv(tmp_path / "wide.csv", math.atanh, -0.5, 0.01, 5)
-    for forcing in ("y", "y-mean", "cos"):
-        for scheme in ("sly4", "h5") if forcing != "cos" else ("slx3", "h5"):
+    takes = {"sly4": "Constant or FunctionOfX", "slx3": "Constant or IdentityInY",
+             "h5": "Constant"}
+    for forcing in ("y", "y-mean", "cos", "sin"):
+        term = "FunctionOfX" if forcing in ("cos", "sin") else "IdentityInY"
+        for scheme in ("sly4", "h5") if term == "IdentityInY" else ("slx3", "h5"):
             assert main(["solve", "--scheme", scheme, "--forcing", forcing,
                          "--steps", "5", "--seed", str(wide),
                          "--out", str(tmp_path / "x.csv")]) == 2
-            assert f"error: {scheme} does not take the forcing " in capsys.readouterr().err
+            assert capsys.readouterr().err == (f"error: --forcing {forcing}: {scheme} takes "
+                                               f"{takes[scheme]} forcings, not {term}\n")
+            assert not (tmp_path / "x.csv").exists()
     # seed file shorter than the scheme arity
     assert main(["solve", "--scheme", "h5", "--forcing", "0",
                  "--steps", "5", "--seed", str(seed),
@@ -630,6 +636,35 @@ def test_example_reference_checked_only_where_it_scores(example_id, rk4_steps):
     assert rk4_steps == ([] if ex.solution is not None else [ex.h_ref])
     assert run_example(example_id, ref=run).inv == run.inv
     assert len(rk4_steps) <= 1
+
+
+def test_example_5_stepping_backward_stops_its_baseline_at_the_pole(capsys):
+    # from x0 = 0.13 the baseline steps back at -1e-5 and blows up on the near
+    # side of the pole at 0.12732; the scheme run ends at x = 0.066, past it
+    run = run_example("5", h=-0.001, x0=0.13)
+    assert run.base_grid == (-1e-5, 535)
+    assert run.base.stop is StopReason.NON_FINITE
+    assert cli.TAN_RECIPROCAL_POLE < run.base.xs[-1] < 0.1275
+    assert run.inv.xs[-1] < cli.TAN_RECIPROCAL_POLE
+    assert main(["example", "5", "--x0", "0.13", "--h=-0.001"]) == 0
+    summary = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert summary["baseline stop"] == "non-finite"
+    assert summary["beyond singularity"] == "yes"
+    assert summary["invariant last x"] == "0.066000000000000003"
+    # "before pole" is x0's side, at least 2|h| short of the pole: the seed's x0
+    assert summary["chi vs exact before pole"] == "0"
+
+
+def test_example_5_summary_takes_the_sides_of_x0():
+    # a backward run from before the pole steps away from it: no baseline,
+    # not beyond it, and no point on its way to the pole
+    run = run_example("5", h=-0.001, x0=0.1, steps=5)
+    assert run.base_grid[1] == 0 and len(run.base) == 1
+    assert run.summary["beyond singularity"] == "no"
+    assert run.summary["baseline stop"] == "not run"
+    assert math.isnan(run.summary["chi vs exact before pole"])
+    # a forward run from past the pole is not beyond it either
+    assert run_example("5", x0=0.2, steps=5).summary["beyond singularity"] == "no"
 
 
 def test_example_5_started_past_the_pole(capsys):

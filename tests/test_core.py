@@ -261,24 +261,29 @@ def test_scheme_spec_forcing_rules():
     takes = {SchemeKind.SLY4: (Constant, FunctionOfX),
              SchemeKind.SLX3: (Constant, IdentityInY), SchemeKind.H5: (Constant,)}
     for kind in SchemeKind:
+        arity = core.SCHEME_ARITY[kind]
+        seed = seed_stencil_from_function(math.exp, 0.0, 0.1, arity)
+        x_next = 0.1 * arity
         for forcing in (Constant(0.5), FunctionOfX(math.cos), IdentityInY(),
                         IdentityInY(stencil_mean=True)):
-            # SchemeSpec holds any pair; integrate and the step function judge it
-            spec = SchemeSpec(kind, forcing, Uniform(0.1))
-            seed = seed_stencil_from_function(math.exp, 0.0, 0.1, spec.arity)
-            x_next = 0.1 * spec.arity
             if isinstance(forcing, takes[kind]):
+                spec = SchemeSpec(kind, forcing, Uniform(0.1))
                 out = STEPS[kind](seed, x_next, forcing)
                 assert not isinstance(out, StopReason)
                 traj = integrate(spec, seed, 3)
-                assert (traj.xs[spec.arity], traj.ys[spec.arity]) == (x_next, out)
+                assert (traj.xs[arity], traj.ys[arity]) == (x_next, out)
                 continue
-            refused = f"^{kind.value} does not take the forcing {type(forcing).__name__}"
+            # SchemeSpec refuses the pair when it is built, on any lattice,
+            # and names the forcing types the scheme takes
+            refused = (f"^{kind.value} takes {' or '.join(t.__name__ for t in takes[kind])} "
+                       f"forcings, not {type(forcing).__name__}$")
+            for h in (0.1, -0.1):
+                with pytest.raises(ValueError, match=refused):
+                    SchemeSpec(kind, forcing, Uniform(h))
             with pytest.raises(ValueError, match=refused):
                 STEPS[kind](seed, x_next, forcing)
-            # refused before the lattice, which the seed does not continue
-            with pytest.raises(ValueError, match=refused):
-                integrate(SchemeSpec(kind, forcing, Uniform(-0.1)), seed, 3)
+    with pytest.raises(ValueError, match="^h5 takes Constant forcings, not FunctionOfX$"):
+        SchemeSpec(SchemeKind.H5, FunctionOfX(math.cos), Uniform(0.1))
 
 
 def test_scheme_spec_rejects_non_uniform_lattice():

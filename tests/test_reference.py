@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import operator
 import os
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import invdisc
-from invdisc import (DegenerateCoefficientError, DomainError, NonFiniteError,
-                     OdeSystem, StopReason, Trajectory, arctanh_solution, chi,
+from invdisc import (Constant, DegenerateCoefficientError, DomainError, IdentityInY,
+                     NonFiniteError, OdeSystem, SchemeKind, StopReason, Trajectory,
+                     arctanh_solution, chi,
                      fifth_order_invariant_system, general_arctanh, log_abs,
                      one_over_one_minus_exp, rk4_integrate, rk4_schwarzian_rate,
                      scaled_schwarzian_system, schwarzian_rate_system,
@@ -105,6 +107,39 @@ def test_rk4_unrolled_order4_matches_loop():
     ex = cli.EXAMPLES["1"]
     traj = _assert_same_rk4(ex.system, ex.init, ex.x0, 1e-5, 2000)
     assert traj.stop is StopReason.COMPLETED and len(traj) == 2001
+
+
+#: each example's RK4 system as its entry once wrote it out by hand
+HAND_WRITTEN_SYSTEMS = {"1": schwarzian_rate_system(math.cos),
+                        "2-log": scaled_schwarzian_system(lambda x, y: 0.5),
+                        "2-arctanh": scaled_schwarzian_system(lambda x, y: 2.0),
+                        "3": scaled_schwarzian_system(lambda x, y: y),
+                        "4": fifth_order_invariant_system(0.0),
+                        "5": fifth_order_invariant_system(0.0)}
+
+
+@pytest.mark.parametrize("example_id", list(cli.EXAMPLES))
+def test_example_system_is_derived_from_its_scheme_and_forcing(example_id):
+    # system is no field: the scheme and forcing give it, and RK4 on it runs
+    # bit for bit as on the hand-written system
+    assert "system" not in {f.name for f in dataclasses.fields(cli.Example)}
+    ex, want = cli.EXAMPLES[example_id], HAND_WRITTEN_SYSTEMS[example_id]
+    init = ex.init or ex.solution.jet_fn(ex.x0).d[:want.order]
+    got, ref = (rk4_integrate(system, init, ex.x0, ex.h, 40) for system in (ex.system, want))
+    assert (ex.system.order, ex.system.name) == (want.order, want.name)
+    assert repr(got) == repr(ref)
+
+
+@pytest.mark.parametrize("scheme,forcing,want", [
+    (SchemeKind.SLY4, Constant(2.0), schwarzian_rate_system(lambda x: 2.0)),
+    (SchemeKind.SLX3, IdentityInY(stencil_mean=True), scaled_schwarzian_system(lambda x, y: y)),
+    (SchemeKind.H5, Constant(-4.0), fifth_order_invariant_system(-4.0))])
+def test_example_system_for_the_pairs_no_example_runs(scheme, forcing, want):
+    # the stencil mean's continuous limit is y itself
+    ex = cli.Example(scheme, forcing, h=0.01, x0=0.5, steps=lambda h, x0: 1,
+                     summarize=dict, init=(0.3, 1.2, -0.7, 0.4, 0.9)[:want.order])
+    got, ref = (rk4_integrate(system, ex.init, ex.x0, ex.h, 40) for system in (ex.system, want))
+    assert repr(got) == repr(ref)
 
 
 @pytest.mark.parametrize("example_id,order", [("2-log", 3), ("3", 3), ("5", 5)])
