@@ -362,6 +362,9 @@ def _summary_exact_discrete(run: ExampleRun) -> dict:
 def _summary_beyond_pole(run: ExampleRun) -> dict:
     beyond = (run.inv.xs[-1] > TAN_RECIPROCAL_POLE) != (run.x0 > TAN_RECIPROCAL_POLE)
     s, near = math.copysign(1.0, run.h), TAN_RECIPROCAL_POLE - 2 * run.h  # 2|h| short of the pole
+    before, arity = (lambda x: s * x <= s * near), SCHEME_ARITY[run.example.scheme]
+    # the seed samples the exact solution: with no computed point before the pole, chi is NaN
+    scored = len(run.inv) > arity and before(run.inv.xs[arity])
     return {"invariant stop": run.inv.stop.value,
             "invariant last x": _fmt(run.inv.xs[-1]),
             "first pole": _fmt(TAN_RECIPROCAL_POLE),
@@ -371,7 +374,7 @@ def _summary_beyond_pole(run: ExampleRun) -> dict:
                               and run.base.stop is StopReason.COMPLETED
                               else run.base.stop.value),
             "baseline last x": _fmt(run.base.xs[-1]),
-            "chi vs exact before pole": _chi_against_exact(run, lambda x: s * x <= s * near)}
+            "chi vs exact before pole": _chi_against_exact(run, before) if scored else math.nan}
 
 
 def _grid_past_pole(h: float, x0: float) -> tuple[float, int]:

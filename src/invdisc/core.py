@@ -2,7 +2,8 @@
 vocabulary describing one scheme run.
 
 Everything here is an immutable value; instances can be shared freely
-between threads.
+between threads.  A :class:`Trajectory` of a lattice run forms its abscissae
+on the first read of ``xs``; concurrent first reads build the same tuple.
 """
 from __future__ import annotations
 
@@ -108,7 +109,10 @@ class StopReason(Enum):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Computed abscissae and ordinates plus the reason extension ceased."""
+    """Computed abscissae and ordinates plus the reason extension ceased.
+
+    A run on a uniform lattice keeps its seed abscissae and forms ``xs``
+    when it is first read (see :meth:`_on_lattice`)."""
 
     xs: tuple[float, ...]
     ys: tuple[float, ...]
@@ -116,34 +120,54 @@ class Trajectory:
     scheme_id: str
     h_nominal: float
 
+    @classmethod
+    def _on_lattice(cls, head: tuple[float, ...], ys: tuple[float, ...], stop: StopReason,
+                    scheme_id: str, h: float) -> Trajectory:
+        """The run whose nodes past ``head`` lie at head[0] + k*h."""
+        self = cls.__new__(cls)
+        vars(self).update(_head=head, ys=ys, stop=stop, scheme_id=scheme_id, h_nominal=h)
+        return self
+
+    def __getattr__(self, name: str):
+        # only an _on_lattice run lacks xs; a concurrent first read builds the same tuple
+        if name != "xs":
+            raise AttributeError(name)
+        head, h = self._head, self.h_nominal
+        x0 = float(head[0])
+        # the advanced nodes only, by a list comprehension: faster than a generator
+        xs = head + tuple([x0 + k * h for k in range(len(head), len(self.ys))])
+        object.__setattr__(self, "xs", xs)
+        return xs
+
     def __len__(self) -> int:
-        return len(self.xs)
+        return len(self.ys)
 
     @property
     def points(self) -> Sequence[Point]:
         """The nodes as :class:`Point` values, each built and checked only
         when it is read."""
-        return _Points(self.xs, self.ys)
+        return _Points(self)
 
 
 class _Points(Sequence):
-    """Read-only view of equal-length abscissae and ordinates as points."""
+    """Read-only view of a trajectory's nodes as points."""
 
-    __slots__ = ("_xs", "_ys")
+    __slots__ = ("_traj",)
 
-    def __init__(self, xs: tuple[float, ...], ys: tuple[float, ...]):
-        self._xs, self._ys = xs, ys
+    def __init__(self, traj: Trajectory):
+        self._traj = traj
 
     def __len__(self) -> int:
-        return len(self._xs)
+        return len(self._traj.ys)
 
     def __getitem__(self, i: int | slice) -> Point | tuple[Point, ...]:
+        traj = self._traj
         if isinstance(i, slice):
-            return tuple(map(Point, self._xs[i], self._ys[i]))
-        return Point(self._xs[i], self._ys[i])
+            return tuple(map(Point, traj.xs[i], traj.ys[i]))
+        return Point(traj.xs[i], traj.ys[i])
 
     def __iter__(self) -> Iterator[Point]:
-        return map(Point, self._xs, self._ys)
+        return map(Point, self._traj.xs, self._traj.ys)
 
 
 # --- forcing terms -----------------------------------------------------------

@@ -183,9 +183,8 @@ def _initial_values(init, order, x0, h, n) -> list[float]:
 
 def _trajectory(x0, h, n, ys, scheme_id) -> Trajectory:
     stop = StopReason.COMPLETED if len(ys) == n + 1 else StopReason.NON_FINITE
-    xs = [x0]  # x0 itself, so that -0.0 stays -0.0
-    xs += [x0 + k * h for k in range(1, len(ys))]
-    return Trajectory(tuple(xs), tuple(ys), stop, scheme_id, h)
+    # x0 itself heads the abscissae, so that -0.0 stays -0.0
+    return Trajectory._on_lattice((x0,), tuple(ys), stop, scheme_id, h)
 
 
 def _linear_rk4_run(f, x0, h, n, ys, q, u1, v1, u2, v2):

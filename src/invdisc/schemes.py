@@ -29,9 +29,10 @@ yields per step, which alone reads sly4's nodes.  A constant forcing costs
 nothing per step.  :func:`integrate` alone knows from how many points each
 scheme steps and which loop runs a forcing (``SchemeSpec`` refuses the rest);
 it checks the lattice once, resolves the seed into the loop's start state, the
-schemes' only calls into :mod:`invdisc.discrete`, runs the loop and lays out
-the abscissae the run reached.  Each ``*_step(stencil, x_next, forcing)`` is
-its first step on the lattice through the stencil and x_next.
+schemes' only calls into :mod:`invdisc.discrete`, and runs the loop; the
+trajectory forms the abscissae the run reached when ``xs`` is first read.
+Each ``*_step(stencil, x_next, forcing)`` is its first step on the lattice
+through the stencil and x_next.
 """
 from __future__ import annotations
 
@@ -440,7 +441,8 @@ def _sly4_decrements(seed: Stencil, forcing, h: float, n_steps: int):
 
 def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
     """Advance the seed up to ``n_steps`` lattice steps with the scheme's run
-    loop, collecting the new points.
+    loop, collecting the new ordinates; the trajectory forms the new
+    abscissae x0 + k*h when ``xs`` is first read.
 
     Returns the partial trajectory and the reason extension ceased; scheme
     failures surface as stop reasons, never as exceptions.  Once the lattice
@@ -471,7 +473,7 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
     _check_lattice(seed, h, n_steps)
     if n_steps == 0:
         return Trajectory(seed.xs, seed.ys, StopReason.COMPLETED, scheme.value, h)
-    ys, out_ys, x0 = seed.ys, list(seed.ys), float(seed.xs[0])
+    ys, out_ys = seed.ys, list(seed.ys)
     try:
         if sly4:
             d2, d = ys[2] - ys[1], ys[3] - ys[2]
@@ -485,6 +487,4 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
         # slx3 and h5 only count the steps
         steps = _sly4_decrements(seed, forcing, h, n_steps) if sly4 else range(n_steps)
         stop = run(ys, state, steps, out_ys)
-    # the advanced nodes only, by a list comprehension: faster than a generator
-    xs = seed.xs + tuple([x0 + k * h for k in range(len(seed), len(out_ys))])
-    return Trajectory(xs, tuple(out_ys), stop, scheme.value, h)
+    return Trajectory._on_lattice(seed.xs, tuple(out_ys), stop, scheme.value, h)

@@ -651,8 +651,9 @@ def test_example_5_stepping_backward_stops_its_baseline_at_the_pole(capsys):
     assert summary["baseline stop"] == "non-finite"
     assert summary["beyond singularity"] == "yes"
     assert summary["invariant last x"] == "0.066000000000000003"
-    # "before pole" is x0's side, at least 2|h| short of the pole: the seed's x0
-    assert summary["chi vs exact before pole"] == "0"
+    # "before pole" is x0's side, at least 2|h| short of the pole: only the
+    # seed's exact x0 is there, and no computed point scores the run
+    assert summary["chi vs exact before pole"] == "nan"
 
 
 def test_example_5_summary_takes_the_sides_of_x0():

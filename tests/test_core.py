@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -6,8 +9,10 @@ from hypothesis import example, given, strategies as st
 
 from invdisc import (Constant, ConstantS, FunctionOfX, IdentityInY, Jet,
                      NonFiniteError, Point, SchemeKind, SchemeSpec, Stencil, StopReason,
-                     Trajectory, Uniform, core, integrate,
-                     seed_stencil_from_function, stencil_from_sequences)
+                     Trajectory, Uniform, chi, core, fifth_order_invariant_system,
+                     integrate, log_abs, one_over_one_minus_exp, rk4_integrate,
+                     rk4_schwarzian_rate, scaled_schwarzian_system, schwarzian_rate_system,
+                     seed_stencil_from_function, stencil_from_sequences, tan_reciprocal)
 
 from conftest import STEPS
 
@@ -131,6 +136,80 @@ def test_trajectory_identity_ignores_points():
     assert a == b and hash(b) == h
     tuple(a.points), a.points[-1]
     assert a == b and hash(a) == hash(b) == h
+
+
+def _integrate_run(kind, forcing, f, x0, h, n, x_first=None):
+    """(seed abscissae, integrate's run); ``x_first`` replaces the seed's
+    first abscissa, e.g. by -0.0 or an int."""
+    spec = SchemeSpec(kind, forcing, Uniform(h))
+    seed = seed_stencil_from_function(f, x0, h, spec.arity)
+    if x_first is not None:
+        seed = Stencil((x_first,) + seed.xs[1:], seed.ys)
+    return seed.xs, integrate(spec, seed, n)
+
+
+def _rk4_run(sys, init, x0, h, n):
+    return (x0,), rk4_integrate(sys, init, x0, h, n)
+
+
+def _cubic(x):
+    return 10.0 - x - 5.0 * x * x
+
+
+SLY4, SLX3, H5 = SchemeKind.SLY4, SchemeKind.SLX3, SchemeKind.H5
+LOG_JET, TAN_JET = log_abs().jet_fn(-0.1).d, tan_reciprocal().jet_fn(0.1).d
+OMEX = one_over_one_minus_exp().eval_fn
+COMPLETED, NON_FINITE = StopReason.COMPLETED, StopReason.NON_FINITE
+#: id -> (stop, () -> (the run's seed abscissae, the run))
+LATTICE_RUNS = {
+    "sly4-cos": (COMPLETED, lambda: _integrate_run(
+        SLY4, FunctionOfX(math.cos), math.cos, 1.0, 0.01, 30)),
+    "sly4-backward": (COMPLETED, lambda: _integrate_run(
+        SLY4, Constant(0.0), math.tan, 0.3, -0.01, 20)),
+    "sly4-int-x0": (COMPLETED, lambda: _integrate_run(
+        SLY4, Constant(0.0), math.tan, 0.0, 0.01, 20, 0)),
+    "slx3-constant": (COMPLETED, lambda: _integrate_run(
+        SLX3, Constant(0.5), math.log, 1.0, 0.01, 30)),
+    "slx3-y-backward": (COMPLETED, lambda: _integrate_run(
+        SLX3, IdentityInY(), _cubic, 0.0, -1e-3, 30)),
+    "slx3-y-mean-minus-zero": (COMPLETED, lambda: _integrate_run(
+        SLX3, IdentityInY(True), _cubic, 0.0, 1e-3, 30, -0.0)),
+    "slx3-stops-at-barrier": (StopReason.NO_REAL_ROOT, lambda: _integrate_run(
+        SLX3, Constant(0.5), lambda x: math.log(-x), -0.0105, 1e-3, 40)),
+    "h5": (COMPLETED, lambda: _integrate_run(
+        H5, Constant(0.0), OMEX, -1.0, 0.1, 20)),
+    "h5-backward": (COMPLETED, lambda: _integrate_run(
+        H5, Constant(0.0), OMEX, -1.0, -0.1, 20)),
+    "rk4-order-3-non-finite": (NON_FINITE, lambda: _rk4_run(
+        scaled_schwarzian_system(lambda x, y: 0.5), LOG_JET[:3], -0.1, 1e-2, 20)),
+    "rk4-order-4-minus-zero": (COMPLETED, lambda: _rk4_run(
+        schwarzian_rate_system(math.cos), (1.0, -1.0, -2.5, 5.0), -0.0, 0.01, 30)),
+    "rk4-order-5": (COMPLETED, lambda: _rk4_run(
+        fifth_order_invariant_system(0.0), TAN_JET[:5], 0.1, 1e-3, 30)),
+    "rk4-schwarzian-rate": (COMPLETED, lambda: ((1.0,), rk4_schwarzian_rate(
+        math.cos, (1.0, -1.0, -2.5, 5.0), 1.0, 0.01, 30))),
+}
+
+
+@pytest.mark.parametrize("stop, make", LATTICE_RUNS.values(), ids=LATTICE_RUNS)
+def test_lattice_run_lays_out_its_abscissae_when_read(stop, make):
+    head, traj = make()
+    # what the benchmark's runs read leaves xs unbuilt
+    len(traj), len(traj.points), traj.ys, chi(traj, [1.0] * len(traj))
+    assert traj.stop is stop
+    assert "xs" not in vars(traj)
+    h, ks = traj.h_nominal, range(len(head), len(traj.ys))
+    eager = head + tuple([float(head[0]) + k * h for k in ks])
+    assert repr(traj.xs) == repr(eager) and traj.xs is traj.xs
+    want = Trajectory(eager, traj.ys, traj.stop, traj.scheme_id, h)
+    for same in (lambda t: t == want, lambda t: want == t, lambda t: hash(t) == hash(want),
+                 lambda t: repr(t) == repr(want)):
+        fresh = make()[1]
+        assert same(fresh) and same(fresh)  # before and after xs is read
+    for clone in (copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t)),
+                  dataclasses.replace):
+        fresh = make()[1]
+        assert clone(fresh) == want and fresh == want
 
 
 def jet_generator_form(x, d):
