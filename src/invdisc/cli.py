@@ -290,12 +290,11 @@ def run_example(example_id: str, h: float | None = None, steps: int | None = Non
     return run
 
 
-def _where_defined(traj: Trajectory, sol: ExactSolution,
-                   keep=None) -> tuple[list[float], list[float]]:
-    """The ordinates of ``traj`` at the abscissae x where ``sol`` is defined
-    and ``keep(x)``, if given, holds, and the exact values there."""
+def _where_defined(xs, ys, sol: ExactSolution, keep=None) -> tuple[list[float], list[float]]:
+    """The ordinates ``ys`` at the abscissae x of ``xs`` where ``sol`` is
+    defined and ``keep(x)``, if given, holds, and the exact values there."""
     cand, ref = [], []
-    for x, y in zip(traj.xs, traj.ys):
+    for x, y in zip(xs, ys):
         if keep and not keep(x):
             continue
         try:
@@ -306,10 +305,21 @@ def _where_defined(traj: Trajectory, sol: ExactSolution,
     return cand, ref
 
 
+def _against_exact(run: ExampleRun, keep=None) -> tuple[list[float], list[float]]:
+    """:func:`_where_defined` over the invariant run, or two empty lists where
+    no point the scheme computed qualifies: the seed samples the exact
+    solution, and a score of the seed alone would read 0."""
+    k, inv, sol = SCHEME_ARITY[run.example.scheme], run.inv, run.example.solution
+    cand, ref = _where_defined(inv.xs, inv.ys, sol, keep)
+    seed = _where_defined(inv.xs[:k], inv.ys[:k], sol, keep)[0]
+    return (cand, ref) if len(cand) > len(seed) else ([], [])
+
+
 def _chi_against_exact(run: ExampleRun, keep=None) -> float:
     """chi of the invariant run against the exact solution where that is
-    defined (and ``keep(x)`` holds, if given); NaN when no point qualifies."""
-    cand, ref = _where_defined(run.inv, run.example.solution, keep)
+    defined (and ``keep(x)`` holds, if given); NaN when no point the scheme
+    computed qualifies."""
+    cand, ref = _against_exact(run, keep)
     return chi(cand, ref) if cand else math.nan
 
 
@@ -344,27 +354,28 @@ def _summary_state_source(run: ExampleRun) -> dict:
 
 def _summary_exact_discrete(run: ExampleRun) -> dict:
     # the lattice can land on the pole itself
-    devs = [abs(y - e) for y, e in zip(*_where_defined(run.inv, run.example.solution))]
+    cand, ref = _against_exact(run)
+    devs = [abs(y - e) for y, e in zip(cand, ref)]
     rho = 2.0 + math.exp(run.h) + math.exp(-run.h)
     ys, r_devs = run.inv.ys, []
-    for k in range(len(ys) - 3):  # a degenerate stop leaves windows without one
+    # a degenerate stop leaves windows without one; the seed's alone score nothing
+    for k in range(len(ys) - 3 if len(ys) > SCHEME_ARITY[run.example.scheme] else 0):
         with suppress(DegenerateCoefficientError, NonFiniteError):
             r_devs.append(abs(_cross_ratio(*ys[k:k + 4]) - rho))
     stops = _stops(run)
     del stops["baseline last x"]
+    max_dev = max(devs, default=math.nan)
     return {**stops,
-            "max deviation from exact": max(devs),
+            "max deviation from exact": max_dev,
             "max cross-ratio deviation": max(r_devs, default=math.nan),
-            "exact discrete solution": "yes" if max(devs) <= 1e-9 else "no",
-            "chi vs exact": _chi_against_exact(run)}
+            "exact discrete solution": "yes" if max_dev <= 1e-9 else "no",
+            "chi vs exact": chi(cand, ref) if cand else math.nan}
 
 
 def _summary_beyond_pole(run: ExampleRun) -> dict:
     beyond = (run.inv.xs[-1] > TAN_RECIPROCAL_POLE) != (run.x0 > TAN_RECIPROCAL_POLE)
     s, near = math.copysign(1.0, run.h), TAN_RECIPROCAL_POLE - 2 * run.h  # 2|h| short of the pole
-    before, arity = (lambda x: s * x <= s * near), SCHEME_ARITY[run.example.scheme]
-    # the seed samples the exact solution: with no computed point before the pole, chi is NaN
-    scored = len(run.inv) > arity and before(run.inv.xs[arity])
+    before = lambda x: s * x <= s * near
     return {"invariant stop": run.inv.stop.value,
             "invariant last x": _fmt(run.inv.xs[-1]),
             "first pole": _fmt(TAN_RECIPROCAL_POLE),
@@ -374,7 +385,7 @@ def _summary_beyond_pole(run: ExampleRun) -> dict:
                               and run.base.stop is StopReason.COMPLETED
                               else run.base.stop.value),
             "baseline last x": _fmt(run.base.xs[-1]),
-            "chi vs exact before pole": _chi_against_exact(run, before) if scored else math.nan}
+            "chi vs exact before pole": _chi_against_exact(run, before)}
 
 
 def _grid_past_pole(h: float, x0: float) -> tuple[float, int]:
@@ -442,7 +453,7 @@ def cmd_chi(args) -> int:
     a = read_trajectory_csv(args.a)
     ys = a.ys
     if args.b in EXACT_SOLUTIONS:
-        ys, ref = _where_defined(a, EXACT_SOLUTIONS[args.b]())
+        ys, ref = _where_defined(a.xs, a.ys, EXACT_SOLUTIONS[args.b]())
         if not ys:
             raise ConfigError(f"{args.b} is singular at every abscissa of {args.a}")
         if len(ys) < len(a):

@@ -10,6 +10,7 @@ from invdisc import (Constant, FunctionOfX, IdentityInY, SchemeKind, SchemeSpec,
 from invdisc import cli
 from invdisc.cli import (MAX_STEPS, main, read_trajectory_csv, run_example,
                          write_trajectory_csv)
+from invdisc.core import SCHEME_ARITY
 
 from conftest import csv_reference_reader, scheme_reference_loop
 
@@ -194,6 +195,9 @@ def test_solve_validation_failures(tmp_path, capsys):
     cases = [(f"# h: {v}\n{rows}", f"{bad}:1: '# h:' value {v!r} is not a finite nonzero step")
              for v in ("0", "-0", "nan", "inf", "-inf")]
     cases += [(f"# h: 0.02\n{rows}", "seed abscissae inconsistent with the uniform lattice rule"),
+              # a plain seed whose second spacing is not its first
+              ("x,y\n0,1\n0.1,2\n0.3,3\n",
+               "seed abscissae inconsistent with the uniform lattice rule"),
               ("x,y\n0,1\n0,2\n0.02,3\n", "uniform lattice needs a nonzero step")]
     for text, message in cases:
         bad.write_text(text)
@@ -217,36 +221,100 @@ def test_solve_default_forcing_is_the_constant_zero(tmp_path):
             assert main(["solve", "--scheme", scheme.value, *forcing, "--steps", "110",
                          "--seed", str(seed), "--out", str(out)]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+        # sly4 across tan's pole at pi/2, on the step of the '# h: 0.01' line
+        # (the seed's first spacing is 0.010000000000000009)
+        assert read_trajectory_csv(outs[0]).stop is StopReason.COMPLETED
 
 
-def test_solve_continues_example_1_bit_for_bit(tmp_path):
-    # the step is the '# h: 0.01' line of example 1's invariant.csv
-    ex1 = tmp_path / "ex1" / "invariant.csv"
-    assert main(["example", "1", "--out", str(ex1.parent)]) == 0
+@pytest.fixture(scope="module")
+def example_out(tmp_path_factory):
+    """The directory that ``invdisc example <argv> --out`` wrote, by argv;
+    each example runs once per module."""
+    dirs = {}
+
+    def out(*argv):
+        if argv not in dirs:
+            dirs[argv] = tmp_path_factory.mktemp("example")
+            assert main(["example", *argv, "--out", str(dirs[argv])]) == 0
+        return dirs[argv]
+    return out
+
+
+#: solve runs of 100 steps that continue the invariant.csv of `invdisc
+#: example <argv>`, on the step of its '# h:' line: (argv, that step, scheme,
+#: --forcing, its term); each completes
+CONTINUATIONS = {
+    "1-sly4-cos": (("1",), 0.01, "sly4", "cos", FunctionOfX(math.cos)),
+    "2-log-slx3-0": (("2-log",), 1e-4, "slx3", "0", Constant(0.0)),
+    "2-log-slx3-0.5": (("2-log",), 1e-4, "slx3", "0.5", Constant(0.5)),
+    "2-log-slx3-y": (("2-log",), 1e-4, "slx3", "y", IdentityInY()),
+    "2-log-slx3-y-mean": (("2-log",), 1e-4, "slx3", "y-mean", IdentityInY(stencil_mean=True)),
+    "4-h5-0": (("4",), 0.1, "h5", "0", Constant(0.0)),
+    # where the R5 line's k = 2c(R3 - 4)(R4 - 4) is nonzero
+    "4-h5-0.5": (("4",), 0.1, "h5", "0.5", Constant(0.5)),
+    "2-log-backward-slx3-0.5": (("2-log", "--x0", "1", "--h=-1e-4"), -1e-4, "slx3", "0.5",
+                                Constant(0.5)),
+}
+
+
+@pytest.mark.parametrize("argv, h, scheme, forcing, term", CONTINUATIONS.values(),
+                         ids=CONTINUATIONS)
+def test_solve_continues_an_example_bit_for_bit(tmp_path, example_out, argv, h, scheme,
+                                                forcing, term):
+    inv = example_out(*argv) / "invariant.csv"
     out = tmp_path / "out.csv"
-    assert main(["solve", "--scheme", "sly4", "--forcing", "cos", "--steps", "100",
-                 "--seed", str(ex1), "--out", str(out)]) == 0
-    seed = read_trajectory_csv(ex1)
-    want = integrate(SchemeSpec(SchemeKind.SLY4, FunctionOfX(math.cos), Uniform(0.01)),
-                     Stencil(seed.xs[:4], seed.ys[:4]), 100)
-    got = read_trajectory_csv(out)
-    assert (got.xs, got.ys, got.stop, got.h_nominal) == (want.xs, want.ys, want.stop, 0.01)
-
-
-def test_solve_without_an_h_line_steps_on_the_first_spacing(tmp_path):
-    # a plain x,y seed, whose first spacing is 0.010000000000000009
-    xs = (0.3, 0.31, 0.32)
-    seed = tmp_path / "seed.csv"
-    seed.write_text("x,y\n" + "".join(f"{x!r},{math.atanh(x)!r}\n" for x in xs))
-    out = tmp_path / "out.csv"
-    assert main(["solve", "--scheme", "slx3", "--forcing", "2", "--steps", "5",
-                 "--seed", str(seed), "--out", str(out)]) == 0
-    h = xs[1] - xs[0]
-    want = integrate(SchemeSpec(SchemeKind.SLX3, Constant(2.0), Uniform(h)),
-                     Stencil(xs, map(math.atanh, xs)), 5)
+    assert main(["solve", "--scheme", scheme, "--forcing", forcing, "--steps", "100",
+                 "--seed", str(inv), "--out", str(out)]) == 0
+    seed, kind = read_trajectory_csv(inv), SchemeKind(scheme)
+    n = SCHEME_ARITY[kind]
+    want = integrate(SchemeSpec(kind, term, Uniform(h)), Stencil(seed.xs[:n], seed.ys[:n]), 100)
     got = read_trajectory_csv(out)
     assert (got.xs, got.ys, got.stop, got.h_nominal) == (want.xs, want.ys, want.stop, h)
-    assert h != 0.01 and got.xs[-1] == xs[0] + 7 * h
+    assert got.stop is StopReason.COMPLETED
+
+
+#: plain x,y seeds, without a '# h:' line: (rows, scheme, --forcing, steps,
+#: their first spacing, the stop, the rows written)
+PLAIN_SEEDS = {
+    # atanh at 0.3, 0.31 and 0.32: a first spacing that is not 0.01
+    "atanh": ([f"{x!r},{math.atanh(x)!r}" for x in (0.3, 0.31, 0.32)], "slx3", "2", 5,
+              0.010000000000000009, StopReason.COMPLETED, 8),
+    # the identity forcing on a window far from 0, where the cubic drops to
+    # a quadratic: one root nearest the prediction, then y2 = y1 stops it
+    "far-window": (["0,1e14", "1,100000000000001", "2,100000000000003"], "slx3", "y", 20,
+                   1.0, StopReason.DEGENERATE_COEFFICIENT, 4),
+    # a seed without its invariants stops the first step and keeps its
+    # rows: y1 = y0 leaves h5 without its first R3 and sly4 without R/S
+    "flat-h5": (["0,1", "0.1,1", "0.2,2", "0.3,3", "0.4,4"], "h5", "0", 5,
+                0.1, StopReason.DEGENERATE_COEFFICIENT, 5),
+    "flat-sly4": (["0,1", "0.1,1", "0.2,2", "0.3,3", "0.4,4"], "sly4", "0", 5,
+                  0.1, StopReason.DEGENERATE_COEFFICIENT, 4),
+    # slx3 under a constant stops non-finite where K = 4 (y1 - y0)(y2 - y1)
+    # overflows
+    "k-overflow": (["0,0", "0.1,1e155", "0.2,2e155"], "slx3", "0.5", 3,
+                   0.1, StopReason.NON_FINITE, 3),
+}
+
+
+@pytest.mark.parametrize("rows, scheme, forcing, steps, h, stop, written",
+                         PLAIN_SEEDS.values(), ids=PLAIN_SEEDS)
+def test_solve_without_an_h_line_steps_on_the_first_spacing(tmp_path, rows, scheme, forcing,
+                                                            steps, h, stop, written):
+    seed = tmp_path / "seed.csv"
+    seed.write_text("x,y\n" + "".join(f"{row}\n" for row in rows))
+    out = tmp_path / "out.csv"
+    assert main(["solve", "--scheme", scheme, "--forcing", forcing, "--steps", str(steps),
+                 "--seed", str(seed), "--out", str(out)]) == 0
+    kind = SchemeKind(scheme)
+    xs, ys = zip(*(map(float, row.split(",")) for row in rows[:SCHEME_ARITY[kind]]))
+    assert xs[1] - xs[0] == h
+    want = integrate(SchemeSpec(kind, cli.FORCINGS.get(forcing) or Constant(float(forcing)),
+                                Uniform(h)), Stencil(xs, ys), steps)
+    got = read_trajectory_csv(out)
+    assert (got.xs, got.ys, got.stop, got.h_nominal) == (want.xs, want.ys, want.stop, h)
+    assert (got.stop, len(got)) == (stop, written)
+    # the new nodes on the lattice of that spacing
+    assert got.xs[len(xs):] == tuple(xs[0] + k * h for k in range(len(xs), written))
 
 
 def test_no_flag_is_taken_by_a_prefix_of_its_name(tmp_path, capsys):
@@ -316,6 +384,29 @@ def test_chi_against_exact_skips_singular_abscissae(tmp_path, capsys):
     p = tmp_path / "pole.csv"
     write_trajectory_csv(p, Trajectory((0.0, 1e-17), (1.0, 2.0), StopReason.COMPLETED, "x", 1.0))
     assert main(["chi", str(p), "one-over-one-minus-exp"]) == 2
+
+
+@pytest.mark.parametrize("example, b, label", [
+    ("2-log", "log-abs", "chi vs exact"),
+    ("2-log", "baseline.csv", None),
+    ("3", "baseline.csv", "chi vs baseline (common prefix)"),
+], ids=["2-log-exact", "2-log-baseline", "3-baseline"])
+def test_chi_of_an_examples_csvs(example_out, capsys, example, b, label):
+    # chi of the invariant.csv that `example --out` wrote, against an exact
+    # solution or the baseline.csv beside it: where the summary scores the
+    # same pair, chi prints the summary's value
+    out = example_out(example)
+    summary = dict(line.split(": ", 1)
+                   for line in (out / "summary.txt").read_text().splitlines())
+    capsys.readouterr()
+    assert main(["chi", str(out / "invariant.csv"),
+                 str(out / b) if b.endswith(".csv") else b]) == 0
+    value, err = capsys.readouterr()
+    assert math.isfinite(float(value))
+    if label is not None:
+        assert value == summary[label] + "\n"
+    else:  # 2-log stops at its barrier before the end of its baseline
+        assert err == "note: 10000 vs 10003 points, chi on the common prefix\n"
 
 
 def test_chi_on_common_prefix(tmp_path, capsys):
@@ -449,6 +540,9 @@ def test_example_rejects_unknown_id():
     ["3", "--h", "0.5", "--h-ref", "1e-3"],  # the reference blows up before the seed
     ["4", "--x0", "1000"],  # the exact solution's jet overflows
     ["5", "--x0", "1e-310", "--steps", "5"],  # the jet of tan(1/x) divides by zero
+    # h is no positive integer multiple of h-ref: 1.5 times it, and 0.005 times
+    ["3", "--h", "0.0015", "--h-ref", "1e-3"],
+    ["1", "--h", "1e-6", "--steps", "10"],
 ])
 def test_example_rejects_out_of_range_options(opts):
     assert main(["example", *opts]) == 2
@@ -551,10 +645,14 @@ def test_example_1_reference_error_estimate(h_ref, example_1_truth):
         assert estimate >= true_error
 
 
-@pytest.mark.parametrize("example_id", cli.EXAMPLES)
-def test_example_runs_equal_the_composed_kernels(example_id):
+@pytest.mark.parametrize("example_id, h", [
+    *(pytest.param(k, None, id=k) for k in cli.EXAMPLES),
+    # stride 5 on the default reference at h-ref = 2e-4
+    pytest.param("1", 0.001, id="1-h0.001"),
+])
+def test_example_runs_equal_the_composed_kernels(example_id, h):
     # the paper runs, bit for bit and with their stop reasons
-    run = run_example(example_id)
+    run = run_example(example_id, h)
     ex = cli.EXAMPLES[example_id]
     spec = SchemeSpec(ex.scheme, ex.forcing, Uniform(run.h))
     seed = Stencil(run.inv.xs[:spec.arity], run.inv.ys[:spec.arity])
@@ -666,6 +764,24 @@ def test_example_5_summary_takes_the_sides_of_x0():
     assert math.isnan(run.summary["chi vs exact before pole"])
     # a forward run from past the pole is not beyond it either
     assert run_example("5", x0=0.2, steps=5).summary["beyond singularity"] == "no"
+
+
+@pytest.mark.parametrize("argv, stop, scores", [
+    # every seed ordinate is 1.0: the first window has no cross-ratio
+    (["4", "--x0=-40"], "degenerate-coefficient",
+     ["max deviation from exact", "max cross-ratio deviation", "chi vs exact"]),
+    # the first step has no real root
+    (["2-log", "--x0=-0.0003"], "no-real-root", ["chi vs exact"]),
+    (["2-arctanh", "--h", "0.9", "--steps", "3"], "no-real-root", ["chi vs exact"]),
+], ids=["4-flat-seed", "2-log-no-root", "2-arctanh-no-root"])
+def test_example_that_computed_no_point_scores_nothing(capsys, argv, stop, scores):
+    # the seed samples the exact solution, so a score of the seed alone would
+    # read 0 and call the run exact
+    assert main(["example", *argv]) == 0
+    summary = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert summary["invariant stop"] == stop
+    assert {label: summary[label] for label in scores} == dict.fromkeys(scores, "nan")
+    assert summary.get("exact discrete solution", "no") == "no"
 
 
 def test_example_5_started_past_the_pole(capsys):

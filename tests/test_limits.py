@@ -199,6 +199,9 @@ PROBES = {
     "uniform-0.5-atanh": ("m3", arctanh_solution().jet_fn, 0.3, geometric(0.01, 0.5, 5), None),
     "decreasing": ("l4", jet_exp, 0.0, geometric(0.04, 0.5, 4),
                    lambda h: [-k * h for k in range(5)]),
+    # tan(1/x), whose jets go through compose_jet, at the deepest l recursion
+    "uniform-0.6-tan": ("l5", tan_reciprocal().jet_fn, 0.165, geometric(2e-3, 0.6, 6), None),
+    "uniform-0.5-exp": ("m4", jet_exp, 0.2, geometric(0.01, 0.5, 5), None),
 }
 
 

@@ -1187,6 +1187,12 @@ FIRST_STEP_NON_FINITE = {
     "h5-line": (SchemeKind.H5, (4.137153556905783e160, 4.1371535562890215e160,
                                 4.137153557161971e160, 4.1371550557453077e160,
                                 4.137150846082239e160)),
+    # _h5_run's last stop, from ordinates within OVERFLOW_LIMIT: y4 = y2
+    # makes R4 = 0, and R3, its overflowing products paired, is subnormal, so
+    # is v, and a = -v (y3 - y2) and b = -v y4 (y3 - y2) are finite; t = b/a,
+    # y4 = 1e300 in exact arithmetic, rounds past the limit
+    "h5-past-overflow-limit": (SchemeKind.H5, (-9.644595642810555e+299, 0.0, 1e+300,
+                                               1.8469814381876225e-22, 1e+300)),
 }
 
 
@@ -1197,8 +1203,10 @@ def test_first_step_stops_as_non_finite(kind, ys):
     step = slx3_step if kind is SchemeKind.SLX3 else h5_step
     assert step(seed, x_next, forcing) is StopReason.NON_FINITE
     assert ref_step(kind, forcing)(xs, ys, x_next) is StopReason.NON_FINITE
-    traj = integrate(SchemeSpec(kind, forcing, Uniform(0.1)), seed, 5)
+    spec = SchemeSpec(kind, forcing, Uniform(0.1))
+    traj = integrate(spec, seed, 5)
     assert traj.stop is StopReason.NON_FINITE and traj.xs == xs
+    assert (traj.xs, traj.ys, traj.stop) == scheme_reference_loop(spec, seed, 5)
 
 
 # --- the run loops against the composed kernels ----------------------------------------
