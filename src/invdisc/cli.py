@@ -138,7 +138,7 @@ class Example:
     h: float
     x0: float
     steps: Callable[[float, float], int]  # default step count from (h, x0)
-    summarize: Callable[["ExampleRun"], dict]  # label -> value
+    summary: tuple[str, ...]  # labels of SUMMARY_LINES, in print order
     solution: ExactSolution | None = None
     init: tuple[float, ...] | None = None
     span: float | None = None
@@ -183,7 +183,8 @@ class ExampleRun:
 
     @cached_property
     def summary(self) -> dict:
-        return {"example": self.id, **self.example.summarize(self)}
+        return {"example": self.id,
+                **{label: SUMMARY_LINES[label](self) for label in self.example.summary}}
 
     @property
     def lines(self) -> list[str]:
@@ -290,102 +291,59 @@ def run_example(example_id: str, h: float | None = None, steps: int | None = Non
     return run
 
 
-def _where_defined(xs, ys, sol: ExactSolution, keep=None) -> tuple[list[float], list[float]]:
-    """The ordinates ``ys`` at the abscissae x of ``xs`` where ``sol`` is
-    defined and ``keep(x)``, if given, holds, and the exact values there."""
+def _pairs(xs, ys, truth, keep=None, seed: int = 0) -> tuple[list[float], list[float]]:
+    """The ordinates ``ys`` and the truth's values at the nodes where the
+    truth has a value and ``keep(x)``, if given, holds.  ``truth`` is a
+    function of x that raises DomainError where it has no value, or its
+    values at the first nodes.  The first ``seed`` nodes count only with a
+    later one: a seed sampled from the truth would score 0 on its own, so
+    without a later node both lists are empty."""
     cand, ref = [], []
-    for x, y in zip(xs, ys):
-        if keep and not keep(x):
-            continue
-        try:
-            ref.append(sol.eval_fn(x))
-        except DomainError:
-            continue
-        cand.append(y)
+    if callable(truth):
+        for x, y in zip(xs, ys):
+            if keep and not keep(x):
+                continue
+            try:
+                ref.append(truth(x))
+            except DomainError:
+                continue
+            cand.append(y)
+    else:
+        for x, y, t in zip(xs, ys, truth):
+            if not keep or keep(x):
+                cand.append(y)
+                ref.append(t)
+    if seed and len(cand) == len(_pairs(xs[:seed], ys[:seed], truth, keep)[0]):
+        return [], []
     return cand, ref
 
 
-def _against_exact(run: ExampleRun, keep=None) -> tuple[list[float], list[float]]:
-    """:func:`_where_defined` over the invariant run, or two empty lists where
-    no point the scheme computed qualifies: the seed samples the exact
-    solution, and a score of the seed alone would read 0."""
-    k, inv, sol = SCHEME_ARITY[run.example.scheme], run.inv, run.example.solution
-    cand, ref = _where_defined(inv.xs, inv.ys, sol, keep)
-    seed = _where_defined(inv.xs[:k], inv.ys[:k], sol, keep)[0]
-    return (cand, ref) if len(cand) > len(seed) else ([], [])
-
-
-def _chi_against_exact(run: ExampleRun, keep=None) -> float:
-    """chi of the invariant run against the exact solution where that is
-    defined (and ``keep(x)`` holds, if given); NaN when no point the scheme
-    computed qualifies."""
-    cand, ref = _against_exact(run, keep)
+def _chi_vs(run: ExampleRun, truth, keep=None) -> float:
+    cand, ref = _pairs(run.inv.xs, run.inv.ys, truth, keep, SCHEME_ARITY[run.example.scheme])
     return chi(cand, ref) if cand else math.nan
 
 
-def _stops(run: ExampleRun) -> dict:
-    return {"invariant stop": run.inv.stop.value,
-            "invariant last x": _fmt(run.inv.xs[-1]),
-            "baseline stop": run.base.stop.value,
-            "baseline last x": _fmt(run.base.xs[-1])}
-
-
-def _summary_forced(run: ExampleRun) -> dict:
-    inv = run.inv
-    ref_at_lattice = run.ref.ys[::run.stride]
-    # over the lattice points the reference covers
-    n = min(len(inv), len(ref_at_lattice))
-    return {"invariant stop": inv.stop.value,
-            "baseline stop": run.base.stop.value,
-            "invariant endpoint": f"x = {_fmt(inv.xs[-1])}, y = {_fmt(inv.ys[-1])}",
-            "chi vs fine reference": chi(inv.ys[:n], ref_at_lattice[:n]),
-            "reference error estimate": run.ref_error}
-
-
-def _summary_constant_source(run: ExampleRun) -> dict:
-    return {**_stops(run), "chi vs exact": _chi_against_exact(run)}
-
-
-def _summary_state_source(run: ExampleRun) -> dict:
-    n = min(len(run.inv), len(run.base))
-    return {**_stops(run),
-            "chi vs baseline (common prefix)": chi(run.inv.ys[:n], run.base.ys[:n])}
-
-
-def _summary_exact_discrete(run: ExampleRun) -> dict:
+def _max_deviation(run: ExampleRun) -> float:
     # the lattice can land on the pole itself
-    cand, ref = _against_exact(run)
-    devs = [abs(y - e) for y, e in zip(cand, ref)]
+    cand, ref = _pairs(run.inv.xs, run.inv.ys, run.example.solution.eval_fn,
+                       seed=SCHEME_ARITY[run.example.scheme])
+    return max((abs(y - e) for y, e in zip(cand, ref)), default=math.nan)
+
+
+def _cross_ratio_deviation(run: ExampleRun) -> float:
     rho = 2.0 + math.exp(run.h) + math.exp(-run.h)
-    ys, r_devs = run.inv.ys, []
+    ys, devs = run.inv.ys, []
     # a degenerate stop leaves windows without one; the seed's alone score nothing
     for k in range(len(ys) - 3 if len(ys) > SCHEME_ARITY[run.example.scheme] else 0):
         with suppress(DegenerateCoefficientError, NonFiniteError):
-            r_devs.append(abs(_cross_ratio(*ys[k:k + 4]) - rho))
-    stops = _stops(run)
-    del stops["baseline last x"]
-    max_dev = max(devs, default=math.nan)
-    return {**stops,
-            "max deviation from exact": max_dev,
-            "max cross-ratio deviation": max(r_devs, default=math.nan),
-            "exact discrete solution": "yes" if max_dev <= 1e-9 else "no",
-            "chi vs exact": chi(cand, ref) if cand else math.nan}
+            devs.append(abs(_cross_ratio(*ys[k:k + 4]) - rho))
+    return max(devs, default=math.nan)
 
 
-def _summary_beyond_pole(run: ExampleRun) -> dict:
-    beyond = (run.inv.xs[-1] > TAN_RECIPROCAL_POLE) != (run.x0 > TAN_RECIPROCAL_POLE)
-    s, near = math.copysign(1.0, run.h), TAN_RECIPROCAL_POLE - 2 * run.h  # 2|h| short of the pole
-    before = lambda x: s * x <= s * near
-    return {"invariant stop": run.inv.stop.value,
-            "invariant last x": _fmt(run.inv.xs[-1]),
-            "first pole": _fmt(TAN_RECIPROCAL_POLE),
-            "beyond singularity": "yes" if beyond else "no",
-            # a completed one-point baseline took no step (see _grid_past_pole)
-            "baseline stop": ("not run" if len(run.base) == 1
-                              and run.base.stop is StopReason.COMPLETED
-                              else run.base.stop.value),
-            "baseline last x": _fmt(run.base.xs[-1]),
-            "chi vs exact before pole": _chi_against_exact(run, before)}
+def _before_pole(run: ExampleRun) -> Callable[[float], bool]:
+    # x0's side of the first pole, at least 2|h| short of it
+    s, near = math.copysign(1.0, run.h), TAN_RECIPROCAL_POLE - 2 * run.h
+    return lambda x: s * x <= s * near
 
 
 def _grid_past_pole(h: float, x0: float) -> tuple[float, int]:
@@ -396,27 +354,63 @@ def _grid_past_pole(h: float, x0: float) -> tuple[float, int]:
     return h_base, max(0, round(2.0 * (TAN_RECIPROCAL_POLE - x0) / h_base))
 
 
+#: how each summary line reads a run.  A score pairs the run with its truth
+#: (the exact solution, the strided fine reference or the baseline) by
+#: :func:`_pairs`, and reads nan where no node the scheme computed pairs
+SUMMARY_LINES: dict[str, Callable[[ExampleRun], object]] = {
+    "invariant stop": lambda run: run.inv.stop.value,
+    "invariant last x": lambda run: _fmt(run.inv.xs[-1]),
+    "invariant endpoint": lambda run: f"x = {_fmt(run.inv.xs[-1])}, y = {_fmt(run.inv.ys[-1])}",
+    "first pole": lambda run: _fmt(TAN_RECIPROCAL_POLE),
+    "beyond singularity": lambda run: ("yes" if (run.inv.xs[-1] > TAN_RECIPROCAL_POLE)
+                                       != (run.x0 > TAN_RECIPROCAL_POLE) else "no"),
+    # a completed one-point baseline took no step (see _grid_past_pole)
+    "baseline stop": lambda run: ("not run" if len(run.base) == 1
+                                  and run.base.stop is StopReason.COMPLETED
+                                  else run.base.stop.value),
+    "baseline last x": lambda run: _fmt(run.base.xs[-1]),
+    "max deviation from exact": _max_deviation,
+    "max cross-ratio deviation": _cross_ratio_deviation,
+    "exact discrete solution": lambda run: "yes" if _max_deviation(run) <= 1e-9 else "no",
+    "chi vs fine reference": lambda run: _chi_vs(run, run.ref.ys[::run.stride]),
+    "reference error estimate": lambda run: run.ref_error,
+    "chi vs exact": lambda run: _chi_vs(run, run.example.solution.eval_fn),
+    "chi vs baseline (common prefix)": lambda run: _chi_vs(run, run.base.ys),
+    "chi vs exact before pole": lambda run: _chi_vs(run, run.example.solution.eval_fn,
+                                                    _before_pole(run)),
+}
+
+_STOPS = ("invariant stop", "invariant last x", "baseline stop", "baseline last x")
+
 #: the paper's six runs, by example id
 EXAMPLES: dict[str, Example] = {
     "1": Example(SchemeKind.SLY4, FunctionOfX(math.cos), h=0.01, x0=1.0,
                  # x0 + 1.5 - x0, not 1.5: the run ends where the reference does
-                 steps=lambda h, x0: round((x0 + 1.5 - x0) / h) - 3, summarize=_summary_forced,
+                 steps=lambda h, x0: round((x0 + 1.5 - x0) / h) - 3,
+                 summary=("invariant stop", "baseline stop", "invariant endpoint",
+                          "chi vs fine reference", "reference error estimate"),
                  # 2e-4 is at round-off already: 4.8e-15 from a 30-digit solution
                  init=(1.0, -1.0, -2.5, 5.0), span=1.5, h_ref=2e-4),
     "2-log": Example(SchemeKind.SLX3, Constant(0.5), h=1e-4, x0=-1.0,
                      steps=lambda h, x0: round(1.05 * abs(x0) / abs(h)),
-                     summarize=_summary_constant_source, solution=log_abs()),
+                     summary=(*_STOPS, "chi vs exact"), solution=log_abs()),
     "2-arctanh": Example(SchemeKind.SLX3, Constant(2.0), h=0.01, x0=-0.9,
                          steps=lambda h, x0: round(1.8 / abs(h)) - 2,
-                         summarize=_summary_constant_source,
+                         summary=(*_STOPS, "chi vs exact"),
                          solution=arctanh_solution()),
     "3": Example(SchemeKind.SLX3, IdentityInY(), h=0.001, x0=0.0,
                  steps=lambda h, x0: round(0.3 / h),
-                 summarize=_summary_state_source, init=(10.0, -1.0, -10.0)),
+                 summary=(*_STOPS, "chi vs baseline (common prefix)"), init=(10.0, -1.0, -10.0)),
     "4": Example(SchemeKind.H5, Constant(0.0), h=0.1, x0=-1.0, steps=lambda h, x0: 40,
-                 summarize=_summary_exact_discrete, solution=one_over_one_minus_exp()),
+                 summary=("invariant stop", "invariant last x", "baseline stop",
+                          "max deviation from exact", "max cross-ratio deviation",
+                          "exact discrete solution", "chi vs exact"),
+                 solution=one_over_one_minus_exp()),
     "5": Example(SchemeKind.H5, Constant(0.0), h=0.001, x0=0.1, steps=lambda h, x0: 60,
-                 summarize=_summary_beyond_pole, solution=tan_reciprocal(),
+                 summary=("invariant stop", "invariant last x", "first pole",
+                          "beyond singularity", "baseline stop", "baseline last x",
+                          "chi vs exact before pole"),
+                 solution=tan_reciprocal(),
                  baseline_grid=_grid_past_pole),
 }
 
@@ -453,7 +447,7 @@ def cmd_chi(args) -> int:
     a = read_trajectory_csv(args.a)
     ys = a.ys
     if args.b in EXACT_SOLUTIONS:
-        ys, ref = _where_defined(a.xs, a.ys, EXACT_SOLUTIONS[args.b]())
+        ys, ref = _pairs(a.xs, a.ys, EXACT_SOLUTIONS[args.b]().eval_fn)
         if not ys:
             raise ConfigError(f"{args.b} is singular at every abscissa of {args.a}")
         if len(ys) < len(a):

@@ -390,7 +390,10 @@ def test_chi_against_exact_skips_singular_abscissae(tmp_path, capsys):
     ("2-log", "log-abs", "chi vs exact"),
     ("2-log", "baseline.csv", None),
     ("3", "baseline.csv", "chi vs baseline (common prefix)"),
-], ids=["2-log-exact", "2-log-baseline", "3-baseline"])
+    ("2-arctanh", "arctanh", "chi vs exact"),
+    # example 4's lattice lands on the pole at x = 0
+    ("4", "one-over-one-minus-exp", "chi vs exact"),
+], ids=["2-log-exact", "2-log-baseline", "3-baseline", "2-arctanh-exact", "4-exact"])
 def test_chi_of_an_examples_csvs(example_out, capsys, example, b, label):
     # chi of the invariant.csv that `example --out` wrote, against an exact
     # solution or the baseline.csv beside it: where the summary scores the
@@ -439,6 +442,73 @@ def test_limit_rejects_unknown_function(capsys):
 
 
 # --- example runs ----------------------------------------------------------------------
+
+#: the summary of `invdisc example <id>` at its defaults, line for line
+DEFAULT_SUMMARIES = {
+    "1": """\
+example: 1
+invariant stop: completed
+baseline stop: completed
+invariant endpoint: x = 2.5, y = 0.2988498059967134
+chi vs fine reference: 1.78654e-06
+reference error estimate: 4.10783e-15
+""",
+    "2-log": """\
+example: 2-log
+invariant stop: no-real-root
+invariant last x: -9.9999999999988987e-05
+baseline stop: non-finite
+baseline last x: 0.00019999999999997797
+chi vs exact: 0.000104612
+""",
+    "2-arctanh": """\
+example: 2-arctanh
+invariant stop: completed
+invariant last x: 0.90000000000000002
+baseline stop: completed
+baseline last x: 0.90000000000000002
+chi vs exact: 0.00746278
+""",
+    "3": """\
+example: 3
+invariant stop: completed
+invariant last x: 0.30199999999999999
+baseline stop: non-finite
+baseline last x: 0.14100000000000001
+chi vs baseline (common prefix): 1
+""",
+    "4": """\
+example: 4
+invariant stop: completed
+invariant last x: 3.4000000000000004
+baseline stop: non-finite
+max deviation from exact: 2.36325e-10
+max cross-ratio deviation: 1.95319e-11
+exact discrete solution: yes
+chi vs exact: 3.26655e-11
+""",
+    "5": """\
+example: 5
+invariant stop: completed
+invariant last x: 0.16400000000000001
+first pole: 0.12732395447351627
+beyond singularity: yes
+baseline stop: non-finite
+baseline last x: 0.12726999999999999
+chi vs exact before pole: 0.000426893
+""",
+}
+
+
+@pytest.mark.parametrize("example_id", list(DEFAULT_SUMMARIES))
+def test_example_default_summaries(example_out, capsys, example_id):
+    # the summary.txt that `example --out` wrote and the stdout of a run
+    # without --out
+    assert (example_out(example_id) / "summary.txt").read_text() == DEFAULT_SUMMARIES[example_id]
+    capsys.readouterr()
+    assert main(["example", example_id]) == 0
+    assert capsys.readouterr().out == DEFAULT_SUMMARIES[example_id]
+
 
 def test_example_4_summary_and_files(tmp_path, capsys):
     out = tmp_path / "ex4"
@@ -622,13 +692,6 @@ def test_example_h_ref_help_names_each_default(capsys):
         assert f"{ex.h_ref:g} for example {k}" in text
 
 
-def test_example_1_run_past_the_reference(capsys):
-    assert main(["example", "1", "--h", "0.5", "--h-ref", "1e-3", "--steps", "3"]) == 0
-    text = capsys.readouterr().out
-    line = [l for l in text.splitlines() if l.startswith("chi vs fine reference")][0]
-    assert float(line.split(":")[1]) >= 0.0
-
-
 # --- example 1's fine reference ---------------------------------------------------------
 
 @pytest.mark.parametrize("h_ref", [None, 1e-3])
@@ -773,7 +836,10 @@ def test_example_5_summary_takes_the_sides_of_x0():
     # the first step has no real root
     (["2-log", "--x0=-0.0003"], "no-real-root", ["chi vs exact"]),
     (["2-arctanh", "--h", "0.9", "--steps", "3"], "no-real-root", ["chi vs exact"]),
-], ids=["4-flat-seed", "2-log-no-root", "2-arctanh-no-root"])
+    # the fine reference ends at the seed's last node, x = 2.5
+    (["1", "--h", "0.5", "--h-ref", "1e-3", "--steps", "3"], "completed",
+     ["chi vs fine reference"]),
+], ids=["4-flat-seed", "2-log-no-root", "2-arctanh-no-root", "1-past-the-reference"])
 def test_example_that_computed_no_point_scores_nothing(capsys, argv, stop, scores):
     # the seed samples the exact solution, so a score of the seed alone would
     # read 0 and call the run exact

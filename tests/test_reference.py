@@ -137,7 +137,7 @@ def test_example_system_is_derived_from_its_scheme_and_forcing(example_id):
 def test_example_system_for_the_pairs_no_example_runs(scheme, forcing, want):
     # the stencil mean's continuous limit is y itself
     ex = cli.Example(scheme, forcing, h=0.01, x0=0.5, steps=lambda h, x0: 1,
-                     summarize=dict, init=(0.3, 1.2, -0.7, 0.4, 0.9)[:want.order])
+                     summary=(), init=(0.3, 1.2, -0.7, 0.4, 0.9)[:want.order])
     got, ref = (rk4_integrate(system, ex.init, ex.x0, ex.h, 40) for system in (ex.system, want))
     assert repr(got) == repr(ref)
 
