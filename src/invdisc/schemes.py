@@ -13,26 +13,25 @@ y0 - 3 y1 + 3 y2, the quadratic through the window at the next node; the
 degree its descent ends on keeps its real root nearest it, and
 :func:`_polish` polishes a cubic's root.
 
-Each scheme has a straight-line run loop on plain floats, ``_sly4_run``,
-``_slx3_run`` (forcing affine in the new ordinate), its constant-forcing form
-``_slx3_constant_run`` or ``_h5_run``, which advances a window one step of a
-uniform lattice per node, writes ordinates only and reads no spacing.
-``slx3`` and ``h5`` evaluate each step's invariants and R5 line inline, with
-the float operations of :mod:`invdisc.discrete`.  ``_slx3_run`` takes its
-roots from :func:`_cubic_roots` or :func:`_quadratic_roots` and keeps one by
-:func:`select_root`; ``_slx3_constant_run`` writes the last two inline.  Each
-loop carries what the next window would recompute: ``slx3`` two ordinate
-differences, ``h5`` its checked R4 (the next R3) and differences, ``sly4`` ρ,
-the deficit of the y cross-ratio from 4, a ratio deficit, the last difference
-and a compensated sum.  ``sly4`` takes from ρ what :func:`_sly4_decrements`
-yields per step, which alone reads sly4's nodes.  A constant forcing costs
-nothing per step.  :func:`integrate` alone knows from how many points each
-scheme steps and which loop runs a forcing (``SchemeSpec`` refuses the rest);
-it checks the lattice once, resolves the seed into the loop's start state, the
-schemes' only calls into :mod:`invdisc.discrete`, and runs the loop; the
-trajectory forms the abscissae the run reached when ``xs`` is first read.
-Each ``*_step(stencil, x_next, forcing)`` is its first step on the lattice
-through the stencil and x_next.
+Each scheme has one straight-line run loop on plain floats, ``_sly4_run``,
+``_slx3_run`` or ``_h5_run``, which advances a window one step of a uniform
+lattice per node, writes ordinates only and reads no spacing.  ``slx3`` and
+``h5`` evaluate each step's invariants and R5 line inline, with the float
+operations of :mod:`invdisc.discrete`.  ``_slx3_run`` runs every forcing: a
+cubic takes its roots from :func:`_cubic_roots` and keeps one by
+:func:`select_root`, and a quadratic, which is all a constant forcing ever
+clears to, writes both inline.  Each loop carries what the next window would
+recompute: ``slx3`` two ordinate differences, ``h5`` its checked R4 (the next
+R3) and differences, ``sly4`` ρ, the deficit of the y cross-ratio from 4, a
+ratio deficit, the last difference and a compensated sum.  ``sly4`` takes
+from ρ what :func:`_sly4_decrements` yields per step, which alone reads
+sly4's nodes.  A constant forcing costs nothing per step.  :func:`integrate`
+alone knows from how many points each scheme steps; in one dispatch over the
+scheme it resolves the seed into its loop's start state, the schemes' only
+calls into :mod:`invdisc.discrete`, after one lattice check, and runs the
+loop; the trajectory forms the abscissae the run reached when ``xs`` is
+first read.  Each ``*_step(stencil, x_next, forcing)`` is its first step on
+the lattice through the stencil and x_next.
 """
 from __future__ import annotations
 
@@ -174,13 +173,13 @@ def select_root(roots: list[float], prediction: float) -> float | None:
 # steps run out; sly4 takes each item from its deficit, and slx3 and h5
 # only count them.  The window lives in local floats, and a difference or
 # cross-ratio that the next window would recompute from the same operands
-# is carried over.  A step calls Python code only in _slx3_run, for its roots
-# and their choice, and in sly4's decrements, for its function of x.  Inline
-# checks |d| <= DEGENERACY_RTOL * scale are core.is_degenerate, and abs(t) <=
-# OVERFLOW_LIMIT is false for NaN and +-inf as well.  Each scale is max() of
-# magnitudes taken once per step, written out as the left fold m = v if v > m
-# else m in max()'s argument order: the same float as max(), which keeps a
-# NaN first operand and skips a later one, without a call.
+# is carried over.  A step calls Python code only in _slx3_run, for a cubic's
+# roots, their choice and polish, and in sly4's decrements, for its function
+# of x.  Inline checks |d| <= DEGENERACY_RTOL * scale are core.is_degenerate,
+# and abs(t) <= OVERFLOW_LIMIT is false for NaN and +-inf as well.  Each
+# scale is max() of magnitudes taken once per step, written out as the left
+# fold m = v if v > m else m in max()'s argument order: the same float as
+# max(), which keeps a NaN first operand and skips a later one, without a call.
 
 def _sly4_run(ys, state, decrements, out_ys) -> StopReason:
     """Run loop of the fourth-order scheme, l4(window + new point) = f(x2),
@@ -214,10 +213,12 @@ def _slx3_run(ys, state, steps, out_ys) -> StopReason:
     + y2) + fb y2, f1 = fb for ``state`` = (c, w, fb)), m3 = forcing is
     -K f1 u^3 - K (f0 + f1 s) u^2 + (18a - 6b - K f0 s) u - 6 s b = 0.  A
     leading coefficient at most DEGENERACY_RTOL times the largest drops it
-    one degree; :func:`select_root` keeps the last one's real root nearest
-    u_p = 2b - a, polished if cubic.  No root, or b = 0 (m3 has no value),
-    stops the step.  It runs the ``IdentityInY`` forcings, and under the
-    state (c, 0, 0) defines ``_slx3_constant_run``."""
+    one degree; the last one's real root nearest u_p = 2b - a is kept, by
+    :func:`select_root` and polished if cubic.  No root, or b = 0 (m3 has no
+    value), stops the step.  A constant forcing, the state (c, 0, 0), forms
+    no window sum and no u^3 term, and shifts only y2; where its K is not
+    finite (a NaN scale among such), -K·0 would be NaN and take the cubic
+    path to a NaN root, so the step stops NON_FINITE unsolved."""
     c, w, fb = state
     y0, y1, y2 = ys
     a, b = y1 - y0, y2 - y1
@@ -225,57 +226,26 @@ def _slx3_run(ys, state, steps, out_ys) -> StopReason:
         if b == 0.0:
             return StopReason.DEGENERATE_COEFFICIENT
         s, k = a + b, 4.0 * a * b
-        f0 = (c + w * (y0 + y1 + y2) if w else c) + fb * y2
-        c0, c1 = -6.0 * s * b, 18.0 * a - 6.0 * b - k * f0 * s
-        c2, c3 = -k * (f0 + fb * s), -k * fb
-        m0, m1, m2, m3 = abs(c0), abs(c1), abs(c2), abs(c3)
-        m01 = m1 if m1 > m0 else m0
-        m012 = m2 if m2 > m01 else m01
-        if cubic := not m3 <= DEGENERACY_RTOL * (m3 if m3 > m012 else m012):
-            roots = _cubic_roots(c0, c1, c2, c3)
-        elif not m2 <= DEGENERACY_RTOL * m012:
-            roots = _quadratic_roots(c0, c1, c2)
-        elif not m1 <= DEGENERACY_RTOL * m01:
-            roots = (-c0 / c1,)
+        if fb:
+            f0 = (c + w * (y0 + y1 + y2) if w else c) + fb * y2
+            c0, c1 = -6.0 * s * b, 18.0 * a - 6.0 * b - k * f0 * s
+            c2, c3 = -k * (f0 + fb * s), -k * fb
+        elif k - k:  # NaN, a true float, where K is infinite or NaN
+            return StopReason.NON_FINITE
         else:
-            return StopReason.DEGENERATE_COEFFICIENT
-        u = select_root(roots, 2.0 * b - a)  # u_p: y0 - 3 y1 + 3 y2, less y2
-        if u is None:
-            return StopReason.NO_REAL_ROOT
-        t = y2 + (_polish(c0, c1, c2, c3, u) if cubic else u)
-        if not abs(t) <= OVERFLOW_LIMIT:
-            return StopReason.NON_FINITE
-        out_ys.append(t)
-        a, b = b, t - y2
-        y0, y1, y2 = y1, y2, t
-    return StopReason.COMPLETED
-
-
-def _slx3_constant_run(ys, c, steps, out_ys) -> StopReason:
-    """``_slx3_run`` under Constant(c), the state (c, 0, 0), less the terms
-    that vanish there: the window's forcing sum and the u^3 coefficient -K·0
-    with its test.  The rest is ``_slx3_run``'s, float for float; its tail
-    inlines :func:`_quadratic_roots` and :func:`select_root`, which pays on
-    the constant forcings, most slx3 steps of the benchmark.  Where K = 4ab
-    is not finite (a NaN scale among such), -K·0 is NaN and ``_slx3_run``'s
-    cubic path ends on a NaN root; here the step stops NON_FINITE unsolved."""
-    y1, y2 = ys[1], ys[2]
-    a, b = y1 - ys[0], y2 - y1
-    for _ in steps:
-        if b == 0.0:
-            return StopReason.DEGENERATE_COEFFICIENT
-        s, k = a + b, 4.0 * a * b
-        if k - k:  # NaN, a true float, where K is infinite or NaN
-            return StopReason.NON_FINITE
-        kc = k * c
-        c0, c1, c2 = -6.0 * s * b, 18.0 * a - 6.0 * b - kc * s, -kc
+            kc = k * c
+            c0, c1, c2 = -6.0 * s * b, 18.0 * a - 6.0 * b - kc * s, -kc
         m0, m1, m2 = abs(c0), abs(c1), abs(c2)
         m01 = m1 if m1 > m0 else m0
-        if not m2 <= DEGENERACY_RTOL * (m2 if m2 > m01 else m01):
-            up = 2.0 * b - a  # y0 - 3 y1 + 3 y2, less y2
+        m012 = m2 if m2 > m01 else m01
+        up = 2.0 * b - a  # y0 - 3 y1 + 3 y2, less y2
+        if fb and not (m3 := abs(c3)) <= DEGENERACY_RTOL * (m3 if m3 > m012 else m012):
+            u = _polish(c0, c1, c2, c3, select_root(_cubic_roots(c0, c1, c2, c3), up))
+        elif not m2 <= DEGENERACY_RTOL * m012:
             disc = c1 * c1 - 4.0 * c2 * c0
             if disc < 0.0:
                 return StopReason.NO_REAL_ROOT
+            # _quadratic_roots and select_root, inline
             sq = math.sqrt(disc)
             q = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0.0 else -0.5 * sq
             lo, hi = (0.0, 0.0) if q == 0.0 else (q / c2, c0 / q)
@@ -290,6 +260,8 @@ def _slx3_constant_run(ys, c, steps, out_ys) -> StopReason:
         if not abs(t) <= OVERFLOW_LIMIT:
             return StopReason.NON_FINITE
         out_ys.append(t)
+        if fb:
+            y0, y1 = y1, y2
         a, b, y2 = b, t - y2, t
     return StopReason.COMPLETED
 
@@ -459,32 +431,28 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
     arity = SCHEME_ARITY[scheme]
     if len(seed) != arity:
         raise ValueError(f"{scheme.value} steps from {arity} points, got {len(seed)}")
-    # SchemeSpec holds only a forcing its scheme takes
-    sly4, slx3 = scheme is SchemeKind.SLY4, scheme is SchemeKind.SLX3
-    if sly4:
-        run = _sly4_run
-    elif not slx3:
-        run, c = _h5_run, forcing.c
-    elif isinstance(forcing, Constant):
-        run, state = _slx3_constant_run, forcing.c
-    else:
-        # rhs(t) = t, or the stencil mean (y0 + y1 + y2 + t)/4
-        run, state = _slx3_run, (0.0, 0.25, 0.25) if forcing.stencil_mean else (0.0, 0.0, 1.0)
     _check_lattice(seed, h, n_steps)
     if n_steps == 0:
         return Trajectory(seed.xs, seed.ys, StopReason.COMPLETED, scheme.value, h)
-    ys, out_ys = seed.ys, list(seed.ys)
+    # SchemeSpec holds only a forcing its scheme takes; slx3 and h5 only
+    # count the steps
+    ys, out_ys, steps = seed.ys, list(seed.ys), range(n_steps)
     try:
-        if sly4:
+        if scheme is SchemeKind.SLY4:
             d2, d = ys[2] - ys[1], ys[3] - ys[2]
+            run = _sly4_run
             state = 4.0 * (_ratio_r_over_s(seed.xs, ys, 0) - 1.0), (d - d2) / d2, d
-        elif not slx3:
-            state = _cross_ratio(*ys[:4]), c
+            steps = _sly4_decrements(seed, forcing, h, n_steps)
+        elif scheme is SchemeKind.SLX3:
+            # rhs(t) = c, t, or the stencil mean (y0 + y1 + y2 + t)/4
+            run, state = _slx3_run, ((forcing.c, 0.0, 0.0) if isinstance(forcing, Constant)
+                                     else (0.0, 0.25, 0.25) if forcing.stencil_mean
+                                     else (0.0, 0.0, 1.0))
+        else:
+            run, state = _h5_run, (_cross_ratio(*ys[:4]), forcing.c)
     except (DegenerateCoefficientError, NonFiniteError, ZeroDivisionError) as exc:
         stop = (StopReason.NON_FINITE if isinstance(exc, NonFiniteError)
                 else StopReason.DEGENERATE_COEFFICIENT)
     else:
-        # slx3 and h5 only count the steps
-        steps = _sly4_decrements(seed, forcing, h, n_steps) if sly4 else range(n_steps)
         stop = run(ys, state, steps, out_ys)
     return Trajectory._on_lattice(seed.xs, tuple(out_ys), stop, scheme.value, h)

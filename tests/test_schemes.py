@@ -463,7 +463,7 @@ def test_integrate_validates_seed():
         assert calls() == 0
 
 
-RUN_LOOPS = ("_sly4_run", "_slx3_run", "_slx3_constant_run", "_h5_run")
+RUN_LOOPS = ("_sly4_run", "_slx3_run", "_h5_run")
 
 
 @contextmanager
@@ -1244,10 +1244,9 @@ def _assert_integrate_is_composed(spec, seed, n_steps):
 #: per degree of the slx3 step and per branch of its descent, where a
 #: degenerate leading coefficient drops the polynomial in u = t - y2 one
 #: degree: (ys, forcing, the degree the descent ends on, or the stop where
-#: the step solves nothing).  Under the identity forcings a cubic or a
-#: quadratic calls its root solver and only a cubic's root is polished; the
-#: constant-forcing loop finds its roots inline.  Under the
-#: identity forcings f0 is about y2, so the u^3 term is about 1/(y2 s) of
+#: the step solves nothing).  Only a cubic calls its root solver, and only
+#: its root is polished; the loop finds a lower degree's roots inline.  Under
+#: the identity forcings f0 is about y2, so the u^3 term is about 1/(y2 s) of
 #: the u term and the u^2 term 1/s + 1/y2 of it: a window far from 0 drops
 #: the cubic, one as wide as it is far the quadratic too
 SLX3_DEGREES = {
@@ -1292,12 +1291,11 @@ def test_slx3_descent_equals_composed_kernels(ys, forcing, degree):
         calls = {name: stack.enter_context(mock.patch.object(
                      schemes, name, wraps=getattr(schemes, name))) for name in counted}
         t = slx3_step(Stencil(xs, ys), 1.5, forcing)
-        # a cubic's root solver and its polish, an identity forcing's
-        # quadratic root solver, and no call under a constant forcing
+        # a cubic's root solver and its polish, and no call on a lower
+        # degree, whose roots the loop finds inline
         identity = isinstance(forcing, IdentityInY)
         assert {name: calls[name].call_count for name in counted if calls[name].called} == (
-            {"_cubic_roots": 1, "_polish": 1} if degree == 3
-            else {"_quadratic_roots": 1} if identity and degree == 2 else {})
+            {"_cubic_roots": 1, "_polish": 1} if degree == 3 else {})
         for m in calls.values():
             m.reset_mock()
         traj = integrate(spec, Stencil(xs, ys), 20)
@@ -1315,8 +1313,8 @@ def test_slx3_descent_equals_composed_kernels(ys, forcing, degree):
 
 def test_slx3_identity_forcings_keep_each_root_by_select_root():
     # example 3's run, 300 steps from its RK4 seed: under either identity
-    # forcing select_root keeps the root of every solved step, and the
-    # constant-forcing loop, which chooses inline, never calls it
+    # forcing select_root keeps the root of every solved step, which is a
+    # cubic, and a constant forcing's quadratic, chosen inline, never calls it
     run = run_example("3")
     seed, n_steps = Stencil(run.inv.xs[:3], run.inv.ys[:3]), len(run.inv) - 3
     assert n_steps == 300
@@ -1354,13 +1352,14 @@ SLX3_CONSTANT_WINDOWS = [ys for ys, forcing, _ in SLX3_DEGREES.values()
                    st.floats(allow_nan=False, allow_infinity=False)),
        n_steps=st.integers(1, 40))
 def test_slx3_constant_run_steps_as_slx3_run(ys, c, n_steps):
-    # _slx3_run under the state (c, 0, 0) is the definition: the constant
-    # loop leaves out only terms that vanish there, and stops on a K that
-    # is not finite where _slx3_run's cubic path ends on a NaN root
-    want, got = [], []
-    stop = schemes._slx3_run(ys, (c, 0.0, 0.0), range(n_steps), want)
-    assert schemes._slx3_constant_run(ys, c, range(n_steps), got) is stop
-    assert repr(got) == repr(want)
+    # the composed kernels step the same windows to the same floats and
+    # stop: on a K that is not finite the loop stops unsolved, where their
+    # cubic path, its u^3 coefficient -K*0 a NaN, ends on a NaN root
+    spec = SchemeSpec(SchemeKind.SLX3, Constant(c), Uniform(1.0))
+    _, want, stop = scheme_reference_loop(spec, Stencil((0.0, 1.0, 2.0), ys), n_steps)
+    got = []
+    assert schemes._slx3_run(ys, (c, 0.0, 0.0), range(n_steps), got) is stop
+    assert repr(got) == repr(list(want[3:]))
     event(f"{stop.value}, {'stepped' if got else 'no step'}")
 
 
