@@ -52,7 +52,8 @@ def _polish(c0: float, c1: float, c2: float, c3: float, t: float) -> float:
     accepted only if it reduces the residual: at (near-)multiple roots both
     p and p' are noise-level and the raw step can jump to an unrelated
     point.  A lower degree passes zero for the coefficients it lacks.  Only
-    :func:`solve_poly` and ``_slx3_run``, on a cubic's root, call it."""
+    :func:`solve_poly`, and on a cubic's root ``_slx3_run`` and
+    :func:`_cubic_roots`, call it."""
     dp = (3.0 * c3 * t + 2.0 * c2) * t + c1
     if dp != 0.0 and math.isfinite(dp):
         p = ((c3 * t + c2) * t + c1) * t + c0
@@ -77,8 +78,17 @@ def _quadratic_roots(c0: float, c1: float, c2: float) -> tuple[float, ...]:
 
 def _cubic_roots(c0: float, c1: float, c2: float, c3: float) -> list[float]:
     """Real roots of c0 + c1*t + c2*t^2 + c3*t^3 (c3 != 0) in ascending
-    order, not polished; raises NonFiniteError if the depressed coefficients
-    overflow."""
+    order; raises NonFiniteError if the depressed coefficients overflow.
+
+    The depressed form's shift -c2/(3c3) cancels the smaller roots of a cubic
+    with one far larger root, so only one of its real roots, r, is kept: the
+    largest where it has three.  The rest runs in s = t/2^k, where the
+    cubic's coefficients, scaled exactly by powers of 2, are below 1 and its
+    roots below 4 (Fujiwara's bound): r is polished and divided out, from
+    the constant term up where the sum and the product of the other two
+    roots say that neither is larger, else from the leading term down, the
+    stable order of each.  The real roots of the quotient are the other two,
+    not polished."""
     b, cc, d = c2 / c3, c1 / c3, c0 / c3
     try:
         # depressed form u^3 + p*u + q with t = u - b/3
@@ -90,21 +100,32 @@ def _cubic_roots(c0: float, c1: float, c2: float, c3: float) -> list[float]:
     shift = -b / 3.0
     disc = -4.0 * cube - 27.0 * qq * qq
     if disc > 0.0:
-        # three distinct real roots (requires pp < 0)
+        # three distinct real roots (requires pp < 0), of which r is the largest
         m = 2.0 * math.sqrt(-pp / 3.0)
         arg = 3.0 * qq / (pp * m)
         arg = min(1.0, max(-1.0, arg))
         theta = math.acos(arg) / 3.0
-        roots = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) + shift
-                 for k in range(3)]
-    else:
+        r = max([m * math.cos(theta - 2.0 * math.pi * j / 3.0) + shift for j in range(3)],
+                key=abs)
+    else:  # one real root, or a simple one beside a double one
         inner = math.sqrt(max(0.0, qq * qq / 4.0 + cube / 27.0))
-        u = _cbrt(-qq / 2.0 + inner) + _cbrt(-qq / 2.0 - inner)
-        roots = [u + shift]
-        if disc == 0.0 and pp != 0.0:
-            roots.append(-u / 2.0 + shift)
-    roots.sort()
-    return roots
+        r = _cbrt(-qq / 2.0 + inner) + _cbrt(-qq / 2.0 - inner) + shift
+    # k is the least integer with |c_i| < 2^(e3 + (3 - i) k) for every
+    # nonzero c_i, i < 3, where |c3| is in [2^(e3 - 1), 2^e3)
+    e3 = math.frexp(c3)[1]
+    k = max([(math.frexp(c)[1] - e3 + n - 1) // n for c, n in ((c2, 1), (c1, 2), (c0, 3)) if c]
+            or [0])
+    d0, d1, d2 = math.ldexp(c0, -3 * k - e3), math.ldexp(c1, -2 * k - e3), math.ldexp(c2, -k - e3)
+    d3 = math.ldexp(c3, -e3)
+    r = _polish(d0, d1, d2, d3, math.ldexp(r, -k))
+    rd = r * d3
+    q1 = d2 + rd  # -d3 times the sum of the other two roots
+    if abs(q1) <= 2.0 * abs(rd) and abs(d0) < abs(rd * r * r):
+        q0 = -d0 / r
+        q1 = (q0 - d1) / r
+    else:
+        q0 = d1 + r * q1
+    return sorted([math.ldexp(s, k) for s in (r, *_quadratic_roots(q0, q1, d3))])
 
 
 def solve_poly(coeffs: Sequence[float]) -> list[float]:

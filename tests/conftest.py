@@ -439,19 +439,39 @@ def _ref_real_roots(c):
             raise NonFiniteError("cubic coefficients overflow") from None
         shift = -b / 3.0
         disc = -4.0 * cube - 27.0 * qq * qq
-        if disc > 0.0:
+        if disc > 0.0:  # three real roots: keep the largest
             m = 2.0 * math.sqrt(-pp / 3.0)
             arg = min(1.0, max(-1.0, 3.0 * qq / (pp * m)))
             theta = math.acos(arg) / 3.0
-            roots = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) + shift
-                     for k in range(3)]
+            r = max([m * math.cos(theta - 2.0 * math.pi * k / 3.0) + shift
+                     for k in range(3)], key=abs)
         else:
             inner = math.sqrt(max(0.0, qq * qq / 4.0 + cube / 27.0))
-            u = _ref_cbrt(-qq / 2.0 + inner) + _ref_cbrt(-qq / 2.0 - inner)
-            roots = [u + shift]
-            if disc == 0.0 and pp != 0.0:
-                roots.append(-u / 2.0 + shift)
+            r = _ref_cbrt(-qq / 2.0 + inner) + _ref_cbrt(-qq / 2.0 - inner) + shift
+        roots = _ref_deflated(c, r)
     return sorted(roots)
+
+
+def _ref_deflated(c, r):
+    """The cubic c's real root r and the real roots of the quadratic left
+    when r, polished, is divided out; all in s = t/2^k, where the coefficients
+    c_i 2^((i - 3) k - e3) lie below 1 in magnitude (c3 in [2^(e3-1), 2^e3)),
+    for the least such integer k."""
+    e3 = math.frexp(c[3])[1]
+    ks = [math.ceil((math.frexp(ci)[1] - e3) / (3 - i)) for i, ci in enumerate(c[:3]) if ci]
+    k = max(ks) if ks else 0
+    d = [math.ldexp(ci, (i - 3) * k - e3) for i, ci in enumerate(c)]
+    s = _ref_polish(d, math.ldexp(r, -k))
+    # divide from the constant term up where neither other root is larger
+    # than s (their sum -q1/d3 at most 2|s|, their product d0/(d3 s) below
+    # s^2), else from the leading term down
+    q1 = d[2] + s * d[3]
+    if abs(q1) <= 2.0 * abs(s * d[3]) and abs(d[0]) < abs(s * d[3] * s * s):
+        q0 = -d[0] / s
+        q = [q0, (q0 - d[1]) / s, d[3]]
+    else:
+        q = [d[1] + s * q1, q1, d[3]]
+    return [math.ldexp(v, k) for v in [s, *_ref_real_roots(q)]]
 
 
 def _ref_slx3_kernel(xs, ys, x_next, forcing):

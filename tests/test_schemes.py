@@ -336,15 +336,12 @@ def test_slx3_keeps_the_root_nearest_the_prediction_on_the_lattice():
 
 
 
-@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND on schemes._cubic_roots: with one "
-                                       "root about 1e8 times the others, it loses the two "
-                                       "small roots")
 def test_slx3_cubic_step_takes_the_root_of_its_own_cubic(monkeypatch):
     # a nearly flat window far from 0 under the identity forcing: its float
-    # cubic in u has exact roots -5.49e-6, 1.621e-2 and 983843.93, but
-    # _cubic_roots returns -1.256e-3, 1.746e-2 and 983843.93, and one polish
-    # from -1.256e-3 does not converge; the step lands 8.4e-5 off, 23% of
-    # |y2 - y1|, where ulp(t) is 1.2e-10
+    # cubic in u has exact roots -5.49e-6, 1.621e-2 and 983843.93; the
+    # depressed form's roots -1.256e-3, 1.746e-2 and 983843.93 would land
+    # the step 8.4e-5 off, 23% of |y2 - y1|, where ulp(t) is 1.2e-10, so
+    # _cubic_roots keeps only the large one and divides it out
     ys = (-983843.9445578405, -983843.9441645171, -983843.9445348798)
     cubics = []
     cubic_roots = schemes._cubic_roots
@@ -359,6 +356,40 @@ def test_slx3_cubic_step_takes_the_root_of_its_own_cubic(monkeypatch):
         t = float(ys[2] + mp.re(u))
     assert t == -983843.9445403708
     assert abs(traj.ys[-1] - t) <= 4.0 * math.ulp(t)
+
+
+def test_slx3_cubic_steps_land_on_their_own_cubics_roots():
+    # a seeded census of nearly flat identity-forcing windows:
+    # y0 = +-10^U(-3, 5), then two differences h U(0.2, 2), the first of the
+    # other sign in one window of four, h = 10^U(-3, 0); of those whose
+    # descent keeps the cubic, no step may land more than 8 ulp(y2) +
+    # 1e-12 |u| from y2 + u, u the 50-digit real root of the same float cubic
+    # nearest u_p (numpy's roots only start mpmath's iteration).  Without
+    # the division by the large root, 13 of these 1 000 steps are off
+    rng, spec = random.Random(31), SchemeSpec(SchemeKind.SLX3, IdentityInY(), Uniform(1.0))
+    off, n = [], 0
+    while n < 1000:
+        y0 = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 5.0)
+        h = 10.0 ** rng.uniform(-3.0, 0.0)
+        d1 = h * rng.uniform(0.2, 2.0) * (-1.0 if rng.random() < 0.25 else 1.0)
+        ys = (y0, y0 + d1, y0 + d1 + h * rng.uniform(0.2, 2.0))
+        c = _ref_slx3_coeffs(ys, IdentityInY())
+        if len(c) < 4:
+            continue
+        n += 1
+        traj = integrate(spec, Stencil((0.0, 1.0, 2.0), ys), 1)
+        u_p = 2.0 * (ys[2] - ys[1]) - (ys[1] - ys[0])
+        tol = lambda u: 8.0 * math.ulp(ys[2]) + 1e-12 * abs(u)
+        with mp.workdps(50):
+            roots = mp.polyroots(c[::-1], maxsteps=50, extraprec=100,
+                                 roots_init=[complex(r) for r in np.roots(c[::-1])])
+            u = min((mp.re(r) for r in roots if abs(mp.im(r)) <= tol(float(mp.re(r)))),
+                    key=lambda r: abs(r - u_p))
+            err = float(abs(mp.mpf(traj.ys[-1]) - ys[2] - u))
+        if traj.stop is not StopReason.COMPLETED or not err <= tol(float(u)):
+            off.append((ys, traj.stop, err / tol(float(u))))
+    assert off == []
+
 
 def test_h5_step_refuses_x_next_off_the_uniform_lattice():
     seed = seed_stencil_from_function(math.exp, 0.0, 0.1, 5)
@@ -1291,15 +1322,19 @@ def test_slx3_descent_equals_composed_kernels(ys, forcing, degree):
         calls = {name: stack.enter_context(mock.patch.object(
                      schemes, name, wraps=getattr(schemes, name))) for name in counted}
         t = slx3_step(Stencil(xs, ys), 1.5, forcing)
-        # a cubic's root solver and its polish, and no call on a lower
-        # degree, whose roots the loop finds inline
+        # a cubic's root solver, which polishes its largest root and solves
+        # the quadratic left when that is divided out, and the polish of the
+        # root kept; no call on a lower degree, whose roots the loop finds
+        # inline
         identity = isinstance(forcing, IdentityInY)
         assert {name: calls[name].call_count for name in counted if calls[name].called} == (
-            {"_cubic_roots": 1, "_polish": 1} if degree == 3 else {})
+            {"_cubic_roots": 1, "_polish": 2, "_quadratic_roots": 1} if degree == 3 else {})
         for m in calls.values():
             m.reset_mock()
         traj = integrate(spec, Stencil(xs, ys), 20)
-        assert calls["_polish"].call_count == calls["_cubic_roots"].call_count
+        cubics = calls["_cubic_roots"].call_count
+        assert calls["_polish"].call_count == 2 * cubics
+        assert calls["_quadratic_roots"].call_count == cubics
         assert identity or not any(m.called for m in calls.values())
     want = _ref_slx3_kernel(xs, ys, 1.5, forcing)
     assert repr(t) == repr(want)
