@@ -20,7 +20,7 @@ lattice per node, writes ordinates only and reads no spacing.  ``slx3`` and
 operations of :mod:`invdisc.discrete`.  ``_slx3_run`` runs every forcing: a
 cubic takes its roots from :func:`_cubic_roots` and keeps one by
 :func:`select_root`, and a quadratic, which is all a constant forcing ever
-clears to, writes both inline.  Each loop carries what the next window would
+clears to, finds and keeps its root inline.  Each loop carries what the next window would
 recompute: ``slx3`` two ordinate differences, ``h5`` its checked R4 (the next
 R3) and differences, ``sly4`` ρ, the deficit of the y cross-ratio from 4, a
 ratio deficit, the last difference and a compensated sum.  ``sly4`` takes
@@ -266,7 +266,8 @@ def _slx3_run(ys, state, steps, out_ys) -> StopReason:
             disc = c1 * c1 - 4.0 * c2 * c0
             if disc < 0.0:
                 return StopReason.NO_REAL_ROOT
-            # _quadratic_roots and select_root, inline
+            # _quadratic_roots and select_root, float for float: the constant
+            # forcings, most slx3 steps, make no call
             sq = math.sqrt(disc)
             q = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0.0 else -0.5 * sq
             lo, hi = (0.0, 0.0) if q == 0.0 else (q / c2, c0 / q)
@@ -461,8 +462,8 @@ def integrate(spec: SchemeSpec, seed: Stencil, n_steps: int) -> Trajectory:
     try:
         if scheme is SchemeKind.SLY4:
             d2, d = ys[2] - ys[1], ys[3] - ys[2]
-            run = _sly4_run
-            state = 4.0 * (_ratio_r_over_s(seed.xs, ys, 0) - 1.0), (d - d2) / d2, d
+            rho = 4.0 * (_ratio_r_over_s(seed.xs, ys, 0) - 1.0)
+            run, state = _sly4_run, (rho, (d - d2) / d2, d)
             steps = _sly4_decrements(seed, forcing, h, n_steps)
         elif scheme is SchemeKind.SLX3:
             # rhs(t) = c, t, or the stencil mean (y0 + y1 + y2 + t)/4
