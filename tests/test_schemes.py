@@ -1322,10 +1322,9 @@ def test_slx3_descent_equals_composed_kernels(ys, forcing, degree):
         calls = {name: stack.enter_context(mock.patch.object(
                      schemes, name, wraps=getattr(schemes, name))) for name in counted}
         t = slx3_step(Stencil(xs, ys), 1.5, forcing)
-        # a cubic's root solver, which polishes its largest root and solves
-        # the quadratic left when that is divided out, and the polish of the
-        # root kept; no call on a lower degree, whose roots the loop finds
-        # inline
+        # a cubic's root solver, which polishes one real root and solves the
+        # quadratic left when that is divided out, and the polish of the root
+        # kept; no call on a lower degree, whose roots the loop finds inline
         identity = isinstance(forcing, IdentityInY)
         assert {name: calls[name].call_count for name in counted if calls[name].called} == (
             {"_cubic_roots": 1, "_polish": 2, "_quadratic_roots": 1} if degree == 3 else {})
