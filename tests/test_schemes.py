@@ -1208,10 +1208,10 @@ def test_h5_seed_without_its_first_r3_starts_no_loop(ys):
 #: windows over x = 0, 0.1, ... whose first zero-forcing step stops
 #: NON_FINITE at a return of its run loop
 FIRST_STEP_NON_FINITE = {
-    # K = 4 (y1 - y0)(y2 - y1) overflows: the constant-forcing loop stops on
-    # it before the step is solved; in the composed kernels every term but
-    # the constant one is K times a zero forcing, NaN, and the cubic path
-    # takes them to a NaN root, for which |t| <= OVERFLOW_LIMIT is false
+    # K = 4 (y1 - y0)(y2 - y1) overflows: under a constant forcing the loop
+    # stops on it before the step is solved; in the composed kernels every
+    # term but the constant one is K times a zero forcing, NaN, and the cubic
+    # path takes them to a NaN root, for which |t| <= OVERFLOW_LIMIT is false
     "slx3-root": (SchemeKind.SLX3, (2.56186378782458e257, 2.5933638886239894e257,
                                     2.561863812844665e257)),
     # y3 * (y4 - y2) overflows in a*t = b
