@@ -7,16 +7,15 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from collections.abc import Callable
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from pathlib import Path
-from typing import Callable
 
 from .core import (SCHEME_ARITY, Constant, DegenerateCoefficientError, DomainError,
                    ForcingTerm, FunctionOfX, IdentityInY, NonFiniteError, SchemeKind,
-                   SchemeSpec, Stencil, StopReason, Trajectory, Uniform,
+                   SchemeSpec, Stencil, StopReason, Trajectory, Uniform, _Value,
                    seed_stencil_from_function)
 from .discrete import _cross_ratio
 from .limits import _INVARIANTS, LimitProbe, probe_limit
@@ -56,6 +55,11 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
+def _write_text(path, text: str) -> None:
+    with open(path, "w") as f:
+        f.write(text)
+
+
 def write_trajectory_csv(path, traj: Trajectory) -> None:
     lines = [f"# scheme: {traj.scheme_id}",
              f"# h: {_fmt(traj.h_nominal)}",
@@ -63,7 +67,7 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
              "x,y"]
     # one %-format per row: _fmt's digits, without two calls a row
     lines += ["%.17g,%.17g" % row for row in zip(traj.xs, traj.ys)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -71,7 +75,9 @@ def read_trajectory_csv(path) -> Trajectory:
     meta_line = {}  # key -> number of the line that set it
     xs, ys = [], []
     header_seen = False
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    with open(path) as f:
+        text = f.read()
+    for lineno, raw in enumerate(text.splitlines(), 1):
         if header_seen:
             # a data row first, unstripped: float() skips the spaces around it
             sx, _, sy = raw.partition(",")
@@ -120,8 +126,7 @@ def read_trajectory_csv(path) -> Trajectory:
 
 # --- paper examples -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Example:
+class Example(_Value):
     """One paper experiment, run by :func:`run_example`.  ``system`` is the
     ODE that ``scheme`` discretises under ``forcing``.  The seed samples
     ``solution`` or, without one, strides a fine RK4 run of ``system`` at step
@@ -131,19 +136,22 @@ class Example:
     (:func:`~invdisc.reference.rk4_schwarzian_rate`, f the forcing's ``fn``),
     the others plain RK4 on ``system``.  The RK4 baseline runs plain RK4 on
     ``system`` from ``init`` (default: the solution's jet at x0) over the
-    run's lattice, or on the ``(h, steps)`` of ``baseline_grid(h, x0)``."""
+    run's lattice, or on the ``(h, steps)`` of ``baseline_grid(h, x0)``.
+    ``steps`` gives the default step count from (h, x0), and ``summary``
+    the labels of SUMMARY_LINES, in print order."""
 
-    scheme: SchemeKind
-    forcing: ForcingTerm
-    h: float
-    x0: float
-    steps: Callable[[float, float], int]  # default step count from (h, x0)
-    summary: tuple[str, ...]  # labels of SUMMARY_LINES, in print order
-    solution: ExactSolution | None = None
-    init: tuple[float, ...] | None = None
-    span: float | None = None
-    baseline_grid: Callable[[float, float], tuple[float, int]] | None = None
-    h_ref: float = 1e-5
+    _fields = ("scheme", "forcing", "h", "x0", "steps", "summary", "solution", "init", "span",
+               "baseline_grid", "h_ref")
+
+    def __init__(self, scheme: SchemeKind, forcing: ForcingTerm, h: float, x0: float,
+                 steps: Callable[[float, float], int], summary: tuple[str, ...],
+                 solution: ExactSolution | None = None, init: tuple[float, ...] | None = None,
+                 span: float | None = None,
+                 baseline_grid: Callable[[float, float], tuple[float, int]] | None = None,
+                 h_ref: float = 1e-5):
+        self.__dict__.update(scheme=scheme, forcing=forcing, h=h, x0=x0, steps=steps,
+                             summary=summary, solution=solution, init=init, span=span,
+                             baseline_grid=baseline_grid, h_ref=h_ref)
 
     @property
     def system(self) -> OdeSystem:
@@ -157,21 +165,21 @@ class Example:
         return scaled_schwarzian_system((lambda x, y: y) if c is None else lambda x, y: c)
 
 
-@dataclass(frozen=True)
-class ExampleRun:
-    """One run of a paper example, as :func:`run_example` resolved it.  The
-    RK4 baseline and the summary are computed on first use; ``summary`` maps
-    each label to its value, and floats print with six significant digits."""
+class ExampleRun(_Value):
+    """One run of a paper example, as :func:`run_example` resolved it: ``init``
+    holds the RK4 initial values, ``base_grid`` the RK4 baseline's (h, steps),
+    ``ref`` the fine reference the seed came from, if any, and ``ref_error``
+    its step-doubling error, if it scores the run.  The RK4 baseline and the
+    summary are computed on first use; ``summary`` maps each label to its
+    value, and floats print with six significant digits."""
 
-    id: str
-    h: float
-    x0: float
-    init: tuple[float, ...]  # RK4 initial values
-    base_grid: tuple[float, int]  # the RK4 baseline's (h, steps)
-    inv: Trajectory
-    ref: Trajectory | None  # the fine reference the seed came from, if any
-    stride: int
-    ref_error: float | None  # ref's step-doubling error, if ref scores the run
+    _fields = ("id", "h", "x0", "init", "base_grid", "inv", "ref", "stride", "ref_error")
+
+    def __init__(self, id: str, h: float, x0: float, init: tuple[float, ...],
+                 base_grid: tuple[float, int], inv: Trajectory, ref: Trajectory | None,
+                 stride: int, ref_error: float | None):
+        self.__dict__.update(id=id, h=h, x0=x0, init=init, base_grid=base_grid, inv=inv, ref=ref,
+                             stride=stride, ref_error=ref_error)
 
     @property
     def example(self) -> Example:
@@ -215,7 +223,7 @@ def _fine_rk4(ex: Example, init, x0: float, h: float, n: int) -> Trajectory:
 
 
 def run_example(example_id: str, h: float | None = None, steps: int | None = None,
-                out_dir: Path | None = None, h_ref: float | None = None,
+                out_dir: str | os.PathLike | None = None, h_ref: float | None = None,
                 x0: float | None = None, ref: ExampleRun | None = None) -> ExampleRun:
     """Run one entry of :data:`EXAMPLES`; options left as None take its
     defaults.  ``h_ref`` is the step of the RK4 run that seeds an example
@@ -284,10 +292,10 @@ def run_example(example_id: str, h: float | None = None, steps: int | None = Non
     run = ExampleRun(example_id, h, x0, init, base_grid, integrate(spec, seed, steps),
                      run_ref, stride, ref_error)
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_trajectory_csv(out_dir / "invariant.csv", run.inv)
-        write_trajectory_csv(out_dir / "baseline.csv", run.base)
-        (out_dir / "summary.txt").write_text("\n".join(run.lines) + "\n")
+        os.makedirs(out_dir, exist_ok=True)
+        write_trajectory_csv(os.path.join(out_dir, "invariant.csv"), run.inv)
+        write_trajectory_csv(os.path.join(out_dir, "baseline.csv"), run.base)
+        _write_text(os.path.join(out_dir, "summary.txt"), "\n".join(run.lines) + "\n")
     return run
 
 
@@ -418,8 +426,7 @@ EXAMPLES: dict[str, Example] = {
 # --- subcommand drivers ----------------------------------------------------------
 
 def cmd_example(args) -> int:
-    out_dir = Path(args.out) if args.out else None
-    run = run_example(args.id, args.h, args.steps, out_dir, args.h_ref, args.x0)
+    run = run_example(args.id, args.h, args.steps, args.out or None, args.h_ref, args.x0)
     print("\n".join(run.lines))
     return EXIT_OK
 

@@ -2,14 +2,14 @@
 vocabulary describing one scheme run.
 
 Everything here is an immutable value; instances can be shared freely
-between threads.  A :class:`Trajectory` of a lattice run forms its abscissae
+between threads.  The value types are plain classes on :class:`_Value`, so
+that importing the package generates no code.  A :class:`Trajectory` of a lattice run forms its abscissae
 on the first read of ``xs``; concurrent first reads build the same tuple.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from operator import gt, lt
 
@@ -38,20 +38,47 @@ def is_degenerate(d: float, scale: float) -> bool:
     return abs(d) <= DEGENERACY_RTOL * scale
 
 
-@dataclass(frozen=True)
-class Point:
+class _Value:
+    """Base of the immutable value types.  A subclass names its fields in
+    ``_fields`` and sets them in its own ``__init__``; ``==``, ``hash`` and
+    ``repr`` read them in that order, and no attribute can be set or deleted."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Point(_Value):
     """One lattice node (x, y)."""
 
-    x: float
-    y: float
+    _fields = ("x", "y")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise NonFiniteError(f"non-finite point ({self.x}, {self.y})")
+    def __init__(self, x: float, y: float):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise NonFiniteError(f"non-finite point ({x}, {y})")
+        self.__dict__.update(x=x, y=y)
 
 
-@dataclass(frozen=True, init=False)
-class Stencil:
+class Stencil(_Value):
     """Ordered window of 3..6 consecutive lattice points, stored as tuples
     of their abscissae and ordinates.
 
@@ -60,8 +87,7 @@ class Stencil:
     abscissae, where decreasing order expresses backward integration.
     """
 
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
+    _fields = ("xs", "ys")
 
     def __init__(self, xs: Iterable[float], ys: Iterable[float]):
         xs, ys = tuple(xs), tuple(ys)
@@ -76,28 +102,25 @@ class Stencil:
         # with every x finite, b - a > 0 is a < b
         if not (all(map(lt, xs, xs[1:])) or all(map(gt, xs, xs[1:]))):
             raise ValueError("stencil abscissae must be strictly monotone")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        self.__dict__.update(xs=xs, ys=ys)
 
     def __len__(self) -> int:
         return len(self.xs)
 
 
-@dataclass(frozen=True)
-class Jet:
+class Jet(_Value):
     """Value and derivatives (y, y', ..., y^(5)) at an abscissa x; ``d``
     becomes a tuple of six floats, and x and each entry must be finite."""
 
-    x: float
-    d: tuple[float, ...]
+    _fields = ("x", "d")
 
-    def __post_init__(self):
-        d = tuple(map(float, self.d))
-        object.__setattr__(self, "d", d)
+    def __init__(self, x: float, d: Iterable[float]):
+        d = tuple(map(float, d))
         if len(d) != 6:
             raise ValueError(f"jet needs entries for orders 0..5, got {len(d)}")
-        if not (math.isfinite(self.x) and all(map(math.isfinite, d))):
+        if not (math.isfinite(x) and all(map(math.isfinite, d))):
             raise NonFiniteError("non-finite jet entry")
+        self.__dict__.update(x=x, d=d)
 
 
 class StopReason(Enum):
@@ -107,18 +130,17 @@ class StopReason(Enum):
     NON_FINITE = "non-finite"
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Value):
     """Computed abscissae and ordinates plus the reason extension ceased.
 
     A run on a uniform lattice keeps its seed abscissae and forms ``xs``
     when it is first read (see :meth:`_on_lattice`)."""
 
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
-    stop: StopReason
-    scheme_id: str
-    h_nominal: float
+    _fields = ("xs", "ys", "stop", "scheme_id", "h_nominal")
+
+    def __init__(self, xs: tuple[float, ...], ys: tuple[float, ...], stop: StopReason,
+                 scheme_id: str, h_nominal: float):
+        self.__dict__.update(xs=xs, ys=ys, stop=stop, scheme_id=scheme_id, h_nominal=h_nominal)
 
     @classmethod
     def _on_lattice(cls, head: tuple[float, ...], ys: tuple[float, ...], stop: StopReason,
@@ -136,7 +158,7 @@ class Trajectory:
         x0 = float(head[0])
         # the advanced nodes only, by a list comprehension: faster than a generator
         xs = head + tuple([x0 + k * h for k in range(len(head), len(self.ys))])
-        object.__setattr__(self, "xs", xs)
+        self.__dict__["xs"] = xs
         return xs
 
     def __len__(self) -> int:
@@ -172,31 +194,35 @@ class _Points(Sequence):
 
 # --- forcing terms -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(_Value):
     """Constant right-hand side."""
 
-    c: float
+    _fields = ("c",)
 
-    def __post_init__(self):
-        if not math.isfinite(self.c):
-            raise ValueError(f"constant forcing {self.c!r} is not finite")
+    def __init__(self, c: float):
+        if not math.isfinite(c):
+            raise ValueError(f"constant forcing {c!r} is not finite")
+        self.__dict__["c"] = c
 
 
-@dataclass(frozen=True)
-class FunctionOfX:
+class FunctionOfX(_Value):
     """Function of x as the right-hand side; must be total on the
     integration interval."""
 
-    fn: Callable[[float], float]
+    _fields = ("fn",)
+
+    def __init__(self, fn: Callable[[float], float]):
+        self.__dict__["fn"] = fn
 
 
-@dataclass(frozen=True)
-class IdentityInY:
+class IdentityInY(_Value):
     """Right-hand side equal to the dependent variable itself, taken at the
     new point or, with ``stencil_mean``, as the mean over the full stencil."""
 
-    stencil_mean: bool = False
+    _fields = ("stencil_mean",)
+
+    def __init__(self, stencil_mean: bool = False):
+        self.__dict__["stencil_mean"] = stencil_mean
 
 
 ForcingTerm = Constant | FunctionOfX | IdentityInY
@@ -204,35 +230,34 @@ ForcingTerm = Constant | FunctionOfX | IdentityInY
 
 # --- lattice rules -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Uniform:
+class Uniform(_Value):
     """Equally spaced abscissae x_n = x0 + n*h."""
 
-    h: float
+    _fields = ("h",)
 
-    def __post_init__(self):
-        if not math.isfinite(self.h):
-            raise ValueError(f"lattice step {self.h!r} is not finite")
-        if self.h == 0:
+    def __init__(self, h: float):
+        if not math.isfinite(h):
+            raise ValueError(f"lattice step {h!r} is not finite")
+        if h == 0:
             raise ValueError("uniform lattice needs a nonzero step")
+        self.__dict__["h"] = h
 
 
-@dataclass(frozen=True)
-class ConstantS:
+class ConstantS(_Value):
     """Lattice with constant x cross-ratio K, extended from a three-point seed."""
 
-    K: float
-    seed: tuple[float, float, float]
+    _fields = ("K", "seed")
 
-    def __post_init__(self):
-        object.__setattr__(self, "seed", tuple(self.seed))
-        a, b, c = self.seed
-        if not all(map(math.isfinite, (self.K, a, b, c))):
+    def __init__(self, K: float, seed: Iterable[float]):
+        seed = tuple(seed)
+        a, b, c = seed
+        if not all(map(math.isfinite, (K, a, b, c))):
             raise ValueError("cross-ratio constant K and seed must be finite")
         if not ((a < b < c) or (a > b > c)):
             raise ValueError("seed abscissae must be strictly monotone")
-        if self.K == 0:
+        if K == 0:
             raise ValueError("cross-ratio constant K must be nonzero")
+        self.__dict__.update(K=K, seed=seed)
 
 
 # --- scheme run configuration ------------------------------------------------
@@ -251,20 +276,18 @@ SCHEME_FORCINGS = {SchemeKind.SLY4: (Constant, FunctionOfX),
                    SchemeKind.SLX3: (Constant, IdentityInY), SchemeKind.H5: (Constant,)}
 
 
-@dataclass(frozen=True)
-class SchemeSpec:
+class SchemeSpec(_Value):
     """Which scheme, forcing and lattice define a run; refuses a forcing the scheme cannot run."""
 
-    scheme: SchemeKind
-    forcing: ForcingTerm
-    lattice: Uniform
+    _fields = ("scheme", "forcing", "lattice")
 
-    def __post_init__(self):
-        if not isinstance(self.forcing, takes := SCHEME_FORCINGS[self.scheme]):
-            raise ValueError(f"{self.scheme.value} takes {' or '.join(t.__name__ for t in takes)}"
-                             f" forcings, not {type(self.forcing).__name__}")
-        if not isinstance(self.lattice, Uniform):
+    def __init__(self, scheme: SchemeKind, forcing: ForcingTerm, lattice: Uniform):
+        if not isinstance(forcing, takes := SCHEME_FORCINGS[scheme]):
+            raise ValueError(f"{scheme.value} takes {' or '.join(t.__name__ for t in takes)}"
+                             f" forcings, not {type(forcing).__name__}")
+        if not isinstance(lattice, Uniform):
             raise ValueError("schemes run on uniform lattices only")
+        self.__dict__.update(scheme=scheme, forcing=forcing, lattice=lattice)
 
     @property
     def arity(self) -> int:

@@ -10,18 +10,17 @@ the difference invariants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import DegenerateCoefficientError, Jet, NonFiniteError
+from .core import DegenerateCoefficientError, Jet, NonFiniteError, _Value
 
 
-@dataclass(frozen=True)
-class InvariantTriple:
+class InvariantTriple(_Value):
     """Third-, fourth- and fifth-order members of one invariant family."""
 
-    third: float
-    fourth: float
-    fifth: float
+    _fields = ("third", "fourth", "fifth")
+
+    def __init__(self, third: float, fourth: float, fifth: float):
+        self.__dict__.update(third=third, fourth=fourth, fifth=fifth)
 
 
 def _check_slope(jet: Jet):

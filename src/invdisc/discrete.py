@@ -11,20 +11,18 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .core import (DEGENERACY_RTOL, DegenerateCoefficientError, NonFiniteError, Stencil,
-                   is_degenerate)
+                   _Value, is_degenerate)
 
 
-@dataclass(frozen=True)
-class CrossRatioWindow:
+class CrossRatioWindow(_Value):
     """Four consecutive coordinate values (all x's or all y's)."""
 
-    a0: float
-    a1: float
-    a2: float
-    a3: float
+    _fields = ("a0", "a1", "a2", "a3")
+
+    def __init__(self, a0: float, a1: float, a2: float, a3: float):
+        self.__dict__.update(a0=a0, a1=a1, a2=a2, a3=a3)
 
 
 #: the smallest normal float; a product below it in size has lost digits

@@ -5,11 +5,10 @@ from the error decay."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from operator import sub
-from typing import Callable, Sequence
 
-from .core import Jet, Stencil
+from .core import Jet, Stencil, _Value
 from .differential import InvariantTriple, h5_differential, jy_invariants, kx_invariants
 from .discrete import (h5_discrete, l3, l4, l5, m3, m4, m5, w_coefficient,
                        wx_coefficient)
@@ -62,8 +61,7 @@ def target_value(invariant: str, jet: Jet, xs: Sequence[float]) -> float:
     return _lattice_target(invariant, _anchor_invariants(invariant, jet), xs)
 
 
-@dataclass(frozen=True)
-class LimitProbe:
+class LimitProbe(_Value):
     """One convergence experiment.
 
     The stencil at level k is uniform with spacing h_k, starting at
@@ -81,34 +79,35 @@ class LimitProbe:
     once for a uniform probe, and each level adds only its lattice correction.
     """
 
-    invariant: str
-    test_function: Callable[[float], Jet]
-    x_center: float
-    h_sequence: tuple[float, ...]
-    lattice: Callable[[float], Sequence[float]] | None = None
-    target_fn: Callable[[Jet, Sequence[float]], float] | None = None
+    _fields = ("invariant", "test_function", "x_center", "h_sequence", "lattice", "target_fn")
 
-    def __post_init__(self):
-        if self.invariant not in _INVARIANTS:
-            raise ValueError(f"unknown invariant {self.invariant!r}")
-        hs = tuple(float(h) for h in self.h_sequence)
-        object.__setattr__(self, "h_sequence", hs)
+    def __init__(self, invariant: str, test_function: Callable[[float], Jet], x_center: float,
+                 h_sequence: Iterable[float],
+                 lattice: Callable[[float], Sequence[float]] | None = None,
+                 target_fn: Callable[[Jet, Sequence[float]], float] | None = None):
+        if invariant not in _INVARIANTS:
+            raise ValueError(f"unknown invariant {invariant!r}")
+        hs = tuple(float(h) for h in h_sequence)
         if not (len(hs) >= 4 and all(map(math.isfinite, hs))
                 and all(b < a for a, b in zip(hs, hs[1:]))):
             raise ValueError("h_sequence must be finite, strictly decreasing, >= 4 levels")
+        self.__dict__.update(invariant=invariant, test_function=test_function, x_center=x_center,
+                             h_sequence=hs, lattice=lattice, target_fn=target_fn)
 
 
-@dataclass(frozen=True)
-class LimitReport:
-    """Per-level errors, fitted order, and the finest clean estimate."""
+class LimitReport(_Value):
+    """Per-level errors, fitted order, and the finest clean estimate;
+    ``floor_level`` is the first level hit by the roundoff floor, len(hs) if none."""
 
-    hs: tuple[float, ...]
-    values: tuple[float, ...]
-    errors: tuple[float, ...]
-    targets: tuple[float, ...]
-    estimated_order: float
-    limit_value: float
-    floor_level: int  # first level hit by the roundoff floor; len(hs) if none
+    _fields = ("hs", "values", "errors", "targets", "estimated_order", "limit_value",
+               "floor_level")
+
+    def __init__(self, hs: tuple[float, ...], values: tuple[float, ...],
+                 errors: tuple[float, ...], targets: tuple[float, ...], estimated_order: float,
+                 limit_value: float, floor_level: int):
+        self.__dict__.update(hs=hs, values=values, errors=errors, targets=targets,
+                             estimated_order=estimated_order, limit_value=limit_value,
+                             floor_level=floor_level)
 
 
 def _abscissae(p: LimitProbe, h: float, npts: int) -> list[float]:

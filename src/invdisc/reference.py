@@ -9,27 +9,24 @@ throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .core import (DegenerateCoefficientError, DomainError, Jet, NonFiniteError,
-                   OVERFLOW_LIMIT, StopReason, Trajectory)
+                   OVERFLOW_LIMIT, StopReason, Trajectory, _Value)
 # bench/tracing.py wraps compose_jet under this module's name
 from .differential import _chain_rule, compose_jet  # noqa: F401
 
 
-@dataclass(frozen=True)
-class OdeSystem:
+class OdeSystem(_Value):
     """Explicit ODE y^(order) = rhs(x, y, y', ..., y^(order-1)): ``rhs``
     takes the abscissa and the state as separate floats."""
 
-    order: int
-    rhs: Callable[..., float]
-    name: str = "ode"
+    _fields = ("order", "rhs", "name")
 
-    def __post_init__(self):
-        if not 3 <= self.order <= 5:
+    def __init__(self, order: int, rhs: Callable[..., float], name: str = "ode"):
+        if not 3 <= order <= 5:
             raise ValueError("order must be 3..5")
+        self.__dict__.update(order=order, rhs=rhs, name=name)
 
 
 def schwarzian_rate_system(forcing: Callable[[float], float]) -> OdeSystem:
@@ -249,12 +246,13 @@ def rk4_schwarzian_rate(forcing: Callable[[float], float], init: Sequence[float]
 
 # --- exact solutions ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExactSolution:
+class ExactSolution(_Value):
     """Closed-form solution with value and jet evaluators."""
 
-    eval_fn: Callable[[float], float]
-    jet_fn: Callable[[float], Jet]
+    _fields = ("eval_fn", "jet_fn")
+
+    def __init__(self, eval_fn: Callable[[float], float], jet_fn: Callable[[float], Jet]):
+        self.__dict__.update(eval_fn=eval_fn, jet_fn=jet_fn)
 
 
 def _reciprocal_derivatives(x: float, n: int = 5) -> tuple[float, ...]:

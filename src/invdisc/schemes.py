@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .core import (Constant, DEGENERACY_RTOL, DegenerateCoefficientError, ForcingTerm,
                    FunctionOfX, NonFiniteError, OVERFLOW_LIMIT, SCHEME_ARITY,

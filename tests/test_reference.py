@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import operator
 import os
@@ -122,7 +121,7 @@ HAND_WRITTEN_SYSTEMS = {"1": schwarzian_rate_system(math.cos),
 def test_example_system_is_derived_from_its_scheme_and_forcing(example_id):
     # system is no field: the scheme and forcing give it, and RK4 on it runs
     # bit for bit as on the hand-written system
-    assert "system" not in {f.name for f in dataclasses.fields(cli.Example)}
+    assert "system" not in cli.Example._fields
     ex, want = cli.EXAMPLES[example_id], HAND_WRITTEN_SYSTEMS[example_id]
     init = ex.init or ex.solution.jet_fn(ex.x0).d[:want.order]
     got, ref = (rk4_integrate(system, init, ex.x0, ex.h, 40) for system in (ex.system, want))
