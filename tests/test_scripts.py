@@ -3,6 +3,7 @@ import json
 import runpy
 import shutil
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -87,3 +88,22 @@ def test_ab_inprocess_loads_two_trees_side_by_side(tmp_path):
     assert result["head_won"] == sum(y < x for x, y in zip(rounds["base"], rounds["head"]))
     for key in [k for k in sys.modules if k.split(".")[0] in names]:
         del sys.modules[key]
+
+
+def test_cold_start_times_fresh_processes(tmp_path):
+    """One round of every command and setting on a copy of the working tree:
+    a row each in the table and the record, and no bytecode in the tree."""
+    src = SCRIPTS.parent / "src"
+    before = set(src.rglob("*.pyc"))
+    record = tmp_path / "cold.json"
+    done = subprocess.run([sys.executable, str(SCRIPTS / "cold_start.py"), "--repeat", "1",
+                           "--json", str(record)], capture_output=True, text=True, timeout=60,
+                          check=True)
+    rows = json.loads(record.read_text())["rows"]
+    assert [(r["tree"], r["command"], r["site"], r["pyc"]) for r in rows] == [
+        ("working tree", command, site, pyc) for command in ("bare", "import invdisc", "example 4")
+        for site, pyc in ((False, True), (True, True), (False, False), (True, False))]
+    assert all(r["ms"] == [r["median_ms"]] and 0 < r["q1_ms"] == r["median_ms"] == r["q3_ms"]
+               for r in rows)
+    assert len(done.stdout.splitlines()) == 1 + len(rows)
+    assert set(src.rglob("*.pyc")) == before
