@@ -3,8 +3,9 @@ vocabulary describing one scheme run.
 
 Everything here is an immutable value; instances can be shared freely
 between threads.  The value types are plain classes on :class:`_Value`, so
-that importing the package generates no code.  A :class:`Trajectory` of a lattice run forms its abscissae
-on the first read of ``xs``; concurrent first reads build the same tuple.
+that importing the package generates no code.  A :class:`Trajectory` of a
+lattice run forms its abscissae on the first read of ``xs``; concurrent
+first reads build the same tuple.
 """
 from __future__ import annotations
 
@@ -41,7 +42,9 @@ def is_degenerate(d: float, scale: float) -> bool:
 class _Value:
     """Base of the immutable value types.  A subclass names its fields in
     ``_fields`` and sets them in its own ``__init__``; ``==``, ``hash`` and
-    ``repr`` read them in that order, and no attribute can be set or deleted."""
+    ``repr`` read them in that order, and no attribute can be set or deleted.
+    Instances keep a ``__dict__``: a lattice run's lazy ``xs``, cached
+    properties, copy and pickle write to it directly."""
 
     _fields: tuple[str, ...] = ()
 
