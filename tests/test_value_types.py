@@ -46,8 +46,8 @@ VALUES = {
                 "solution=ExactSolution(eval_fn=<built-in function exp>, "
                 "jet_fn=<built-in function cos>), init=None, span=None, baseline_grid=None, "
                 "h_ref=1e-05)"),
-    "ExampleRun": (lambda: ExampleRun("4", 0.1, -1.0, (1.0, 2.0), (0.1, 3), VALUES["Trajectory"][0](),
-                                      None, 1, None),
+    "ExampleRun": (lambda: ExampleRun("4", 0.1, -1.0, (1.0, 2.0), (0.1, 3),
+                                      VALUES["Trajectory"][0](), None, 1, None),
                    ("id", "h", "x0", "init", "base_grid", "inv", "ref", "stride", "ref_error"),
                    f"ExampleRun(id='4', h=0.1, x0=-1.0, init=(1.0, 2.0), base_grid=(0.1, 3), "
                    f"inv={TRAJ_REPR}, ref=None, stride=1, ref_error=None)"),
